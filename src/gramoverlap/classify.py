@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
 from .errors import DegenerateValuesError
 from .overlap import OverlapMatrix, PreprocessMode, row_sums
 
@@ -46,12 +45,18 @@ class LabelPartition:
 
     @classmethod
     def from_inlier_mask(cls, mask) -> "LabelPartition":
+        """Partition whose inliers are the set entries of a boolean mask.
+
+        ``flatnonzero`` of the mask and of its complement are sorted and form
+        a disjoint cover of 0..n-1 by construction, so the validation of the
+        constructor is skipped here.
+        """
         mask = np.asarray(mask, dtype=bool)
-        return cls(
-            n=mask.size,
-            inliers=np.flatnonzero(mask),
-            outliers=np.flatnonzero(~mask),
-        )
+        part = object.__new__(cls)
+        object.__setattr__(part, "n", mask.size)
+        object.__setattr__(part, "inliers", np.flatnonzero(mask))
+        object.__setattr__(part, "outliers", np.flatnonzero(~mask))
+        return part
 
     @classmethod
     def from_inliers(cls, n: int, inliers) -> "LabelPartition":
@@ -113,6 +118,7 @@ class MatchDiagnostics:
     centroid_gap: float | None = None
     degenerate: bool = False  # constant statistic; fell back to all-outliers
     leading_eigenvalue: float | None = None
+    eig_backend: str | None = None  # "gram_factor" | "power_iteration"
     residual: float | None = None
     iterations: int | None = None
     converged: bool | None = None
@@ -207,11 +213,16 @@ def eigenvector_match(
 
     The threshold branch keeps index i as an inlier when the (sign-fixed)
     eigenvector coordinate is >= t / sqrt(n); the 2-means branch clusters the
-    coordinates and keeps the upper cluster.
+    coordinates and keeps the upper cluster.  The eigenvector is
+    :meth:`OverlapMatrix.leading_eigenpair`, solved once per overlap: from the
+    d^2-by-d^2 Khatri-Rao Gram, without reading ``H``, when ``4 d^2 <= n``
+    (see :func:`~gramoverlap.overlap.factored_eig_is_cheaper`), and by power
+    iteration on ``H`` otherwise.  The diagnostics name the backend in
+    ``eig_backend``.
     """
     if cfg.method != METHOD_EIGENVECTOR:
         raise ValueError(f"config method is {cfg.method!r}, not eigenvector")
-    pair = linalg.power_iteration(h.h)
+    pair = h.leading_eigenpair()
     v = pair.vector
     diag = MatchDiagnostics(
         method=METHOD_EIGENVECTOR,
@@ -220,14 +231,15 @@ def eigenvector_match(
         stat_min=float(v.min()),
         stat_max=float(v.max()),
         leading_eigenvalue=pair.value,
+        eig_backend=h.eig_backend,
         residual=pair.residual,
         iterations=pair.iterations,
         converged=pair.converged,
     )
     if not pair.converged:
         diag.warnings.append(
-            f"power iteration did not reach tolerance after {pair.iterations} "
-            f"iterations (residual {pair.residual:.3e})"
+            f"{h.eig_backend} eigenpair did not reach tolerance after "
+            f"{pair.iterations} iterations (residual {pair.residual:.3e})"
         )
     cut = None
     if not cfg.use_two_means:

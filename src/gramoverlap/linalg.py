@@ -1,8 +1,9 @@
 """Dense symmetric-matrix primitives.
 
-Gram and entrywise (Hadamard) products, power iteration for the leading
-eigenpair, and a full dense eigendecomposition capped at small orders that
-serves as the independent oracle for the iterative path.
+Gram and entrywise (Hadamard) products, two solvers for the leading eigenpair
+(power iteration on a dense matrix, and a factored solve of ``(X^T X) o (Y^T
+Y)`` that never forms it), and a full dense eigendecomposition capped at small
+orders that serves as the independent oracle for both.
 """
 
 import math
@@ -45,20 +46,17 @@ def check_symmetric(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _mirror_upper(a: np.ndarray) -> np.ndarray:
-    # One stored value per unordered pair: keep the upper triangle, mirror it.
-    upper = np.triu(a)
-    return upper + np.triu(a, 1).T
-
-
 def gram(x) -> np.ndarray:
     """Pairwise inner products of the columns of ``x`` (an n-by-n matrix).
 
-    The result is exactly symmetric: each unordered pair is stored once and
-    mirrored.
+    The result is exactly symmetric by construction.  ``x`` is made
+    C-contiguous first, so ``x.T @ x`` multiplies one buffer by its own
+    transpose; numpy hands that product to BLAS syrk, which computes one
+    triangle and copies it across.  For a d-by-n ``x`` it costs ``d*n^2``
+    flops.
     """
-    x = as_matrix(x, "x")
-    return _mirror_upper(x.T @ x)
+    x = np.ascontiguousarray(as_matrix(x, "x"))
+    return x.T @ x
 
 
 def hadamard(a, b) -> np.ndarray:
@@ -136,6 +134,41 @@ def power_iteration(
         v = av / norm_av
     value, v = best
     return SpectralPair(value, fix_sign(v), max_iter, best_residual, False)
+
+
+def khatri_rao_eigenpair(x, y) -> SpectralPair:
+    """Leading eigenpair of ``H = (X^T X) o (Y^T Y)`` without forming ``H``.
+
+    ``x`` and ``y`` are d-by-n.  Column i of the d^2-by-n matrix ``Z`` is
+    ``x_i (x) y_i`` (the column-wise Khatri-Rao product), and the
+    face-splitting identity gives ``H = Z^T Z``.  The d^2-by-d^2 matrix
+    ``Z Z^T`` has the same nonzero eigenvalues, and with ``u`` its top
+    eigenvector ``Z^T u`` is the top eigenvector of ``H``.  The cost is
+    ``d^4 n`` flops for ``Z Z^T``, one symmetric eigendecomposition of order
+    ``d^2`` and ``O(d^2 n)`` for the rest; it reads no n-by-n matrix.
+
+    The value is the Rayleigh quotient ``||Z v||^2``, the residual
+    ``||H v - value v||`` is computed matrix-free as ``Z^T (Z v) - value v``,
+    and ``converged`` applies the test of :func:`power_iteration` at its
+    default tolerance; ``iterations`` is 0.  When ``Z = 0`` (so ``H = 0``) the
+    result is the one power iteration gives: value 0 and the normalized
+    all-ones vector.
+    """
+    x = as_matrix(x, "x")
+    y = as_matrix(y, "y")
+    if x.shape != y.shape:
+        raise ValueError(f"shape mismatch: x is {x.shape}, y is {y.shape}")
+    d, n = x.shape
+    z = (x[:, None, :] * y[None, :, :]).reshape(d * d, n)
+    _, vectors = np.linalg.eigh(z @ z.T)
+    w = vectors[:, -1] @ z
+    norm = float(np.linalg.norm(w))
+    v = w / norm if norm > 0.0 else np.full(n, 1.0 / math.sqrt(n))
+    zv = z @ v
+    value = float(zv @ zv)
+    residual = float(np.linalg.norm(zv @ z - value * v))
+    converged = residual <= POWER_TOL_DEFAULT * max(1.0, abs(value))
+    return SpectralPair(value, fix_sign(v), 0, residual, converged)
 
 
 def dense_eig(a) -> tuple[np.ndarray, np.ndarray]:

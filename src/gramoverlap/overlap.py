@@ -44,26 +44,109 @@ def preprocess(x, mode: PreprocessMode) -> np.ndarray:
     return centered / norms
 
 
-@dataclass(frozen=True, eq=False)
+EIG_BACKEND_GRAM_FACTOR = "gram_factor"
+EIG_BACKEND_POWER_ITERATION = "power_iteration"
+
+
+def factored_eig_is_cheaper(d: int, n: int) -> bool:
+    """True when the factored eigensolve is expected to beat power iteration.
+
+    The factored solve (:func:`linalg.khatri_rao_eigenpair`) costs a
+    ``d^2``-by-``d^2`` symmetric eigendecomposition plus the ``d^4 n``-flop
+    product ``Z Z^T``.  Power iteration on an n-by-n ``H`` costs one order-n
+    matrix-vector product per iteration, and takes 11 to 136 iterations on
+    the synthetic overlaps of :mod:`gramoverlap.synth`.  Timed against each
+    other on those overlaps (single-threaded OpenBLAS, d from 3 to 24, n from
+    0.35 to 2.8 times ``4 d^2``), for every d >= 8 the factored solve was
+    the slower below ``n = 4 d^2``, within a factor 1.3 either way at it,
+    and the faster from 1.4 times it up; for d <= 6 it was the faster at
+    every n.
+    """
+    return 4 * d * d <= n
+
+
 class OverlapMatrix:
-    """Entrywise product of two Gram matrices, with build provenance."""
+    """Overlap matrix ``H = gram(X) o gram(Y)`` and its statistics, each
+    computed once and cached.
 
-    h: np.ndarray
-    d: int  # feature dimension of the original point sets
-    mode: PreprocessMode
+    Built from the preprocessed d-by-n factors ``xp`` and ``yp``, ``H`` is
+    ``gram(xp) * gram(yp)``, exactly symmetric by construction, so it is not
+    re-checked.  :func:`build_overlap` forms it at once;
+    ``OverlapMatrix(d=..., mode=..., xp=..., yp=...)`` forms it on first read
+    of :attr:`h`, so a caller that needs only the leading eigenpair of a
+    large overlap never holds an n-by-n array.  ``OverlapMatrix(h, d=...,
+    mode=...)`` wraps a user-supplied matrix instead; it is validated (square,
+    finite, exactly symmetric) and has no factors.
 
-    def __post_init__(self):
-        linalg.check_symmetric(self.h, "h")
-        if self.d < 1:
+    Each statistic is computed once per overlap, however many rules classify
+    it: :meth:`row_sums` and :meth:`leading_eigenpair`.  The eigenpair comes
+    from the d^2-by-d^2 Khatri-Rao Gram ``Z Z^T`` (backend ``"gram_factor"``,
+    which never reads ``H``) when the factors are held and
+    :func:`factored_eig_is_cheaper`, and from power iteration on the dense
+    ``H`` (backend ``"power_iteration"``) otherwise.
+    """
+
+    def __init__(self, h=None, *, d: int, mode: PreprocessMode, xp=None, yp=None):
+        if d < 1:
             raise ValueError("d must be at least 1")
+        if (h is None) == (xp is None or yp is None):
+            raise ValueError("give either h or both factors xp and yp")
+        if h is None and not xp.shape == yp.shape == (d, xp.shape[1]):
+            raise ValueError(
+                f"factors must both be {d}-by-n, got {xp.shape} and {yp.shape}"
+            )
+        self.d = d
+        self.mode = PreprocessMode(mode)
+        self.xp = xp
+        self.yp = yp
+        self._h = None if h is None else linalg.check_symmetric(h, "h")
+        self.n = xp.shape[1] if h is None else self._h.shape[0]
+        self._row_sums = None
+        self._pair = None
 
     @property
-    def n(self) -> int:
-        return self.h.shape[0]
+    def h(self) -> np.ndarray:
+        """The dense n-by-n overlap matrix, formed on first use."""
+        if self._h is None:
+            h = linalg.gram(self.xp)
+            h *= linalg.gram(self.yp)  # in place: two n-by-n arrays at the peak
+            self._h = h
+        return self._h
+
+    @property
+    def eig_backend(self) -> str:
+        """Solver that :meth:`leading_eigenpair` uses for this overlap."""
+        if self.xp is not None and factored_eig_is_cheaper(self.d, self.n):
+            return EIG_BACKEND_GRAM_FACTOR
+        return EIG_BACKEND_POWER_ITERATION
+
+    def row_sums(self) -> np.ndarray:
+        """Row sums of ``H`` (cached; do not modify the returned array)."""
+        if self._row_sums is None:
+            self._row_sums = self.h.sum(axis=1)
+        return self._row_sums
+
+    def leading_eigenpair(self) -> linalg.SpectralPair:
+        """Leading eigenpair of ``H`` from :attr:`eig_backend` (cached).
+
+        Either backend returns a unit, sign-fixed vector, and value 0 with
+        the normalized all-ones vector when ``H = 0``; the factored backend
+        reports 0 iterations.
+        """
+        if self._pair is None:
+            if self.eig_backend == EIG_BACKEND_GRAM_FACTOR:
+                self._pair = linalg.khatri_rao_eigenpair(self.xp, self.yp)
+            else:
+                self._pair = linalg.power_iteration(self.h)
+        return self._pair
 
 
 def build_overlap(x, y, mode: PreprocessMode) -> OverlapMatrix:
-    """Build the overlap matrix of two equally-shaped d-by-n point sets."""
+    """Build the overlap matrix of two equally-shaped d-by-n point sets.
+
+    The dense ``H`` is formed here; the statistics are computed when first
+    used (see :class:`OverlapMatrix`).
+    """
     x = linalg.as_matrix(x, "x")
     y = linalg.as_matrix(y, "y")
     if x.shape != y.shape:
@@ -71,16 +154,21 @@ def build_overlap(x, y, mode: PreprocessMode) -> OverlapMatrix:
     d, n = x.shape
     if n < 2:
         raise ValueError("need at least two points")
-    h = linalg.hadamard(
-        linalg.gram(preprocess(x, mode)), linalg.gram(preprocess(y, mode))
+    overlap = OverlapMatrix(
+        d=d, mode=mode, xp=preprocess(x, mode), yp=preprocess(y, mode)
     )
-    return OverlapMatrix(h=h, d=d, mode=PreprocessMode(mode))
+    _ = overlap.h  # form H now; construct from the factors to defer it
+    return overlap
 
 
 def row_sums(h) -> np.ndarray:
-    """Row sums of an overlap matrix (accepts OverlapMatrix or square array)."""
-    a = h.h if isinstance(h, OverlapMatrix) else linalg.check_symmetric(h, "h")
-    return a.sum(axis=1)
+    """Row sums of an overlap matrix (accepts OverlapMatrix or square array).
+
+    For an :class:`OverlapMatrix` this is its cached :meth:`OverlapMatrix.row_sums`.
+    """
+    if isinstance(h, OverlapMatrix):
+        return h.row_sums()
+    return linalg.check_symmetric(h, "h").sum(axis=1)
 
 
 @dataclass(frozen=True, eq=False)

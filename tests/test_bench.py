@@ -1,8 +1,10 @@
 """Sweep harness: method specs, row summaries, CSV round trip."""
 
+import time
+
 import pytest
 
-from gramoverlap import PreprocessMode
+from gramoverlap import PreprocessMode, linalg
 from gramoverlap.bench import (
     SWEEP_COLUMNS,
     parse_method,
@@ -77,3 +79,39 @@ class TestSweeps:
         assert list(back[0]) == SWEEP_COLUMNS
         for key in ("value", "error_w_mean", "time_ms_mean"):
             assert back[0][key] == pytest.approx(rows[0][key])
+
+
+class TestStatisticOncePerOverlap:
+    EIG_METHODS = ("eig:0.3", "eig:0.5", "eig:0.7", "eig:kmeans")
+
+    @pytest.mark.parametrize(
+        "d, n, backend",
+        [(4, 300, "khatri_rao_eigenpair"), (6, 60, "power_iteration")],
+    )
+    def test_one_eigenpair_per_trial_charged_to_every_method(
+        self, monkeypatch, d, n, backend
+    ):
+        calls = {"khatri_rao_eigenpair": 0, "power_iteration": 0}
+
+        def counted(name):
+            original = getattr(linalg, name)
+
+            def solve(*args, **kwargs):
+                calls[name] += 1
+                time.sleep(0.02)  # a solve every method must be charged for
+                return original(*args, **kwargs)
+
+            return solve
+
+        for name in calls:
+            monkeypatch.setattr(linalg, name, counted(name))
+        rows = run_rate_sweep(
+            d=d, n=n, r_values=[0.5], trials=2, seed=4, methods=self.EIG_METHODS
+        )
+        assert calls == {
+            "khatri_rao_eigenpair": 2 * (backend == "khatri_rao_eigenpair"),
+            "power_iteration": 2 * (backend == "power_iteration"),
+        }
+        assert [row["method"] for row in rows] == list(self.EIG_METHODS)
+        for row in rows:
+            assert row["time_ms_mean"] >= 20.0

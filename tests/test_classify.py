@@ -21,11 +21,13 @@ from gramoverlap import (
     generate,
     match,
     population_overlap,
+    preprocess,
     row_sum_match,
     row_sums,
     threshold_interval,
     two_means_1d,
 )
+from gramoverlap import linalg
 from gramoverlap.synth import derive_seed
 
 
@@ -216,6 +218,31 @@ class TestEigenvectorMatch:
         with pytest.raises(ValueError):
             eigenvector_match(h, MatchConfig(method="row_sum"))
 
+    def test_factored_backend_never_forms_h(self, monkeypatch):
+        # 4 d^2 <= n: the eigenvector comes from the d^2-by-d^2 Khatri-Rao
+        # Gram, so an overlap made from the factors never computes an n-by-n
+        # Gram matrix (and never forms H)
+        pair = generate(ScenarioSpec(d=4, n=400, r=0.8, seed=derive_seed(515, 0)))
+        mode = PreprocessMode.CENTER_NORMALIZE
+        h = OverlapMatrix(
+            d=4, mode=mode, xp=preprocess(pair.x, mode), yp=preprocess(pair.y, mode)
+        )
+
+        def no_gram(x):
+            raise AssertionError("gram called on the factored path")
+
+        monkeypatch.setattr(linalg, "gram", no_gram)
+        for cfg in (
+            MatchConfig(method="eigenvector"),
+            MatchConfig(method="eigenvector", threshold=0.5, use_two_means=False),
+        ):
+            part, diag = eigenvector_match(h, cfg)
+            assert diag.eig_backend == "gram_factor"
+            assert diag.iterations == 0 and diag.converged
+            assert error_rates(pair.inliers, part).error_w <= 0.1
+        with pytest.raises(AssertionError):
+            h.h
+
     def test_monte_carlo_weak_recovery(self):
         # pilot-calibrated: at d = n = 600, r = 0.8, raw data, t = 0.5 the
         # overall error is below 0.05 in at least 9 of 10 seeded trials
@@ -404,6 +431,22 @@ class TestLabelPartition:
             LabelPartition(n=3, inliers=np.array([0, 1]), outliers=np.array([1, 2]))
         with pytest.raises(ValueError):
             LabelPartition(n=3, inliers=np.array([0]), outliers=np.array([2]))
+
+    def test_mask_construction_equals_validated_construction(self):
+        rng = np.random.default_rng(100)
+        for _ in range(100):
+            n = int(rng.integers(1, 200))
+            mask = rng.random(n) < rng.random()
+            fast = LabelPartition.from_inlier_mask(mask)
+            checked = LabelPartition(
+                n=n,
+                inliers=np.flatnonzero(mask)[::-1],
+                outliers=rng.permutation(np.flatnonzero(~mask)),
+            )
+            assert fast.n == checked.n == n
+            for side in ("inliers", "outliers"):
+                a, b = getattr(fast, side), getattr(checked, side)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_round_trips(self):
         part = LabelPartition.from_inliers(5, [4, 0])

@@ -164,6 +164,28 @@ class TestMatch:
         expected = parallel_match(x, y, 2, cfg, max_workers=2).partition
         assert read_partition_csv(out2 / "partition.csv") == expected
 
+    def test_diagnostics_name_the_eig_backend(self, tmp_path):
+        # d = 3, n = 200 (4 d^2 <= n): factored solve; d = 50, n = 100: power
+        # iteration on the dense H
+        small = tmp_path / "small"
+        assert run(f"gen --d 3 --n 200 --r 0.8 --seed 19 --out {small}".split()) == 0
+        cases = (
+            (small, "gram_factor"),
+            (self.make_instance(tmp_path), "power_iteration"),
+        )
+        for data, backend in cases:
+            out = tmp_path / f"m-{backend}"
+            code = run(
+                f"match {data/'X.csv'} {data/'Y.csv'} --method eig --kmeans "
+                f"--preprocess cn --out {out}".split()
+            )
+            assert code == 0
+            diag = json.loads((out / "diagnostics.json").read_text())
+            assert diag["eig_backend"] == backend
+            assert diag["converged"] is True
+            assert (diag["iterations"] == 0) == (backend == "gram_factor")
+            assert diag["leading_eigenvalue"] > 0
+
     def test_threshold_and_kmeans_conflict(self, tmp_path):
         data = self.make_instance(tmp_path, seed=14)
         code = run(

@@ -35,8 +35,17 @@ class TestGram:
         assert np.max(np.abs(g - expected)) <= 1e-12
 
     def test_exactly_symmetric(self):
-        g = gram(rng_for(3).standard_normal((11, 23)))
-        assert np.array_equal(g, g.T)
+        # symmetric by construction, not by mirroring, for any memory layout
+        rng = rng_for(3)
+        for x in (
+            rng.standard_normal((11, 23)),
+            np.asfortranarray(rng.standard_normal((11, 230))),
+            rng.standard_normal((22, 460))[::2, ::2],
+            rng.standard_normal((230, 11)).T,
+            rng.standard_normal((1, 50)),
+        ):
+            g = gram(x)
+            assert np.array_equal(g, g.T)
 
     def test_positive_semidefinite(self):
         for seed in range(5):

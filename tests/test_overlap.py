@@ -8,15 +8,20 @@ from gramoverlap import (
     OverlapMatrix,
     PopulationModel,
     PreprocessMode,
+    ScenarioSpec,
     build_overlap,
     dense_eig,
+    generate,
     population_overlap,
     population_row_sum_mean,
     population_spectrum,
+    power_iteration,
     preprocess,
     row_sums,
     spectral_norm,
 )
+from gramoverlap.overlap import factored_eig_is_cheaper
+from gramoverlap.synth import derive_seed
 
 
 def haar(d, rng):
@@ -110,6 +115,141 @@ class TestBuildOverlap:
         h = build_overlap(x, y, PreprocessMode.CENTER_NORMALIZE)
         values, _ = dense_eig(h.h)
         assert values.min() >= -1e-8 * spectral_norm(h.h)
+
+
+    def test_user_matrix_validated(self):
+        with pytest.raises(ValueError):
+            OverlapMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]), d=1, mode="none")
+        x = np.ones((2, 3))
+        with pytest.raises(ValueError):
+            OverlapMatrix(np.eye(3), d=2, mode="none", xp=x, yp=x)
+        with pytest.raises(ValueError):
+            OverlapMatrix(d=2, mode="none", xp=x, yp=np.ones((2, 4)))
+
+    def test_statistics_are_cached(self):
+        rng = np.random.default_rng(6)
+        h = build_overlap(
+            rng.standard_normal((3, 40)), rng.standard_normal((3, 40)), "none"
+        )
+        assert h.h is h.h
+        assert h.row_sums() is h.row_sums()
+        assert h.leading_eigenpair() is h.leading_eigenpair()
+
+
+def random_factored_instances():
+    """Seeded overlaps on which the factored eigensolve is chosen, n <= 512."""
+    rng = np.random.default_rng(31)
+    for trial in range(24):
+        d = int(rng.integers(1, 7))
+        n = 10 * int(rng.integers(max(2, (4 * d * d + 9) // 10), 52))
+        kind = ("gaussian_outliers", "permuted_inliers")[trial % 2]
+        pair = generate(ScenarioSpec(d=d, n=n, r=0.6, kind=kind, seed=trial))
+        for mode in PreprocessMode:
+            if d == 1 and mode is PreprocessMode.CENTER_NORMALIZE:
+                continue  # centering a single feature can zero a column
+            yield build_overlap(pair.x, pair.y, mode)
+
+
+class TestLeadingEigenpair:
+    def test_backend_rule(self):
+        assert factored_eig_is_cheaper(6, 400) and factored_eig_is_cheaper(6, 144)
+        assert not factored_eig_is_cheaper(6, 143)
+        assert not factored_eig_is_cheaper(50, 1000)
+        assert factored_eig_is_cheaper(50, 10000)
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((8, 200))
+        assert build_overlap(x, x, "none").eig_backend == "power_iteration"
+        x = rng.standard_normal((3, 200))
+        assert build_overlap(x, x, "none").eig_backend == "gram_factor"
+        wrapped = OverlapMatrix(build_overlap(x, x, "none").h, d=3, mode="none")
+        assert wrapped.eig_backend == "power_iteration"
+
+    def test_factored_agrees_with_dense_eig_and_power_iteration(self):
+        count = 0
+        for h in random_factored_instances():
+            assert h.eig_backend == "gram_factor"
+            pair = h.leading_eigenpair()
+            values, vectors = dense_eig(h.h)
+            assert pair.converged and pair.iterations == 0
+            assert np.max(np.abs(pair.vector - vectors[:, 0])) <= 1e-12
+            assert abs(pair.value - values[0]) <= 1e-12 * values[0]
+            # power iteration stops at residual <= 1e-10 * value; its vector
+            # is then within about residual / gap of the true one
+            ref = power_iteration(h.h)
+            bound = 2.0 * ref.residual / (values[0] - values[1]) + 1e-12
+            assert np.linalg.norm(pair.vector - ref.vector) <= bound
+            count += 1
+        assert count >= 40
+
+    def test_support_matches_population_spectrum(self):
+        # with the outlier columns of X zeroed, H vanishes off the inlier
+        # block, so the leading eigenvector has exactly the population support
+        for trial in range(5):
+            spec = ScenarioSpec(
+                d=4, n=320, r=0.5, kind="gaussian_outliers",
+                seed=derive_seed(4141, trial),
+            )
+            pair = generate(spec)
+            m = PopulationModel(d=4, n=320, inliers=pair.inliers)
+            x = pair.x.copy()
+            x[:, m.outliers] = 0.0
+            h = build_overlap(x, pair.y, PreprocessMode.NONE)
+            assert h.eig_backend == "gram_factor"
+            v = h.leading_eigenpair().vector
+            _, expected, _ = population_spectrum(m)
+            assert np.array_equal(np.flatnonzero(v), np.flatnonzero(expected))
+            assert np.all(v[m.inliers] > 0)
+        # column-normalized model instances: the eigenvector lines up with the
+        # population one (measured minimum 0.963 over these seeds)
+        for d, n in ((4, 400), (6, 600)):
+            for trial in range(10):
+                spec = ScenarioSpec(
+                    d=d, n=n, r=0.8, kind="gaussian_outliers",
+                    seed=derive_seed(4242, trial),
+                )
+                pair = generate(spec)
+                h = build_overlap(pair.x, pair.y, PreprocessMode.CENTER_NORMALIZE)
+                assert h.eig_backend == "gram_factor"
+                _, expected, _ = population_spectrum(
+                    PopulationModel(d=d, n=n, inliers=pair.inliers)
+                )
+                assert h.leading_eigenpair().vector @ expected >= 0.9
+
+    def test_zero_factors_give_the_power_iteration_result(self):
+        x = np.zeros((3, 40))
+        h = build_overlap(x, x, PreprocessMode.NONE)
+        assert h.eig_backend == "gram_factor"
+        pair = h.leading_eigenpair()
+        ref = power_iteration(h.h)
+        assert pair.value == ref.value == 0.0
+        assert np.array_equal(pair.vector, ref.vector)
+        assert pair.converged and pair.residual == 0.0
+
+    def test_factored_is_permutation_equivariant(self):
+        rng = np.random.default_rng(12)
+        for trial in range(5):
+            pair = generate(
+                ScenarioSpec(d=4, n=128, r=0.5, seed=derive_seed(1212, trial))
+            )
+            sigma = rng.permutation(128)
+            h = build_overlap(pair.x, pair.y, PreprocessMode.CENTER_NORMALIZE)
+            hp = build_overlap(
+                pair.x[:, sigma], pair.y[:, sigma], PreprocessMode.CENTER_NORMALIZE
+            )
+            assert h.eig_backend == hp.eig_backend == "gram_factor"
+            a, b = h.leading_eigenpair(), hp.leading_eigenpair()
+            assert np.max(np.abs(b.vector - a.vector[sigma])) <= 1e-12
+            assert abs(b.value - a.value) <= 1e-12 * a.value
+
+    def test_dense_backend_is_power_iteration(self):
+        rng = np.random.default_rng(13)
+        h = build_overlap(
+            rng.standard_normal((6, 100)), rng.standard_normal((6, 100)), "none"
+        )
+        assert h.eig_backend == "power_iteration"
+        pair, ref = h.leading_eigenpair(), power_iteration(h.h)
+        assert pair.value == ref.value and pair.iterations == ref.iterations
+        assert np.array_equal(pair.vector, ref.vector)
 
 
 class TestRowSums:
