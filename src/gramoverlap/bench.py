@@ -1,12 +1,14 @@
 """Sweep harnesses: error-vs-inlier-rate, error-vs-noise, and split timing.
 
-Each grid point runs seeded trials; within a trial the overlap matrix is built
-once, each statistic it carries (leading eigenvector, row sums) is computed
-once, and every requested method classifies it, so methods are compared on
-identical data.  Per-method wall time charges the shared build, the statistic
-that method reads and that method's own classification, i.e. what a solo run
-would cost: each statistic is timed once per trial and charged to every
-method that reads it.
+Each grid point runs seeded trials; within a trial the overlap matrix is made
+once from the preprocessed factors, each statistic it carries (leading
+eigenvector, row sums) is computed once, and every requested method
+classifies it, so methods are compared on identical data.  The dense ``H`` is
+formed only when the backend of a requested statistic reads it.  Per-method
+wall time charges the shared preprocessing, the statistic that method reads
+(with the formation of ``H`` when that statistic's backend reads it) and that
+method's own classification, i.e. what a solo run would cost: each statistic,
+and ``H``, is timed once per trial and charged to every method that reads it.
 """
 
 import csv
@@ -22,7 +24,7 @@ from .classify import (
     error_rates,
     match,
 )
-from .overlap import OverlapMatrix, PreprocessMode, build_overlap
+from .overlap import OverlapMatrix, PreprocessMode, preprocess
 from .parallel import parallel_match
 from .synth import ScenarioSpec, derive_seed, generate
 
@@ -116,16 +118,27 @@ def _summary_row(sweep: str, value, label: str, errs, times_ms) -> dict:
 
 # The statistic of the overlap that each matcher method classifies.
 _STATISTICS = {
-    METHOD_EIGENVECTOR: OverlapMatrix.leading_eigenpair,
-    METHOD_ROW_SUM: OverlapMatrix.row_sums,
+    METHOD_EIGENVECTOR: "leading_eigenpair",
+    METHOD_ROW_SUM: "row_sums",
 }
 
 
-def _statistic_ms(h: OverlapMatrix, method: str) -> float:
-    """Time computing (and caching) the statistic ``method`` reads on ``h``."""
+def _timed_ms(fn) -> float:
     t0 = time.perf_counter()
-    _STATISTICS[method](h)
+    fn()
     return (time.perf_counter() - t0) * 1e3
+
+
+def _statistics_ms(h: OverlapMatrix, methods: list[MethodSpec]) -> dict:
+    """Compute (and cache) each statistic the methods read, timed per
+    statistic name; ``H`` is formed once, first, if a statistic reads it,
+    and its time is added to exactly those statistics."""
+    needed = dict.fromkeys(_STATISTICS[m.method] for m in methods)
+    dense = {k for k in needed if h.reads_h(k)}
+    h_ms = _timed_ms(lambda: h.h) if dense else 0.0
+    return {
+        k: _timed_ms(getattr(h, k)) + (h_ms if k in dense else 0.0) for k in needed
+    }
 
 
 def _run_grid_point(
@@ -134,7 +147,7 @@ def _run_grid_point(
     spec: ScenarioSpec,
     trials: int,
     methods: list[MethodSpec],
-    preprocess: PreprocessMode,
+    mode: PreprocessMode,
 ) -> list[dict]:
     errs = {m.label: [] for m in methods}
     times = {m.label: [] for m in methods}
@@ -142,22 +155,34 @@ def _run_grid_point(
         trial = replace(spec, seed=derive_seed(spec.seed, t))
         pair = generate(trial)
         t0 = time.perf_counter()
-        h = build_overlap(pair.x, pair.y, preprocess)
+        xp, yp = preprocess(pair.x, mode), preprocess(pair.y, mode)
+        h = OverlapMatrix(d=spec.d, mode=mode, xp=xp, yp=yp)
         build_ms = (time.perf_counter() - t0) * 1e3
-        stat_ms = {
-            k: _statistic_ms(h, k) for k in dict.fromkeys(m.method for m in methods)
-        }
+        stat_ms = _statistics_ms(h, methods)
         for m in methods:
-            cfg = m.config(preprocess, trial.seed, spec.r)
+            cfg = m.config(mode, trial.seed, spec.r)
             t1 = time.perf_counter()
             part, _ = match(h, cfg)
             ms = (time.perf_counter() - t1) * 1e3
             errs[m.label].append(error_rates(pair.inliers, part))
-            times[m.label].append(build_ms + stat_ms[m.method] + ms)
+            times[m.label].append(build_ms + stat_ms[_STATISTICS[m.method]] + ms)
     return [
         _summary_row(sweep, value, m.label, errs[m.label], times[m.label])
         for m in methods
     ]
+
+
+def _run_sweep(
+    axis: str, values, trials: int, methods, mode: PreprocessMode, **fixed
+) -> list[dict]:
+    """Rows of a sweep over the ``ScenarioSpec`` field ``axis``, which also
+    names the sweep in each row; ``fixed`` holds the other fields."""
+    specs = [parse_method(m) if isinstance(m, str) else m for m in methods]
+    rows = []
+    for value in values:
+        base = ScenarioSpec(**fixed, **{axis: value})
+        rows.extend(_run_grid_point(axis, value, base, trials, specs, mode))
+    return rows
 
 
 def run_rate_sweep(
@@ -172,12 +197,10 @@ def run_rate_sweep(
     preprocess: PreprocessMode = PreprocessMode.CENTER_NORMALIZE,
 ) -> list[dict]:
     """Mean error rates as the inlier fraction varies."""
-    specs = [parse_method(m) if isinstance(m, str) else m for m in methods]
-    rows = []
-    for r in r_values:
-        base = ScenarioSpec(d=d, n=n, r=r, kind=kind, sigma2=sigma2, seed=seed)
-        rows.extend(_run_grid_point("r", r, base, trials, specs, preprocess))
-    return rows
+    return _run_sweep(
+        "r", r_values, trials, methods, preprocess,
+        d=d, n=n, kind=kind, sigma2=sigma2, seed=seed,
+    )
 
 
 def run_noise_sweep(
@@ -192,12 +215,10 @@ def run_noise_sweep(
     preprocess: PreprocessMode = PreprocessMode.CENTER_NORMALIZE,
 ) -> list[dict]:
     """Mean error rates as the noise variance on Y varies."""
-    specs = [parse_method(m) if isinstance(m, str) else m for m in methods]
-    rows = []
-    for sigma2 in sigma2_values:
-        base = ScenarioSpec(d=d, n=n, r=r, kind=kind, sigma2=sigma2, seed=seed)
-        rows.extend(_run_grid_point("sigma2", sigma2, base, trials, specs, preprocess))
-    return rows
+    return _run_sweep(
+        "sigma2", sigma2_values, trials, methods, preprocess,
+        d=d, n=n, r=r, kind=kind, seed=seed,
+    )
 
 
 def run_splits_sweep(

@@ -22,6 +22,10 @@ _METHODS = (METHOD_EIGENVECTOR, METHOD_ROW_SUM)
 # eigenvector rule, and T = d*(r*n+1)/2 for the row-sum rule (needs r).
 DEFAULT_EIG_THRESHOLD = 0.5
 
+# two_means_1d treats values whose spread is at most this many units in the
+# last place of their largest magnitude as one value, rounded differently.
+TWO_MEANS_TIE_ULPS = 16
+
 
 @dataclass(frozen=True, eq=False)
 class LabelPartition:
@@ -119,6 +123,7 @@ class MatchDiagnostics:
     degenerate: bool = False  # constant statistic; fell back to all-outliers
     leading_eigenvalue: float | None = None
     eig_backend: str | None = None  # "gram_factor" | "power_iteration"
+    row_sum_backend: str | None = None  # "gram_factor" | "dense"
     residual: float | None = None
     iterations: int | None = None
     converged: bool | None = None
@@ -147,9 +152,16 @@ def two_means_1d(values) -> tuple[LabelPartition, tuple[float, float]]:
     an exactly representable shift ``c`` the differences ``(v_i + c) -
     (v_med + c)`` and ``v_i - v_med`` are the same real number and so round
     to the same double: ``two_means_1d(v + c)`` then scores bit-identical
-    costs and returns the same partition as ``two_means_1d(v)``.  The
-    degeneracy test is the exception: it is relative to ``max(1, |v|)``, so
-    values whose spread is below ``1e-12`` of the shifted magnitude raise.
+    costs and returns the same partition as ``two_means_1d(v)``.
+
+    Input whose spread is at most :data:`TWO_MEANS_TIE_ULPS` (16) units in
+    the last place of its largest magnitude raises: such values cannot be
+    told from one value rounded differently.  The bound scales with the
+    input, so input scaled by a power of two (outside the subnormal range)
+    raises exactly when the unscaled input does.  It is a few ulps, not a
+    fixed fraction of the magnitude, so an exact shift ``c`` raises only
+    when the spread is within 16 ulps of ``|v + c|``: the shifted values
+    then carry no more bits of the spread than rounding noise does.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1:
@@ -159,13 +171,11 @@ def two_means_1d(values) -> tuple[LabelPartition, tuple[float, float]]:
         raise ValueError("need at least two values")
     if not np.all(np.isfinite(v)):
         raise ValueError("values contain non-finite entries")
-    spread_tol = 1e-12 * max(1.0, float(np.abs(v).max()))
-    if float(v.max() - v.min()) <= spread_tol:
-        raise DegenerateValuesError("all values equal; no 2-cluster split exists")
-
     order = np.argsort(v, kind="stable")
     s = v[order]
     c = s - s[n // 2]
+    if float(c[-1] - c[0]) <= TWO_MEANS_TIE_ULPS * np.spacing(max(-s[0], s[-1])):
+        raise DegenerateValuesError("all values equal; no 2-cluster split exists")
     ps = np.concatenate([[0.0], np.cumsum(c)])
     pq = np.concatenate([[0.0], np.cumsum(c * c)])
     m = np.arange(1, n, dtype=np.float64)  # lower-cluster size of each split
@@ -261,7 +271,11 @@ def row_sum_match(
     applied as a constant: the 2-means partition is shift-invariant in
     floating point (see :func:`two_means_1d`), so the offset -d^2 does not
     move it however large d is; a fixed T must be calibrated on the
-    normalized scale.
+    normalized scale.  The row sums are :meth:`OverlapMatrix.row_sums`,
+    computed once per overlap: from the factors, without forming ``H``, on an
+    overlap that defers ``H``, and from the dense ``H`` on one that was
+    built with it (as :func:`~gramoverlap.overlap.build_overlap` does).  The
+    diagnostics name the backend in ``row_sum_backend``.
     """
     if cfg.method != METHOD_ROW_SUM:
         raise ValueError(f"config method is {cfg.method!r}, not row_sum")
@@ -272,6 +286,7 @@ def row_sum_match(
         n=h.n,
         stat_min=float(stat.min()),
         stat_max=float(stat.max()),
+        row_sum_backend=h.row_sum_backend,
     )
     cut = None
     if not cfg.use_two_means:

@@ -8,7 +8,6 @@ options needed to regenerate them (timing fields excluded).
 import argparse
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np

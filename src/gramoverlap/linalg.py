@@ -2,8 +2,9 @@
 
 Gram and entrywise (Hadamard) products, two solvers for the leading eigenpair
 (power iteration on a dense matrix, and a factored solve of ``(X^T X) o (Y^T
-Y)`` that never forms it), and a full dense eigendecomposition capped at small
-orders that serves as the independent oracle for both.
+Y)`` that never forms it), the factored row sums of that same product, and a
+full dense eigendecomposition capped at small orders that serves as the
+independent oracle for the eigensolvers.
 """
 
 import math
@@ -169,6 +170,22 @@ def khatri_rao_eigenpair(x, y) -> SpectralPair:
     residual = float(np.linalg.norm(zv @ z - value * v))
     converged = residual <= POWER_TOL_DEFAULT * max(1.0, abs(value))
     return SpectralPair(value, fix_sign(v), 0, residual, converged)
+
+
+def khatri_rao_row_sums(x, y) -> np.ndarray:
+    """Row sums of ``H = (X^T X) o (Y^T Y)`` without forming ``H``.
+
+    ``x`` and ``y`` are d-by-n.  By the face-splitting identity ``H = Z^T Z``
+    (column i of ``Z`` is ``x_i (x) y_i``), so ``H 1 = Z^T (Z 1)``, and entry
+    i is ``x_i^T (X Y^T) y_i``: one d-by-d product ``X Y^T``, its product
+    with ``Y`` and a column-wise dot product with ``X``.  The cost is about
+    ``4 d^2 n`` flops and ``O(d n)`` memory; it reads no n-by-n matrix.
+    """
+    x = as_matrix(x, "x")
+    y = as_matrix(y, "y")
+    if x.shape != y.shape:
+        raise ValueError(f"shape mismatch: x is {x.shape}, y is {y.shape}")
+    return np.einsum("ij,ij->j", x, (x @ y.T) @ y)
 
 
 def dense_eig(a) -> tuple[np.ndarray, np.ndarray]:

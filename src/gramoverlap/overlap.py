@@ -65,28 +65,49 @@ def factored_eig_is_cheaper(d: int, n: int) -> bool:
     return 4 * d * d <= n
 
 
+ROW_SUM_BACKEND_GRAM_FACTOR = "gram_factor"
+ROW_SUM_BACKEND_DENSE = "dense"
+
+
 class OverlapMatrix:
     """Overlap matrix ``H = gram(X) o gram(Y)`` and its statistics, each
     computed once and cached.
 
     Built from the preprocessed d-by-n factors ``xp`` and ``yp``, ``H`` is
     ``gram(xp) * gram(yp)``, exactly symmetric by construction, so it is not
-    re-checked.  :func:`build_overlap` forms it at once;
-    ``OverlapMatrix(d=..., mode=..., xp=..., yp=...)`` forms it on first read
-    of :attr:`h`, so a caller that needs only the leading eigenpair of a
-    large overlap never holds an n-by-n array.  ``OverlapMatrix(h, d=...,
-    mode=...)`` wraps a user-supplied matrix instead; it is validated (square,
-    finite, exactly symmetric) and has no factors.
+    re-checked.  With ``form_h=True`` (as :func:`build_overlap` does) it is
+    formed at construction; otherwise on first read of :attr:`h`, so a
+    caller whose statistics both come from the factors never holds an n-by-n
+    array.  ``OverlapMatrix(h, d=..., mode=...)`` wraps a user-supplied
+    matrix instead; it is validated (square, finite, exactly symmetric) and
+    has no factors.
 
     Each statistic is computed once per overlap, however many rules classify
-    it: :meth:`row_sums` and :meth:`leading_eigenpair`.  The eigenpair comes
-    from the d^2-by-d^2 Khatri-Rao Gram ``Z Z^T`` (backend ``"gram_factor"``,
-    which never reads ``H``) when the factors are held and
-    :func:`factored_eig_is_cheaper`, and from power iteration on the dense
-    ``H`` (backend ``"power_iteration"``) otherwise.
+    it: :meth:`row_sums` and :meth:`leading_eigenpair`.  Both have a backend
+    that reads only the factors, through the face-splitting identity ``H =
+    Z^T Z`` (column i of ``Z`` is ``x_i (x) y_i``), and one that reads the
+    dense ``H``; :meth:`reads_h` tells which a statistic takes.  The
+    eigenpair comes from the d^2-by-d^2 Khatri-Rao Gram ``Z Z^T``
+    (``"gram_factor"``) when the factors are held and
+    :func:`factored_eig_is_cheaper`, and from power iteration on ``H``
+    (``"power_iteration"``) otherwise.  The row sums are summed from ``H``
+    (``"dense"``) when it is given or formed at construction, so an eagerly
+    built overlap gives bit-identical sums to a plain ``h.sum(axis=1)``, and
+    come from ``Z^T (Z 1)`` (``"gram_factor"``) on an overlap that defers
+    ``H``.  Both backends are fixed at construction: they do not depend on
+    which statistic a caller reads first.
     """
 
-    def __init__(self, h=None, *, d: int, mode: PreprocessMode, xp=None, yp=None):
+    def __init__(
+        self,
+        h=None,
+        *,
+        d: int,
+        mode: PreprocessMode,
+        xp=None,
+        yp=None,
+        form_h: bool = False,
+    ):
         if d < 1:
             raise ValueError("d must be at least 1")
         if (h is None) == (xp is None or yp is None):
@@ -101,6 +122,11 @@ class OverlapMatrix:
         self.yp = yp
         self._h = None if h is None else linalg.check_symmetric(h, "h")
         self.n = xp.shape[1] if h is None else self._h.shape[0]
+        if form_h:
+            _ = self.h
+        self.row_sum_backend = (
+            ROW_SUM_BACKEND_GRAM_FACTOR if self._h is None else ROW_SUM_BACKEND_DENSE
+        )
         self._row_sums = None
         self._pair = None
 
@@ -120,10 +146,28 @@ class OverlapMatrix:
             return EIG_BACKEND_GRAM_FACTOR
         return EIG_BACKEND_POWER_ITERATION
 
+    def reads_h(self, statistic: str) -> bool:
+        """Whether the statistic named ``statistic`` (``"row_sums"`` or
+        ``"leading_eigenpair"``) is computed from the dense ``H``."""
+        if statistic == "row_sums":
+            return self.row_sum_backend == ROW_SUM_BACKEND_DENSE
+        if statistic == "leading_eigenpair":
+            return self.eig_backend == EIG_BACKEND_POWER_ITERATION
+        raise ValueError(f"unknown statistic {statistic!r}")
+
     def row_sums(self) -> np.ndarray:
-        """Row sums of ``H`` (cached; do not modify the returned array)."""
+        """Row sums of ``H`` from :attr:`row_sum_backend` (cached; do not
+        modify the returned array).
+
+        The factored sums agree with ``h.sum(axis=1)`` to rounding (within
+        ``1e-12`` of each row's absolute sum on the tested grid), not bit for
+        bit.
+        """
         if self._row_sums is None:
-            self._row_sums = self.h.sum(axis=1)
+            if self.row_sum_backend == ROW_SUM_BACKEND_GRAM_FACTOR:
+                self._row_sums = linalg.khatri_rao_row_sums(self.xp, self.yp)
+            else:
+                self._row_sums = self.h.sum(axis=1)
         return self._row_sums
 
     def leading_eigenpair(self) -> linalg.SpectralPair:
@@ -144,8 +188,8 @@ class OverlapMatrix:
 def build_overlap(x, y, mode: PreprocessMode) -> OverlapMatrix:
     """Build the overlap matrix of two equally-shaped d-by-n point sets.
 
-    The dense ``H`` is formed here; the statistics are computed when first
-    used (see :class:`OverlapMatrix`).
+    The dense ``H`` is formed here, so the row sums are summed from it; the
+    statistics are computed when first used (see :class:`OverlapMatrix`).
     """
     x = linalg.as_matrix(x, "x")
     y = linalg.as_matrix(y, "y")
@@ -154,11 +198,9 @@ def build_overlap(x, y, mode: PreprocessMode) -> OverlapMatrix:
     d, n = x.shape
     if n < 2:
         raise ValueError("need at least two points")
-    overlap = OverlapMatrix(
-        d=d, mode=mode, xp=preprocess(x, mode), yp=preprocess(y, mode)
+    return OverlapMatrix(
+        d=d, mode=mode, xp=preprocess(x, mode), yp=preprocess(y, mode), form_h=True
     )
-    _ = overlap.h  # form H now; construct from the factors to defer it
-    return overlap
 
 
 def row_sums(h) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 
 from gramoverlap import PreprocessMode, linalg
 from gramoverlap.bench import (
+    DEFAULT_METHODS,
     SWEEP_COLUMNS,
     parse_method,
     read_sweep_csv,
@@ -115,3 +116,34 @@ class TestStatisticOncePerOverlap:
         assert [row["method"] for row in rows] == list(self.EIG_METHODS)
         for row in rows:
             assert row["time_ms_mean"] >= 20.0
+
+    def test_h_formed_once_and_charged_to_the_statistics_that_read_it(
+        self, monkeypatch
+    ):
+        # d = 50, n = 400: the eigenpair takes power iteration on H, the row
+        # sums come from the factors; H is formed once per trial and its time
+        # charged to the eig:* methods only
+        calls = {"gram": 0, "power_iteration": 0, "khatri_rao_row_sums": 0}
+
+        def counted(name, pause):
+            original = getattr(linalg, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                time.sleep(pause)
+                return original(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(linalg, "gram", counted("gram", 0.05))
+        for name in ("power_iteration", "khatri_rao_row_sums"):
+            monkeypatch.setattr(linalg, name, counted(name, 0.0))
+        rows = run_rate_sweep(
+            d=50, n=400, r_values=[0.8], trials=2, seed=6, methods=DEFAULT_METHODS
+        )
+        assert calls == {"gram": 4, "power_iteration": 2, "khatri_rao_row_sums": 2}
+        times = {row["method"]: row["time_ms_mean"] for row in rows}
+        assert list(times) == list(DEFAULT_METHODS)
+        for label in self.EIG_METHODS:
+            assert times[label] >= 100.0
+        assert times["rowsum:kmeans"] < 100.0

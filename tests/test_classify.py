@@ -142,6 +142,32 @@ class TestTwoMeans:
         with pytest.raises(DegenerateValuesError):
             two_means_1d(np.array([1e6, 1e6 + 1e-9]))
 
+    def test_degeneracy_bound_follows_the_values(self):
+        # two dyadic pairs with a 2^-20 gap: every shifted value below is
+        # exact, and at 1e8 the spread is still 72 ulps of the values, so the
+        # pairs split at every offset
+        pairs = np.array([0.0, 2.0**-23, 2.0**-20, 2.0**-20 + 2.0**-23])
+        base, _ = two_means_1d(pairs)
+        assert np.array_equal(base.inliers, [2, 3])
+        for c in [1, 10**4, 10**6, 10**8]:
+            assert np.array_equal(pairs + c - c, pairs)
+            shifted, _ = two_means_1d(pairs + c)
+            assert shifted == base, f"partition moved at offset {c}"
+        # scaling by a power of two never decides whether input raises
+        near_tie = np.array([1.0, 1.0 + 8 * 2.0**-52])
+        for e in (-400, -40, 0, 40, 400):
+            scaled, _ = two_means_1d(np.ldexp(pairs, e))
+            assert scaled == base, f"partition moved at scale 2^{e}"
+            with pytest.raises(DegenerateValuesError):
+                two_means_1d(np.ldexp(near_tie, e))
+        # a pair 2^-30 apart splits until the offset puts it within 16 ulps
+        tie = np.array([0.0, 2.0**-30])
+        for c in [0, 1, 10**4]:
+            part, _ = two_means_1d(tie + c)
+            assert np.array_equal(part.inliers, [1])
+        with pytest.raises(DegenerateValuesError):
+            two_means_1d(tie + 10**6)  # 8 ulps of 1e6
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             two_means_1d(np.array([1.0]))
@@ -320,6 +346,43 @@ class TestRowSumMatch:
         part, diag = row_sum_match(h, MatchConfig(method="row_sum"))
         assert part.inliers.size == 0
         assert diag.degenerate
+
+    def test_raw_data_in_small_units_still_splits(self):
+        # coordinates scaled by 2^-10 without preprocessing scale the row sums
+        # by 2^-40, so the statistic is -d^2 plus about 1e-9; its spread is
+        # still far above the rounding of -d^2 and it splits as before
+        pair = generate(
+            ScenarioSpec(d=3, n=400, r=0.7, kind="gaussian_outliers", seed=808)
+        )
+        cfg = MatchConfig(method="row_sum", preprocess=PreprocessMode.NONE)
+        ref, _ = row_sum_match(build_overlap(pair.x, pair.y, "none"), cfg)
+        small = build_overlap(np.ldexp(pair.x, -10), np.ldexp(pair.y, -10), "none")
+        part, diag = row_sum_match(small, cfg)
+        assert not diag.degenerate
+        assert diag.stat_max - diag.stat_min < 1e-8
+        assert part == ref
+
+    def test_factored_row_sums_give_the_dense_partition(self):
+        # an overlap made from the factors takes its row sums from them, an
+        # eagerly built one from H; both rules agree
+        mode = PreprocessMode.CENTER_NORMALIZE
+        for trial in range(5):
+            pair = generate(
+                ScenarioSpec(d=6, n=400, r=0.7, seed=derive_seed(616, trial))
+            )
+            eager = build_overlap(pair.x, pair.y, mode)
+            lazy = OverlapMatrix(
+                d=6, mode=mode, xp=preprocess(pair.x, mode), yp=preprocess(pair.y, mode)
+            )
+            for cfg in (
+                MatchConfig(method="row_sum"),
+                MatchConfig(method="row_sum", use_two_means=False, inlier_rate=0.7),
+            ):
+                part, diag = row_sum_match(lazy, cfg)
+                ref, ref_diag = row_sum_match(eager, cfg)
+                assert diag.row_sum_backend == "gram_factor"
+                assert ref_diag.row_sum_backend == "dense"
+                assert part == ref
 
 
 class TestMatchDispatch:

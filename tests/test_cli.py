@@ -186,6 +186,19 @@ class TestMatch:
             assert (diag["iterations"] == 0) == (backend == "gram_factor")
             assert diag["leading_eigenvalue"] > 0
 
+    def test_diagnostics_name_the_row_sum_backend(self, tmp_path):
+        # the CLI builds H eagerly, so the row sums are summed from it
+        data = self.make_instance(tmp_path)
+        out = tmp_path / "m"
+        code = run(
+            f"match {data/'X.csv'} {data/'Y.csv'} --method rowsum --kmeans "
+            f"--preprocess cn --out {out}".split()
+        )
+        assert code == 0
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["row_sum_backend"] == "dense"
+        assert diag["eig_backend"] is None
+
     def test_threshold_and_kmeans_conflict(self, tmp_path):
         data = self.make_instance(tmp_path, seed=14)
         code = run(

@@ -20,6 +20,7 @@ from gramoverlap import (
     row_sums,
     spectral_norm,
 )
+from gramoverlap import bench, linalg
 from gramoverlap.overlap import factored_eig_is_cheaper
 from gramoverlap.synth import derive_seed
 
@@ -277,6 +278,110 @@ class TestRowSums:
             PreprocessMode.NONE,
         )
         assert row_sums(h).sum() >= 0.0
+
+
+def deferred_overlap(x, y, mode):
+    """Overlap made from the preprocessed factors, ``H`` not yet formed."""
+    return OverlapMatrix(
+        d=x.shape[0], mode=mode, xp=preprocess(x, mode), yp=preprocess(y, mode)
+    )
+
+
+class TestFactoredRowSums:
+    def test_backend_fixed_at_construction(self):
+        rng = np.random.default_rng(14)
+        x, y = rng.standard_normal((2, 4, 40))
+        # a deferred overlap sums the factors at any size, n < d included
+        assert deferred_overlap(x, y, "none").row_sum_backend == "gram_factor"
+        assert deferred_overlap(x[:, :3], y[:, :3], "none").row_sum_backend == (
+            "gram_factor"
+        )
+        # an overlap built with H sums H
+        assert build_overlap(x, y, "none").row_sum_backend == "dense"
+        assert OverlapMatrix(build_overlap(x, y, "none").h, d=4, mode="none").reads_h(
+            "row_sums"
+        )
+        # forming H later, e.g. for power iteration, does not switch the
+        # backend, whichever statistic is read first
+        first = deferred_overlap(x, y, "none")
+        _ = first.h
+        assert first.row_sum_backend == "gram_factor"
+        assert not first.reads_h("row_sums")
+        assert np.array_equal(first.row_sums(), deferred_overlap(x, y, "none").row_sums())
+        with pytest.raises(ValueError):
+            first.reads_h("trace")
+
+    def test_agree_with_dense_row_sums(self):
+        # d from 1 to 20 against n from 2 to 128, n < d included
+        rng = np.random.default_rng(15)
+        for d in range(1, 21):
+            for n in (2, 3, 5, 8, 13, 21, 34, 55, 89, 128):
+                x = rng.standard_normal((d, n)) * rng.uniform(0.1, 10)
+                y = rng.standard_normal((d, n))
+                for mode in PreprocessMode:
+                    if d == 1 and mode is PreprocessMode.CENTER_NORMALIZE:
+                        continue  # centering a single feature can zero a column
+                    eager = build_overlap(x, y, mode)
+                    ref = eager.h.sum(axis=1)
+                    assert np.array_equal(eager.row_sums(), ref)
+                    tol = 1e-12 * np.abs(eager.h).sum(axis=1)
+                    lazy = deferred_overlap(x, y, mode)
+                    assert lazy.row_sum_backend == "gram_factor"
+                    got = lazy.row_sums()
+                    assert np.all(np.abs(got - ref) <= tol), (d, n, mode)
+                    direct = linalg.khatri_rao_row_sums(lazy.xp, lazy.yp)
+                    assert np.array_equal(direct, got)
+
+    def test_means_approach_population_row_sum_mean(self):
+        # raw data, d = 4, n = 4000, k = 2000: the per-trial class means,
+        # averaged over trials, sit within a few percent of the model's
+        d, n = 4, 4000
+        inlier_err, outlier_err = [], []
+        for trial in range(6):
+            for kind in ("gaussian_outliers", "permuted_inliers"):
+                spec = ScenarioSpec(
+                    d=d, n=n, r=0.5, kind=kind, seed=derive_seed(77, trial)
+                )
+                pair = generate(spec)
+                h = deferred_overlap(pair.x, pair.y, PreprocessMode.NONE)
+                assert h.row_sum_backend == "gram_factor"
+                s = h.row_sums()
+                m = PopulationModel(d=d, n=n, inliers=pair.inliers)
+                mean_g = population_row_sum_mean(m, int(m.inliers[0]))
+                mean_b = population_row_sum_mean(m, int(m.outliers[0]))
+                inlier_err.append(s[m.inliers].mean() / mean_g - 1.0)
+                gap = mean_g - mean_b
+                outlier_err.append((s[m.outliers].mean() - mean_b) / gap)
+        assert abs(np.mean(inlier_err)) <= 0.05
+        assert abs(np.mean(outlier_err)) <= 0.02
+
+    def test_permutation_equivariant(self):
+        rng = np.random.default_rng(16)
+        for trial in range(5):
+            pair = generate(
+                ScenarioSpec(d=5, n=128, r=0.5, seed=derive_seed(1616, trial))
+            )
+            sigma = rng.permutation(128)
+            for mode in PreprocessMode:
+                a = deferred_overlap(pair.x, pair.y, mode)
+                b = deferred_overlap(pair.x[:, sigma], pair.y[:, sigma], mode)
+                assert a.row_sum_backend == b.row_sum_backend == "gram_factor"
+                sa, sb = a.row_sums(), b.row_sums()
+                assert np.max(np.abs(sb - sa[sigma])) <= 1e-12 * np.abs(sa).max()
+
+    def test_rate_sweep_never_forms_h(self, monkeypatch):
+        # d = 6, n = 400: both statistics come from the factors, so a sweep
+        # trial with every default method never computes an n-by-n Gram
+        def no_gram(x):
+            raise AssertionError("gram called on the factored path")
+
+        monkeypatch.setattr(linalg, "gram", no_gram)
+        rows = bench.run_rate_sweep(
+            d=6, n=400, r_values=[0.7], trials=1, seed=17,
+            methods=bench.DEFAULT_METHODS,
+        )
+        assert [row["method"] for row in rows] == list(bench.DEFAULT_METHODS)
+        assert all(row["error_w_mean"] <= 0.25 for row in rows)
 
 
 class TestPopulationModel:
