@@ -27,7 +27,6 @@ from .linalg import (
     SpectralPair,
     dense_eig,
     gram,
-    hadamard,
     power_iteration,
     spectral_norm,
 )
@@ -40,7 +39,6 @@ from .overlap import (
     population_row_sum_mean,
     population_spectrum,
     preprocess,
-    row_sums,
 )
 from .parallel import ParallelReport, SplitPlan, make_split, parallel_match
 from .synth import (
@@ -60,7 +58,6 @@ __all__ = [
     "SizeLimitError",
     "SpectralPair",
     "gram",
-    "hadamard",
     "power_iteration",
     "dense_eig",
     "spectral_norm",
@@ -69,7 +66,6 @@ __all__ = [
     "PopulationModel",
     "preprocess",
     "build_overlap",
-    "row_sums",
     "population_overlap",
     "population_spectrum",
     "population_row_sum_mean",

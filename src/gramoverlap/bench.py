@@ -156,7 +156,7 @@ def _run_grid_point(
         pair = generate(trial)
         t0 = time.perf_counter()
         xp, yp = preprocess(pair.x, mode), preprocess(pair.y, mode)
-        h = OverlapMatrix(d=spec.d, mode=mode, xp=xp, yp=yp)
+        h = OverlapMatrix(xp=xp, yp=yp)
         build_ms = (time.perf_counter() - t0) * 1e3
         stat_ms = _statistics_ms(h, methods)
         for m in methods:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateValuesError
-from .overlap import OverlapMatrix, PreprocessMode, row_sums
+from .overlap import OverlapMatrix, PreprocessMode
 
 METHOD_EIGENVECTOR = "eigenvector"
 METHOD_ROW_SUM = "row_sum"
@@ -86,6 +86,9 @@ class MatchConfig:
     ``threshold`` and ``use_two_means`` are mutually exclusive; with neither a
     fixed default threshold is used (t = 0.5 for the eigenvector rule, and the
     row-sum rule derives T = d*(r*n+1)/2 from ``inlier_rate``).
+    ``preprocess`` and ``seed`` are read by the entry points that build the
+    overlap (the CLI and :func:`~gramoverlap.parallel.parallel_match`), not
+    by :func:`match`, which classifies an overlap that is already built.
     """
 
     method: str = METHOD_ROW_SUM
@@ -279,7 +282,7 @@ def row_sum_match(
     """
     if cfg.method != METHOD_ROW_SUM:
         raise ValueError(f"config method is {cfg.method!r}, not row_sum")
-    stat = row_sums(h) - float(h.d) ** 2
+    stat = h.row_sums() - float(h.d) ** 2
     diag = MatchDiagnostics(
         method=METHOD_ROW_SUM,
         branch="",

@@ -112,6 +112,11 @@ def _match_config(args) -> MatchConfig:
         raise UsageError(str(exc)) from None
 
 
+def _check_threads(args) -> None:
+    if args.threads is not None and args.threads < 1:
+        raise UsageError("--threads must be at least 1")
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -190,10 +195,9 @@ def _cmd_match(args) -> int:
     cfg = _match_config(args)
     if args.splits < 1:
         raise UsageError("--splits must be at least 1")
+    _check_threads(args)
     x = fileio.read_matrix_csv(args.x)
     y = fileio.read_matrix_csv(args.y)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: X is {x.shape}, Y is {y.shape}")
 
     if args.splits == 1:
         t0 = time.perf_counter()
@@ -250,6 +254,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    _check_threads(args)
     preprocess = _PREPROCESS_ALIASES[args.preprocess]
     out = _out_dir(args)
     options = {
@@ -310,12 +315,18 @@ def _cmd_bench(args) -> int:
             seed=args.seed,
             method=bench.parse_method(args.single_method),
             kind=args.kind,
+            sigma2=args.sigma2,
             preprocess=preprocess,
             max_workers=args.threads,
         )
         name = "sweep_splits.csv"
         options.update(
-            {"splits_grid": grid, "method": args.single_method, "r": args.r}
+            {
+                "splits_grid": grid,
+                "method": args.single_method,
+                "r": args.r,
+                "sigma2": args.sigma2,
+            }
         )
     bench.write_sweep_csv(out / name, rows)
     fileio.write_manifest(
@@ -329,8 +340,6 @@ def _cmd_bench(args) -> int:
 
 def _cmd_imgdiff(args) -> int:
     cfg = _match_config(args)
-    bytes_a = Path(args.image_a).read_bytes()
-    bytes_b = Path(args.image_b).read_bytes()
     img_a = fileio.read_ppm(args.image_a)
     img_b = fileio.read_ppm(args.image_b)
     if img_a.shape != img_b.shape:
@@ -344,11 +353,10 @@ def _cmd_imgdiff(args) -> int:
     luma = fileio.luminance(img_a)
     mask_img = np.repeat(luma[:, :, None], 3, axis=2)
 
-    identical = bytes_a == bytes_b
     highlighted: np.ndarray
     payload: dict
-    if identical:
-        # Identical inputs mean "no difference"; skip matching entirely
+    if np.array_equal(img_a, img_b):
+        # Pixel-identical inputs mean "no difference"; skip matching entirely
         # instead of letting a constant statistic fall back to all-outliers.
         highlighted = np.empty(0, dtype=np.intp)
         payload = {"identical_inputs": True, "n_pixels": n, "n_classified": 0}

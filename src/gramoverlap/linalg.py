@@ -1,10 +1,11 @@
 """Dense symmetric-matrix primitives.
 
-Gram and entrywise (Hadamard) products, two solvers for the leading eigenpair
-(power iteration on a dense matrix, and a factored solve of ``(X^T X) o (Y^T
-Y)`` that never forms it), the factored row sums of that same product, and a
-full dense eigendecomposition capped at small orders that serves as the
-independent oracle for the eigensolvers.
+The Gram matrix, two solvers for the leading eigenpair (power iteration on a
+dense matrix, and a factored solve of ``(X^T X) o (Y^T Y)`` that never forms
+it), the factored row sums of that same product, and a full dense
+eigendecomposition capped at small orders that serves as the independent
+oracle for the eigensolvers.  The entrywise product itself is formed in
+place by :attr:`gramoverlap.overlap.OverlapMatrix.h`.
 """
 
 import math
@@ -58,15 +59,6 @@ def gram(x) -> np.ndarray:
     """
     x = np.ascontiguousarray(as_matrix(x, "x"))
     return x.T @ x
-
-
-def hadamard(a, b) -> np.ndarray:
-    """Entrywise product of two symmetric matrices of equal order."""
-    a = check_symmetric(a, "a")
-    b = check_symmetric(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"order mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a * b
 
 
 def fix_sign(v: np.ndarray) -> np.ndarray:

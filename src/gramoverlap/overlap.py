@@ -78,9 +78,10 @@ class OverlapMatrix:
     re-checked.  With ``form_h=True`` (as :func:`build_overlap` does) it is
     formed at construction; otherwise on first read of :attr:`h`, so a
     caller whose statistics both come from the factors never holds an n-by-n
-    array.  ``OverlapMatrix(h, d=..., mode=...)`` wraps a user-supplied
-    matrix instead; it is validated (square, finite, exactly symmetric) and
-    has no factors.
+    array; ``d`` and ``n`` are read from the factors' shape.
+    ``OverlapMatrix(h, d=...)`` wraps a user-supplied matrix instead; it is
+    validated (square, finite, exactly symmetric) and has no factors, so
+    ``d`` is given.
 
     Each statistic is computed once per overlap, however many rules classify
     it: :meth:`row_sums` and :meth:`leading_eigenpair`.  Both have a backend
@@ -99,29 +100,26 @@ class OverlapMatrix:
     """
 
     def __init__(
-        self,
-        h=None,
-        *,
-        d: int,
-        mode: PreprocessMode,
-        xp=None,
-        yp=None,
-        form_h: bool = False,
+        self, h=None, *, d: int | None = None, xp=None, yp=None, form_h: bool = False
     ):
-        if d < 1:
-            raise ValueError("d must be at least 1")
-        if (h is None) == (xp is None or yp is None):
+        if (h is None) == (xp is None) or (xp is None) != (yp is None):
             raise ValueError("give either h or both factors xp and yp")
-        if h is None and not xp.shape == yp.shape == (d, xp.shape[1]):
-            raise ValueError(
-                f"factors must both be {d}-by-n, got {xp.shape} and {yp.shape}"
-            )
-        self.d = d
-        self.mode = PreprocessMode(mode)
+        if h is None:
+            if d is not None:
+                raise ValueError("d is read from the factors; give it only with h")
+            if xp.shape != yp.shape:
+                raise ValueError(
+                    f"factors must have one shape, got {xp.shape} and {yp.shape}"
+                )
+            self.d, self.n = xp.shape
+            self._h = None
+        else:
+            if d is None or d < 1:
+                raise ValueError("a wrapped h needs d of at least 1")
+            self._h = linalg.check_symmetric(h, "h")
+            self.d, self.n = d, self._h.shape[0]
         self.xp = xp
         self.yp = yp
-        self._h = None if h is None else linalg.check_symmetric(h, "h")
-        self.n = xp.shape[1] if h is None else self._h.shape[0]
         if form_h:
             _ = self.h
         self.row_sum_backend = (
@@ -195,22 +193,9 @@ def build_overlap(x, y, mode: PreprocessMode) -> OverlapMatrix:
     y = linalg.as_matrix(y, "y")
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: x is {x.shape}, y is {y.shape}")
-    d, n = x.shape
-    if n < 2:
+    if x.shape[1] < 2:
         raise ValueError("need at least two points")
-    return OverlapMatrix(
-        d=d, mode=mode, xp=preprocess(x, mode), yp=preprocess(y, mode), form_h=True
-    )
-
-
-def row_sums(h) -> np.ndarray:
-    """Row sums of an overlap matrix (accepts OverlapMatrix or square array).
-
-    For an :class:`OverlapMatrix` this is its cached :meth:`OverlapMatrix.row_sums`.
-    """
-    if isinstance(h, OverlapMatrix):
-        return h.row_sums()
-    return linalg.check_symmetric(h, "h").sum(axis=1)
+    return OverlapMatrix(xp=preprocess(x, mode), yp=preprocess(y, mode), form_h=True)
 
 
 @dataclass(frozen=True, eq=False)

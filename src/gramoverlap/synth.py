@@ -14,13 +14,7 @@ import numpy as np
 
 from .errors import SizeLimitError
 from .linalg import DENSE_EIG_MAX_ORDER, spectral_norm
-from .overlap import (
-    PopulationModel,
-    PreprocessMode,
-    build_overlap,
-    population_overlap,
-    row_sums,
-)
+from .overlap import PopulationModel, PreprocessMode, build_overlap, population_overlap
 
 KIND_GAUSSIAN_OUTLIERS = "gaussian_outliers"
 KIND_PERMUTED_INLIERS = "permuted_inliers"
@@ -215,7 +209,7 @@ def empirical_deviation(spec: ScenarioSpec, trials: int) -> DeviationStats:
         model = PopulationModel(d=d, n=n, inliers=pair.inliers)
         expected = population_overlap(model)
         spectral[t] = spectral_norm(h.h - expected) / spectral_scale
-        s = row_sums(h)
+        s = h.row_sums()
         inlier_rows[t] = np.max(np.abs(s[pair.inliers] - inlier_mean)) / inlier_scale
         outlier_rows[t] = np.max(np.abs(s[pair.outliers] - outlier_mean)) / outlier_scale
     return DeviationStats(

@@ -29,7 +29,6 @@ from gramoverlap import (
     parallel_match,
     population_overlap,
     row_sum_match,
-    row_sums,
     spectral_norm,
     threshold_interval,
     two_means_1d,
@@ -74,7 +73,7 @@ def test_criterion_1_population_oracle():
         if top @ pattern < 0:
             top = -top
         ok &= float(np.max(np.abs(top - pattern))) <= 1e-8
-        s = row_sums(population_overlap(model))
+        s = population_overlap(model).sum(axis=1)
         ok &= all(s[i] == expected_top for i in range(k))
         ok &= all(s[i] == d * d for i in range(k, n))
     elapsed = time.perf_counter() - t0

@@ -23,7 +23,6 @@ from gramoverlap import (
     population_overlap,
     preprocess,
     row_sum_match,
-    row_sums,
     threshold_interval,
     two_means_1d,
 )
@@ -32,7 +31,7 @@ from gramoverlap.synth import derive_seed
 
 
 def as_overlap(h, d):
-    return OverlapMatrix(np.asarray(h, dtype=float), d=d, mode=PreprocessMode.NONE)
+    return OverlapMatrix(np.asarray(h, dtype=float), d=d)
 
 
 def population_h(d, n, k):
@@ -124,7 +123,7 @@ class TestTwoMeans:
         sums[:k] += 0.12
         h = as_overlap(np.diag(sums), d=d)
         part, _ = row_sum_match(h, MatchConfig(method="row_sum"))
-        stat = row_sums(h) - float(d) ** 2
+        stat = h.row_sums() - float(d) ** 2
         assert stat.max() < -1e6
         order = np.argsort(stat, kind="stable")
         best, best_mask = math.inf, None
@@ -250,9 +249,7 @@ class TestEigenvectorMatch:
         # Gram matrix (and never forms H)
         pair = generate(ScenarioSpec(d=4, n=400, r=0.8, seed=derive_seed(515, 0)))
         mode = PreprocessMode.CENTER_NORMALIZE
-        h = OverlapMatrix(
-            d=4, mode=mode, xp=preprocess(pair.x, mode), yp=preprocess(pair.y, mode)
-        )
+        h = OverlapMatrix(xp=preprocess(pair.x, mode), yp=preprocess(pair.y, mode))
 
         def no_gram(x):
             raise AssertionError("gram called on the factored path")
@@ -296,7 +293,7 @@ class TestEigenvectorMatch:
 class TestRowSumMatch:
     def test_population_fixed_threshold_recovers_exactly(self):
         h = population_h(d=10, n=20, k=10)
-        shifted = row_sums(h) - 100.0
+        shifted = h.row_sums() - 100.0
         assert np.array_equal(shifted[:10], np.full(10, 110.0))
         assert np.array_equal(shifted[10:], np.zeros(10))
         cfg = MatchConfig(method="row_sum", threshold=55.0, use_two_means=False)
@@ -338,7 +335,7 @@ class TestRowSumMatch:
         y[:, 24:] = rng.standard_normal((8, 16))
         h = build_overlap(x, y, PreprocessMode.CENTER_NORMALIZE)
         part, _ = row_sum_match(h, MatchConfig(method="row_sum"))
-        unshifted, _ = two_means_1d(row_sums(h))
+        unshifted, _ = two_means_1d(h.row_sums())
         assert part == unshifted
 
     def test_degenerate_statistic_falls_back_to_all_outliers(self):
@@ -371,9 +368,8 @@ class TestRowSumMatch:
                 ScenarioSpec(d=6, n=400, r=0.7, seed=derive_seed(616, trial))
             )
             eager = build_overlap(pair.x, pair.y, mode)
-            lazy = OverlapMatrix(
-                d=6, mode=mode, xp=preprocess(pair.x, mode), yp=preprocess(pair.y, mode)
-            )
+            xp, yp = preprocess(pair.x, mode), preprocess(pair.y, mode)
+            lazy = OverlapMatrix(xp=xp, yp=yp)
             for cfg in (
                 MatchConfig(method="row_sum"),
                 MatchConfig(method="row_sum", use_two_means=False, inlier_rate=0.7),

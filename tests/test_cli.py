@@ -7,6 +7,7 @@ import numpy as np
 from gramoverlap import (
     MatchConfig,
     PreprocessMode,
+    bench,
     build_overlap,
     error_rates,
     match,
@@ -215,6 +216,15 @@ class TestMatch:
         )
         assert code == 2
 
+    def test_threads_below_one_is_usage_error(self, tmp_path):
+        data = self.make_instance(tmp_path, seed=18)
+        base = f"match {data/'X.csv'} {data/'Y.csv'} --method rowsum --kmeans"
+        for splits in (1, 2):
+            out = tmp_path / f"m{splits}"
+            code = run(f"{base} --splits {splits} --threads 0 --out {out}".split())
+            assert code == 2
+            assert not out.exists()
+
     def test_shape_mismatch_no_partial_outputs(self, tmp_path):
         data = self.make_instance(tmp_path, seed=16)
         other = tmp_path / "other"
@@ -317,6 +327,33 @@ class TestBench:
         code = run(f"bench --sweep r --d 6 --n 40 --out {tmp_path/'b'}".split())
         assert code == 2
 
+    def test_splits_sweep_passes_sigma2(self, tmp_path):
+        out = tmp_path / "bench"
+        code = run(
+            "bench --sweep splits --d 5 --n 40 --r 0.5 --trials 2 --seed 3 "
+            f"--splits-grid 1,2 --sigma2 4.0 --threads 1 --out {out}".split()
+        )
+        assert code == 0
+        expected = bench.run_splits_sweep(
+            d=5, n=40, r=0.5, split_values=[1, 2], trials=2, seed=3,
+            kind="permuted_inliers", sigma2=4.0,
+            preprocess=PreprocessMode.CENTER_NORMALIZE, max_workers=1,
+        )
+        rows = bench.read_sweep_csv(out / "sweep_splits.csv")
+        untimed = [k for k in bench.SWEEP_COLUMNS if not k.startswith("time_ms")]
+        assert [{k: r[k] for k in untimed} for r in rows] == [
+            {k: r[k] for k in untimed} for r in expected
+        ]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["options"]["sigma2"] == 4.0
+
+    def test_threads_below_one_is_usage_error(self, tmp_path):
+        code = run(
+            "bench --sweep splits --d 5 --n 40 --r 0.5 --trials 1 "
+            f"--splits-grid 1,2 --threads 0 --out {tmp_path/'b'}".split()
+        )
+        assert code == 2
+
 
 class TestImgdiff:
     def test_permuted_pixel_highlighted(self, tmp_path):
@@ -351,16 +388,23 @@ class TestImgdiff:
         assert np.sum(np.all(mask == (255, 255, 0), axis=2)) == 1
 
     def test_identical_images_no_highlights(self, tmp_path):
+        # same pixels, and same pixels under a header with a comment
         path_a, path_b = write_test_images(tmp_path, identical=True)
-        out = tmp_path / "diff"
-        code = run(
-            f"imgdiff {path_a} {path_b} --method rowsum --kmeans --out {out}".split()
-        )
-        assert code == 0
-        mask = read_ppm(out / "mask.ppm")
-        assert not np.any(np.all(mask == (255, 255, 0), axis=2))
-        diag = json.loads((out / "diagnostics.json").read_text())
-        assert diag["identical_inputs"] is True
+        img = np.random.default_rng(4).integers(0, 256, (10, 12, 3), dtype=np.uint8)
+        path_c, path_d = tmp_path / "c.ppm", tmp_path / "d.ppm"
+        write_ppm(path_c, img)
+        path_d.write_bytes(b"P6\n# same pixels\n12 10\n255\n" + img.tobytes())
+        assert np.array_equal(read_ppm(path_d), img)
+        for i, (a, b) in enumerate([(path_a, path_b), (path_c, path_d)]):
+            out = tmp_path / f"diff{i}"
+            code = run(
+                f"imgdiff {a} {b} --method rowsum --kmeans --out {out}".split()
+            )
+            assert code == 0
+            mask = read_ppm(out / "mask.ppm")
+            assert not np.any(np.all(mask == (255, 255, 0), axis=2))
+            diag = json.loads((out / "diagnostics.json").read_text())
+            assert diag["identical_inputs"] is True
 
     def test_dimension_mismatch(self, tmp_path):
         path_a, _ = write_test_images(tmp_path)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gramoverlap import SizeLimitError, dense_eig, gram, hadamard, power_iteration, spectral_norm
+from gramoverlap import SizeLimitError, dense_eig, gram, power_iteration, spectral_norm
 from gramoverlap.linalg import as_matrix, fix_sign
 
 
@@ -63,42 +63,6 @@ class TestGram:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             gram(np.array([[np.nan, 1.0]]))
-
-
-class TestHadamard:
-    def test_identity_pair(self):
-        assert np.array_equal(hadamard(np.eye(2), np.eye(2)), np.eye(2))
-
-    def test_hand_case(self):
-        a = np.ones((2, 2))
-        b = np.array([[1.0, 2.0], [2.0, 4.0]])
-        assert np.array_equal(hadamard(a, b), b)
-
-    def test_matches_entrywise_loop(self):
-        rng = rng_for(11)
-        a = random_symmetric(6, rng)
-        b = random_symmetric(6, rng)
-        h = hadamard(a, b)
-        for i in range(6):
-            for j in range(6):
-                assert h[i, j] == a[i, j] * b[i, j]
-
-    def test_order_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            hadamard(np.eye(2), np.eye(3))
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            hadamard(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2))
-
-    def test_schur_product_preserves_psd(self):
-        for seed in range(5):
-            rng = rng_for(100 + seed)
-            x = rng.standard_normal((8, 20))
-            y = rng.standard_normal((8, 20))
-            h = hadamard(gram(x), gram(y))
-            values, _ = dense_eig(h)
-            assert values.min() >= -1e-8 * spectral_norm(h)
 
 
 class TestPowerIteration:

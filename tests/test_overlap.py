@@ -17,9 +17,9 @@ from gramoverlap import (
     population_spectrum,
     power_iteration,
     preprocess,
-    row_sums,
     spectral_norm,
 )
+import gramoverlap
 from gramoverlap import bench, linalg
 from gramoverlap.overlap import factored_eig_is_cheaper
 from gramoverlap.synth import derive_seed
@@ -30,6 +30,11 @@ def haar(d, rng):
     s = np.sign(np.diag(r))
     s[s == 0] = 1.0
     return q * s
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in gramoverlap.__all__ if not hasattr(gramoverlap, name)]
+    assert missing == []
 
 
 class TestPreprocess:
@@ -64,7 +69,7 @@ class TestBuildOverlap:
     def test_identity_columns(self):
         h = build_overlap(np.eye(2), np.eye(2), PreprocessMode.NONE)
         assert np.array_equal(h.h, np.eye(2))
-        assert h.d == 2 and h.n == 2 and h.mode is PreprocessMode.NONE
+        assert h.d == 2 and h.n == 2
 
     def test_hand_case(self):
         x = np.array([[1.0, 1.0], [0.0, 0.0]])
@@ -120,12 +125,28 @@ class TestBuildOverlap:
 
     def test_user_matrix_validated(self):
         with pytest.raises(ValueError):
-            OverlapMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]), d=1, mode="none")
+            OverlapMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]), d=1)
+        with pytest.raises(ValueError):
+            OverlapMatrix(np.eye(3))  # a wrapped h needs d
+        with pytest.raises(ValueError):
+            OverlapMatrix(np.eye(3), d=0)
         x = np.ones((2, 3))
         with pytest.raises(ValueError):
-            OverlapMatrix(np.eye(3), d=2, mode="none", xp=x, yp=x)
+            OverlapMatrix(np.eye(3), d=2, xp=x, yp=x)
         with pytest.raises(ValueError):
-            OverlapMatrix(d=2, mode="none", xp=x, yp=np.ones((2, 4)))
+            OverlapMatrix(xp=x, yp=x, d=2)  # factors already give d
+        with pytest.raises(ValueError):
+            OverlapMatrix(xp=x, yp=np.ones((2, 4)))
+        with pytest.raises(ValueError):
+            OverlapMatrix(xp=x, yp=np.ones((3, 3)))
+        with pytest.raises(ValueError):
+            OverlapMatrix(xp=x)
+        with pytest.raises(ValueError):
+            OverlapMatrix(np.eye(3), d=2, xp=x)
+        h = OverlapMatrix(xp=np.ones((4, 7)), yp=np.ones((4, 7)))
+        assert (h.d, h.n) == (4, 7)
+        wrapped = OverlapMatrix(np.eye(5), d=2)
+        assert (wrapped.d, wrapped.n) == (2, 5)
 
     def test_statistics_are_cached(self):
         rng = np.random.default_rng(6)
@@ -162,7 +183,7 @@ class TestLeadingEigenpair:
         assert build_overlap(x, x, "none").eig_backend == "power_iteration"
         x = rng.standard_normal((3, 200))
         assert build_overlap(x, x, "none").eig_backend == "gram_factor"
-        wrapped = OverlapMatrix(build_overlap(x, x, "none").h, d=3, mode="none")
+        wrapped = OverlapMatrix(build_overlap(x, x, "none").h, d=3)
         assert wrapped.eig_backend == "power_iteration"
 
     def test_factored_agrees_with_dense_eig_and_power_iteration(self):
@@ -255,17 +276,17 @@ class TestLeadingEigenpair:
 
 class TestRowSums:
     def test_hand_case(self):
-        h = OverlapMatrix(np.array([[1.0, 2.0], [2.0, 4.0]]), d=2, mode=PreprocessMode.NONE)
-        assert np.array_equal(row_sums(h), np.array([3.0, 6.0]))
+        h = OverlapMatrix(np.array([[1.0, 2.0], [2.0, 4.0]]), d=2)
+        assert np.array_equal(h.row_sums(), np.array([3.0, 6.0]))
 
     def test_identity(self):
-        assert np.array_equal(row_sums(np.eye(3)), np.ones(3))
+        assert np.array_equal(OverlapMatrix(np.eye(3), d=1).row_sums(), np.ones(3))
 
     def test_matches_double_loop(self):
         rng = np.random.default_rng(9)
         m = rng.standard_normal((8, 8))
         a = (m + m.T) / 2
-        s = row_sums(a)
+        s = OverlapMatrix(a, d=1).row_sums()
         for i in range(8):
             direct = sum(a[i, j] for j in range(8))
             assert abs(s[i] - direct) <= 1e-12
@@ -277,14 +298,12 @@ class TestRowSums:
             rng.standard_normal((4, 15)),
             PreprocessMode.NONE,
         )
-        assert row_sums(h).sum() >= 0.0
+        assert h.row_sums().sum() >= 0.0
 
 
 def deferred_overlap(x, y, mode):
     """Overlap made from the preprocessed factors, ``H`` not yet formed."""
-    return OverlapMatrix(
-        d=x.shape[0], mode=mode, xp=preprocess(x, mode), yp=preprocess(y, mode)
-    )
+    return OverlapMatrix(xp=preprocess(x, mode), yp=preprocess(y, mode))
 
 
 class TestFactoredRowSums:
@@ -298,7 +317,7 @@ class TestFactoredRowSums:
         )
         # an overlap built with H sums H
         assert build_overlap(x, y, "none").row_sum_backend == "dense"
-        assert OverlapMatrix(build_overlap(x, y, "none").h, d=4, mode="none").reads_h(
+        assert OverlapMatrix(build_overlap(x, y, "none").h, d=4).reads_h(
             "row_sums"
         )
         # forming H later, e.g. for power iteration, does not switch the
@@ -480,7 +499,7 @@ class TestPopulationRowSumMean:
     def test_equals_row_sums_of_population_overlap(self):
         for d, n, k in [(3, 6, 2), (10, 20, 10), (5, 8, 7)]:
             m = PopulationModel(d=d, n=n, inliers=np.arange(k))
-            s = row_sums(population_overlap(m))
+            s = population_overlap(m).sum(axis=1)
             for i in range(n):
                 assert s[i] == population_row_sum_mean(m, i)
 
