@@ -35,6 +35,7 @@ from .overlap import (
     PopulationModel,
     PreprocessMode,
     build_overlap,
+    factored_overlap,
     population_overlap,
     population_row_sum_mean,
     population_spectrum,
@@ -66,6 +67,7 @@ __all__ = [
     "PopulationModel",
     "preprocess",
     "build_overlap",
+    "factored_overlap",
     "population_overlap",
     "population_spectrum",
     "population_row_sum_mean",

@@ -24,7 +24,7 @@ from .classify import (
     error_rates,
     match,
 )
-from .overlap import OverlapMatrix, PreprocessMode, preprocess
+from .overlap import OverlapMatrix, PreprocessMode, factored_overlap
 from .parallel import parallel_match
 from .synth import ScenarioSpec, derive_seed, generate
 
@@ -155,8 +155,7 @@ def _run_grid_point(
         trial = replace(spec, seed=derive_seed(spec.seed, t))
         pair = generate(trial)
         t0 = time.perf_counter()
-        xp, yp = preprocess(pair.x, mode), preprocess(pair.y, mode)
-        h = OverlapMatrix(xp=xp, yp=yp)
+        h = factored_overlap(pair.x, pair.y, mode)
         build_ms = (time.perf_counter() - t0) * 1e3
         stat_ms = _statistics_ms(h, methods)
         for m in methods:

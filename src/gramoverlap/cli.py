@@ -20,8 +20,8 @@ from .classify import (
     error_rates,
     match,
 )
-from .overlap import PreprocessMode, build_overlap
-from .parallel import THREADS_ENV_VAR, parallel_match, resolve_workers
+from .overlap import PreprocessMode, build_overlap, factored_overlap
+from .parallel import THREADS_ENV_VAR, env_threads, parallel_match, resolve_workers
 from .synth import ScenarioSpec, generate
 
 _PREPROCESS_ALIASES = {
@@ -113,8 +113,15 @@ def _match_config(args) -> MatchConfig:
 
 
 def _check_threads(args) -> None:
-    if args.threads is not None and args.threads < 1:
-        raise UsageError("--threads must be at least 1")
+    """Validate ``--threads``, or the environment variable it overrides."""
+    if args.threads is not None:
+        if args.threads < 1:
+            raise UsageError("--threads must be at least 1")
+        return
+    try:
+        env_threads()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _out_dir(args) -> Path:
@@ -201,7 +208,7 @@ def _cmd_match(args) -> int:
 
     if args.splits == 1:
         t0 = time.perf_counter()
-        h = build_overlap(x, y, cfg.preprocess)
+        h = factored_overlap(x, y, cfg.preprocess)
         partition, diag = match(h, cfg)
         wall_ms = (time.perf_counter() - t0) * 1e3
         payload = _diagnostics_payload(cfg, 1, diag=diag)
@@ -348,7 +355,6 @@ def _cmd_imgdiff(args) -> int:
         )
     height, width = img_a.shape[:2]
     n = height * width
-    out = _out_dir(args)
 
     luma = fileio.luminance(img_a)
     mask_img = np.repeat(luma[:, :, None], 3, axis=2)
@@ -394,6 +400,7 @@ def _cmd_imgdiff(args) -> int:
 
     flat = mask_img.reshape(-1, 3)
     flat[highlighted] = (255, 255, 0)
+    out = _out_dir(args)
     fileio.write_ppm(out / "mask.ppm", mask_img)
     fileio.write_manifest(out / "diagnostics.json", payload)
     fileio.write_manifest(

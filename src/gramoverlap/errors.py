@@ -2,7 +2,8 @@
 
 
 class SizeLimitError(ValueError):
-    """Raised when a dense O(n^3) routine is asked to exceed its size cap."""
+    """Raised when a dense routine is asked to exceed its size cap, or to
+    allocate more memory than the process has available."""
 
 
 class DegenerateColumnError(ValueError):

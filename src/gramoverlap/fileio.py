@@ -21,34 +21,73 @@ def write_matrix_csv(path, m) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _parse_rows(rows) -> np.ndarray:
+    """float64 values of comma-separated text rows, converted in one C pass."""
+    return np.loadtxt(rows, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+
+
+def _is_number(field: str) -> bool:
+    try:
+        return bool(field.strip()) and _parse_rows([field]).size == 1
+    except ValueError:
+        return False
+
+
+def _bad_value(path, linenos, rows) -> str:
+    """Error message naming the first row and field that is not a number."""
+    for lineno, row in zip(linenos, rows):
+        try:
+            _parse_rows([row])
+        except ValueError:
+            for col, field in enumerate(row.split(","), start=1):
+                if not _is_number(field):
+                    return f"{path}:{lineno}: field {col} is not a number: {field!r}"
+            return f"{path}:{lineno}: not a row of numbers"
+    return f"{path}: values could not be parsed"
+
+
 def read_matrix_csv(path) -> np.ndarray:
-    """Parse a matrix CSV; one optional leading '#' header line is skipped."""
+    """Parse a matrix CSV; one optional leading '#' header line is skipped.
+
+    Blank and whitespace-only lines are skipped.  Every other line is a row
+    of comma-separated fields, all rows with the same field count.  A field
+    is a decimal number with optional sign, fraction and exponent, or
+    ``nan``/``inf``/``infinity`` in any case, with optional whitespace
+    around it (numpy's ``loadtxt`` syntax; Python-only spellings such as
+    ``1_0`` or non-ASCII digits are rejected).  Every value must be finite.
+    Line structure is checked line by line and the values are converted in
+    one ``np.loadtxt`` call; errors name ``path:line``, the first bad line
+    in file order.
+    """
     path = Path(path)
-    rows = []
+    rows, linenos = [], []
+    fault = None
     width = None
-    with path.open() as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if lineno == 1:
-                    continue
-                raise ValueError(f"{path}:{lineno}: '#' lines only allowed as header")
-            fields = line.split(",")
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {width} fields, got {len(fields)}"
-                )
-            try:
-                rows.append([float(v) for v in fields])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
+    for lineno, line in enumerate(path.read_text().split("\n"), start=1):
+        line = line.strip()
+        if not line or (lineno == 1 and line.startswith("#")):
+            continue
+        if line.startswith("#"):
+            fault = f"{path}:{lineno}: '#' lines only allowed as header"
+            break
+        fields = line.count(",") + 1
+        if width is None:
+            width = fields
+        elif fields != width:
+            fault = f"{path}:{lineno}: expected {width} fields, got {fields}"
+            break
+        rows.append(line)
+        linenos.append(lineno)
+    # The rows before a structural fault are converted first, so that a bad
+    # value on an earlier line is the one reported.
+    try:
+        m = _parse_rows(rows) if rows else None
+    except ValueError:
+        raise ValueError(_bad_value(path, linenos, rows)) from None
+    if fault is not None:
+        raise ValueError(fault)
+    if m is None:
         raise ValueError(f"{path}: no data rows")
-    m = np.asarray(rows, dtype=np.float64)
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{path}: non-finite values")
     return m
@@ -68,9 +107,12 @@ def read_labels(path) -> np.ndarray:
         if not line:
             continue
         try:
-            values.append(int(line))
+            value = int(line)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: not an integer: {line!r}") from None
+        if abs(value) > np.iinfo(np.intp).max:
+            raise ValueError(f"{path}:{lineno}: index out of range: {line!r}")
+        values.append(value)
     idx = np.asarray(sorted(values), dtype=np.intp)
     if idx.size and idx[0] < 0:
         raise ValueError(f"{path}: negative index")

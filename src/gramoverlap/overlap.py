@@ -9,13 +9,14 @@ leading eigenpair, and its row-sum means under the rotated-inlier Gaussian
 model; they are the oracles most tests check against.
 """
 
+import os
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateColumnError
+from .errors import DegenerateColumnError, SizeLimitError
 
 
 class PreprocessMode(str, Enum):
@@ -69,6 +70,23 @@ ROW_SUM_BACKEND_GRAM_FACTOR = "gram_factor"
 ROW_SUM_BACKEND_DENSE = "dense"
 
 
+def _available_bytes() -> int | None:
+    """Memory the process can still allocate: ``MemAvailable`` from
+    ``/proc/meminfo``, else the free physical pages that ``os.sysconf``
+    reports, else None (unknown)."""
+    try:
+        with open("/proc/meminfo") as f:
+            for line in f:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
 class OverlapMatrix:
     """Overlap matrix ``H = gram(X) o gram(Y)`` and its statistics, each
     computed once and cached.
@@ -76,9 +94,10 @@ class OverlapMatrix:
     Built from the preprocessed d-by-n factors ``xp`` and ``yp``, ``H`` is
     ``gram(xp) * gram(yp)``, exactly symmetric by construction, so it is not
     re-checked.  With ``form_h=True`` (as :func:`build_overlap` does) it is
-    formed at construction; otherwise on first read of :attr:`h`, so a
-    caller whose statistics both come from the factors never holds an n-by-n
-    array; ``d`` and ``n`` are read from the factors' shape.
+    formed at construction; otherwise on first read of :attr:`h` (as
+    :func:`factored_overlap` leaves it), so a caller whose statistics both
+    come from the factors never holds an n-by-n array; ``d`` and ``n`` are
+    read from the factors' shape.
     ``OverlapMatrix(h, d=...)`` wraps a user-supplied matrix instead; it is
     validated (square, finite, exactly symmetric) and has no factors, so
     ``d`` is given.
@@ -130,8 +149,21 @@ class OverlapMatrix:
 
     @property
     def h(self) -> np.ndarray:
-        """The dense n-by-n overlap matrix, formed on first use."""
+        """The dense n-by-n overlap matrix, formed on first use.
+
+        Forming it holds two n-by-n float64 arrays, ``16 n^2`` bytes, at the
+        peak.  When that exceeds the memory available to the process it
+        raises :class:`SizeLimitError` before allocating anything.
+        """
         if self._h is None:
+            need = 16 * self.n**2
+            available = _available_bytes()
+            if available is not None and need > available:
+                raise SizeLimitError(
+                    f"forming the dense {self.n}x{self.n} overlap needs "
+                    f"{need / 2**20:.0f} MiB at its peak, but only "
+                    f"{available / 2**20:.0f} MiB are available"
+                )
             h = linalg.gram(self.xp)
             h *= linalg.gram(self.yp)  # in place: two n-by-n arrays at the peak
             self._h = h
@@ -183,19 +215,37 @@ class OverlapMatrix:
         return self._pair
 
 
-def build_overlap(x, y, mode: PreprocessMode) -> OverlapMatrix:
-    """Build the overlap matrix of two equally-shaped d-by-n point sets.
-
-    The dense ``H`` is formed here, so the row sums are summed from it; the
-    statistics are computed when first used (see :class:`OverlapMatrix`).
-    """
+def _preprocessed_pair(x, y, mode: PreprocessMode) -> tuple[np.ndarray, np.ndarray]:
     x = linalg.as_matrix(x, "x")
     y = linalg.as_matrix(y, "y")
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: x is {x.shape}, y is {y.shape}")
     if x.shape[1] < 2:
         raise ValueError("need at least two points")
-    return OverlapMatrix(xp=preprocess(x, mode), yp=preprocess(y, mode), form_h=True)
+    return preprocess(x, mode), preprocess(y, mode)
+
+
+def factored_overlap(x, y, mode: PreprocessMode) -> OverlapMatrix:
+    """Overlap of two equally-shaped d-by-n point sets, held as their
+    preprocessed factors, with ``H`` deferred.
+
+    Checks the inputs as :func:`build_overlap` does.  The row sums come from
+    the factors in ``O(d n)`` memory, and so does the eigenpair when
+    :func:`factored_eig_is_cheaper`; ``H`` is formed only if power iteration
+    needs it (see :class:`OverlapMatrix`).
+    """
+    xp, yp = _preprocessed_pair(x, y, mode)
+    return OverlapMatrix(xp=xp, yp=yp)
+
+
+def build_overlap(x, y, mode: PreprocessMode) -> OverlapMatrix:
+    """Build the overlap matrix of two equally-shaped d-by-n point sets.
+
+    The dense ``H`` is formed here, so the row sums are summed from it; the
+    statistics are computed when first used (see :class:`OverlapMatrix`).
+    """
+    xp, yp = _preprocessed_pair(x, y, mode)
+    return OverlapMatrix(xp=xp, yp=yp, form_h=True)
 
 
 @dataclass(frozen=True, eq=False)

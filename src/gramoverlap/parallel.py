@@ -75,14 +75,30 @@ class ParallelReport:
         return out
 
 
+def env_threads() -> int | None:
+    """Worker count set by ``GRAMOVERLAP_THREADS``, or None when it is unset.
+
+    Any value but an integer of at least 1 raises ``ValueError`` naming the
+    variable.
+    """
+    text = os.environ.get(THREADS_ENV_VAR)
+    if text is None:
+        return None
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(
+            f"{THREADS_ENV_VAR} must be an integer of at least 1, got {text!r}"
+        )
+    return value
+
+
 def resolve_workers(requested: int | None, s: int) -> int:
     """Worker count: explicit request, else the env var, else one per core."""
     if requested is None:
-        env = os.environ.get(THREADS_ENV_VAR)
-        if env is not None:
-            requested = int(env)
-    if requested is None:
-        requested = os.cpu_count() or 1
+        requested = env_threads() or os.cpu_count() or 1
     if requested < 1:
         raise ValueError("worker count must be at least 1")
     return min(requested, s)

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from gramoverlap import (
     MatchConfig,
@@ -10,7 +11,9 @@ from gramoverlap import (
     bench,
     build_overlap,
     error_rates,
+    linalg,
     match,
+    overlap,
 )
 from gramoverlap.cli import main
 from gramoverlap.fileio import (
@@ -187,9 +190,15 @@ class TestMatch:
             assert (diag["iterations"] == 0) == (backend == "gram_factor")
             assert diag["leading_eigenvalue"] > 0
 
-    def test_diagnostics_name_the_row_sum_backend(self, tmp_path):
-        # the CLI builds H eagerly, so the row sums are summed from it
+    def test_diagnostics_name_the_row_sum_backend(self, tmp_path, monkeypatch):
+        # match defers H, so the row sums come from the factors and no n-by-n
+        # Gram is ever computed
         data = self.make_instance(tmp_path)
+
+        def no_gram(x):
+            raise AssertionError("gram called by match --method rowsum")
+
+        monkeypatch.setattr(linalg, "gram", no_gram)
         out = tmp_path / "m"
         code = run(
             f"match {data/'X.csv'} {data/'Y.csv'} --method rowsum --kmeans "
@@ -197,8 +206,25 @@ class TestMatch:
         )
         assert code == 0
         diag = json.loads((out / "diagnostics.json").read_text())
-        assert diag["row_sum_backend"] == "dense"
+        assert diag["row_sum_backend"] == "gram_factor"
         assert diag["eig_backend"] is None
+        truth = read_labels(data / "labels.csv")
+        assert np.array_equal(read_partition_csv(out / "partition.csv").inliers, truth)
+
+    def test_dense_h_that_cannot_fit_is_refused(self, tmp_path, monkeypatch, capsys):
+        # d = 50, n = 100 (4 d^2 > n): the eigenvector needs power iteration
+        # on H, which is refused before any allocation when 16 n^2 bytes are
+        # not available; the row sums never form H and still run
+        data = self.make_instance(tmp_path)
+        monkeypatch.setattr(overlap, "_available_bytes", lambda: 16 * 100**2 - 1)
+        base = f"match {data/'X.csv'} {data/'Y.csv'} --preprocess cn"
+        out = tmp_path / "eig"
+        assert run(f"{base} --method eig --kmeans --out {out}".split()) == 1
+        assert "overlap needs" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(f"{base} --method rowsum --kmeans --out {tmp_path/'rs'}".split()) == 0
+        monkeypatch.setattr(overlap, "_available_bytes", lambda: 16 * 100**2)
+        assert run(f"{base} --method eig --kmeans --out {out}".split()) == 0
 
     def test_threshold_and_kmeans_conflict(self, tmp_path):
         data = self.make_instance(tmp_path, seed=14)
@@ -224,6 +250,21 @@ class TestMatch:
             code = run(f"{base} --splits {splits} --threads 0 --out {out}".split())
             assert code == 2
             assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
+    def test_threads_variable_is_validated(self, tmp_path, monkeypatch, capsys, value):
+        data = self.make_instance(tmp_path, seed=18)
+        monkeypatch.setenv("GRAMOVERLAP_THREADS", value)
+        base = f"match {data/'X.csv'} {data/'Y.csv'} --method rowsum --kmeans"
+        for splits in (1, 2):
+            out = tmp_path / f"m{splits}"
+            code = run(f"{base} --splits {splits} --out {out}".split())
+            assert code == 2
+            assert "GRAMOVERLAP_THREADS" in capsys.readouterr().err
+            assert not out.exists()
+        # --threads overrides the variable, which is then not read
+        out = tmp_path / "explicit"
+        assert run(f"{base} --splits 2 --threads 1 --out {out}".split()) == 0
 
     def test_shape_mismatch_no_partial_outputs(self, tmp_path):
         data = self.make_instance(tmp_path, seed=16)
@@ -354,6 +395,18 @@ class TestBench:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
+    def test_threads_variable_is_validated(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("GRAMOVERLAP_THREADS", value)
+        for sweep in ("--sweep splits --splits-grid 1,2", "--sweep r --r-grid 0.5"):
+            out = tmp_path / "b"
+            code = run(
+                f"bench {sweep} --d 5 --n 40 --r 0.5 --trials 1 --out {out}".split()
+            )
+            assert code == 2
+            assert "GRAMOVERLAP_THREADS" in capsys.readouterr().err
+            assert not out.exists()
+
 
 class TestImgdiff:
     def test_permuted_pixel_highlighted(self, tmp_path):
@@ -432,6 +485,16 @@ class TestImgdiff:
         assert code == 0
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["n_classified"] == 2
+
+    def test_dense_h_that_cannot_fit_is_refused(self, tmp_path, monkeypatch):
+        path_a, path_b = write_test_images(tmp_path)
+        monkeypatch.setattr(overlap, "_available_bytes", lambda: 0)
+        out = tmp_path / "d"
+        code = run(
+            f"imgdiff {path_a} {path_b} --method rowsum --kmeans --out {out}".split()
+        )
+        assert code == 1
+        assert not out.exists()
 
     def test_malformed_ppm(self, tmp_path):
         bad = tmp_path / "bad.ppm"

@@ -85,6 +85,12 @@ class TestLabels:
         with pytest.raises(ValueError):
             read_labels(path)
 
+    def test_index_beyond_intp_rejected(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("1\n" + "9" * 30 + "\n")
+        with pytest.raises(ValueError, match=":2: index out of range"):
+            read_labels(path)
+
 
 class TestPartitionCsv:
     def test_round_trip(self, tmp_path):
@@ -158,3 +164,181 @@ class TestManifest:
         path = tmp_path / "manifest.json"
         write_manifest(path, payload)
         assert read_manifest(path) == payload
+
+
+def line_by_line_read_matrix_csv(path):
+    """The matrix CSV reader as it was before its values were converted in
+    one ``np.loadtxt`` call: the reference of the differential test below."""
+    from pathlib import Path
+
+    path = Path(path)
+    rows = []
+    width = None
+    with path.open() as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                if lineno == 1:
+                    continue
+                raise ValueError(f"{path}:{lineno}: '#' lines only allowed as header")
+            fields = line.split(",")
+            if width is None:
+                width = len(fields)
+            elif len(fields) != width:
+                raise ValueError(
+                    f"{path}:{lineno}: expected {width} fields, got {len(fields)}"
+                )
+            try:
+                rows.append([float(v) for v in fields])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    m = np.asarray(rows, dtype=np.float64)
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{path}: non-finite values")
+    return m
+
+
+# Fields that Python's float() accepts and numpy's loadtxt does not: digit
+# group underscores and non-ASCII digits.  These are the only inputs the two
+# readers are allowed to disagree on; the vectorized reader rejects them.
+PYTHON_ONLY_SPELLINGS = ("1_0", "1_000.25", "2e1_0", "١", "３.5", "-१")
+
+# Atoms of the differential fuzz: finite numbers in every accepted spelling
+# (float64's extremes and underflow included), then non-finite words and
+# near misses.
+FINITE_ATOMS = (
+    "0", "-0", "-0.0", "1", "-1", "+2.5", ".5", "5.", "1e3", "-1.5E-7", "1E+2",
+    "0.1", "3.141592653589793", "1.7976931348623157e308", "4.9e-324", "1e-400",
+    " 3 ", "\t4", "\xa07", "8\x0c",
+)
+OTHER_ATOMS = (
+    "1e500", "nan", "NaN", "-inf", "Infinity", "+INF", "x", "", " ", "1e", ".",
+    "--1", "0x10", "1 2", "1d5", "#", "1#2", "inf inity", "1.5.2", "e5",
+)
+
+
+def fuzz_csv(rng) -> bytes:
+    width = int(rng.integers(1, 5))
+    lines = []
+    if rng.random() < 0.3:
+        lines.append("# header " + str(rng.integers(100)))
+    for _ in range(int(rng.integers(0, 6))):
+        kind = rng.random()
+        if kind < 0.08:
+            lines.append("")
+        elif kind < 0.14:
+            lines.append(str(rng.choice([" ", "\t", "  \t ", "\xa0", "\x0c"])))
+        elif kind < 0.17:
+            lines.append("# stray comment")
+        else:
+            w = width if rng.random() < 0.9 else int(rng.integers(1, 6))
+            pool = FINITE_ATOMS + OTHER_ATOMS if rng.random() < 0.2 else FINITE_ATOMS
+            lines.append(",".join(str(rng.choice(pool)) for _ in range(w)))
+    end = str(rng.choice(["\n", "\r\n", "\r"]))
+    text = end.join(lines) + (end if rng.random() < 0.8 else "")
+    return text.encode()
+
+
+def outcome(reader, path):
+    """``("ok", shape, bytes)`` or ``("error", "path:line")``."""
+    try:
+        m = reader(path)
+    except ValueError as exc:
+        location = str(exc).split(": ")[0]
+        return ("error", location)
+    return ("ok", m.shape, m.dtype.str, m.tobytes())
+
+
+class TestMatrixCsvFuzz:
+    def test_differential_against_the_line_by_line_reader(self, tmp_path):
+        rng = np.random.default_rng(20260101)
+        path = tmp_path / "m.csv"
+        kinds = {"ok": 0, "error": 0}
+        for case in range(4000):
+            data = fuzz_csv(rng)
+            path.write_bytes(data)
+            expected = outcome(line_by_line_read_matrix_csv, path)
+            got = outcome(read_matrix_csv, path)
+            assert got == expected, (case, data)
+            kinds[got[0]] += 1
+        # the fuzz reaches both sides
+        assert min(kinds.values()) > 500
+
+    @pytest.mark.parametrize("spelling", PYTHON_ONLY_SPELLINGS)
+    def test_python_only_spellings_are_rejected(self, tmp_path, spelling):
+        path = tmp_path / "m.csv"
+        path.write_text(f"1,2\n3,{spelling}\n", encoding="utf-8")
+        assert line_by_line_read_matrix_csv(path).shape == (2, 2)
+        with pytest.raises(ValueError, match=rf"^{path}:2: field 2 "):
+            read_matrix_csv(path)
+
+    def test_error_names_the_first_bad_line_and_field(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("# h\n1,2,3\n\n4,,6\n7,8\n")
+        with pytest.raises(ValueError, match=rf"^{path}:4: field 2 is not a number: ''$"):
+            read_matrix_csv(path)
+        path.write_text("1,2\n3,4\n5\n")
+        with pytest.raises(ValueError, match=rf"^{path}:3: expected 2 fields, got 1$"):
+            read_matrix_csv(path)
+
+    def test_whitespace_only_lines_and_crlf_are_skipped(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"# h\r\n1, 2\r\n \t \r\n\r\n3 ,4\r\n")
+        assert np.array_equal(read_matrix_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_single_row_and_single_column_shapes(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2,3\n")
+        assert read_matrix_csv(path).shape == (1, 3)
+        path.write_text("1\n2\n3\n")
+        assert read_matrix_csv(path).shape == (3, 1)
+
+
+def mutate(data: bytes, rng) -> bytes:
+    """One random byte-level edit: flip, insert, delete, truncate, repeat a
+    chunk, or insert a long run of digits."""
+    b = bytearray(data)
+    pos = int(rng.integers(0, len(b) + 1))
+    op = int(rng.integers(0, 6))
+    if op == 0 and b:
+        b[min(pos, len(b) - 1)] = int(rng.integers(0, 256))
+    elif op == 1:
+        b[pos:pos] = bytes([int(rng.choice(list(b"0123456789-+,.#eGB \n\r\t\xff")))])
+    elif op == 2:
+        del b[pos : pos + int(rng.integers(1, 4))]
+    elif op == 3:
+        del b[pos:]
+    elif op == 4:
+        b[pos:pos] = b[pos : pos + int(rng.integers(1, 16))]
+    else:
+        b[pos:pos] = b"9" * int(rng.integers(19, 40))
+    return bytes(b)
+
+
+class TestReadersRaiseOnlyValueError:
+    def test_mutated_inputs(self, tmp_path):
+        rng = np.random.default_rng(7)
+        seeds = {}
+        path = tmp_path / "f"
+        write_matrix_csv(path, rng.standard_normal((3, 4)))
+        seeds[read_matrix_csv] = path.read_bytes()
+        write_labels(path, [0, 3, 17, 200])
+        seeds[read_labels] = path.read_bytes()
+        write_partition_csv(path, LabelPartition.from_inliers(6, [1, 4]))
+        seeds[read_partition_csv] = path.read_bytes()
+        write_ppm(path, rng.integers(0, 256, (2, 3, 3), dtype=np.uint8))
+        seeds[read_ppm] = path.read_bytes()
+        for reader, seed in seeds.items():
+            for _ in range(600):
+                data = seed
+                for _ in range(int(rng.integers(1, 4))):
+                    data = mutate(data, rng)
+                path.write_bytes(data)
+                try:
+                    reader(path)
+                except ValueError:
+                    pass

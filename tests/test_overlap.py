@@ -9,8 +9,10 @@ from gramoverlap import (
     PopulationModel,
     PreprocessMode,
     ScenarioSpec,
+    SizeLimitError,
     build_overlap,
     dense_eig,
+    factored_overlap,
     generate,
     population_overlap,
     population_row_sum_mean,
@@ -20,7 +22,7 @@ from gramoverlap import (
     spectral_norm,
 )
 import gramoverlap
-from gramoverlap import bench, linalg
+from gramoverlap import bench, linalg, overlap
 from gramoverlap.overlap import factored_eig_is_cheaper
 from gramoverlap.synth import derive_seed
 
@@ -156,6 +158,62 @@ class TestBuildOverlap:
         assert h.h is h.h
         assert h.row_sums() is h.row_sums()
         assert h.leading_eigenpair() is h.leading_eigenpair()
+
+
+class TestFactoredOverlap:
+    def test_checks_inputs_as_build_overlap_does(self):
+        deg = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        cases = [
+            (np.eye(2), np.eye(3), "none"),
+            (np.ones((2, 1)), np.ones((2, 1)), "none"),
+            (np.ones(3), np.ones(3), "none"),
+            (np.array([[1.0, np.nan]]), np.ones((1, 2)), "none"),
+            (deg, deg, "center_normalize"),
+            (np.eye(2), np.eye(2), "sideways"),
+        ]
+        for x, y, mode in cases:
+            with pytest.raises(ValueError) as eager:
+                build_overlap(x, y, mode)
+            with pytest.raises(ValueError) as lazy:
+                factored_overlap(x, y, mode)
+            assert type(lazy.value) is type(eager.value)
+            assert str(lazy.value) == str(eager.value)
+
+    def test_holds_the_factors_of_build_overlap_and_defers_h(self):
+        rng = np.random.default_rng(18)
+        x, y = rng.standard_normal((2, 6, 30))
+        for mode in PreprocessMode:
+            eager = build_overlap(x, y, mode)
+            lazy = factored_overlap(x, y, mode)
+            assert np.array_equal(lazy.xp, eager.xp)
+            assert np.array_equal(lazy.yp, eager.yp)
+            assert lazy._h is None
+            assert lazy.row_sum_backend == "gram_factor"
+            assert lazy.eig_backend == eager.eig_backend
+            assert np.array_equal(lazy.h, eager.h)
+
+
+class TestDenseMemoryCheck:
+    def test_refused_before_allocation_when_it_cannot_fit(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        x, y = rng.standard_normal((2, 3, 50))
+        need = 16 * 50**2
+        monkeypatch.setattr(overlap, "_available_bytes", lambda: need - 1)
+        lazy = factored_overlap(x, y, "none")
+        with pytest.raises(SizeLimitError, match="50x50"):
+            _ = lazy.h
+        assert lazy._h is None
+        with pytest.raises(SizeLimitError):
+            build_overlap(x, y, "none")
+        # the factored statistics still run
+        assert lazy.row_sums().shape == (50,)
+        assert lazy.leading_eigenpair().iterations == 0
+        monkeypatch.setattr(overlap, "_available_bytes", lambda: need)
+        assert lazy.h.shape == (50, 50)
+
+    def test_unknown_memory_does_not_refuse(self, monkeypatch):
+        monkeypatch.setattr(overlap, "_available_bytes", lambda: None)
+        assert build_overlap(np.eye(3), np.eye(3), "none").h.shape == (3, 3)
 
 
 def random_factored_instances():
@@ -301,18 +359,13 @@ class TestRowSums:
         assert h.row_sums().sum() >= 0.0
 
 
-def deferred_overlap(x, y, mode):
-    """Overlap made from the preprocessed factors, ``H`` not yet formed."""
-    return OverlapMatrix(xp=preprocess(x, mode), yp=preprocess(y, mode))
-
-
 class TestFactoredRowSums:
     def test_backend_fixed_at_construction(self):
         rng = np.random.default_rng(14)
         x, y = rng.standard_normal((2, 4, 40))
         # a deferred overlap sums the factors at any size, n < d included
-        assert deferred_overlap(x, y, "none").row_sum_backend == "gram_factor"
-        assert deferred_overlap(x[:, :3], y[:, :3], "none").row_sum_backend == (
+        assert factored_overlap(x, y, "none").row_sum_backend == "gram_factor"
+        assert factored_overlap(x[:, :3], y[:, :3], "none").row_sum_backend == (
             "gram_factor"
         )
         # an overlap built with H sums H
@@ -322,11 +375,11 @@ class TestFactoredRowSums:
         )
         # forming H later, e.g. for power iteration, does not switch the
         # backend, whichever statistic is read first
-        first = deferred_overlap(x, y, "none")
+        first = factored_overlap(x, y, "none")
         _ = first.h
         assert first.row_sum_backend == "gram_factor"
         assert not first.reads_h("row_sums")
-        assert np.array_equal(first.row_sums(), deferred_overlap(x, y, "none").row_sums())
+        assert np.array_equal(first.row_sums(), factored_overlap(x, y, "none").row_sums())
         with pytest.raises(ValueError):
             first.reads_h("trace")
 
@@ -344,7 +397,7 @@ class TestFactoredRowSums:
                     ref = eager.h.sum(axis=1)
                     assert np.array_equal(eager.row_sums(), ref)
                     tol = 1e-12 * np.abs(eager.h).sum(axis=1)
-                    lazy = deferred_overlap(x, y, mode)
+                    lazy = factored_overlap(x, y, mode)
                     assert lazy.row_sum_backend == "gram_factor"
                     got = lazy.row_sums()
                     assert np.all(np.abs(got - ref) <= tol), (d, n, mode)
@@ -362,7 +415,7 @@ class TestFactoredRowSums:
                     d=d, n=n, r=0.5, kind=kind, seed=derive_seed(77, trial)
                 )
                 pair = generate(spec)
-                h = deferred_overlap(pair.x, pair.y, PreprocessMode.NONE)
+                h = factored_overlap(pair.x, pair.y, PreprocessMode.NONE)
                 assert h.row_sum_backend == "gram_factor"
                 s = h.row_sums()
                 m = PopulationModel(d=d, n=n, inliers=pair.inliers)
@@ -382,8 +435,8 @@ class TestFactoredRowSums:
             )
             sigma = rng.permutation(128)
             for mode in PreprocessMode:
-                a = deferred_overlap(pair.x, pair.y, mode)
-                b = deferred_overlap(pair.x[:, sigma], pair.y[:, sigma], mode)
+                a = factored_overlap(pair.x, pair.y, mode)
+                b = factored_overlap(pair.x[:, sigma], pair.y[:, sigma], mode)
                 assert a.row_sum_backend == b.row_sum_backend == "gram_factor"
                 sa, sb = a.row_sums(), b.row_sums()
                 assert np.max(np.abs(sb - sa[sigma])) <= 1e-12 * np.abs(sa).max()
