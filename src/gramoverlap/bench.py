@@ -3,12 +3,12 @@
 Each grid point runs seeded trials; within a trial the overlap matrix is made
 once from the preprocessed factors, each statistic it carries (leading
 eigenvector, row sums) is computed once, and every requested method
-classifies it, so methods are compared on identical data.  The dense ``H`` is
-formed only when the backend of a requested statistic reads it.  Per-method
-wall time charges the shared preprocessing, the statistic that method reads
-(with the formation of ``H`` when that statistic's backend reads it) and that
-method's own classification, i.e. what a solo run would cost: each statistic,
-and ``H``, is timed once per trial and charged to every method that reads it.
+classifies it, so methods are compared on identical data.  The overlap defers
+``H``, so it is formed only by a statistic whose backend reads it (power
+iteration), inside that statistic's call.  Per-method wall time charges the
+shared preprocessing, the statistic that method reads and that method's own
+classification, i.e. what a solo run would cost: each statistic is timed once
+per trial and charged to every method that reads it.
 """
 
 import csv
@@ -131,14 +131,10 @@ def _timed_ms(fn) -> float:
 
 def _statistics_ms(h: OverlapMatrix, methods: list[MethodSpec]) -> dict:
     """Compute (and cache) each statistic the methods read, timed per
-    statistic name; ``H`` is formed once, first, if a statistic reads it,
-    and its time is added to exactly those statistics."""
+    statistic name; a statistic that reads ``H`` forms it on first use, so
+    its time carries the formation."""
     needed = dict.fromkeys(_STATISTICS[m.method] for m in methods)
-    dense = {k for k in needed if h.reads_h(k)}
-    h_ms = _timed_ms(lambda: h.h) if dense else 0.0
-    return {
-        k: _timed_ms(getattr(h, k)) + (h_ms if k in dense else 0.0) for k in needed
-    }
+    return {k: _timed_ms(getattr(h, k)) for k in needed}
 
 
 def _run_grid_point(
@@ -171,11 +167,17 @@ def _run_grid_point(
     ]
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def _run_sweep(
     axis: str, values, trials: int, methods, mode: PreprocessMode, **fixed
 ) -> list[dict]:
     """Rows of a sweep over the ``ScenarioSpec`` field ``axis``, which also
     names the sweep in each row; ``fixed`` holds the other fields."""
+    _check_trials(trials)
     specs = [parse_method(m) if isinstance(m, str) else m for m in methods]
     rows = []
     for value in values:
@@ -238,6 +240,7 @@ def run_splits_sweep(
     Wall time covers matching only (the split, per-shard overlap build, and
     classification); data generation is excluded.
     """
+    _check_trials(trials)
     spec = parse_method(method) if isinstance(method, str) else method
     rows = []
     for s in split_values:

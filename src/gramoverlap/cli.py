@@ -20,8 +20,8 @@ from .classify import (
     error_rates,
     match,
 )
-from .overlap import PreprocessMode, build_overlap, factored_overlap
-from .parallel import THREADS_ENV_VAR, env_threads, parallel_match, resolve_workers
+from .overlap import PreprocessMode, build_overlap, check_dense_fits, factored_overlap
+from .parallel import THREADS_ENV_VAR, env_threads, parallel_match
 from .synth import ScenarioSpec, generate
 
 _PREPROCESS_ALIASES = {
@@ -29,8 +29,6 @@ _PREPROCESS_ALIASES = {
     "cn": PreprocessMode.CENTER_NORMALIZE,
 }
 _METHOD_ALIASES = {"eig": METHOD_EIGENVECTOR, "rowsum": METHOD_ROW_SUM}
-
-DEFAULT_PIXEL_CAP = 20000
 
 
 class UsageError(Exception):
@@ -213,8 +211,7 @@ def _cmd_match(args) -> int:
         wall_ms = (time.perf_counter() - t0) * 1e3
         payload = _diagnostics_payload(cfg, 1, diag=diag)
     else:
-        workers = resolve_workers(args.threads, args.splits)
-        report = parallel_match(x, y, args.splits, cfg, max_workers=workers)
+        report = parallel_match(x, y, args.splits, cfg, max_workers=args.threads)
         partition = report.partition
         wall_ms = report.total_time_ms
         payload = _diagnostics_payload(cfg, args.splits, report=report)
@@ -260,10 +257,18 @@ def _cmd_eval(args) -> int:
 # --- bench ---
 
 
+def _method_spec(text: str) -> bench.MethodSpec:
+    try:
+        return bench.parse_method(text)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _cmd_bench(args) -> int:
     _check_threads(args)
+    if args.trials < 1:
+        raise UsageError("--trials must be at least 1")
     preprocess = _PREPROCESS_ALIASES[args.preprocess]
-    out = _out_dir(args)
     options = {
         "sweep": args.sweep,
         "d": args.d,
@@ -277,7 +282,7 @@ def _cmd_bench(args) -> int:
         if args.r_grid is None:
             raise UsageError("--sweep r needs --r-grid")
         grid = _parse_float_list(args.r_grid)
-        methods = [bench.parse_method(m) for m in args.methods.split(",")]
+        methods = [_method_spec(m) for m in args.methods.split(",")]
         rows = bench.run_rate_sweep(
             d=args.d,
             n=args.n,
@@ -295,7 +300,7 @@ def _cmd_bench(args) -> int:
         if args.sigma2_grid is None or args.r is None:
             raise UsageError("--sweep sigma2 needs --sigma2-grid and --r")
         grid = _parse_float_list(args.sigma2_grid)
-        methods = [bench.parse_method(m) for m in args.methods.split(",")]
+        methods = [_method_spec(m) for m in args.methods.split(",")]
         rows = bench.run_noise_sweep(
             d=args.d,
             n=args.n,
@@ -320,7 +325,7 @@ def _cmd_bench(args) -> int:
             split_values=grid,
             trials=args.trials,
             seed=args.seed,
-            method=bench.parse_method(args.single_method),
+            method=_method_spec(args.single_method),
             kind=args.kind,
             sigma2=args.sigma2,
             preprocess=preprocess,
@@ -335,6 +340,7 @@ def _cmd_bench(args) -> int:
                 "sigma2": args.sigma2,
             }
         )
+    out = _out_dir(args)
     bench.write_sweep_csv(out / name, rows)
     fileio.write_manifest(
         out / "manifest.json", _base_manifest("bench", options, {"sweep": name})
@@ -376,11 +382,7 @@ def _cmd_imgdiff(args) -> int:
             selected = np.sort(rng.choice(n, size=args.sample, replace=False))
         else:
             selected = np.arange(n)
-        if selected.size > args.max_pixels:
-            raise ValueError(
-                f"{selected.size} pixels exceeds the cap of {args.max_pixels}; "
-                f"use --sample or raise --max-pixels"
-            )
+        check_dense_fits(selected.size)
         points_a = fileio.image_to_points(img_a)[:, selected]
         points_b = fileio.image_to_points(img_b)[:, selected]
         t0 = time.perf_counter()
@@ -416,7 +418,6 @@ def _cmd_imgdiff(args) -> int:
                 "inlier_rate": args.inlier_rate,
                 "preprocess": args.preprocess,
                 "sample": args.sample,
-                "max_pixels": args.max_pixels,
                 "seed": args.seed,
             },
             {"mask": "mask.ppm", "diagnostics": "diagnostics.json"},
@@ -508,12 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_match_flags(p)
     p.add_argument(
         "--sample", type=int, default=None, help="classify only k sampled pixels"
-    )
-    p.add_argument(
-        "--max-pixels",
-        type=int,
-        default=DEFAULT_PIXEL_CAP,
-        help="refuse to classify more pixels than this without sampling",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")

@@ -9,9 +9,11 @@ leading eigenpair, and its row-sum means under the rotated-inlier Gaussian
 model; they are the oracles most tests check against.
 """
 
+import functools
 import os
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -70,10 +72,82 @@ ROW_SUM_BACKEND_GRAM_FACTOR = "gram_factor"
 ROW_SUM_BACKEND_DENSE = "dense"
 
 
-def _available_bytes() -> int | None:
-    """Memory the process can still allocate: ``MemAvailable`` from
-    ``/proc/meminfo``, else the free physical pages that ``os.sysconf``
-    reports, else None (unknown)."""
+# Per cgroup version: the limit file, the usage file, and the key of the
+# reclaimable (inactive) page cache in memory.stat.
+_CGROUP_MEMORY_FILES = {
+    1: ("memory.limit_in_bytes", "memory.usage_in_bytes", "total_inactive_file"),
+    2: ("memory.max", "memory.current", "inactive_file"),
+}
+_CGROUP_UNLIMITED = 2**60
+
+
+@functools.cache
+def _cgroup_memory_dirs(
+    proc_cgroup: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup"
+) -> tuple[tuple[Path, int], ...]:
+    """Memory-controller directories of the process's own cgroup and all its
+    ancestors, each with its cgroup version, read once per process.
+
+    A v1 memory hierarchy is mounted at ``root/memory``, the v2 unified one
+    at ``root``; lines of ``proc_cgroup`` that name neither are skipped.
+    """
+    try:
+        with open(proc_cgroup) as f:
+            lines = f.read().splitlines()
+    except (OSError, ValueError):
+        return ()
+    dirs = []
+    for line in lines:
+        fields = line.split(":", 2)
+        if len(fields) != 3:
+            continue
+        hierarchy, controllers, path = fields
+        if hierarchy == "0" and controllers == "":
+            base, version = Path(root), 2
+        elif "memory" in controllers.split(","):
+            base, version = Path(root) / "memory", 1
+        else:
+            continue
+        parts = [part for part in path.split("/") if part]
+        for depth in range(len(parts), -1, -1):
+            dirs.append((base.joinpath(*parts[:depth]), version))
+    return tuple(dirs)
+
+
+def _cgroup_headroom(dirs) -> int | None:
+    """Smallest ``limit - usage + inactive file cache`` over the memory
+    cgroups ``dirs``, or None when none of them sets a limit.
+
+    A limit of ``max`` or of at least ``2**60`` is no limit; a directory
+    whose limit or usage cannot be read is skipped, and one whose
+    ``memory.stat`` cannot be read counts no inactive cache.
+    """
+    best = None
+    for d, version in dirs:
+        limit_file, usage_file, inactive_key = _CGROUP_MEMORY_FILES[version]
+        try:
+            limit = (d / limit_file).read_text().strip()
+            if limit == "max" or int(limit) >= _CGROUP_UNLIMITED:
+                continue
+            room = int(limit) - int((d / usage_file).read_text())
+        except (OSError, ValueError):
+            continue
+        try:
+            for line in (d / "memory.stat").read_text().splitlines():
+                key, _, value = line.partition(" ")
+                if key == inactive_key:
+                    room += int(value)
+                    break
+        except (OSError, ValueError):
+            pass
+        room = max(room, 0)
+        best = room if best is None else min(best, room)
+    return best
+
+
+def _host_available_bytes() -> int | None:
+    """``MemAvailable`` from ``/proc/meminfo``, else the free physical pages
+    that ``os.sysconf`` reports, else None (unknown)."""
     try:
         with open("/proc/meminfo") as f:
             for line in f:
@@ -85,6 +159,35 @@ def _available_bytes() -> int | None:
         return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, OSError, ValueError):
         return None
+
+
+def _available_bytes() -> int | None:
+    """Memory the process can still allocate: the smaller of the host's
+    available memory and the headroom under its cgroups' memory limits,
+    whichever are known, else None (unknown)."""
+    known = [
+        b
+        for b in (_host_available_bytes(), _cgroup_headroom(_cgroup_memory_dirs()))
+        if b is not None
+    ]
+    return min(known, default=None)
+
+
+def check_dense_fits(n: int) -> None:
+    """Raise :class:`SizeLimitError` when forming a dense n-by-n overlap
+    cannot fit in the memory available to the process.
+
+    Forming it holds two n-by-n float64 arrays, ``16 n^2`` bytes, at the
+    peak.  When the available memory is unknown nothing is refused.
+    """
+    need = 16 * n**2
+    available = _available_bytes()
+    if available is not None and need > available:
+        raise SizeLimitError(
+            f"forming the dense {n}x{n} overlap needs "
+            f"{need / 2**20:.0f} MiB at its peak, but only "
+            f"{available / 2**20:.0f} MiB are available"
+        )
 
 
 class OverlapMatrix:
@@ -106,7 +209,7 @@ class OverlapMatrix:
     it: :meth:`row_sums` and :meth:`leading_eigenpair`.  Both have a backend
     that reads only the factors, through the face-splitting identity ``H =
     Z^T Z`` (column i of ``Z`` is ``x_i (x) y_i``), and one that reads the
-    dense ``H``; :meth:`reads_h` tells which a statistic takes.  The
+    dense ``H``, formed on first use by the statistic that reads it.  The
     eigenpair comes from the d^2-by-d^2 Khatri-Rao Gram ``Z Z^T``
     (``"gram_factor"``) when the factors are held and
     :func:`factored_eig_is_cheaper`, and from power iteration on ``H``
@@ -149,21 +252,10 @@ class OverlapMatrix:
 
     @property
     def h(self) -> np.ndarray:
-        """The dense n-by-n overlap matrix, formed on first use.
-
-        Forming it holds two n-by-n float64 arrays, ``16 n^2`` bytes, at the
-        peak.  When that exceeds the memory available to the process it
-        raises :class:`SizeLimitError` before allocating anything.
-        """
+        """The dense n-by-n overlap matrix, formed on first use; refused by
+        :func:`check_dense_fits` before anything is allocated."""
         if self._h is None:
-            need = 16 * self.n**2
-            available = _available_bytes()
-            if available is not None and need > available:
-                raise SizeLimitError(
-                    f"forming the dense {self.n}x{self.n} overlap needs "
-                    f"{need / 2**20:.0f} MiB at its peak, but only "
-                    f"{available / 2**20:.0f} MiB are available"
-                )
+            check_dense_fits(self.n)
             h = linalg.gram(self.xp)
             h *= linalg.gram(self.yp)  # in place: two n-by-n arrays at the peak
             self._h = h
@@ -175,15 +267,6 @@ class OverlapMatrix:
         if self.xp is not None and factored_eig_is_cheaper(self.d, self.n):
             return EIG_BACKEND_GRAM_FACTOR
         return EIG_BACKEND_POWER_ITERATION
-
-    def reads_h(self, statistic: str) -> bool:
-        """Whether the statistic named ``statistic`` (``"row_sums"`` or
-        ``"leading_eigenpair"``) is computed from the dense ``H``."""
-        if statistic == "row_sums":
-            return self.row_sum_backend == ROW_SUM_BACKEND_DENSE
-        if statistic == "leading_eigenpair":
-            return self.eig_backend == EIG_BACKEND_POWER_ITERATION
-        raise ValueError(f"unknown statistic {statistic!r}")
 
     def row_sums(self) -> np.ndarray:
         """Row sums of ``H`` from :attr:`row_sum_backend` (cached; do not

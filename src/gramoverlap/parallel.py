@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .classify import LabelPartition, MatchConfig, MatchDiagnostics, match
-from .overlap import PreprocessMode, build_overlap, preprocess
+from .overlap import PreprocessMode, build_overlap, factored_overlap
 
 THREADS_ENV_VAR = "GRAMOVERLAP_THREADS"
 
@@ -111,23 +110,19 @@ def parallel_match(
 
     Shard results are merged by original index, so the outcome does not depend
     on scheduling.  Degenerate-clustering fallbacks inside a shard surface as
-    warnings, not errors.
+    warnings, not errors.  The inputs are checked and preprocessed by
+    :func:`factored_overlap`; each shard builds its overlap from its columns
+    of those factors, with no further preprocessing.
     """
-    x = linalg.as_matrix(x, "x")
-    y = linalg.as_matrix(y, "y")
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: x is {x.shape}, y is {y.shape}")
-    n = x.shape[1]
-
     t_start = time.perf_counter()
-    xp = preprocess(x, cfg.preprocess)
-    yp = preprocess(y, cfg.preprocess)
+    whole = factored_overlap(x, y, cfg.preprocess)
+    n = whole.n
     plan = make_split(n, s, cfg.seed)
 
     def run_shard(j: int):
         idx = plan.shards[j]
         t0 = time.perf_counter()
-        h = build_overlap(xp[:, idx], yp[:, idx], PreprocessMode.NONE)
+        h = build_overlap(whole.xp[:, idx], whole.yp[:, idx], PreprocessMode.NONE)
         part, diag = match(h, cfg)
         return part, diag, (time.perf_counter() - t0) * 1e3
 

@@ -70,6 +70,19 @@ class TestSweeps:
         )
         assert [int(r["value"]) for r in rows] == [1, 2]
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_raise(self, trials):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            run_rate_sweep(d=4, n=24, r_values=[0.5], trials=trials, seed=1)
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            run_noise_sweep(
+                d=4, n=24, r=0.5, sigma2_values=[0.0], trials=trials, seed=1
+            )
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            run_splits_sweep(
+                d=4, n=24, r=0.5, split_values=[1], trials=trials, seed=1
+            )
+
     def test_csv_round_trip(self, tmp_path):
         rows = run_rate_sweep(
             d=4, n=24, r_values=[0.5], trials=2, seed=5, methods=("eig:kmeans",)

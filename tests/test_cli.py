@@ -11,6 +11,7 @@ from gramoverlap import (
     bench,
     build_overlap,
     error_rates,
+    fileio,
     linalg,
     match,
     overlap,
@@ -367,6 +368,25 @@ class TestBench:
     def test_missing_grid_is_usage_error(self, tmp_path):
         code = run(f"bench --sweep r --d 6 --n 40 --out {tmp_path/'b'}".split())
         assert code == 2
+        assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            "--sweep r --r-grid 0.5 --trials 0",
+            "--sweep sigma2 --sigma2-grid 0 --r 0.5 --trials -3",
+            "--sweep splits --splits-grid 1,2 --r 0.5 --trials 0",
+            "--sweep r --r-grid 0.5 --trials 1 --methods rowsum:kmeans,eig:zero",
+            "--sweep sigma2 --sigma2-grid 0 --r 0.5 --trials 1 --methods what",
+            "--sweep splits --splits-grid 1,2 --r 0.5 --trials 1 --method rowsum:-1",
+        ],
+    )
+    def test_bad_flag_values_are_usage_errors(self, tmp_path, capsys, flags):
+        out = tmp_path / "b"
+        code = run(f"bench {flags} --d 6 --n 40 --out {out}".split())
+        assert code == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_splits_sweep_passes_sigma2(self, tmp_path):
         out = tmp_path / "bench"
@@ -470,21 +490,47 @@ class TestImgdiff:
         )
         assert code == 1
 
-    def test_pixel_cap(self, tmp_path):
+    def test_sample_classifies_only_k_pixels(self, tmp_path):
         path_a, path_b = write_test_images(tmp_path)
-        code = run(
-            f"imgdiff {path_a} {path_b} --method rowsum --kmeans --max-pixels 2 "
-            f"--out {tmp_path/'d'}".split()
-        )
-        assert code == 1
         out = tmp_path / "d2"
         code = run(
-            f"imgdiff {path_a} {path_b} --method rowsum --kmeans --max-pixels 2 "
+            f"imgdiff {path_a} {path_b} --method rowsum --kmeans "
             f"--sample 2 --seed 4 --out {out}".split()
         )
         assert code == 0
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["n_classified"] == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["options"]["sample"] == 2
+
+    def test_size_cap_flag_is_gone(self, tmp_path):
+        # the memory check on H is the only size limit
+        path_a, path_b = write_test_images(tmp_path)
+        out = tmp_path / "d"
+        code = run(
+            f"imgdiff {path_a} {path_b} --method rowsum --kmeans --max-pixels 2 "
+            f"--out {out}".split()
+        )
+        assert code == 2
+        assert not out.exists()
+
+    def test_refused_before_pixels_become_points(self, tmp_path, monkeypatch, capsys):
+        # an H that cannot fit is refused on the selected pixel count, before
+        # any per-pixel point array is built
+        path_a, path_b = write_test_images(tmp_path)
+
+        def no_points(img):
+            raise AssertionError("image_to_points called before the memory check")
+
+        monkeypatch.setattr(overlap, "_available_bytes", lambda: 16 * 4**2 - 1)
+        monkeypatch.setattr(fileio, "image_to_points", no_points)
+        out = tmp_path / "d"
+        code = run(
+            f"imgdiff {path_a} {path_b} --method rowsum --kmeans --out {out}".split()
+        )
+        assert code == 1
+        assert "4x4 overlap needs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dense_h_that_cannot_fit_is_refused(self, tmp_path, monkeypatch):
         path_a, path_b = write_test_images(tmp_path)

@@ -215,6 +215,123 @@ class TestDenseMemoryCheck:
         monkeypatch.setattr(overlap, "_available_bytes", lambda: None)
         assert build_overlap(np.eye(3), np.eye(3), "none").h.shape == (3, 3)
 
+    def test_check_dense_fits(self, monkeypatch):
+        monkeypatch.setattr(overlap, "_available_bytes", lambda: 16 * 7**2 - 1)
+        with pytest.raises(SizeLimitError, match="7x7"):
+            overlap.check_dense_fits(7)
+        overlap.check_dense_fits(6)
+
+    def test_available_is_the_smaller_of_host_and_cgroup(self, monkeypatch):
+        for host, cgroup, expected in [
+            (10**9, 10**6, 10**6),
+            (10**6, 10**9, 10**6),
+            (10**9, None, 10**9),
+            (None, 10**6, 10**6),
+            (None, None, None),
+        ]:
+            monkeypatch.setattr(overlap, "_host_available_bytes", lambda: host)
+            monkeypatch.setattr(overlap, "_cgroup_headroom", lambda dirs: cgroup)
+            assert overlap._available_bytes() == expected
+
+    def test_cgroup_directories_found_once_per_process(self):
+        overlap._available_bytes()
+        misses = overlap._cgroup_memory_dirs.cache_info().misses
+        overlap._available_bytes()
+        overlap._available_bytes()
+        assert overlap._cgroup_memory_dirs.cache_info().misses == misses
+
+
+def fake_cgroup(tmp_path, proc_lines, files):
+    """Headroom read from a fake ``/proc/self/cgroup`` holding ``proc_lines``
+    and a fake cgroup mount holding ``files`` (relative path -> text)."""
+    root = tmp_path / "fs"
+    for rel, text in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text)
+    proc = tmp_path / "cgroup"
+    proc.write_text("".join(line + "\n" for line in proc_lines))
+    return overlap._cgroup_headroom(overlap._cgroup_memory_dirs(str(proc), str(root)))
+
+
+V1_PROC = ["9:name=systemd:/", "4:cpu,memory:/a/b", "0::/"]
+
+
+class TestCgroupHeadroom:
+    def test_v1(self, tmp_path):
+        files = {
+            "memory/a/b/memory.limit_in_bytes": "1000000\n",
+            "memory/a/b/memory.usage_in_bytes": "600000\n",
+            # the hierarchical total counts, not the cgroup's own figure
+            "memory/a/b/memory.stat": "cache 9\ninactive_file 7\n"
+            "total_inactive_file 100000\n",
+        }
+        assert fake_cgroup(tmp_path, V1_PROC, files) == 500000
+
+    def test_v2(self, tmp_path):
+        files = {
+            "a/b/memory.max": "1000000\n",
+            "a/b/memory.current": "600000\n",
+            "a/b/memory.stat": "anon 5\ninactive_file 100000\nactive_file 3\n",
+            "a/memory.max": "max\n",
+            "a/memory.current": "600000\n",
+        }
+        assert fake_cgroup(tmp_path, ["0::/a/b"], files) == 500000
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_ancestor_with_the_smaller_limit_wins(self, tmp_path, version):
+        if version == 1:
+            proc, base = V1_PROC, "memory/"
+            limit, usage = "memory.limit_in_bytes", "memory.usage_in_bytes"
+        else:
+            proc, base = ["0::/a/b"], ""
+            limit, usage = "memory.max", "memory.current"
+        files = {
+            f"{base}a/b/{limit}": "1000000\n",
+            f"{base}a/b/{usage}": "600000\n",
+            f"{base}a/{limit}": "700000\n",
+            f"{base}a/{usage}": "650000\n",
+            f"{base}{limit}": "900000\n",
+            f"{base}{usage}": "100000\n",
+        }
+        assert fake_cgroup(tmp_path, proc, files) == 50000
+
+    def test_unlimited(self, tmp_path):
+        files = {
+            "memory/a/b/memory.limit_in_bytes": "9223372036854771712\n",
+            "memory/a/b/memory.usage_in_bytes": "600000\n",
+            "memory/a/memory.limit_in_bytes": f"{2**60}\n",
+            "memory/a/memory.usage_in_bytes": "600000\n",
+            "memory.max": "max\n",
+            "memory.current": "600000\n",
+        }
+        assert fake_cgroup(tmp_path, V1_PROC, files) is None
+
+    def test_garbage_is_ignored(self, tmp_path):
+        proc = [
+            "garbage",
+            "4:memory:relative/path",
+            "4:memory:/../../etc",
+            "4:memory:/a/b/c",
+            "0::/a",
+        ]
+        files = {
+            # unreadable limit, missing usage, unparsable memory.stat
+            "memory/a/b/c/memory.limit_in_bytes": "lots\n",
+            "memory/a/b/c/memory.usage_in_bytes": "1\n",
+            "memory/a/b/memory.limit_in_bytes": "1000\n",
+            "memory/a/b/memory.stat": "total_inactive_file 10\n",
+            "memory/a/memory.limit_in_bytes": "5000\n",
+            "memory/a/memory.usage_in_bytes": "1000\n",
+            "memory/a/memory.stat": "total_inactive_file many\n",
+            "a/memory.max": "\x00\x01\n",
+            "a/memory.current": "1\n",
+        }
+        assert fake_cgroup(tmp_path, proc, files) == 4000
+
+    def test_nothing_to_read(self, tmp_path):
+        assert overlap._cgroup_memory_dirs(str(tmp_path / "missing")) == ()
+        assert fake_cgroup(tmp_path, V1_PROC, {}) is None
+
 
 def random_factored_instances():
     """Seeded overlaps on which the factored eigensolve is chosen, n <= 512."""
@@ -368,20 +485,20 @@ class TestFactoredRowSums:
         assert factored_overlap(x[:, :3], y[:, :3], "none").row_sum_backend == (
             "gram_factor"
         )
-        # an overlap built with H sums H
+        # an overlap built with H sums H, and so does a wrapped H, which has
+        # no factors and so takes power iteration for its eigenpair
         assert build_overlap(x, y, "none").row_sum_backend == "dense"
-        assert OverlapMatrix(build_overlap(x, y, "none").h, d=4).reads_h(
-            "row_sums"
-        )
-        # forming H later, e.g. for power iteration, does not switch the
-        # backend, whichever statistic is read first
+        wrapped = OverlapMatrix(build_overlap(x, y, "none").h, d=4)
+        assert wrapped.row_sum_backend == "dense"
+        assert wrapped.eig_backend == "power_iteration"
+        # forming H later, e.g. for power iteration (4 d^2 > n here), does
+        # not switch the backend, whichever statistic is read first
         first = factored_overlap(x, y, "none")
-        _ = first.h
+        assert first.eig_backend == "power_iteration"
+        first.leading_eigenpair()
+        assert first._h is not None
         assert first.row_sum_backend == "gram_factor"
-        assert not first.reads_h("row_sums")
         assert np.array_equal(first.row_sums(), factored_overlap(x, y, "none").row_sums())
-        with pytest.raises(ValueError):
-            first.reads_h("trace")
 
     def test_agree_with_dense_row_sums(self):
         # d from 1 to 20 against n from 2 to 128, n < d included

@@ -9,6 +9,7 @@ from gramoverlap import (
     ScenarioSpec,
     build_overlap,
     error_rates,
+    factored_overlap,
     generate,
     make_split,
     match,
@@ -162,6 +163,23 @@ class TestParallelMatch:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             parallel_match(np.ones((2, 8)), np.ones((2, 9)), 2, MatchConfig())
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (np.ones((2, 8)), np.ones((2, 9))),
+            (np.full((2, 8), np.nan), np.ones((2, 8))),
+            (np.ones((2, 1)), np.ones((2, 1))),
+        ],
+        ids=["shape", "non-finite", "one-point"],
+    )
+    def test_inputs_checked_as_factored_overlap_checks_them(self, x, y):
+        cfg = MatchConfig()
+        with pytest.raises(ValueError) as expected:
+            factored_overlap(x, y, cfg.preprocess)
+        with pytest.raises(ValueError) as got:
+            parallel_match(x, y, 1, cfg)
+        assert str(got.value) == str(expected.value)
 
     def test_degenerate_shard_warns_not_raises(self):
         # every column identical: the row-sum statistic is constant in each
