@@ -43,6 +43,9 @@ SWEEP_COLUMNS = [
     "time_ms_std",
 ]
 
+# The per-trial columns that each summary row reduces to a mean and an sd.
+_SUMMARY_STATS = ("error_g", "error_b", "error_w", "time_ms")
+
 DEFAULT_METHODS = ("eig:0.3", "eig:0.5", "eig:0.7", "eig:kmeans", "rowsum:kmeans")
 
 _METHOD_PREFIXES = {"eig": METHOD_EIGENVECTOR, "rowsum": METHOD_ROW_SUM}
@@ -96,24 +99,22 @@ def parse_method(text: str) -> MethodSpec:
 
 
 def _summary_row(sweep: str, value, label: str, errs, times_ms) -> dict:
-    eg = np.array([e.error_g for e in errs])
-    eb = np.array([e.error_b for e in errs])
-    ew = np.array([e.error_w for e in errs])
-    ts = np.asarray(times_ms)
-    return {
-        "sweep": sweep,
-        "value": value,
-        "method": label,
-        "trials": len(errs),
-        "error_g_mean": eg.mean(),
-        "error_g_std": eg.std(),
-        "error_b_mean": eb.mean(),
-        "error_b_std": eb.std(),
-        "error_w_mean": ew.mean(),
-        "error_w_std": ew.std(),
-        "time_ms_mean": ts.mean(),
-        "time_ms_std": ts.std(),
-    }
+    """One CSV row: the mean and population sd of each per-trial column,
+    taken in one reduction over a (4, trials) array."""
+    cols = np.array(
+        [
+            [e.error_g for e in errs],
+            [e.error_b for e in errs],
+            [e.error_w for e in errs],
+            times_ms,
+        ],
+        dtype=np.float64,
+    )
+    row = {"sweep": sweep, "value": value, "method": label, "trials": len(errs)}
+    for name, mean, std in zip(_SUMMARY_STATS, cols.mean(axis=1), cols.std(axis=1)):
+        row[f"{name}_mean"] = mean
+        row[f"{name}_std"] = std
+    return row
 
 
 # The statistic of the overlap that each matcher method classifies.
@@ -147,6 +148,9 @@ def _run_grid_point(
 ) -> list[dict]:
     errs = {m.label: [] for m in methods}
     times = {m.label: [] for m in methods}
+    # match reads neither the seed nor the preprocessing of its config, so
+    # one config per method serves every trial of the point.
+    configs = {m.label: m.config(mode, spec.seed, spec.r) for m in methods}
     for t in range(trials):
         trial = replace(spec, seed=derive_seed(spec.seed, t))
         pair = generate(trial)
@@ -155,9 +159,8 @@ def _run_grid_point(
         build_ms = (time.perf_counter() - t0) * 1e3
         stat_ms = _statistics_ms(h, methods)
         for m in methods:
-            cfg = m.config(mode, trial.seed, spec.r)
             t1 = time.perf_counter()
-            part, _ = match(h, cfg)
+            part, _ = match(h, configs[m.label])
             ms = (time.perf_counter() - t1) * 1e3
             errs[m.label].append(error_rates(pair.inliers, part))
             times[m.label].append(build_ms + stat_ms[_STATISTICS[m.method]] + ms)

@@ -374,23 +374,26 @@ class ErrorReport:
 def error_rates(truth_inliers, partition: LabelPartition) -> ErrorReport:
     """Error rates of a partition against the true inlier set.
 
-    Both the true inlier set and its complement must be nonempty.
+    ``truth_inliers`` is any array-like of indices in 0..n-1; order and
+    duplicates are ignored.  Both the true inlier set and its complement must
+    be nonempty.
     """
-    g = np.unique(np.asarray(truth_inliers, dtype=np.intp))
+    g = np.asarray(truth_inliers, dtype=np.intp)
     n = partition.n
-    if g.size and (g[0] < 0 or g[-1] >= n):
+    if g.size and (g.min() < 0 or g.max() >= n):
         raise ValueError("truth indices out of range")
-    if not 1 <= g.size <= n - 1:
-        raise ValueError("true inlier set and its complement must be nonempty")
     truth_mask = np.zeros(n, dtype=bool)
     truth_mask[g] = True
-    est_mask = partition.inlier_mask()
-    missed_inliers = int(np.count_nonzero(truth_mask & ~est_mask))
-    missed_outliers = int(np.count_nonzero(~truth_mask & est_mask))
+    k = int(np.count_nonzero(truth_mask))
+    if not 1 <= k <= n - 1:
+        raise ValueError("true inlier set and its complement must be nonempty")
+    # The estimated inliers are distinct indices, so the true ones among
+    # them are counted on the truth mask alone.
+    hits = int(np.count_nonzero(truth_mask[partition.inliers]))
     return ErrorReport(
         n=n,
-        n_inliers=int(g.size),
-        n_outliers=int(n - g.size),
-        missed_inliers=missed_inliers,
-        missed_outliers=missed_outliers,
+        n_inliers=k,
+        n_outliers=n - k,
+        missed_inliers=k - hits,
+        missed_outliers=partition.inliers.size - hits,
     )

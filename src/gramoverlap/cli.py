@@ -21,7 +21,7 @@ from .classify import (
     match,
 )
 from .overlap import PreprocessMode, build_overlap, check_dense_fits, factored_overlap
-from .parallel import THREADS_ENV_VAR, env_threads, parallel_match
+from .parallel import THREADS_ENV_VAR, check_shard_count, env_threads, parallel_match
 from .synth import ScenarioSpec, generate
 
 _PREPROCESS_ALIASES = {
@@ -35,18 +35,24 @@ class UsageError(Exception):
     """Inconsistent or invalid flags; exits with status 2."""
 
 
-def _parse_float_list(text: str) -> list[float]:
+def _parse_list(text: str, kind: type, what: str) -> list:
+    """The comma-separated values of ``text``; empty fields are skipped, and
+    at least one value is required."""
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        values = [kind(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise UsageError(f"bad numeric list: {text!r}") from None
+        raise UsageError(f"bad {what} list: {text!r}") from None
+    if not values:
+        raise UsageError(f"empty {what} list: {text!r}")
+    return values
+
+
+def _parse_float_list(text: str) -> list[float]:
+    return _parse_list(text, float, "numeric")
 
 
 def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise UsageError(f"bad integer list: {text!r}") from None
+    return _parse_list(text, int, "integer")
 
 
 def _add_match_flags(p: argparse.ArgumentParser) -> None:
@@ -264,6 +270,16 @@ def _method_spec(text: str) -> bench.MethodSpec:
         raise UsageError(str(exc)) from None
 
 
+def _check_scenarios(axis: str, grid, **fixed) -> None:
+    """Raise ``UsageError`` unless every grid point of the sweep over the
+    ``ScenarioSpec`` field ``axis`` makes a valid scenario."""
+    try:
+        for value in grid:
+            ScenarioSpec(**fixed, **{axis: value})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _cmd_bench(args) -> int:
     _check_threads(args)
     if args.trials < 1:
@@ -283,6 +299,9 @@ def _cmd_bench(args) -> int:
             raise UsageError("--sweep r needs --r-grid")
         grid = _parse_float_list(args.r_grid)
         methods = [_method_spec(m) for m in args.methods.split(",")]
+        _check_scenarios(
+            "r", grid, d=args.d, n=args.n, kind=args.kind, sigma2=args.sigma2
+        )
         rows = bench.run_rate_sweep(
             d=args.d,
             n=args.n,
@@ -301,6 +320,7 @@ def _cmd_bench(args) -> int:
             raise UsageError("--sweep sigma2 needs --sigma2-grid and --r")
         grid = _parse_float_list(args.sigma2_grid)
         methods = [_method_spec(m) for m in args.methods.split(",")]
+        _check_scenarios("sigma2", grid, d=args.d, n=args.n, r=args.r, kind=args.kind)
         rows = bench.run_noise_sweep(
             d=args.d,
             n=args.n,
@@ -318,6 +338,15 @@ def _cmd_bench(args) -> int:
         if args.splits_grid is None or args.r is None:
             raise UsageError("--sweep splits needs --splits-grid and --r")
         grid = _parse_int_list(args.splits_grid)
+        method = _method_spec(args.single_method)
+        try:
+            ScenarioSpec(
+                d=args.d, n=args.n, r=args.r, kind=args.kind, sigma2=args.sigma2
+            )
+            for s in grid:
+                check_shard_count(args.n, s)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         rows = bench.run_splits_sweep(
             d=args.d,
             n=args.n,
@@ -325,7 +354,7 @@ def _cmd_bench(args) -> int:
             split_values=grid,
             trials=args.trials,
             seed=args.seed,
-            method=_method_spec(args.single_method),
+            method=method,
             kind=args.kind,
             sigma2=args.sigma2,
             preprocess=preprocess,

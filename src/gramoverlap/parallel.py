@@ -37,13 +37,19 @@ class SplitPlan:
         return owner
 
 
+def check_shard_count(n: int, s: int) -> None:
+    """Raise ``ValueError`` unless 1 <= s <= n/2, so that every one of s
+    shards of n points holds at least two."""
+    if not 1 <= s <= n // 2:
+        raise ValueError(f"s must satisfy 1 <= s <= n/2, got s={s}, n={n}")
+
+
 def make_split(n: int, s: int, seed: int) -> SplitPlan:
     """Uniformly random balanced split of 0..n-1 into s shards.
 
-    Requires 1 <= s <= n/2 so every shard holds at least two points.
+    Requires 1 <= s <= n/2 (see :func:`check_shard_count`).
     """
-    if not 1 <= s <= n // 2:
-        raise ValueError(f"s must satisfy 1 <= s <= n/2, got s={s}, n={n}")
+    check_shard_count(n, s)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     perm = rng.permutation(n)
     base, extra = divmod(n, s)

@@ -55,8 +55,12 @@ class ScenarioSpec:
             raise ValueError("n must be at least 2")
         if self.kind not in _KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
+        if not math.isfinite(self.sigma2):
+            raise ValueError(f"sigma2 must be finite, got {self.sigma2}")
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be nonnegative")
+        if not math.isfinite(self.r):
+            raise ValueError(f"r must be finite, got {self.r}")
         k = self.r * self.n
         if abs(k - round(k)) > 1e-9:
             raise ValueError(f"r*n must be integral, got r={self.r}, n={self.n}")

@@ -2,9 +2,10 @@
 
 import time
 
+import numpy as np
 import pytest
 
-from gramoverlap import PreprocessMode, linalg
+from gramoverlap import ErrorReport, PreprocessMode, bench, linalg
 from gramoverlap.bench import (
     DEFAULT_METHODS,
     SWEEP_COLUMNS,
@@ -93,6 +94,59 @@ class TestSweeps:
         assert list(back[0]) == SWEEP_COLUMNS
         for key in ("value", "error_w_mean", "time_ms_mean"):
             assert back[0][key] == pytest.approx(rows[0][key])
+
+
+def per_column_summary_row(sweep, value, label, errs, times_ms) -> dict:
+    """The reference: a mean and an sd taken on each column by itself."""
+    row = {"sweep": sweep, "value": value, "method": label, "trials": len(errs)}
+    columns = {
+        "error_g": np.array([e.error_g for e in errs]),
+        "error_b": np.array([e.error_b for e in errs]),
+        "error_w": np.array([e.error_w for e in errs]),
+        "time_ms": np.asarray(times_ms),
+    }
+    for name, col in columns.items():
+        row[f"{name}_mean"] = col.mean()
+        row[f"{name}_std"] = col.std()
+    return row
+
+
+class TestSummaryRow:
+    @pytest.mark.parametrize("trials", [1, 2, 3, 9, 130, 1000])
+    def test_bit_identical_to_per_column_reductions(self, trials):
+        rng = np.random.default_rng(trials)
+        errs = []
+        for _ in range(trials):
+            n = int(rng.integers(2, 500))
+            k = int(rng.integers(1, n))
+            errs.append(
+                ErrorReport(
+                    n, k, n - k, int(rng.integers(0, k + 1)),
+                    int(rng.integers(0, n - k + 1)),
+                )
+            )
+        times = rng.lognormal(size=trials).tolist()
+        got = bench._summary_row("r", 0.5, "eig:kmeans", errs, times)
+        want = per_column_summary_row("r", 0.5, "eig:kmeans", errs, times)
+        # repr of a float64 round-trips, so equal reprs are equal bits
+        assert {k: repr(v) for k, v in got.items()} == {
+            k: repr(v) for k, v in want.items()
+        }
+
+    def test_rate_sweep_csv_matches_per_column_reference(self, tmp_path, monkeypatch):
+        kwargs = dict(d=5, n=40, r_values=[0.25, 0.5, 0.75], trials=4, seed=11)
+        write_sweep_csv(tmp_path / "got.csv", run_rate_sweep(**kwargs))
+        monkeypatch.setattr(bench, "_summary_row", per_column_summary_row)
+        write_sweep_csv(tmp_path / "want.csv", run_rate_sweep(**kwargs))
+
+        def untimed(name):
+            # the two time_ms columns come last
+            lines = (tmp_path / name).read_text().splitlines()
+            return [line.rsplit(",", 2)[0] for line in lines]
+
+        assert SWEEP_COLUMNS[-2:] == ["time_ms_mean", "time_ms_std"]
+        assert untimed("got.csv") == untimed("want.csv")
+        assert len(untimed("got.csv")) == 1 + 3 * len(DEFAULT_METHODS)
 
 
 class TestStatisticOncePerOverlap:

@@ -9,6 +9,7 @@ import pytest
 
 from gramoverlap import (
     DegenerateValuesError,
+    ErrorReport,
     LabelPartition,
     MatchConfig,
     OverlapMatrix,
@@ -482,6 +483,73 @@ class TestErrorRates:
             error_rates([], part)
         with pytest.raises(ValueError):
             error_rates([0, 1, 2, 3], part)
+
+    @staticmethod
+    def unique_error_rates(truth_inliers, partition):
+        """The reference: validate and count on the sorted unique truth."""
+        g = np.unique(np.asarray(truth_inliers, dtype=np.intp))
+        n = partition.n
+        if g.size and (g[0] < 0 or g[-1] >= n):
+            raise ValueError("truth indices out of range")
+        if not 1 <= g.size <= n - 1:
+            raise ValueError("true inlier set and its complement must be nonempty")
+        truth_mask = np.zeros(n, dtype=bool)
+        truth_mask[g] = True
+        est_mask = partition.inlier_mask()
+        return ErrorReport(
+            n=n,
+            n_inliers=int(g.size),
+            n_outliers=int(n - g.size),
+            missed_inliers=int(np.count_nonzero(truth_mask & ~est_mask)),
+            missed_outliers=int(np.count_nonzero(~truth_mask & est_mask)),
+        )
+
+    @staticmethod
+    def outcome(fn, truth, part):
+        try:
+            return fn(truth, part)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    def test_matches_the_unique_reference(self):
+        rng = np.random.default_rng(907)
+        cases = []
+        for _ in range(300):
+            n = int(rng.integers(2, 40))
+            part = LabelPartition.from_inlier_mask(rng.random(n) < rng.random())
+            # unsorted, with duplicates, sometimes empty or covering 0..n-1,
+            # sometimes reaching one past either end
+            truth = rng.integers(-1, n + 1, size=int(rng.integers(0, 2 * n)))
+            if rng.random() < 0.5:
+                truth = truth[(truth >= 0) & (truth < n)]
+            if rng.random() < 0.1:
+                truth = np.concatenate([rng.permutation(n), truth[truth >= 0]])
+                truth = truth[truth < n]
+            cases += [
+                (truth, part),
+                (truth.tolist(), part),
+                (truth.reshape(1, -1), part),
+            ]
+            if truth.size % 2 == 0:
+                cases.append((truth.reshape(2, -1), part))
+        part = LabelPartition.from_inliers(5, [1, 2])
+        cases += [
+            ([], part),
+            (np.arange(5), part),
+            ([4, 0, 4, 1, 2, 3], part),
+            ([5], part),
+            ([-1, 2], part),
+            ([-1, 5], part),
+            ([], LabelPartition.from_inliers(5, [])),
+            (3, part),
+        ]
+        outcomes = set()
+        for truth, part in cases:
+            want = self.outcome(self.unique_error_rates, truth, part)
+            assert self.outcome(error_rates, truth, part) == want
+            outcomes.add(want if isinstance(want, tuple) else ErrorReport)
+        # every branch was reached: a report, out of range, an empty side
+        assert len(outcomes) == 3
 
 
 class TestLabelPartition:

@@ -83,6 +83,16 @@ class TestGen:
         code = run(f"gen --d 3 --n 10 --r 0.33 --seed 0 --out {tmp_path/'x'}".split())
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        ["--r inf", "--r=-inf", "--r nan", "--r 0.5 --sigma2 nan", "--r 0.5 --sigma2 inf"],
+    )
+    def test_non_finite_values_are_usage_errors(self, tmp_path, capsys, flags):
+        out = tmp_path / "x"
+        assert run(f"gen --d 6 --n 40 {flags} --out {out}".split()) == 2
+        assert "usage error: " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMatch:
     def make_instance(self, tmp_path, seed=11, n=100, r=0.8):
@@ -379,13 +389,34 @@ class TestBench:
             "--sweep r --r-grid 0.5 --trials 1 --methods rowsum:kmeans,eig:zero",
             "--sweep sigma2 --sigma2-grid 0 --r 0.5 --trials 1 --methods what",
             "--sweep splits --splits-grid 1,2 --r 0.5 --trials 1 --method rowsum:-1",
+            "--sweep r --r-grid 0.33 --trials 1",
+            "--sweep r --r-grid 0.5 --trials 1 --d 0",
+            "--sweep sigma2 --sigma2-grid 0 --r 0.5 --trials 1 --n 1",
+            "--sweep r --r-grid 0.5,inf --trials 1",
+            "--sweep r --r-grid 0.5 --sigma2 nan --trials 1",
+            "--sweep sigma2 --sigma2-grid 0,nan --r 0.5 --trials 1",
+            "--sweep sigma2 --sigma2-grid 0 --r inf --trials 1",
+            "--sweep splits --splits-grid 2 --r nan --trials 1",
+            "--sweep splits --splits-grid 0 --r 0.5 --trials 1",
+            "--sweep splits --splits-grid 1,21 --r 0.5 --trials 1",
+            "--sweep r --r-grid , --trials 1",
+            "--sweep sigma2 --sigma2-grid , --r 0.5 --trials 1",
+            "--sweep splits --splits-grid , --r 0.5 --trials 1",
         ],
     )
-    def test_bad_flag_values_are_usage_errors(self, tmp_path, capsys, flags):
+    def test_bad_flag_values_are_usage_errors(
+        self, tmp_path, capsys, monkeypatch, flags
+    ):
+        def no_sweep(**kwargs):
+            raise AssertionError("a sweep ran")
+
+        for name in ("run_rate_sweep", "run_noise_sweep", "run_splits_sweep"):
+            monkeypatch.setattr(bench, name, no_sweep)
         out = tmp_path / "b"
-        code = run(f"bench {flags} --d 6 --n 40 --out {out}".split())
+        # flags come last, so a --d or --n among them overrides the defaults
+        code = run(f"bench --d 6 --n 40 {flags} --out {out}".split())
         assert code == 2
-        assert "usage error" in capsys.readouterr().err
+        assert "usage error: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_splits_sweep_passes_sigma2(self, tmp_path):

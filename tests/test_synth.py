@@ -1,5 +1,7 @@
 """Generators: determinism, model invariants, deviation-ratio harness."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,20 @@ class TestScenarioSpec:
             ScenarioSpec(d=3, n=10, r=0.5, sigma2=-1.0)
         with pytest.raises(ValueError):
             ScenarioSpec(d=3, n=10, r=0.5, kind="nope")
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"r": math.inf},
+            {"r": -math.inf},
+            {"r": math.nan},
+            {"r": 0.5, "sigma2": math.nan},
+            {"r": 0.5, "sigma2": math.inf},
+        ],
+    )
+    def test_non_finite_values_rejected(self, values):
+        with pytest.raises(ValueError, match="must be finite"):
+            ScenarioSpec(d=3, n=10, **values)
 
     def test_n_inliers(self):
         assert ScenarioSpec(d=2, n=10, r=0.3).n_inliers == 3
