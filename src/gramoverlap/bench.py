@@ -100,7 +100,11 @@ def parse_method(text: str) -> MethodSpec:
 
 def _summary_row(sweep: str, value, label: str, errs, times_ms) -> dict:
     """One CSV row: the mean and population sd of each per-trial column,
-    taken in one reduction over a (4, trials) array."""
+    taken in one reduction over a (4, trials) array.
+
+    The reductions are the ones ``mean(axis=1)`` and ``std(axis=1)`` run,
+    called directly, so the values are theirs bit for bit.
+    """
     cols = np.array(
         [
             [e.error_g for e in errs],
@@ -110,8 +114,13 @@ def _summary_row(sweep: str, value, label: str, errs, times_ms) -> dict:
         ],
         dtype=np.float64,
     )
-    row = {"sweep": sweep, "value": value, "method": label, "trials": len(errs)}
-    for name, mean, std in zip(_SUMMARY_STATS, cols.mean(axis=1), cols.std(axis=1)):
+    trials = len(errs)
+    means = np.add.reduce(cols, axis=1, keepdims=True) / trials
+    dev = cols - means
+    dev *= dev
+    stds = np.sqrt(np.add.reduce(dev, axis=1) / trials)
+    row = {"sweep": sweep, "value": value, "method": label, "trials": trials}
+    for name, mean, std in zip(_SUMMARY_STATS, means[:, 0], stds):
         row[f"{name}_mean"] = mean
         row[f"{name}_std"] = std
     return row

@@ -51,15 +51,15 @@ class LabelPartition:
     def from_inlier_mask(cls, mask) -> "LabelPartition":
         """Partition whose inliers are the set entries of a boolean mask.
 
-        ``flatnonzero`` of the mask and of its complement are sorted and form
-        a disjoint cover of 0..n-1 by construction, so the validation of the
-        constructor is skipped here.
+        The nonzero indices of the flattened mask and of its complement are
+        sorted and form a disjoint cover of 0..n-1 by construction, so the
+        validation of the constructor is skipped here.
         """
-        mask = np.asarray(mask, dtype=bool)
+        mask = np.asarray(mask, dtype=bool).ravel()
         part = object.__new__(cls)
         object.__setattr__(part, "n", mask.size)
-        object.__setattr__(part, "inliers", np.flatnonzero(mask))
-        object.__setattr__(part, "outliers", np.flatnonzero(~mask))
+        object.__setattr__(part, "inliers", mask.nonzero()[0])
+        object.__setattr__(part, "outliers", (~mask).nonzero()[0])
         return part
 
     @classmethod
@@ -172,15 +172,19 @@ def two_means_1d(values) -> tuple[LabelPartition, tuple[float, float]]:
     n = v.size
     if n < 2:
         raise ValueError("need at least two values")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("values contain non-finite entries")
-    order = np.argsort(v, kind="stable")
+    order = v.argsort(kind="stable")
     s = v[order]
     c = s - s[n // 2]
     if float(c[-1] - c[0]) <= TWO_MEANS_TIE_ULPS * np.spacing(max(-s[0], s[-1])):
         raise DegenerateValuesError("all values equal; no 2-cluster split exists")
-    ps = np.concatenate([[0.0], np.cumsum(c)])
-    pq = np.concatenate([[0.0], np.cumsum(c * c)])
+    # Prefix sums with a leading zero: ps[j] = sum(c[:j]), pq[j] = sum(c[:j]^2).
+    ps = np.empty(n + 1)
+    pq = np.empty(n + 1)
+    ps[0] = pq[0] = 0.0
+    np.add.accumulate(c, out=ps[1:])
+    np.add.accumulate(c * c, out=pq[1:])
     m = np.arange(1, n, dtype=np.float64)  # lower-cluster size of each split
     upper_sum = ps[n] - ps[1:n]
     costs = (pq[1:n] - ps[1:n] * ps[1:n] / m) + (
@@ -188,10 +192,12 @@ def two_means_1d(values) -> tuple[LabelPartition, tuple[float, float]]:
     )
     # argmin takes the first minimum = smallest lower cluster = largest upper
     # cluster, which is the required tie-break.
-    k = int(np.argmin(costs)) + 1
-    low, high = float(s[:k].mean()), float(s[k:].mean())
-    partition = LabelPartition.from_inliers(n, order[k:])
-    return partition, (low, high)
+    k = int(costs.argmin()) + 1
+    low = float(np.add.reduce(s[:k]) / k)
+    high = float(np.add.reduce(s[k:]) / (n - k))
+    mask = np.zeros(n, dtype=bool)
+    mask[order[k:]] = True
+    return LabelPartition.from_inlier_mask(mask), (low, high)
 
 
 def _classify_stat(
@@ -241,8 +247,8 @@ def eigenvector_match(
         method=METHOD_EIGENVECTOR,
         branch="",
         n=h.n,
-        stat_min=float(v.min()),
-        stat_max=float(v.max()),
+        stat_min=float(np.minimum.reduce(v)),
+        stat_max=float(np.maximum.reduce(v)),
         leading_eigenvalue=pair.value,
         eig_backend=h.eig_backend,
         residual=pair.residual,
@@ -287,8 +293,8 @@ def row_sum_match(
         method=METHOD_ROW_SUM,
         branch="",
         n=h.n,
-        stat_min=float(stat.min()),
-        stat_max=float(stat.max()),
+        stat_min=float(np.minimum.reduce(stat)),
+        stat_max=float(np.maximum.reduce(stat)),
         row_sum_backend=h.row_sum_backend,
     )
     cut = None
@@ -380,7 +386,9 @@ def error_rates(truth_inliers, partition: LabelPartition) -> ErrorReport:
     """
     g = np.asarray(truth_inliers, dtype=np.intp)
     n = partition.n
-    if g.size and (g.min() < 0 or g.max() >= n):
+    if g.size and (
+        np.minimum.reduce(g, axis=None) < 0 or np.maximum.reduce(g, axis=None) >= n
+    ):
         raise ValueError("truth indices out of range")
     truth_mask = np.zeros(n, dtype=bool)
     truth_mask[g] = True

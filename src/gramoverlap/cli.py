@@ -157,9 +157,9 @@ def _cmd_gen(args) -> int:
             sigma2=args.sigma2,
             seed=args.seed,
         )
-        pair = generate(spec)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    pair = generate(spec)
     out = _out_dir(args)
     fileio.write_matrix_csv(out / "X.csv", pair.x)
     fileio.write_matrix_csv(out / "Y.csv", pair.y)

@@ -17,8 +17,8 @@ from .classify import LabelPartition
 
 def write_matrix_csv(path, m) -> None:
     m = linalg.as_matrix(m, "matrix")
-    lines = [",".join(format(v, ".17g") for v in row) for row in m]
-    Path(path).write_text("\n".join(lines) + "\n")
+    row = ",".join(["%.17g"] * m.shape[1])
+    Path(path).write_text("\n".join([row % tuple(r) for r in m.tolist()]) + "\n")
 
 
 def _parse_rows(rows) -> np.ndarray:
@@ -123,8 +123,8 @@ def read_labels(path) -> np.ndarray:
 
 def write_partition_csv(path, partition: LabelPartition) -> None:
     """Write one 'index,label' line per point, label G (inlier) or B."""
-    mask = partition.inlier_mask()
-    lines = [f"{i},{'G' if mask[i] else 'B'}" for i in range(partition.n)]
+    mask = partition.inlier_mask().tolist()
+    lines = [f"{i},{'G' if g else 'B'}" for i, g in enumerate(mask)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -33,7 +33,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         raise ValueError(f"{name} has a zero dimension: shape={arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -155,11 +155,14 @@ def khatri_rao_eigenpair(x, y) -> SpectralPair:
     z = (x[:, None, :] * y[None, :, :]).reshape(d * d, n)
     _, vectors = np.linalg.eigh(z @ z.T)
     w = vectors[:, -1] @ z
-    norm = float(np.linalg.norm(w))
+    # np.linalg.norm of a vector is the square root of its dot product with
+    # itself; both norms here take that directly.
+    norm = math.sqrt(w @ w)
     v = w / norm if norm > 0.0 else np.full(n, 1.0 / math.sqrt(n))
     zv = z @ v
     value = float(zv @ zv)
-    residual = float(np.linalg.norm(zv @ z - value * v))
+    r = zv @ z - value * v
+    residual = math.sqrt(r @ r)
     converged = residual <= POWER_TOL_DEFAULT * max(1.0, abs(value))
     return SpectralPair(value, fix_sign(v), 0, residual, converged)
 

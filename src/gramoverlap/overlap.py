@@ -38,12 +38,14 @@ def preprocess(x, mode: PreprocessMode) -> np.ndarray:
     mode = PreprocessMode(mode)
     if mode is PreprocessMode.NONE:
         return x
-    centered = x - x.mean(axis=1, keepdims=True)
-    norms = np.linalg.norm(centered, axis=0)
-    tol = 1e-12 * max(1.0, float(np.abs(x).max()))
-    bad = np.flatnonzero(norms <= tol)
-    if bad.size:
-        raise DegenerateColumnError(column=int(bad[0]))
+    # The reductions that x.mean(axis=1) and np.linalg.norm(axis=0) run,
+    # called directly: the same values, without the wrappers' overhead.
+    centered = x - np.add.reduce(x, axis=1, keepdims=True) / x.shape[1]
+    norms = np.sqrt(np.add.reduce(centered * centered, axis=0))
+    tol = 1e-12 * max(1.0, float(np.maximum.reduce(np.abs(x), axis=None)))
+    bad = norms <= tol
+    if bad.any():
+        raise DegenerateColumnError(column=int(bad.argmax()))
     return centered / norms
 
 

@@ -37,8 +37,8 @@ class ScenarioSpec:
 
     ``kind`` picks how outlier columns of Y are produced: fresh Gaussian draws
     (``gaussian_outliers``) or rotations of deranged X columns
-    (``permuted_inliers``).  ``sigma2`` adds independent N(0, sigma2) noise to
-    every entry of Y only.
+    (``permuted_inliers``, which needs at least two outliers).  ``sigma2``
+    adds independent N(0, sigma2) noise to every entry of Y only.
     """
 
     d: int
@@ -66,6 +66,11 @@ class ScenarioSpec:
             raise ValueError(f"r*n must be integral, got r={self.r}, n={self.n}")
         if not 1 <= round(k) <= self.n - 1:
             raise ValueError("inlier count must be between 1 and n-1")
+        if self.kind == KIND_PERMUTED_INLIERS and self.n - round(k) == 1:
+            raise ValueError(
+                "permuted_inliers needs at least two outliers: a single index "
+                "cannot be deranged"
+            )
 
     @property
     def n_inliers(self) -> int:
@@ -138,11 +143,6 @@ def generate(spec: ScenarioSpec) -> LabeledPair:
     if spec.kind == KIND_GAUSSIAN_OUTLIERS:
         y[:, b] = rng.standard_normal((d, n - k))
     else:
-        if b.size == 1:
-            raise ValueError(
-                "permuted_inliers needs at least two outliers: a single index "
-                "cannot be deranged"
-            )
         pi = _derangement(b.size, rng)
         y[:, b] = rotation @ x[:, b[pi]]
     if spec.sigma2 > 0:

@@ -111,6 +111,27 @@ def per_column_summary_row(sweep, value, label, errs, times_ms) -> dict:
     return row
 
 
+def parent_summary_row(sweep, value, label, errs, times_ms) -> dict:
+    """The reference: _summary_row before its reductions were called
+    directly (mean(axis=1) and std(axis=1) of the (4, trials) array)."""
+    cols = np.array(
+        [
+            [e.error_g for e in errs],
+            [e.error_b for e in errs],
+            [e.error_w for e in errs],
+            times_ms,
+        ],
+        dtype=np.float64,
+    )
+    row = {"sweep": sweep, "value": value, "method": label, "trials": len(errs)}
+    for name, mean, std in zip(
+        ("error_g", "error_b", "error_w", "time_ms"), cols.mean(axis=1), cols.std(axis=1)
+    ):
+        row[f"{name}_mean"] = mean
+        row[f"{name}_std"] = std
+    return row
+
+
 class TestSummaryRow:
     @pytest.mark.parametrize("trials", [1, 2, 3, 9, 130, 1000])
     def test_bit_identical_to_per_column_reductions(self, trials):
@@ -125,13 +146,21 @@ class TestSummaryRow:
                     int(rng.integers(0, n - k + 1)),
                 )
             )
-        times = rng.lognormal(size=trials).tolist()
-        got = bench._summary_row("r", 0.5, "eig:kmeans", errs, times)
-        want = per_column_summary_row("r", 0.5, "eig:kmeans", errs, times)
-        # repr of a float64 round-trips, so equal reprs are equal bits
-        assert {k: repr(v) for k, v in got.items()} == {
-            k: repr(v) for k, v in want.items()
-        }
+        times = rng.lognormal(size=trials)
+        for t in (
+            times,
+            times + 1e6,
+            np.ldexp(times, -30),
+            np.ldexp(times + 1e6, 40),
+            rng.integers(0, 3, trials).astype(float),  # ties
+            np.full(trials, 7.25),  # constant: sd 0
+        ):
+            got = bench._summary_row("r", 0.5, "eig:kmeans", errs, t.tolist())
+            # repr of a float64 round-trips, so equal reprs are equal bits
+            got = {k: repr(v) for k, v in got.items()}
+            for reference in (per_column_summary_row, parent_summary_row):
+                want = reference("r", 0.5, "eig:kmeans", errs, t.tolist())
+                assert got == {k: repr(v) for k, v in want.items()}
 
     def test_rate_sweep_csv_matches_per_column_reference(self, tmp_path, monkeypatch):
         kwargs = dict(d=5, n=40, r_values=[0.25, 0.5, 0.75], trials=4, seed=11)

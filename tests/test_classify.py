@@ -50,7 +50,83 @@ def direct_sse(values, inlier_mask):
     return out
 
 
+def parent_two_means_1d(values):
+    """The reference: two_means_1d before its reductions were called
+    directly (np.concatenate prefix sums, .mean() centroids)."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 1:
+        raise ValueError("values must be 1-D")
+    n = v.size
+    if n < 2:
+        raise ValueError("need at least two values")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("values contain non-finite entries")
+    order = np.argsort(v, kind="stable")
+    s = v[order]
+    c = s - s[n // 2]
+    if float(c[-1] - c[0]) <= 16 * np.spacing(max(-s[0], s[-1])):
+        raise DegenerateValuesError("all values equal; no 2-cluster split exists")
+    ps = np.concatenate([[0.0], np.cumsum(c)])
+    pq = np.concatenate([[0.0], np.cumsum(c * c)])
+    m = np.arange(1, n, dtype=np.float64)
+    upper_sum = ps[n] - ps[1:n]
+    costs = (pq[1:n] - ps[1:n] * ps[1:n] / m) + (
+        (pq[n] - pq[1:n]) - upper_sum * upper_sum / (n - m)
+    )
+    k = int(np.argmin(costs)) + 1
+    low, high = float(s[:k].mean()), float(s[k:].mean())
+    partition = LabelPartition.from_inliers(n, order[k:])
+    return partition, (low, high)
+
+
+def two_means_outcome(fn, values):
+    """Everything a 2-means call returns, in a form whose equality means
+    equal bits, or the type and message of what it raised."""
+    try:
+        part, centroids = fn(values)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return (
+        part.n,
+        part.inliers.dtype,
+        part.inliers.tolist(),
+        part.outliers.dtype,
+        part.outliers.tolist(),
+        [repr(c) for c in centroids],
+    )
+
+
 class TestTwoMeans:
+    def test_matches_the_parent_solver(self):
+        rng = np.random.default_rng(1010)
+        cases = [
+            np.array([0.0, 1.0]),
+            np.array([1.0, 0.0]),
+            np.array([-0.0, 0.0]),
+            np.full(7, 3.0),
+            np.full(2, -1e6),
+            np.array([1.0]),
+            np.array([1.0, np.inf]),
+            np.array([[1.0, 2.0], [3.0, 4.0]]),
+            [0.5, 0.5, 2.0, 2.0],
+        ]
+        for _ in range(200):
+            n = int(rng.choice([2, 3, int(rng.integers(2, 600))]))
+            v = rng.standard_normal(n)
+            if rng.random() < 0.3:  # ties: few distinct values
+                v = rng.integers(0, 4, n).astype(float)
+            if rng.random() < 0.5:
+                v = v + 1e6
+            v = np.ldexp(v, int(rng.integers(-40, 41)))
+            cases += [v, v.tolist()]
+        outcomes = set()
+        for v in cases:
+            want = two_means_outcome(parent_two_means_1d, v)
+            assert two_means_outcome(two_means_1d, v) == want
+            outcomes.add(want[0] if isinstance(want[0], type) else "split")
+        # a split, a degenerate input and an invalid one were all compared
+        assert outcomes == {"split", DegenerateValuesError, ValueError}
+
     def test_two_cluster_data(self):
         part, centroids = two_means_1d(np.array([0.0, 0.1, 0.9, 1.0]))
         assert np.array_equal(part.inliers, [2, 3])
@@ -574,6 +650,8 @@ class TestLabelPartition:
             for side in ("inliers", "outliers"):
                 a, b = getattr(fast, side), getattr(checked, side)
                 assert a.dtype == b.dtype and np.array_equal(a, b)
+            if n % 2 == 0:  # a 2-D mask is read flattened
+                assert LabelPartition.from_inlier_mask(mask.reshape(2, -1)) == fast
 
     def test_round_trips(self):
         part = LabelPartition.from_inliers(5, [4, 0])

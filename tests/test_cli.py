@@ -402,6 +402,11 @@ class TestBench:
             "--sweep r --r-grid , --trials 1",
             "--sweep sigma2 --sigma2-grid , --r 0.5 --trials 1",
             "--sweep splits --splits-grid , --r 0.5 --trials 1",
+            # permuted_inliers (the default kind) with a single outlier
+            "--sweep r --d 3 --n 8 --r-grid 0.875 --trials 1",
+            "--sweep r --r-grid 0.5,0.975 --trials 1",
+            "--sweep sigma2 --sigma2-grid 0 --r 0.975 --trials 1",
+            "--sweep splits --splits-grid 1 --r 0.975 --trials 1",
         ],
     )
     def test_bad_flag_values_are_usage_errors(

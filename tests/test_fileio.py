@@ -1,9 +1,12 @@
 """File formats: exact CSV round trips, PPM parsing, manifests."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gramoverlap import LabelPartition
+from gramoverlap.linalg import as_matrix
 from gramoverlap.fileio import (
     image_to_points,
     luminance,
@@ -18,6 +21,65 @@ from gramoverlap.fileio import (
     write_partition_csv,
     write_ppm,
 )
+
+
+def parent_write_matrix_csv(path, m):
+    """The reference: one format() call per value."""
+    m = as_matrix(m, "matrix")
+    lines = [",".join(format(v, ".17g") for v in row) for row in m]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def parent_write_partition_csv(path, partition):
+    """The reference: one indexed mask read per line."""
+    mask = partition.inlier_mask()
+    lines = [f"{i},{'G' if mask[i] else 'B'}" for i in range(partition.n)]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def written(write, tmp_path, *args):
+    """The bytes a writer wrote, or the type and message of what it raised."""
+    path = tmp_path / "out"
+    path.unlink(missing_ok=True)
+    try:
+        write(path, *args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return path.read_bytes()
+
+
+class TestWritersMatchTheParentWriters:
+    def test_matrix_csv(self, tmp_path):
+        rng = np.random.default_rng(4040)
+        tiny, big = 5e-324, np.finfo(np.float64).max
+        cases = [
+            np.array([[-0.0, 0.0, tiny, -tiny, big, -big, 2.2250738585072014e-308]]),
+            np.array([[1.0]]),
+            [[1, 2, 3], [4, 5, 6]],
+            np.arange(6.0).reshape(6, 1),
+            np.float32([[0.1, 1e-8]]),
+            np.array([[1.0, np.nan]]),
+            np.array([[1.0, np.inf]]),
+            np.zeros((0, 3)),
+            np.ones(3),
+        ]
+        for _ in range(40):
+            shape = tuple(rng.integers(1, 12, 2))
+            m = rng.standard_normal(shape) * np.exp(rng.uniform(-650, 650, shape))
+            m[rng.random(shape) < 0.1] = -0.0
+            cases += [m, m + 1e6, np.ldexp(m, int(rng.integers(-60, 61)))]
+        for m in cases:
+            want = written(parent_write_matrix_csv, tmp_path, m)
+            assert written(write_matrix_csv, tmp_path, m) == want
+
+    def test_partition_csv(self, tmp_path):
+        rng = np.random.default_rng(5050)
+        masks = [np.zeros(0, bool), [True], [False], np.ones(7, bool), np.zeros(7, bool)]
+        masks += [rng.random(int(rng.integers(1, 3000))) < rng.random() for _ in range(20)]
+        for mask in masks:
+            part = LabelPartition.from_inlier_mask(mask)
+            want = written(parent_write_partition_csv, tmp_path, part)
+            assert written(write_partition_csv, tmp_path, part) == want
 
 
 class TestMatrixCsv:

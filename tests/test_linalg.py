@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
+import math
+
 from gramoverlap import SizeLimitError, dense_eig, gram, power_iteration, spectral_norm
-from gramoverlap.linalg import as_matrix, fix_sign
+from gramoverlap.linalg import (
+    POWER_TOL_DEFAULT,
+    SpectralPair,
+    as_matrix,
+    fix_sign,
+    khatri_rao_eigenpair,
+)
 
 
 def rng_for(seed):
@@ -208,3 +216,73 @@ class TestAsMatrix:
         assert m.dtype == np.float64
         with pytest.raises(ValueError):
             as_matrix([1.0, 2.0])
+
+
+def parent_khatri_rao_eigenpair(x, y):
+    """The reference: khatri_rao_eigenpair before its norms were taken as
+    math.sqrt(w @ w) (np.linalg.norm)."""
+    x = as_matrix(x, "x")
+    y = as_matrix(y, "y")
+    if x.shape != y.shape:
+        raise ValueError(f"shape mismatch: x is {x.shape}, y is {y.shape}")
+    d, n = x.shape
+    z = (x[:, None, :] * y[None, :, :]).reshape(d * d, n)
+    _, vectors = np.linalg.eigh(z @ z.T)
+    w = vectors[:, -1] @ z
+    norm = float(np.linalg.norm(w))
+    v = w / norm if norm > 0.0 else np.full(n, 1.0 / math.sqrt(n))
+    zv = z @ v
+    value = float(zv @ zv)
+    residual = float(np.linalg.norm(zv @ z - value * v))
+    converged = residual <= POWER_TOL_DEFAULT * max(1.0, abs(value))
+    return SpectralPair(value, fix_sign(v), 0, residual, converged)
+
+
+def eigenpair_outcome(fn, x, y):
+    """The bits of every field of the pair, or the type and message of what
+    it raised."""
+    try:
+        pair = fn(x, y)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return (
+        repr(pair.value),
+        pair.vector.dtype,
+        pair.vector.tobytes(),
+        pair.iterations,
+        repr(pair.residual),
+        pair.converged,
+    )
+
+
+class TestKhatriRaoEigenpair:
+    def test_matches_the_parent_solver(self):
+        rng = np.random.default_rng(3030)
+        cases = [
+            (np.zeros((2, 5)), np.zeros((2, 5))),  # H = 0: the all-ones vector
+            (np.ones((3, 2)), np.ones((3, 2))),
+            (np.ones((2, 3)), np.ones((3, 2))),
+            (np.array([[1.0, np.inf]]), np.ones((1, 2))),
+        ]
+        for _ in range(150):
+            d = int(rng.integers(1, 7))
+            n = int(rng.choice([2, int(rng.integers(2, 200))]))
+            x, y = rng.standard_normal((2, d, n))
+            if rng.random() < 0.3:  # ties: few distinct values
+                x, y = rng.integers(-2, 3, (2, d, n)).astype(float)
+            if rng.random() < 0.2:
+                x[:, int(rng.integers(0, n))] = 0.0
+            if rng.random() < 0.3:
+                x, y = x + 1e6, y + 1e6
+            e = int(rng.integers(-40, 41))
+            cases.append((np.ldexp(x, e), np.ldexp(y, -e // 2)))
+        outcomes = set()
+        for x, y in cases:
+            want = eigenpair_outcome(parent_khatri_rao_eigenpair, x, y)
+            assert eigenpair_outcome(khatri_rao_eigenpair, x, y) == want
+            if len(want) == 2:
+                outcomes.add(want[0])
+            else:
+                outcomes.add("zero" if want[0] == "0.0" else "pair")
+        # pairs, the H = 0 fallback and refusals were all compared
+        assert outcomes == {"pair", "zero", ValueError}

@@ -39,7 +39,73 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def parent_preprocess(x, mode):
+    """The reference: preprocess before its reductions were called directly
+    (x.mean, np.linalg.norm and np.flatnonzero)."""
+    x = linalg.as_matrix(x, "x")
+    mode = PreprocessMode(mode)
+    if mode is PreprocessMode.NONE:
+        return x
+    centered = x - x.mean(axis=1, keepdims=True)
+    norms = np.linalg.norm(centered, axis=0)
+    tol = 1e-12 * max(1.0, float(np.abs(x).max()))
+    bad = np.flatnonzero(norms <= tol)
+    if bad.size:
+        raise DegenerateColumnError(column=int(bad[0]))
+    return centered / norms
+
+
+def preprocess_outcome(fn, x, mode):
+    """The bits of the result, or the type, message and column of what it
+    raised."""
+    try:
+        out = fn(x, mode)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "column", None)
+    return out.dtype, out.shape, out.tobytes()
+
+
 class TestPreprocess:
+    def test_matches_the_parent_preprocess(self):
+        rng = np.random.default_rng(2020)
+        cases = [
+            np.full((3, 4), 2.5),  # every column degenerate: column 0 named
+            np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+            np.zeros((2, 2)),
+            np.array([[1.0, np.nan]]),
+            np.ones(3),
+        ]
+        for _ in range(150):
+            d = int(rng.integers(1, 9))
+            n = int(rng.choice([2, int(rng.integers(2, 80))]))
+            x = rng.standard_normal((d, n))
+            if rng.random() < 0.3:  # ties: few distinct values
+                x = rng.integers(-2, 3, (d, n)).astype(float)
+            if rng.random() < 0.3:
+                # a column equal to the row means centres to zero
+                j = int(rng.integers(0, n))
+                x[:, j] = 0.0
+                x[:, j] = x.sum(axis=1) / (n - 1)
+            if rng.random() < 0.5:
+                x = x + 1e6
+            x = np.ldexp(x, int(rng.integers(-40, 41)))
+            cases.append(x)
+        for j in (0, 3, 7):  # a zero column at several positions of integers
+            x = rng.integers(1, 5, (3, 8)).astype(float)
+            x[:, j] = 0.0
+            x[:, j] = x.sum(axis=1) / 7
+            x -= x[:, [j]]
+            cases.append(x)
+        raised = set()
+        for x in cases:
+            for mode in PreprocessMode:
+                want = preprocess_outcome(parent_preprocess, x, mode)
+                assert preprocess_outcome(preprocess, x, mode) == want
+                if want[0] is DegenerateColumnError:
+                    raised.add(want[2])
+        # degenerate columns were found at the start, the middle and the end
+        assert {0, 3, 7} <= raised
+
     def test_none_is_identity(self):
         x = np.random.default_rng(0).standard_normal((3, 5))
         assert np.array_equal(preprocess(x, PreprocessMode.NONE), x)

@@ -130,11 +130,11 @@ class TestGenerate:
         assert np.allclose(rx, yb, atol=1e-12)
 
     def test_single_outlier_cannot_be_deranged(self):
-        spec = ScenarioSpec(
-            d=3, n=8, r=7 / 8, kind="permuted_inliers", seed=1
-        )
-        with pytest.raises(ValueError):
-            generate(spec)
+        # refused when the spec is built, so no caller reaches generate
+        with pytest.raises(ValueError, match="at least two outliers"):
+            ScenarioSpec(d=3, n=8, r=7 / 8, kind="permuted_inliers", seed=1)
+        generate(ScenarioSpec(d=3, n=8, r=6 / 8, kind="permuted_inliers", seed=1))
+        generate(ScenarioSpec(d=3, n=8, r=7 / 8, kind="gaussian_outliers", seed=1))
 
     def test_noise_added_to_y_only(self):
         clean = generate(ScenarioSpec(d=4, n=10, r=0.5, seed=31))
