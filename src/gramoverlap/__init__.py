@@ -35,7 +35,6 @@ from .overlap import (
     PopulationModel,
     PreprocessMode,
     build_overlap,
-    factored_overlap,
     population_overlap,
     population_row_sum_mean,
     population_spectrum,
@@ -67,7 +66,6 @@ __all__ = [
     "PopulationModel",
     "preprocess",
     "build_overlap",
-    "factored_overlap",
     "population_overlap",
     "population_spectrum",
     "population_row_sum_mean",

@@ -3,10 +3,10 @@
 Each grid point runs seeded trials; within a trial the overlap matrix is made
 once from the preprocessed factors, each statistic it carries (leading
 eigenvector, row sums) is computed once, and every requested method
-classifies it, so methods are compared on identical data.  The overlap defers
-``H``, so it is formed only by a statistic whose backend reads it (power
-iteration), inside that statistic's call.  Per-method wall time charges the
-shared preprocessing, the statistic that method reads and that method's own
+classifies it, so methods are compared on identical data.  ``H`` is formed
+only by a backend that reads it: the dense row sums at construction, or power
+iteration inside its own call.  Per-method wall time charges the shared
+preprocessing, the statistic that method reads and that method's own
 classification, i.e. what a solo run would cost: each statistic is timed once
 per trial and charged to every method that reads it.
 """
@@ -24,7 +24,7 @@ from .classify import (
     error_rates,
     match,
 )
-from .overlap import OverlapMatrix, PreprocessMode, factored_overlap
+from .overlap import OverlapMatrix, PreprocessMode, build_overlap
 from .parallel import parallel_match
 from .synth import ScenarioSpec, derive_seed, generate
 
@@ -164,7 +164,7 @@ def _run_grid_point(
         trial = replace(spec, seed=derive_seed(spec.seed, t))
         pair = generate(trial)
         t0 = time.perf_counter()
-        h = factored_overlap(pair.x, pair.y, mode)
+        h = build_overlap(pair.x, pair.y, mode)
         build_ms = (time.perf_counter() - t0) * 1e3
         stat_ms = _statistics_ms(h, methods)
         for m in methods:
@@ -250,7 +250,8 @@ def run_splits_sweep(
     """Error rates and wall time of split-merge matching as s varies.
 
     Wall time covers matching only (the split, per-shard overlap build, and
-    classification); data generation is excluded.
+    classification); data generation is excluded.  The shards pin the dense
+    row sums, so the time follows split-merge's ``n^2 / s`` cost.
     """
     _check_trials(trials)
     spec = parse_method(method) if isinstance(method, str) else method
@@ -264,7 +265,9 @@ def run_splits_sweep(
             )
             pair = generate(trial)
             cfg = spec.config(preprocess, trial.seed, r)
-            report = parallel_match(pair.x, pair.y, s, cfg, max_workers=max_workers)
+            report = parallel_match(
+                pair.x, pair.y, s, cfg, max_workers=max_workers, backend="dense"
+            )
             errs.append(error_rates(pair.inliers, report.partition))
             times.append(report.total_time_ms)
         rows.append(_summary_row("splits", s, spec.label, errs, times))

@@ -281,10 +281,11 @@ def row_sum_match(
     floating point (see :func:`two_means_1d`), so the offset -d^2 does not
     move it however large d is; a fixed T must be calibrated on the
     normalized scale.  The row sums are :meth:`OverlapMatrix.row_sums`,
-    computed once per overlap: from the factors, without forming ``H``, on an
-    overlap that defers ``H``, and from the dense ``H`` on one that was
-    built with it (as :func:`~gramoverlap.overlap.build_overlap` does).  The
-    diagnostics name the backend in ``row_sum_backend``.
+    computed once per overlap by the backend fixed when it was built: from
+    the factors, without forming ``H`` (``"gram_factor"``), or from the dense
+    ``H`` (``"dense"``), as :func:`~gramoverlap.overlap.build_overlap` picks
+    or its caller pins.  The diagnostics name the backend in
+    ``row_sum_backend``.
     """
     if cfg.method != METHOD_ROW_SUM:
         raise ValueError(f"config method is {cfg.method!r}, not row_sum")

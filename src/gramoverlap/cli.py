@@ -20,7 +20,7 @@ from .classify import (
     error_rates,
     match,
 )
-from .overlap import PreprocessMode, build_overlap, check_dense_fits, factored_overlap
+from .overlap import PreprocessMode, build_overlap
 from .parallel import THREADS_ENV_VAR, check_shard_count, env_threads, parallel_match
 from .synth import ScenarioSpec, generate
 
@@ -212,7 +212,7 @@ def _cmd_match(args) -> int:
 
     if args.splits == 1:
         t0 = time.perf_counter()
-        h = factored_overlap(x, y, cfg.preprocess)
+        h = build_overlap(x, y, cfg.preprocess)
         partition, diag = match(h, cfg)
         wall_ms = (time.perf_counter() - t0) * 1e3
         payload = _diagnostics_payload(cfg, 1, diag=diag)
@@ -411,7 +411,6 @@ def _cmd_imgdiff(args) -> int:
             selected = np.sort(rng.choice(n, size=args.sample, replace=False))
         else:
             selected = np.arange(n)
-        check_dense_fits(selected.size)
         points_a = fileio.image_to_points(img_a)[:, selected]
         points_b = fileio.image_to_points(img_b)[:, selected]
         t0 = time.perf_counter()

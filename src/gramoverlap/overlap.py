@@ -74,6 +74,12 @@ ROW_SUM_BACKEND_GRAM_FACTOR = "gram_factor"
 ROW_SUM_BACKEND_DENSE = "dense"
 
 
+def factored_row_sums_are_cheaper(d: int, n: int) -> bool:
+    """True when the factored row sums (about ``4 d^2 n`` flops) undercut
+    forming ``H`` (``2 d n^2``); the tie goes to the dense backend."""
+    return 2 * d < n
+
+
 # Per cgroup version: the limit file, the usage file, and the key of the
 # reclaimable (inactive) page cache in memory.stat.
 _CGROUP_MEMORY_FILES = {
@@ -196,36 +202,32 @@ class OverlapMatrix:
     """Overlap matrix ``H = gram(X) o gram(Y)`` and its statistics, each
     computed once and cached.
 
-    Built from the preprocessed d-by-n factors ``xp`` and ``yp``, ``H`` is
-    ``gram(xp) * gram(yp)``, exactly symmetric by construction, so it is not
-    re-checked.  With ``form_h=True`` (as :func:`build_overlap` does) it is
-    formed at construction; otherwise on first read of :attr:`h` (as
-    :func:`factored_overlap` leaves it), so a caller whose statistics both
-    come from the factors never holds an n-by-n array; ``d`` and ``n`` are
-    read from the factors' shape.
-    ``OverlapMatrix(h, d=...)`` wraps a user-supplied matrix instead; it is
-    validated (square, finite, exactly symmetric) and has no factors, so
-    ``d`` is given.
+    Built from the preprocessed d-by-n factors ``xp`` and ``yp`` (as
+    :func:`build_overlap` does), ``H`` is ``gram(xp) * gram(yp)``, exactly
+    symmetric by construction, so it is not re-checked; ``d`` and ``n`` are
+    read from the factors' shape.  ``OverlapMatrix(h, d=...)`` wraps a
+    user-supplied matrix instead; it is validated (square, finite, exactly
+    symmetric) and has no factors, so ``d`` is given.
 
     Each statistic is computed once per overlap, however many rules classify
     it: :meth:`row_sums` and :meth:`leading_eigenpair`.  Both have a backend
     that reads only the factors, through the face-splitting identity ``H =
     Z^T Z`` (column i of ``Z`` is ``x_i (x) y_i``), and one that reads the
-    dense ``H``, formed on first use by the statistic that reads it.  The
-    eigenpair comes from the d^2-by-d^2 Khatri-Rao Gram ``Z Z^T``
-    (``"gram_factor"``) when the factors are held and
+    dense ``H``.  The row sums come from ``Z^T (Z 1)`` (``"gram_factor"``) or
+    are summed from ``H`` (``"dense"``, bit-identical to a plain
+    ``h.sum(axis=1)``).  ``backend`` pins one of the two; None picks
+    ``"gram_factor"`` when the factors are held and
+    :func:`factored_row_sums_are_cheaper`.  The dense backend forms ``H`` at
+    construction; otherwise ``H`` is formed only on first read of :attr:`h`,
+    so a caller whose statistics both come from the factors never holds an
+    n-by-n array.  The eigenpair comes from the d^2-by-d^2 Khatri-Rao Gram
+    ``Z Z^T`` (``"gram_factor"``) when the factors are held and
     :func:`factored_eig_is_cheaper`, and from power iteration on ``H``
-    (``"power_iteration"``) otherwise.  The row sums are summed from ``H``
-    (``"dense"``) when it is given or formed at construction, so an eagerly
-    built overlap gives bit-identical sums to a plain ``h.sum(axis=1)``, and
-    come from ``Z^T (Z 1)`` (``"gram_factor"``) on an overlap that defers
-    ``H``.  Both backends are fixed at construction: they do not depend on
-    which statistic a caller reads first.
+    (``"power_iteration"``) otherwise.  Both backends are fixed at
+    construction: they do not depend on which statistic a caller reads first.
     """
 
-    def __init__(
-        self, h=None, *, d: int | None = None, xp=None, yp=None, form_h: bool = False
-    ):
+    def __init__(self, h=None, *, d: int | None = None, xp=None, yp=None, backend=None):
         if (h is None) == (xp is None) or (xp is None) != (yp is None):
             raise ValueError("give either h or both factors xp and yp")
         if h is None:
@@ -244,11 +246,16 @@ class OverlapMatrix:
             self.d, self.n = d, self._h.shape[0]
         self.xp = xp
         self.yp = yp
-        if form_h:
+        if backend is None:
+            factored = xp is not None and factored_row_sums_are_cheaper(*xp.shape)
+            backend = ROW_SUM_BACKEND_GRAM_FACTOR if factored else ROW_SUM_BACKEND_DENSE
+        elif backend not in (ROW_SUM_BACKEND_DENSE, ROW_SUM_BACKEND_GRAM_FACTOR):
+            raise ValueError(f"unknown row-sum backend {backend!r}")
+        elif xp is None and backend != ROW_SUM_BACKEND_DENSE:
+            raise ValueError("the gram_factor backend needs the factors")
+        self.row_sum_backend = backend
+        if backend == ROW_SUM_BACKEND_DENSE:
             _ = self.h
-        self.row_sum_backend = (
-            ROW_SUM_BACKEND_GRAM_FACTOR if self._h is None else ROW_SUM_BACKEND_DENSE
-        )
         self._row_sums = None
         self._pair = None
 
@@ -310,27 +317,12 @@ def _preprocessed_pair(x, y, mode: PreprocessMode) -> tuple[np.ndarray, np.ndarr
     return preprocess(x, mode), preprocess(y, mode)
 
 
-def factored_overlap(x, y, mode: PreprocessMode) -> OverlapMatrix:
+def build_overlap(x, y, mode: PreprocessMode, backend=None) -> OverlapMatrix:
     """Overlap of two equally-shaped d-by-n point sets, held as their
-    preprocessed factors, with ``H`` deferred.
-
-    Checks the inputs as :func:`build_overlap` does.  The row sums come from
-    the factors in ``O(d n)`` memory, and so does the eigenpair when
-    :func:`factored_eig_is_cheaper`; ``H`` is formed only if power iteration
-    needs it (see :class:`OverlapMatrix`).
-    """
+    preprocessed factors; ``backend`` is its row-sum backend (None: picked
+    from d and n, see :class:`OverlapMatrix`)."""
     xp, yp = _preprocessed_pair(x, y, mode)
-    return OverlapMatrix(xp=xp, yp=yp)
-
-
-def build_overlap(x, y, mode: PreprocessMode) -> OverlapMatrix:
-    """Build the overlap matrix of two equally-shaped d-by-n point sets.
-
-    The dense ``H`` is formed here, so the row sums are summed from it; the
-    statistics are computed when first used (see :class:`OverlapMatrix`).
-    """
-    xp, yp = _preprocessed_pair(x, y, mode)
-    return OverlapMatrix(xp=xp, yp=yp, form_h=True)
+    return OverlapMatrix(xp=xp, yp=yp, backend=backend)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,8 @@
 """Split-merge matching: shard the data, match shards independently, merge.
 
 Preprocessing happens once, globally, before the split; each shard then builds
-its own (much smaller) overlap matrix.  Shard tasks are pure and may run
+its own (much smaller) overlap from its columns of the preprocessed factors,
+with the row-sum backend picked for its size.  Shard tasks are pure and may run
 concurrently; the merged partition is identical for any execution order or
 worker count.  When the row-sum matcher derives its default threshold from an
 inlier rate, each shard uses its own size in the formula.
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import LabelPartition, MatchConfig, MatchDiagnostics, match
-from .overlap import PreprocessMode, build_overlap, factored_overlap
+from .overlap import PreprocessMode, _preprocessed_pair, build_overlap
 
 THREADS_ENV_VAR = "GRAMOVERLAP_THREADS"
 
@@ -110,25 +111,25 @@ def resolve_workers(requested: int | None, s: int) -> int:
 
 
 def parallel_match(
-    x, y, s: int, cfg: MatchConfig, max_workers: int | None = None
+    x, y, s: int, cfg: MatchConfig, max_workers: int | None = None, backend=None
 ) -> ParallelReport:
     """Match a paired point set by splitting it into s shards.
 
     Shard results are merged by original index, so the outcome does not depend
     on scheduling.  Degenerate-clustering fallbacks inside a shard surface as
-    warnings, not errors.  The inputs are checked and preprocessed by
-    :func:`factored_overlap`; each shard builds its overlap from its columns
-    of those factors, with no further preprocessing.
+    warnings, not errors.  The inputs are checked and preprocessed once, as
+    :func:`build_overlap` does; each shard passes its columns of the factors
+    and ``backend`` to :func:`build_overlap`, with no further preprocessing.
     """
     t_start = time.perf_counter()
-    whole = factored_overlap(x, y, cfg.preprocess)
-    n = whole.n
+    xp, yp = _preprocessed_pair(x, y, cfg.preprocess)
+    n = xp.shape[1]
     plan = make_split(n, s, cfg.seed)
 
     def run_shard(j: int):
         idx = plan.shards[j]
         t0 = time.perf_counter()
-        h = build_overlap(whole.xp[:, idx], whole.yp[:, idx], PreprocessMode.NONE)
+        h = build_overlap(xp[:, idx], yp[:, idx], PreprocessMode.NONE, backend)
         part, diag = match(h, cfg)
         return part, diag, (time.perf_counter() - t0) * 1e3
 

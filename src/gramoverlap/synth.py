@@ -209,7 +209,7 @@ def empirical_deviation(spec: ScenarioSpec, trials: int) -> DeviationStats:
                 seed=derive_seed(spec.seed, t),
             )
         )
-        h = build_overlap(pair.x, pair.y, PreprocessMode.NONE)
+        h = build_overlap(pair.x, pair.y, PreprocessMode.NONE, backend="dense")
         model = PopulationModel(d=d, n=n, inliers=pair.inliers)
         expected = population_overlap(model)
         spectral[t] = spectral_norm(h.h - expected) / spectral_scale

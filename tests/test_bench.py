@@ -71,6 +71,23 @@ class TestSweeps:
         )
         assert [int(r["value"]) for r in rows] == [1, 2]
 
+    def test_splits_sweep_shards_form_h(self, monkeypatch):
+        # every shard forms its dense H from two Grams, also where the row-sum
+        # rule would pick the factors (2 d < n / s here), so the sweep times
+        # the n^2 / s split-merge
+        calls = []
+        gram = linalg.gram
+        monkeypatch.setattr(linalg, "gram", lambda x: calls.append(x.shape) or gram(x))
+        trials = 2
+        for s in (1, 2, 4):
+            calls.clear()
+            run_splits_sweep(
+                d=3, n=48, r=0.5, split_values=[s], trials=trials, seed=3,
+                method="rowsum:kmeans", max_workers=1,
+            )
+            assert len(calls) == 2 * s * trials
+            assert {n for _, n in calls} == {48 // s}
+
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trials_below_one_raise(self, trials):
         with pytest.raises(ValueError, match="trials must be at least 1"):

@@ -437,14 +437,14 @@ class TestRowSumMatch:
         assert part == ref
 
     def test_factored_row_sums_give_the_dense_partition(self):
-        # an overlap made from the factors takes its row sums from them, an
-        # eagerly built one from H; both rules agree
+        # at 2 d < n an overlap made from the factors takes its row sums from
+        # them, one pinned to the dense backend from H; both rules agree
         mode = PreprocessMode.CENTER_NORMALIZE
         for trial in range(5):
             pair = generate(
                 ScenarioSpec(d=6, n=400, r=0.7, seed=derive_seed(616, trial))
             )
-            eager = build_overlap(pair.x, pair.y, mode)
+            eager = build_overlap(pair.x, pair.y, mode, backend="dense")
             xp, yp = preprocess(pair.x, mode), preprocess(pair.y, mode)
             lazy = OverlapMatrix(xp=xp, yp=yp)
             for cfg in (

@@ -11,7 +11,6 @@ from gramoverlap import (
     bench,
     build_overlap,
     error_rates,
-    fileio,
     linalg,
     match,
     overlap,
@@ -95,11 +94,11 @@ class TestGen:
 
 
 class TestMatch:
-    def make_instance(self, tmp_path, seed=11, n=100, r=0.8):
+    def make_instance(self, tmp_path, seed=11, n=100, r=0.8, d=50):
         out = tmp_path / "data"
         assert (
             run(
-                f"gen --d 50 --n {n} --r {r} --kind gaussian_outliers "
+                f"gen --d {d} --n {n} --r {r} --kind gaussian_outliers "
                 f"--seed {seed} --out {out}".split()
             )
             == 0
@@ -202,9 +201,9 @@ class TestMatch:
             assert diag["leading_eigenvalue"] > 0
 
     def test_diagnostics_name_the_row_sum_backend(self, tmp_path, monkeypatch):
-        # match defers H, so the row sums come from the factors and no n-by-n
-        # Gram is ever computed
-        data = self.make_instance(tmp_path)
+        # d = 40, n = 100 (2 d < n): the row sums come from the factors, so
+        # no n-by-n Gram is ever computed
+        data = self.make_instance(tmp_path, d=40)
 
         def no_gram(x):
             raise AssertionError("gram called by match --method rowsum")
@@ -223,10 +222,10 @@ class TestMatch:
         assert np.array_equal(read_partition_csv(out / "partition.csv").inliers, truth)
 
     def test_dense_h_that_cannot_fit_is_refused(self, tmp_path, monkeypatch, capsys):
-        # d = 50, n = 100 (4 d^2 > n): the eigenvector needs power iteration
+        # d = 40, n = 100 (4 d^2 > n): the eigenvector needs power iteration
         # on H, which is refused before any allocation when 16 n^2 bytes are
-        # not available; the row sums never form H and still run
-        data = self.make_instance(tmp_path)
+        # not available; the row sums (2 d < n) never form H and still run
+        data = self.make_instance(tmp_path, d=40)
         monkeypatch.setattr(overlap, "_available_bytes", lambda: 16 * 100**2 - 1)
         base = f"match {data/'X.csv'} {data/'Y.csv'} --preprocess cn"
         out = tmp_path / "eig"
@@ -550,19 +549,14 @@ class TestImgdiff:
         assert code == 2
         assert not out.exists()
 
-    def test_refused_before_pixels_become_points(self, tmp_path, monkeypatch, capsys):
-        # an H that cannot fit is refused on the selected pixel count, before
-        # any per-pixel point array is built
+    def test_refused_when_power_iteration_needs_h(self, tmp_path, monkeypatch, capsys):
+        # 4 pixels (4 d^2 > n): the eigenvector needs power iteration on the
+        # 4-by-4 H, which is refused when 16 n^2 bytes are not available
         path_a, path_b = write_test_images(tmp_path)
-
-        def no_points(img):
-            raise AssertionError("image_to_points called before the memory check")
-
         monkeypatch.setattr(overlap, "_available_bytes", lambda: 16 * 4**2 - 1)
-        monkeypatch.setattr(fileio, "image_to_points", no_points)
         out = tmp_path / "d"
         code = run(
-            f"imgdiff {path_a} {path_b} --method rowsum --kmeans --out {out}".split()
+            f"imgdiff {path_a} {path_b} --method eig --kmeans --out {out}".split()
         )
         assert code == 1
         assert "4x4 overlap needs" in capsys.readouterr().err
@@ -573,10 +567,36 @@ class TestImgdiff:
         monkeypatch.setattr(overlap, "_available_bytes", lambda: 0)
         out = tmp_path / "d"
         code = run(
-            f"imgdiff {path_a} {path_b} --method rowsum --kmeans --out {out}".split()
+            f"imgdiff {path_a} {path_b} --method eig --kmeans --out {out}".split()
         )
         assert code == 1
         assert not out.exists()
+
+    def test_factored_row_sums_need_no_memory_for_h(self, tmp_path, monkeypatch):
+        # 64 pixels (2 d < n): the row sums come from the factors, so the
+        # mask is the same when no memory at all is left for an H
+        rng = np.random.default_rng(21)
+        a = rng.integers(0, 256, (8, 8, 3), dtype=np.uint8)
+        b = a.copy()
+        b[5:, 6:] = b[5:, 6:, ::-1]
+        path_a, path_b = tmp_path / "a.ppm", tmp_path / "b.ppm"
+        write_ppm(path_a, a)
+        write_ppm(path_b, b)
+        masks = []
+        for room in (None, 0):
+            monkeypatch.setattr(overlap, "_available_bytes", lambda: room)
+            out = tmp_path / f"d{room}"
+            code = run(
+                f"imgdiff {path_a} {path_b} --method rowsum --kmeans "
+                f"--preprocess cn --out {out}".split()
+            )
+            assert code == 0
+            diag = json.loads((out / "diagnostics.json").read_text())
+            assert diag["row_sum_backend"] == "gram_factor"
+            masks.append((out / "mask.ppm").read_bytes())
+        assert masks[0] == masks[1]
+        mask = read_ppm(tmp_path / "dNone" / "mask.ppm")
+        assert np.any(np.all(mask == (255, 255, 0), axis=2))
 
     def test_malformed_ppm(self, tmp_path):
         bad = tmp_path / "bad.ppm"

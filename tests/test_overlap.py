@@ -12,7 +12,6 @@ from gramoverlap import (
     SizeLimitError,
     build_overlap,
     dense_eig,
-    factored_overlap,
     generate,
     population_overlap,
     population_row_sum_mean,
@@ -23,7 +22,7 @@ from gramoverlap import (
 )
 import gramoverlap
 from gramoverlap import bench, linalg, overlap
-from gramoverlap.overlap import factored_eig_is_cheaper
+from gramoverlap.overlap import factored_eig_is_cheaper, factored_row_sums_are_cheaper
 from gramoverlap.synth import derive_seed
 
 
@@ -239,9 +238,9 @@ class TestFactoredOverlap:
         ]
         for x, y, mode in cases:
             with pytest.raises(ValueError) as eager:
-                build_overlap(x, y, mode)
+                build_overlap(x, y, mode, backend="dense")
             with pytest.raises(ValueError) as lazy:
-                factored_overlap(x, y, mode)
+                build_overlap(x, y, mode, backend="gram_factor")
             assert type(lazy.value) is type(eager.value)
             assert str(lazy.value) == str(eager.value)
 
@@ -249,8 +248,8 @@ class TestFactoredOverlap:
         rng = np.random.default_rng(18)
         x, y = rng.standard_normal((2, 6, 30))
         for mode in PreprocessMode:
-            eager = build_overlap(x, y, mode)
-            lazy = factored_overlap(x, y, mode)
+            eager = build_overlap(x, y, mode, backend="dense")
+            lazy = build_overlap(x, y, mode, backend="gram_factor")
             assert np.array_equal(lazy.xp, eager.xp)
             assert np.array_equal(lazy.yp, eager.yp)
             assert lazy._h is None
@@ -265,12 +264,12 @@ class TestDenseMemoryCheck:
         x, y = rng.standard_normal((2, 3, 50))
         need = 16 * 50**2
         monkeypatch.setattr(overlap, "_available_bytes", lambda: need - 1)
-        lazy = factored_overlap(x, y, "none")
+        lazy = build_overlap(x, y, "none", backend="gram_factor")
         with pytest.raises(SizeLimitError, match="50x50"):
             _ = lazy.h
         assert lazy._h is None
         with pytest.raises(SizeLimitError):
-            build_overlap(x, y, "none")
+            build_overlap(x, y, "none", backend="dense")
         # the factored statistics still run
         assert lazy.row_sums().shape == (50,)
         assert lazy.leading_eigenpair().iterations == 0
@@ -543,28 +542,61 @@ class TestRowSums:
 
 
 class TestFactoredRowSums:
+    def test_backend_rule(self, monkeypatch):
+        # the factors when 2 d < n, the dense H at the tie and above it
+        assert factored_row_sums_are_cheaper(5, 11)
+        assert not factored_row_sums_are_cheaper(5, 10)
+        assert not factored_row_sums_are_cheaper(5, 9)
+        rng = np.random.default_rng(12)
+        x, y = rng.standard_normal((2, 5, 11))
+        for n, backend in ((11, "gram_factor"), (10, "dense"), (9, "dense")):
+            h = build_overlap(x[:, :n], y[:, :n], "none")
+            assert h.row_sum_backend == backend
+            assert (h._h is None) == (backend == "gram_factor")
+        # the tie at d = 3, n = 6 forms H at construction, from two Grams
+        calls = []
+        gram = linalg.gram
+        monkeypatch.setattr(linalg, "gram", lambda a: calls.append(a.shape) or gram(a))
+        assert build_overlap(x[:3, :6], y[:3, :6], "none")._h is not None
+        assert calls == [(3, 6), (3, 6)]
+
+    def test_unknown_backend_is_refused(self):
+        x = np.random.default_rng(17).standard_normal((3, 10))
+        for backend in ("power_iteration", "Dense", ""):
+            with pytest.raises(ValueError, match="unknown row-sum backend"):
+                build_overlap(x, x, "none", backend=backend)
+        with pytest.raises(ValueError, match="needs the factors"):
+            OverlapMatrix(np.eye(3), d=1, backend="gram_factor")
+        assert OverlapMatrix(np.eye(3), d=1, backend="dense").row_sum_backend == (
+            "dense"
+        )
+
     def test_backend_fixed_at_construction(self):
         rng = np.random.default_rng(14)
         x, y = rng.standard_normal((2, 4, 40))
-        # a deferred overlap sums the factors at any size, n < d included
-        assert factored_overlap(x, y, "none").row_sum_backend == "gram_factor"
-        assert factored_overlap(x[:, :3], y[:, :3], "none").row_sum_backend == (
-            "gram_factor"
-        )
-        # an overlap built with H sums H, and so does a wrapped H, which has
+        # a pinned factored overlap sums the factors at any size, n < d
+        # included
+        for m in (40, 3):
+            pinned = build_overlap(x[:, :m], y[:, :m], "none", backend="gram_factor")
+            assert pinned.row_sum_backend == "gram_factor" and pinned._h is None
+        # a pinned dense overlap sums H, and so does a wrapped H, which has
         # no factors and so takes power iteration for its eigenpair
-        assert build_overlap(x, y, "none").row_sum_backend == "dense"
-        wrapped = OverlapMatrix(build_overlap(x, y, "none").h, d=4)
+        dense = build_overlap(x, y, "none", backend="dense")
+        assert dense.row_sum_backend == "dense" and dense._h is not None
+        wrapped = OverlapMatrix(dense.h, d=4)
         assert wrapped.row_sum_backend == "dense"
         assert wrapped.eig_backend == "power_iteration"
         # forming H later, e.g. for power iteration (4 d^2 > n here), does
         # not switch the backend, whichever statistic is read first
-        first = factored_overlap(x, y, "none")
+        def factored():
+            return build_overlap(x, y, "none", backend="gram_factor")
+
+        first = factored()
         assert first.eig_backend == "power_iteration"
         first.leading_eigenpair()
         assert first._h is not None
         assert first.row_sum_backend == "gram_factor"
-        assert np.array_equal(first.row_sums(), factored_overlap(x, y, "none").row_sums())
+        assert np.array_equal(first.row_sums(), factored().row_sums())
 
     def test_agree_with_dense_row_sums(self):
         # d from 1 to 20 against n from 2 to 128, n < d included
@@ -576,11 +608,11 @@ class TestFactoredRowSums:
                 for mode in PreprocessMode:
                     if d == 1 and mode is PreprocessMode.CENTER_NORMALIZE:
                         continue  # centering a single feature can zero a column
-                    eager = build_overlap(x, y, mode)
+                    eager = build_overlap(x, y, mode, backend="dense")
                     ref = eager.h.sum(axis=1)
                     assert np.array_equal(eager.row_sums(), ref)
                     tol = 1e-12 * np.abs(eager.h).sum(axis=1)
-                    lazy = factored_overlap(x, y, mode)
+                    lazy = build_overlap(x, y, mode, backend="gram_factor")
                     assert lazy.row_sum_backend == "gram_factor"
                     got = lazy.row_sums()
                     assert np.all(np.abs(got - ref) <= tol), (d, n, mode)
@@ -598,7 +630,9 @@ class TestFactoredRowSums:
                     d=d, n=n, r=0.5, kind=kind, seed=derive_seed(77, trial)
                 )
                 pair = generate(spec)
-                h = factored_overlap(pair.x, pair.y, PreprocessMode.NONE)
+                h = build_overlap(
+                    pair.x, pair.y, PreprocessMode.NONE, backend="gram_factor"
+                )
                 assert h.row_sum_backend == "gram_factor"
                 s = h.row_sums()
                 m = PopulationModel(d=d, n=n, inliers=pair.inliers)
@@ -618,8 +652,10 @@ class TestFactoredRowSums:
             )
             sigma = rng.permutation(128)
             for mode in PreprocessMode:
-                a = factored_overlap(pair.x, pair.y, mode)
-                b = factored_overlap(pair.x[:, sigma], pair.y[:, sigma], mode)
+                a = build_overlap(pair.x, pair.y, mode, backend="gram_factor")
+                b = build_overlap(
+                    pair.x[:, sigma], pair.y[:, sigma], mode, backend="gram_factor"
+                )
                 assert a.row_sum_backend == b.row_sum_backend == "gram_factor"
                 sa, sb = a.row_sums(), b.row_sums()
                 assert np.max(np.abs(sb - sa[sigma])) <= 1e-12 * np.abs(sa).max()

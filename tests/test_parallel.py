@@ -9,12 +9,12 @@ from gramoverlap import (
     ScenarioSpec,
     build_overlap,
     error_rates,
-    factored_overlap,
     generate,
     make_split,
     match,
     parallel_match,
 )
+from gramoverlap import linalg
 from gramoverlap.parallel import resolve_workers
 
 
@@ -174,9 +174,10 @@ class TestParallelMatch:
         ids=["shape", "non-finite", "one-point"],
     )
     def test_inputs_checked_as_factored_overlap_checks_them(self, x, y):
+        # the whole input is checked once, as build_overlap checks it
         cfg = MatchConfig()
         with pytest.raises(ValueError) as expected:
-            factored_overlap(x, y, cfg.preprocess)
+            build_overlap(x, y, cfg.preprocess)
         with pytest.raises(ValueError) as got:
             parallel_match(x, y, 1, cfg)
         assert str(got.value) == str(expected.value)
@@ -191,3 +192,36 @@ class TestParallelMatch:
         assert report.partition.inliers.size == 0
         assert all(d.degenerate for d in report.shard_diagnostics)
         assert len(report.warnings) == 2
+
+
+class TestShardBackends:
+    # match-split's shape: d = 10, n = 4000 in 4 shards of 1000 (2 d < 1000)
+    CFG = dict(method="row_sum", preprocess=PreprocessMode.CENTER_NORMALIZE)
+
+    def test_shards_take_the_factors_and_give_the_dense_partition(self):
+        for seed in (1, 7, 301):
+            pair = easy_pair(seed, d=10, n=4000)
+            cfg = MatchConfig(seed=seed, **self.CFG)
+            factored = parallel_match(pair.x, pair.y, 4, cfg, max_workers=2)
+            dense = parallel_match(
+                pair.x, pair.y, 4, cfg, max_workers=2, backend="dense"
+            )
+            got = [d.row_sum_backend for d in factored.shard_diagnostics]
+            assert got == ["gram_factor"] * 4
+            assert [d.row_sum_backend for d in dense.shard_diagnostics] == [
+                "dense"
+            ] * 4
+            assert factored.partition == dense.partition, seed
+
+    def test_factored_shards_deterministic_across_worker_counts(self, monkeypatch):
+        def no_gram(x):
+            raise AssertionError("gram called by a factored shard")
+
+        monkeypatch.setattr(linalg, "gram", no_gram)
+        pair = easy_pair(7, d=10, n=4000)
+        cfg = MatchConfig(seed=7, **self.CFG)
+        one, two = (
+            parallel_match(pair.x, pair.y, 4, cfg, max_workers=w).partition
+            for w in (1, 2)
+        )
+        assert one == two
