@@ -197,6 +197,7 @@ def _diagnostics_payload(cfg: MatchConfig, splits: int, diag=None, report=None) 
     else:
         payload["shards"] = [d.to_dict() for d in report.shard_diagnostics]
         payload["shard_times_ms"] = report.shard_times_ms
+        payload["workers"] = report.workers
         payload["shard_sizes"] = [int(s.size) for s in report.plan.shards]
         payload["warnings"] = report.warnings
     return payload
@@ -402,26 +403,17 @@ def _cmd_imgdiff(args) -> int:
         highlighted = np.empty(0, dtype=np.intp)
         payload = {"identical_inputs": True, "n_pixels": n, "n_classified": 0}
     else:
-        if args.sample is not None and args.sample < n:
-            if args.sample < 2:
-                raise UsageError("--sample must be at least 2")
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(args.seed))
-            )
-            selected = np.sort(rng.choice(n, size=args.sample, replace=False))
-        else:
-            selected = np.arange(n)
-        points_a = fileio.image_to_points(img_a)[:, selected]
-        points_b = fileio.image_to_points(img_b)[:, selected]
+        points_a = fileio.image_to_points(img_a)
+        points_b = fileio.image_to_points(img_b)
         t0 = time.perf_counter()
         h = build_overlap(points_a, points_b, cfg.preprocess)
         partition, diag = match(h, cfg)
         wall_ms = (time.perf_counter() - t0) * 1e3
-        highlighted = selected[partition.outliers]
+        highlighted = partition.outliers
         payload = {
             "identical_inputs": False,
             "n_pixels": n,
-            "n_classified": int(selected.size),
+            "n_classified": n,
             "n_highlighted": int(highlighted.size),
             "wall_time_ms": wall_ms,
         }
@@ -445,7 +437,6 @@ def _cmd_imgdiff(args) -> int:
                 "kmeans": args.kmeans,
                 "inlier_rate": args.inlier_rate,
                 "preprocess": args.preprocess,
-                "sample": args.sample,
                 "seed": args.seed,
             },
             {"mask": "mask.ppm", "diagnostics": "diagnostics.json"},
@@ -487,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help=f"shard worker count (default: ${THREADS_ENV_VAR} or cpu count)",
+        help=f"shard worker count, used when shards form H "
+        f"(default: ${THREADS_ENV_VAR} or usable CPU count)",
     )
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_match)
@@ -535,9 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("image_a", metavar="A.ppm")
     p.add_argument("image_b", metavar="B.ppm")
     _add_match_flags(p)
-    p.add_argument(
-        "--sample", type=int, default=None, help="classify only k sampled pixels"
-    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_imgdiff)

@@ -80,6 +80,32 @@ def factored_row_sums_are_cheaper(d: int, n: int) -> bool:
     return 2 * d < n
 
 
+def row_sum_backend(d: int, n: int, backend=None) -> str:
+    """The row-sum backend of an overlap of d-by-n factors: ``backend`` if
+    pinned (``ValueError`` on an unknown name), else the one
+    :func:`factored_row_sums_are_cheaper` picks."""
+    if backend is None:
+        factored = factored_row_sums_are_cheaper(d, n)
+        return ROW_SUM_BACKEND_GRAM_FACTOR if factored else ROW_SUM_BACKEND_DENSE
+    if backend not in (ROW_SUM_BACKEND_DENSE, ROW_SUM_BACKEND_GRAM_FACTOR):
+        raise ValueError(f"unknown row-sum backend {backend!r}")
+    return backend
+
+
+def forms_h(d: int, n: int, eigenpair: bool, backend=None) -> bool:
+    """True when an overlap of d-by-n factors, built with row-sum backend
+    ``backend`` (None: picked from d and n), forms the dense ``H`` once its
+    statistic is read: the eigenpair if ``eigenpair``, else the row sums.
+
+    The dense row-sum backend forms ``H`` at construction; otherwise only
+    power iteration does, when the eigenpair is read and
+    :func:`factored_eig_is_cheaper` is false.
+    """
+    if row_sum_backend(d, n, backend) == ROW_SUM_BACKEND_DENSE:
+        return True
+    return eigenpair and not factored_eig_is_cheaper(d, n)
+
+
 # Per cgroup version: the limit file, the usage file, and the key of the
 # reclaimable (inactive) page cache in memory.stat.
 _CGROUP_MEMORY_FILES = {
@@ -246,15 +272,12 @@ class OverlapMatrix:
             self.d, self.n = d, self._h.shape[0]
         self.xp = xp
         self.yp = yp
-        if backend is None:
-            factored = xp is not None and factored_row_sums_are_cheaper(*xp.shape)
-            backend = ROW_SUM_BACKEND_GRAM_FACTOR if factored else ROW_SUM_BACKEND_DENSE
-        elif backend not in (ROW_SUM_BACKEND_DENSE, ROW_SUM_BACKEND_GRAM_FACTOR):
-            raise ValueError(f"unknown row-sum backend {backend!r}")
-        elif xp is None and backend != ROW_SUM_BACKEND_DENSE:
+        if xp is None and backend is None:
+            backend = ROW_SUM_BACKEND_DENSE
+        self.row_sum_backend = row_sum_backend(self.d, self.n, backend)
+        if self.row_sum_backend == ROW_SUM_BACKEND_GRAM_FACTOR and xp is None:
             raise ValueError("the gram_factor backend needs the factors")
-        self.row_sum_backend = backend
-        if backend == ROW_SUM_BACKEND_DENSE:
+        if self.row_sum_backend == ROW_SUM_BACKEND_DENSE:
             _ = self.h
         self._row_sums = None
         self._pair = None

@@ -2,10 +2,13 @@
 
 Preprocessing happens once, globally, before the split; each shard then builds
 its own (much smaller) overlap from its columns of the preprocessed factors,
-with the row-sum backend picked for its size.  Shard tasks are pure and may run
-concurrently; the merged partition is identical for any execution order or
-worker count.  When the row-sum matcher derives its default threshold from an
-inlier rate, each shard uses its own size in the formula.
+with the row-sum backend picked for its size.  Shard tasks are pure; they run
+on a thread pool only when at least one of them forms the dense ``H``
+(:func:`~gramoverlap.overlap.forms_h`), and in order on the calling thread
+otherwise, where a pool measured slower than one thread.  The merged partition
+is identical for any execution order or worker count.  When the row-sum
+matcher derives its default threshold from an inlier rate, each shard uses its
+own size in the formula.
 """
 
 import os
@@ -15,8 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import LabelPartition, MatchConfig, MatchDiagnostics, match
-from .overlap import PreprocessMode, _preprocessed_pair, build_overlap
+from .classify import (
+    METHOD_EIGENVECTOR,
+    LabelPartition,
+    MatchConfig,
+    MatchDiagnostics,
+    match,
+)
+from .overlap import PreprocessMode, _preprocessed_pair, build_overlap, forms_h
 
 THREADS_ENV_VAR = "GRAMOVERLAP_THREADS"
 
@@ -65,13 +74,15 @@ def make_split(n: int, s: int, seed: int) -> SplitPlan:
 
 @dataclass
 class ParallelReport:
-    """Merged partition with per-shard timing and diagnostics."""
+    """Merged partition with per-shard timing and diagnostics; ``workers`` is
+    the number of threads that ran the shards (1 when they ran inline)."""
 
     partition: LabelPartition
     plan: SplitPlan
     shard_times_ms: list[float]
     total_time_ms: float
     shard_diagnostics: list[MatchDiagnostics]
+    workers: int
 
     @property
     def warnings(self) -> list[str]:
@@ -101,10 +112,19 @@ def env_threads() -> int | None:
     return value
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resolve_workers(requested: int | None, s: int) -> int:
-    """Worker count: explicit request, else the env var, else one per core."""
+    """Worker count: explicit request, else the env var, else one per usable
+    CPU."""
     if requested is None:
-        requested = env_threads() or os.cpu_count() or 1
+        requested = env_threads() or usable_cpus()
     if requested < 1:
         raise ValueError("worker count must be at least 1")
     return min(requested, s)
@@ -120,6 +140,9 @@ def parallel_match(
     warnings, not errors.  The inputs are checked and preprocessed once, as
     :func:`build_overlap` does; each shard passes its columns of the factors
     and ``backend`` to :func:`build_overlap`, with no further preprocessing.
+    The shards share a pool of up to ``max_workers`` threads (see
+    :func:`resolve_workers`) only when one of them forms ``H``; otherwise
+    they run in order on the calling thread.
     """
     t_start = time.perf_counter()
     xp, yp = _preprocessed_pair(x, y, cfg.preprocess)
@@ -134,6 +157,9 @@ def parallel_match(
         return part, diag, (time.perf_counter() - t0) * 1e3
 
     workers = resolve_workers(max_workers, s)
+    d, eigenpair = xp.shape[0], cfg.method == METHOD_EIGENVECTOR
+    if not any(forms_h(d, idx.size, eigenpair, backend) for idx in plan.shards):
+        workers = 1
     if workers == 1:
         results = [run_shard(j) for j in range(s)]
     else:
@@ -150,4 +176,5 @@ def parallel_match(
         shard_times_ms=[ms for _, _, ms in results],
         total_time_ms=total_ms,
         shard_diagnostics=[diag for _, diag, _ in results],
+        workers=workers,
     )

@@ -178,6 +178,21 @@ class TestMatch:
         expected = parallel_match(x, y, 2, cfg, max_workers=2).partition
         assert read_partition_csv(out2 / "partition.csv") == expected
 
+    def test_diagnostics_give_the_shard_workers(self, tmp_path):
+        # 50-point shards: at d = 5 their row sums come from the factors and
+        # they run inline; at d = 50 they form H (2 d >= 50) on the pool
+        for d, workers, backend in ((5, 1, "gram_factor"), (50, 2, "dense")):
+            data = self.make_instance(tmp_path / f"d{d}", seed=13, d=d)
+            out = tmp_path / f"m{d}"
+            code = run(
+                f"match {data/'X.csv'} {data/'Y.csv'} --method rowsum --kmeans "
+                f"--splits 2 --threads 2 --out {out}".split()
+            )
+            assert code == 0
+            diag = json.loads((out / "diagnostics.json").read_text())
+            assert diag["workers"] == workers
+            assert [s["row_sum_backend"] for s in diag["shards"]] == [backend] * 2
+
     def test_diagnostics_name_the_eig_backend(self, tmp_path):
         # d = 3, n = 200 (4 d^2 <= n): factored solve; d = 50, n = 100: power
         # iteration on the dense H
@@ -482,6 +497,10 @@ class TestImgdiff:
         expected = np.repeat(luma[:, :, None], 3, axis=2)
         expected[1, 1] = (255, 255, 0)
         assert np.array_equal(mask, expected)
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["n_classified"] == diag["n_pixels"] == 4
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "sample" not in manifest["options"]
 
     def test_eigenvector_method_agrees(self, tmp_path):
         path_a, path_b = write_test_images(tmp_path)
@@ -525,18 +544,16 @@ class TestImgdiff:
         )
         assert code == 1
 
-    def test_sample_classifies_only_k_pixels(self, tmp_path):
+    def test_sample_flag_is_gone(self, tmp_path):
+        # every pixel is classified; the factored backends need no subsample
         path_a, path_b = write_test_images(tmp_path)
         out = tmp_path / "d2"
         code = run(
             f"imgdiff {path_a} {path_b} --method rowsum --kmeans "
             f"--sample 2 --seed 4 --out {out}".split()
         )
-        assert code == 0
-        diag = json.loads((out / "diagnostics.json").read_text())
-        assert diag["n_classified"] == 2
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["options"]["sample"] == 2
+        assert code == 2
+        assert not out.exists()
 
     def test_size_cap_flag_is_gone(self, tmp_path):
         # the memory check on H is the only size limit

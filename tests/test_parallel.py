@@ -14,7 +14,8 @@ from gramoverlap import (
     match,
     parallel_match,
 )
-from gramoverlap import linalg
+from gramoverlap import linalg, parallel
+from gramoverlap.overlap import forms_h
 from gramoverlap.parallel import resolve_workers
 
 
@@ -72,6 +73,17 @@ class TestResolveWorkers:
         with pytest.raises(ValueError):
             resolve_workers(0, s=4)
 
+    def test_default_is_the_affinity_set_not_the_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("GRAMOVERLAP_THREADS", raising=False)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(
+            parallel.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False
+        )
+        assert resolve_workers(None, s=8) == 2
+        # where the platform reports no affinity, the CPU count stands in
+        monkeypatch.delattr(parallel.os, "sched_getaffinity")
+        assert resolve_workers(None, s=8) == 8
+
 
 def easy_pair(seed, d=40, n=200, r=0.8):
     return generate(
@@ -125,16 +137,19 @@ class TestParallelMatch:
             assert len(report.shard_times_ms) == s
 
     def test_deterministic_across_worker_counts_and_runs(self):
+        # 50-point shards at d = 40 form H (2 d >= 50), so the pool runs
         pair = easy_pair(9)
         for method, extra in (
             ("row_sum", {}),
             ("eigenvector", {}),
         ):
             cfg = MatchConfig(method=method, seed=3, **extra)
-            parts = [
-                parallel_match(pair.x, pair.y, 4, cfg, max_workers=w).partition
+            reports = [
+                parallel_match(pair.x, pair.y, 4, cfg, max_workers=w)
                 for w in (1, 2, 4, 1)
             ]
+            assert [r.workers for r in reports] == [1, 2, 4, 1]
+            parts = [r.partition for r in reports]
             assert all(p == parts[0] for p in parts[1:])
 
     def test_error_close_to_unsplit_on_moderate_instance(self):
@@ -218,10 +233,68 @@ class TestShardBackends:
             raise AssertionError("gram called by a factored shard")
 
         monkeypatch.setattr(linalg, "gram", no_gram)
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", no_pool)
         pair = easy_pair(7, d=10, n=4000)
         cfg = MatchConfig(seed=7, **self.CFG)
         one, two = (
-            parallel_match(pair.x, pair.y, 4, cfg, max_workers=w).partition
-            for w in (1, 2)
+            parallel_match(pair.x, pair.y, 4, cfg, max_workers=w) for w in (1, 2)
         )
-        assert one == two
+        assert one.partition == two.partition
+        assert one.workers == two.workers == 1
+
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("thread pool started for shards that never form H")
+
+
+class TestPoolOnlyWhereHIsFormed:
+    # 50-point shards: 2 d < 50 for d <= 24, and 4 d^2 <= 50 only for d <= 3
+    def run(self, d, method, backend=None):
+        pair = easy_pair(5, d=d, n=200)
+        cfg = MatchConfig(method=method, seed=5)
+        return parallel_match(pair.x, pair.y, 4, cfg, max_workers=2, backend=backend)
+
+    @pytest.mark.parametrize("method", ["row_sum", "eigenvector"])
+    def test_factored_shards_run_inline(self, monkeypatch, method):
+        # d = 3: factored row sums, and the Khatri-Rao eigenpair
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", no_pool)
+        report = self.run(3, method)
+        assert report.workers == 1
+        diag = report.shard_diagnostics
+        if method == "row_sum":
+            assert {x.row_sum_backend for x in diag} == {"gram_factor"}
+        else:
+            assert {x.eig_backend for x in diag} == {"gram_factor"}
+
+    @pytest.mark.parametrize(
+        "d, method, backend",
+        [(3, "row_sum", "dense"), (5, "eigenvector", None)],
+        ids=["dense-pinned", "power-iteration"],
+    )
+    def test_shards_that_form_h_share_one_pool(self, monkeypatch, d, method, backend):
+        started = []
+        pool = parallel.ThreadPoolExecutor
+
+        def counted(*args, **kwargs):
+            started.append(kwargs)
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", counted)
+        report = self.run(d, method, backend)
+        assert started == [{"max_workers": 2}]
+        assert report.workers == 2
+
+    def test_rule_matches_the_shards_that_hold_h(self):
+        rng = np.random.default_rng(21)
+        cases = 0
+        for d in (2, 3, 5, 10):
+            x, y = rng.standard_normal((2, d, 120))
+            for m in (4, 6, 20, 36, 50, 120):
+                for method in ("row_sum", "eigenvector"):
+                    for backend in (None, "dense", "gram_factor"):
+                        h = build_overlap(x[:, :m], y[:, :m], "none", backend)
+                        match(h, MatchConfig(method=method, seed=1))
+                        rule = forms_h(d, m, method == "eigenvector", backend)
+                        assert rule == (h._h is not None), (d, m, method, backend)
+                        cases += rule
+        assert 0 < cases < 4 * 6 * 2 * 3
