@@ -25,7 +25,7 @@ from .classify import (
     match,
 )
 from .overlap import OverlapMatrix, PreprocessMode, build_overlap
-from .parallel import parallel_match
+from .parallel import check_shard_count, parallel_match
 from .synth import ScenarioSpec, derive_seed, generate
 
 SWEEP_COLUMNS = [
@@ -188,12 +188,13 @@ def _run_sweep(
     axis: str, values, trials: int, methods, mode: PreprocessMode, **fixed
 ) -> list[dict]:
     """Rows of a sweep over the ``ScenarioSpec`` field ``axis``, which also
-    names the sweep in each row; ``fixed`` holds the other fields."""
+    names the sweep in each row; ``fixed`` holds the other fields.  Every
+    grid point's scenario is built before the first trial runs."""
     _check_trials(trials)
     specs = [parse_method(m) if isinstance(m, str) else m for m in methods]
+    points = [(value, ScenarioSpec(**fixed, **{axis: value})) for value in values]
     rows = []
-    for value in values:
-        base = ScenarioSpec(**fixed, **{axis: value})
+    for value, base in points:
         rows.extend(_run_grid_point(axis, value, base, trials, specs, mode))
     return rows
 
@@ -251,18 +252,21 @@ def run_splits_sweep(
 
     Wall time covers matching only (the split, per-shard overlap build, and
     classification); data generation is excluded.  The shards pin the dense
-    row sums, so the time follows split-merge's ``n^2 / s`` cost.
+    row sums, so the time follows split-merge's ``n^2 / s`` cost.  The
+    scenario and every shard count are checked before the first trial runs.
     """
     _check_trials(trials)
     spec = parse_method(method) if isinstance(method, str) else method
+    base = ScenarioSpec(d=d, n=n, r=r, kind=kind, sigma2=sigma2, seed=seed)
+    split_values = list(split_values)
+    for s in split_values:
+        check_shard_count(n, s)
     rows = []
     for s in split_values:
         errs = []
         times = []
         for t in range(trials):
-            trial = ScenarioSpec(
-                d=d, n=n, r=r, kind=kind, sigma2=sigma2, seed=derive_seed(seed, t)
-            )
+            trial = replace(base, seed=derive_seed(seed, t))
             pair = generate(trial)
             cfg = spec.config(preprocess, trial.seed, r)
             report = parallel_match(

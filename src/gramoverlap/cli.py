@@ -13,13 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bench, fileio
-from .classify import (
-    METHOD_EIGENVECTOR,
-    METHOD_ROW_SUM,
-    MatchConfig,
-    error_rates,
-    match,
-)
+from .classify import METHOD_ROW_SUM, MatchConfig, error_rates, match
 from .overlap import PreprocessMode, build_overlap
 from .parallel import THREADS_ENV_VAR, check_shard_count, env_threads, parallel_match
 from .synth import ScenarioSpec, generate
@@ -28,7 +22,6 @@ _PREPROCESS_ALIASES = {
     "none": PreprocessMode.NONE,
     "cn": PreprocessMode.CENTER_NORMALIZE,
 }
-_METHOD_ALIASES = {"eig": METHOD_EIGENVECTOR, "rowsum": METHOD_ROW_SUM}
 
 
 class UsageError(Exception):
@@ -47,17 +40,9 @@ def _parse_list(text: str, kind: type, what: str) -> list:
     return values
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return _parse_list(text, float, "numeric")
-
-
-def _parse_int_list(text: str) -> list[int]:
-    return _parse_list(text, int, "integer")
-
-
 def _add_match_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--method", required=True, choices=sorted(_METHOD_ALIASES), help="matcher"
+        "--method", required=True, choices=["eig", "rowsum"], help="matcher"
     )
     p.add_argument(
         "--threshold",
@@ -85,29 +70,35 @@ def _add_match_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _method_spec(text: str) -> bench.MethodSpec:
+    try:
+        return bench.parse_method(text)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _match_config(args) -> MatchConfig:
-    method = _METHOD_ALIASES[args.method]
+    """The matcher flags read as the ``bench`` method spec ``M:kmeans``
+    (``--kmeans``), ``M:auto`` (bare ``--threshold``) or ``M:V``."""
     if args.threshold is not None and args.kmeans:
         raise UsageError("--threshold and --kmeans are mutually exclusive")
     if args.threshold is None and not args.kmeans:
         raise UsageError("choose exactly one of --threshold or --kmeans")
-    threshold = None
-    if args.threshold is not None and args.threshold != "auto":
-        try:
-            threshold = float(args.threshold)
-        except ValueError:
-            raise UsageError(f"bad --threshold value: {args.threshold!r}") from None
+    if args.threshold == "kmeans":
+        raise UsageError(f"bad --threshold value: {args.threshold!r}")
+    branch = "kmeans" if args.kmeans else args.threshold
+    spec = _method_spec(f"{args.method}:{branch}")
     if (
-        method == METHOD_ROW_SUM
-        and args.threshold == "auto"
+        spec.method == METHOD_ROW_SUM
+        and spec.auto_threshold
         and args.inlier_rate is None
     ):
         raise UsageError("bare --threshold with rowsum needs --inlier-rate")
     try:
         return MatchConfig(
-            method=method,
-            threshold=threshold,
-            use_two_means=args.kmeans,
+            method=spec.method,
+            threshold=spec.threshold,
+            use_two_means=spec.use_two_means,
             inlier_rate=args.inlier_rate,
             preprocess=_PREPROCESS_ALIASES[args.preprocess],
             seed=args.seed,
@@ -134,14 +125,23 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _base_manifest(command: str, args_dict: dict, outputs: dict) -> dict:
-    return {
-        "tool": "gramoverlap",
-        "version": __version__,
-        "command": command,
-        "options": args_dict,
-        "outputs": outputs,
-    }
+def _write_manifest(out: Path, args, outputs: dict, options=None) -> None:
+    """Write ``manifest.json``; its options default to every option of the
+    command as parsed, but ``--out``."""
+    if options is None:
+        options = {
+            k: v for k, v in vars(args).items() if k not in ("command", "func", "out")
+        }
+    fileio.write_manifest(
+        out / "manifest.json",
+        {
+            "tool": "gramoverlap",
+            "version": __version__,
+            "command": args.command,
+            "options": options,
+            "outputs": outputs,
+        },
+    )
 
 
 # --- gen ---
@@ -164,21 +164,7 @@ def _cmd_gen(args) -> int:
     fileio.write_matrix_csv(out / "X.csv", pair.x)
     fileio.write_matrix_csv(out / "Y.csv", pair.y)
     fileio.write_labels(out / "labels.csv", pair.inliers)
-    fileio.write_manifest(
-        out / "manifest.json",
-        _base_manifest(
-            "gen",
-            {
-                "d": args.d,
-                "n": args.n,
-                "r": args.r,
-                "kind": args.kind,
-                "sigma2": args.sigma2,
-                "seed": args.seed,
-            },
-            {"x": "X.csv", "y": "Y.csv", "labels": "labels.csv"},
-        ),
-    )
+    _write_manifest(out, args, {"x": "X.csv", "y": "Y.csv", "labels": "labels.csv"})
     return 0
 
 
@@ -228,24 +214,8 @@ def _cmd_match(args) -> int:
     out = _out_dir(args)
     fileio.write_partition_csv(out / "partition.csv", partition)
     fileio.write_manifest(out / "diagnostics.json", payload)
-    fileio.write_manifest(
-        out / "manifest.json",
-        _base_manifest(
-            "match",
-            {
-                "x": str(args.x),
-                "y": str(args.y),
-                "method": args.method,
-                "threshold": args.threshold,
-                "kmeans": args.kmeans,
-                "inlier_rate": args.inlier_rate,
-                "preprocess": args.preprocess,
-                "splits": args.splits,
-                "seed": args.seed,
-                "threads": args.threads,
-            },
-            {"partition": "partition.csv", "diagnostics": "diagnostics.json"},
-        ),
+    _write_manifest(
+        out, args, {"partition": "partition.csv", "diagnostics": "diagnostics.json"}
     )
     return 0
 
@@ -264,117 +234,69 @@ def _cmd_eval(args) -> int:
 # --- bench ---
 
 
-def _method_spec(text: str) -> bench.MethodSpec:
-    try:
-        return bench.parse_method(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _check_scenarios(axis: str, grid, **fixed) -> None:
-    """Raise ``UsageError`` unless every grid point of the sweep over the
-    ``ScenarioSpec`` field ``axis`` makes a valid scenario."""
-    try:
-        for value in grid:
-            ScenarioSpec(**fixed, **{axis: value})
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _cmd_bench(args) -> int:
     _check_threads(args)
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
-    preprocess = _PREPROCESS_ALIASES[args.preprocess]
+    axis = args.sweep
+    # The scenario fields a sweep holds fixed: r and sigma2, but its own axis.
+    fixed = {k: getattr(args, k) for k in ("r", "sigma2") if k != axis}
+    text = getattr(args, f"{axis}_grid")
+    if text is None or ("r" in fixed and args.r is None):
+        with_r = " and --r" if "r" in fixed else ""
+        raise UsageError(f"--sweep {axis} needs --{axis}-grid{with_r}")
     options = {
-        "sweep": args.sweep,
+        "sweep": axis,
         "d": args.d,
         "n": args.n,
         "trials": args.trials,
         "seed": args.seed,
         "kind": args.kind,
         "preprocess": args.preprocess,
+        **fixed,
     }
-    if args.sweep == "r":
-        if args.r_grid is None:
-            raise UsageError("--sweep r needs --r-grid")
-        grid = _parse_float_list(args.r_grid)
-        methods = [_method_spec(m) for m in args.methods.split(",")]
-        _check_scenarios(
-            "r", grid, d=args.d, n=args.n, kind=args.kind, sigma2=args.sigma2
-        )
-        rows = bench.run_rate_sweep(
-            d=args.d,
-            n=args.n,
-            r_values=grid,
-            trials=args.trials,
-            seed=args.seed,
-            methods=methods,
-            kind=args.kind,
-            sigma2=args.sigma2,
-            preprocess=preprocess,
-        )
-        name = "sweep_r.csv"
-        options.update({"r_grid": grid, "methods": args.methods, "sigma2": args.sigma2})
-    elif args.sweep == "sigma2":
-        if args.sigma2_grid is None or args.r is None:
-            raise UsageError("--sweep sigma2 needs --sigma2-grid and --r")
-        grid = _parse_float_list(args.sigma2_grid)
-        methods = [_method_spec(m) for m in args.methods.split(",")]
-        _check_scenarios("sigma2", grid, d=args.d, n=args.n, r=args.r, kind=args.kind)
-        rows = bench.run_noise_sweep(
-            d=args.d,
-            n=args.n,
-            r=args.r,
-            sigma2_values=grid,
-            trials=args.trials,
-            seed=args.seed,
-            methods=methods,
-            kind=args.kind,
-            preprocess=preprocess,
-        )
-        name = "sweep_sigma2.csv"
-        options.update({"sigma2_grid": grid, "methods": args.methods, "r": args.r})
+    if axis == "splits":
+        grid = _parse_list(text, int, "integer")
+        matcher = {
+            "method": _method_spec(args.single_method),
+            "max_workers": args.threads,
+        }
+        points = [fixed]
+        options["method"] = args.single_method
     else:
-        if args.splits_grid is None or args.r is None:
-            raise UsageError("--sweep splits needs --splits-grid and --r")
-        grid = _parse_int_list(args.splits_grid)
-        method = _method_spec(args.single_method)
-        try:
-            ScenarioSpec(
-                d=args.d, n=args.n, r=args.r, kind=args.kind, sigma2=args.sigma2
-            )
+        grid = _parse_list(text, float, "numeric")
+        matcher = {"methods": [_method_spec(m) for m in args.methods.split(",")]}
+        points = [{**fixed, axis: value} for value in grid]
+        options["methods"] = args.methods
+    try:
+        for point in points:
+            ScenarioSpec(d=args.d, n=args.n, kind=args.kind, **point)
+        if axis == "splits":
             for s in grid:
                 check_shard_count(args.n, s)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        rows = bench.run_splits_sweep(
-            d=args.d,
-            n=args.n,
-            r=args.r,
-            split_values=grid,
-            trials=args.trials,
-            seed=args.seed,
-            method=method,
-            kind=args.kind,
-            sigma2=args.sigma2,
-            preprocess=preprocess,
-            max_workers=args.threads,
-        )
-        name = "sweep_splits.csv"
-        options.update(
-            {
-                "splits_grid": grid,
-                "method": args.single_method,
-                "r": args.r,
-                "sigma2": args.sigma2,
-            }
-        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    sweep, grid_keyword = {
+        "r": (bench.run_rate_sweep, "r_values"),
+        "sigma2": (bench.run_noise_sweep, "sigma2_values"),
+        "splits": (bench.run_splits_sweep, "split_values"),
+    }[axis]
+    rows = sweep(
+        d=args.d,
+        n=args.n,
+        trials=args.trials,
+        seed=args.seed,
+        kind=args.kind,
+        preprocess=_PREPROCESS_ALIASES[args.preprocess],
+        **fixed,
+        **{grid_keyword: grid},
+        **matcher,
+    )
+    options[f"{axis}_grid"] = grid
+    name = f"sweep_{axis}.csv"
     out = _out_dir(args)
     bench.write_sweep_csv(out / name, rows)
-    fileio.write_manifest(
-        out / "manifest.json", _base_manifest("bench", options, {"sweep": name})
-    )
+    _write_manifest(out, args, {"sweep": name}, options)
     return 0
 
 
@@ -425,23 +347,7 @@ def _cmd_imgdiff(args) -> int:
     out = _out_dir(args)
     fileio.write_ppm(out / "mask.ppm", mask_img)
     fileio.write_manifest(out / "diagnostics.json", payload)
-    fileio.write_manifest(
-        out / "manifest.json",
-        _base_manifest(
-            "imgdiff",
-            {
-                "image_a": str(args.image_a),
-                "image_b": str(args.image_b),
-                "method": args.method,
-                "threshold": args.threshold,
-                "kmeans": args.kmeans,
-                "inlier_rate": args.inlier_rate,
-                "preprocess": args.preprocess,
-                "seed": args.seed,
-            },
-            {"mask": "mask.ppm", "diagnostics": "diagnostics.json"},
-        ),
-    )
+    _write_manifest(out, args, {"mask": "mask.ppm", "diagnostics": "diagnostics.json"})
     return 0
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import SizeLimitError
 
-# Hard cap for dense_eig / the dense spectral_norm path; keeps accidental
+# Hard cap for dense_eig (and so spectral_norm); keeps accidental
 # O(n^3) factorizations out of large runs.
 DENSE_EIG_MAX_ORDER = 512
 
@@ -204,15 +204,8 @@ def dense_eig(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spectral_norm(a) -> float:
-    """Largest eigenvalue magnitude of a symmetric matrix.
-
-    Uses the dense decomposition up to order 512 and power iteration on both
-    ``a`` and ``-a`` beyond that.
+    """Largest eigenvalue magnitude of a symmetric matrix, read from
+    :func:`dense_eig`: above order 512 it raises :class:`SizeLimitError`.
     """
-    a = check_symmetric(a, "a")
-    if a.shape[0] <= DENSE_EIG_MAX_ORDER:
-        values, _ = dense_eig(a)
-        return float(np.max(np.abs(values)))
-    top = power_iteration(a)
-    bottom = power_iteration(-a)
-    return max(abs(top.value), abs(bottom.value))
+    values, _ = dense_eig(a)
+    return float(np.max(np.abs(values)))

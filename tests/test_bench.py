@@ -101,6 +101,26 @@ class TestSweeps:
                 d=4, n=24, r=0.5, split_values=[1], trials=trials, seed=1
             )
 
+    @pytest.mark.parametrize(
+        "sweep, grid",
+        [
+            (run_rate_sweep, dict(r_values=[0.5, 0.33])),
+            (run_noise_sweep, dict(r=0.5, sigma2_values=[0.0, -1.0])),
+            (run_splits_sweep, dict(r=0.5, split_values=[1, 13])),
+        ],
+    )
+    def test_bad_late_grid_point_raises_before_any_trial(
+        self, monkeypatch, sweep, grid
+    ):
+        calls = []
+        generate = bench.generate
+        monkeypatch.setattr(
+            bench, "generate", lambda spec: calls.append(spec) or generate(spec)
+        )
+        with pytest.raises(ValueError):
+            sweep(d=4, n=24, trials=5, seed=1, **grid)
+        assert calls == []
+
     def test_csv_round_trip(self, tmp_path):
         rows = run_rate_sweep(
             d=4, n=24, r_values=[0.5], trials=2, seed=5, methods=("eig:kmeans",)

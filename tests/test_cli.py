@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: files, exit codes, flag validation."""
 
+import argparse
 import json
 
 import numpy as np
@@ -15,7 +16,8 @@ from gramoverlap import (
     match,
     overlap,
 )
-from gramoverlap.cli import main
+from gramoverlap.classify import METHOD_EIGENVECTOR, METHOD_ROW_SUM
+from gramoverlap.cli import UsageError, _match_config, build_parser, main
 from gramoverlap.fileio import (
     read_labels,
     read_matrix_csv,
@@ -633,3 +635,139 @@ class TestParser:
     def test_version_flag(self, capsys):
         assert run(["--version"]) == 0
         assert capsys.readouterr().out.strip()
+
+
+def subparser(name: str):
+    (action,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices[name]
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command", ["gen", "match", "imgdiff"])
+    def test_options_are_every_parsed_flag(self, tmp_path, command):
+        # a flag added to the parser later is recorded without being listed
+        data, path_a, path_b = tmp_path / "data", *write_test_images(tmp_path)
+        assert run(f"gen --d 3 --n 20 --r 0.5 --out {data}".split()) == 0
+        argv = {
+            "gen": "gen --d 3 --n 20 --r 0.5 --seed 4",
+            "match": f"match {data/'X.csv'} {data/'Y.csv'} --method eig --kmeans",
+            "imgdiff": f"imgdiff {path_a} {path_b} --method rowsum --threshold 2",
+        }[command]
+        out = tmp_path / "out"
+        assert run(f"{argv} --out {out}".split()) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        dests = {a.dest for a in subparser(command)._actions} - {"help", "out"}
+        assert manifest["command"] == command
+        assert set(manifest["options"]) == dests
+
+    def test_options_hold_the_parsed_values(self, tmp_path):
+        data = tmp_path / "data"
+        assert run(f"gen --d 3 --n 20 --r 0.5 --out {data}".split()) == 0
+        out = tmp_path / "out"
+        argv = (
+            f"match {data/'X.csv'} {data/'Y.csv'} --method rowsum --threshold "
+            f"--inlier-rate 0.5 --preprocess none --splits 2 --seed 3 --threads 1 "
+            f"--out {out}"
+        )
+        assert run(argv.split()) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["options"] == {
+            "x": str(data / "X.csv"),
+            "y": str(data / "Y.csv"),
+            "method": "rowsum",
+            "threshold": "auto",
+            "kmeans": False,
+            "inlier_rate": 0.5,
+            "preprocess": "none",
+            "splits": 2,
+            "seed": 3,
+            "threads": 1,
+        }
+
+
+def reference_match_config(args) -> MatchConfig:
+    """The matcher-flag reading that predates the method-spec grammar, kept
+    as the oracle for ``cli._match_config``."""
+    aliases = {"eig": METHOD_EIGENVECTOR, "rowsum": METHOD_ROW_SUM}
+    method = aliases[args.method]
+    if args.threshold is not None and args.kmeans:
+        raise UsageError("--threshold and --kmeans are mutually exclusive")
+    if args.threshold is None and not args.kmeans:
+        raise UsageError("choose exactly one of --threshold or --kmeans")
+    threshold = None
+    if args.threshold is not None and args.threshold != "auto":
+        try:
+            threshold = float(args.threshold)
+        except ValueError:
+            raise UsageError(f"bad --threshold value: {args.threshold!r}") from None
+    if (
+        method == METHOD_ROW_SUM
+        and args.threshold == "auto"
+        and args.inlier_rate is None
+    ):
+        raise UsageError("bare --threshold with rowsum needs --inlier-rate")
+    try:
+        return MatchConfig(
+            method=method,
+            threshold=threshold,
+            use_two_means=args.kmeans,
+            inlier_rate=args.inlier_rate,
+            preprocess={
+                "none": PreprocessMode.NONE,
+                "cn": PreprocessMode.CENTER_NORMALIZE,
+            }[args.preprocess],
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def config_or_refusal(read, args):
+    try:
+        return read(args)
+    except UsageError:
+        return "exit 2"
+
+
+class TestMatcherFlags:
+    @pytest.mark.parametrize("method", ["eig", "rowsum"])
+    @pytest.mark.parametrize(
+        "branch",
+        [
+            "--kmeans",
+            "--threshold",
+            "--threshold 0.3",
+            "--threshold auto",
+            "--threshold inf",
+            "--threshold 0",
+            "--threshold=-1",
+            "--threshold nan",
+            "--threshold abc",
+            "--threshold=",
+            "--threshold kmeans",
+            "--threshold 0.5:x",
+            "--threshold 0.3 --kmeans",
+            "",
+        ],
+    )
+    def test_same_config_as_the_reference(self, method, branch):
+        for rate in ("", "--inlier-rate 0.8", "--inlier-rate 1.5"):
+            for rest in ("", "--preprocess none --seed 9"):
+                argv = f"match x y --method {method} {branch} {rate} {rest} --out o"
+                args = build_parser().parse_args(argv.split())
+                expected = config_or_refusal(reference_match_config, args)
+                assert config_or_refusal(_match_config, args) == expected, argv
+
+    @pytest.mark.parametrize("value", ["kmeans", "0.5:x"])
+    def test_spec_syntax_in_threshold_is_usage_error(self, tmp_path, capsys, value):
+        data, path_a, path_b = tmp_path / "data", *write_test_images(tmp_path)
+        assert run(f"gen --d 3 --n 20 --r 0.5 --out {data}".split()) == 0
+        match_inputs = f"match {data/'X.csv'} {data/'Y.csv'}"
+        for inputs in (match_inputs, f"imgdiff {path_a} {path_b}"):
+            out = tmp_path / "out"
+            argv = f"{inputs} --method eig --threshold {value} --out {out}"
+            assert run(argv.split()) == 2
+            assert "usage error: " in capsys.readouterr().err
+            assert not out.exists()
