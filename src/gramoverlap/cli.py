@@ -239,8 +239,11 @@ def _cmd_bench(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
     axis = args.sweep
+    if axis != "splits" and getattr(args, axis) is not None:
+        raise UsageError(f"--sweep {axis} takes --{axis}-grid, not --{axis}")
+    sigma2 = 0.0 if args.sigma2 is None else args.sigma2
     # The scenario fields a sweep holds fixed: r and sigma2, but its own axis.
-    fixed = {k: getattr(args, k) for k in ("r", "sigma2") if k != axis}
+    fixed = {k: v for k, v in (("r", args.r), ("sigma2", sigma2)) if k != axis}
     text = getattr(args, f"{axis}_grid")
     if text is None or ("r" in fixed and args.r is None):
         with_r = " and --r" if "r" in fixed else ""
@@ -402,7 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--r", type=float, default=None, help="fixed inlier fraction")
-    p.add_argument("--sigma2", type=float, default=0.0, help="fixed noise variance")
+    p.add_argument(
+        "--sigma2", type=float, default=None, help="fixed noise variance (default 0)"
+    )
     p.add_argument("--r-grid", default=None, help="comma list of inlier fractions")
     p.add_argument("--sigma2-grid", default=None, help="comma list of variances")
     p.add_argument("--splits-grid", default=None, help="comma list of shard counts")

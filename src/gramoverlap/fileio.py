@@ -46,6 +46,66 @@ def _bad_value(path, linenos, rows) -> str:
     return f"{path}: values could not be parsed"
 
 
+# The plain-decimal path needs x86-64's long double: x87 extended precision,
+# a 64-bit significand with an explicit leading bit in the first 8 bytes of a
+# 16-byte item.
+_X87_LONG_DOUBLE = (
+    np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
+)
+_PLAIN_BYTES = b"0123456789.eE+-,"
+_BLOCK_CHARS = 1 << 16
+_SMALLEST_NORMAL = np.finfo(np.float64).tiny
+
+
+def _plain_decimals(text: bytes, count: int):
+    """float64 values of ``count`` comma-separated plain decimal fields, or
+    None when the text must go through ``_parse_rows``.
+
+    glibc's ``strtold`` rounds each field to nearest at 64 significand bits,
+    and casting to float64 rounds again, to 53.  Every double and every
+    midpoint between two doubles is representable at 64 bits, so rounding
+    twice can differ from rounding once only for a value that lands exactly
+    on a midpoint: low 11 significand bits ``0b10000000000``.  Those fields
+    are converted again by ``float``, and so are those whose double is
+    subnormal or the smallest normal, where the cast keeps fewer than 53
+    bits or rounded up from below the normal range.
+    """
+    if not _X87_LONG_DOUBLE or text.translate(None, _PLAIN_BYTES):
+        return None
+    try:
+        wide = np.fromstring(text, dtype=np.longdouble, sep=",")
+    except ValueError:
+        return None
+    if wide.size != count:
+        return None
+    # A value beyond float64's range casts to inf, which the caller refuses.
+    with np.errstate(over="ignore"):
+        values = wide.astype(np.float64)
+    significand = wide.view(np.uint64)[::2]
+    redo = np.flatnonzero(
+        ((significand & 0x7FF) == 0x400)
+        | ((np.abs(values) <= _SMALLEST_NORMAL) & (significand != 0))
+    )
+    if redo.size:
+        fields = text.split(b",")
+        for k in redo.tolist():
+            values[k] = float(fields[k])
+    return values
+
+
+def _row_blocks(rows):
+    """``(start, stop)`` of consecutive rows holding about ``_BLOCK_CHARS``
+    characters of text each, at least one row a block."""
+    start = size = 0
+    for i, row in enumerate(rows):
+        if size and size + len(row) > _BLOCK_CHARS:
+            yield start, i
+            start, size = i, 0
+        size += len(row) + 1
+    if size:
+        yield start, len(rows)
+
+
 def read_matrix_csv(path) -> np.ndarray:
     """Parse a matrix CSV; one optional leading '#' header line is skipped.
 
@@ -55,9 +115,19 @@ def read_matrix_csv(path) -> np.ndarray:
     ``nan``/``inf``/``infinity`` in any case, with optional whitespace
     around it (numpy's ``loadtxt`` syntax; Python-only spellings such as
     ``1_0`` or non-ASCII digits are rejected).  Every value must be finite.
-    Line structure is checked line by line and the values are converted in
-    one ``np.loadtxt`` call; errors name ``path:line``, the first bad line
-    in file order.
+    Line structure is checked line by line; errors name ``path:line``, the
+    first bad line in file order.
+
+    The values are converted in blocks of about 64 KiB of text, each
+    correctly rounded as by ``float``.  A block of plain decimals (only the
+    bytes ``0-9.eE+-,``) is read as x87 long doubles with
+    ``np.fromstring``, cast to float64 and checked for double rounding (see
+    ``_plain_decimals``).  A block goes through ``np.loadtxt`` instead when
+    it holds whitespace, ``nan``/``inf``, hex or non-ASCII text, when its
+    value count is off (an empty field, a trailing comma, a malformed
+    number), and on every platform whose ``long double`` is not x87
+    extended precision.  ``np.loadtxt`` is also the only path that
+    reports a bad value.
     """
     path = Path(path)
     rows, linenos = [], []
@@ -80,13 +150,21 @@ def read_matrix_csv(path) -> np.ndarray:
         linenos.append(lineno)
     # The rows before a structural fault are converted first, so that a bad
     # value on an earlier line is the one reported.
-    try:
-        m = _parse_rows(rows) if rows else None
-    except ValueError:
-        raise ValueError(_bad_value(path, linenos, rows)) from None
+    m = np.empty((len(rows), width or 0))
+    for start, stop in _row_blocks(rows):
+        block = rows[start:stop]
+        values = _plain_decimals(",".join(block).encode(), len(block) * width)
+        if values is None:
+            try:
+                values = _parse_rows(block)
+            except ValueError:
+                raise ValueError(
+                    _bad_value(path, linenos[start:stop], block)
+                ) from None
+        m[start:stop] = values.reshape(stop - start, width)
     if fault is not None:
         raise ValueError(fault)
-    if m is None:
+    if not rows:
         raise ValueError(f"{path}: no data rows")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{path}: non-finite values")

@@ -402,6 +402,9 @@ class TestBench:
             "--sweep r --r-grid 0.5 --trials 0",
             "--sweep sigma2 --sigma2-grid 0 --r 0.5 --trials -3",
             "--sweep splits --splits-grid 1,2 --r 0.5 --trials 0",
+            # a fixed value for the swept field
+            "--sweep r --r-grid 0.5 --r 0.5 --trials 1",
+            "--sweep sigma2 --sigma2-grid 0 --r 0.5 --sigma2 0 --trials 1",
             "--sweep r --r-grid 0.5 --trials 1 --methods rowsum:kmeans,eig:zero",
             "--sweep sigma2 --sigma2-grid 0 --r 0.5 --trials 1 --methods what",
             "--sweep splits --splits-grid 1,2 --r 0.5 --trials 1 --method rowsum:-1",

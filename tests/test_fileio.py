@@ -1,11 +1,14 @@
 """File formats: exact CSV round trips, PPM parsing, manifests."""
 
+import functools
+import warnings
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gramoverlap import LabelPartition
+from gramoverlap import LabelPartition, fileio
 from gramoverlap.linalg import as_matrix
 from gramoverlap.fileio import (
     image_to_points,
@@ -358,6 +361,138 @@ class TestMatrixCsvFuzz:
         assert read_matrix_csv(path).shape == (1, 3)
         path.write_text("1\n2\n3\n")
         assert read_matrix_csv(path).shape == (3, 1)
+
+
+def _ulp_neighbours(d: float) -> tuple[Decimal, Decimal]:
+    """``d`` and the next double away from zero, exactly."""
+    return Decimal(d), Decimal(float(np.nextafter(d, np.copysign(np.inf, d))))
+
+
+@functools.cache
+def decimal_corpus() -> dict[str, list[str]]:
+    """Fields of the plain-decimal differential test, by case."""
+    rng = np.random.default_rng(14014)
+    big, tiny = np.finfo(np.float64).max, np.finfo(np.float64).tiny
+    exps = rng.integers(-1074, 1021, 600)
+    signs = rng.choice([-1, 1], exps.size)
+    doubles = np.ldexp(rng.uniform(0.5, 1.0, exps.size), exps) * signs
+    doubles = np.concatenate([
+        doubles,
+        np.ldexp(rng.random(200), rng.integers(-1074, -1022, 200)),  # subnormals
+        [5e-324, -5e-324, tiny, -tiny, np.nextafter(tiny, 0), big, -big],
+        [np.nextafter(big, 0), -np.nextafter(big, 0), 1.7976931348623155e308],
+    ])
+    cases = {"%.17g": ["%.17g" % v for v in doubles] + ["4.9e-324", "-4.9e-324"]}
+    cases["%.17g"] += ["1.7976931348623157e308", "-1.7976931348623157e308"]
+    cases["digits"] = [
+        f"{rng.choice(['', '-', '+'])}{rng.integers(1, 10)}."
+        + "".join(str(x) for x in rng.integers(0, 10, k - 1))
+        + f"e{rng.integers(-340, 300)}"
+        for k in range(1, 26)
+        for _ in range(40)
+    ]
+    near = [float(v) for v in doubles[:150]]
+    near += [tiny, -tiny, np.nextafter(tiny, 0), 5e-324, 1.0, 0.1, 2.0**53]
+    near += [np.nextafter(big, 0)]
+    # the last pair is the one between 0 and the smallest subnormal
+    pairs = [_ulp_neighbours(d) for d in near] + [(Decimal(0), Decimal(5e-324))]
+    with localcontext() as ctx:
+        ctx.prec = 2000
+        fields = []
+        for lo, hi in pairs:
+            mid = (lo + hi) / 2
+            step = (hi - lo) * Decimal("1e-12")
+            fields += [str(mid), str(mid + step), str(mid - step), str(-mid - step)]
+    cases["midpoints"] = fields
+    cases["zeros"] = ["-0", "0e999", "-0e999", "0", "0.0", "-0.0", "0e-999", "00.000e+5"]
+    return cases
+
+
+def csv_of(fields, width) -> str:
+    rows = [",".join(fields[i : i + width]) for i in range(0, len(fields), width)]
+    if len(rows) > 1 and rows[-1].count(",") != rows[0].count(","):
+        rows.pop()
+    return "\n".join(rows) + "\n"
+
+
+# Rows that strtold or numpy's fromstring would read, each with the field
+# that today's message names.
+PLAIN_PATH_REFUSALS = {
+    "3,0x1p3": (2, "0x1p3"),
+    "1e,4": (1, "1e"),
+    "1,,2": (2, ""),
+    "1,2,": (3, ""),
+    "5,\u0661": (2, "\u0661"),
+}
+
+
+class TestPlainDecimalPath:
+    @pytest.fixture(params=[True, False], ids=["x87", "loadtxt"])
+    def gate(self, request, monkeypatch):
+        if request.param and not fileio._X87_LONG_DOUBLE:
+            pytest.skip("long double is not x87 extended precision")
+        monkeypatch.setattr(fileio, "_X87_LONG_DOUBLE", request.param)
+
+    @pytest.mark.parametrize("case", ["%.17g", "digits", "midpoints", "zeros"])
+    @pytest.mark.parametrize("width", [1, 7, 300])
+    def test_same_bytes_as_the_line_by_line_reader(
+        self, tmp_path, gate, case, width
+    ):
+        path = tmp_path / "m.csv"
+        path.write_text(csv_of(decimal_corpus()[case], width))
+        expected = outcome(line_by_line_read_matrix_csv, path)
+        assert expected[0] == "ok"
+        assert outcome(read_matrix_csv, path) == expected
+
+    @pytest.mark.skipif(not fileio._X87_LONG_DOUBLE, reason="long double is not x87")
+    def test_midpoints_need_the_second_conversion(self):
+        """Casting the 64-bit value alone gets some of the corpus wrong."""
+        fields = decimal_corpus()["midpoints"]
+        wide = np.fromstring(",".join(fields), dtype=np.longdouble, sep=",")
+        cast = wide.astype(np.float64)
+        right = np.array([float(f) for f in fields])
+        assert (cast != right).sum() > 50
+
+    # the last is the midpoint between the largest double and 2**1024
+    @pytest.mark.parametrize(
+        "field", ["1.8e308", "-1.8e308", "1e99999", str(2**1024 - 2**970)]
+    )
+    def test_overflow_is_non_finite_without_a_warning(self, tmp_path, gate, field):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n" + f"3,{field}\n" * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^{path}: non-finite values$"):
+                read_matrix_csv(path)
+
+    @pytest.mark.skipif(not fileio._X87_LONG_DOUBLE, reason="long double is not x87")
+    def test_benchmark_shape_takes_the_plain_path(self, tmp_path, monkeypatch):
+        m = np.random.default_rng(50).standard_normal((50, 1000))
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, m)
+
+        def no_loadtxt(rows):
+            raise AssertionError("fell back to loadtxt")
+
+        monkeypatch.setattr(fileio, "_parse_rows", no_loadtxt)
+        assert read_matrix_csv(path).tobytes() == m.tobytes()
+
+    @pytest.mark.parametrize("bad", sorted(PLAIN_PATH_REFUSALS))
+    @pytest.mark.parametrize("bad_row", [0, 7000])
+    def test_refusals_keep_their_message(self, tmp_path, gate, bad, bad_row):
+        good = ",".join(["0.25"] * (bad.count(",") + 1))
+        # 8000 rows span several blocks: row 7000 lies in a later one
+        rows = [good] * 8000
+        rows[bad_row] = bad
+        path = tmp_path / "m.csv"
+        path.write_text("# header\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        col, field = PLAIN_PATH_REFUSALS[bad]
+        with pytest.raises(ValueError) as exc:
+            read_matrix_csv(path)
+        lineno = bad_row + 2
+        assert str(exc.value) == (
+            f"{path}:{lineno}: field {col} is not a number: {field!r}"
+        )
 
 
 def mutate(data: bytes, rng) -> bytes:
