@@ -13,7 +13,7 @@ per trial and charged to every method that reads it.
 
 import csv
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -47,36 +47,18 @@ SWEEP_COLUMNS = [
 _SUMMARY_STATS = ("error_g", "error_b", "error_w", "time_ms")
 
 DEFAULT_METHODS = ("eig:0.3", "eig:0.5", "eig:0.7", "eig:kmeans", "rowsum:kmeans")
+DEFAULT_SPLITS_METHOD = "rowsum:kmeans"
 
 _METHOD_PREFIXES = {"eig": METHOD_EIGENVECTOR, "rowsum": METHOD_ROW_SUM}
 
 
-@dataclass(frozen=True)
-class MethodSpec:
-    """One matcher variant in a sweep, e.g. 'eig:0.5' or 'rowsum:kmeans'.
+def parse_method(text: str) -> MatchConfig:
+    """The matcher a spec such as 'eig:0.5' or 'rowsum:kmeans' names.
 
     The branch token is either 'kmeans', a positive fixed threshold, or 'auto'
-    (fixed threshold derived from the true inlier rate of the sweep point).
+    (the built-in default threshold, which a sweep derives from the true
+    inlier rate of each grid point; see :func:`_at_rate`).
     """
-
-    label: str
-    method: str
-    threshold: float | None
-    use_two_means: bool
-    auto_threshold: bool
-
-    def config(self, preprocess: PreprocessMode, seed: int, r: float) -> MatchConfig:
-        return MatchConfig(
-            method=self.method,
-            threshold=self.threshold,
-            use_two_means=self.use_two_means,
-            inlier_rate=r if self.auto_threshold else None,
-            preprocess=preprocess,
-            seed=seed,
-        )
-
-
-def parse_method(text: str) -> MethodSpec:
     parts = text.split(":")
     if len(parts) != 2 or parts[0] not in _METHOD_PREFIXES:
         raise ValueError(
@@ -86,16 +68,22 @@ def parse_method(text: str) -> MethodSpec:
     method = _METHOD_PREFIXES[parts[0]]
     branch = parts[1]
     if branch == "kmeans":
-        return MethodSpec(text, method, None, True, False)
+        return MatchConfig(method)
     if branch == "auto":
-        return MethodSpec(text, method, None, False, True)
+        return MatchConfig(method, use_two_means=False)
     try:
-        value = float(branch)
+        return MatchConfig(method, threshold=float(branch), use_two_means=False)
     except ValueError:
         raise ValueError(f"bad threshold in method spec {text!r}") from None
-    if not value > 0:
-        raise ValueError(f"threshold must be positive in {text!r}")
-    return MethodSpec(text, method, value, False, False)
+
+
+def _at_rate(cfg: MatchConfig, r: float) -> MatchConfig:
+    """``cfg`` at a grid point of inlier rate ``r``: a config with neither a
+    threshold nor 2-means (an ``:auto`` spec) takes ``r`` as its inlier rate,
+    and any other is returned as it is."""
+    if cfg.threshold is None and not cfg.use_two_means:
+        return replace(cfg, inlier_rate=r)
+    return cfg
 
 
 def _summary_row(sweep: str, value, label: str, errs, times_ms) -> dict:
@@ -139,11 +127,11 @@ def _timed_ms(fn) -> float:
     return (time.perf_counter() - t0) * 1e3
 
 
-def _statistics_ms(h: OverlapMatrix, methods: list[MethodSpec]) -> dict:
-    """Compute (and cache) each statistic the methods read, timed per
+def _statistics_ms(h: OverlapMatrix, configs) -> dict:
+    """Compute (and cache) each statistic the configs read, timed per
     statistic name; a statistic that reads ``H`` forms it on first use, so
     its time carries the formation."""
-    needed = dict.fromkeys(_STATISTICS[m.method] for m in methods)
+    needed = dict.fromkeys(_STATISTICS[cfg.method] for cfg in configs)
     return {k: _timed_ms(getattr(h, k)) for k in needed}
 
 
@@ -152,30 +140,31 @@ def _run_grid_point(
     value,
     spec: ScenarioSpec,
     trials: int,
-    methods: list[MethodSpec],
+    methods: list[tuple[str, MatchConfig]],
     mode: PreprocessMode,
 ) -> list[dict]:
-    errs = {m.label: [] for m in methods}
-    times = {m.label: [] for m in methods}
-    # match reads neither the seed nor the preprocessing of its config, so
-    # one config per method serves every trial of the point.
-    configs = {m.label: m.config(mode, spec.seed, spec.r) for m in methods}
+    """Summary rows of one grid point; ``methods`` pairs each spec text,
+    the label of its rows, with its parsed config."""
+    errs = {label: [] for label, _ in methods}
+    times = {label: [] for label, _ in methods}
+    configs = {label: _at_rate(cfg, spec.r) for label, cfg in methods}
     for t in range(trials):
         trial = replace(spec, seed=derive_seed(spec.seed, t))
         pair = generate(trial)
         t0 = time.perf_counter()
         h = build_overlap(pair.x, pair.y, mode)
         build_ms = (time.perf_counter() - t0) * 1e3
-        stat_ms = _statistics_ms(h, methods)
-        for m in methods:
+        stat_ms = _statistics_ms(h, configs.values())
+        for label, _ in methods:
+            cfg = configs[label]
             t1 = time.perf_counter()
-            part, _ = match(h, configs[m.label])
+            part, _ = match(h, cfg)
             ms = (time.perf_counter() - t1) * 1e3
-            errs[m.label].append(error_rates(pair.inliers, part))
-            times[m.label].append(build_ms + stat_ms[_STATISTICS[m.method]] + ms)
+            errs[label].append(error_rates(pair.inliers, part))
+            times[label].append(build_ms + stat_ms[_STATISTICS[cfg.method]] + ms)
     return [
-        _summary_row(sweep, value, m.label, errs[m.label], times[m.label])
-        for m in methods
+        _summary_row(sweep, value, label, errs[label], times[label])
+        for label, _ in methods
     ]
 
 
@@ -189,9 +178,10 @@ def _run_sweep(
 ) -> list[dict]:
     """Rows of a sweep over the ``ScenarioSpec`` field ``axis``, which also
     names the sweep in each row; ``fixed`` holds the other fields.  Every
-    grid point's scenario is built before the first trial runs."""
+    method spec is parsed, and every grid point's scenario built, before the
+    first trial runs."""
     _check_trials(trials)
-    specs = [parse_method(m) if isinstance(m, str) else m for m in methods]
+    specs = [(text, parse_method(text)) for text in methods]
     points = [(value, ScenarioSpec(**fixed, **{axis: value})) for value in values]
     rows = []
     for value, base in points:
@@ -242,7 +232,7 @@ def run_splits_sweep(
     split_values,
     trials: int,
     seed: int,
-    method="rowsum:kmeans",
+    method=DEFAULT_SPLITS_METHOD,
     kind: str = "gaussian_outliers",
     sigma2: float = 0.0,
     preprocess: PreprocessMode = PreprocessMode.NONE,
@@ -256,7 +246,7 @@ def run_splits_sweep(
     scenario and every shard count are checked before the first trial runs.
     """
     _check_trials(trials)
-    spec = parse_method(method) if isinstance(method, str) else method
+    cfg = _at_rate(parse_method(method), r)
     base = ScenarioSpec(d=d, n=n, r=r, kind=kind, sigma2=sigma2, seed=seed)
     split_values = list(split_values)
     for s in split_values:
@@ -268,13 +258,13 @@ def run_splits_sweep(
         for t in range(trials):
             trial = replace(base, seed=derive_seed(seed, t))
             pair = generate(trial)
-            cfg = spec.config(preprocess, trial.seed, r)
             report = parallel_match(
-                pair.x, pair.y, s, cfg, max_workers=max_workers, backend="dense"
+                pair.x, pair.y, s, cfg, preprocess, trial.seed,
+                max_workers=max_workers, backend="dense",
             )
             errs.append(error_rates(pair.inliers, report.partition))
             times.append(report.total_time_ms)
-        rows.append(_summary_row("splits", s, spec.label, errs, times))
+        rows.append(_summary_row("splits", s, method, errs, times))
     return rows
 
 

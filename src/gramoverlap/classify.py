@@ -8,11 +8,12 @@ metrics compare a partition against ground truth.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateValuesError
-from .overlap import OverlapMatrix, PreprocessMode
+from .overlap import OverlapMatrix
 
 METHOD_EIGENVECTOR = "eigenvector"
 METHOD_ROW_SUM = "row_sum"
@@ -27,56 +28,39 @@ DEFAULT_EIG_THRESHOLD = 0.5
 TWO_MEANS_TIE_ULPS = 16
 
 
-@dataclass(frozen=True, eq=False)
 class LabelPartition:
-    """Disjoint cover of 0..n-1 into estimated inliers and outliers."""
+    """Split of 0..n-1 into estimated inliers and outliers, held as a copy of
+    a boolean inlier mask (read flattened); the sorted ``intp`` index arrays
+    are derived from it on first use."""
 
-    n: int
-    inliers: np.ndarray
-    outliers: np.ndarray
-
-    def __post_init__(self):
-        g = np.unique(np.asarray(self.inliers, dtype=np.intp))
-        b = np.unique(np.asarray(self.outliers, dtype=np.intp))
-        if g.size + b.size != self.n:
-            raise ValueError("partition does not cover 0..n-1 exactly once")
-        merged = np.concatenate([g, b])
-        merged.sort()
-        if not np.array_equal(merged, np.arange(self.n)):
-            raise ValueError("partition is not a disjoint cover of 0..n-1")
-        object.__setattr__(self, "inliers", g)
-        object.__setattr__(self, "outliers", b)
-
-    @classmethod
-    def from_inlier_mask(cls, mask) -> "LabelPartition":
-        """Partition whose inliers are the set entries of a boolean mask.
-
-        The nonzero indices of the flattened mask and of its complement are
-        sorted and form a disjoint cover of 0..n-1 by construction, so the
-        validation of the constructor is skipped here.
-        """
-        mask = np.asarray(mask, dtype=bool).ravel()
-        part = object.__new__(cls)
-        object.__setattr__(part, "n", mask.size)
-        object.__setattr__(part, "inliers", mask.nonzero()[0])
-        object.__setattr__(part, "outliers", (~mask).nonzero()[0])
-        return part
+    def __init__(self, inlier_mask):
+        self._mask = np.array(inlier_mask, dtype=bool).ravel()
 
     @classmethod
     def from_inliers(cls, n: int, inliers) -> "LabelPartition":
         mask = np.zeros(n, dtype=bool)
         mask[np.asarray(inliers, dtype=np.intp)] = True
-        return cls.from_inlier_mask(mask)
+        return cls(mask)
+
+    @property
+    def n(self) -> int:
+        return self._mask.size
+
+    @cached_property
+    def inliers(self) -> np.ndarray:
+        return self._mask.nonzero()[0]
+
+    @cached_property
+    def outliers(self) -> np.ndarray:
+        return (~self._mask).nonzero()[0]
 
     def inlier_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n, dtype=bool)
-        mask[self.inliers] = True
-        return mask
+        return self._mask.copy()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabelPartition):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.inliers, other.inliers)
+        return np.array_equal(self._mask, other._mask)
 
 
 @dataclass(frozen=True)
@@ -86,17 +70,12 @@ class MatchConfig:
     ``threshold`` and ``use_two_means`` are mutually exclusive; with neither a
     fixed default threshold is used (t = 0.5 for the eigenvector rule, and the
     row-sum rule derives T = d*(r*n+1)/2 from ``inlier_rate``).
-    ``preprocess`` and ``seed`` are read by the entry points that build the
-    overlap (the CLI and :func:`~gramoverlap.parallel.parallel_match`), not
-    by :func:`match`, which classifies an overlap that is already built.
     """
 
     method: str = METHOD_ROW_SUM
     threshold: float | None = None
     use_two_means: bool = True
     inlier_rate: float | None = None
-    preprocess: PreprocessMode = PreprocessMode.CENTER_NORMALIZE
-    seed: int = 0
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -108,7 +87,6 @@ class MatchConfig:
                 raise ValueError("threshold must be positive")
         if self.inlier_rate is not None and not 0 < self.inlier_rate < 1:
             raise ValueError("inlier_rate must be in (0, 1)")
-        object.__setattr__(self, "preprocess", PreprocessMode(self.preprocess))
 
 
 @dataclass
@@ -197,7 +175,7 @@ def two_means_1d(values) -> tuple[LabelPartition, tuple[float, float]]:
     high = float(np.add.reduce(s[k:]) / (n - k))
     mask = np.zeros(n, dtype=bool)
     mask[order[k:]] = True
-    return LabelPartition.from_inlier_mask(mask), (low, high)
+    return LabelPartition(mask), (low, high)
 
 
 def _classify_stat(
@@ -216,13 +194,13 @@ def _classify_stat(
                 "statistic is constant; no cluster split exists; labeling all "
                 "points as outliers"
             )
-            return LabelPartition.from_inlier_mask(np.zeros(stat.size, dtype=bool))
+            return LabelPartition(np.zeros(stat.size, dtype=bool))
         diag.centroids = centroids
         diag.centroid_gap = centroids[1] - centroids[0]
         return partition
     diag.branch = "threshold"
     diag.threshold = cut
-    return LabelPartition.from_inlier_mask(stat >= cut)
+    return LabelPartition(stat >= cut)
 
 
 def eigenvector_match(

@@ -8,6 +8,7 @@ options needed to regenerate them (timing fields excluded).
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +71,7 @@ def _add_match_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _method_spec(text: str) -> bench.MethodSpec:
+def _parse_method(text: str) -> MatchConfig:
     try:
         return bench.parse_method(text)
     except ValueError as exc:
@@ -79,7 +80,8 @@ def _method_spec(text: str) -> bench.MethodSpec:
 
 def _match_config(args) -> MatchConfig:
     """The matcher flags read as the ``bench`` method spec ``M:kmeans``
-    (``--kmeans``), ``M:auto`` (bare ``--threshold``) or ``M:V``."""
+    (``--kmeans``), ``M:auto`` (bare ``--threshold``) or ``M:V``, with
+    ``--inlier-rate`` as its inlier rate."""
     if args.threshold is not None and args.kmeans:
         raise UsageError("--threshold and --kmeans are mutually exclusive")
     if args.threshold is None and not args.kmeans:
@@ -87,22 +89,11 @@ def _match_config(args) -> MatchConfig:
     if args.threshold == "kmeans":
         raise UsageError(f"bad --threshold value: {args.threshold!r}")
     branch = "kmeans" if args.kmeans else args.threshold
-    spec = _method_spec(f"{args.method}:{branch}")
-    if (
-        spec.method == METHOD_ROW_SUM
-        and spec.auto_threshold
-        and args.inlier_rate is None
-    ):
+    cfg = _parse_method(f"{args.method}:{branch}")
+    if cfg.method == METHOD_ROW_SUM and branch == "auto" and args.inlier_rate is None:
         raise UsageError("bare --threshold with rowsum needs --inlier-rate")
     try:
-        return MatchConfig(
-            method=spec.method,
-            threshold=spec.threshold,
-            use_two_means=spec.use_two_means,
-            inlier_rate=args.inlier_rate,
-            preprocess=_PREPROCESS_ALIASES[args.preprocess],
-            seed=args.seed,
-        )
+        return replace(cfg, inlier_rate=args.inlier_rate)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -171,13 +162,10 @@ def _cmd_gen(args) -> int:
 # --- match ---
 
 
-def _diagnostics_payload(cfg: MatchConfig, splits: int, diag=None, report=None) -> dict:
-    payload = {
-        "method": cfg.method,
-        "preprocess": cfg.preprocess.value,
-        "splits": splits,
-        "seed": cfg.seed,
-    }
+def _diagnostics_payload(
+    cfg: MatchConfig, mode: PreprocessMode, splits: int, diag=None, report=None
+) -> dict:
+    payload = {"method": cfg.method, "preprocess": mode.value, "splits": splits}
     if report is None:
         payload.update(diag.to_dict())
     else:
@@ -191,23 +179,29 @@ def _diagnostics_payload(cfg: MatchConfig, splits: int, diag=None, report=None) 
 
 def _cmd_match(args) -> int:
     cfg = _match_config(args)
+    mode = _PREPROCESS_ALIASES[args.preprocess]
     if args.splits < 1:
         raise UsageError("--splits must be at least 1")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     _check_threads(args)
     x = fileio.read_matrix_csv(args.x)
     y = fileio.read_matrix_csv(args.y)
 
     if args.splits == 1:
         t0 = time.perf_counter()
-        h = build_overlap(x, y, cfg.preprocess)
+        h = build_overlap(x, y, mode)
         partition, diag = match(h, cfg)
         wall_ms = (time.perf_counter() - t0) * 1e3
-        payload = _diagnostics_payload(cfg, 1, diag=diag)
+        payload = _diagnostics_payload(cfg, mode, 1, diag=diag)
     else:
-        report = parallel_match(x, y, args.splits, cfg, max_workers=args.threads)
+        report = parallel_match(
+            x, y, args.splits, cfg, mode, args.seed, max_workers=args.threads
+        )
         partition = report.partition
         wall_ms = report.total_time_ms
-        payload = _diagnostics_payload(cfg, args.splits, report=report)
+        payload = _diagnostics_payload(cfg, mode, args.splits, report=report)
+    payload["seed"] = args.seed
     payload["n_estimated_inliers"] = int(partition.inliers.size)
     payload["wall_time_ms"] = wall_ms
 
@@ -234,13 +228,23 @@ def _cmd_eval(args) -> int:
 # --- bench ---
 
 
+# The bench flags that a sweep refuses: another sweep's grid or matcher
+# flags, and a fixed value for its own axis.
+_FOREIGN_BENCH_FLAGS = {
+    "r": ("r", "sigma2_grid", "splits_grid", "threads", "method"),
+    "sigma2": ("sigma2", "r_grid", "splits_grid", "threads", "method"),
+    "splits": ("r_grid", "sigma2_grid", "methods"),
+}
+
+
 def _cmd_bench(args) -> int:
     _check_threads(args)
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
     axis = args.sweep
-    if axis != "splits" and getattr(args, axis) is not None:
-        raise UsageError(f"--sweep {axis} takes --{axis}-grid, not --{axis}")
+    for dest in _FOREIGN_BENCH_FLAGS[axis]:
+        if getattr(args, dest) is not None:
+            raise UsageError(f"--sweep {axis} takes no --{dest.replace('_', '-')}")
     sigma2 = 0.0 if args.sigma2 is None else args.sigma2
     # The scenario fields a sweep holds fixed: r and sigma2, but its own axis.
     fixed = {k: v for k, v in (("r", args.r), ("sigma2", sigma2)) if k != axis}
@@ -260,20 +264,25 @@ def _cmd_bench(args) -> int:
     }
     if axis == "splits":
         grid = _parse_list(text, int, "integer")
-        matcher = {
-            "method": _method_spec(args.single_method),
-            "max_workers": args.threads,
-        }
+        method = bench.DEFAULT_SPLITS_METHOD if args.method is None else args.method
+        specs = [method]
+        matcher = {"method": method, "max_workers": args.threads}
         points = [fixed]
-        options["method"] = args.single_method
+        options["method"] = method
     else:
         grid = _parse_list(text, float, "numeric")
-        matcher = {"methods": [_method_spec(m) for m in args.methods.split(",")]}
+        methods = args.methods
+        if methods is None:
+            methods = ",".join(bench.DEFAULT_METHODS)
+        specs = methods.split(",")
+        matcher = {"methods": specs}
         points = [{**fixed, axis: value} for value in grid]
-        options["methods"] = args.methods
+        options["methods"] = methods
+    for spec in specs:
+        _parse_method(spec)
     try:
         for point in points:
-            ScenarioSpec(d=args.d, n=args.n, kind=args.kind, **point)
+            ScenarioSpec(d=args.d, n=args.n, kind=args.kind, seed=args.seed, **point)
         if axis == "splits":
             for s in grid:
                 check_shard_count(args.n, s)
@@ -308,6 +317,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_imgdiff(args) -> int:
     cfg = _match_config(args)
+    mode = _PREPROCESS_ALIASES[args.preprocess]
     img_a = fileio.read_ppm(args.image_a)
     img_b = fileio.read_ppm(args.image_b)
     if img_a.shape != img_b.shape:
@@ -331,7 +341,7 @@ def _cmd_imgdiff(args) -> int:
         points_a = fileio.image_to_points(img_a)
         points_b = fileio.image_to_points(img_b)
         t0 = time.perf_counter()
-        h = build_overlap(points_a, points_b, cfg.preprocess)
+        h = build_overlap(points_a, points_b, mode)
         partition, diag = match(h, cfg)
         wall_ms = (time.perf_counter() - t0) * 1e3
         highlighted = partition.outliers
@@ -342,7 +352,7 @@ def _cmd_imgdiff(args) -> int:
             "n_highlighted": int(highlighted.size),
             "wall_time_ms": wall_ms,
         }
-        payload.update(_diagnostics_payload(cfg, 1, diag=diag))
+        payload.update(_diagnostics_payload(cfg, mode, 1, diag=diag))
         payload["n_estimated_inliers"] = int(partition.inliers.size)
 
     flat = mask_img.reshape(-1, 3)
@@ -413,14 +423,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--splits-grid", default=None, help="comma list of shard counts")
     p.add_argument(
         "--methods",
-        default=",".join(bench.DEFAULT_METHODS),
-        help="comma list like eig:0.5,eig:kmeans,rowsum:kmeans",
+        default=None,
+        help="comma list like eig:0.5,eig:kmeans,rowsum:kmeans, for the r and "
+        f"sigma2 sweeps (default {','.join(bench.DEFAULT_METHODS)})",
     )
     p.add_argument(
         "--method",
-        dest="single_method",
-        default="rowsum:kmeans",
-        help="method for the splits sweep",
+        default=None,
+        help=f"method for the splits sweep (default {bench.DEFAULT_SPLITS_METHOD})",
     )
     p.add_argument(
         "--kind",
@@ -438,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("image_a", metavar="A.ppm")
     p.add_argument("image_b", metavar="B.ppm")
     _add_match_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_imgdiff)
 

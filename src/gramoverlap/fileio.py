@@ -177,6 +177,13 @@ def write_labels(path, indices) -> None:
     Path(path).write_text("".join(f"{i}\n" for i in idx))
 
 
+def _index(text: str) -> int:
+    """An index field's value: ASCII decimal digits only, unlike ``int``."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def read_labels(path) -> np.ndarray:
     path = Path(path)
     values = []
@@ -185,15 +192,13 @@ def read_labels(path) -> np.ndarray:
         if not line:
             continue
         try:
-            value = int(line)
+            value = _index(line)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: not an integer: {line!r}") from None
-        if abs(value) > np.iinfo(np.intp).max:
+        if value > np.iinfo(np.intp).max:
             raise ValueError(f"{path}:{lineno}: index out of range: {line!r}")
         values.append(value)
     idx = np.asarray(sorted(values), dtype=np.intp)
-    if idx.size and idx[0] < 0:
-        raise ValueError(f"{path}: negative index")
     if np.unique(idx).size != idx.size:
         raise ValueError(f"{path}: duplicate indices")
     return idx
@@ -217,7 +222,7 @@ def read_partition_csv(path) -> LabelPartition:
         if len(parts) != 2 or parts[1] not in ("G", "B"):
             raise ValueError(f"{path}:{lineno}: expected 'index,G|B', got {line!r}")
         try:
-            i = int(parts[0])
+            i = _index(parts[0])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: bad index {parts[0]!r}") from None
         if i in entries:
@@ -229,7 +234,7 @@ def read_partition_csv(path) -> LabelPartition:
     if sorted(entries) != list(range(n)):
         raise ValueError(f"{path}: indices must cover 0..{n - 1} exactly once")
     mask = np.array([entries[i] == "G" for i in range(n)])
-    return LabelPartition.from_inlier_mask(mask)
+    return LabelPartition(mask)
 
 
 # --- binary PPM (P6, maxval 255) ---

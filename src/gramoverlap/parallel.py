@@ -57,9 +57,12 @@ def check_shard_count(n: int, s: int) -> None:
 def make_split(n: int, s: int, seed: int) -> SplitPlan:
     """Uniformly random balanced split of 0..n-1 into s shards.
 
-    Requires 1 <= s <= n/2 (see :func:`check_shard_count`).
+    Requires 1 <= s <= n/2 (see :func:`check_shard_count`) and a
+    non-negative ``seed``.
     """
     check_shard_count(n, s)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     perm = rng.permutation(n)
     base, extra = divmod(n, s)
@@ -131,23 +134,26 @@ def resolve_workers(requested: int | None, s: int) -> int:
 
 
 def parallel_match(
-    x, y, s: int, cfg: MatchConfig, max_workers: int | None = None, backend=None
+    x, y, s: int, cfg: MatchConfig, mode=PreprocessMode.CENTER_NORMALIZE, seed=0,
+    max_workers: int | None = None, backend=None,
 ) -> ParallelReport:
-    """Match a paired point set by splitting it into s shards.
+    """Match a paired point set by splitting it into s shards drawn from
+    ``seed`` (see :func:`make_split`).
 
     Shard results are merged by original index, so the outcome does not depend
     on scheduling.  Degenerate-clustering fallbacks inside a shard surface as
-    warnings, not errors.  The inputs are checked and preprocessed once, as
-    :func:`build_overlap` does; each shard passes its columns of the factors
-    and ``backend`` to :func:`build_overlap`, with no further preprocessing.
+    warnings, not errors.  The inputs are checked and preprocessed once under
+    ``mode``, as :func:`build_overlap` does; each shard passes its columns of
+    the factors and ``backend`` to :func:`build_overlap`, with no further
+    preprocessing.
     The shards share a pool of up to ``max_workers`` threads (see
     :func:`resolve_workers`) only when one of them forms ``H``; otherwise
     they run in order on the calling thread.
     """
     t_start = time.perf_counter()
-    xp, yp = _preprocessed_pair(x, y, cfg.preprocess)
+    xp, yp = _preprocessed_pair(x, y, mode)
     n = xp.shape[1]
-    plan = make_split(n, s, cfg.seed)
+    plan = make_split(n, s, seed)
 
     def run_shard(j: int):
         idx = plan.shards[j]
@@ -171,7 +177,7 @@ def parallel_match(
         inlier_mask[plan.shards[j][part.inliers]] = True
     total_ms = (time.perf_counter() - t_start) * 1e3
     return ParallelReport(
-        partition=LabelPartition.from_inlier_mask(inlier_mask),
+        partition=LabelPartition(inlier_mask),
         plan=plan,
         shard_times_ms=[ms for _, _, ms in results],
         total_time_ms=total_ms,

@@ -49,6 +49,8 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.d < 1:
             raise ValueError("d must be at least 1")
         if self.n < 2:

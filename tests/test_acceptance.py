@@ -106,7 +106,6 @@ def test_criterion_2_exact_recovery():
         method="row_sum",
         threshold=threshold,
         use_two_means=False,
-        preprocess=PreprocessMode.NONE,
     )
     t0 = time.perf_counter()
     zero_miss = 0
@@ -173,7 +172,6 @@ def test_criterion_4_eigenvector_weak_recovery():
         method="eigenvector",
         threshold=0.5,
         use_two_means=False,
-        preprocess=PreprocessMode.NONE,
     )
     t0 = time.perf_counter()
     means = []
@@ -316,9 +314,11 @@ def test_criterion_7_parallel_consistency():
 
     # determinism: identical partitions across repeated runs and worker counts
     pair = generate(ScenarioSpec(d=50, n=4000, r=0.8, seed=derive_seed(70707, 0)))
-    cfg = MatchConfig(method="row_sum", preprocess=PreprocessMode.NONE, seed=70707)
+    cfg = MatchConfig(method="row_sum")
     parts = [
-        parallel_match(pair.x, pair.y, 4, cfg, max_workers=w).partition
+        parallel_match(
+            pair.x, pair.y, 4, cfg, PreprocessMode.NONE, 70707, max_workers=w
+        ).partition
         for w in (1, 2, 2)
     ]
     ok &= parts[0] == parts[1] == parts[2]
@@ -481,44 +481,36 @@ def test_criterion_9_cli_end_to_end(tmp_path):
     cases = [
         (
             "--method eig --threshold 0.5 --preprocess cn",
-            MatchConfig(
-                method="eigenvector",
-                threshold=0.5,
-                use_two_means=False,
-                preprocess=PreprocessMode.CENTER_NORMALIZE,
-            ),
+            PreprocessMode.CENTER_NORMALIZE,
+            MatchConfig(method="eigenvector", threshold=0.5, use_two_means=False),
         ),
         (
             "--method eig --kmeans --preprocess cn",
-            MatchConfig(
-                method="eigenvector", preprocess=PreprocessMode.CENTER_NORMALIZE
-            ),
+            PreprocessMode.CENTER_NORMALIZE,
+            MatchConfig(method="eigenvector"),
         ),
         (
             f"--method rowsum --threshold {raw_threshold} --preprocess none",
-            MatchConfig(
-                method="row_sum",
-                threshold=raw_threshold,
-                use_two_means=False,
-                preprocess=PreprocessMode.NONE,
-            ),
+            PreprocessMode.NONE,
+            MatchConfig(method="row_sum", threshold=raw_threshold, use_two_means=False),
         ),
         (
             "--method rowsum --kmeans --preprocess cn",
-            MatchConfig(method="row_sum", preprocess=PreprocessMode.CENTER_NORMALIZE),
+            PreprocessMode.CENTER_NORMALIZE,
+            MatchConfig(method="row_sum"),
         ),
     ]
     import io
     from contextlib import redirect_stdout
 
-    for i, (flags, cfg) in enumerate(cases):
+    for i, (flags, mode, cfg) in enumerate(cases):
         out = tmp_path / f"m{i}"
         code = run_cli(
             f"match {data/'X.csv'} {data/'Y.csv'} {flags} --out {out}".split()
         )
         ok &= code == 0
         cli_part = read_partition_csv(out / "partition.csv")
-        h = build_overlap(x, y, cfg.preprocess)
+        h = build_overlap(x, y, mode)
         module_part, _ = match(h, cfg)
         ok &= cli_part == module_part
         buffer = io.StringIO()

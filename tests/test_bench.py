@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from gramoverlap import ErrorReport, PreprocessMode, bench, linalg
+from gramoverlap import ErrorReport, bench, linalg
 from gramoverlap.bench import (
     DEFAULT_METHODS,
     SWEEP_COLUMNS,
@@ -25,7 +25,7 @@ class TestParseMethod:
         m = parse_method("rowsum:kmeans")
         assert m.method == "row_sum" and m.use_two_means
         m = parse_method("rowsum:auto")
-        assert m.auto_threshold and m.threshold is None
+        assert not m.use_two_means and m.threshold is None
 
     def test_rejects_garbage(self):
         for text in ("what", "eig", "eig:zero", "rowsum:-1", "foo:0.5"):
@@ -33,7 +33,7 @@ class TestParseMethod:
                 parse_method(text)
 
     def test_auto_config_carries_rate(self):
-        cfg = parse_method("rowsum:auto").config(PreprocessMode.NONE, seed=1, r=0.25)
+        cfg = bench._at_rate(parse_method("rowsum:auto"), r=0.25)
         assert cfg.inlier_rate == 0.25 and not cfg.use_two_means
 
 

@@ -350,7 +350,6 @@ class TestEigenvectorMatch:
             method="eigenvector",
             threshold=0.5,
             use_two_means=False,
-            preprocess=PreprocessMode.NONE,
         )
         hits = 0
         for trial in range(10):
@@ -428,7 +427,7 @@ class TestRowSumMatch:
         pair = generate(
             ScenarioSpec(d=3, n=400, r=0.7, kind="gaussian_outliers", seed=808)
         )
-        cfg = MatchConfig(method="row_sum", preprocess=PreprocessMode.NONE)
+        cfg = MatchConfig(method="row_sum")
         ref, _ = row_sum_match(build_overlap(pair.x, pair.y, "none"), cfg)
         small = build_overlap(np.ldexp(pair.x, -10), np.ldexp(pair.y, -10), "none")
         part, diag = row_sum_match(small, cfg)
@@ -592,7 +591,7 @@ class TestErrorRates:
         cases = []
         for _ in range(300):
             n = int(rng.integers(2, 40))
-            part = LabelPartition.from_inlier_mask(rng.random(n) < rng.random())
+            part = LabelPartition(rng.random(n) < rng.random())
             # unsorted, with duplicates, sometimes empty or covering 0..n-1,
             # sometimes reaching one past either end
             truth = rng.integers(-1, n + 1, size=int(rng.integers(0, 2 * n)))
@@ -629,32 +628,31 @@ class TestErrorRates:
 
 
 class TestLabelPartition:
-    def test_disjoint_cover_enforced(self):
-        with pytest.raises(ValueError):
-            LabelPartition(n=3, inliers=np.array([0, 1]), outliers=np.array([1, 2]))
-        with pytest.raises(ValueError):
-            LabelPartition(n=3, inliers=np.array([0]), outliers=np.array([2]))
-
-    def test_mask_construction_equals_validated_construction(self):
+    def test_a_2d_mask_is_read_flattened(self):
         rng = np.random.default_rng(100)
         for _ in range(100):
-            n = int(rng.integers(1, 200))
+            n = 2 * int(rng.integers(1, 100))
             mask = rng.random(n) < rng.random()
-            fast = LabelPartition.from_inlier_mask(mask)
-            checked = LabelPartition(
-                n=n,
-                inliers=np.flatnonzero(mask)[::-1],
-                outliers=rng.permutation(np.flatnonzero(~mask)),
-            )
-            assert fast.n == checked.n == n
-            for side in ("inliers", "outliers"):
-                a, b = getattr(fast, side), getattr(checked, side)
-                assert a.dtype == b.dtype and np.array_equal(a, b)
-            if n % 2 == 0:  # a 2-D mask is read flattened
-                assert LabelPartition.from_inlier_mask(mask.reshape(2, -1)) == fast
+            part = LabelPartition(mask.reshape(2, -1))
+            assert part == LabelPartition(mask) and part.n == n
+            assert np.array_equal(part.inliers, np.flatnonzero(mask))
+            assert np.array_equal(part.outliers, np.flatnonzero(~mask))
+
+    def test_indices_have_dtype_intp(self):
+        for mask in ([], [True], [False, True, False], np.ones((3, 4), dtype=bool)):
+            part = LabelPartition(mask)
+            assert part.inliers.dtype == part.outliers.dtype == np.intp
+
+    def test_owns_its_mask(self):
+        mask = np.array([True, False, True])
+        part = LabelPartition(mask)
+        mask[1] = True
+        part.inlier_mask()[0] = False
+        assert np.array_equal(part.inliers, [0, 2])
+        assert np.array_equal(part.outliers, [1])
 
     def test_round_trips(self):
         part = LabelPartition.from_inliers(5, [4, 0])
         assert np.array_equal(part.inliers, [0, 4])
         assert np.array_equal(part.outliers, [1, 2, 3])
-        assert part == LabelPartition.from_inlier_mask(part.inlier_mask())
+        assert part == LabelPartition(part.inlier_mask())

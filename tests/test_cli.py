@@ -86,7 +86,14 @@ class TestGen:
 
     @pytest.mark.parametrize(
         "flags",
-        ["--r inf", "--r=-inf", "--r nan", "--r 0.5 --sigma2 nan", "--r 0.5 --sigma2 inf"],
+        [
+            "--r inf",
+            "--r=-inf",
+            "--r nan",
+            "--r 0.5 --sigma2 nan",
+            "--r 0.5 --sigma2 inf",
+            "--r 0.5 --seed -1",
+        ],
     )
     def test_non_finite_values_are_usage_errors(self, tmp_path, capsys, flags):
         out = tmp_path / "x"
@@ -135,19 +142,16 @@ class TestMatch:
         data = self.make_instance(tmp_path, seed=12)
         x = read_matrix_csv(data / "X.csv")
         y = read_matrix_csv(data / "Y.csv")
-        for flags, cfg in [
+        for flags, mode, cfg in [
             (
                 "--method rowsum --kmeans --preprocess none",
-                MatchConfig(method="row_sum", preprocess=PreprocessMode.NONE),
+                PreprocessMode.NONE,
+                MatchConfig(method="row_sum"),
             ),
             (
                 "--method eig --threshold 0.7 --preprocess cn",
-                MatchConfig(
-                    method="eigenvector",
-                    threshold=0.7,
-                    use_two_means=False,
-                    preprocess=PreprocessMode.CENTER_NORMALIZE,
-                ),
+                PreprocessMode.CENTER_NORMALIZE,
+                MatchConfig(method="eigenvector", threshold=0.7, use_two_means=False),
             ),
         ]:
             out = tmp_path / ("m" + flags.replace(" ", ""))
@@ -155,9 +159,25 @@ class TestMatch:
                 f"match {data/'X.csv'} {data/'Y.csv'} {flags} --out {out}".split()
             )
             assert code == 0
-            h = build_overlap(x, y, cfg.preprocess)
+            h = build_overlap(x, y, mode)
             expected, _ = match(h, cfg)
             assert read_partition_csv(out / "partition.csv") == expected
+
+    @pytest.mark.parametrize("splits", [1, 2])
+    def test_negative_seed_is_usage_error_before_input(self, tmp_path, capsys, splits):
+        # missing inputs would exit 1 if they were read
+        missing = f"match {tmp_path/'X.csv'} {tmp_path/'Y.csv'}"
+        data = self.make_instance(tmp_path, n=40, r=0.5, d=5)
+        present = f"match {data/'X.csv'} {data/'Y.csv'}"
+        for inputs, seed, code in ((missing, -1, 2), (present, 0, 0)):
+            out = tmp_path / f"m{seed}"
+            argv = (
+                f"{inputs} --method rowsum --kmeans --splits {splits} "
+                f"--seed {seed} --threads 1 --out {out}"
+            )
+            assert run(argv.split()) == code
+            assert out.exists() == (code == 0)
+        assert "usage error: --seed must be non-negative" in capsys.readouterr().err
 
     def test_splits_route_matches_single(self, tmp_path):
         data = self.make_instance(tmp_path, seed=13, n=200, r=0.9)
@@ -174,10 +194,10 @@ class TestMatch:
 
         x = read_matrix_csv(data / "X.csv")
         y = read_matrix_csv(data / "Y.csv")
-        cfg = MatchConfig(
-            method="row_sum", preprocess=PreprocessMode.CENTER_NORMALIZE, seed=5
-        )
-        expected = parallel_match(x, y, 2, cfg, max_workers=2).partition
+        cfg = MatchConfig(method="row_sum")
+        expected = parallel_match(
+            x, y, 2, cfg, PreprocessMode.CENTER_NORMALIZE, 5, max_workers=2
+        ).partition
         assert read_partition_csv(out2 / "partition.csv") == expected
 
     def test_diagnostics_give_the_shard_workers(self, tmp_path):
@@ -356,7 +376,7 @@ class TestEval:
         assert run(["eval", str(part), str(labels)]) == 0
         from gramoverlap import LabelPartition
 
-        rep = error_rates(truth, LabelPartition.from_inlier_mask(mask))
+        rep = error_rates(truth, LabelPartition(mask))
         expected = f"{rep.error_g:.6f},{rep.error_b:.6f},{rep.error_w:.6f}"
         assert capsys.readouterr().out.strip() == expected
 
@@ -390,6 +410,17 @@ class TestBench:
         )
         assert code == 0
         assert (out / "sweep_splits.csv").exists()
+
+    def test_default_methods_are_recorded(self, tmp_path):
+        for sweep, key, value in (
+            ("--sweep r --r-grid 0.5", "methods", ",".join(bench.DEFAULT_METHODS)),
+            ("--sweep splits --splits-grid 1 --r 0.5", "method", "rowsum:kmeans"),
+        ):
+            out = tmp_path / key
+            code = run(f"bench {sweep} --d 4 --n 20 --trials 1 --out {out}".split())
+            assert code == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["options"][key] == value
 
     def test_missing_grid_is_usage_error(self, tmp_path):
         code = run(f"bench --sweep r --d 6 --n 40 --out {tmp_path/'b'}".split())
@@ -426,6 +457,22 @@ class TestBench:
             "--sweep r --r-grid 0.5,0.975 --trials 1",
             "--sweep sigma2 --sigma2-grid 0 --r 0.975 --trials 1",
             "--sweep splits --splits-grid 1 --r 0.975 --trials 1",
+            # a flag that only another sweep reads
+            "--sweep r --r-grid 0.5 --trials 1 --sigma2-grid 0",
+            "--sweep r --r-grid 0.5 --trials 1 --splits-grid 1",
+            "--sweep sigma2 --sigma2-grid 0 --r 0.5 --trials 1 --r-grid 0.5",
+            "--sweep sigma2 --sigma2-grid 0 --r 0.5 --trials 1 --splits-grid 1",
+            "--sweep splits --splits-grid 1 --r 0.5 --trials 1 --r-grid 0.5",
+            "--sweep splits --splits-grid 1 --r 0.5 --trials 1 --sigma2-grid 0",
+            "--sweep r --r-grid 0.5 --trials 1 --threads 1",
+            "--sweep sigma2 --sigma2-grid 0 --r 0.5 --trials 1 --threads 2",
+            "--sweep r --r-grid 0.5 --trials 1 --method rowsum:kmeans",
+            "--sweep sigma2 --sigma2-grid 0 --r 0.5 --trials 1 --method eig:0.5",
+            "--sweep splits --splits-grid 1 --r 0.5 --trials 1 --methods eig:0.5",
+            # a negative seed
+            "--sweep r --r-grid 0.5 --trials 1 --seed -1",
+            "--sweep sigma2 --sigma2-grid 0 --r 0.5 --trials 1 --seed -1",
+            "--sweep splits --splits-grid 1 --r 0.5 --trials 1 --seed -1",
         ],
     )
     def test_bad_flag_values_are_usage_errors(
@@ -717,11 +764,6 @@ def reference_match_config(args) -> MatchConfig:
             threshold=threshold,
             use_two_means=args.kmeans,
             inlier_rate=args.inlier_rate,
-            preprocess={
-                "none": PreprocessMode.NONE,
-                "cn": PreprocessMode.CENTER_NORMALIZE,
-            }[args.preprocess],
-            seed=args.seed,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None

@@ -80,7 +80,7 @@ class TestWritersMatchTheParentWriters:
         masks = [np.zeros(0, bool), [True], [False], np.ones(7, bool), np.zeros(7, bool)]
         masks += [rng.random(int(rng.integers(1, 3000))) < rng.random() for _ in range(20)]
         for mask in masks:
-            part = LabelPartition.from_inlier_mask(mask)
+            part = LabelPartition(mask)
             want = written(parent_write_partition_csv, tmp_path, part)
             assert written(write_partition_csv, tmp_path, part) == want
 
@@ -131,6 +131,11 @@ class TestMatrixCsv:
             read_matrix_csv(path)
 
 
+# Spellings that Python's int reads as 1 (or 2, or -1) but that are not
+# ASCII decimal digits.
+NON_DIGIT_INDICES = ["0_1", "0_2", "\u0661", "\uff11", "+1", "-1", "1.0"]
+
+
 class TestLabels:
     def test_round_trip_sorted(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -156,6 +161,14 @@ class TestLabels:
         with pytest.raises(ValueError, match=":2: index out of range"):
             read_labels(path)
 
+    @pytest.mark.parametrize("bad", NON_DIGIT_INDICES)
+    def test_only_ascii_digits_are_indices(self, tmp_path, bad):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"0\n{bad}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            read_labels(path)
+        assert str(exc.value) == f"{path}:2: not an integer: {bad!r}"
+
 
 class TestPartitionCsv:
     def test_round_trip(self, tmp_path):
@@ -176,6 +189,14 @@ class TestPartitionCsv:
         path.write_text("0,G\n1,X\n")
         with pytest.raises(ValueError):
             read_partition_csv(path)
+
+    @pytest.mark.parametrize("bad", NON_DIGIT_INDICES + ["1 ", ""])
+    def test_only_ascii_digits_are_indices(self, tmp_path, bad):
+        path = tmp_path / "partition.csv"
+        path.write_text(f"0,G\n{bad},B\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            read_partition_csv(path)
+        assert str(exc.value) == f"{path}:2: bad index {bad!r}"
 
 
 class TestPpm:

@@ -57,6 +57,10 @@ class TestMakeSplit:
             make_split(10, 6, seed=0)  # would leave a singleton shard
         make_split(10, 5, seed=0)  # boundary: shards of exactly 2
 
+    def test_negative_seed_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            make_split(10, 2, seed=-1)
+
 
 class TestResolveWorkers:
     def test_explicit_wins(self):
@@ -94,8 +98,8 @@ def easy_pair(seed, d=40, n=200, r=0.8):
 class TestParallelMatch:
     def test_single_shard_reduces_to_unsplit(self):
         pair = easy_pair(3)
-        cfg = MatchConfig(method="row_sum", preprocess=PreprocessMode.NONE, seed=7)
-        report = parallel_match(pair.x, pair.y, 1, cfg)
+        cfg = MatchConfig(method="row_sum")
+        report = parallel_match(pair.x, pair.y, 1, cfg, PreprocessMode.NONE, 7)
         h = build_overlap(pair.x, pair.y, PreprocessMode.NONE)
         direct, _ = match(h, cfg)
         assert report.partition == direct
@@ -104,10 +108,10 @@ class TestParallelMatch:
         # normalized columns keep each shard separable: exact recovery on
         # both shards composes to exact recovery overall
         pair = easy_pair(5, d=50, n=400)
-        cfg = MatchConfig(
-            method="row_sum", preprocess=PreprocessMode.CENTER_NORMALIZE, seed=13
+        cfg = MatchConfig(method="row_sum")
+        report = parallel_match(
+            pair.x, pair.y, 2, cfg, PreprocessMode.CENTER_NORMALIZE, 13
         )
-        report = parallel_match(pair.x, pair.y, 2, cfg)
         assert error_rates(pair.inliers, report.partition).error_w == 0.0
         assert len(report.shard_diagnostics) == 2
 
@@ -119,19 +123,17 @@ class TestParallelMatch:
             method="row_sum",
             use_two_means=False,
             inlier_rate=0.8,
-            preprocess=PreprocessMode.NONE,
-            seed=13,
         )
-        report = parallel_match(pair.x, pair.y, 3, cfg)
+        report = parallel_match(pair.x, pair.y, 3, cfg, PreprocessMode.NONE, 13)
         for j, diag in enumerate(report.shard_diagnostics):
             m = report.plan.shards[j].size
             assert diag.threshold == 30 * (0.8 * m + 1) / 2
 
     def test_merge_covers_everything(self):
         pair = easy_pair(7)
-        cfg = MatchConfig(method="row_sum", seed=1)
+        cfg = MatchConfig(method="row_sum")
         for s in (1, 2, 4, 5):
-            report = parallel_match(pair.x, pair.y, s, cfg)
+            report = parallel_match(pair.x, pair.y, s, cfg, seed=1)
             part = report.partition
             assert part.inliers.size + part.outliers.size == 200
             assert len(report.shard_times_ms) == s
@@ -143,9 +145,9 @@ class TestParallelMatch:
             ("row_sum", {}),
             ("eigenvector", {}),
         ):
-            cfg = MatchConfig(method=method, seed=3, **extra)
+            cfg = MatchConfig(method=method, **extra)
             reports = [
-                parallel_match(pair.x, pair.y, 4, cfg, max_workers=w)
+                parallel_match(pair.x, pair.y, 4, cfg, seed=3, max_workers=w)
                 for w in (1, 2, 4, 1)
             ]
             assert [r.workers for r in reports] == [1, 2, 4, 1]
@@ -154,11 +156,10 @@ class TestParallelMatch:
 
     def test_error_close_to_unsplit_on_moderate_instance(self):
         pair = easy_pair(11, d=50, n=400, r=0.8)
-        cfg = MatchConfig(
-            method="row_sum", preprocess=PreprocessMode.CENTER_NORMALIZE, seed=2
-        )
-        unsplit = parallel_match(pair.x, pair.y, 1, cfg)
-        split4 = parallel_match(pair.x, pair.y, 4, cfg)
+        cfg = MatchConfig(method="row_sum")
+        mode = PreprocessMode.CENTER_NORMALIZE
+        unsplit = parallel_match(pair.x, pair.y, 1, cfg, mode, 2)
+        split4 = parallel_match(pair.x, pair.y, 4, cfg, mode, 2)
         e1 = error_rates(pair.inliers, unsplit.partition).error_w
         e4 = error_rates(pair.inliers, split4.partition).error_w
         assert abs(e1 - e4) <= 0.02
@@ -168,11 +169,10 @@ class TestParallelMatch:
         # column scaling that global normalization removes must not change
         # the outcome
         pair = easy_pair(13, d=30, n=60, r=0.5)
-        cfg = MatchConfig(
-            method="row_sum", preprocess=PreprocessMode.CENTER_NORMALIZE, seed=5
-        )
-        base = parallel_match(pair.x, pair.y, 3, cfg).partition
-        scaled = parallel_match(pair.x, pair.y * 7.5, 3, cfg).partition
+        cfg = MatchConfig(method="row_sum")
+        mode = PreprocessMode.CENTER_NORMALIZE
+        base = parallel_match(pair.x, pair.y, 3, cfg, mode, 5).partition
+        scaled = parallel_match(pair.x, pair.y * 7.5, 3, cfg, mode, 5).partition
         assert base == scaled
 
     def test_shape_mismatch(self):
@@ -190,19 +190,18 @@ class TestParallelMatch:
     )
     def test_inputs_checked_as_factored_overlap_checks_them(self, x, y):
         # the whole input is checked once, as build_overlap checks it
-        cfg = MatchConfig()
         with pytest.raises(ValueError) as expected:
-            build_overlap(x, y, cfg.preprocess)
+            build_overlap(x, y, PreprocessMode.CENTER_NORMALIZE)
         with pytest.raises(ValueError) as got:
-            parallel_match(x, y, 1, cfg)
+            parallel_match(x, y, 1, MatchConfig())
         assert str(got.value) == str(expected.value)
 
     def test_degenerate_shard_warns_not_raises(self):
         # every column identical: the row-sum statistic is constant in each
         # shard, so both shards fall back to all-outliers with a warning
         x = np.tile(np.array([[1.0], [2.0], [3.0]]), (1, 12))
-        cfg = MatchConfig(method="row_sum", preprocess=PreprocessMode.NONE, seed=1)
-        report = parallel_match(x, x.copy(), 2, cfg)
+        cfg = MatchConfig(method="row_sum")
+        report = parallel_match(x, x.copy(), 2, cfg, PreprocessMode.NONE, 1)
         assert report.partition.n == 12
         assert report.partition.inliers.size == 0
         assert all(d.degenerate for d in report.shard_diagnostics)
@@ -211,16 +210,15 @@ class TestParallelMatch:
 
 class TestShardBackends:
     # match-split's shape: d = 10, n = 4000 in 4 shards of 1000 (2 d < 1000)
-    CFG = dict(method="row_sum", preprocess=PreprocessMode.CENTER_NORMALIZE)
+    CFG = MatchConfig(method="row_sum")
+    MODE = PreprocessMode.CENTER_NORMALIZE
 
     def test_shards_take_the_factors_and_give_the_dense_partition(self):
         for seed in (1, 7, 301):
             pair = easy_pair(seed, d=10, n=4000)
-            cfg = MatchConfig(seed=seed, **self.CFG)
-            factored = parallel_match(pair.x, pair.y, 4, cfg, max_workers=2)
-            dense = parallel_match(
-                pair.x, pair.y, 4, cfg, max_workers=2, backend="dense"
-            )
+            args = (pair.x, pair.y, 4, self.CFG, self.MODE, seed)
+            factored = parallel_match(*args, max_workers=2)
+            dense = parallel_match(*args, max_workers=2, backend="dense")
             got = [d.row_sum_backend for d in factored.shard_diagnostics]
             assert got == ["gram_factor"] * 4
             assert [d.row_sum_backend for d in dense.shard_diagnostics] == [
@@ -235,9 +233,9 @@ class TestShardBackends:
         monkeypatch.setattr(linalg, "gram", no_gram)
         monkeypatch.setattr(parallel, "ThreadPoolExecutor", no_pool)
         pair = easy_pair(7, d=10, n=4000)
-        cfg = MatchConfig(seed=7, **self.CFG)
         one, two = (
-            parallel_match(pair.x, pair.y, 4, cfg, max_workers=w) for w in (1, 2)
+            parallel_match(pair.x, pair.y, 4, self.CFG, self.MODE, 7, max_workers=w)
+            for w in (1, 2)
         )
         assert one.partition == two.partition
         assert one.workers == two.workers == 1
@@ -251,8 +249,10 @@ class TestPoolOnlyWhereHIsFormed:
     # 50-point shards: 2 d < 50 for d <= 24, and 4 d^2 <= 50 only for d <= 3
     def run(self, d, method, backend=None):
         pair = easy_pair(5, d=d, n=200)
-        cfg = MatchConfig(method=method, seed=5)
-        return parallel_match(pair.x, pair.y, 4, cfg, max_workers=2, backend=backend)
+        cfg = MatchConfig(method=method)
+        return parallel_match(
+            pair.x, pair.y, 4, cfg, seed=5, max_workers=2, backend=backend
+        )
 
     @pytest.mark.parametrize("method", ["row_sum", "eigenvector"])
     def test_factored_shards_run_inline(self, monkeypatch, method):
@@ -293,7 +293,7 @@ class TestPoolOnlyWhereHIsFormed:
                 for method in ("row_sum", "eigenvector"):
                     for backend in (None, "dense", "gram_factor"):
                         h = build_overlap(x[:, :m], y[:, :m], "none", backend)
-                        match(h, MatchConfig(method=method, seed=1))
+                        match(h, MatchConfig(method=method))
                         rule = forms_h(d, m, method == "eigenvector", backend)
                         assert rule == (h._h is not None), (d, m, method, backend)
                         cases += rule

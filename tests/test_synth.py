@@ -71,6 +71,11 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="must be finite"):
             ScenarioSpec(d=3, n=10, **values)
 
+    def test_negative_seed_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            ScenarioSpec(d=3, n=10, r=0.5, seed=-1)
+        assert ScenarioSpec(d=3, n=10, r=0.5, seed=0).seed == 0
+
     def test_n_inliers(self):
         assert ScenarioSpec(d=2, n=10, r=0.3).n_inliers == 3
 
