@@ -83,17 +83,12 @@ class TestGen:
     def test_invalid_spec_is_usage_error(self, tmp_path):
         code = run(f"gen --d 3 --n 10 --r 0.33 --seed 0 --out {tmp_path/'x'}".split())
         assert code == 2
+        code = run(f"gen --d 3 --n 10 --r 0.5 --seed -1 --out {tmp_path/'x'}".split())
+        assert code == 2 and not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "flags",
-        [
-            "--r inf",
-            "--r=-inf",
-            "--r nan",
-            "--r 0.5 --sigma2 nan",
-            "--r 0.5 --sigma2 inf",
-            "--r 0.5 --seed -1",
-        ],
+        ["--r inf", "--r=-inf", "--r nan", "--r 0.5 --sigma2 nan", "--r 0.5 --sigma2 inf"],
     )
     def test_non_finite_values_are_usage_errors(self, tmp_path, capsys, flags):
         out = tmp_path / "x"
