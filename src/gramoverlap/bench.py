@@ -77,6 +77,20 @@ def parse_method(text: str) -> MatchConfig:
         raise ValueError(f"bad threshold in method spec {text!r}") from None
 
 
+def parse_methods(texts) -> list[tuple[str, MatchConfig]]:
+    """Each spec text with the matcher it names (see :func:`parse_method`).
+
+    A spec given twice raises ``ValueError``: a sweep labels its rows by
+    spec text, so the two would merge into one row.
+    """
+    configs = {}
+    for text in texts:
+        if text in configs:
+            raise ValueError(f"method spec {text!r} is given twice")
+        configs[text] = parse_method(text)
+    return list(configs.items())
+
+
 def _at_rate(cfg: MatchConfig, r: float) -> MatchConfig:
     """``cfg`` at a grid point of inlier rate ``r``: a config with neither a
     threshold nor 2-means (an ``:auto`` spec) takes ``r`` as its inlier rate,
@@ -178,10 +192,10 @@ def _run_sweep(
 ) -> list[dict]:
     """Rows of a sweep over the ``ScenarioSpec`` field ``axis``, which also
     names the sweep in each row; ``fixed`` holds the other fields.  Every
-    method spec is parsed, and every grid point's scenario built, before the
-    first trial runs."""
+    method spec is parsed (and refused if repeated), and every grid point's
+    scenario built, before the first trial runs."""
     _check_trials(trials)
-    specs = [(text, parse_method(text)) for text in methods]
+    specs = parse_methods(methods)
     points = [(value, ScenarioSpec(**fixed, **{axis: value})) for value in values]
     rows = []
     for value, base in points:

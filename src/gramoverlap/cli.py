@@ -8,6 +8,7 @@ options needed to regenerate them (timing fields excluded).
 import argparse
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +17,13 @@ import numpy as np
 from . import __version__, bench, fileio
 from .classify import METHOD_ROW_SUM, MatchConfig, error_rates, match
 from .overlap import PreprocessMode, build_overlap
-from .parallel import THREADS_ENV_VAR, check_shard_count, env_threads, parallel_match
+from .parallel import (
+    THREADS_ENV_VAR,
+    check_shard_count,
+    env_threads,
+    parallel_match,
+    resolve_workers,
+)
 from .synth import ScenarioSpec, generate
 
 _PREPROCESS_ALIASES = {
@@ -177,6 +184,18 @@ def _diagnostics_payload(
     return payload
 
 
+def _read_inputs(args) -> tuple[np.ndarray, np.ndarray]:
+    """X and Y.  When the worker count allows two threads, Y is read on one
+    worker thread while the calling thread reads X, which overlaps the two
+    reads' ``np.fromstring`` conversions.  X's error, if any, is the one
+    raised, and Y's is then dropped, as in a serial read."""
+    if resolve_workers(args.threads, 2) < 2:
+        return fileio.read_matrix_csv(args.x), fileio.read_matrix_csv(args.y)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        y = pool.submit(fileio.read_matrix_csv, args.y)
+        return fileio.read_matrix_csv(args.x), y.result()
+
+
 def _cmd_match(args) -> int:
     cfg = _match_config(args)
     mode = _PREPROCESS_ALIASES[args.preprocess]
@@ -185,8 +204,7 @@ def _cmd_match(args) -> int:
     if args.seed < 0:
         raise UsageError(f"--seed must be non-negative, got {args.seed}")
     _check_threads(args)
-    x = fileio.read_matrix_csv(args.x)
-    y = fileio.read_matrix_csv(args.y)
+    x, y = _read_inputs(args)
 
     if args.splits == 1:
         t0 = time.perf_counter()
@@ -278,9 +296,8 @@ def _cmd_bench(args) -> int:
         matcher = {"methods": specs}
         points = [{**fixed, axis: value} for value in grid]
         options["methods"] = methods
-    for spec in specs:
-        _parse_method(spec)
     try:
+        bench.parse_methods(specs)
         for point in points:
             ScenarioSpec(d=args.d, n=args.n, kind=args.kind, seed=args.seed, **point)
         if axis == "splits":
@@ -318,6 +335,8 @@ def _cmd_bench(args) -> int:
 def _cmd_imgdiff(args) -> int:
     cfg = _match_config(args)
     mode = _PREPROCESS_ALIASES[args.preprocess]
+    # In series, unlike match's CSVs: a PPM read is one frombuffer over the
+    # file's bytes, with no conversion for a second thread to overlap.
     img_a = fileio.read_ppm(args.image_a)
     img_b = fileio.read_ppm(args.image_b)
     if img_a.shape != img_b.shape:
@@ -397,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help=f"shard worker count, used when shards form H "
+        help=f"most threads match runs: the two input reads run concurrently "
+        f"at 2 or more, and shards that form H run on up to this many workers "
         f"(default: ${THREADS_ENV_VAR} or usable CPU count)",
     )
     p.add_argument("--out", required=True, help="output directory")

@@ -93,17 +93,16 @@ def _plain_decimals(text: bytes, count: int):
     return values
 
 
-def _row_blocks(rows):
-    """``(start, stop)`` of consecutive rows holding about ``_BLOCK_CHARS``
-    characters of text each, at least one row a block."""
-    start = size = 0
-    for i, row in enumerate(rows):
-        if size and size + len(row) > _BLOCK_CHARS:
-            yield start, i
-            start, size = i, 0
-        size += len(row) + 1
-    if size:
-        yield start, len(rows)
+def _convert_block(path, rows, linenos, width) -> np.ndarray:
+    """The ``(len(rows), width)`` values of a block of checked rows, or
+    ``ValueError`` naming its first bad value."""
+    values = _plain_decimals(",".join(rows).encode(), len(rows) * width)
+    if values is None:
+        try:
+            values = _parse_rows(rows)
+        except ValueError:
+            raise ValueError(_bad_value(path, linenos, rows)) from None
+    return values.reshape(len(rows), width)
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -118,54 +117,58 @@ def read_matrix_csv(path) -> np.ndarray:
     Line structure is checked line by line; errors name ``path:line``, the
     first bad line in file order.
 
-    The values are converted in blocks of about 64 KiB of text, each
-    correctly rounded as by ``float``.  A block of plain decimals (only the
-    bytes ``0-9.eE+-,``) is read as x87 long doubles with
-    ``np.fromstring``, cast to float64 and checked for double rounding (see
-    ``_plain_decimals``).  A block goes through ``np.loadtxt`` instead when
-    it holds whitespace, ``nan``/``inf``, hex or non-ASCII text, when its
-    value count is off (an empty field, a trailing comma, a malformed
-    number), and on every platform whose ``long double`` is not x87
-    extended precision.  ``np.loadtxt`` is also the only path that
-    reports a bad value.
+    The file is read as a stream of text lines, never whole.  Its rows are
+    gathered into blocks of about ``_BLOCK_CHARS`` (64 KiB) of text, and
+    each block is converted as soon as it fills, so a read holds the values,
+    one block of text and, as the blocks are joined, a second copy of the
+    values.  A read shares no state with another, and ``np.fromstring``
+    releases the GIL, so two files read on two threads overlap (``match``
+    reads X and Y so).
+
+    Each value is correctly rounded as by ``float``.  A block of plain
+    decimals (only the bytes ``0-9.eE+-,``) is read as x87 long doubles
+    with ``np.fromstring``, cast to float64 and checked for double rounding
+    (see ``_plain_decimals``).  A block goes
+    through ``np.loadtxt`` instead when it holds whitespace,
+    ``nan``/``inf``, hex or non-ASCII text, when its value count is off (an
+    empty field, a trailing comma, a malformed number), and on every
+    platform whose ``long double`` is not x87 extended precision.
+    ``np.loadtxt`` is also the only path that reports a bad value.
     """
     path = Path(path)
-    rows, linenos = [], []
+    blocks = []
+    rows, linenos, size = [], [], 0
     fault = None
     width = None
-    for lineno, line in enumerate(path.read_text().split("\n"), start=1):
-        line = line.strip()
-        if not line or (lineno == 1 and line.startswith("#")):
-            continue
-        if line.startswith("#"):
-            fault = f"{path}:{lineno}: '#' lines only allowed as header"
-            break
-        fields = line.count(",") + 1
-        if width is None:
-            width = fields
-        elif fields != width:
-            fault = f"{path}:{lineno}: expected {width} fields, got {fields}"
-            break
-        rows.append(line)
-        linenos.append(lineno)
+    with path.open() as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line or (lineno == 1 and line.startswith("#")):
+                continue
+            if line.startswith("#"):
+                fault = f"{path}:{lineno}: '#' lines only allowed as header"
+                break
+            fields = line.count(",") + 1
+            if width is None:
+                width = fields
+            elif fields != width:
+                fault = f"{path}:{lineno}: expected {width} fields, got {fields}"
+                break
+            if size and size + len(line) > _BLOCK_CHARS:
+                blocks.append(_convert_block(path, rows, linenos, width))
+                rows, linenos, size = [], [], 0
+            rows.append(line)
+            linenos.append(lineno)
+            size += len(line) + 1
     # The rows before a structural fault are converted first, so that a bad
     # value on an earlier line is the one reported.
-    m = np.empty((len(rows), width or 0))
-    for start, stop in _row_blocks(rows):
-        block = rows[start:stop]
-        values = _plain_decimals(",".join(block).encode(), len(block) * width)
-        if values is None:
-            try:
-                values = _parse_rows(block)
-            except ValueError:
-                raise ValueError(
-                    _bad_value(path, linenos[start:stop], block)
-                ) from None
-        m[start:stop] = values.reshape(stop - start, width)
+    if rows:
+        blocks.append(_convert_block(path, rows, linenos, width))
     if fault is not None:
         raise ValueError(fault)
-    if not rows:
+    if not blocks:
         raise ValueError(f"{path}: no data rows")
+    m = np.concatenate(blocks)
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{path}: non-finite values")
     return m

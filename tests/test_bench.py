@@ -121,6 +121,25 @@ class TestSweeps:
             sweep(d=4, n=24, trials=5, seed=1, **grid)
         assert calls == []
 
+    @pytest.mark.parametrize("sweep, grid", [
+        (run_rate_sweep, dict(r_values=[0.8])),
+        (run_noise_sweep, dict(r=0.8, sigma2_values=[0.0])),
+    ])
+    def test_repeated_method_spec_raises_before_any_trial(
+        self, monkeypatch, sweep, grid
+    ):
+        # rows are labelled by spec text, so a repeat would merge into one
+        # row of twice the trials
+        calls = []
+        generate = bench.generate
+        monkeypatch.setattr(
+            bench, "generate", lambda spec: calls.append(spec) or generate(spec)
+        )
+        methods = ("eig:kmeans", "rowsum:kmeans", "eig:kmeans")
+        with pytest.raises(ValueError, match="'eig:kmeans' is given twice"):
+            sweep(d=6, n=40, trials=2, seed=1, methods=methods, **grid)
+        assert calls == []
+
     def test_csv_round_trip(self, tmp_path):
         rows = run_rate_sweep(
             d=4, n=24, r_values=[0.5], trials=2, seed=5, methods=("eig:kmeans",)

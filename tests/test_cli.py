@@ -340,6 +340,103 @@ class TestMatch:
         assert code == 0
 
 
+class TestMatchReadsBothInputs:
+    """``match`` reads Y on a worker thread while it reads X, when
+    ``--threads`` (or its variable, or the CPU count) allows two threads."""
+
+    BASE = "--method rowsum --kmeans --seed 5"
+
+    def make_instance(self, tmp_path):
+        data = tmp_path / "data"
+        argv = f"gen --d 5 --n 200 --r 0.8 --seed 21 --out {data}"
+        assert run(argv.split()) == 0
+        return data
+
+    def match(self, x, y, out, flags=""):
+        return run(f"match {x} {y} {self.BASE} {flags} --out {out}".split())
+
+    @pytest.mark.parametrize("threads", ["--threads 1", "--threads 2", "env"])
+    def test_errors_name_x_first_then_y(
+        self, tmp_path, capsys, monkeypatch, threads
+    ):
+        if threads == "env":
+            monkeypatch.setenv("GRAMOVERLAP_THREADS", "2")
+            threads = ""
+        data = self.make_instance(tmp_path)
+        bad_x, bad_y = tmp_path / "bad_x.csv", tmp_path / "bad_y.csv"
+        bad_x.write_text("1,2\n3,4\n5,x\n")
+        bad_y.write_text("1,2\n3\n")
+        good_x, missing = data / "X.csv", tmp_path / "missing.csv"
+        cases = [
+            (bad_x, bad_y, f"error: {bad_x}:3: field 2 is not a number: 'x'"),
+            (good_x, bad_y, f"error: {bad_y}:2: expected 2 fields, got 1"),
+            (good_x, missing, f"error: [Errno 2] No such file or directory: "
+             f"'{missing}'"),
+        ]
+        for k, (x, y, message) in enumerate(cases):
+            out = tmp_path / f"m{k}"
+            assert self.match(x, y, out, threads) == 1
+            assert capsys.readouterr().err == message + "\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("splits", [1, 4])
+    def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path, splits):
+        data = self.make_instance(tmp_path)
+        outs = [tmp_path / f"t{t}" for t in (1, 2)]
+        for t, out in zip((1, 2), outs):
+            flags = f"--splits {splits} --threads {t}"
+            assert self.match(data / "X.csv", data / "Y.csv", out, flags) == 0
+        one, two = (out / "partition.csv" for out in outs)
+        assert one.read_bytes() == two.read_bytes()
+        timing = ("wall_time_ms", "shard_times_ms")
+        diags = [
+            {
+                k: v
+                for k, v in json.loads((out / "diagnostics.json").read_text()).items()
+                if k not in timing
+            }
+            for out in outs
+        ]
+        assert diags[0] == diags[1]
+
+    @pytest.mark.parametrize("splits", [1, 4])
+    def test_one_thread_starts_no_worker(self, tmp_path, monkeypatch, splits):
+        import gramoverlap.cli
+        import gramoverlap.parallel
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker thread was started")
+
+        data = self.make_instance(tmp_path)
+        for module in (gramoverlap.cli, gramoverlap.parallel):
+            monkeypatch.setattr(module, "ThreadPoolExecutor", no_pool)
+        out = tmp_path / "m"
+        flags = f"--splits {splits} --threads 1"
+        assert self.match(data / "X.csv", data / "Y.csv", out, flags) == 0
+
+    def test_y_is_read_on_a_worker_at_two_threads(self, tmp_path, monkeypatch):
+        import threading
+
+        from gramoverlap import fileio
+
+        readers = {}
+        read = fileio.read_matrix_csv
+
+        def spy(path):
+            readers[path] = threading.current_thread()
+            return read(path)
+
+        monkeypatch.setattr(fileio, "read_matrix_csv", spy)
+        data = self.make_instance(tmp_path)
+        x, y = str(data / "X.csv"), str(data / "Y.csv")
+        main_thread = threading.current_thread()
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}"
+            assert self.match(x, y, out, f"--threads {threads}") == 0
+            assert readers[x] is main_thread
+            assert (readers[y] is main_thread) == (threads == 1)
+
+
 class TestEval:
     def test_perfect_recovery(self, tmp_path, capsys):
         part = tmp_path / "partition.csv"
@@ -464,6 +561,10 @@ class TestBench:
             "--sweep r --r-grid 0.5 --trials 1 --method rowsum:kmeans",
             "--sweep sigma2 --sigma2-grid 0 --r 0.5 --trials 1 --method eig:0.5",
             "--sweep splits --splits-grid 1 --r 0.5 --trials 1 --methods eig:0.5",
+            # a method spec given twice
+            "--sweep r --r-grid 0.5 --trials 1 --methods eig:kmeans,eig:kmeans",
+            "--sweep sigma2 --sigma2-grid 0 --r 0.5 --trials 1 "
+            "--methods eig:0.5,rowsum:kmeans,eig:0.5",
             # a negative seed
             "--sweep r --r-grid 0.5 --trials 1 --seed -1",
             "--sweep sigma2 --sigma2-grid 0 --r 0.5 --trials 1 --seed -1",

@@ -1,6 +1,7 @@
 """File formats: exact CSV round trips, PPM parsing, manifests."""
 
 import functools
+import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -339,8 +340,18 @@ def outcome(reader, path):
     return ("ok", m.shape, m.dtype.str, m.tobytes())
 
 
+@pytest.fixture(params=[None, 16], ids=["64KiB-blocks", "row-blocks"])
+def block_chars(request, monkeypatch):
+    """The reader's block size as it is, then so small that every row is a
+    block of its own."""
+    if request.param is not None:
+        monkeypatch.setattr(fileio, "_BLOCK_CHARS", request.param)
+
+
 class TestMatrixCsvFuzz:
-    def test_differential_against_the_line_by_line_reader(self, tmp_path):
+    def test_differential_against_the_line_by_line_reader(
+        self, tmp_path, block_chars
+    ):
         rng = np.random.default_rng(20260101)
         path = tmp_path / "m.csv"
         kinds = {"ok": 0, "error": 0}
@@ -382,6 +393,36 @@ class TestMatrixCsvFuzz:
         assert read_matrix_csv(path).shape == (1, 3)
         path.write_text("1\n2\n3\n")
         assert read_matrix_csv(path).shape == (3, 1)
+
+
+class TestStreamingRead:
+    def test_peak_memory_stays_below_the_file_size(self, tmp_path):
+        # the file is never held whole: one read holds the values, one block
+        # of text and, as the blocks are joined, a second copy of the values
+        m = np.random.default_rng(50).standard_normal((50, 1000))
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, m)
+        tracemalloc.start()
+        try:
+            got = read_matrix_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == m.tobytes()
+        assert peak < path.stat().st_size
+
+    def test_bad_value_before_a_later_ragged_row_is_the_one_named(self, tmp_path):
+        # 10000 rows span several blocks: the bad value is converted, and
+        # refused, before the read reaches the ragged row
+        rows = ["0.25,0.5"] * 10000
+        rows[3] = "0.25,x"
+        rows[9000] = "0.25"
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert fileio._BLOCK_CHARS < len("\n".join(rows[:9000]))
+        with pytest.raises(ValueError) as exc:
+            read_matrix_csv(path)
+        assert str(exc.value) == f"{path}:4: field 2 is not a number: 'x'"
 
 
 def _ulp_neighbours(d: float) -> tuple[Decimal, Decimal]:
@@ -500,7 +541,9 @@ class TestPlainDecimalPath:
 
     @pytest.mark.parametrize("bad", sorted(PLAIN_PATH_REFUSALS))
     @pytest.mark.parametrize("bad_row", [0, 7000])
-    def test_refusals_keep_their_message(self, tmp_path, gate, bad, bad_row):
+    def test_refusals_keep_their_message(
+        self, tmp_path, gate, block_chars, bad, bad_row
+    ):
         good = ",".join(["0.25"] * (bad.count(",") + 1))
         # 8000 rows span several blocks: row 7000 lies in a later one
         rows = [good] * 8000
