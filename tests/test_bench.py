@@ -121,10 +121,13 @@ class TestSweeps:
             sweep(d=4, n=24, trials=5, seed=1, **grid)
         assert calls == []
 
-    @pytest.mark.parametrize("sweep, grid", [
-        (run_rate_sweep, dict(r_values=[0.8])),
-        (run_noise_sweep, dict(r=0.8, sigma2_values=[0.0])),
-    ])
+    @pytest.mark.parametrize(
+        "sweep, grid",
+        [
+            (run_rate_sweep, dict(r_values=[0.8])),
+            (run_noise_sweep, dict(r=0.8, sigma2_values=[0.0])),
+        ],
+    )
     def test_repeated_method_spec_raises_before_any_trial(
         self, monkeypatch, sweep, grid
     ):
