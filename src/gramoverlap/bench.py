@@ -1,8 +1,10 @@
-"""Sweep harnesses: error-vs-inlier-rate, error-vs-noise, and split timing.
+"""Sweep harnesses: error-vs-inlier-rate, error-vs-noise, and split timing,
+all run by one driver, :func:`_run_sweep`.
 
-Each grid point runs seeded trials; within a trial the overlap matrix is made
-once from the preprocessed factors, each statistic it carries (leading
-eigenvector, row sums) is computed once, and every requested method
+Each grid point runs seeded trials.  At a ``splits`` point every method runs
+split-merge on the trial's data.  At an ``r`` or ``sigma2`` point the overlap
+matrix is made once from the preprocessed factors, each statistic it carries
+(leading eigenvector, row sums) is computed once, and every requested method
 classifies it, so methods are compared on identical data.  ``H`` is formed
 only by a backend that reads it: the dense row sums at construction, or power
 iteration inside its own call.  Per-method wall time charges the shared
@@ -28,23 +30,12 @@ from .overlap import OverlapMatrix, PreprocessMode, build_overlap
 from .parallel import check_shard_count, parallel_match
 from .synth import ScenarioSpec, derive_seed, generate
 
-SWEEP_COLUMNS = [
-    "sweep",
-    "value",
-    "method",
-    "trials",
-    "error_g_mean",
-    "error_g_std",
-    "error_b_mean",
-    "error_b_std",
-    "error_w_mean",
-    "error_w_std",
-    "time_ms_mean",
-    "time_ms_std",
-]
-
 # The per-trial columns that each summary row reduces to a mean and an sd.
 _SUMMARY_STATS = ("error_g", "error_b", "error_w", "time_ms")
+
+SWEEP_COLUMNS = ["sweep", "value", "method", "trials"] + [
+    f"{name}_{stat}" for name in _SUMMARY_STATS for stat in ("mean", "std")
+]
 
 DEFAULT_METHODS = ("eig:0.3", "eig:0.5", "eig:0.7", "eig:kmeans", "rowsum:kmeans")
 DEFAULT_SPLITS_METHOD = "rowsum:kmeans"
@@ -149,6 +140,33 @@ def _statistics_ms(h: OverlapMatrix, configs) -> dict:
     return {k: _timed_ms(getattr(h, k)) for k in needed}
 
 
+def _overlap_trial(pair, configs: dict, mode: PreprocessMode):
+    """Yield each method's label, partition and time_ms in one trial; the
+    overlap is built, and each statistic computed, once for all of them."""
+    t0 = time.perf_counter()
+    h = build_overlap(pair.x, pair.y, mode)
+    build_ms = (time.perf_counter() - t0) * 1e3
+    stat_ms = _statistics_ms(h, configs.values())
+    for label, cfg in configs.items():
+        t1 = time.perf_counter()
+        part, _ = match(h, cfg)
+        ms = (time.perf_counter() - t1) * 1e3
+        yield label, part, build_ms + stat_ms[_STATISTICS[cfg.method]] + ms
+
+
+def _split_trial(pair, configs: dict, mode: PreprocessMode, s, seed, max_workers):
+    """Yield each method's label, partition and time_ms in one trial, each
+    from its own split-merge over ``s`` shards.  The time covers the split,
+    the shard builds and classification; the shards pin the dense row sums,
+    so it follows split-merge's ``n^2 / s`` cost."""
+    for label, cfg in configs.items():
+        report = parallel_match(
+            pair.x, pair.y, s, cfg, mode, seed,
+            max_workers=max_workers, backend="dense",
+        )
+        yield label, report.partition, report.total_time_ms
+
+
 def _run_grid_point(
     sweep: str,
     value,
@@ -156,50 +174,62 @@ def _run_grid_point(
     trials: int,
     methods: list[tuple[str, MatchConfig]],
     mode: PreprocessMode,
+    max_workers,
 ) -> list[dict]:
     """Summary rows of one grid point; ``methods`` pairs each spec text,
-    the label of its rows, with its parsed config."""
+    the label of its rows, with its parsed config.  Data generation and
+    scoring are not timed."""
     errs = {label: [] for label, _ in methods}
     times = {label: [] for label, _ in methods}
     configs = {label: _at_rate(cfg, spec.r) for label, cfg in methods}
     for t in range(trials):
         trial = replace(spec, seed=derive_seed(spec.seed, t))
         pair = generate(trial)
-        t0 = time.perf_counter()
-        h = build_overlap(pair.x, pair.y, mode)
-        build_ms = (time.perf_counter() - t0) * 1e3
-        stat_ms = _statistics_ms(h, configs.values())
-        for label, _ in methods:
-            cfg = configs[label]
-            t1 = time.perf_counter()
-            part, _ = match(h, cfg)
-            ms = (time.perf_counter() - t1) * 1e3
+        if sweep == "splits":
+            results = _split_trial(pair, configs, mode, value, trial.seed, max_workers)
+        else:
+            results = _overlap_trial(pair, configs, mode)
+        for label, part, ms in results:
             errs[label].append(error_rates(pair.inliers, part))
-            times[label].append(build_ms + stat_ms[_STATISTICS[cfg.method]] + ms)
+            times[label].append(ms)
     return [
         _summary_row(sweep, value, label, errs[label], times[label])
         for label, _ in methods
     ]
 
 
-def _check_trials(trials: int) -> None:
+def check_sweep(axis: str, values, trials: int, methods, **fixed):
+    """The parsed method specs and the ``(value, scenario)`` grid points of
+    a sweep over ``axis``: ``r`` or ``sigma2``, which each point sets, or
+    ``splits``, whose points share the scenario ``fixed`` describes.  Raises
+    ``ValueError`` on trials below 1, a bad or repeated spec, a scenario
+    ``ScenarioSpec`` refuses, or a shard count outside ``1 <= s <= n/2``."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    specs = parse_methods(methods)
+    if axis == "splits":
+        base = ScenarioSpec(**fixed)
+        points = [(s, base) for s in values]
+        for s, _ in points:
+            check_shard_count(base.n, s)
+    else:
+        points = [(value, ScenarioSpec(**fixed, **{axis: value})) for value in values]
+    return specs, points
 
 
 def _run_sweep(
-    axis: str, values, trials: int, methods, mode: PreprocessMode, **fixed
+    axis: str, values, trials: int, methods, mode: PreprocessMode,
+    max_workers=None, **fixed,
 ) -> list[dict]:
-    """Rows of a sweep over the ``ScenarioSpec`` field ``axis``, which also
-    names the sweep in each row; ``fixed`` holds the other fields.  Every
-    method spec is parsed (and refused if repeated), and every grid point's
-    scenario built, before the first trial runs."""
-    _check_trials(trials)
-    specs = parse_methods(methods)
-    points = [(value, ScenarioSpec(**fixed, **{axis: value})) for value in values]
+    """Rows of a sweep over ``axis``, which also names the sweep in each row
+    (see :func:`check_sweep`, which checks the whole plan before the first
+    trial runs).  ``max_workers`` bounds a splits point's pool."""
+    specs, points = check_sweep(axis, values, trials, methods, **fixed)
     rows = []
     for value, base in points:
-        rows.extend(_run_grid_point(axis, value, base, trials, specs, mode))
+        rows.extend(
+            _run_grid_point(axis, value, base, trials, specs, mode, max_workers)
+        )
     return rows
 
 
@@ -246,40 +276,17 @@ def run_splits_sweep(
     split_values,
     trials: int,
     seed: int,
-    method=DEFAULT_SPLITS_METHOD,
+    methods=(DEFAULT_SPLITS_METHOD,),
     kind: str = "gaussian_outliers",
     sigma2: float = 0.0,
     preprocess: PreprocessMode = PreprocessMode.NONE,
     max_workers: int | None = None,
 ) -> list[dict]:
-    """Error rates and wall time of split-merge matching as s varies.
-
-    Wall time covers matching only (the split, per-shard overlap build, and
-    classification); data generation is excluded.  The shards pin the dense
-    row sums, so the time follows split-merge's ``n^2 / s`` cost.  The
-    scenario and every shard count are checked before the first trial runs.
-    """
-    _check_trials(trials)
-    cfg = _at_rate(parse_method(method), r)
-    base = ScenarioSpec(d=d, n=n, r=r, kind=kind, sigma2=sigma2, seed=seed)
-    split_values = list(split_values)
-    for s in split_values:
-        check_shard_count(n, s)
-    rows = []
-    for s in split_values:
-        errs = []
-        times = []
-        for t in range(trials):
-            trial = replace(base, seed=derive_seed(seed, t))
-            pair = generate(trial)
-            report = parallel_match(
-                pair.x, pair.y, s, cfg, preprocess, trial.seed,
-                max_workers=max_workers, backend="dense",
-            )
-            errs.append(error_rates(pair.inliers, report.partition))
-            times.append(report.total_time_ms)
-        rows.append(_summary_row("splits", s, method, errs, times))
-    return rows
+    """Error rates and wall time of split-merge matching as s varies."""
+    return _run_sweep(
+        "splits", split_values, trials, methods, preprocess, max_workers,
+        d=d, n=n, r=r, kind=kind, sigma2=sigma2, seed=seed,
+    )
 
 
 def write_sweep_csv(path, rows: list[dict]) -> None:

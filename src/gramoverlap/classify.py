@@ -83,8 +83,8 @@ class MatchConfig:
         if self.threshold is not None:
             if self.use_two_means:
                 raise ValueError("threshold and use_two_means are mutually exclusive")
-            if not self.threshold > 0:
-                raise ValueError("threshold must be positive")
+            if not 0 < self.threshold < math.inf:
+                raise ValueError("threshold must be positive and finite")
         if self.inlier_rate is not None and not 0 < self.inlier_rate < 1:
             raise ValueError("inlier_rate must be in (0, 1)")
 

@@ -10,6 +10,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,6 @@ from .classify import METHOD_ROW_SUM, MatchConfig, error_rates, match
 from .overlap import PreprocessMode, build_overlap
 from .parallel import (
     THREADS_ENV_VAR,
-    check_shard_count,
     env_threads,
     parallel_match,
     resolve_workers,
@@ -246,19 +246,17 @@ def _cmd_eval(args) -> int:
 # --- bench ---
 
 
-# The bench flags that a sweep refuses: another sweep's grid or matcher
-# flags, and a fixed value for its own axis.
+# The bench flags that a sweep refuses: another sweep's grid or its
+# --threads, and a fixed value for its own axis.
 _FOREIGN_BENCH_FLAGS = {
-    "r": ("r", "sigma2_grid", "splits_grid", "threads", "method"),
-    "sigma2": ("sigma2", "r_grid", "splits_grid", "threads", "method"),
-    "splits": ("r_grid", "sigma2_grid", "methods"),
+    "r": ("r", "sigma2_grid", "splits_grid", "threads"),
+    "sigma2": ("sigma2", "r_grid", "splits_grid", "threads"),
+    "splits": ("r_grid", "sigma2_grid"),
 }
 
 
 def _cmd_bench(args) -> int:
     _check_threads(args)
-    if args.trials < 1:
-        raise UsageError("--trials must be at least 1")
     axis = args.sweep
     for dest in _FOREIGN_BENCH_FLAGS[axis]:
         if getattr(args, dest) is not None:
@@ -270,58 +268,42 @@ def _cmd_bench(args) -> int:
     if text is None or ("r" in fixed and args.r is None):
         with_r = " and --r" if "r" in fixed else ""
         raise UsageError(f"--sweep {axis} needs --{axis}-grid{with_r}")
-    options = {
-        "sweep": axis,
-        "d": args.d,
-        "n": args.n,
-        "trials": args.trials,
-        "seed": args.seed,
-        "kind": args.kind,
-        "preprocess": args.preprocess,
-        **fixed,
-    }
     if axis == "splits":
         grid = _parse_list(text, int, "integer")
-        method = bench.DEFAULT_SPLITS_METHOD if args.method is None else args.method
-        specs = [method]
-        matcher = {"method": method, "max_workers": args.threads}
-        points = [fixed]
-        options["method"] = method
+        default = (bench.DEFAULT_SPLITS_METHOD,)
     else:
         grid = _parse_list(text, float, "numeric")
-        methods = args.methods
-        if methods is None:
-            methods = ",".join(bench.DEFAULT_METHODS)
-        specs = methods.split(",")
-        matcher = {"methods": specs}
-        points = [{**fixed, axis: value} for value in grid]
-        options["methods"] = methods
+        default = bench.DEFAULT_METHODS
+    methods = ",".join(default) if args.methods is None else args.methods
+    specs = methods.split(",")
+    scenario = dict(d=args.d, n=args.n, kind=args.kind, seed=args.seed, **fixed)
     try:
-        bench.parse_methods(specs)
-        for point in points:
-            ScenarioSpec(d=args.d, n=args.n, kind=args.kind, seed=args.seed, **point)
-        if axis == "splits":
-            for s in grid:
-                check_shard_count(args.n, s)
+        bench.check_sweep(axis, grid, args.trials, specs, **scenario)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     sweep, grid_keyword = {
         "r": (bench.run_rate_sweep, "r_values"),
         "sigma2": (bench.run_noise_sweep, "sigma2_values"),
-        "splits": (bench.run_splits_sweep, "split_values"),
+        "splits": (
+            partial(bench.run_splits_sweep, max_workers=args.threads),
+            "split_values",
+        ),
     }[axis]
     rows = sweep(
-        d=args.d,
-        n=args.n,
         trials=args.trials,
-        seed=args.seed,
-        kind=args.kind,
+        methods=specs,
         preprocess=_PREPROCESS_ALIASES[args.preprocess],
-        **fixed,
         **{grid_keyword: grid},
-        **matcher,
+        **scenario,
     )
-    options[f"{axis}_grid"] = grid
+    options = {
+        "sweep": axis,
+        "trials": args.trials,
+        "methods": methods,
+        "preprocess": args.preprocess,
+        f"{axis}_grid": grid,
+        **scenario,
+    }
     name = f"sweep_{axis}.csv"
     out = _out_dir(args)
     bench.write_sweep_csv(out / name, rows)
@@ -444,13 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--methods",
         default=None,
-        help="comma list like eig:0.5,eig:kmeans,rowsum:kmeans, for the r and "
-        f"sigma2 sweeps (default {','.join(bench.DEFAULT_METHODS)})",
-    )
-    p.add_argument(
-        "--method",
-        default=None,
-        help=f"method for the splits sweep (default {bench.DEFAULT_SPLITS_METHOD})",
+        help="comma list like eig:0.5,eig:kmeans,rowsum:kmeans (default "
+        f"{','.join(bench.DEFAULT_METHODS)}, or {bench.DEFAULT_SPLITS_METHOD} "
+        "for the splits sweep)",
     )
     p.add_argument(
         "--kind",
@@ -460,7 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--preprocess", choices=sorted(_PREPROCESS_ALIASES), default="cn"
     )
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="most split-merge workers; only the splits sweep reads it "
+        f"(default: ${THREADS_ENV_VAR} or usable CPU count)",
+    )
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_bench)
 

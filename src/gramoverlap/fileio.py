@@ -180,7 +180,7 @@ def write_labels(path, indices) -> None:
     Path(path).write_text("".join(f"{i}\n" for i in idx))
 
 
-def _index(text: str) -> int:
+def _index(text: str | bytes) -> int:
     """An index field's value: ASCII decimal digits only, unlike ``int``."""
     if not (text.isascii() and text.isdigit()):
         raise ValueError(text)
@@ -273,7 +273,10 @@ def read_ppm(path) -> np.ndarray:
         fields = []
         for _ in range(3):
             token, pos = _next_token(data, pos)
-            fields.append(int(token))
+            try:
+                fields.append(_index(token))
+            except ValueError:
+                raise ValueError(f"bad header field {token!r}") from None
         width, height, maxval = fields
         if width < 1 or height < 1:
             raise ValueError(f"bad dimensions {width}x{height}")

@@ -39,13 +39,6 @@ class SplitPlan:
     seed: int
     shards: tuple
 
-    def membership(self) -> np.ndarray:
-        """Shard id of every original index."""
-        owner = np.empty(self.n, dtype=np.intp)
-        for j, idx in enumerate(self.shards):
-            owner[idx] = j
-        return owner
-
 
 def check_shard_count(n: int, s: int) -> None:
     """Raise ``ValueError`` unless 1 <= s <= n/2, so that every one of s

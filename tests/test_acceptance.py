@@ -302,7 +302,7 @@ def test_criterion_7_parallel_consistency():
         split_values=[1, 2, 4],
         trials=3,
         seed=70707,
-        method="rowsum:kmeans",
+        methods=("rowsum:kmeans",),
         kind="gaussian_outliers",
         preprocess=PreprocessMode.NONE,
     )

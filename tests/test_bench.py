@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from gramoverlap import ErrorReport, bench, linalg
+from gramoverlap import ErrorReport, PreprocessMode, bench, linalg
 from gramoverlap.bench import (
     DEFAULT_METHODS,
     SWEEP_COLUMNS,
@@ -28,7 +28,10 @@ class TestParseMethod:
         assert not m.use_two_means and m.threshold is None
 
     def test_rejects_garbage(self):
-        for text in ("what", "eig", "eig:zero", "rowsum:-1", "foo:0.5"):
+        for text in (
+            "what", "eig", "eig:zero", "rowsum:-1", "foo:0.5", "eig:inf",
+            "rowsum:1e309",
+        ):
             with pytest.raises(ValueError):
                 parse_method(text)
 
@@ -67,9 +70,28 @@ class TestSweeps:
     def test_splits_sweep_uses_parallel_path(self):
         rows = run_splits_sweep(
             d=6, n=48, r=0.5, split_values=[1, 2], trials=2, seed=3,
-            method="rowsum:kmeans",
+            methods=("rowsum:kmeans",),
         )
         assert [int(r["value"]) for r in rows] == [1, 2]
+
+    def test_splits_sweep_methods_match_single_method_runs(self):
+        # each method runs its own split-merge on the trial's data, so two
+        # methods in one sweep give the rows of two one-method sweeps
+        kwargs = dict(
+            d=6, n=48, r=0.5, split_values=[1, 2, 4], trials=3, seed=3,
+            kind="permuted_inliers", preprocess=PreprocessMode.CENTER_NORMALIZE,
+            max_workers=2,
+        )
+        methods = ("rowsum:kmeans", "eig:0.5")
+        both = run_splits_sweep(methods=methods, **kwargs)
+        single = [run_splits_sweep(methods=(m,), **kwargs) for m in methods]
+        untimed = [k for k in SWEEP_COLUMNS if not k.startswith("time_ms")]
+        assert [{k: r[k] for k in untimed} for r in both] == [
+            {k: r[k] for k in untimed}
+            for point in zip(*single)
+            for r in point
+        ]
+        assert [r["method"] for r in both] == list(methods) * 3
 
     def test_splits_sweep_shards_form_h(self, monkeypatch):
         # every shard forms its dense H from two Grams, also where the row-sum
@@ -83,7 +105,7 @@ class TestSweeps:
             calls.clear()
             run_splits_sweep(
                 d=3, n=48, r=0.5, split_values=[s], trials=trials, seed=3,
-                method="rowsum:kmeans", max_workers=1,
+                methods=("rowsum:kmeans",), max_workers=1,
             )
             assert len(calls) == 2 * s * trials
             assert {n for _, n in calls} == {48 // s}
@@ -126,6 +148,7 @@ class TestSweeps:
         [
             (run_rate_sweep, dict(r_values=[0.8])),
             (run_noise_sweep, dict(r=0.8, sigma2_values=[0.0])),
+            (run_splits_sweep, dict(r=0.8, split_values=[1, 2])),
         ],
     )
     def test_repeated_method_spec_raises_before_any_trial(

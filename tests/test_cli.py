@@ -498,7 +498,7 @@ class TestBench:
         out = tmp_path / "bench"
         code = run(
             "bench --sweep splits --d 8 --n 64 --r 0.5 --trials 2 --seed 1 "
-            f"--splits-grid 1,2 --method rowsum:kmeans --out {out}".split()
+            f"--splits-grid 1,2 --methods rowsum:kmeans --out {out}".split()
         )
         assert code == 0
         assert (out / "sweep_splits.csv").exists()
@@ -506,7 +506,7 @@ class TestBench:
     def test_default_methods_are_recorded(self, tmp_path):
         for sweep, key, value in (
             ("--sweep r --r-grid 0.5", "methods", ",".join(bench.DEFAULT_METHODS)),
-            ("--sweep splits --splits-grid 1 --r 0.5", "method", "rowsum:kmeans"),
+            ("--sweep splits --splits-grid 1 --r 0.5", "methods", "rowsum:kmeans"),
         ):
             out = tmp_path / key
             code = run(f"bench {sweep} --d 4 --n 20 --trials 1 --out {out}".split())
@@ -530,7 +530,8 @@ class TestBench:
             "--sweep sigma2 --sigma2-grid 0 --r 0.5 --sigma2 0 --trials 1",
             "--sweep r --r-grid 0.5 --trials 1 --methods rowsum:kmeans,eig:zero",
             "--sweep sigma2 --sigma2-grid 0 --r 0.5 --trials 1 --methods what",
-            "--sweep splits --splits-grid 1,2 --r 0.5 --trials 1 --method rowsum:-1",
+            "--sweep splits --splits-grid 1,2 --r 0.5 --trials 1 --methods rowsum:-1",
+            "--sweep r --r-grid 0.5 --trials 1 --methods eig:inf",
             "--sweep r --r-grid 0.33 --trials 1",
             "--sweep r --r-grid 0.5 --trials 1 --d 0",
             "--sweep sigma2 --sigma2-grid 0 --r 0.5 --trials 1 --n 1",
@@ -558,13 +559,12 @@ class TestBench:
             "--sweep splits --splits-grid 1 --r 0.5 --trials 1 --sigma2-grid 0",
             "--sweep r --r-grid 0.5 --trials 1 --threads 1",
             "--sweep sigma2 --sigma2-grid 0 --r 0.5 --trials 1 --threads 2",
-            "--sweep r --r-grid 0.5 --trials 1 --method rowsum:kmeans",
-            "--sweep sigma2 --sigma2-grid 0 --r 0.5 --trials 1 --method eig:0.5",
-            "--sweep splits --splits-grid 1 --r 0.5 --trials 1 --methods eig:0.5",
             # a method spec given twice
             "--sweep r --r-grid 0.5 --trials 1 --methods eig:kmeans,eig:kmeans",
             "--sweep sigma2 --sigma2-grid 0 --r 0.5 --trials 1 "
             "--methods eig:0.5,rowsum:kmeans,eig:0.5",
+            "--sweep splits --splits-grid 1,2 --r 0.5 --trials 1 "
+            "--methods rowsum:kmeans,rowsum:kmeans",
             # a negative seed
             "--sweep r --r-grid 0.5 --trials 1 --seed -1",
             "--sweep sigma2 --sigma2-grid 0 --r 0.5 --trials 1 --seed -1",

@@ -239,6 +239,23 @@ class TestPpm:
         with pytest.raises(ValueError, match="payload"):
             read_ppm(path)
 
+    @pytest.mark.parametrize(
+        "header, field",
+        [
+            (b"P6\n+2 1_0\n2_55\n", b"+2"),
+            (b"P6 2 1_0 255 ", b"1_0"),
+            (b"P6 2 10 2_55 ", b"2_55"),
+            (b"P6 2 10 +255 ", b"+255"),
+        ],
+    )
+    def test_header_fields_take_ascii_digits_only(self, tmp_path, header, field):
+        # int() would read each of these as a valid 10x2 header
+        path = tmp_path / "img.ppm"
+        path.write_bytes(header + bytes(60))
+        with pytest.raises(ValueError) as info:
+            read_ppm(path)
+        assert str(info.value) == f"{path}: bad header field {field!r}"
+
     def test_luminance_rec601(self):
         img = np.array([[[255, 0, 0], [0, 255, 0]]], dtype=np.uint8)
         luma = luminance(img)

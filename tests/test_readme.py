@@ -1,16 +1,21 @@
-"""README's library example runs as written."""
+"""README's library example runs as written, and its CLI examples parse."""
 
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from gramoverlap import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def section_code(title: str) -> str:
-    """The first ```python block under the README heading ``title``."""
+def section_code(title: str, lang: str = "python") -> str:
+    """The first ```lang block under the README heading ``title``."""
     text = README.read_text(encoding="utf-8")
     section = text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
-    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    return re.search(rf"```{lang}\n(.*?)```", section, re.DOTALL).group(1)
 
 
 def test_library_quickstart_runs(capsys):
@@ -18,3 +23,22 @@ def test_library_quickstart_runs(capsys):
     exec(compile(section_code("Library quickstart"), str(README), "exec"), namespace)
     assert "ErrorReport(" in capsys.readouterr().out
     assert namespace["report"].partition.n == namespace["pair"].x.shape[1]
+
+
+def test_cli_examples_parse():
+    # parsing only: a flag the parser no longer defines exits 2 here
+    code = section_code("CLI", "bash").replace("\\\n", " ")
+    commands = [
+        shlex.split(line)[1:]
+        for line in code.splitlines()
+        if line.startswith("gramoverlap ")
+    ]
+    assert {argv[0] for argv in commands} == {
+        "gen", "match", "eval", "bench", "imgdiff"
+    }
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {shlex.join(argv)}")
