@@ -83,12 +83,9 @@ def parse_methods(texts) -> list[tuple[str, MatchConfig]]:
 
 
 def _at_rate(cfg: MatchConfig, r: float) -> MatchConfig:
-    """``cfg`` at a grid point of inlier rate ``r``: a config with neither a
-    threshold nor 2-means (an ``:auto`` spec) takes ``r`` as its inlier rate,
-    and any other is returned as it is."""
-    if cfg.threshold is None and not cfg.use_two_means:
-        return replace(cfg, inlier_rate=r)
-    return cfg
+    """``cfg`` at a grid point of inlier rate ``r``: ``r`` becomes the inlier
+    rate of a config that reads one (``rowsum:auto``)."""
+    return replace(cfg, inlier_rate=r) if cfg.reads_inlier_rate else cfg
 
 
 def _summary_row(sweep: str, value, label: str, errs, times_ms) -> dict:

@@ -69,7 +69,8 @@ class MatchConfig:
 
     ``threshold`` and ``use_two_means`` are mutually exclusive; with neither a
     fixed default threshold is used (t = 0.5 for the eigenvector rule, and the
-    row-sum rule derives T = d*(r*n+1)/2 from ``inlier_rate``).
+    row-sum rule derives T = d*(r*n+1)/2 from ``inlier_rate``, which a config
+    of any other rule refuses).
     """
 
     method: str = METHOD_ROW_SUM
@@ -87,6 +88,14 @@ class MatchConfig:
                 raise ValueError("threshold must be positive and finite")
         if self.inlier_rate is not None and not 0 < self.inlier_rate < 1:
             raise ValueError("inlier_rate must be in (0, 1)")
+        if self.inlier_rate is not None and not self.reads_inlier_rate:
+            raise ValueError("only the row-sum default threshold reads inlier_rate")
+
+    @property
+    def reads_inlier_rate(self) -> bool:
+        """Whether the rule reads ``inlier_rate``: the row-sum default."""
+        default = self.threshold is None and not self.use_two_means
+        return default and self.method == METHOD_ROW_SUM
 
 
 @dataclass

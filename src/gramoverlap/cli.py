@@ -16,14 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bench, fileio
-from .classify import METHOD_ROW_SUM, MatchConfig, error_rates, match
+from .classify import MatchConfig, error_rates, match
 from .overlap import PreprocessMode, build_overlap
-from .parallel import (
-    THREADS_ENV_VAR,
-    env_threads,
-    parallel_match,
-    resolve_workers,
-)
+from .parallel import parallel_match, usable_cpus
 from .synth import ScenarioSpec, generate
 
 _PREPROCESS_ALIASES = {
@@ -34,6 +29,31 @@ _PREPROCESS_ALIASES = {
 
 class UsageError(Exception):
     """Inconsistent or invalid flags; exits with status 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Takes each flag by its full name only, not by a prefix, and reports a
+    bad command line as a usage error; subcommand parsers are of this class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"usage error: {message}\n")
+
+
+def _thread_count(text: str) -> int:
+    """A ``--threads`` value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1, got {text!r}"
+        )
+    return value
 
 
 def _parse_list(text: str, kind: type, what: str) -> list:
@@ -78,13 +98,6 @@ def _add_match_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _parse_method(text: str) -> MatchConfig:
-    try:
-        return bench.parse_method(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _match_config(args) -> MatchConfig:
     """The matcher flags read as the ``bench`` method spec ``M:kmeans``
     (``--kmeans``), ``M:auto`` (bare ``--threshold``) or ``M:V``, with
@@ -96,23 +109,11 @@ def _match_config(args) -> MatchConfig:
     if args.threshold == "kmeans":
         raise UsageError(f"bad --threshold value: {args.threshold!r}")
     branch = "kmeans" if args.kmeans else args.threshold
-    cfg = _parse_method(f"{args.method}:{branch}")
-    if cfg.method == METHOD_ROW_SUM and branch == "auto" and args.inlier_rate is None:
-        raise UsageError("bare --threshold with rowsum needs --inlier-rate")
     try:
+        cfg = bench.parse_method(f"{args.method}:{branch}")
+        if cfg.reads_inlier_rate and args.inlier_rate is None:
+            raise UsageError("bare --threshold with rowsum needs --inlier-rate")
         return replace(cfg, inlier_rate=args.inlier_rate)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _check_threads(args) -> None:
-    """Validate ``--threads``, or the environment variable it overrides."""
-    if args.threads is not None:
-        if args.threads < 1:
-            raise UsageError("--threads must be at least 1")
-        return
-    try:
-        env_threads()
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -184,12 +185,12 @@ def _diagnostics_payload(
     return payload
 
 
-def _read_inputs(args) -> tuple[np.ndarray, np.ndarray]:
-    """X and Y.  When the worker count allows two threads, Y is read on one
-    worker thread while the calling thread reads X, which overlaps the two
-    reads' ``np.fromstring`` conversions.  X's error, if any, is the one
-    raised, and Y's is then dropped, as in a serial read."""
-    if resolve_workers(args.threads, 2) < 2:
+def _read_inputs(args, threads: int) -> tuple[np.ndarray, np.ndarray]:
+    """X and Y.  At two or more ``threads``, Y is read on one worker thread
+    while the calling thread reads X, which overlaps the two reads'
+    ``np.fromstring`` conversions.  X's error, if any, is the one raised, and
+    Y's is then dropped, as in a serial read."""
+    if threads < 2:
         return fileio.read_matrix_csv(args.x), fileio.read_matrix_csv(args.y)
     with ThreadPoolExecutor(max_workers=1) as pool:
         y = pool.submit(fileio.read_matrix_csv, args.y)
@@ -203,8 +204,8 @@ def _cmd_match(args) -> int:
         raise UsageError("--splits must be at least 1")
     if args.seed < 0:
         raise UsageError(f"--seed must be non-negative, got {args.seed}")
-    _check_threads(args)
-    x, y = _read_inputs(args)
+    threads = args.threads or usable_cpus()
+    x, y = _read_inputs(args, threads)
 
     if args.splits == 1:
         t0 = time.perf_counter()
@@ -214,7 +215,7 @@ def _cmd_match(args) -> int:
         payload = _diagnostics_payload(cfg, mode, 1, diag=diag)
     else:
         report = parallel_match(
-            x, y, args.splits, cfg, mode, args.seed, max_workers=args.threads
+            x, y, args.splits, cfg, mode, args.seed, max_workers=threads
         )
         partition = report.partition
         wall_ms = report.total_time_ms
@@ -256,7 +257,6 @@ _FOREIGN_BENCH_FLAGS = {
 
 
 def _cmd_bench(args) -> int:
-    _check_threads(args)
     axis = args.sweep
     for dest in _FOREIGN_BENCH_FLAGS[axis]:
         if getattr(args, dest) is not None:
@@ -366,7 +366,7 @@ def _cmd_imgdiff(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gramoverlap",
         description="Recover matched (inlier) points of two paired point sets "
         "by comparing their Gram matrices.",
@@ -396,11 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--threads",
-        type=int,
+        type=_thread_count,
         default=None,
-        help=f"most threads match runs: the two input reads run concurrently "
-        f"at 2 or more, and shards that form H run on up to this many workers "
-        f"(default: ${THREADS_ENV_VAR} or usable CPU count)",
+        help="most threads match runs: the two input reads run concurrently "
+        "at 2 or more, and shards that form H run on up to this many workers "
+        "(default: usable CPU count)",
     )
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_match)
@@ -440,10 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--threads",
-        type=int,
+        type=_thread_count,
         default=None,
         help="most split-merge workers; only the splits sweep reads it "
-        f"(default: ${THREADS_ENV_VAR} or usable CPU count)",
+        "(default: usable CPU count)",
     )
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_bench)

@@ -27,8 +27,6 @@ from .classify import (
 )
 from .overlap import PreprocessMode, _preprocessed_pair, build_overlap, forms_h
 
-THREADS_ENV_VAR = "GRAMOVERLAP_THREADS"
-
 
 @dataclass(frozen=True, eq=False)
 class SplitPlan:
@@ -88,26 +86,6 @@ class ParallelReport:
         return out
 
 
-def env_threads() -> int | None:
-    """Worker count set by ``GRAMOVERLAP_THREADS``, or None when it is unset.
-
-    Any value but an integer of at least 1 raises ``ValueError`` naming the
-    variable.
-    """
-    text = os.environ.get(THREADS_ENV_VAR)
-    if text is None:
-        return None
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(
-            f"{THREADS_ENV_VAR} must be an integer of at least 1, got {text!r}"
-        )
-    return value
-
-
 def usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the platform
     reports one, else the machine's CPU count."""
@@ -117,10 +95,10 @@ def usable_cpus() -> int:
 
 
 def resolve_workers(requested: int | None, s: int) -> int:
-    """Worker count: explicit request, else the env var, else one per usable
-    CPU."""
+    """Worker count for s shards: the request, else one per usable CPU,
+    capped at s."""
     if requested is None:
-        requested = env_threads() or usable_cpus()
+        requested = usable_cpus()
     if requested < 1:
         raise ValueError("worker count must be at least 1")
     return min(requested, s)

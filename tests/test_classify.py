@@ -268,6 +268,29 @@ class TestMatchConfig:
         with pytest.raises(ValueError):
             MatchConfig(method="row_sum", inlier_rate=1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(method="row_sum"),
+            dict(method="row_sum", threshold=2.0, use_two_means=False),
+            dict(method="eigenvector"),
+            dict(method="eigenvector", use_two_means=False),
+            dict(method="eigenvector", threshold=0.5, use_two_means=False),
+        ],
+    )
+    def test_inlier_rate_no_rule_reads_is_refused(self, kwargs):
+        with pytest.raises(ValueError, match="reads inlier_rate"):
+            MatchConfig(inlier_rate=0.5, **kwargs)
+        assert MatchConfig(**kwargs).inlier_rate is None
+
+    def test_inlier_rate_of_the_row_sum_default(self):
+        cfg = MatchConfig(method="row_sum", use_two_means=False, inlier_rate=0.5)
+        assert cfg.reads_inlier_rate and cfg.inlier_rate == 0.5
+        # the one config that reads a rate still refuses one outside (0, 1)
+        for rate in (0.0, 1.0, -0.5, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"must be in \(0, 1\)"):
+                MatchConfig(method="row_sum", use_two_means=False, inlier_rate=rate)
+
 
 class TestEigenvectorMatch:
     def test_threshold_arithmetic(self):

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gramoverlap import (
     linalg,
     match,
     overlap,
+    parallel,
 )
 from gramoverlap.classify import METHOD_EIGENVECTOR, METHOD_ROW_SUM
 from gramoverlap.cli import UsageError, _match_config, build_parser, main
@@ -293,20 +295,25 @@ class TestMatch:
             assert code == 2
             assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
-    def test_threads_variable_is_validated(self, tmp_path, monkeypatch, capsys, value):
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            "--meth rowsum --kmeans",
+            "--method rowsum --km",
+            "--method rowsum --kmeans --thread 1",
+            "--method rowsum --kmeans --split 2",
+            "--method eig --thresh 0.5",
+            "--method rowsum --threshold --inlier 0.5",
+            "--method rowsum --kmeans --pre none",
+        ],
+    )
+    def test_flag_prefixes_are_refused(self, tmp_path, capsys, flags):
         data = self.make_instance(tmp_path, seed=18)
-        monkeypatch.setenv("GRAMOVERLAP_THREADS", value)
-        base = f"match {data/'X.csv'} {data/'Y.csv'} --method rowsum --kmeans"
-        for splits in (1, 2):
-            out = tmp_path / f"m{splits}"
-            code = run(f"{base} --splits {splits} --out {out}".split())
-            assert code == 2
-            assert "GRAMOVERLAP_THREADS" in capsys.readouterr().err
-            assert not out.exists()
-        # --threads overrides the variable, which is then not read
-        out = tmp_path / "explicit"
-        assert run(f"{base} --splits 2 --threads 1 --out {out}".split()) == 0
+        out = tmp_path / "m"
+        code = run(f"match {data/'X.csv'} {data/'Y.csv'} {flags} --out {out}".split())
+        assert code == 2
+        assert "usage error: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_shape_mismatch_no_partial_outputs(self, tmp_path):
         data = self.make_instance(tmp_path, seed=16)
@@ -339,10 +346,27 @@ class TestMatch:
         )
         assert code == 0
 
+    def test_inlier_rate_no_rule_reads_is_usage_error(self, tmp_path, capsys):
+        data, path_a, path_b = tmp_path / "data", *write_test_images(tmp_path)
+        assert run(f"gen --d 3 --n 20 --r 0.5 --out {data}".split()) == 0
+        match_inputs = f"match {data/'X.csv'} {data/'Y.csv'}"
+        for inputs in (match_inputs, f"imgdiff {path_a} {path_b}"):
+            for branch in (
+                "--method rowsum --kmeans",
+                "--method rowsum --threshold 2",
+                "--method eig --threshold",
+                "--method eig --kmeans",
+            ):
+                out = tmp_path / "out"
+                argv = f"{inputs} {branch} --inlier-rate 0.5 --out {out}"
+                assert run(argv.split()) == 2, argv
+                assert "usage error: " in capsys.readouterr().err
+                assert not out.exists()
+
 
 class TestMatchReadsBothInputs:
     """``match`` reads Y on a worker thread while it reads X, when
-    ``--threads`` (or its variable, or the CPU count) allows two threads."""
+    ``--threads`` (or the CPU count) allows two threads."""
 
     BASE = "--method rowsum --kmeans --seed 5"
 
@@ -355,13 +379,8 @@ class TestMatchReadsBothInputs:
     def match(self, x, y, out, flags=""):
         return run(f"match {x} {y} {self.BASE} {flags} --out {out}".split())
 
-    @pytest.mark.parametrize("threads", ["--threads 1", "--threads 2", "env"])
-    def test_errors_name_x_first_then_y(
-        self, tmp_path, capsys, monkeypatch, threads
-    ):
-        if threads == "env":
-            monkeypatch.setenv("GRAMOVERLAP_THREADS", "2")
-            threads = ""
+    @pytest.mark.parametrize("threads", ["--threads 1", "--threads 2"])
+    def test_errors_name_x_first_then_y(self, tmp_path, capsys, threads):
         data = self.make_instance(tmp_path)
         bad_x, bad_y = tmp_path / "bad_x.csv", tmp_path / "bad_y.csv"
         bad_x.write_text("1,2\n3,4\n5,x\n")
@@ -559,6 +578,9 @@ class TestBench:
             "--sweep splits --splits-grid 1 --r 0.5 --trials 1 --sigma2-grid 0",
             "--sweep r --r-grid 0.5 --trials 1 --threads 1",
             "--sweep sigma2 --sigma2-grid 0 --r 0.5 --trials 1 --threads 2",
+            # a prefix of a flag
+            "--sweep r --r-grid 0.5 --trials 1 --method rowsum:kmeans",
+            "--sweep sigma2 --sigma2-grid 0 --r 0.5 --trials 1 --method eig:0.5",
             # a method spec given twice
             "--sweep r --r-grid 0.5 --trials 1 --methods eig:kmeans,eig:kmeans",
             "--sweep sigma2 --sigma2-grid 0 --r 0.5 --trials 1 "
@@ -613,17 +635,31 @@ class TestBench:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
-    def test_threads_variable_is_validated(self, tmp_path, monkeypatch, capsys, value):
-        monkeypatch.setenv("GRAMOVERLAP_THREADS", value)
-        for sweep in ("--sweep splits --splits-grid 1,2", "--sweep r --r-grid 0.5"):
-            out = tmp_path / "b"
-            code = run(
-                f"bench {sweep} --d 5 --n 40 --r 0.5 --trials 1 --out {out}".split()
-            )
-            assert code == 2
-            assert "GRAMOVERLAP_THREADS" in capsys.readouterr().err
-            assert not out.exists()
+
+@pytest.mark.parametrize("value", ["abc", "1"])
+def test_threads_variable_is_ignored(tmp_path, monkeypatch, value):
+    """The worker count comes from ``--threads`` or the affinity set only:
+    ``GRAMOVERLAP_THREADS``, set to anything, changes no exit code and no
+    output."""
+    data = tmp_path / "data"
+    assert run(f"gen --d 6 --n 60 --r 0.5 --seed 4 --out {data}".split()) == 0
+    base = f"match {data/'X.csv'} {data/'Y.csv'} --method rowsum --kmeans"
+    for splits in (1, 2):
+        argv = f"{base} --splits {splits} --out {tmp_path / f'plain{splits}'}"
+        assert run(argv.split()) == 0
+    monkeypatch.setenv("GRAMOVERLAP_THREADS", value)
+    for splits in (1, 2):
+        out = tmp_path / f"m{splits}"
+        assert run(f"{base} --splits {splits} --out {out}".split()) == 0
+        plain = tmp_path / f"plain{splits}" / "partition.csv"
+        assert (out / "partition.csv").read_bytes() == plain.read_bytes()
+    for sweep in ("--sweep r --r-grid 0.5", "--sweep splits --splits-grid 1,2 --r 0.5"):
+        out = tmp_path / "b"
+        argv = f"bench {sweep} --d 5 --n 40 --trials 1 --out {out}"
+        assert run(argv.split()) == 0
+    for s in (1, 2, 64):
+        expected = min(len(os.sched_getaffinity(0)), s)
+        assert parallel.resolve_workers(None, s) == expected
 
 
 class TestImgdiff:
@@ -781,6 +817,11 @@ class TestParser:
     def test_version_flag(self, capsys):
         assert run(["--version"]) == 0
         assert capsys.readouterr().out.strip()
+
+    def test_no_parser_takes_a_flag_by_prefix(self):
+        commands = ("gen", "match", "eval", "bench", "imgdiff")
+        parsers = [build_parser(), *(subparser(c) for c in commands)]
+        assert not any(p.allow_abbrev for p in parsers)
 
 
 def subparser(name: str):

@@ -66,16 +66,11 @@ class TestResolveWorkers:
     def test_capped_by_shards(self):
         assert resolve_workers(16, s=2) == 2
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("GRAMOVERLAP_THREADS", "2")
-        assert resolve_workers(None, s=8) == 2
-
     def test_invalid(self):
         with pytest.raises(ValueError):
             resolve_workers(0, s=4)
 
     def test_default_is_the_affinity_set_not_the_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("GRAMOVERLAP_THREADS", raising=False)
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(
             parallel.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False
