@@ -172,11 +172,20 @@ def two_means_1d(values) -> tuple[LabelPartition, tuple[float, float]]:
     ps[0] = pq[0] = 0.0
     np.add.accumulate(c, out=ps[1:])
     np.add.accumulate(c * c, out=pq[1:])
+    # Split costs, in place: the lower cluster's into ``costs``, the upper
+    # cluster's into the tails of ps and pq.  The upper size n - m is m
+    # reversed.
     m = np.arange(1, n, dtype=np.float64)  # lower-cluster size of each split
-    upper_sum = ps[n] - ps[1:n]
-    costs = (pq[1:n] - ps[1:n] * ps[1:n] / m) + (
-        (pq[n] - pq[1:n]) - upper_sum * upper_sum / (n - m)
-    )
+    low_s, low_q = ps[1:n], pq[1:n]
+    costs = low_s * low_s
+    costs /= m
+    np.subtract(low_q, costs, out=costs)
+    high_s = np.subtract(ps[n], low_s, out=low_s)
+    high_s *= high_s
+    high_s /= m[::-1]
+    high_q = np.subtract(pq[n], low_q, out=low_q)
+    high_q -= high_s
+    costs += high_q
     # argmin takes the first minimum = smallest lower cluster = largest upper
     # cluster, which is the required tie-break.
     k = int(costs.argmin()) + 1

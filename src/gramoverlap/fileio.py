@@ -76,6 +76,8 @@ def _plain_decimals(text: bytes, count: int):
         wide = np.fromstring(text, dtype=np.longdouble, sep=",")
     except ValueError:
         return None
+    # numpy 1.x stops at a malformed field with a warning instead of raising,
+    # so only the count tells a short parse from a good one.
     if wide.size != count:
         return None
     # A value beyond float64's range casts to inf, which the caller refuses.

@@ -79,6 +79,40 @@ def parent_two_means_1d(values):
     return partition, (low, high)
 
 
+def allocating_two_means_1d(values):
+    """The reference: two_means_1d while its split costs were one expression
+    that allocated a temporary per operation."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 1:
+        raise ValueError("values must be 1-D")
+    n = v.size
+    if n < 2:
+        raise ValueError("need at least two values")
+    if not np.isfinite(v).all():
+        raise ValueError("values contain non-finite entries")
+    order = v.argsort(kind="stable")
+    s = v[order]
+    c = s - s[n // 2]
+    if float(c[-1] - c[0]) <= 16 * np.spacing(max(-s[0], s[-1])):
+        raise DegenerateValuesError("all values equal; no 2-cluster split exists")
+    ps = np.empty(n + 1)
+    pq = np.empty(n + 1)
+    ps[0] = pq[0] = 0.0
+    np.add.accumulate(c, out=ps[1:])
+    np.add.accumulate(c * c, out=pq[1:])
+    m = np.arange(1, n, dtype=np.float64)
+    upper_sum = ps[n] - ps[1:n]
+    costs = (pq[1:n] - ps[1:n] * ps[1:n] / m) + (
+        (pq[n] - pq[1:n]) - upper_sum * upper_sum / (n - m)
+    )
+    k = int(costs.argmin()) + 1
+    low = float(np.add.reduce(s[:k]) / k)
+    high = float(np.add.reduce(s[k:]) / (n - k))
+    mask = np.zeros(n, dtype=bool)
+    mask[order[k:]] = True
+    return LabelPartition(mask), (low, high)
+
+
 def two_means_outcome(fn, values):
     """Everything a 2-means call returns, in a form whose equality means
     equal bits, or the type and message of what it raised."""
@@ -126,6 +160,21 @@ class TestTwoMeans:
             outcomes.add(want[0] if isinstance(want[0], type) else "split")
         # a split, a degenerate input and an invalid one were all compared
         assert outcomes == {"split", DegenerateValuesError, ValueError}
+
+    @pytest.mark.parametrize("n", [2, 3, 400, 4000])
+    def test_in_place_split_costs_match_the_allocating_ones(self, n):
+        rng = np.random.default_rng(derive_seed(1919, n))
+        cases = []
+        for _ in range(20):
+            normal = rng.standard_normal(n)
+            ties = rng.integers(0, 4, n).astype(float)
+            cases += [normal, ties, 1e12 + normal, 1e12 + ties]
+        splits = 0
+        for v in cases:
+            want = two_means_outcome(allocating_two_means_1d, v)
+            assert two_means_outcome(two_means_1d, v) == want
+            splits += not isinstance(want[0], type)
+        assert splits > len(cases) // 2
 
     def test_two_cluster_data(self):
         part, centroids = two_means_1d(np.array([0.0, 0.1, 0.9, 1.0]))

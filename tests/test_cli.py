@@ -12,6 +12,7 @@ from gramoverlap import (
     PreprocessMode,
     bench,
     build_overlap,
+    cli,
     error_rates,
     linalg,
     match,
@@ -822,6 +823,50 @@ class TestParser:
         commands = ("gen", "match", "eval", "bench", "imgdiff")
         parsers = [build_parser(), *(subparser(c) for c in commands)]
         assert not any(p.allow_abbrev for p in parsers)
+
+    @pytest.fixture
+    def commands(self, tmp_path):
+        """A match, a bench and a usage error, on a small instance; main's
+        parser cache is empty when the test starts and when it ends."""
+        data = TestMatch().make_instance(tmp_path, n=40, d=6)
+        cli._parser.cache_clear()
+        yield {
+            "match": f"match {data / 'X.csv'} {data / 'Y.csv'} --method rowsum "
+            "--kmeans --splits 2 --threads 1 --out {out}",
+            "bench": "bench --sweep r --d 6 --n 40 --trials 2 --r-grid 0.5 "
+            "--methods eig:kmeans --out {out}",
+            "usage error": "match a.csv b.csv --kmeans --out {out}",
+        }
+        cli._parser.cache_clear()
+
+    def test_main_builds_one_parser(self, tmp_path, monkeypatch, commands):
+        built = []
+
+        def spy():
+            built.append(build_parser())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        codes = [
+            run(line.format(out=tmp_path / f"out{i}").split())
+            for i, line in enumerate(commands.values())
+        ]
+        assert codes == [0, 0, 2]
+        assert len(built) == 1
+
+    def test_calls_share_no_state(self, tmp_path, commands):
+        assert run(commands["usage error"].format(out=tmp_path / "u").split()) == 2
+        assert run(commands["bench"].format(out=tmp_path / "b").split()) == 0
+        after = tmp_path / "after"
+        assert run(commands["match"].format(out=after).split()) == 0
+        cli._parser.cache_clear()
+        fresh = tmp_path / "fresh"
+        assert run(commands["match"].format(out=fresh).split()) == 0
+        for name in ("partition.csv", "manifest.json"):
+            assert (after / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
 
 
 def subparser(name: str):

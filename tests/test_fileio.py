@@ -513,9 +513,9 @@ class TestPlainDecimalPath:
         monkeypatch.setattr(fileio, "_X87_LONG_DOUBLE", request.param)
 
     @pytest.mark.parametrize("case", ["%.17g", "digits", "midpoints", "zeros"])
-    @pytest.mark.parametrize("width", [1, 7, 300])
+    @pytest.mark.parametrize("width", [1, 3, 7, 300, 5000])
     def test_same_bytes_as_the_line_by_line_reader(
-        self, tmp_path, gate, case, width
+        self, tmp_path, gate, block_chars, case, width
     ):
         path = tmp_path / "m.csv"
         path.write_text(csv_of(decimal_corpus()[case], width))
@@ -574,6 +574,37 @@ class TestPlainDecimalPath:
         assert str(exc.value) == (
             f"{path}:{lineno}: field {col} is not a number: {field!r}"
         )
+
+    @pytest.mark.parametrize("bad", ["1,,2", "1,2-3", "1,e5", "--1,2", "1.2.3,4"])
+    @pytest.mark.parametrize("stops", [False, True], ids=["raises", "stops"])
+    def test_a_file_of_only_malformed_rows_is_refused(
+        self, tmp_path, monkeypatch, gate, block_chars, bad, stops
+    ):
+        """Every row is bad the same way, so no row's width disagrees.  With
+        ``stops``, ``np.fromstring`` acts as numpy 1.x does: it returns the
+        values before the bad field (with a warning that is silent by
+        default) instead of raising."""
+        path = tmp_path / "m.csv"
+        path.write_text((bad + "\n") * 8000)
+        expected = outcome(line_by_line_read_matrix_csv, path)
+        assert expected == ("error", f"{path}:1")
+        if stops:
+            fromstring = np.fromstring
+
+            def stopping_fromstring(text, dtype, sep):
+                try:
+                    return fromstring(text, dtype=dtype, sep=sep)
+                except ValueError:
+                    values = []
+                    for field in text.split(sep.encode()):
+                        try:
+                            values.append(float(field))
+                        except ValueError:
+                            break
+                    return np.array(values, dtype=dtype)
+
+            monkeypatch.setattr(np, "fromstring", stopping_fromstring)
+        assert outcome(read_matrix_csv, path) == expected
 
 
 def mutate(data: bytes, rng) -> bytes:
