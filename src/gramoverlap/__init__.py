@@ -3,7 +3,7 @@
 The overlap matrix of two d-by-n point sets is the entrywise product of their
 Gram matrices; its leading eigenvector and its row sums each separate matched
 (inlier) columns from mismatched ones.  This package provides the matrix
-pipeline, both matchers, exact population oracles, seeded synthetic data,
+pipeline, the matcher, exact population oracles, seeded synthetic data,
 split-merge parallel matching, and a CLI.
 """
 
@@ -15,10 +15,8 @@ from .classify import (
     MatchConfig,
     MatchDiagnostics,
     ThresholdInterval,
-    eigenvector_match,
     error_rates,
     match,
-    row_sum_match,
     threshold_interval,
     two_means_1d,
 )
@@ -75,8 +73,6 @@ __all__ = [
     "ErrorReport",
     "ThresholdInterval",
     "two_means_1d",
-    "eigenvector_match",
-    "row_sum_match",
     "match",
     "threshold_interval",
     "error_rates",

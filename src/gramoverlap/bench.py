@@ -274,9 +274,9 @@ def run_splits_sweep(
     trials: int,
     seed: int,
     methods=(DEFAULT_SPLITS_METHOD,),
-    kind: str = "gaussian_outliers",
+    kind: str = "permuted_inliers",
     sigma2: float = 0.0,
-    preprocess: PreprocessMode = PreprocessMode.NONE,
+    preprocess: PreprocessMode = PreprocessMode.CENTER_NORMALIZE,
     max_workers: int | None = None,
 ) -> list[dict]:
     """Error rates and wall time of split-merge matching as s varies."""

@@ -1,9 +1,9 @@
 """Turn an overlap matrix into an inlier/outlier partition.
 
-Two matchers: one thresholds (or 2-means clusters) the coordinates of the
-leading eigenvector of the overlap matrix, the other does the same with the
-shifted row sums.  Both share an exact 1-D 2-means solver, and the error
-metrics compare a partition against ground truth.
+One matcher, two statistics: it thresholds (or 2-means clusters) either the
+coordinates of the leading eigenvector of the overlap matrix or its shifted
+row sums, through one exact 1-D 2-means solver.  The error metrics compare a
+partition against ground truth.
 """
 
 import math
@@ -196,123 +196,89 @@ def two_means_1d(values) -> tuple[LabelPartition, tuple[float, float]]:
     return LabelPartition(mask), (low, high)
 
 
-def _classify_stat(
-    stat: np.ndarray,
-    cut: float | None,
-    use_two_means: bool,
-    diag: MatchDiagnostics,
-) -> LabelPartition:
-    if use_two_means:
-        diag.branch = "two_means"
-        try:
-            partition, centroids = two_means_1d(stat)
-        except DegenerateValuesError:
-            diag.degenerate = True
-            diag.warnings.append(
-                "statistic is constant; no cluster split exists; labeling all "
-                "points as outliers"
-            )
-            return LabelPartition(np.zeros(stat.size, dtype=bool))
-        diag.centroids = centroids
-        diag.centroid_gap = centroids[1] - centroids[0]
-        return partition
-    diag.branch = "threshold"
-    diag.threshold = cut
-    return LabelPartition(stat >= cut)
+def match(h: OverlapMatrix, cfg: MatchConfig) -> tuple[LabelPartition, MatchDiagnostics]:
+    """Classify indices by the statistic of ``h`` that ``cfg.method`` names.
 
-
-def eigenvector_match(
-    h: OverlapMatrix, cfg: MatchConfig
-) -> tuple[LabelPartition, MatchDiagnostics]:
-    """Classify indices by the leading eigenvector of the overlap matrix.
-
-    The threshold branch keeps index i as an inlier when the (sign-fixed)
-    eigenvector coordinate is >= t / sqrt(n); the 2-means branch clusters the
-    coordinates and keeps the upper cluster.  The eigenvector is
+    The eigenvector rule reads the (sign-fixed) leading eigenvector,
     :meth:`OverlapMatrix.leading_eigenpair`, solved once per overlap: from the
     d^2-by-d^2 Khatri-Rao Gram, without reading ``H``, when ``4 d^2 <= n``
     (see :func:`~gramoverlap.overlap.factored_eig_is_cheaper`), and by power
-    iteration on ``H`` otherwise.  The diagnostics name the backend in
-    ``eig_backend``.
+    iteration on ``H`` otherwise.  Its fixed cut is t / sqrt(n).
+
+    The row-sum rule reads S_i - d^2, which (for k inliers, no preprocessing)
+    has mean d*(k+1) on inliers and 0 on outliers.  Its fixed cut is T, by
+    default d*(r*n+1)/2 from ``inlier_rate``.  Under column normalization the
+    shift is still applied as a constant: the 2-means partition is
+    shift-invariant in floating point (see :func:`two_means_1d`), so the
+    offset -d^2 does not move it however large d is; a fixed T must be
+    calibrated on the normalized scale.  The row sums are
+    :meth:`OverlapMatrix.row_sums`, computed once per overlap by the backend
+    fixed when it was built: from the factors, without forming ``H``
+    (``"gram_factor"``), or from the dense ``H`` (``"dense"``), as
+    :func:`~gramoverlap.overlap.build_overlap` picks or its caller pins.
+
+    The threshold branch keeps index i as an inlier when its statistic is at
+    least the cut; the 2-means branch clusters the statistic and keeps the
+    upper cluster, or labels every point an outlier (with a warning) when the
+    statistic is constant.  The diagnostics name the backend that computed
+    the statistic in ``eig_backend`` or ``row_sum_backend``.
     """
-    if cfg.method != METHOD_EIGENVECTOR:
-        raise ValueError(f"config method is {cfg.method!r}, not eigenvector")
-    pair = h.leading_eigenpair()
-    v = pair.vector
-    diag = MatchDiagnostics(
-        method=METHOD_EIGENVECTOR,
-        branch="",
-        n=h.n,
-        stat_min=float(np.minimum.reduce(v)),
-        stat_max=float(np.maximum.reduce(v)),
-        leading_eigenvalue=pair.value,
-        eig_backend=h.eig_backend,
-        residual=pair.residual,
-        iterations=pair.iterations,
-        converged=pair.converged,
-    )
-    if not pair.converged:
-        diag.warnings.append(
-            f"{h.eig_backend} eigenpair did not reach tolerance after "
-            f"{pair.iterations} iterations (residual {pair.residual:.3e})"
+    warnings = []
+    if cfg.method == METHOD_EIGENVECTOR:
+        pair = h.leading_eigenpair()
+        stat = pair.vector
+        facts = dict(
+            leading_eigenvalue=pair.value,
+            eig_backend=h.eig_backend,
+            residual=pair.residual,
+            iterations=pair.iterations,
+            converged=pair.converged,
         )
-    cut = None
-    if not cfg.use_two_means:
-        t = DEFAULT_EIG_THRESHOLD if cfg.threshold is None else cfg.threshold
-        cut = t / math.sqrt(h.n)
-    partition = _classify_stat(v, cut, cfg.use_two_means, diag)
-    return partition, diag
-
-
-def row_sum_match(
-    h: OverlapMatrix, cfg: MatchConfig
-) -> tuple[LabelPartition, MatchDiagnostics]:
-    """Classify indices by the shifted row sums of the overlap matrix.
-
-    The statistic is S_i - d^2, which (for k inliers, no preprocessing) has
-    mean d*(k+1) on inliers and 0 on outliers.
-    The threshold branch keeps i when S_i - d^2 >= T; the 2-means branch
-    clusters the shifted sums.  Under column normalization the shift is still
-    applied as a constant: the 2-means partition is shift-invariant in
-    floating point (see :func:`two_means_1d`), so the offset -d^2 does not
-    move it however large d is; a fixed T must be calibrated on the
-    normalized scale.  The row sums are :meth:`OverlapMatrix.row_sums`,
-    computed once per overlap by the backend fixed when it was built: from
-    the factors, without forming ``H`` (``"gram_factor"``), or from the dense
-    ``H`` (``"dense"``), as :func:`~gramoverlap.overlap.build_overlap` picks
-    or its caller pins.  The diagnostics name the backend in
-    ``row_sum_backend``.
-    """
-    if cfg.method != METHOD_ROW_SUM:
-        raise ValueError(f"config method is {cfg.method!r}, not row_sum")
-    stat = h.row_sums() - float(h.d) ** 2
+        if not pair.converged:
+            warnings.append(
+                f"{h.eig_backend} eigenpair did not reach tolerance after "
+                f"{pair.iterations} iterations (residual {pair.residual:.3e})"
+            )
+    else:
+        stat = h.row_sums() - float(h.d) ** 2
+        facts = dict(row_sum_backend=h.row_sum_backend)
+    cut = centroids = None
+    degenerate = False
+    if cfg.use_two_means:
+        try:
+            partition, centroids = two_means_1d(stat)
+        except DegenerateValuesError:
+            degenerate = True
+            warnings.append(
+                "statistic is constant; no cluster split exists; labeling all "
+                "points as outliers"
+            )
+            partition = LabelPartition(np.zeros(stat.size, dtype=bool))
+    else:
+        if cfg.method == METHOD_EIGENVECTOR:
+            t = DEFAULT_EIG_THRESHOLD if cfg.threshold is None else cfg.threshold
+            cut = t / math.sqrt(h.n)
+        elif cfg.threshold is not None:
+            cut = cfg.threshold
+        elif cfg.inlier_rate is None:
+            raise ValueError("default row-sum threshold requires inlier_rate to be set")
+        else:
+            cut = h.d * (cfg.inlier_rate * h.n + 1) / 2.0
+        partition = LabelPartition(stat >= cut)
     diag = MatchDiagnostics(
-        method=METHOD_ROW_SUM,
-        branch="",
+        method=cfg.method,
+        branch="two_means" if cfg.use_two_means else "threshold",
         n=h.n,
         stat_min=float(np.minimum.reduce(stat)),
         stat_max=float(np.maximum.reduce(stat)),
-        row_sum_backend=h.row_sum_backend,
+        threshold=cut,
+        centroids=centroids,
+        centroid_gap=None if centroids is None else centroids[1] - centroids[0],
+        degenerate=degenerate,
+        warnings=warnings,
+        **facts,
     )
-    cut = None
-    if not cfg.use_two_means:
-        if cfg.threshold is not None:
-            cut = cfg.threshold
-        else:
-            if cfg.inlier_rate is None:
-                raise ValueError(
-                    "default row-sum threshold requires inlier_rate to be set"
-                )
-            cut = h.d * (cfg.inlier_rate * h.n + 1) / 2.0
-    partition = _classify_stat(stat, cut, cfg.use_two_means, diag)
     return partition, diag
-
-
-def match(h: OverlapMatrix, cfg: MatchConfig) -> tuple[LabelPartition, MatchDiagnostics]:
-    """Dispatch to the matcher selected by ``cfg.method``."""
-    if cfg.method == METHOD_EIGENVECTOR:
-        return eigenvector_match(h, cfg)
-    return row_sum_match(h, cfg)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,9 @@ def check_shard_count(n: int, s: int) -> None:
 
 
 def make_split(n: int, s: int, seed: int) -> SplitPlan:
-    """Uniformly random balanced split of 0..n-1 into s shards.
+    """Uniformly random balanced split of 0..n-1 into s shards: a seeded
+    permutation cut by ``np.array_split``, so the first ``n mod s`` shards
+    hold one point more, each sorted.
 
     Requires 1 <= s <= n/2 (see :func:`check_shard_count`) and a
     non-negative ``seed``.
@@ -55,15 +57,8 @@ def make_split(n: int, s: int, seed: int) -> SplitPlan:
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    perm = rng.permutation(n)
-    base, extra = divmod(n, s)
-    shards = []
-    start = 0
-    for j in range(s):
-        size = base + (1 if j < extra else 0)
-        shards.append(np.sort(perm[start : start + size]))
-        start += size
-    return SplitPlan(n=n, s=s, seed=seed, shards=tuple(shards))
+    shards = tuple(np.sort(part) for part in np.array_split(rng.permutation(n), s))
+    return SplitPlan(n=n, s=s, seed=seed, shards=shards)
 
 
 @dataclass

@@ -21,14 +21,12 @@ from gramoverlap import (
     ScenarioSpec,
     build_overlap,
     dense_eig,
-    eigenvector_match,
     empirical_deviation,
     error_rates,
     generate,
     match,
     parallel_match,
     population_overlap,
-    row_sum_match,
     spectral_norm,
     threshold_interval,
     two_means_1d,
@@ -112,7 +110,7 @@ def test_criterion_2_exact_recovery():
     for t in range(trials):
         pair = generate(ScenarioSpec(d=d, n=n, r=r, seed=derive_seed(20202, t)))
         h = build_overlap(pair.x, pair.y, PreprocessMode.NONE)
-        part, _ = row_sum_match(h, cfg)
+        part, _ = match(h, cfg)
         rep = error_rates(pair.inliers, part)
         if rep.missed_inliers + rep.missed_outliers == 0:
             zero_miss += 1
@@ -149,7 +147,7 @@ def test_criterion_3_vanishing_inlier_regime():
                 ScenarioSpec(d=n, n=n, r=k / n, seed=derive_seed(30303 + n, t))
             )
             h = build_overlap(pair.x, pair.y, PreprocessMode.CENTER_NORMALIZE)
-            part, _ = row_sum_match(h, MatchConfig(method="row_sum"))
+            part, _ = match(h, MatchConfig(method="row_sum"))
             errors[t] = error_rates(pair.inliers, part).error_w
         means.append(float(errors.mean()))
     elapsed = time.perf_counter() - t0
@@ -182,7 +180,7 @@ def test_criterion_4_eigenvector_weak_recovery():
                 ScenarioSpec(d=n, n=n, r=0.5, seed=derive_seed(40404 + n, t))
             )
             h = build_overlap(pair.x, pair.y, PreprocessMode.NONE)
-            part, _ = eigenvector_match(h, cfg)
+            part, _ = match(h, cfg)
             errors[t] = error_rates(pair.inliers, part).error_w
         means.append(float(errors.mean()))
     elapsed = time.perf_counter() - t0

@@ -17,13 +17,11 @@ from gramoverlap import (
     PreprocessMode,
     ScenarioSpec,
     build_overlap,
-    eigenvector_match,
     error_rates,
     generate,
     match,
     population_overlap,
     preprocess,
-    row_sum_match,
     threshold_interval,
     two_means_1d,
 )
@@ -248,7 +246,7 @@ class TestTwoMeans:
         sums = 1.0 + 0.05 * rng.standard_normal(n)
         sums[:k] += 0.12
         h = as_overlap(np.diag(sums), d=d)
-        part, _ = row_sum_match(h, MatchConfig(method="row_sum"))
+        part, _ = match(h, MatchConfig(method="row_sum"))
         stat = h.row_sums() - float(d) ** 2
         assert stat.max() < -1e6
         order = np.argsort(stat, kind="stable")
@@ -346,7 +344,7 @@ class TestEigenvectorMatch:
         v = np.array([0.70, 0.71, 0.05, 0.04])
         h = as_overlap(np.outer(v, v), d=4)
         cfg = MatchConfig(method="eigenvector", threshold=0.5, use_two_means=False)
-        part, diag = eigenvector_match(h, cfg)
+        part, diag = match(h, cfg)
         assert np.array_equal(part.inliers, [0, 1])
         assert diag.branch == "threshold"
         assert abs(diag.threshold - 0.25) <= 1e-15
@@ -354,14 +352,14 @@ class TestEigenvectorMatch:
     def test_population_threshold_recovers_exactly(self):
         h = population_h(d=30, n=24, k=12)
         cfg = MatchConfig(method="eigenvector", threshold=0.5, use_two_means=False)
-        part, diag = eigenvector_match(h, cfg)
+        part, diag = match(h, cfg)
         assert np.array_equal(part.inliers, np.arange(12))
         assert diag.converged
 
     def test_population_two_means_recovers_exactly(self):
         h = population_h(d=30, n=24, k=12)
         cfg = MatchConfig(method="eigenvector", use_two_means=True)
-        part, _ = eigenvector_match(h, cfg)
+        part, _ = match(h, cfg)
         assert np.array_equal(part.inliers, np.arange(12))
 
     def test_population_recovery_grid_both_methods(self):
@@ -376,7 +374,7 @@ class TestEigenvectorMatch:
     def test_degenerate_statistic_falls_back_to_all_outliers(self):
         h = as_overlap(np.eye(6), d=3)
         cfg = MatchConfig(method="eigenvector", use_two_means=True)
-        part, diag = eigenvector_match(h, cfg)
+        part, diag = match(h, cfg)
         assert part.inliers.size == 0
         assert diag.degenerate
         assert diag.warnings
@@ -385,12 +383,7 @@ class TestEigenvectorMatch:
         h = population_h(d=10, n=20, k=10)
         explicit = MatchConfig(method="eigenvector", threshold=0.5, use_two_means=False)
         implicit = MatchConfig(method="eigenvector", use_two_means=False)
-        assert eigenvector_match(h, explicit)[0] == eigenvector_match(h, implicit)[0]
-
-    def test_wrong_method_rejected(self):
-        h = population_h(d=2, n=4, k=2)
-        with pytest.raises(ValueError):
-            eigenvector_match(h, MatchConfig(method="row_sum"))
+        assert match(h, explicit)[0] == match(h, implicit)[0]
 
     def test_factored_backend_never_forms_h(self, monkeypatch):
         # 4 d^2 <= n: the eigenvector comes from the d^2-by-d^2 Khatri-Rao
@@ -408,7 +401,7 @@ class TestEigenvectorMatch:
             MatchConfig(method="eigenvector"),
             MatchConfig(method="eigenvector", threshold=0.5, use_two_means=False),
         ):
-            part, diag = eigenvector_match(h, cfg)
+            part, diag = match(h, cfg)
             assert diag.eig_backend == "gram_factor"
             assert diag.iterations == 0 and diag.converged
             assert error_rates(pair.inliers, part).error_w <= 0.1
@@ -431,7 +424,7 @@ class TestEigenvectorMatch:
             )
             pair = generate(spec)
             h = build_overlap(pair.x, pair.y, PreprocessMode.NONE)
-            part, _ = eigenvector_match(h, cfg)
+            part, _ = match(h, cfg)
             report = error_rates(pair.inliers, part)
             if report.error_w <= 0.05:
                 hits += 1
@@ -445,7 +438,7 @@ class TestRowSumMatch:
         assert np.array_equal(shifted[:10], np.full(10, 110.0))
         assert np.array_equal(shifted[10:], np.zeros(10))
         cfg = MatchConfig(method="row_sum", threshold=55.0, use_two_means=False)
-        part, diag = row_sum_match(h, cfg)
+        part, diag = match(h, cfg)
         assert np.array_equal(part.inliers, np.arange(10))
         assert diag.threshold == 55.0
 
@@ -453,26 +446,26 @@ class TestRowSumMatch:
         # shifted row sums (110, 108, 2, -1) against T = 55
         h = as_overlap(np.diag([210.0, 208.0, 102.0, 99.0]), d=10)
         cfg = MatchConfig(method="row_sum", threshold=55.0, use_two_means=False)
-        part, _ = row_sum_match(h, cfg)
+        part, _ = match(h, cfg)
         assert np.array_equal(part.inliers, [0, 1])
 
     def test_population_two_means_recovers_exactly(self):
         h = population_h(d=10, n=20, k=10)
-        part, diag = row_sum_match(h, MatchConfig(method="row_sum"))
+        part, diag = match(h, MatchConfig(method="row_sum"))
         assert np.array_equal(part.inliers, np.arange(10))
         assert diag.centroid_gap == 110.0
 
     def test_default_threshold_uses_rate_and_size(self):
         h = population_h(d=10, n=20, k=10)
         cfg = MatchConfig(method="row_sum", use_two_means=False, inlier_rate=0.5)
-        part, diag = row_sum_match(h, cfg)
+        part, diag = match(h, cfg)
         assert diag.threshold == 10 * (0.5 * 20 + 1) / 2  # 55
         assert np.array_equal(part.inliers, np.arange(10))
 
     def test_default_threshold_requires_rate(self):
         h = population_h(d=10, n=20, k=10)
         with pytest.raises(ValueError):
-            row_sum_match(h, MatchConfig(method="row_sum", use_two_means=False))
+            match(h, MatchConfig(method="row_sum", use_two_means=False))
 
     def test_shift_applied_after_normalization_harmless_for_two_means(self):
         rng = np.random.default_rng(55)
@@ -482,13 +475,13 @@ class TestRowSumMatch:
         y[:, :24] = rot @ x[:, :24]
         y[:, 24:] = rng.standard_normal((8, 16))
         h = build_overlap(x, y, PreprocessMode.CENTER_NORMALIZE)
-        part, _ = row_sum_match(h, MatchConfig(method="row_sum"))
+        part, _ = match(h, MatchConfig(method="row_sum"))
         unshifted, _ = two_means_1d(h.row_sums())
         assert part == unshifted
 
     def test_degenerate_statistic_falls_back_to_all_outliers(self):
         h = as_overlap(np.eye(4), d=1)
-        part, diag = row_sum_match(h, MatchConfig(method="row_sum"))
+        part, diag = match(h, MatchConfig(method="row_sum"))
         assert part.inliers.size == 0
         assert diag.degenerate
 
@@ -500,9 +493,9 @@ class TestRowSumMatch:
             ScenarioSpec(d=3, n=400, r=0.7, kind="gaussian_outliers", seed=808)
         )
         cfg = MatchConfig(method="row_sum")
-        ref, _ = row_sum_match(build_overlap(pair.x, pair.y, "none"), cfg)
+        ref, _ = match(build_overlap(pair.x, pair.y, "none"), cfg)
         small = build_overlap(np.ldexp(pair.x, -10), np.ldexp(pair.y, -10), "none")
-        part, diag = row_sum_match(small, cfg)
+        part, diag = match(small, cfg)
         assert not diag.degenerate
         assert diag.stat_max - diag.stat_min < 1e-8
         assert part == ref
@@ -522,8 +515,8 @@ class TestRowSumMatch:
                 MatchConfig(method="row_sum"),
                 MatchConfig(method="row_sum", use_two_means=False, inlier_rate=0.7),
             ):
-                part, diag = row_sum_match(lazy, cfg)
-                ref, ref_diag = row_sum_match(eager, cfg)
+                part, diag = match(lazy, cfg)
+                ref, ref_diag = match(eager, cfg)
                 assert diag.row_sum_backend == "gram_factor"
                 assert ref_diag.row_sum_backend == "dense"
                 assert part == ref
@@ -562,6 +555,128 @@ class TestMatchDispatch:
                 base_mask = base.inlier_mask()
                 assert np.array_equal(permuted.inlier_mask(), base_mask[sigma])
 
+
+
+# diagnostics of ``match`` on population_h(d=3, n=10, k=4), recorded before
+# the eigenvector and row-sum matchers were folded into it
+_EIG_DIAG = {
+    "method": "eigenvector", "branch": "threshold", "n": 10,
+    "stat_min": 2.9903390334645934e-11, "stat_max": 0.5, "threshold": None,
+    "centroids": None, "centroid_gap": None, "degenerate": False,
+    "leading_eigenvalue": 24.0, "eig_backend": "power_iteration",
+    "row_sum_backend": None, "residual": 1.0987207184873526e-09,
+    "iterations": 25, "converged": True, "warnings": [],
+}
+_ROW_SUM_DIAG = {
+    "method": "row_sum", "branch": "threshold", "n": 10,
+    "stat_min": 0.0, "stat_max": 15.0, "threshold": None,
+    "centroids": None, "centroid_gap": None, "degenerate": False,
+    "leading_eigenvalue": None, "eig_backend": None,
+    "row_sum_backend": "dense", "residual": None,
+    "iterations": None, "converged": None, "warnings": [],
+}
+_CONSTANT_WARNING = (
+    "statistic is constant; no cluster split exists; labeling all points as "
+    "outliers"
+)
+_FLIP_EIG_DIAG = {
+    "method": "eigenvector", "branch": "two_means", "n": 2,
+    "stat_min": 0.7071067811865475, "stat_max": 0.7071067811865475,
+    "threshold": None, "centroids": None, "centroid_gap": None,
+    "degenerate": True, "leading_eigenvalue": -2.2371143170757382e-17,
+    "eig_backend": "power_iteration", "row_sum_backend": None,
+    "residual": 0.9999999999999999, "iterations": 1000, "converged": False,
+    "warnings": [
+        "power_iteration eigenpair did not reach tolerance after 1000 "
+        "iterations (residual 1.000e+00)",
+        _CONSTANT_WARNING,
+    ],
+}
+
+
+class TestMatchRecorded:
+    """Partitions and diagnostics equal values recorded before the two
+    matchers became one; floats are compared by ``repr``."""
+
+    @staticmethod
+    def check(h, cfg, mask, diag):
+        part, got = match(h, cfg)
+        assert part.inlier_mask().tolist() == mask
+        assert repr(got.to_dict()) == repr(diag)
+
+    @pytest.mark.parametrize(
+        "cfg, diag",
+        [
+            (
+                MatchConfig(method="eigenvector", threshold=0.9, use_two_means=False),
+                dict(_EIG_DIAG, threshold=0.2846049894151541),
+            ),
+            (
+                MatchConfig(method="eigenvector", use_two_means=False),
+                dict(_EIG_DIAG, threshold=0.15811388300841897),
+            ),
+            (
+                MatchConfig(method="eigenvector"),
+                dict(
+                    _EIG_DIAG, branch="two_means",
+                    centroids=[2.990339033464593e-11, 0.5],
+                    centroid_gap=0.4999999999700966,
+                ),
+            ),
+            (
+                MatchConfig(method="row_sum", threshold=7.0, use_two_means=False),
+                dict(_ROW_SUM_DIAG, threshold=7.0),
+            ),
+            (
+                MatchConfig(method="row_sum", use_two_means=False, inlier_rate=0.4),
+                dict(_ROW_SUM_DIAG, threshold=7.5),
+            ),
+            (
+                MatchConfig(method="row_sum"),
+                dict(
+                    _ROW_SUM_DIAG, branch="two_means", centroids=[0.0, 15.0],
+                    centroid_gap=15.0,
+                ),
+            ),
+        ],
+        ids=[
+            "eig-threshold", "eig-default", "eig-kmeans",
+            "rowsum-threshold", "rowsum-default", "rowsum-kmeans",
+        ],
+    )
+    def test_population_instance(self, cfg, diag):
+        h = population_h(d=3, n=10, k=4)
+        self.check(h, cfg, [True] * 4 + [False] * 6, diag)
+
+    def test_constant_statistic_takes_the_fallback(self):
+        h = as_overlap(np.eye(4), d=1)
+        fallback = dict(
+            branch="two_means", n=4, degenerate=True, warnings=[_CONSTANT_WARNING]
+        )
+        self.check(
+            h, MatchConfig(method="eigenvector"), [False] * 4,
+            dict(
+                _EIG_DIAG, **fallback, stat_min=0.5, stat_max=0.5,
+                leading_eigenvalue=1.0, residual=0.0, iterations=1,
+            ),
+        )
+        self.check(
+            h, MatchConfig(method="row_sum"), [False] * 4,
+            dict(_ROW_SUM_DIAG, **fallback, stat_max=0.0),
+        )
+
+    def test_unconverged_eigenpair_warns_first(self):
+        h = as_overlap([[1.0, 0.0], [0.0, -1.0]], d=1)
+        self.check(h, MatchConfig(method="eigenvector"), [False, False], _FLIP_EIG_DIAG)
+        self.check(
+            h,
+            MatchConfig(method="eigenvector", use_two_means=False),
+            [True, True],
+            dict(
+                _FLIP_EIG_DIAG, branch="threshold", threshold=0.35355339059327373,
+                degenerate=False, warnings=_FLIP_EIG_DIAG["warnings"][:1],
+            ),
+        )
 
 class TestThresholdInterval:
     def test_zero_constants_degenerate_to_population_gap(self):

@@ -629,6 +629,24 @@ class TestBench:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["options"]["sigma2"] == 4.0
 
+    def test_splits_sweep_defaults_match_the_library(self, tmp_path):
+        # with no --kind or --preprocess, the CLI splits sweep draws the data
+        # and preprocesses it as run_splits_sweep does with its defaults
+        out = tmp_path / "bench"
+        code = run(
+            "bench --sweep splits --d 5 --n 40 --r 0.5 --trials 2 --seed 3 "
+            f"--splits-grid 1,2 --threads 1 --out {out}".split()
+        )
+        assert code == 0
+        expected = bench.run_splits_sweep(
+            d=5, n=40, r=0.5, split_values=[1, 2], trials=2, seed=3, max_workers=1
+        )
+        rows = bench.read_sweep_csv(out / "sweep_splits.csv")
+        untimed = [k for k in bench.SWEEP_COLUMNS if not k.startswith("time_ms")]
+        assert [{k: r[k] for k in untimed} for r in rows] == [
+            {k: r[k] for k in untimed} for r in expected
+        ]
+
     def test_threads_below_one_is_usage_error(self, tmp_path):
         code = run(
             "bench --sweep splits --d 5 --n 40 --r 0.5 --trials 1 "

@@ -54,6 +54,23 @@ class TestMakeSplit:
             make_split(10, 6, seed=0)  # would leave a singleton shard
         make_split(10, 5, seed=0)  # boundary: shards of exactly 2
 
+    @pytest.mark.parametrize(
+        "n, s, seed, shards",
+        [
+            (2, 1, 0, [[0, 1]]),
+            (7, 3, 1, [[0, 1, 5], [2, 4], [3, 6]]),
+            (10, 4, 12345, [[1, 4, 8], [3, 7, 9], [0, 6], [2, 5]]),
+            (11, 2, 0, [[0, 2, 3, 4, 6, 7], [1, 5, 8, 9, 10]]),
+            (13, 5, 1, [[1, 7, 10], [4, 9, 12], [0, 5, 8], [2, 11], [3, 6]]),
+        ],
+    )
+    def test_shards_are_pinned(self, n, s, seed, shards):
+        # a seed's shards, and so a --splits partition, stay the same across
+        # versions: these were recorded before make_split used np.array_split
+        plan = make_split(n, s, seed)
+        assert [a.tolist() for a in plan.shards] == shards
+        assert all(a.dtype == np.intp for a in plan.shards)
+
     def test_negative_seed_is_refused_by_name(self):
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             make_split(10, 2, seed=-1)

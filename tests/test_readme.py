@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import gramoverlap
 from gramoverlap import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -42,3 +43,17 @@ def test_cli_examples_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README example does not parse: {shlex.join(argv)}")
+
+
+def test_entry_point_table_names_only_public_calls():
+    # a call removed from the package cannot linger in the table
+    text = README.read_text(encoding="utf-8")
+    table = text.split("\nKey entry points:\n\n", 1)[1].split("\n\n", 1)[0]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    names = [
+        call.split("(", 1)[0].strip()
+        for row in rows
+        for call in row.split("`", 2)[1].split(" / ")
+    ]
+    assert len(names) >= len(rows) > 0
+    assert [name for name in names if not hasattr(gramoverlap, name)] == []
