@@ -23,8 +23,9 @@ from .classify import (
     METHOD_EIGENVECTOR,
     METHOD_ROW_SUM,
     MatchConfig,
-    error_rates,
+    count_errors,
     match,
+    truth_mask,
 )
 from .overlap import OverlapMatrix, PreprocessMode, build_overlap
 from .parallel import check_shard_count, parallel_match
@@ -175,19 +176,21 @@ def _run_grid_point(
 ) -> list[dict]:
     """Summary rows of one grid point; ``methods`` pairs each spec text,
     the label of its rows, with its parsed config.  Data generation and
-    scoring are not timed."""
+    scoring are not timed; a trial's truth mask is built once for all of its
+    partitions."""
     errs = {label: [] for label, _ in methods}
     times = {label: [] for label, _ in methods}
     configs = {label: _at_rate(cfg, spec.r) for label, cfg in methods}
     for t in range(trials):
         trial = replace(spec, seed=derive_seed(spec.seed, t))
         pair = generate(trial)
+        truth = truth_mask(pair.inliers, trial.n)
         if sweep == "splits":
             results = _split_trial(pair, configs, mode, value, trial.seed, max_workers)
         else:
             results = _overlap_trial(pair, configs, mode)
         for label, part, ms in results:
-            errs[label].append(error_rates(pair.inliers, part))
+            errs[label].append(count_errors(truth, part))
             times[label].append(ms)
     return [
         _summary_row(sweep, value, label, errs[label], times[label])

@@ -97,6 +97,13 @@ class MatchConfig:
         default = self.threshold is None and not self.use_two_means
         return default and self.method == METHOD_ROW_SUM
 
+    def check_runnable(self) -> None:
+        """Raise ``ValueError`` when the rule reads an inlier rate that is
+        not set.  Such a config is accepted (a sweep's ``rowsum:auto`` gets
+        its rate at each grid point), but no matcher can run it."""
+        if self.reads_inlier_rate and self.inlier_rate is None:
+            raise ValueError("default row-sum threshold requires inlier_rate to be set")
+
 
 @dataclass
 class MatchDiagnostics:
@@ -221,8 +228,11 @@ def match(h: OverlapMatrix, cfg: MatchConfig) -> tuple[LabelPartition, MatchDiag
     least the cut; the 2-means branch clusters the statistic and keeps the
     upper cluster, or labels every point an outlier (with a warning) when the
     statistic is constant.  The diagnostics name the backend that computed
-    the statistic in ``eig_backend`` or ``row_sum_backend``.
+    the statistic in ``eig_backend`` or ``row_sum_backend``.  A config that
+    cannot run (see :meth:`MatchConfig.check_runnable`) is refused before
+    any statistic is computed.
     """
+    cfg.check_runnable()
     warnings = []
     if cfg.method == METHOD_EIGENVECTOR:
         pair = h.leading_eigenpair()
@@ -260,8 +270,6 @@ def match(h: OverlapMatrix, cfg: MatchConfig) -> tuple[LabelPartition, MatchDiag
             cut = t / math.sqrt(h.n)
         elif cfg.threshold is not None:
             cut = cfg.threshold
-        elif cfg.inlier_rate is None:
-            raise ValueError("default row-sum threshold requires inlier_rate to be set")
         else:
             cut = h.d * (cfg.inlier_rate * h.n + 1) / 2.0
         partition = LabelPartition(stat >= cut)
@@ -340,27 +348,32 @@ class ErrorReport:
         return (self.missed_inliers + self.missed_outliers) / self.n
 
 
-def error_rates(truth_inliers, partition: LabelPartition) -> ErrorReport:
-    """Error rates of a partition against the true inlier set.
-
-    ``truth_inliers`` is any array-like of indices in 0..n-1; order and
-    duplicates are ignored.  Both the true inlier set and its complement must
-    be nonempty.
-    """
+def truth_mask(truth_inliers, n: int) -> np.ndarray:
+    """Boolean mask of the true inliers among 0..n-1, checked as
+    :func:`error_rates` checks them."""
     g = np.asarray(truth_inliers, dtype=np.intp)
-    n = partition.n
     if g.size and (
         np.minimum.reduce(g, axis=None) < 0 or np.maximum.reduce(g, axis=None) >= n
     ):
         raise ValueError("truth indices out of range")
-    truth_mask = np.zeros(n, dtype=bool)
-    truth_mask[g] = True
-    k = int(np.count_nonzero(truth_mask))
+    mask = np.zeros(n, dtype=bool)
+    mask[g] = True
+    k = int(np.count_nonzero(mask))
     if not 1 <= k <= n - 1:
         raise ValueError("true inlier set and its complement must be nonempty")
+    return mask
+
+
+def count_errors(truth: np.ndarray, partition: LabelPartition) -> ErrorReport:
+    """Error counts of a partition against a mask from :func:`truth_mask`,
+    which one trial builds once however many partitions it scores."""
+    n = partition.n
+    if truth.shape != (n,):
+        raise ValueError(f"truth mask has shape {truth.shape}, expected ({n},)")
+    k = int(np.count_nonzero(truth))
     # The estimated inliers are distinct indices, so the true ones among
     # them are counted on the truth mask alone.
-    hits = int(np.count_nonzero(truth_mask[partition.inliers]))
+    hits = int(np.count_nonzero(truth[partition.inliers]))
     return ErrorReport(
         n=n,
         n_inliers=k,
@@ -368,3 +381,13 @@ def error_rates(truth_inliers, partition: LabelPartition) -> ErrorReport:
         missed_inliers=k - hits,
         missed_outliers=partition.inliers.size - hits,
     )
+
+
+def error_rates(truth_inliers, partition: LabelPartition) -> ErrorReport:
+    """Error rates of a partition against the true inlier set.
+
+    ``truth_inliers`` is any array-like of indices in 0..n-1; order and
+    duplicates are ignored.  Both the true inlier set and its complement must
+    be nonempty.
+    """
+    return count_errors(truth_mask(truth_inliers, partition.n), partition)

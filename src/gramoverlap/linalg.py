@@ -2,10 +2,11 @@
 
 The Gram matrix, two solvers for the leading eigenpair (power iteration on a
 dense matrix, and a factored solve of ``(X^T X) o (Y^T Y)`` that never forms
-it), the factored row sums of that same product, and a full dense
-eigendecomposition capped at small orders that serves as the independent
-oracle for the eigensolvers.  The entrywise product itself is formed in
-place by :attr:`gramoverlap.overlap.OverlapMatrix.h`.
+it: repeated squaring of the d^2-by-d^2 Khatri-Rao Gram ``Z Z^T``), the
+factored row sums of that same product, and a full dense eigendecomposition
+capped at small orders that serves as the independent oracle for the
+eigensolvers.  The entrywise product itself is formed in place by
+:attr:`gramoverlap.overlap.OverlapMatrix.h`.
 """
 
 import math
@@ -24,6 +25,13 @@ _ZERO_SUM_TOL = 1e-12
 
 POWER_TOL_DEFAULT = 1e-10
 POWER_MAX_ITER_DEFAULT = 1000
+
+# Cap on the squarings of khatri_rao_eigenpair.  After j squarings an
+# eigenvalue (1 - delta) lambda_1 keeps a weight exp(-delta 2^j) of the top
+# one's, so the residual it can leave is at most delta exp(-delta 2^j)
+# lambda_1 <= lambda_1 / (e 2^j): about 3e-13 lambda_1 at j = 40, far below
+# the 1e-10 residual test, whatever the gap.
+KHATRI_RAO_MAX_SQUARINGS = 40
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -129,16 +137,57 @@ def power_iteration(
     return SpectralPair(value, fix_sign(v), max_iter, best_residual, False)
 
 
+def _top_eigvector_by_squaring(g: np.ndarray) -> np.ndarray:
+    """A top eigenvector of the exactly symmetric PSD matrix ``g``, not
+    normalised; zero when ``g = 0``.
+
+    ``B = g / tr g`` is squared and renormalised, ``B <- B^2 / tr(B^2)``,
+    until one more squaring changes no entry by more than ``m`` units of
+    roundoff (``m`` the order of ``g``: ``B`` has trace 1, so that bounds
+    the rounding error of an entry of ``B^2``), or
+    :data:`KHATRI_RAO_MAX_SQUARINGS` times.  ``B`` tends to the projector
+    on the top eigenspace over its dimension, so its column of largest
+    diagonal lies in that eigenspace; it is returned after one product with
+    ``g``.  ``B B^T`` is ``B^2`` (BLAS syrk, which keeps ``B`` exactly
+    symmetric), ``m^3`` flops a squaring.  The loop writes into three
+    buffers allocated once: with glibc's default malloc, a fresh array of
+    order 400 (d = 20) on every squaring made the loop about a fifth slower.
+    """
+    t = float(g.trace())
+    if not t > 0.0:
+        return np.zeros(g.shape[0])
+    b = g / t
+    b2 = np.empty_like(b)
+    diff = np.empty_like(b)
+    tol = g.shape[0] * np.finfo(np.float64).eps
+    for _ in range(KHATRI_RAO_MAX_SQUARINGS):
+        np.matmul(b, b.T, out=b2)
+        b2 /= b2.trace()
+        np.subtract(b2, b, out=diff)
+        b, b2 = b2, b
+        if np.maximum.reduce(np.abs(diff, out=diff), axis=None) <= tol:
+            break
+    return g @ b[:, b.diagonal().argmax()]
+
+
 def khatri_rao_eigenpair(x, y) -> SpectralPair:
     """Leading eigenpair of ``H = (X^T X) o (Y^T Y)`` without forming ``H``.
 
     ``x`` and ``y`` are d-by-n.  Column i of the d^2-by-n matrix ``Z`` is
     ``x_i (x) y_i`` (the column-wise Khatri-Rao product), and the
     face-splitting identity gives ``H = Z^T Z``.  The d^2-by-d^2 matrix
-    ``Z Z^T`` has the same nonzero eigenvalues, and with ``u`` its top
-    eigenvector ``Z^T u`` is the top eigenvector of ``H``.  The cost is
-    ``d^4 n`` flops for ``Z Z^T``, one symmetric eigendecomposition of order
-    ``d^2`` and ``O(d^2 n)`` for the rest; it reads no n-by-n matrix.
+    ``G = Z Z^T`` has the same nonzero eigenvalues, and with ``u`` its top
+    eigenvector ``Z^T u`` is the top eigenvector of ``H``.  ``u`` comes from
+    repeated squaring of ``G / tr G`` (see :func:`_top_eigvector_by_squaring`),
+    not from a full eigendecomposition.  The cost is ``d^4 n`` flops for
+    ``G``, ``d^6`` flops a squaring, at most
+    :data:`KHATRI_RAO_MAX_SQUARINGS` (40) of them, and ``O(d^2 n)`` for the
+    rest; it reads no n-by-n matrix.  With ``delta = 1 - lambda_2 /
+    lambda_1`` the relative gap below the top eigenvalue, the loop takes
+    about ``1 + log2(36 / delta)`` squarings: 6 to 9 on the synthetic
+    overlaps of :mod:`gramoverlap.synth`, 37 at ``delta = 1e-9``.  A tied
+    top eigenspace may take all 40, since rounding noise inside it grows
+    with each squaring; the vector still lies in that eigenspace.
 
     The value is the Rayleigh quotient ``||Z v||^2``, the residual
     ``||H v - value v||`` is computed matrix-free as ``Z^T (Z v) - value v``,
@@ -153,8 +202,7 @@ def khatri_rao_eigenpair(x, y) -> SpectralPair:
         raise ValueError(f"shape mismatch: x is {x.shape}, y is {y.shape}")
     d, n = x.shape
     z = (x[:, None, :] * y[None, :, :]).reshape(d * d, n)
-    _, vectors = np.linalg.eigh(z @ z.T)
-    w = vectors[:, -1] @ z
+    w = _top_eigvector_by_squaring(z @ z.T) @ z
     # np.linalg.norm of a vector is the square root of its dot product with
     # itself; both norms here take that directly.
     norm = math.sqrt(w @ w)

@@ -56,16 +56,21 @@ EIG_BACKEND_POWER_ITERATION = "power_iteration"
 def factored_eig_is_cheaper(d: int, n: int) -> bool:
     """True when the factored eigensolve is expected to beat power iteration.
 
-    The factored solve (:func:`linalg.khatri_rao_eigenpair`) costs a
-    ``d^2``-by-``d^2`` symmetric eigendecomposition plus the ``d^4 n``-flop
-    product ``Z Z^T``.  Power iteration on an n-by-n ``H`` costs one order-n
-    matrix-vector product per iteration, and takes 11 to 136 iterations on
-    the synthetic overlaps of :mod:`gramoverlap.synth`.  Timed against each
-    other on those overlaps (single-threaded OpenBLAS, d from 3 to 24, n from
-    0.35 to 2.8 times ``4 d^2``), for every d >= 8 the factored solve was
-    the slower below ``n = 4 d^2``, within a factor 1.3 either way at it,
-    and the faster from 1.4 times it up; for d <= 6 it was the faster at
-    every n.
+    The factored solve (:func:`linalg.khatri_rao_eigenpair`) costs the
+    ``d^4 n``-flop product ``Z Z^T`` plus repeated squaring of that
+    ``d^2``-by-``d^2`` matrix, ``d^6`` flops a squaring, 6 to 9 squarings on
+    the synthetic overlaps of :mod:`gramoverlap.synth` and at most 40.
+    Power iteration on an n-by-n ``H`` costs one order-n matrix-vector
+    product per iteration, and takes 11 to 136 iterations on those
+    overlaps.  The rule was calibrated when the factored solve ran a full
+    ``d^2``-order symmetric eigendecomposition (``eigh``) in place of the
+    squarings: timed against each other on those overlaps (single-threaded
+    OpenBLAS, d from 3 to 24, n from 0.35 to 2.8 times ``4 d^2``), for every
+    d >= 8 the factored solve was the slower below ``n = 4 d^2``, within a
+    factor 1.3 either way at it, and the faster from 1.4 times it up; for
+    d <= 6 it was the faster at every n.  The squarings cost no more than
+    ``eigh`` on typical instances, so the rule is kept until a workload
+    that reads the eigenpair on both sides of it can recalibrate it.
     """
     return 4 * d * d <= n
 
@@ -246,11 +251,13 @@ class OverlapMatrix:
     :func:`factored_row_sums_are_cheaper`.  The dense backend forms ``H`` at
     construction; otherwise ``H`` is formed only on first read of :attr:`h`,
     so a caller whose statistics both come from the factors never holds an
-    n-by-n array.  The eigenpair comes from the d^2-by-d^2 Khatri-Rao Gram
-    ``Z Z^T`` (``"gram_factor"``) when the factors are held and
-    :func:`factored_eig_is_cheaper`, and from power iteration on ``H``
-    (``"power_iteration"``) otherwise.  Both backends are fixed at
-    construction: they do not depend on which statistic a caller reads first.
+    n-by-n array.  The eigenpair comes from repeated squaring of the
+    d^2-by-d^2 Khatri-Rao Gram ``Z Z^T`` (``"gram_factor"``: ``d^4 n``
+    flops for the Gram, ``d^6`` a squaring, at most 40 squarings) when the
+    factors are held and :func:`factored_eig_is_cheaper`, and from power
+    iteration on ``H`` (``"power_iteration"``) otherwise.  Both backends are
+    fixed at construction: they do not depend on which statistic a caller
+    reads first.
     """
 
     def __init__(self, h=None, *, d: int | None = None, xp=None, yp=None, backend=None):

@@ -114,8 +114,11 @@ def parallel_match(
     preprocessing.
     The shards share a pool of up to ``max_workers`` threads (see
     :func:`resolve_workers`) only when one of them forms ``H``; otherwise
-    they run in order on the calling thread.
+    they run in order on the calling thread.  A config that cannot run (see
+    :meth:`MatchConfig.check_runnable`) is refused before the inputs are
+    read.
     """
+    cfg.check_runnable()
     t_start = time.perf_counter()
     xp, yp = _preprocessed_pair(x, y, mode)
     n = xp.shape[1]

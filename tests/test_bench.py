@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gramoverlap import ErrorReport, PreprocessMode, bench, linalg
+from gramoverlap.classify import truth_mask
 from gramoverlap.bench import (
     DEFAULT_METHODS,
     SWEEP_COLUMNS,
@@ -176,6 +177,201 @@ class TestSweeps:
         assert list(back[0]) == SWEEP_COLUMNS
         for key in ("value", "error_w_mean", "time_ms_mean"):
             assert back[0][key] == pytest.approx(rows[0][key])
+
+
+# The error columns (error_g, error_b and error_w, each mean then sd) of
+# run_rate_sweep(d=6, n=400, r_values=PINNED_RATES, trials=3, seed=0) with
+# the default methods, recorded when the Khatri-Rao eigenpair came from a full
+# eigh of Z Z^T.  The squaring solver agrees with it to rounding, and no
+# partition may move.
+PINNED_RATES = (0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9)
+PINNED_SWEEP_ERRORS = {
+    (0.55, "eig:0.3"): (
+        0.0, 0.0, 0.3, 0.025255892031455292,
+        0.135, 0.011365151414154881,
+    ),
+    (0.55, "eig:0.5"): (
+        0.0, 0.0, 0.18888888888888888, 0.012001371663718265,
+        0.085, 0.005400617248673216,
+    ),
+    (0.55, "eig:0.7"): (
+        0.0, 0.0, 0.0925925925925926, 0.006928995160692488,
+        0.041666666666666664, 0.003118047822311618,
+    ),
+    (0.55, "eig:kmeans"): (
+        0.0, 0.0, 0.19074074074074074, 0.011415581486979581,
+        0.08583333333333333, 0.0051370116691408126,
+    ),
+    (0.55, "rowsum:kmeans"): (
+        0.0, 0.0, 0.18703703703703703, 0.024982847339318593,
+        0.08416666666666667, 0.011242281302693372,
+    ),
+    (0.6, "eig:0.3"): (
+        0.0, 0.0, 0.32916666666666666, 0.01559023911155808,
+        0.13166666666666668, 0.006236095644623242,
+    ),
+    (0.6, "eig:0.5"): (
+        0.0, 0.0, 0.19999999999999998, 0.02651650429449553,
+        0.08, 0.010606601717798208,
+    ),
+    (0.6, "eig:0.7"): (
+        0.0, 0.0, 0.075, 0.027003086243366083,
+        0.03, 0.010801234497346435,
+    ),
+    (0.6, "eig:kmeans"): (
+        0.0, 0.0, 0.22083333333333335, 0.010622957319984977,
+        0.08833333333333333, 0.004249182927993984,
+    ),
+    (0.6, "rowsum:kmeans"): (
+        0.0, 0.0, 0.18541666666666667, 0.02810570325673342,
+        0.07416666666666666, 0.011242281302693367,
+    ),
+    (0.65, "eig:0.3"): (
+        0.0, 0.0, 0.2738095238095238, 0.008908708063747472,
+        0.09583333333333333, 0.003118047822311621,
+    ),
+    (0.65, "eig:0.5"): (
+        0.0, 0.0, 0.1761904761904762, 0.008908708063747483,
+        0.06166666666666667, 0.0031180478223116173,
+    ),
+    (0.65, "eig:0.7"): (
+        0.0, 0.0, 0.07142857142857142, 0.015430334996209194,
+        0.024999999999999998, 0.005400617248673217,
+    ),
+    (0.65, "eig:kmeans"): (
+        0.0, 0.0, 0.1976190476190476, 0.03316282923139076,
+        0.06916666666666667, 0.011606990230986769,
+    ),
+    (0.65, "rowsum:kmeans"): (
+        0.0, 0.0, 0.18095238095238098, 0.012140522651411396,
+        0.06333333333333334, 0.004249182927993988,
+    ),
+    (0.7, "eig:0.3"): (
+        0.0, 0.0, 0.3111111111111111, 0.03215510250775063,
+        0.09333333333333334, 0.009646530752325187,
+    ),
+    (0.7, "eig:0.5"): (
+        0.0, 0.0, 0.17222222222222225, 0.030681558381075728,
+        0.051666666666666666, 0.009204467514322717,
+    ),
+    (0.7, "eig:0.7"): (
+        0.0, 0.0, 0.06666666666666667, 0.01178511301977579,
+        0.02, 0.0035355339059327377,
+    ),
+    (0.7, "eig:kmeans"): (
+        0.0, 0.0, 0.15833333333333333, 0.01360827634879543,
+        0.047499999999999994, 0.004082482904638628,
+    ),
+    (0.7, "rowsum:kmeans"): (
+        0.0, 0.0, 0.16111111111111112, 0.027498597046143523,
+        0.04833333333333334, 0.008249579113843051,
+    ),
+    (0.75, "eig:0.3"): (
+        0.0, 0.0, 0.25666666666666665, 0.04784233364802441,
+        0.06416666666666666, 0.011960583412006103,
+    ),
+    (0.75, "eig:0.5"): (
+        0.0, 0.0, 0.1433333333333333, 0.047842333648024406,
+        0.03583333333333333, 0.011960583412006101,
+    ),
+    (0.75, "eig:0.7"): (
+        0.0, 0.0, 0.07333333333333333, 0.040276819911981905,
+        0.018333333333333333, 0.010069204977995476,
+    ),
+    (0.75, "eig:kmeans"): (
+        0.0, 0.0, 0.15333333333333335, 0.04784233364802441,
+        0.03833333333333334, 0.011960583412006103,
+    ),
+    (0.75, "rowsum:kmeans"): (
+        0.0, 0.0, 0.16333333333333333, 0.040276819911981905,
+        0.04083333333333333, 0.010069204977995476,
+    ),
+    (0.8, "eig:0.3"): (
+        0.0, 0.0, 0.2916666666666667, 0.058034951154933824,
+        0.05833333333333334, 0.011606990230986767,
+    ),
+    (0.8, "eig:0.5"): (
+        0.0, 0.0, 0.12916666666666668, 0.021245914639969932,
+        0.025833333333333333, 0.004249182927993987,
+    ),
+    (0.8, "eig:0.7"): (
+        0.0, 0.0, 0.05416666666666667, 0.04124789556921528,
+        0.010833333333333334, 0.008249579113843055,
+    ),
+    (0.8, "eig:kmeans"): (
+        0.0, 0.0, 0.1708333333333333, 0.048232653761625936,
+        0.03416666666666667, 0.009646530752325187,
+    ),
+    (0.8, "rowsum:kmeans"): (
+        0.0, 0.0, 0.125, 0.01767766952966369,
+        0.024999999999999998, 0.0035355339059327377,
+    ),
+    (0.85, "eig:0.3"): (
+        0.0, 0.0, 0.26666666666666666, 0.02721655269759086,
+        0.04, 0.004082482904638628,
+    ),
+    (0.85, "eig:0.5"): (
+        0.0, 0.0, 0.14444444444444446, 0.0437444881889545,
+        0.021666666666666667, 0.0065616732283431765,
+    ),
+    (0.85, "eig:0.7"): (
+        0.0, 0.0, 0.07777777777777778, 0.028327886186626582,
+        0.011666666666666667, 0.004249182927993988,
+    ),
+    (0.85, "eig:kmeans"): (
+        0.0, 0.0, 0.15555555555555556, 0.05152010275275391,
+        0.023333333333333334, 0.007728015412913086,
+    ),
+    (0.85, "rowsum:kmeans"): (
+        0.0, 0.0, 0.15555555555555556, 0.05152010275275391,
+        0.023333333333333334, 0.007728015412913086,
+    ),
+    (0.9, "eig:0.3"): (
+        0.0, 0.0, 0.2416666666666667, 0.042491829279939865,
+        0.024166666666666666, 0.004249182927993987,
+    ),
+    (0.9, "eig:0.5"): (
+        0.0, 0.0, 0.08333333333333333, 0.04249182927993988,
+        0.008333333333333333, 0.004249182927993988,
+    ),
+    (0.9, "eig:0.7"): (
+        0.0, 0.0, 0.025000000000000005, 3.469446951953614e-18,
+        0.0025, 0.0,
+    ),
+    (0.9, "eig:kmeans"): (
+        0.0, 0.0, 0.10000000000000002, 0.0408248290463863,
+        0.01, 0.00408248290463863,
+    ),
+    (0.9, "rowsum:kmeans"): (
+        0.0, 0.0, 0.10000000000000002, 0.0408248290463863,
+        0.01, 0.00408248290463863,
+    ),
+}
+ERROR_COLUMNS = [f"error_{e}_{s}" for e in "gbw" for s in ("mean", "std")]
+
+
+def test_rate_sweep_errors_are_pinned():
+    rows = run_rate_sweep(
+        d=6, n=400, r_values=PINNED_RATES, trials=3, seed=0, kind="permuted_inliers"
+    )
+    got = {
+        (row["value"], row["method"]): tuple(row[k] for k in ERROR_COLUMNS)
+        for row in rows
+    }
+    assert got == PINNED_SWEEP_ERRORS
+
+
+def test_a_trial_builds_one_truth_mask(monkeypatch):
+    calls = []
+
+    def counted(truth_inliers, n):
+        calls.append(n)
+        return truth_mask(truth_inliers, n)
+
+    monkeypatch.setattr(bench, "truth_mask", counted)
+    rows = run_rate_sweep(d=3, n=40, r_values=[0.5, 0.75], trials=2, seed=1)
+    assert len(rows) == 2 * len(DEFAULT_METHODS)
+    assert calls == [40] * 4
 
 
 def per_column_summary_row(sweep, value, label, errs, times_ms) -> dict:

@@ -25,7 +25,8 @@ from gramoverlap import (
     threshold_interval,
     two_means_1d,
 )
-from gramoverlap import linalg
+from gramoverlap import bench, linalg
+from gramoverlap.classify import count_errors, truth_mask
 from gramoverlap.synth import derive_seed
 
 
@@ -338,6 +339,21 @@ class TestMatchConfig:
             with pytest.raises(ValueError, match=r"must be in \(0, 1\)"):
                 MatchConfig(method="row_sum", use_two_means=False, inlier_rate=rate)
 
+
+    def test_a_missing_rate_is_refused_before_any_statistic(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a statistic was computed")
+
+        monkeypatch.setattr(linalg, "khatri_rao_row_sums", refuse)
+        x, y = np.random.default_rng(8).standard_normal((2, 3, 40))
+        h = build_overlap(x, y, PreprocessMode.NONE)
+        assert h.row_sum_backend == "gram_factor"
+        # rowsum:auto parses without a rate; only running it is refused
+        cfg = bench.parse_method("rowsum:auto")
+        assert cfg == MatchConfig(method="row_sum", use_two_means=False)
+        with pytest.raises(ValueError) as exc:
+            match(h, cfg)
+        assert str(exc.value) == "default row-sum threshold requires inlier_rate to be set"
 
 class TestEigenvectorMatch:
     def test_threshold_arithmetic(self):
@@ -745,6 +761,16 @@ class TestErrorRates:
             error_rates([], part)
         with pytest.raises(ValueError):
             error_rates([0, 1, 2, 3], part)
+
+    def test_one_truth_mask_scores_many_partitions(self):
+        rng = np.random.default_rng(41)
+        truth = rng.choice(30, size=12, replace=False)
+        mask = truth_mask(truth, 30)
+        for _ in range(20):
+            part = LabelPartition(rng.random(30) < 0.5)
+            assert count_errors(mask, part) == error_rates(truth, part)
+        with pytest.raises(ValueError, match="truth mask has shape"):
+            count_errors(mask, LabelPartition.from_inliers(31, [0]))
 
     @staticmethod
     def unique_error_rates(truth_inliers, partition):

@@ -5,7 +5,16 @@ import pytest
 
 import math
 
-from gramoverlap import SizeLimitError, dense_eig, gram, power_iteration, spectral_norm
+from gramoverlap import (
+    SizeLimitError,
+    build_overlap,
+    dense_eig,
+    gram,
+    haar_orthogonal,
+    power_iteration,
+    spectral_norm,
+)
+from gramoverlap import linalg
 from gramoverlap.linalg import (
     POWER_TOL_DEFAULT,
     SpectralPair,
@@ -215,8 +224,8 @@ class TestAsMatrix:
 
 
 def parent_khatri_rao_eigenpair(x, y):
-    """The reference: khatri_rao_eigenpair before its norms were taken as
-    math.sqrt(w @ w) (np.linalg.norm)."""
+    """The reference: khatri_rao_eigenpair as it was with a full eigh of
+    Z Z^T, and with its norms taken by np.linalg.norm."""
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
     if x.shape != y.shape:
@@ -251,8 +260,26 @@ def eigenpair_outcome(fn, x, y):
     )
 
 
+def kronecker_diagonal_pair(s, seed):
+    """A d-by-d^2 pair whose Khatri-Rao Gram ``Z Z^T`` has eigenvalues
+    ``s^2`` and rotated eigenvectors, while ``H = diag(s^2)``.
+
+    Column ``a d + b`` is ``s_ab e_a`` in ``X`` and ``e_b`` in ``Y``, so
+    ``Z = diag(s)``; rotating ``X`` by ``Q`` and ``Y`` by ``R`` makes
+    ``Z = (Q (x) R) diag(s)``.
+    """
+    d = math.isqrt(s.size)
+    a, b = np.divmod(np.arange(d * d), d)
+    x = np.zeros((d, d * d))
+    y = np.zeros((d, d * d))
+    x[a, np.arange(d * d)] = s
+    y[b, np.arange(d * d)] = 1.0
+    return haar_orthogonal(d, seed) @ x, haar_orthogonal(d, seed + 1) @ y
+
+
 class TestKhatriRaoEigenpair:
-    def test_matches_the_parent_solver(self):
+    @staticmethod
+    def seeded_cases():
         rng = np.random.default_rng(3030)
         cases = [
             (np.zeros((2, 5)), np.zeros((2, 5))),  # H = 0: the all-ones vector
@@ -272,13 +299,61 @@ class TestKhatriRaoEigenpair:
                 x, y = x + 1e6, y + 1e6
             e = int(rng.integers(-40, 41))
             cases.append((np.ldexp(x, e), np.ldexp(y, -e // 2)))
+        return cases
+
+    def test_agrees_with_the_parent_solver(self):
+        # The eigh reference and the squaring solver agree to rounding, not
+        # bit for bit; refusals and the H = 0 fallback are identical.
         outcomes = set()
-        for x, y in cases:
+        for x, y in self.seeded_cases():
             want = eigenpair_outcome(parent_khatri_rao_eigenpair, x, y)
-            assert eigenpair_outcome(khatri_rao_eigenpair, x, y) == want
-            if len(want) == 2:
-                outcomes.add(want[0])
-            else:
-                outcomes.add("zero" if want[0] == "0.0" else "pair")
+            if len(want) == 2 or want[0] == "0.0":
+                assert eigenpair_outcome(khatri_rao_eigenpair, x, y) == want
+                outcomes.add("zero" if len(want) > 2 else want[0])
+                continue
+            ref = parent_khatri_rao_eigenpair(x, y)
+            pair = khatri_rao_eigenpair(x, y)
+            assert pair.converged == ref.converged
+            assert pair.iterations == 0
+            assert abs(pair.value - ref.value) <= 1e-12 * abs(ref.value)
+            assert np.max(np.abs(pair.vector - ref.vector)) <= 1e-12
+            outcomes.add("pair")
         # pairs, the H = 0 fallback and refusals were all compared
         assert outcomes == {"pair", "zero", ValueError}
+
+    def test_resolves_a_relative_gap_of_1e_9(self, monkeypatch):
+        for d, seed in ((2, 0), (3, 10), (6, 20)):
+            s2 = np.linspace(0.9, 0.1, d * d)
+            s2[:2] = 1.0, 1.0 - 1e-9
+            x, y = kronecker_diagonal_pair(np.sqrt(s2), seed)
+            pair = khatri_rao_eigenpair(x, y)
+            # H = diag(s^2): the residual test accepts e_2 as well, so the
+            # vector is checked against e_1 itself
+            assert pair.converged
+            assert abs(pair.vector[0]) >= 1.0 - 1e-12
+            # 20 squarings leave e_1 and e_2 mixed; about 36 separate them
+            monkeypatch.setattr(linalg, "KHATRI_RAO_MAX_SQUARINGS", 20)
+            assert abs(khatri_rao_eigenpair(x, y).vector[0]) < 1.0 - 1e-6
+            monkeypatch.undo()
+
+    def test_a_tied_top_eigenspace_gives_a_vector_inside_it(self):
+        for d, seed in ((2, 0), (3, 10), (6, 20), (6, 30)):
+            s2 = np.linspace(0.9, 0.1, d * d)
+            s2[:2] = 1.0
+            x, y = kronecker_diagonal_pair(np.sqrt(s2), seed)
+            pair = khatri_rao_eigenpair(x, y)
+            assert pair.converged
+            assert pair.residual <= POWER_TOL_DEFAULT * pair.value
+            assert pair.vector[:2] @ pair.vector[:2] >= 1.0 - 1e-12
+
+    def test_never_calls_eigh(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh was called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for x, y in self.seeded_cases()[4:40]:
+            khatri_rao_eigenpair(x, y)
+        x, y = np.random.default_rng(4).standard_normal((2, 4, 100))
+        h = build_overlap(x, y, "center_normalize")
+        assert h.eig_backend == "gram_factor"
+        assert h.leading_eigenpair().converged

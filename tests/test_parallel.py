@@ -217,6 +217,18 @@ class TestParallelMatch:
         assert len(report.warnings) == 2
 
 
+    def test_a_missing_rate_is_refused_before_the_inputs_are_read(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the inputs were read")
+
+        monkeypatch.setattr(parallel, "_preprocessed_pair", refuse)
+        monkeypatch.setattr(parallel, "build_overlap", refuse)
+        x, y = np.random.default_rng(9).standard_normal((2, 5, 80))
+        cfg = MatchConfig(method="row_sum", use_two_means=False)
+        with pytest.raises(ValueError) as exc:
+            parallel_match(x, y, 4, cfg, backend="dense")
+        assert str(exc.value) == "default row-sum threshold requires inlier_rate to be set"
+
 class TestShardBackends:
     # match-split's shape: d = 10, n = 4000 in 4 shards of 1000 (2 d < 1000)
     CFG = MatchConfig(method="row_sum")
