@@ -1,7 +1,9 @@
 """Sweep harnesses: error-vs-inlier-rate, error-vs-noise, and split timing,
 all run by one driver, :func:`_run_sweep`.
 
-Each grid point runs seeded trials.  At a ``splits`` point every method runs
+Each grid point runs seeded trials.  Trial ``t`` has the same seed at every
+grid point, so the driver draws its data's shared part once and completes each
+grid point's pair from it.  At a ``splits`` point every method runs
 split-merge on the trial's data.  At an ``r`` or ``sigma2`` point the overlap
 matrix is made once from the preprocessed factors, each statistic it carries
 (leading eigenvector, row sums) is computed once, and every requested method
@@ -29,7 +31,7 @@ from .classify import (
 )
 from .overlap import OverlapMatrix, PreprocessMode, build_overlap
 from .parallel import check_shard_count, parallel_match
-from .synth import ScenarioSpec, derive_seed, generate
+from .synth import ScenarioSpec, _complete, _draw_trial, derive_seed
 
 # The per-trial columns that each summary row reduces to a mean and an sd.
 _SUMMARY_STATS = ("error_g", "error_b", "error_w", "time_ms")
@@ -165,39 +167,6 @@ def _split_trial(pair, configs: dict, mode: PreprocessMode, s, seed, max_workers
         yield label, report.partition, report.total_time_ms
 
 
-def _run_grid_point(
-    sweep: str,
-    value,
-    spec: ScenarioSpec,
-    trials: int,
-    methods: list[tuple[str, MatchConfig]],
-    mode: PreprocessMode,
-    max_workers,
-) -> list[dict]:
-    """Summary rows of one grid point; ``methods`` pairs each spec text,
-    the label of its rows, with its parsed config.  Data generation and
-    scoring are not timed; a trial's truth mask is built once for all of its
-    partitions."""
-    errs = {label: [] for label, _ in methods}
-    times = {label: [] for label, _ in methods}
-    configs = {label: _at_rate(cfg, spec.r) for label, cfg in methods}
-    for t in range(trials):
-        trial = replace(spec, seed=derive_seed(spec.seed, t))
-        pair = generate(trial)
-        truth = truth_mask(pair.inliers, trial.n)
-        if sweep == "splits":
-            results = _split_trial(pair, configs, mode, value, trial.seed, max_workers)
-        else:
-            results = _overlap_trial(pair, configs, mode)
-        for label, part, ms in results:
-            errs[label].append(count_errors(truth, part))
-            times[label].append(ms)
-    return [
-        _summary_row(sweep, value, label, errs[label], times[label])
-        for label, _ in methods
-    ]
-
-
 def check_sweep(axis: str, values, trials: int, methods, **fixed):
     """The parsed method specs and the ``(value, scenario)`` grid points of
     a sweep over ``axis``: ``r`` or ``sigma2``, which each point sets, or
@@ -223,14 +192,48 @@ def _run_sweep(
 ) -> list[dict]:
     """Rows of a sweep over ``axis``, which also names the sweep in each row
     (see :func:`check_sweep`, which checks the whole plan before the first
-    trial runs).  ``max_workers`` bounds a splits point's pool."""
+    trial runs).  ``max_workers`` bounds a splits point's pool.
+
+    The sweep runs trial by trial.  Trial ``t`` has one seed at every grid
+    point, so its X, permutation and rotation are drawn once, and each
+    distinct scenario of the grid is completed from them once; the grid
+    points of that scenario all run on its pair.  Rows come out point by
+    point, one per method; data generation and scoring are not timed, and a
+    pair's truth mask is built once for all of its partitions."""
     specs, points = check_sweep(axis, values, trials, methods, **fixed)
-    rows = []
-    for value, base in points:
-        rows.extend(
-            _run_grid_point(axis, value, base, trials, specs, mode, max_workers)
-        )
-    return rows
+    if not points:
+        return []
+    at_scenario = {}
+    for i, (_, spec) in enumerate(points):
+        at_scenario.setdefault(spec, []).append(i)
+    configs = [
+        {label: _at_rate(cfg, spec.r) for label, cfg in specs} for _, spec in points
+    ]
+    errs = [{label: [] for label, _ in specs} for _ in points]
+    times = [{label: [] for label, _ in specs} for _ in points]
+    base = points[0][1]  # every point has the same d, n and seed
+    for t in range(trials):
+        seed = derive_seed(base.seed, t)
+        draws = _draw_trial(base.d, base.n, seed)
+        for spec, indices in at_scenario.items():
+            pair = _complete(draws, replace(spec, seed=seed))
+            truth = truth_mask(pair.inliers, base.n)
+            for i in indices:
+                value = points[i][0]
+                if axis == "splits":
+                    results = _split_trial(
+                        pair, configs[i], mode, value, seed, max_workers
+                    )
+                else:
+                    results = _overlap_trial(pair, configs[i], mode)
+                for label, part, ms in results:
+                    errs[i][label].append(count_errors(truth, part))
+                    times[i][label].append(ms)
+    return [
+        _summary_row(axis, value, label, errs[i][label], times[i][label])
+        for i, (value, _) in enumerate(points)
+        for label, _ in specs
+    ]
 
 
 def run_rate_sweep(

@@ -210,10 +210,29 @@ def read_labels(path) -> np.ndarray:
 
 
 def write_partition_csv(path, partition: LabelPartition) -> None:
-    """Write one 'index,label' line per point, label G (inlier) or B."""
-    mask = partition.inlier_mask().tolist()
-    lines = [f"{i},{'G' if g else 'B'}" for i, g in enumerate(mask)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write one 'index,label' line per point, label G (inlier) or B.
+
+    The lines of indices with the same number of digits are built as one
+    byte array, a row per line: the digits, ',', the label and a newline.
+    """
+    labels = np.where(partition.inlier_mask(), ord("G"), ord("B"))
+    n = labels.size
+    blocks = []
+    lo, width = 0, 1
+    while lo < n:
+        hi = min(10**width, n)
+        lines = np.empty((hi - lo, width + 3), dtype=np.uint8)
+        idx = np.arange(lo, hi)
+        for col in range(width - 1, -1, -1):
+            lines[:, col] = idx % 10 + 48
+            idx //= 10
+        lines[:, width] = ord(",")
+        lines[:, width + 1] = labels[lo:hi]
+        lines[:, width + 2] = ord("\n")
+        blocks.append(lines.tobytes())
+        lo, width = hi, width + 1
+    # no points: the file is one empty line
+    Path(path).write_bytes(b"".join(blocks) or b"\n")
 
 
 def read_partition_csv(path) -> LabelPartition:

@@ -34,7 +34,11 @@ def preprocess(x, mode: PreprocessMode) -> np.ndarray:
     order.  A column with zero norm after centering raises
     :class:`DegenerateColumnError` naming the first such column.
     """
-    x = linalg.as_matrix(x, "x")
+    return _preprocess(linalg.as_matrix(x, "x"), mode)
+
+
+def _preprocess(x: np.ndarray, mode: PreprocessMode) -> np.ndarray:
+    """:func:`preprocess` of a matrix that ``linalg.as_matrix`` has checked."""
     mode = PreprocessMode(mode)
     if mode is PreprocessMode.NONE:
         return x
@@ -344,7 +348,7 @@ def _preprocessed_pair(x, y, mode: PreprocessMode) -> tuple[np.ndarray, np.ndarr
         raise ValueError(f"shape mismatch: x is {x.shape}, y is {y.shape}")
     if x.shape[1] < 2:
         raise ValueError("need at least two points")
-    return preprocess(x, mode), preprocess(y, mode)
+    return _preprocess(x, mode), _preprocess(y, mode)
 
 
 def build_overlap(x, y, mode: PreprocessMode, backend=None) -> OverlapMatrix:

@@ -5,6 +5,13 @@ the seed for trial ``i`` as ``SeedSequence(entropy=seed, spawn_key=(i,))``
 (see :func:`derive_seed`), so parallel trials are reproducible and mutually
 independent.  This scheme is part of the public contract and stays stable
 across releases.
+
+:func:`generate` runs in two steps.  :func:`_draw_trial` makes the draws that
+a seed makes before it reads ``r``, ``kind`` or ``sigma2`` (X, the inlier
+permutation and the Haar rotation) and saves the stream's state after them;
+:func:`_complete` draws the rest of one scenario from that state.  A sweep,
+whose grid points share each trial's seed, draws once per trial and completes
+each grid point from the same draws.
 """
 
 import math
@@ -123,23 +130,40 @@ def _derangement(m: int, rng: np.random.Generator) -> np.ndarray:
             return p
 
 
-def generate(spec: ScenarioSpec) -> LabeledPair:
-    """Draw one labeled instance.
+@dataclass(frozen=True, eq=False)
+class _TrialDraws:
+    """The draws of one seed that every scenario of its ``d`` and ``n``
+    shares, with the generator they came from and its state after them."""
 
-    X has iid standard Gaussian columns; the inlier set is a uniformly random
-    subset of the requested size; inlier columns of Y are a common Haar
-    rotation of the matching X columns.  Outlier columns are fresh Gaussians
-    (``gaussian_outliers``) or rotations of X columns moved by a uniformly
-    random derangement of the outlier set (``permuted_inliers``), so every
-    outlier is genuinely mismatched.  Bitwise deterministic given the spec.
-    """
-    rng = _rng(spec.seed)
-    d, n, k = spec.d, spec.n, spec.n_inliers
+    x: np.ndarray
+    perm: np.ndarray
+    rotation: np.ndarray
+    rng: np.random.Generator
+    state: dict
+
+
+def _draw_trial(d: int, n: int, seed: int) -> _TrialDraws:
+    """X, the inlier permutation and the Haar rotation that ``seed`` draws
+    at ``d`` and ``n`` before it reads anything else of a scenario."""
+    rng = _rng(seed)
     x = rng.standard_normal((d, n))
     perm = rng.permutation(n)
-    g = np.sort(perm[:k])
-    b = np.sort(perm[k:])
     rotation = _haar(d, rng)
+    return _TrialDraws(x, perm, rotation, rng, rng.bit_generator.state)
+
+
+def _complete(draws: _TrialDraws, spec: ScenarioSpec) -> LabeledPair:
+    """The pair ``spec`` names, from the draws of its seed, d and n.
+
+    The inlier split, the outlier columns and the noise are drawn from the
+    saved state, so each completion is the one :func:`generate` makes; the
+    pairs of one ``draws`` share its ``x`` and ``rotation`` arrays.
+    """
+    x, rotation, rng = draws.x, draws.rotation, draws.rng
+    rng.bit_generator.state = draws.state
+    d, n, k = spec.d, spec.n, spec.n_inliers
+    g = np.sort(draws.perm[:k])
+    b = np.sort(draws.perm[k:])
     y = np.empty_like(x)
     y[:, g] = rotation @ x[:, g]
     if spec.kind == KIND_GAUSSIAN_OUTLIERS:
@@ -150,6 +174,22 @@ def generate(spec: ScenarioSpec) -> LabeledPair:
     if spec.sigma2 > 0:
         y = y + math.sqrt(spec.sigma2) * rng.standard_normal((d, n))
     return LabeledPair(x=x, y=y, inliers=g, rotation=rotation)
+
+
+def generate(spec: ScenarioSpec) -> LabeledPair:
+    """Draw one labeled instance.
+
+    X has iid standard Gaussian columns; the inlier set is a uniformly random
+    subset of the requested size; inlier columns of Y are a common Haar
+    rotation of the matching X columns.  Outlier columns are fresh Gaussians
+    (``gaussian_outliers``) or rotations of X columns moved by a uniformly
+    random derangement of the outlier set (``permuted_inliers``), so every
+    outlier is genuinely mismatched.  Bitwise deterministic given the spec.
+    X, the inlier permutation and the rotation depend only on ``d``, ``n``
+    and ``seed``, and are drawn first; specs that differ only in ``r``,
+    ``kind`` or ``sigma2`` share them.
+    """
+    return _complete(_draw_trial(spec.d, spec.n, spec.seed), spec)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,11 @@ import time
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from gramoverlap import ErrorReport, PreprocessMode, bench, linalg
-from gramoverlap.classify import truth_mask
+from gramoverlap.classify import count_errors, truth_mask
+from gramoverlap.synth import ScenarioSpec, derive_seed, generate
 from gramoverlap.bench import (
     DEFAULT_METHODS,
     SWEEP_COLUMNS,
@@ -136,9 +139,9 @@ class TestSweeps:
         self, monkeypatch, sweep, grid
     ):
         calls = []
-        generate = bench.generate
+        draw = bench._draw_trial
         monkeypatch.setattr(
-            bench, "generate", lambda spec: calls.append(spec) or generate(spec)
+            bench, "_draw_trial", lambda *args: calls.append(args) or draw(*args)
         )
         with pytest.raises(ValueError):
             sweep(d=4, n=24, trials=5, seed=1, **grid)
@@ -158,9 +161,9 @@ class TestSweeps:
         # rows are labelled by spec text, so a repeat would merge into one
         # row of twice the trials
         calls = []
-        generate = bench.generate
+        draw = bench._draw_trial
         monkeypatch.setattr(
-            bench, "generate", lambda spec: calls.append(spec) or generate(spec)
+            bench, "_draw_trial", lambda *args: calls.append(args) or draw(*args)
         )
         methods = ("eig:kmeans", "rowsum:kmeans", "eig:kmeans")
         with pytest.raises(ValueError, match="'eig:kmeans' is given twice"):
@@ -373,6 +376,106 @@ def test_a_trial_builds_one_truth_mask(monkeypatch):
     assert len(rows) == 2 * len(DEFAULT_METHODS)
     assert calls == [40] * 4
 
+
+class TestTrialMajorSweep:
+    def counted_draws(self, monkeypatch):
+        calls = {"draw": [], "complete": []}
+        draw, complete = bench._draw_trial, bench._complete
+
+        def counted_draw(d, n, seed):
+            calls["draw"].append(seed)
+            return draw(d, n, seed)
+
+        def counted_complete(draws, spec):
+            calls["complete"].append(spec)
+            return complete(draws, spec)
+
+        monkeypatch.setattr(bench, "_draw_trial", counted_draw)
+        monkeypatch.setattr(bench, "_complete", counted_complete)
+        return calls
+
+    def test_rate_sweep_draws_once_a_trial_and_completes_each_point(
+        self, monkeypatch
+    ):
+        calls = self.counted_draws(monkeypatch)
+        rates, trials = (0.25, 0.5, 0.75), 4
+        run_rate_sweep(
+            d=3, n=40, r_values=rates, trials=trials, seed=12,
+            methods=("rowsum:kmeans",),
+        )
+        seeds = [derive_seed(12, t) for t in range(trials)]
+        assert calls["draw"] == seeds
+        assert [(c.r, c.seed) for c in calls["complete"]] == [
+            (r, seed) for seed in seeds for r in rates
+        ]
+
+    def test_splits_sweep_completes_one_pair_a_trial(self, monkeypatch):
+        calls = self.counted_draws(monkeypatch)
+        run_splits_sweep(
+            d=3, n=48, r=0.5, split_values=[1, 2, 4], trials=3, seed=7,
+            methods=("rowsum:kmeans",), max_workers=1,
+        )
+        seeds = [derive_seed(7, t) for t in range(3)]
+        assert calls["draw"] == seeds
+        assert [c.seed for c in calls["complete"]] == seeds
+
+
+def point_by_point_rows(axis, values, trials, methods, mode, max_workers, **fixed):
+    """The reference: each grid point in turn, each trial's pair from
+    ``generate``, as the sweep ran before it shared a trial's draws."""
+    rows = []
+    specs = bench.parse_methods(methods)
+    for value in values:
+        if axis == "splits":
+            spec = ScenarioSpec(**fixed)
+        else:
+            spec = ScenarioSpec(**fixed, **{axis: value})
+        configs = {label: bench._at_rate(cfg, spec.r) for label, cfg in specs}
+        errs = {label: [] for label, _ in specs}
+        times = {label: [] for label, _ in specs}
+        for t in range(trials):
+            trial = replace(spec, seed=derive_seed(spec.seed, t))
+            pair = generate(trial)
+            truth = truth_mask(pair.inliers, trial.n)
+            if axis == "splits":
+                results = bench._split_trial(
+                    pair, configs, mode, value, trial.seed, max_workers
+                )
+            else:
+                results = bench._overlap_trial(pair, configs, mode)
+            for label, part, ms in results:
+                errs[label].append(count_errors(truth, part))
+                times[label].append(ms)
+        rows += [
+            bench._summary_row(axis, value, label, errs[label], times[label])
+            for label, _ in specs
+        ]
+    return rows
+
+
+@pytest.mark.parametrize(
+    "sweep, axis, grid, values, fixed",
+    [
+        (run_rate_sweep, "r", "r_values", [0.3, 0.5, 0.7, 0.5], dict(sigma2=0.25)),
+        (run_noise_sweep, "sigma2", "sigma2_values", [0.0, 0.1, 1.0], dict(r=0.6)),
+        (run_splits_sweep, "splits", "split_values", [1, 2, 4], dict(r=0.6, sigma2=0.1)),
+    ],
+)
+@pytest.mark.parametrize("kind", ["permuted_inliers", "gaussian_outliers"])
+@pytest.mark.parametrize("mode", list(PreprocessMode))
+def test_sweep_rows_equal_point_by_point_rows(
+    sweep, axis, grid, values, fixed, kind, mode
+):
+    # under "none" every pair of a trial holds the shared X itself, so a
+    # method that wrote to its input would move the later points' rows
+    methods = ("eig:0.5", "eig:kmeans", "rowsum:kmeans", "rowsum:auto")
+    common = dict(d=4, n=40, kind=kind, seed=2**40 + 9, **fixed)
+    got = sweep(trials=3, methods=methods, preprocess=mode, **{grid: values}, **common)
+    want = point_by_point_rows(axis, values, 3, methods, mode, None, **common)
+    untimed = [k for k in SWEEP_COLUMNS if not k.startswith("time_ms")]
+    assert [{k: r[k] for k in untimed} for r in got] == [
+        {k: r[k] for k in untimed} for r in want
+    ]
 
 def per_column_summary_row(sweep, value, label, errs, times_ms) -> dict:
     """The reference: a mean and an sd taken on each column by itself."""

@@ -80,6 +80,10 @@ class TestWritersMatchTheParentWriters:
         rng = np.random.default_rng(5050)
         masks = [np.zeros(0, bool), [True], [False], np.ones(7, bool), np.zeros(7, bool)]
         masks += [rng.random(int(rng.integers(1, 3000))) < rng.random() for _ in range(20)]
+        # the lines of one digit width are built as one block: the blocks
+        # must join at 9|10, 99|100, ...
+        for n in (1, 9, 10, 11, 99, 100, 101, 1000, 4000, 10**5):
+            masks += [rng.random(n) < 0.5, np.ones(n, bool)]
         for mask in masks:
             part = LabelPartition(mask)
             want = written(parent_write_partition_csv, tmp_path, part)

@@ -215,6 +215,25 @@ class TestBuildOverlap:
         wrapped = OverlapMatrix(np.eye(5), d=2)
         assert (wrapped.d, wrapped.n) == (2, 5)
 
+    def test_each_input_is_checked_once(self, monkeypatch):
+        # preprocess reads the arrays build_overlap has checked; called by
+        # itself it still checks its input
+        names = []
+        as_matrix = linalg.as_matrix
+        monkeypatch.setattr(
+            linalg, "as_matrix", lambda a, name: names.append(name) or as_matrix(a, name)
+        )
+        rng = np.random.default_rng(7)
+        x, y = rng.standard_normal((2, 3, 40))
+        for mode in PreprocessMode:
+            names.clear()
+            build_overlap(x, y, mode, backend="gram_factor")
+            assert names == ["x", "y"]
+        with pytest.raises(ValueError, match="y contains non-finite entries"):
+            build_overlap(x, np.where(x > 1, np.nan, x), "center_normalize")
+        with pytest.raises(ValueError, match="x contains non-finite entries"):
+            preprocess(np.where(x > 1, np.inf, x), "center_normalize")
+
     def test_statistics_are_cached(self):
         rng = np.random.default_rng(6)
         h = build_overlap(
