@@ -5,14 +5,18 @@ Each grid point runs seeded trials.  Trial ``t`` has the same seed at every
 grid point, so the driver draws its data's shared part once and completes each
 grid point's pair from it.  At a ``splits`` point every method runs
 split-merge on the trial's data.  At an ``r`` or ``sigma2`` point the overlap
-matrix is made once from the preprocessed factors, each statistic it carries
-(leading eigenvector, row sums) is computed once, and every requested method
-classifies it, so methods are compared on identical data.  ``H`` is formed
-only by a backend that reads it: the dense row sums at construction, or power
-iteration inside its own call.  Per-method wall time charges the shared
-preprocessing, the statistic that method reads and that method's own
-classification, i.e. what a solo run would cost: each statistic is timed once
-per trial and charged to every method that reads it.
+matrix is made once from the preprocessed factors, and each statistic it
+carries (leading eigenvector, row sums) is computed once and kept; the
+overlap is then dropped, so a trial holds one overlap at a time.  Once every
+point of the trial has its statistics, each requested method classifies its
+statistic at all the points in one call, and every partition of the trial is
+scored in one pass, so methods are compared on identical data.  ``H`` is
+formed only by a backend that reads it: the dense row sums at construction,
+or power iteration inside its own call.  Per-method wall time charges the
+shared preprocessing, the statistic that method reads and the point's share
+of that method's classification call, i.e. about what a solo run would
+cost: each statistic is timed once per point and charged to every method
+that reads it.
 """
 
 import csv
@@ -25,11 +29,13 @@ from .classify import (
     METHOD_EIGENVECTOR,
     METHOD_ROW_SUM,
     MatchConfig,
+    _classify_rows,
+    _count_errors_rows,
+    _statistic,
     count_errors,
-    match,
     truth_mask,
 )
-from .overlap import OverlapMatrix, PreprocessMode, build_overlap
+from .overlap import PreprocessMode, build_overlap
 from .parallel import check_shard_count, parallel_match
 from .synth import ScenarioSpec, _complete, _draw_trial, derive_seed
 
@@ -119,52 +125,80 @@ def _summary_row(sweep: str, value, label: str, errs, times_ms) -> dict:
     return row
 
 
-# The statistic of the overlap that each matcher method classifies.
-_STATISTICS = {
-    METHOD_EIGENVECTOR: "leading_eigenpair",
-    METHOD_ROW_SUM: "row_sums",
-}
-
-
-def _timed_ms(fn) -> float:
-    t0 = time.perf_counter()
-    fn()
-    return (time.perf_counter() - t0) * 1e3
-
-
-def _statistics_ms(h: OverlapMatrix, configs) -> dict:
-    """Compute (and cache) each statistic the configs read, timed per
-    statistic name; a statistic that reads ``H`` forms it on first use, so
-    its time carries the formation."""
-    needed = dict.fromkeys(_STATISTICS[cfg.method] for cfg in configs)
-    return {k: _timed_ms(getattr(h, k)) for k in needed}
-
-
-def _overlap_trial(pair, configs: dict, mode: PreprocessMode):
-    """Yield each method's label, partition and time_ms in one trial; the
-    overlap is built, and each statistic computed, once for all of them."""
+def _overlap_statistics(pair, mode: PreprocessMode, stats: dict, i: int) -> dict:
+    """Build the overlap of ``pair``, write the statistic of each method
+    that ``stats`` names into row ``i`` of its stack, and return each
+    method's time: the build and that statistic.  A statistic that reads
+    ``H`` forms it on first use, so its time carries the formation.  The
+    overlap lives only inside this call."""
     t0 = time.perf_counter()
     h = build_overlap(pair.x, pair.y, mode)
     build_ms = (time.perf_counter() - t0) * 1e3
-    stat_ms = _statistics_ms(h, configs.values())
-    for label, cfg in configs.items():
+    ms = {}
+    for method, stack in stats.items():
         t1 = time.perf_counter()
-        part, _ = match(h, cfg)
-        ms = (time.perf_counter() - t1) * 1e3
-        yield label, part, build_ms + stat_ms[_STATISTICS[cfg.method]] + ms
+        stack[i] = _statistic(h, method)
+        ms[method] = build_ms + (time.perf_counter() - t1) * 1e3
+    return ms
 
 
-def _split_trial(pair, configs: dict, mode: PreprocessMode, s, seed, max_workers):
-    """Yield each method's label, partition and time_ms in one trial, each
-    from its own split-merge over ``s`` shards.  The time covers the split,
+def _overlap_trial(pairs, specs, configs, mode: PreprocessMode, d: int, n: int):
+    """Yield each grid point's index, each method's label, its error report
+    and its time_ms in one trial of an ``r`` or ``sigma2`` sweep.
+
+    ``pairs`` yields each distinct scenario's pair with the indices of its
+    grid points.  At each point the overlap is built, and each statistic
+    computed, once for all the methods; the trial keeps only the statistic
+    vectors and truth masks.  Then each method classifies its statistic at
+    every point in one call, and the errors of every method at every point
+    are counted in one pass.  A point's time charges its build, the
+    statistic the method reads and the point's share of that method's
+    classification call.
+    """
+    points = len(configs)
+    methods = dict.fromkeys(cfg.method for _, cfg in specs)
+    stats = {method: np.empty((points, n)) for method in methods}
+    truths = np.empty((points, n), dtype=bool)
+    stat_ms = [None] * points
+    for pair, indices in pairs:
+        truth = truth_mask(pair.inliers, n)
+        for i in indices:
+            truths[i] = truth
+            stat_ms[i] = _overlap_statistics(pair, mode, stats, i)
+    inliers = np.empty((len(specs), points, n), dtype=bool)
+    times = []
+    for j, (label, cfg) in enumerate(specs):
+        t0 = time.perf_counter()
+        inliers[j] = _classify_rows(
+            stats[cfg.method], [point[label] for point in configs], d
+        )
+        share_ms = (time.perf_counter() - t0) * 1e3 / points
+        times.append([ms[cfg.method] + share_ms for ms in stat_ms])
+    reports = _count_errors_rows(
+        np.broadcast_to(truths, inliers.shape).reshape(-1, n),
+        inliers.reshape(-1, n),
+    )
+    for j, (label, _) in enumerate(specs):
+        for i in range(points):
+            yield i, label, reports[j * points + i], times[j][i]
+
+
+def _split_trial(pairs, points, configs, mode: PreprocessMode, seed, max_workers):
+    """Yield each grid point's index, each method's label, its error report
+    and its time_ms in one trial of a ``splits`` sweep, each from its own
+    split-merge over the point's ``s`` shards.  The time covers the split,
     the shard builds and classification; the shards pin the dense row sums,
     so it follows split-merge's ``n^2 / s`` cost."""
-    for label, cfg in configs.items():
-        report = parallel_match(
-            pair.x, pair.y, s, cfg, mode, seed,
-            max_workers=max_workers, backend="dense",
-        )
-        yield label, report.partition, report.total_time_ms
+    for pair, indices in pairs:
+        truth = truth_mask(pair.inliers, pair.x.shape[1])
+        for i in indices:
+            for label, cfg in configs[i].items():
+                report = parallel_match(
+                    pair.x, pair.y, points[i][0], cfg, mode, seed,
+                    max_workers=max_workers, backend="dense",
+                )
+                errs = count_errors(truth, report.partition)
+                yield i, label, errs, report.total_time_ms
 
 
 def check_sweep(axis: str, values, trials: int, methods, **fixed):
@@ -197,9 +231,10 @@ def _run_sweep(
     The sweep runs trial by trial.  Trial ``t`` has one seed at every grid
     point, so its X, permutation and rotation are drawn once, and each
     distinct scenario of the grid is completed from them once; the grid
-    points of that scenario all run on its pair.  Rows come out point by
-    point, one per method; data generation and scoring are not timed, and a
-    pair's truth mask is built once for all of its partitions."""
+    points of that scenario all run on its pair (see :func:`_overlap_trial`
+    and :func:`_split_trial`).  Rows come out point by point, one per
+    method; data generation and scoring are not timed, and a pair's truth
+    mask is built once for all of its partitions."""
     specs, points = check_sweep(axis, values, trials, methods, **fixed)
     if not points:
         return []
@@ -215,20 +250,17 @@ def _run_sweep(
     for t in range(trials):
         seed = derive_seed(base.seed, t)
         draws = _draw_trial(base.d, base.n, seed)
-        for spec, indices in at_scenario.items():
-            pair = _complete(draws, replace(spec, seed=seed))
-            truth = truth_mask(pair.inliers, base.n)
-            for i in indices:
-                value = points[i][0]
-                if axis == "splits":
-                    results = _split_trial(
-                        pair, configs[i], mode, value, seed, max_workers
-                    )
-                else:
-                    results = _overlap_trial(pair, configs[i], mode)
-                for label, part, ms in results:
-                    errs[i][label].append(count_errors(truth, part))
-                    times[i][label].append(ms)
+        pairs = (
+            (_complete(draws, replace(spec, seed=seed)), indices)
+            for spec, indices in at_scenario.items()
+        )
+        if axis == "splits":
+            results = _split_trial(pairs, points, configs, mode, seed, max_workers)
+        else:
+            results = _overlap_trial(pairs, specs, configs, mode, base.d, base.n)
+        for i, label, report, ms in results:
+            errs[i][label].append(report)
+            times[i][label].append(ms)
     return [
         _summary_row(axis, value, label, errs[i][label], times[i][label])
         for i, (value, _) in enumerate(points)

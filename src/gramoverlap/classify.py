@@ -2,8 +2,9 @@
 
 One matcher, two statistics: it thresholds (or 2-means clusters) either the
 coordinates of the leading eigenvector of the overlap matrix or its shifted
-row sums, through one exact 1-D 2-means solver.  The error metrics compare a
-partition against ground truth.
+row sums, through one exact 2-means solver that runs along the rows of a
+stack (one row for a single statistic).  The error metrics compare a
+partition against ground truth, one row of a stack at a time or many at once.
 """
 
 import math
@@ -159,48 +160,109 @@ def two_means_1d(values) -> tuple[LabelPartition, tuple[float, float]]:
     fixed fraction of the magnitude, so an exact shift ``c`` raises only
     when the spread is within 16 ulps of ``|v + c|``: the shifted values
     then carry no more bits of the spread than rounding noise does.
+
+    The values are solved as the one row of the row-wise solver that a
+    sweep trial runs on all its grid points at once, so a row of that stack
+    and this call give the same partition bit for bit.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError("values must be 1-D")
-    n = v.size
+    s, k, mask = _two_means_rows(v[None])
+    n, k = v.size, int(k[0])
+    if k == n:
+        raise DegenerateValuesError("all values equal; no 2-cluster split exists")
+    low = float(np.add.reduce(s[0, :k]) / k)
+    high = float(np.add.reduce(s[0, k:]) / (n - k))
+    return LabelPartition(mask[0]), (low, high)
+
+
+def _two_means_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact 2-means split of each row of the 2-D float64 array ``v``,
+    bit for bit as :func:`two_means_1d` makes it: the sorted rows, each
+    row's lower-cluster size ``k`` and the inlier masks (the upper
+    clusters).  A row within the tie bound gets ``k = n`` and no inliers.
+
+    Every step runs along the last axis: a stable sort, the in-place split
+    costs from sequential prefix sums, and the first minimum of each row,
+    so a row's split does not depend on the rows beside it.
+    """
+    p, n = v.shape
     if n < 2:
         raise ValueError("need at least two values")
     if not np.isfinite(v).all():
         raise ValueError("values contain non-finite entries")
-    order = v.argsort(kind="stable")
-    s = v[order]
-    c = s - s[n // 2]
-    if float(c[-1] - c[0]) <= TWO_MEANS_TIE_ULPS * np.spacing(max(-s[0], s[-1])):
-        raise DegenerateValuesError("all values equal; no 2-cluster split exists")
-    # Prefix sums with a leading zero: ps[j] = sum(c[:j]), pq[j] = sum(c[:j]^2).
-    ps = np.empty(n + 1)
-    pq = np.empty(n + 1)
-    ps[0] = pq[0] = 0.0
-    np.add.accumulate(c, out=ps[1:])
-    np.add.accumulate(c * c, out=pq[1:])
+    # Flat indices of each row's sorted order: gathering and scattering
+    # through them costs less than the along-axis forms.
+    order = v.argsort(axis=1, kind="stable")
+    order += np.arange(0, p * n, n)[:, None]
+    s = v.take(order)
+    c = s - s[:, n // 2, None]
+    spread = c[:, -1] - c[:, 0]
+    tied = spread <= TWO_MEANS_TIE_ULPS * np.spacing(np.maximum(-s[:, 0], s[:, -1]))
+    # Prefix sums with a leading zero: ps[:, j] = sum(c[:, :j]), and pq of
+    # the squares.
+    ps = np.empty((p, n + 1))
+    pq = np.empty((p, n + 1))
+    ps[:, 0] = pq[:, 0] = 0.0
+    np.add.accumulate(c, axis=1, out=ps[:, 1:])
+    np.add.accumulate(c * c, axis=1, out=pq[:, 1:])
     # Split costs, in place: the lower cluster's into ``costs``, the upper
     # cluster's into the tails of ps and pq.  The upper size n - m is m
     # reversed.
     m = np.arange(1, n, dtype=np.float64)  # lower-cluster size of each split
-    low_s, low_q = ps[1:n], pq[1:n]
+    low_s, low_q = ps[:, 1:n], pq[:, 1:n]
     costs = low_s * low_s
     costs /= m
     np.subtract(low_q, costs, out=costs)
-    high_s = np.subtract(ps[n], low_s, out=low_s)
+    high_s = np.subtract(ps[:, n, None], low_s, out=low_s)
     high_s *= high_s
     high_s /= m[::-1]
-    high_q = np.subtract(pq[n], low_q, out=low_q)
+    high_q = np.subtract(pq[:, n, None], low_q, out=low_q)
     high_q -= high_s
     costs += high_q
     # argmin takes the first minimum = smallest lower cluster = largest upper
     # cluster, which is the required tie-break.
-    k = int(costs.argmin()) + 1
-    low = float(np.add.reduce(s[:k]) / k)
-    high = float(np.add.reduce(s[k:]) / (n - k))
-    mask = np.zeros(n, dtype=bool)
-    mask[order[k:]] = True
-    return LabelPartition(mask), (low, high)
+    k = costs.argmin(axis=1) + 1
+    k[tied] = n
+    mask = np.empty(p * n, dtype=bool)
+    mask[order.ravel()] = (np.arange(n) >= k[:, None]).ravel()
+    return s, k, mask.reshape(p, n)
+
+
+def _fixed_cut(cfg: MatchConfig, d: int, n: int) -> float:
+    """The cut of a threshold config on an overlap of d-by-n factors:
+    t / sqrt(n) for the eigenvector rule, and T, by default d*(r*n+1)/2,
+    for the row-sum rule."""
+    if cfg.method == METHOD_EIGENVECTOR:
+        t = DEFAULT_EIG_THRESHOLD if cfg.threshold is None else cfg.threshold
+        return t / math.sqrt(n)
+    if cfg.threshold is not None:
+        return cfg.threshold
+    return d * (cfg.inlier_rate * n + 1) / 2.0
+
+
+def _classify_rows(stats: np.ndarray, cfgs, d: int) -> np.ndarray:
+    """Inlier masks of the rows of a (p, n) stack of statistics, row i
+    classified by ``cfgs[i]`` as :func:`match` classifies it; every config
+    has one rule and branch, and they differ at most in the inlier rate.
+
+    The 2-means branch splits every row at once (see
+    :func:`two_means_1d`), and a constant row gets no inliers; the
+    threshold branch compares each row with its own cut.
+    """
+    if cfgs[0].use_two_means:
+        return _two_means_rows(stats)[2]
+    cuts = np.array([_fixed_cut(cfg, d, stats.shape[1]) for cfg in cfgs])
+    return stats >= cuts[:, None]
+
+
+def _statistic(h: OverlapMatrix, method: str) -> np.ndarray:
+    """The statistic of ``h`` that ``method`` classifies: the leading
+    eigenvector, or the row sums less d^2."""
+    if method == METHOD_EIGENVECTOR:
+        return h.leading_eigenpair().vector
+    return h.row_sums() - float(h.d) ** 2
 
 
 def match(h: OverlapMatrix, cfg: MatchConfig) -> tuple[LabelPartition, MatchDiagnostics]:
@@ -227,16 +289,19 @@ def match(h: OverlapMatrix, cfg: MatchConfig) -> tuple[LabelPartition, MatchDiag
     The threshold branch keeps index i as an inlier when its statistic is at
     least the cut; the 2-means branch clusters the statistic and keeps the
     upper cluster, or labels every point an outlier (with a warning) when the
-    statistic is constant.  The diagnostics name the backend that computed
-    the statistic in ``eig_backend`` or ``row_sum_backend``.  A config that
-    cannot run (see :meth:`MatchConfig.check_runnable`) is refused before
-    any statistic is computed.
+    statistic is constant.  A sweep trial classifies a stack of statistics,
+    one row per grid point, with the same cuts and the same 2-means solver,
+    so each row gets the partition that ``match`` gives its overlap.  The
+    diagnostics name the backend that computed the statistic in
+    ``eig_backend`` or ``row_sum_backend``.  A config that cannot run (see
+    :meth:`MatchConfig.check_runnable`) is refused before any statistic is
+    computed.
     """
     cfg.check_runnable()
     warnings = []
+    stat = _statistic(h, cfg.method)
     if cfg.method == METHOD_EIGENVECTOR:
         pair = h.leading_eigenpair()
-        stat = pair.vector
         facts = dict(
             leading_eigenvalue=pair.value,
             eig_backend=h.eig_backend,
@@ -250,7 +315,6 @@ def match(h: OverlapMatrix, cfg: MatchConfig) -> tuple[LabelPartition, MatchDiag
                 f"{pair.iterations} iterations (residual {pair.residual:.3e})"
             )
     else:
-        stat = h.row_sums() - float(h.d) ** 2
         facts = dict(row_sum_backend=h.row_sum_backend)
     cut = centroids = None
     degenerate = False
@@ -265,13 +329,7 @@ def match(h: OverlapMatrix, cfg: MatchConfig) -> tuple[LabelPartition, MatchDiag
             )
             partition = LabelPartition(np.zeros(stat.size, dtype=bool))
     else:
-        if cfg.method == METHOD_EIGENVECTOR:
-            t = DEFAULT_EIG_THRESHOLD if cfg.threshold is None else cfg.threshold
-            cut = t / math.sqrt(h.n)
-        elif cfg.threshold is not None:
-            cut = cfg.threshold
-        else:
-            cut = h.d * (cfg.inlier_rate * h.n + 1) / 2.0
+        cut = _fixed_cut(cfg, h.d, h.n)
         partition = LabelPartition(stat >= cut)
     diag = MatchDiagnostics(
         method=cfg.method,
@@ -370,17 +428,26 @@ def count_errors(truth: np.ndarray, partition: LabelPartition) -> ErrorReport:
     n = partition.n
     if truth.shape != (n,):
         raise ValueError(f"truth mask has shape {truth.shape}, expected ({n},)")
-    k = int(np.count_nonzero(truth))
-    # The estimated inliers are distinct indices, so the true ones among
-    # them are counted on the truth mask alone.
-    hits = int(np.count_nonzero(truth[partition.inliers]))
-    return ErrorReport(
-        n=n,
-        n_inliers=k,
-        n_outliers=n - k,
-        missed_inliers=k - hits,
-        missed_outliers=partition.inliers.size - hits,
-    )
+    return _count_errors_rows(truth[None], partition._mask[None])[0]
+
+
+def _count_errors_rows(truth: np.ndarray, inliers: np.ndarray) -> list[ErrorReport]:
+    """Error counts of each row of a (p, n) stack of estimated inlier masks
+    against the same row of a stack of truth masks, counted in one pass."""
+    n = inliers.shape[1]
+    k = np.count_nonzero(truth, axis=1).tolist()
+    hits = np.count_nonzero(truth & inliers, axis=1).tolist()
+    found = np.count_nonzero(inliers, axis=1).tolist()
+    return [
+        ErrorReport(
+            n=n,
+            n_inliers=k_i,
+            n_outliers=n - k_i,
+            missed_inliers=k_i - hit,
+            missed_outliers=found_i - hit,
+        )
+        for k_i, hit, found_i in zip(k, hits, found)
+    ]
 
 
 def error_rates(truth_inliers, partition: LabelPartition) -> ErrorReport:

@@ -30,7 +30,8 @@ POWER_MAX_ITER_DEFAULT = 1000
 # eigenvalue (1 - delta) lambda_1 keeps a weight exp(-delta 2^j) of the top
 # one's, so the residual it can leave is at most delta exp(-delta 2^j)
 # lambda_1 <= lambda_1 / (e 2^j): about 3e-13 lambda_1 at j = 40, far below
-# the 1e-10 residual test, whatever the gap.
+# the 1e-10 residual test, whatever the gap.  The loop usually stops long
+# before, when the normalising trace settles.
 KHATRI_RAO_MAX_SQUARINGS = 40
 
 
@@ -142,31 +143,37 @@ def _top_eigvector_by_squaring(g: np.ndarray) -> np.ndarray:
     normalised; zero when ``g = 0``.
 
     ``B = g / tr g`` is squared and renormalised, ``B <- B^2 / tr(B^2)``,
-    until one more squaring changes no entry by more than ``m`` units of
-    roundoff (``m`` the order of ``g``: ``B`` has trace 1, so that bounds
-    the rounding error of an entry of ``B^2``), or
-    :data:`KHATRI_RAO_MAX_SQUARINGS` times.  ``B`` tends to the projector
-    on the top eigenspace over its dimension, so its column of largest
-    diagonal lies in that eigenspace; it is returned after one product with
-    ``g``.  ``B B^T`` is ``B^2`` (BLAS syrk, which keeps ``B`` exactly
-    symmetric), ``m^3`` flops a squaring.  The loop writes into three
-    buffers allocated once: with glibc's default malloc, a fresh array of
-    order 400 (d = 20) on every squaring made the loop about a fifth slower.
+    until the normalising trace ``tr(B^2)`` changes by at most ``m`` units
+    of roundoff relative to itself from one squaring to the next (``m`` the
+    order of ``g``), or :data:`KHATRI_RAO_MAX_SQUARINGS` times.  ``B``
+    tends to the projector on the top eigenspace over its dimension ``k``,
+    so ``tr(B^2)`` tends to ``1 / k``; a weight ``rho`` left on the rest of
+    the spectrum moves it by about ``2 rho``, so it settles one squaring
+    after ``rho`` falls below roundoff.  Rounding noise inside a tied top
+    eigenspace rotates ``B`` within that space but does not move the trace,
+    so a tie stops as soon as the rest of the spectrum has decayed.  ``B``'s
+    column of largest diagonal lies in the top eigenspace; it is returned
+    after one product with ``g``.  ``B B^T`` is ``B^2`` (BLAS syrk, which
+    keeps ``B`` exactly symmetric), ``m^3`` flops a squaring.  The loop
+    writes into two buffers allocated once: with glibc's default malloc, a
+    fresh array of order 400 (d = 20) on every squaring made the loop about
+    a fifth slower.
     """
     t = float(g.trace())
     if not t > 0.0:
         return np.zeros(g.shape[0])
     b = g / t
     b2 = np.empty_like(b)
-    diff = np.empty_like(b)
     tol = g.shape[0] * np.finfo(np.float64).eps
+    last = 0.0
     for _ in range(KHATRI_RAO_MAX_SQUARINGS):
         np.matmul(b, b.T, out=b2)
-        b2 /= b2.trace()
-        np.subtract(b2, b, out=diff)
+        t = float(b2.trace())
+        b2 /= t
         b, b2 = b2, b
-        if np.maximum.reduce(np.abs(diff, out=diff), axis=None) <= tol:
+        if abs(t - last) <= tol * t:
             break
+        last = t
     return g @ b[:, b.diagonal().argmax()]
 
 
@@ -184,10 +191,13 @@ def khatri_rao_eigenpair(x, y) -> SpectralPair:
     :data:`KHATRI_RAO_MAX_SQUARINGS` (40) of them, and ``O(d^2 n)`` for the
     rest; it reads no n-by-n matrix.  With ``delta = 1 - lambda_2 /
     lambda_1`` the relative gap below the top eigenvalue, the loop takes
-    about ``1 + log2(36 / delta)`` squarings: 6 to 9 on the synthetic
-    overlaps of :mod:`gramoverlap.synth`, 37 at ``delta = 1e-9``.  A tied
-    top eigenspace may take all 40, since rounding noise inside it grows
-    with each squaring; the vector still lies in that eigenspace.
+    about ``2 + log2(36 / delta)`` squarings: mostly 7 to 11 on the
+    synthetic overlaps of :mod:`gramoverlap.synth`, 37 at ``delta =
+    1e-9``.  A tied top eigenspace stops once the rest of the spectrum has
+    decayed (8 to 10 squarings on constructed ties of order 4 to 36), and
+    so does a gap too small to show in the trace (``delta`` about ``1e-10``
+    and below); the vector then lies in the span of the tied eigenvectors,
+    and its residual is at most about ``delta lambda_1``.
 
     The value is the Rayleigh quotient ``||Z v||^2``, the residual
     ``||H v - value v||`` is computed matrix-free as ``Z^T (Z v) - value v``,

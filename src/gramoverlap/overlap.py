@@ -62,8 +62,9 @@ def factored_eig_is_cheaper(d: int, n: int) -> bool:
 
     The factored solve (:func:`linalg.khatri_rao_eigenpair`) costs the
     ``d^4 n``-flop product ``Z Z^T`` plus repeated squaring of that
-    ``d^2``-by-``d^2`` matrix, ``d^6`` flops a squaring, 6 to 9 squarings on
-    the synthetic overlaps of :mod:`gramoverlap.synth` and at most 40.
+    ``d^2``-by-``d^2`` matrix, ``d^6`` flops a squaring, mostly 7 to 11
+    squarings on the synthetic overlaps of :mod:`gramoverlap.synth` and at
+    most 40.
     Power iteration on an n-by-n ``H`` costs one order-n matrix-vector
     product per iteration, and takes 11 to 136 iterations on those
     overlaps.  The rule was calibrated when the factored solve ran a full

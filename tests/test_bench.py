@@ -1,13 +1,22 @@
 """Sweep harness: method specs, row summaries, CSV round trip."""
 
 import time
+import weakref
 
 import numpy as np
 import pytest
 
 from dataclasses import replace
 
-from gramoverlap import ErrorReport, PreprocessMode, bench, linalg
+from gramoverlap import (
+    ErrorReport,
+    PreprocessMode,
+    bench,
+    build_overlap,
+    linalg,
+    match,
+    parallel_match,
+)
 from gramoverlap.classify import count_errors, truth_mask
 from gramoverlap.synth import ScenarioSpec, derive_seed, generate
 from gramoverlap.bench import (
@@ -420,9 +429,50 @@ class TestTrialMajorSweep:
         assert [c.seed for c in calls["complete"]] == seeds
 
 
+class TestStackedTrial:
+    def test_a_trial_holds_one_overlap_at_a_time(self, monkeypatch):
+        alive = []
+
+        def tracked(*args, **kwargs):
+            assert [ref for ref in alive if ref() is not None] == []
+            h = build_overlap(*args, **kwargs)
+            alive.append(weakref.ref(h))
+            return h
+
+        monkeypatch.setattr(bench, "build_overlap", tracked)
+        run_rate_sweep(d=3, n=40, r_values=[0.25, 0.5, 0.75], trials=2, seed=3)
+        run_noise_sweep(
+            d=3, n=40, r=0.5, sigma2_values=[0.0, 0.5], trials=2, seed=3
+        )
+        assert len(alive) == 3 * 2 + 2 * 2
+
+    def test_each_method_classifies_a_trial_in_one_call(self, monkeypatch):
+        # 3 trials of 4 points and 2 methods: 2 stacked calls a trial, each
+        # charged a quarter to every point of the trial
+        calls = []
+        classify_rows = bench._classify_rows
+
+        def slow(stats, cfgs, d):
+            calls.append(stats.shape)
+            time.sleep(0.04)
+            return classify_rows(stats, cfgs, d)
+
+        monkeypatch.setattr(bench, "_classify_rows", slow)
+        rows = run_rate_sweep(
+            d=3, n=40, r_values=[0.25, 0.5, 0.75, 0.8], trials=3, seed=5,
+            methods=("rowsum:kmeans", "rowsum:auto"),
+        )
+        assert calls == [(4, 40)] * 6
+        assert len(rows) == 8
+        for row in rows:
+            assert row["time_ms_mean"] >= 10.0
+
+
 def point_by_point_rows(axis, values, trials, methods, mode, max_workers, **fixed):
     """The reference: each grid point in turn, each trial's pair from
-    ``generate``, as the sweep ran before it shared a trial's draws."""
+    ``generate``, and each method's partition from its own ``match`` on the
+    point's overlap (or its own ``parallel_match`` at a splits point),
+    scored by ``count_errors``; it calls none of the sweep's trial code."""
     rows = []
     specs = bench.parse_methods(methods)
     for value in values:
@@ -432,22 +482,23 @@ def point_by_point_rows(axis, values, trials, methods, mode, max_workers, **fixe
             spec = ScenarioSpec(**fixed, **{axis: value})
         configs = {label: bench._at_rate(cfg, spec.r) for label, cfg in specs}
         errs = {label: [] for label, _ in specs}
-        times = {label: [] for label, _ in specs}
         for t in range(trials):
             trial = replace(spec, seed=derive_seed(spec.seed, t))
             pair = generate(trial)
             truth = truth_mask(pair.inliers, trial.n)
-            if axis == "splits":
-                results = bench._split_trial(
-                    pair, configs, mode, value, trial.seed, max_workers
-                )
-            else:
-                results = bench._overlap_trial(pair, configs, mode)
-            for label, part, ms in results:
+            if axis != "splits":
+                h = build_overlap(pair.x, pair.y, mode)
+            for label, cfg in configs.items():
+                if axis == "splits":
+                    part = parallel_match(
+                        pair.x, pair.y, value, cfg, mode, trial.seed,
+                        max_workers=max_workers, backend="dense",
+                    ).partition
+                else:
+                    part, _ = match(h, cfg)
                 errs[label].append(count_errors(truth, part))
-                times[label].append(ms)
         rows += [
-            bench._summary_row(axis, value, label, errs[label], times[label])
+            bench._summary_row(axis, value, label, errs[label], [0.0] * trials)
             for label, _ in specs
         ]
     return rows

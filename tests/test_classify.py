@@ -26,7 +26,13 @@ from gramoverlap import (
     two_means_1d,
 )
 from gramoverlap import bench, linalg
-from gramoverlap.classify import count_errors, truth_mask
+from gramoverlap.classify import (
+    _classify_rows,
+    _count_errors_rows,
+    _statistic,
+    count_errors,
+    truth_mask,
+)
 from gramoverlap.synth import derive_seed
 
 
@@ -297,6 +303,102 @@ class TestTwoMeans:
             two_means_1d(np.array([1.0]))
         with pytest.raises(ValueError):
             two_means_1d(np.array([1.0, np.nan]))
+
+
+def rows_outcome(rows):
+    """Each row's 2-means inlier mask from the stacked classifier."""
+    cfgs = [MatchConfig(method="row_sum")] * len(rows)
+    return _classify_rows(np.array(rows, dtype=np.float64), cfgs, d=1)
+
+
+def one_row_mask(fn, row):
+    """The inlier mask ``fn`` gives one row; none when it is degenerate."""
+    try:
+        part, _ = fn(row)
+    except DegenerateValuesError:
+        return np.zeros(len(row), dtype=bool)
+    return part.inlier_mask()
+
+
+class TestClassifyRows:
+    """The stacked classifier of a sweep trial against one call a row."""
+
+    def assert_rows_match_two_means_1d(self, rows):
+        got = rows_outcome(rows)
+        assert got.shape == (len(rows), len(rows[0])) and got.dtype == bool
+        for row, mask in zip(rows, got):
+            assert np.array_equal(mask, one_row_mask(two_means_1d, row))
+            assert np.array_equal(mask, one_row_mask(allocating_two_means_1d, row))
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 400])
+    def test_random_and_tied_rows(self, n):
+        rng = np.random.default_rng(derive_seed(2424, n))
+        rows = []
+        for _ in range(12):
+            rows.append(rng.standard_normal(n))
+            rows.append(rng.integers(0, 4, n).astype(float))  # exact ties
+            rows.append(np.repeat([0.0, 1.0], [n - n // 2, n // 2])[rng.permutation(n)])
+        self.assert_rows_match_two_means_1d(rows)
+
+    def test_large_offsets_and_power_of_two_scaling(self):
+        # every shifted and scaled row below is exact, so each must keep the
+        # partition of the row it came from, as two_means_1d does
+        rng = np.random.default_rng(2525)
+        base = np.concatenate(
+            [rng.integers(0, 3 * 2**10, 60), 2560 + rng.integers(0, 3 * 2**10, 40)]
+        ) / 2**10
+        rows = [base + c for c in (0, 1, 10**4, 2**24 + 1, 10**8)]
+        rows += [np.ldexp(base, e) for e in (-400, -40, 40, 400)]
+        for row in rows[1:5]:
+            assert np.array_equal(row - (row[0] - base[0]), base)
+        got = rows_outcome(rows)
+        assert 0 < got[0].sum() < base.size
+        assert all(np.array_equal(mask, got[0]) for mask in got)
+        self.assert_rows_match_two_means_1d(rows)
+
+    def test_a_degenerate_row_is_all_outliers_and_leaves_the_others(self):
+        rng = np.random.default_rng(2626)
+        rows = [rng.standard_normal(50) for _ in range(4)]
+        alone = rows_outcome(rows)
+        for constant in (np.full(50, 3.0), np.full(50, -1e6), 1e6 + 2.0**-40 * np.arange(50)):
+            with pytest.raises(DegenerateValuesError):
+                two_means_1d(constant)
+            got = rows_outcome(rows[:2] + [constant] + rows[2:])
+            assert not got[2].any()
+            assert np.array_equal(np.delete(got, 2, axis=0), alone)
+
+    def test_rows_are_refused_as_two_means_1d_refuses_them(self):
+        for rows, message in (
+            ([[1.0], [2.0]], "need at least two values"),
+            ([[1.0, 2.0], [3.0, np.nan]], "values contain non-finite entries"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                rows_outcome(rows)
+
+    @pytest.mark.parametrize(
+        "spec", ["eig:0.5", "eig:kmeans", "rowsum:kmeans", "rowsum:3.0", "rowsum:auto"]
+    )
+    def test_each_row_is_classified_and_scored_as_match_and_count_errors_do(
+        self, spec
+    ):
+        # one pair per rate, so rowsum:auto has a cut per row
+        rates = (0.3, 0.5, 0.7, 0.9)
+        stats, cfgs, want, truths, reports = [], [], [], [], []
+        for t, r in enumerate(rates):
+            pair = generate(ScenarioSpec(d=6, n=200, r=r, seed=derive_seed(27, t)))
+            h = build_overlap(pair.x, pair.y, PreprocessMode.NONE)
+            cfg = bench._at_rate(bench.parse_method(spec), r)
+            part, _ = match(h, cfg)
+            truth = truth_mask(pair.inliers, 200)
+            stats.append(_statistic(h, cfg.method))
+            cfgs.append(cfg)
+            want.append(part.inlier_mask())
+            truths.append(truth)
+            reports.append(count_errors(truth, part))
+        got = _classify_rows(np.array(stats), cfgs, d=6)
+        assert np.array_equal(got, np.array(want))
+        assert len({mask.sum() for mask in got}) > 1
+        assert _count_errors_rows(np.array(truths), got) == reports
 
 
 class TestMatchConfig:
