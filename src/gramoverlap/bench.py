@@ -4,24 +4,29 @@ all run by one driver, :func:`_run_sweep`.
 Each grid point runs seeded trials.  Trial ``t`` has the same seed at every
 grid point, so the driver draws its data's shared part once and completes each
 grid point's pair from it.  At a ``splits`` point every method runs
-split-merge on the trial's data.  At an ``r`` or ``sigma2`` point the overlap
-matrix is made once from the preprocessed factors, and each statistic it
-carries (leading eigenvector, row sums) is computed once and kept; the
-overlap is then dropped, so a trial holds one overlap at a time.  Once every
-point of the trial has its statistics, each requested method classifies its
-statistic at all the points in one call, and every partition of the trial is
-scored in one pass, so methods are compared on identical data.  ``H`` is
-formed only by a backend that reads it: the dense row sums at construction,
-or power iteration inside its own call.  Per-method wall time charges the
-shared preprocessing, the statistic that method reads and the point's share
-of that method's classification call, i.e. about what a solo run would
-cost: each statistic is timed once per point and charged to every method
-that reads it.
+split-merge on the trial's data.  At ``r`` or ``sigma2`` points the trial's
+X is preprocessed once and the Ys as stacks, and each statistic (leading
+eigenvector, row sums) is computed once a pair and kept.  A statistic whose
+backend reads only the factors is computed for a whole chunk of pairs in
+one stacked call, the chunk bounded by a fixed byte budget, and no overlap
+is built for it; a statistic that reads ``H`` comes from the pair's own
+overlap, which is then dropped, so a trial holds one ``H`` at a time.  Once
+every point of the trial has its statistics, each requested method
+classifies its statistic at all the points in one call, and every partition
+of the trial is scored in one pass, so methods are compared on identical
+data.  ``H`` is formed only by a backend that reads it: the dense row sums
+at construction, or power iteration inside its own call.  Per-method wall
+time charges the point's share of the trial's preprocessing, of the
+statistic that method reads (the stacked call, or the point's own build
+and statistic) and of that method's classification call, i.e. about what a
+solo run would cost: each statistic is timed once and charged to every
+method that reads it.
 """
 
 import csv
 import time
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 
@@ -31,11 +36,14 @@ from .classify import (
     MatchConfig,
     _classify_rows,
     _count_errors_rows,
+    _factor_statistics,
+    _reads_factors,
     _statistic,
     count_errors,
     truth_mask,
 )
-from .overlap import PreprocessMode, build_overlap
+from .linalg import as_matrix
+from .overlap import OverlapMatrix, PreprocessMode, _checked_y, _preprocess
 from .parallel import check_shard_count, parallel_match
 from .synth import ScenarioSpec, _complete, _draw_trial, derive_seed
 
@@ -45,6 +53,16 @@ _SUMMARY_STATS = ("error_g", "error_b", "error_w", "time_ms")
 SWEEP_COLUMNS = ["sweep", "value", "method", "trials"] + [
     f"{name}_{stat}" for name in _SUMMARY_STATS for stat in ("mean", "std")
 ]
+
+# Byte budget of one chunk of a sweep trial's stacked statistics (see
+# _stack_points).  Timed per point on seeded sweep pairs (1 BLAS thread, a
+# 2 MiB L2 cache a core), the stacked eigenvector statistic got 2-5 times
+# cheaper from 1 to 8 points at d = 4 and 6, n = 400, then stayed flat up to
+# about 4 MiB a chunk and got slower beyond: at d = 10, n = 1000, 1.09 ms
+# alone, 0.98 ms in chunks of 4 points (4 MiB) and 1.15-1.37 ms in chunks of
+# 8 to 32; at d = 12, n = 2000 one point (2.7 MiB) was the fastest, 2.8
+# against 3.3 ms in chunks of 4.
+_STACK_BYTES = 4 << 20
 
 DEFAULT_METHODS = ("eig:0.3", "eig:0.5", "eig:0.7", "eig:kmeans", "rowsum:kmeans")
 DEFAULT_SPLITS_METHOD = "rowsum:kmeans"
@@ -125,46 +143,83 @@ def _summary_row(sweep: str, value, label: str, errs, times_ms) -> dict:
     return row
 
 
-def _overlap_statistics(pair, mode: PreprocessMode, stats: dict, i: int) -> dict:
-    """Build the overlap of ``pair``, write the statistic of each method
-    that ``stats`` names into row ``i`` of its stack, and return each
-    method's time: the build and that statistic.  A statistic that reads
-    ``H`` forms it on first use, so its time carries the formation.  The
-    overlap lives only inside this call."""
+def _stack_points(d: int, n: int) -> int:
+    """How many pairs of d-by-n factors a trial stacks in one chunk: as many
+    as keep their ``Z`` (``d^2 n`` values), ``G`` and its two squaring
+    buffers (``d^4`` each) within :data:`_STACK_BYTES`, and at least one."""
+    return max(1, _STACK_BYTES // (8 * (d * d * n + 3 * d**4)))
+
+
+def _overlap_statistics(xp, yp, methods, stats: dict, ms: dict, indices) -> None:
+    """Build the overlap of the preprocessed ``xp`` and ``yp``, and write
+    the statistic of each of ``methods`` into the rows ``indices`` of its
+    stack in ``stats`` and its time into the same entries of ``ms``: the
+    build and that statistic.  A statistic that reads ``H`` forms it on
+    first use, so its time carries the formation.  The overlap lives only
+    inside this call."""
     t0 = time.perf_counter()
-    h = build_overlap(pair.x, pair.y, mode)
+    h = OverlapMatrix(xp=xp, yp=yp)
     build_ms = (time.perf_counter() - t0) * 1e3
-    ms = {}
-    for method, stack in stats.items():
+    for method in methods:
         t1 = time.perf_counter()
-        stack[i] = _statistic(h, method)
-        ms[method] = build_ms + (time.perf_counter() - t1) * 1e3
-    return ms
+        stats[method][indices] = _statistic(h, method)
+        ms[method][indices] = build_ms + (time.perf_counter() - t1) * 1e3
 
 
-def _overlap_trial(pairs, specs, configs, mode: PreprocessMode, d: int, n: int):
+def _overlap_trial(x, pairs, specs, configs, mode: PreprocessMode, d: int, n: int):
     """Yield each grid point's index, each method's label, its error report
     and its time_ms in one trial of an ``r`` or ``sigma2`` sweep.
 
-    ``pairs`` yields each distinct scenario's pair with the indices of its
-    grid points.  At each point the overlap is built, and each statistic
-    computed, once for all the methods; the trial keeps only the statistic
-    vectors and truth masks.  Then each method classifies its statistic at
-    every point in one call, and the errors of every method at every point
-    are counted in one pass.  A point's time charges its build, the
-    statistic the method reads and the point's share of that method's
-    classification call.
+    ``x`` is the trial's X, which every pair holds, and ``pairs`` yields
+    each distinct scenario's pair with the indices of its grid points.  X
+    is checked and preprocessed once.  The pairs are taken in chunks of
+    :func:`_stack_points`: a chunk's Ys are checked one by one and
+    preprocessed as one ``(p, d, n)`` stack, so a degenerate column raises
+    at the same pair, naming the same column, as it would pair by pair.
+    Each statistic that has a backend reading only the factors (see
+    :func:`~gramoverlap.classify._reads_factors`) is computed for the whole
+    chunk in one stacked call, and no overlap is built; for a statistic
+    that reads ``H``, each pair's overlap is built once for all such
+    statistics and dropped, so one ``H`` is alive at a time.  The trial
+    keeps only the statistic vectors and truth masks.  Then each method
+    classifies its statistic at every point in one call, and the errors of
+    every method at every point are counted in one pass.  A point's time
+    charges its share of the trial's preprocessing, its share of the
+    stacked call (or its own build and statistic) for the statistic the
+    method reads, and its share of that method's classification call.
     """
     points = len(configs)
     methods = dict.fromkeys(cfg.method for _, cfg in specs)
+    stacked = [method for method in methods if _reads_factors(method, d, n)]
+    dense = [method for method in methods if method not in stacked]
     stats = {method: np.empty((points, n)) for method in methods}
+    ms = {method: np.empty(points) for method in methods}
     truths = np.empty((points, n), dtype=bool)
-    stat_ms = [None] * points
-    for pair, indices in pairs:
-        truth = truth_mask(pair.inliers, n)
-        for i in indices:
-            truths[i] = truth
-            stat_ms[i] = _overlap_statistics(pair, mode, stats, i)
+    pre_ms = np.empty(points)
+    t0 = time.perf_counter()
+    xp = _preprocess(as_matrix(x, "x"), mode)
+    x_ms = (time.perf_counter() - t0) * 1e3
+    pairs, size, count = iter(pairs), _stack_points(d, n), 0
+    while chunk := list(islice(pairs, size)):
+        count += len(chunk)
+        t0 = time.perf_counter()
+        ys = np.stack([_checked_y(pair.y, xp.shape) for pair, _ in chunk])
+        yps = _preprocess(ys, mode)
+        share_ms = (time.perf_counter() - t0) * 1e3 / len(chunk)
+        for pair, indices in chunk:
+            truths[indices] = truth_mask(pair.inliers, n)
+            pre_ms[indices] = share_ms
+        for method in stacked:
+            t0 = time.perf_counter()
+            rows = _factor_statistics(xp, yps, method)
+            share_ms = (time.perf_counter() - t0) * 1e3 / len(chunk)
+            for row, (_, indices) in zip(rows, chunk):
+                stats[method][indices] = row
+                ms[method][indices] = share_ms
+        if dense:
+            for yp, (_, indices) in zip(yps, chunk):
+                _overlap_statistics(xp, yp, dense, stats, ms, indices)
+    pre_ms += x_ms / count
     inliers = np.empty((len(specs), points, n), dtype=bool)
     times = []
     for j, (label, cfg) in enumerate(specs):
@@ -173,7 +228,7 @@ def _overlap_trial(pairs, specs, configs, mode: PreprocessMode, d: int, n: int):
             stats[cfg.method], [point[label] for point in configs], d
         )
         share_ms = (time.perf_counter() - t0) * 1e3 / points
-        times.append([ms[cfg.method] + share_ms for ms in stat_ms])
+        times.append((pre_ms + ms[cfg.method] + share_ms).tolist())
     reports = _count_errors_rows(
         np.broadcast_to(truths, inliers.shape).reshape(-1, n),
         inliers.reshape(-1, n),
@@ -257,7 +312,9 @@ def _run_sweep(
         if axis == "splits":
             results = _split_trial(pairs, points, configs, mode, seed, max_workers)
         else:
-            results = _overlap_trial(pairs, specs, configs, mode, base.d, base.n)
+            results = _overlap_trial(
+                draws.x, pairs, specs, configs, mode, base.d, base.n
+            )
         for i, label, report, ms in results:
             errs[i][label].append(report)
             times[i][label].append(ms)

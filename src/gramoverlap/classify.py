@@ -13,8 +13,9 @@ from functools import cached_property
 
 import numpy as np
 
+from . import linalg
 from .errors import DegenerateValuesError
-from .overlap import OverlapMatrix
+from .overlap import OverlapMatrix, forms_h
 
 METHOD_EIGENVECTOR = "eigenvector"
 METHOD_ROW_SUM = "row_sum"
@@ -186,6 +187,18 @@ def _two_means_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Every step runs along the last axis: a stable sort, the in-place split
     costs from sequential prefix sums, and the first minimum of each row,
     so a row's split does not depend on the rows beside it.
+
+    In exact arithmetic equal values never straddle the best split, so the
+    order of equal values cannot move a label.  Moving a split through a
+    run of equal values ``v``, the lower cluster's sum is ``a + v k`` and
+    ``(a + v k)^2 / k = a^2 / k + 2 a v + v^2 k`` is convex in ``k``; so is
+    the upper cluster's term, so the cost is concave along the run and its
+    minimum lies at one of the run's ends (a split at the input's own end
+    is the one-cluster cost, which is no lower).  In floating point the
+    costs can tie after rounding, e.g. all underflow to zero on a row of
+    zeros and one ``1e-300``; the first minimum then falls inside the run,
+    and the stable sort gives the lowest-indexed equal values the lower
+    cluster.  A sort that orders equal values otherwise moves that label.
     """
     p, n = v.shape
     if n < 2:
@@ -263,6 +276,23 @@ def _statistic(h: OverlapMatrix, method: str) -> np.ndarray:
     if method == METHOD_EIGENVECTOR:
         return h.leading_eigenpair().vector
     return h.row_sums() - float(h.d) ** 2
+
+
+def _reads_factors(method: str, d: int, n: int) -> bool:
+    """Whether the statistic ``method`` classifies has, on an overlap of
+    d-by-n factors, a backend that reads only the factors."""
+    return not forms_h(d, n, method == METHOD_EIGENVECTOR)
+
+
+def _factor_statistics(xp: np.ndarray, yps: np.ndarray, method: str) -> np.ndarray:
+    """The statistic that ``method`` classifies of the overlap of the
+    preprocessed ``xp`` with each matrix of the ``(p, d, n)`` stack ``yps``,
+    one a row, from stacked kernels on the factors.  Where
+    :func:`_reads_factors`, row p is :func:`_statistic` of the overlap of
+    ``xp`` and ``yps[p]``, bit for bit."""
+    if method == METHOD_EIGENVECTOR:
+        return linalg._khatri_rao_vectors(linalg._khatri_rao(xp, yps))
+    return linalg._khatri_rao_row_sums(xp, yps) - float(xp.shape[0]) ** 2
 
 
 def match(h: OverlapMatrix, cfg: MatchConfig) -> tuple[LabelPartition, MatchDiagnostics]:

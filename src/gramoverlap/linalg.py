@@ -5,7 +5,10 @@ dense matrix, and a factored solve of ``(X^T X) o (Y^T Y)`` that never forms
 it: repeated squaring of the d^2-by-d^2 Khatri-Rao Gram ``Z Z^T``), the
 factored row sums of that same product, and a full dense eigendecomposition
 capped at small orders that serves as the independent oracle for the
-eigensolvers.  The entrywise product itself is formed in place by
+eigensolvers.  The factored eigenvector and row sums are computed for a
+stack of pairs that share X at once, which a sweep trial runs on its grid
+points; one pair is the one-row case of the same code.  The entrywise
+product itself is formed in place by
 :attr:`gramoverlap.overlap.OverlapMatrix.h`.
 """
 
@@ -74,16 +77,23 @@ def fix_sign(v: np.ndarray) -> np.ndarray:
     """Resolve the sign ambiguity of an eigenvector deterministically.
 
     The entry sum is made nonnegative; when it is zero (within 1e-12) the
-    entry of largest magnitude is made positive instead.
+    entry of largest magnitude is made positive instead.  The rule is the
+    one-row case of :func:`_sign_flips`.
     """
-    s = float(v.sum())
-    if s < -_ZERO_SUM_TOL:
-        return -v
-    if s <= _ZERO_SUM_TOL:
-        k = int(np.argmax(np.abs(v)))
-        if v[k] < 0:
-            return -v
-    return v
+    return -v if _sign_flips(v[None])[0] else v
+
+
+def _sign_flips(v: np.ndarray) -> np.ndarray:
+    """Which rows of the 2-D array ``v`` :func:`fix_sign` negates: those
+    whose entry sum is below -1e-12, and those whose sum is within 1e-12 of
+    zero and whose first entry of largest magnitude is negative."""
+    s = np.add.reduce(v, axis=1)
+    flips = s < -_ZERO_SUM_TOL
+    zero = (np.abs(s) <= _ZERO_SUM_TOL).nonzero()[0]
+    if zero.size:
+        rows = v[zero]
+        flips[zero] = rows[np.arange(zero.size), np.abs(rows).argmax(axis=1)] < 0
+    return flips
 
 
 @dataclass(frozen=True)
@@ -140,41 +150,91 @@ def power_iteration(
 
 def _top_eigvector_by_squaring(g: np.ndarray) -> np.ndarray:
     """A top eigenvector of the exactly symmetric PSD matrix ``g``, not
-    normalised; zero when ``g = 0``.
+    normalised; zero when ``g = 0``.  It is the one-matrix case of
+    :func:`_top_eigvectors_by_squaring`, which says how it is found."""
+    return _top_eigvectors_by_squaring(g[None])[0]
+
+
+def _top_eigvectors_by_squaring(g: np.ndarray) -> np.ndarray:
+    """A top eigenvector of each exactly symmetric PSD matrix of the
+    ``(p, m, m)`` stack ``g``, not normalised, one a row; zero for a zero
+    matrix.
 
     ``B = g / tr g`` is squared and renormalised, ``B <- B^2 / tr(B^2)``,
     until the normalising trace ``tr(B^2)`` changes by at most ``m`` units
-    of roundoff relative to itself from one squaring to the next (``m`` the
-    order of ``g``), or :data:`KHATRI_RAO_MAX_SQUARINGS` times.  ``B``
-    tends to the projector on the top eigenspace over its dimension ``k``,
-    so ``tr(B^2)`` tends to ``1 / k``; a weight ``rho`` left on the rest of
-    the spectrum moves it by about ``2 rho``, so it settles one squaring
-    after ``rho`` falls below roundoff.  Rounding noise inside a tied top
-    eigenspace rotates ``B`` within that space but does not move the trace,
-    so a tie stops as soon as the rest of the spectrum has decayed.  ``B``'s
-    column of largest diagonal lies in the top eigenspace; it is returned
-    after one product with ``g``.  ``B B^T`` is ``B^2`` (BLAS syrk, which
-    keeps ``B`` exactly symmetric), ``m^3`` flops a squaring.  The loop
-    writes into two buffers allocated once: with glibc's default malloc, a
-    fresh array of order 400 (d = 20) on every squaring made the loop about
-    a fifth slower.
+    of roundoff relative to itself from one squaring to the next, or
+    :data:`KHATRI_RAO_MAX_SQUARINGS` times.  ``B`` tends to the projector on
+    the top eigenspace over its dimension ``k``, so ``tr(B^2)`` tends to
+    ``1 / k``; a weight ``rho`` left on the rest of the spectrum moves it by
+    about ``2 rho``, so it settles one squaring after ``rho`` falls below
+    roundoff.  Rounding noise inside a tied top eigenspace rotates ``B``
+    within that space but does not move the trace, so a tie stops as soon as
+    the rest of the spectrum has decayed.  ``B``'s column of largest
+    diagonal lies in the top eigenspace; it is returned after one product
+    with ``g``.  ``B B^T`` is ``B^2`` (BLAS syrk, which keeps ``B`` exactly
+    symmetric), ``m^3`` flops a squaring.
+
+    The whole stack is squared in one ``matmul`` a step, which runs syrk on
+    each matrix, so every matrix gets the bits it gets alone; a matrix whose
+    trace has settled leaves the stack, so each squares exactly as often as
+    it would alone.  The loop writes into two buffers allocated once (and
+    shrunk as matrices leave): with glibc's default malloc, a fresh array of
+    order 400 (d = 20) on every squaring made the loop about a fifth slower.
     """
-    t = float(g.trace())
-    if not t > 0.0:
-        return np.zeros(g.shape[0])
-    b = g / t
+    p, m, _ = g.shape
+    u = np.zeros((p, m))
+    t = g.trace(axis1=1, axis2=2)
+    live = (t > 0.0).nonzero()[0]
+    b = g[live]
+    b /= t[live, None, None]
     b2 = np.empty_like(b)
-    tol = g.shape[0] * np.finfo(np.float64).eps
-    last = 0.0
+    # The stopping test runs on Python floats: for a few matrices, four
+    # ufunc calls a squaring cost more than the comparisons themselves.
+    tol = m * float(np.finfo(np.float64).eps)
+    last = [0.0] * live.size
     for _ in range(KHATRI_RAO_MAX_SQUARINGS):
-        np.matmul(b, b.T, out=b2)
-        t = float(b2.trace())
-        b2 /= t
+        if not live.size:
+            return u
+        np.matmul(b, b.transpose(0, 2, 1), out=b2)
+        t = b2.trace(axis1=1, axis2=2)
+        b2 /= t[:, None, None]
         b, b2 = b2, b
-        if abs(t - last) <= tol * t:
-            break
+        t = t.tolist()
+        done = [abs(ti - li) <= tol * ti for ti, li in zip(t, last)]
+        if any(done):
+            _top_columns(u, g, b, live, [i for i, di in enumerate(done) if di])
+            keep = np.logical_not(done)
+            live, b = live[keep], b[keep]
+            b2 = b2[: live.size]
+            t = [ti for ti, di in zip(t, done) if not di]
         last = t
-    return g @ b[:, b.diagonal().argmax()]
+    _top_columns(u, g, b, live, range(live.size))
+    return u
+
+
+def _top_columns(u, g, b, live, rows) -> None:
+    """For each i of ``rows``, set row ``live[i]`` of ``u`` to matrix
+    ``live[i]`` of the stack ``g`` times the column of largest diagonal of
+    ``b[i]``, as a 2-D product."""
+    for i in rows:
+        j = live[i]
+        u[j] = g[j] @ b[i, :, b[i].diagonal().argmax()]
+
+
+def _khatri_rao(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The ``(p, d^2, n)`` stack of ``Z``: column i of ``Z_p`` is ``x_i (x)
+    y_i`` for the d-by-n ``x`` and the matrix ``Y_p`` of the ``(p, d, n)``
+    stack ``ys``."""
+    p, d, n = ys.shape
+    return (x[None, :, None, :] * ys[:, None, :, :]).reshape(p, d * d, n)
+
+
+def _checked_factors(x, y) -> tuple[np.ndarray, np.ndarray]:
+    x = as_matrix(x, "x")
+    y = as_matrix(y, "y")
+    if x.shape != y.shape:
+        raise ValueError(f"shape mismatch: x is {x.shape}, y is {y.shape}")
+    return x, y
 
 
 def khatri_rao_eigenpair(x, y) -> SpectralPair:
@@ -185,7 +245,7 @@ def khatri_rao_eigenpair(x, y) -> SpectralPair:
     face-splitting identity gives ``H = Z^T Z``.  The d^2-by-d^2 matrix
     ``G = Z Z^T`` has the same nonzero eigenvalues, and with ``u`` its top
     eigenvector ``Z^T u`` is the top eigenvector of ``H``.  ``u`` comes from
-    repeated squaring of ``G / tr G`` (see :func:`_top_eigvector_by_squaring`),
+    repeated squaring of ``G / tr G`` (see :func:`_top_eigvectors_by_squaring`),
     not from a full eigendecomposition.  The cost is ``d^4 n`` flops for
     ``G``, ``d^6`` flops a squaring, at most
     :data:`KHATRI_RAO_MAX_SQUARINGS` (40) of them, and ``O(d^2 n)`` for the
@@ -199,30 +259,53 @@ def khatri_rao_eigenpair(x, y) -> SpectralPair:
     and below); the vector then lies in the span of the tied eigenvectors,
     and its residual is at most about ``delta lambda_1``.
 
-    The value is the Rayleigh quotient ``||Z v||^2``, the residual
-    ``||H v - value v||`` is computed matrix-free as ``Z^T (Z v) - value v``,
-    and ``converged`` applies the test of :func:`power_iteration` at its
-    default tolerance; ``iterations`` is 0.  When ``Z = 0`` (so ``H = 0``) the
-    result is the one power iteration gives: value 0 and the normalized
-    all-ones vector.
+    The vector is the one-pair case of :func:`_khatri_rao_vectors`, which a
+    sweep trial runs on all its grid points at once.  The value is the
+    Rayleigh quotient ``||Z v||^2``, the residual ``||H v - value v||`` is
+    computed matrix-free as ``Z^T (Z v) - value v``, and ``converged``
+    applies the test of :func:`power_iteration` at its default tolerance;
+    ``iterations`` is 0.  When ``Z = 0`` (so ``H = 0``) the result is the
+    one power iteration gives: value 0 and the normalized all-ones vector.
     """
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: x is {x.shape}, y is {y.shape}")
-    d, n = x.shape
-    z = (x[:, None, :] * y[None, :, :]).reshape(d * d, n)
-    w = _top_eigvector_by_squaring(z @ z.T) @ z
+    x, y = _checked_factors(x, y)
+    z = _khatri_rao(x, y[None])
+    v = _khatri_rao_vectors(z)[0]
+    z = z[0]
     # np.linalg.norm of a vector is the square root of its dot product with
-    # itself; both norms here take that directly.
-    norm = math.sqrt(w @ w)
-    v = w / norm if norm > 0.0 else np.full(n, 1.0 / math.sqrt(n))
+    # itself; the residual's norm takes that directly.  v is sign-fixed
+    # already: negating it negates zv and r exactly, so value and residual
+    # keep their bits.
     zv = z @ v
     value = float(zv @ zv)
     r = zv @ z - value * v
     residual = math.sqrt(r @ r)
     converged = residual <= POWER_TOL_DEFAULT * max(1.0, abs(value))
-    return SpectralPair(value, fix_sign(v), 0, residual, converged)
+    return SpectralPair(value, v, 0, residual, converged)
+
+
+def _khatri_rao_vectors(z: np.ndarray) -> np.ndarray:
+    """The unit, sign-fixed leading eigenvector of ``H_p = Z_p^T Z_p`` for
+    each matrix of the ``(p, d^2, n)`` stack ``z`` (see :func:`_khatri_rao`),
+    one a row: row p is :func:`khatri_rao_eigenpair`'s vector for pair p,
+    bit for bit.
+
+    Every step runs on the whole stack: ``G_p = Z_p Z_p^T`` in one
+    ``matmul`` (syrk on each matrix, so the bits of the 2-D product), the
+    squarings, ``w_p = Z_p^T u_p``, the norms as dot products, and the sign
+    rule.  A zero ``w_p`` (``H_p = 0``) gives the normalized all-ones
+    vector.
+    """
+    n = z.shape[2]
+    u = _top_eigvectors_by_squaring(np.matmul(z, z.transpose(0, 2, 1)))
+    w = np.matmul(u[:, None, :], z)[:, 0]
+    norms = np.sqrt(np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0])
+    zero = ~(norms > 0.0)
+    if np.count_nonzero(zero):
+        w[zero] = 1.0 / math.sqrt(n)
+        norms[zero] = 1.0
+    w /= norms[:, None]
+    np.negative(w, out=w, where=_sign_flips(w)[:, None])
+    return w
 
 
 def khatri_rao_row_sums(x, y) -> np.ndarray:
@@ -232,13 +315,19 @@ def khatri_rao_row_sums(x, y) -> np.ndarray:
     (column i of ``Z`` is ``x_i (x) y_i``), so ``H 1 = Z^T (Z 1)``, and entry
     i is ``x_i^T (X Y^T) y_i``: one d-by-d product ``X Y^T``, its product
     with ``Y`` and a column-wise dot product with ``X``.  The cost is about
-    ``4 d^2 n`` flops and ``O(d n)`` memory; it reads no n-by-n matrix.
+    ``4 d^2 n`` flops and ``O(d n)`` memory; it reads no n-by-n matrix.  It
+    is the one-pair case of :func:`_khatri_rao_row_sums`.
     """
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: x is {x.shape}, y is {y.shape}")
-    return np.einsum("ij,ij->j", x, (x @ y.T) @ y)
+    x, y = _checked_factors(x, y)
+    return _khatri_rao_row_sums(x, y[None])[0]
+
+
+def _khatri_rao_row_sums(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The row sums of ``H_p = (X^T X) o (Y_p^T Y_p)`` for each matrix of
+    the ``(p, d, n)`` stack ``ys``, one a row, from stacked products: row p
+    is :func:`khatri_rao_row_sums` of pair p, bit for bit."""
+    xy = np.matmul(x, ys.transpose(0, 2, 1))
+    return np.einsum("ij,pij->pj", x, np.matmul(xy, ys))
 
 
 def dense_eig(a) -> tuple[np.ndarray, np.ndarray]:

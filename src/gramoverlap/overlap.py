@@ -38,18 +38,22 @@ def preprocess(x, mode: PreprocessMode) -> np.ndarray:
 
 
 def _preprocess(x: np.ndarray, mode: PreprocessMode) -> np.ndarray:
-    """:func:`preprocess` of a matrix that ``linalg.as_matrix`` has checked."""
+    """:func:`preprocess` of a matrix that ``linalg.as_matrix`` has checked,
+    or of each matrix of a ``(p, d, n)`` stack of them: every reduction runs
+    along the last two axes, so each matrix of a stack gets the bits it gets
+    alone.  A stack raises for the first degenerate column of its first
+    matrix that has one."""
     mode = PreprocessMode(mode)
     if mode is PreprocessMode.NONE:
         return x
     # The reductions that x.mean(axis=1) and np.linalg.norm(axis=0) run,
     # called directly: the same values, without the wrappers' overhead.
-    centered = x - np.add.reduce(x, axis=1, keepdims=True) / x.shape[1]
-    norms = np.sqrt(np.add.reduce(centered * centered, axis=0))
-    tol = 1e-12 * max(1.0, float(np.maximum.reduce(np.abs(x), axis=None)))
-    bad = norms <= tol
+    centered = x - np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+    norms = np.sqrt(np.add.reduce(centered * centered, axis=-2, keepdims=True))
+    peak = np.maximum.reduce(np.abs(x), axis=(-2, -1), keepdims=True)
+    bad = norms <= 1e-12 * np.maximum(1.0, peak)
     if bad.any():
-        raise DegenerateColumnError(column=int(bad.argmax()))
+        raise DegenerateColumnError(column=int(bad.argmax()) % x.shape[-1])
     return centered / norms
 
 
@@ -342,11 +346,17 @@ class OverlapMatrix:
         return self._pair
 
 
+def _checked_y(y, shape) -> np.ndarray:
+    """``y`` checked by ``linalg.as_matrix`` and against the shape of x."""
+    y = linalg.as_matrix(y, "y")
+    if y.shape != shape:
+        raise ValueError(f"shape mismatch: x is {shape}, y is {y.shape}")
+    return y
+
+
 def _preprocessed_pair(x, y, mode: PreprocessMode) -> tuple[np.ndarray, np.ndarray]:
     x = linalg.as_matrix(x, "x")
-    y = linalg.as_matrix(y, "y")
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: x is {x.shape}, y is {y.shape}")
+    y = _checked_y(y, x.shape)
     if x.shape[1] < 2:
         raise ValueError("need at least two points")
     return _preprocess(x, mode), _preprocess(y, mode)

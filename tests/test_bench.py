@@ -9,7 +9,9 @@ import pytest
 from dataclasses import replace
 
 from gramoverlap import (
+    DegenerateColumnError,
     ErrorReport,
+    OverlapMatrix,
     PreprocessMode,
     bench,
     build_overlap,
@@ -430,19 +432,135 @@ class TestTrialMajorSweep:
 
 
 class TestStackedTrial:
-    def test_a_trial_holds_one_overlap_at_a_time(self, monkeypatch):
+    def test_a_factored_trial_builds_no_overlap_and_chunks_within_budget(
+        self, monkeypatch
+    ):
+        # d = 3, n = 40: both statistics read only the factors.  A budget
+        # of two pairs' Z, G and squaring buffers splits 3 rates into
+        # chunks of 2 and 1, and a repeated rate shares its pair's row
+        def refuse(*args, **kwargs):
+            raise AssertionError("an overlap was built")
+
+        chunks = []
+        factor_statistics = bench._factor_statistics
+
+        def recorded(xp, yps, method):
+            chunks.append((method, len(yps)))
+            return factor_statistics(xp, yps, method)
+
+        d, n = 3, 40
+        budget = 2 * 8 * (d * d * n + 3 * d**4)
+        monkeypatch.setattr(bench, "OverlapMatrix", refuse)
+        monkeypatch.setattr(bench, "_factor_statistics", recorded)
+        monkeypatch.setattr(bench, "_STACK_BYTES", budget)
+        assert bench._stack_points(d, n) == 2
+        run_rate_sweep(d=d, n=n, r_values=[0.25, 0.5, 0.75, 0.5], trials=2, seed=3)
+        run_noise_sweep(
+            d=d, n=n, r=0.5, sigma2_values=[0.0, 0.5], trials=2, seed=3
+        )
+        per_trial = [(m, c) for c in (2, 1) for m in ("eigenvector", "row_sum")]
+        assert chunks == per_trial * 2 + [("eigenvector", 2), ("row_sum", 2)] * 2
+
+    def test_a_point_larger_than_the_budget_runs_alone(self, monkeypatch):
+        monkeypatch.setattr(bench, "_STACK_BYTES", 1)
+        assert bench._stack_points(3, 40) == 1
+        assert bench._stack_points(50, 4000) == 1
+
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    @pytest.mark.parametrize("mode", list(PreprocessMode))
+    def test_rows_do_not_depend_on_the_chunks(self, monkeypatch, budget, mode):
+        # chunks of 1, 2 and 3 pairs against the default budget, which
+        # stacks all 5 pairs of a trial at once
+        common = dict(
+            d=3, n=40, r_values=[0.25, 0.5, 0.75, 0.5, 0.85, 0.35], trials=3,
+            seed=8, sigma2=0.2, preprocess=mode,
+            methods=("eig:0.5", "eig:kmeans", "rowsum:kmeans", "rowsum:auto"),
+        )
+        assert bench._stack_points(3, 40) >= 5
+        want = run_rate_sweep(**common)
+        monkeypatch.setattr(
+            bench, "_STACK_BYTES", budget * 8 * (9 * 40 + 3 * 3**4)
+        )
+        assert bench._stack_points(3, 40) == budget
+        got = run_rate_sweep(**common)
+        untimed = [k for k in SWEEP_COLUMNS if not k.startswith("time_ms")]
+        assert [{k: r[k] for k in untimed} for r in got] == [
+            {k: r[k] for k in untimed} for r in want
+        ]
+
+    @staticmethod
+    def degenerate(y, column):
+        """``y`` with ``column`` set to the mean of the others, so that it is
+        zero after row-centering."""
+        y = y.copy()
+        y[:, column] = np.delete(y, column, axis=1).mean(axis=1)
+        return y
+
+    def per_point_error(self, d, n, rates, seed):
+        """What building each point's overlap in turn raises."""
+        with pytest.raises(DegenerateColumnError) as caught:
+            for t in range(2):
+                draws = bench._draw_trial(d, n, derive_seed(seed, t))
+                for r in rates:
+                    spec = ScenarioSpec(d=d, n=n, r=r, seed=derive_seed(seed, t))
+                    pair = bench._complete(draws, spec)
+                    build_overlap(pair.x, pair.y, PreprocessMode.CENTER_NORMALIZE)
+        return caught.value.column
+
+    @pytest.mark.parametrize("d, n", [(3, 40), (6, 40)])
+    def test_a_degenerate_column_raises_where_the_per_point_order_does(
+        self, monkeypatch, d, n
+    ):
+        # the third rate's Y has column 11 degenerate and the fourth's column
+        # 4, both in the first trial; (6, 40) builds an overlap a point
+        complete = bench._complete
+        bad = {0.75: 11, 0.9: 4}
+
+        def broken(draws, spec):
+            pair = complete(draws, spec)
+            if spec.r in bad and spec.seed == derive_seed(5, 0):
+                pair = replace(pair, y=self.degenerate(pair.y, bad[spec.r]))
+            return pair
+
+        rates = [0.25, 0.5, 0.75, 0.9]
+        monkeypatch.setattr(bench, "_complete", broken)
+        assert self.per_point_error(d, n, rates, 5) == 11
+        for budget in (1, 2, 4):
+            monkeypatch.setattr(
+                bench, "_STACK_BYTES", budget * 8 * (d * d * n + 3 * d**4)
+            )
+            with pytest.raises(DegenerateColumnError) as caught:
+                run_rate_sweep(d=d, n=n, r_values=rates, trials=2, seed=5)
+            assert caught.value.column == 11
+
+        # a degenerate column of X comes first
+        draw = bench._draw_trial
+
+        def broken_x(d, n, seed):
+            draws = draw(d, n, seed)
+            draws.x[:] = self.degenerate(draws.x, 23)
+            return draws
+
+        monkeypatch.setattr(bench, "_draw_trial", broken_x)
+        assert self.per_point_error(d, n, rates, 5) == 23
+        with pytest.raises(DegenerateColumnError) as caught:
+            run_rate_sweep(d=d, n=n, r_values=rates, trials=2, seed=5)
+        assert caught.value.column == 23
+
+    def test_a_dense_trial_holds_one_overlap_at_a_time(self, monkeypatch):
+        # d = 4, n = 8: the row sums are dense, so every pair forms its H
         alive = []
 
         def tracked(*args, **kwargs):
             assert [ref for ref in alive if ref() is not None] == []
-            h = build_overlap(*args, **kwargs)
+            h = OverlapMatrix(*args, **kwargs)
             alive.append(weakref.ref(h))
             return h
 
-        monkeypatch.setattr(bench, "build_overlap", tracked)
-        run_rate_sweep(d=3, n=40, r_values=[0.25, 0.5, 0.75], trials=2, seed=3)
+        monkeypatch.setattr(bench, "OverlapMatrix", tracked)
+        run_rate_sweep(d=4, n=8, r_values=[0.25, 0.5, 0.75], trials=2, seed=3)
         run_noise_sweep(
-            d=3, n=40, r=0.5, sigma2_values=[0.0, 0.5], trials=2, seed=3
+            d=4, n=8, r=0.5, sigma2_values=[0.0, 0.5], trials=2, seed=3
         )
         assert len(alive) == 3 * 2 + 2 * 2
 
@@ -615,12 +733,15 @@ class TestStatisticOncePerOverlap:
 
     @pytest.mark.parametrize(
         "d, n, backend",
-        [(4, 300, "khatri_rao_eigenpair"), (6, 60, "power_iteration")],
+        [(4, 300, "_khatri_rao_vectors"), (6, 60, "power_iteration")],
     )
     def test_one_eigenpair_per_trial_charged_to_every_method(
         self, monkeypatch, d, n, backend
     ):
-        calls = {"khatri_rao_eigenpair": 0, "power_iteration": 0}
+        # the factored size solves both rates of a trial in one stacked
+        # call, each rate charged half of it; power iteration solves each
+        # rate's overlap by itself
+        calls = {"_khatri_rao_vectors": 0, "power_iteration": 0}
 
         def counted(name):
             original = getattr(linalg, name)
@@ -634,24 +755,26 @@ class TestStatisticOncePerOverlap:
 
         for name in calls:
             monkeypatch.setattr(linalg, name, counted(name))
+        rates = [0.5, 0.75]
         rows = run_rate_sweep(
-            d=d, n=n, r_values=[0.5], trials=2, seed=4, methods=self.EIG_METHODS
+            d=d, n=n, r_values=rates, trials=2, seed=4, methods=self.EIG_METHODS
         )
+        stacked = backend == "_khatri_rao_vectors"
         assert calls == {
-            "khatri_rao_eigenpair": 2 * (backend == "khatri_rao_eigenpair"),
-            "power_iteration": 2 * (backend == "power_iteration"),
+            "_khatri_rao_vectors": 2 * stacked,
+            "power_iteration": 2 * len(rates) * (not stacked),
         }
-        assert [row["method"] for row in rows] == list(self.EIG_METHODS)
+        assert [row["method"] for row in rows] == list(self.EIG_METHODS) * 2
         for row in rows:
-            assert row["time_ms_mean"] >= 20.0
+            assert row["time_ms_mean"] >= (10.0 if stacked else 20.0)
 
     def test_h_formed_once_and_charged_to_the_statistics_that_read_it(
         self, monkeypatch
     ):
         # d = 50, n = 400: the eigenpair takes power iteration on H, the row
-        # sums come from the factors; H is formed once per trial and its time
-        # charged to the eig:* methods only
-        calls = {"gram": 0, "power_iteration": 0, "khatri_rao_row_sums": 0}
+        # sums come from a stacked call on the factors; H is formed once per
+        # trial and its time charged to the eig:* methods only
+        calls = {"gram": 0, "power_iteration": 0, "_khatri_rao_row_sums": 0}
 
         def counted(name, pause):
             original = getattr(linalg, name)
@@ -664,12 +787,12 @@ class TestStatisticOncePerOverlap:
             return call
 
         monkeypatch.setattr(linalg, "gram", counted("gram", 0.05))
-        for name in ("power_iteration", "khatri_rao_row_sums"):
+        for name in ("power_iteration", "_khatri_rao_row_sums"):
             monkeypatch.setattr(linalg, name, counted(name, 0.0))
         rows = run_rate_sweep(
             d=50, n=400, r_values=[0.8], trials=2, seed=6, methods=DEFAULT_METHODS
         )
-        assert calls == {"gram": 4, "power_iteration": 2, "khatri_rao_row_sums": 2}
+        assert calls == {"gram": 4, "power_iteration": 2, "_khatri_rao_row_sums": 2}
         times = {row["method"]: row["time_ms_mean"] for row in rows}
         assert list(times) == list(DEFAULT_METHODS)
         for label in self.EIG_METHODS:

@@ -35,3 +35,14 @@ def test_record_names_only_declared_workloads_and_metrics(path):
                 q = cell[side]
                 assert q["q1"] <= q["median"] <= q["q3"]
             assert 0 <= cell["change_better_in"] + cell["ties"] <= pairs
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
+def test_a_claim_that_holds_has_a_better_change_median(path):
+    record = json.loads(path.read_text())
+    claim = record["claim"]
+    if not claim["holds"]:
+        pytest.skip("the claim does not hold")
+    cell = record["workloads"][claim["workload"]][claim["metric"]]
+    parent, change = cell["parent"]["median"], cell["change"]["median"]
+    assert change < parent if cell["better"] == "lower" else change > parent

@@ -27,13 +27,18 @@ from gramoverlap import (
 )
 from gramoverlap import bench, linalg
 from gramoverlap.classify import (
+    METHOD_EIGENVECTOR,
+    METHOD_ROW_SUM,
     _classify_rows,
     _count_errors_rows,
+    _factor_statistics,
+    _two_means_rows,
+    _reads_factors,
     _statistic,
     count_errors,
     truth_mask,
 )
-from gramoverlap.synth import derive_seed
+from gramoverlap.synth import _complete, _draw_trial, derive_seed
 
 
 def as_overlap(h, d):
@@ -399,6 +404,118 @@ class TestClassifyRows:
         assert np.array_equal(got, np.array(want))
         assert len({mask.sum() for mask in got}) > 1
         assert _count_errors_rows(np.array(truths), got) == reports
+
+
+def factor_stack(pairs, mode):
+    """The trial's preprocessed X and the preprocessed stack of the Ys."""
+    xp = preprocess(pairs[0].x, mode)
+    return xp, np.stack([preprocess(pair.y, mode) for pair in pairs])
+
+
+class TestFactorStatistics:
+    """The stacked statistics of a sweep trial against one overlap a pair."""
+
+    @pytest.mark.parametrize("kind", ["permuted_inliers", "gaussian_outliers"])
+    @pytest.mark.parametrize("mode", list(PreprocessMode))
+    @pytest.mark.parametrize("d, n", [(3, 40), (6, 400)])
+    def test_rows_are_the_per_pair_statistics_bit_for_bit(self, kind, mode, d, n):
+        # pairs of one trial: several rates, and noise on some of them
+        draws = _draw_trial(d, n, derive_seed(2525, d))
+        pairs = [
+            _complete(draws, ScenarioSpec(d=d, n=n, r=r, kind=kind, sigma2=s2, seed=7))
+            for r in (0.25, 0.5, 0.75)
+            for s2 in (0.0, 0.3)
+        ]
+        xp, yps = factor_stack(pairs, mode)
+        for method in (METHOD_EIGENVECTOR, METHOD_ROW_SUM):
+            assert _reads_factors(method, d, n)
+            got = _factor_statistics(xp, yps, method)
+            assert got.shape == (len(pairs), n)
+            for row, pair in zip(got, pairs):
+                want = _statistic(build_overlap(pair.x, pair.y, mode), method)
+                assert np.array_equal(row, want)
+
+    def test_a_zero_gram_gives_the_all_ones_vector(self):
+        rng = np.random.default_rng(2626)
+        x, y = rng.standard_normal((2, 2, 16))
+        ys = np.stack([y, np.zeros_like(y), -y])
+        assert _reads_factors(METHOD_EIGENVECTOR, 2, 16)
+        got = _factor_statistics(x, ys, METHOD_EIGENVECTOR)
+        assert np.array_equal(got[1], np.full(16, 1 / math.sqrt(16)))
+        for row, yp in zip(got, ys):
+            want = _statistic(build_overlap(x, yp, PreprocessMode.NONE), "eigenvector")
+            assert np.array_equal(row, want)
+
+    def test_a_zero_sum_vector_takes_the_sign_of_its_largest_entry(self):
+        # Z's first two columns are e and -e, the third is small and
+        # orthogonal to them, the rest zero: the top eigenvector of H is
+        # (1, -1, 0, ...) / sqrt 2, whose entries sum to zero, found as
+        # (1, -1, 0, ...) or (-1, 1, 0, ...) up to scale; either way the
+        # first entry of largest magnitude is made positive
+        n = 16
+        x = np.zeros((2, n))
+        x[:, :3] = [[1.0, -1.0, 0.0], [0.0, 0.0, 0.5]]
+        ys = np.zeros((2, 2, n))
+        ys[:, :, :3] = [
+            [[1.0, 1.0, 0.0], [0.0, 0.0, 0.5]],
+            [[-1.0, -1.0, 0.0], [0.0, 0.0, 0.5]],
+        ]
+        assert _reads_factors(METHOD_EIGENVECTOR, 2, n)
+        got = _factor_statistics(x, ys, METHOD_EIGENVECTOR)
+        want = np.zeros(n)
+        want[:2] = 1 / math.sqrt(2), -1 / math.sqrt(2)
+        for row, yp in zip(got, ys):
+            z = (x[:, None, :] * yp[None, :, :]).reshape(4, n)
+            assert np.array_equal(z[:, 0], -z[:, 1]) and z[:, 2] @ z[:, 0] == 0
+            pair = build_overlap(x, yp, PreprocessMode.NONE)
+            assert np.array_equal(row, _statistic(pair, "eigenvector"))
+            assert abs(float(row.sum())) <= 1e-12
+            assert np.allclose(row, want, rtol=0, atol=1e-15)
+        # the sign rule flips the one whose raw vector starts negative
+        flips = linalg._sign_flips(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        assert flips.tolist() == [False, True]
+
+
+class TestTwoMeansTies:
+    """Why the 2-means solver sorts stably (see ``_two_means_rows``)."""
+
+    @staticmethod
+    def splits(rows):
+        s, k, _ = _two_means_rows(np.array(rows, dtype=np.float64))
+        return s, k
+
+    def test_equal_values_never_straddle_a_split_of_small_integers(self):
+        # long runs of few distinct values, plus rows of distinct reals
+        # that round to equal doubles on a large offset (steps of 1e-11 on
+        # 1e6, whose ulp is 1.2e-10)
+        rng = np.random.default_rng(2727)
+        rows = []
+        for n in (2, 5, 40, 300):
+            for _ in range(40):
+                rows.append(rng.integers(0, int(rng.integers(2, 5)), n))
+                rows.append(1e6 + 1e-11 * rng.integers(0, 2000, n))
+        split = 0
+        for row in rows:
+            s, k = self.splits([row.astype(float)])
+            if k[0] < row.size:  # not within the tie bound
+                assert s[0, k[0] - 1] < s[0, k[0]]
+                split += np.unique(s).size < row.size
+        assert split > 150  # rows with runs that were split
+
+    @pytest.mark.parametrize("n", [20, 64, 300])
+    def test_a_split_inside_a_run_keeps_index_order(self, n):
+        # n - 1 zeros and one 1e-300: every split cost underflows to 0, so
+        # the first split, k = 1, falls inside the run of zeros; the stable
+        # sort gives the lowest-indexed zero the lower cluster, and any
+        # order of the equal zeros other than by index moves the label
+        row = np.zeros(n)
+        row[n // 3] = 1e-300
+        s, k = self.splits([row])
+        assert k.tolist() == [1] and s[0, 0] == s[0, 1] == 0.0
+        mask = rows_outcome([row])[0]
+        assert np.flatnonzero(~mask).tolist() == [0]
+        part, _ = two_means_1d(row)
+        assert np.array_equal(part.inlier_mask(), mask)
 
 
 class TestMatchConfig:

@@ -374,3 +374,118 @@ class TestKhatriRaoEigenpair:
         h = build_overlap(x, y, "center_normalize")
         assert h.eig_backend == "gram_factor"
         assert h.leading_eigenpair().converged
+
+
+def matrix_khatri_rao_eigenpair(x, y):
+    """The reference: khatri_rao_eigenpair as it was before its solver ran
+    on stacks, squaring one 2-D matrix and taking the sign last."""
+    x = as_matrix(x, "x")
+    y = as_matrix(y, "y")
+    if x.shape != y.shape:
+        raise ValueError(f"shape mismatch: x is {x.shape}, y is {y.shape}")
+    d, n = x.shape
+    z = (x[:, None, :] * y[None, :, :]).reshape(d * d, n)
+    g = z @ z.T
+    t = float(g.trace())
+    if t > 0.0:
+        b = g / t
+        b2 = np.empty_like(b)
+        tol = g.shape[0] * np.finfo(np.float64).eps
+        last = 0.0
+        for _ in range(linalg.KHATRI_RAO_MAX_SQUARINGS):
+            np.matmul(b, b.T, out=b2)
+            t = float(b2.trace())
+            b2 /= t
+            b, b2 = b2, b
+            if abs(t - last) <= tol * t:
+                break
+            last = t
+        u = g @ b[:, b.diagonal().argmax()]
+    else:
+        u = np.zeros(d * d)
+    w = u @ z
+    norm = math.sqrt(w @ w)
+    v = w / norm if norm > 0.0 else np.full(n, 1.0 / math.sqrt(n))
+    zv = z @ v
+    value = float(zv @ zv)
+    r = zv @ z - value * v
+    residual = math.sqrt(r @ r)
+    converged = residual <= POWER_TOL_DEFAULT * max(1.0, abs(value))
+    return SpectralPair(value, fix_sign(v), 0, residual, converged)
+
+
+class TestStackedKhatriRao:
+    """The stacked kernels of a sweep trial against one pair at a time."""
+
+    def test_one_pair_keeps_the_bits_of_the_matrix_solver(self):
+        cases = TestKhatriRaoEigenpair.seeded_cases()
+        for d, tied in ((2, 2), (3, 3), (6, 2)):
+            s2 = np.linspace(0.9, 0.1, d * d)
+            s2[:tied] = 1.0
+            cases.append(kronecker_diagonal_pair(np.sqrt(s2), 7))
+        for x, y in cases:
+            assert eigenpair_outcome(khatri_rao_eigenpair, x, y) == eigenpair_outcome(
+                matrix_khatri_rao_eigenpair, x, y
+            )
+
+    @staticmethod
+    def gram_stack(d):
+        """Gram matrices of order d^2 that stop after different numbers of
+        squarings: random pairs, tied and nearly tied spectra, and zero."""
+        rng = np.random.default_rng(3131 + d)
+        pairs = [tuple(rng.standard_normal((2, d, 5 * d * d))) for _ in range(3)]
+        for tied, gap in ((2, 0.0), (1, 1e-9), (3, 0.0), (1, 0.3)):
+            s2 = np.linspace(0.9, 0.1, d * d)
+            s2[:tied] = 1.0
+            s2[tied] = 1.0 - gap if gap else s2[tied]
+            pairs.append(kronecker_diagonal_pair(np.sqrt(s2), tied))
+        grams = []
+        for x, y in pairs:
+            z = (x[:, None, :] * y[None, :, :]).reshape(d * d, -1)
+            grams.append(z @ z.T)
+        grams.insert(2, np.zeros((d * d, d * d)))
+        return np.stack(grams)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_each_matrix_squares_as_often_as_alone(self, monkeypatch, d):
+        squarings = []
+        matmul = np.matmul
+
+        def counted(*args, **kwargs):
+            if "out" in kwargs:
+                squarings.append(len(args[0]))
+            return matmul(*args, **kwargs)
+
+        grams = self.gram_stack(d)
+        monkeypatch.setattr(np, "matmul", counted)
+        alone = []
+        for g in grams:
+            squarings.clear()
+            alone.append((linalg._top_eigvector_by_squaring(g), len(squarings)))
+        squarings.clear()
+        got = linalg._top_eigvectors_by_squaring(grams)
+        for row, (want, _) in zip(got, alone):
+            assert np.array_equal(row, want)
+        counts = sorted(count for _, count in alone)
+        assert not alone[2][0].any() and alone[2][1] == 0  # the zero matrix
+        assert len(set(counts)) >= 3
+        # the stack shrinks as each matrix's trace settles: at squaring j it
+        # holds the matrices that square at least j + 1 times alone
+        assert squarings == [
+            sum(count > j for count in counts) for j in range(counts[-1])
+        ]
+
+    def test_rows_are_each_pairs_vector_and_row_sums(self):
+        rng = np.random.default_rng(3232)
+        d, n = 3, 50
+        x = rng.standard_normal((d, n))
+        ys = rng.standard_normal((5, d, n))
+        ys[1] = 0.0  # H = 0: the all-ones vector
+        ys[3] = np.ldexp(ys[3], 60)
+        ys[4] = ys[4].round()  # few distinct values
+        vectors = linalg._khatri_rao_vectors(linalg._khatri_rao(x, ys))
+        sums = linalg._khatri_rao_row_sums(x, ys)
+        for y, vector, row_sums in zip(ys, vectors, sums):
+            assert np.array_equal(vector, khatri_rao_eigenpair(x, y).vector)
+            assert np.array_equal(row_sums, linalg.khatri_rao_row_sums(x, y))
+        assert np.array_equal(vectors[1], np.full(n, 1 / math.sqrt(n)))

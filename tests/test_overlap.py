@@ -105,6 +105,34 @@ class TestPreprocess:
         # degenerate columns were found at the start, the middle and the end
         assert {0, 3, 7} <= raised
 
+    def test_a_stack_is_each_matrix_alone(self):
+        # the first matrix with a degenerate column names it, even when a
+        # later matrix has a lower one
+        rng = np.random.default_rng(2121)
+        raised = []
+        for _ in range(60):
+            p, d, n = (int(v) for v in rng.integers([1, 1, 2], [6, 6, 40]))
+            stack = rng.standard_normal((p, d, n))
+            if rng.random() < 0.5:
+                stack = np.ldexp(stack + 1e6, int(rng.integers(-40, 41)))
+            for _ in range(int(rng.integers(0, 3))):
+                i, j = int(rng.integers(0, p)), int(rng.integers(0, n))
+                stack[i, :, j] = 0.0
+                stack[i, :, j] = stack[i].sum(axis=1) / (n - 1)
+            for mode in PreprocessMode:
+                alone = [preprocess_outcome(preprocess, x, mode) for x in stack]
+                bad = [o for o in alone if o[0] is DegenerateColumnError]
+                try:
+                    got = overlap._preprocess(stack, mode)
+                except DegenerateColumnError as exc:
+                    assert bad and exc.column == bad[0][2]
+                    raised.append(exc.column)
+                    continue
+                assert not bad
+                for x, out in zip(stack, got):
+                    assert preprocess_outcome(preprocess, x, mode)[2] == out.tobytes()
+        assert len(set(raised)) > 5
+
     def test_none_is_identity(self):
         x = np.random.default_rng(0).standard_normal((3, 5))
         assert np.array_equal(preprocess(x, PreprocessMode.NONE), x)
