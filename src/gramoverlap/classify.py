@@ -141,8 +141,10 @@ def two_means_1d(values) -> tuple[LabelPartition, tuple[float, float]]:
     Sorts the values and scans every contiguous split, so the result is the
     exact 2-means optimum (the optimal bipartition of scalars is always a
     sorted split).  The upper cluster becomes the inliers.  SSE ties break
-    toward the larger inlier cluster.  Constant input raises
-    :class:`DegenerateValuesError`.
+    toward the larger inlier cluster; where rounding ties put the split
+    inside a run of equal values, the lowest-indexed of them stay in the
+    lower cluster.  The centroids are the means of the sorted clusters.
+    Constant input raises :class:`DegenerateValuesError`.
 
     The result is shift-invariant in floating point, not only in exact
     arithmetic.  Split costs come from prefix sums ``sum(s^2) - sum(s)^2/m``,
@@ -184,9 +186,11 @@ def _two_means_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     row's lower-cluster size ``k`` and the inlier masks (the upper
     clusters).  A row within the tie bound gets ``k = n`` and no inliers.
 
-    Every step runs along the last axis: a stable sort, the in-place split
-    costs from sequential prefix sums, and the first minimum of each row,
-    so a row's split does not depend on the rows beside it.
+    Every step runs along the last axis: a sort of the values (not of their
+    indices), the in-place split costs from sequential prefix sums, and the
+    first minimum of each row, so a row's split does not depend on the rows
+    beside it.  The labels come from the row's k-th smallest value ``t``:
+    the inliers are the values above ``t``.
 
     In exact arithmetic equal values never straddle the best split, so the
     order of equal values cannot move a label.  Moving a split through a
@@ -197,19 +201,26 @@ def _two_means_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     is the one-cluster cost, which is no lower).  In floating point the
     costs can tie after rounding, e.g. all underflow to zero on a row of
     zeros and one ``1e-300``; the first minimum then falls inside the run,
-    and the stable sort gives the lowest-indexed equal values the lower
-    cluster.  A sort that orders equal values otherwise moves that label.
+    and more than ``k`` values are at most ``t``.  In such a row the first
+    of the values equal to ``t``, in index order, fill the lower cluster up
+    to ``k``, which is the labelling a stable sort of the indices gives.
+
+    The sorted rows equal a stable sort's by value, but ``np.sort`` may
+    order zeros of either sign differently, or even write ``-0.0`` where
+    the input held ``+0.0``.  Nothing computed from them depends on that:
+    ``x + (+-0) = x`` for ``x != 0``, so a prefix sum differs at most in the
+    sign of a zero, and the split costs square the sums; the tie bound is
+    unmoved, as ``np.spacing(-0.0) == np.spacing(0.0)``; and ``t`` is
+    compared by value, where ``-0.0 == 0.0``.  A centroid of
+    :func:`two_means_1d` could differ only in the sign of a zero, but
+    ``np.add.reduce`` returns ``0.0`` for a sum of zeros of any signs.
     """
     p, n = v.shape
     if n < 2:
         raise ValueError("need at least two values")
     if not np.isfinite(v).all():
         raise ValueError("values contain non-finite entries")
-    # Flat indices of each row's sorted order: gathering and scattering
-    # through them costs less than the along-axis forms.
-    order = v.argsort(axis=1, kind="stable")
-    order += np.arange(0, p * n, n)[:, None]
-    s = v.take(order)
+    s = np.sort(v, axis=1)
     c = s - s[:, n // 2, None]
     spread = c[:, -1] - c[:, 0]
     tied = spread <= TWO_MEANS_TIE_ULPS * np.spacing(np.maximum(-s[:, 0], s[:, -1]))
@@ -238,9 +249,14 @@ def _two_means_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # cluster, which is the required tie-break.
     k = costs.argmin(axis=1) + 1
     k[tied] = n
-    mask = np.empty(p * n, dtype=bool)
-    mask[order.ravel()] = (np.arange(n) >= k[:, None]).ravel()
-    return s, k, mask.reshape(p, n)
+    t = s[np.arange(p), k - 1]
+    mask = v > t[:, None]
+    upper = np.count_nonzero(mask, axis=1)
+    for i in (upper != n - k).nonzero()[0]:  # equal values straddle the split
+        equal = (v[i] == t[i]).nonzero()[0]
+        below = n - upper[i] - equal.size
+        mask[i, equal[k[i] - below :]] = True
+    return s, k, mask
 
 
 def _fixed_cut(cfg: MatchConfig, d: int, n: int) -> float:

@@ -334,7 +334,8 @@ def dense_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a symmetric matrix of order <= 512.
 
     Returns ``(values, vectors)`` with eigenvalues sorted descending and the
-    matching eigenvectors as columns, each sign-fixed via :func:`fix_sign`.
+    matching eigenvectors as columns, each sign-fixed as :func:`fix_sign`
+    fixes it (all columns in one :func:`_sign_flips` call).
     """
     a = check_symmetric(a, "a")
     n = a.shape[0]
@@ -345,8 +346,8 @@ def dense_eig(a) -> tuple[np.ndarray, np.ndarray]:
     values, vectors = np.linalg.eigh(a)
     values = values[::-1].copy()
     vectors = vectors[:, ::-1].copy()
-    for j in range(n):
-        vectors[:, j] = fix_sign(vectors[:, j])
+    flips = _sign_flips(np.ascontiguousarray(vectors.T))
+    np.negative(vectors, out=vectors, where=flips)
     return values, vectors
 
 

@@ -123,6 +123,43 @@ def allocating_two_means_1d(values):
     return LabelPartition(mask), (low, high)
 
 
+def stable_two_means_rows(v):
+    """The reference: _two_means_rows while it sorted indices stably and
+    labelled through them (flat-index take and scatter)."""
+    p, n = v.shape
+    if n < 2:
+        raise ValueError("need at least two values")
+    if not np.isfinite(v).all():
+        raise ValueError("values contain non-finite entries")
+    order = v.argsort(axis=1, kind="stable")
+    order += np.arange(0, p * n, n)[:, None]
+    s = v.take(order)
+    c = s - s[:, n // 2, None]
+    spread = c[:, -1] - c[:, 0]
+    tied = spread <= 16 * np.spacing(np.maximum(-s[:, 0], s[:, -1]))
+    ps = np.empty((p, n + 1))
+    pq = np.empty((p, n + 1))
+    ps[:, 0] = pq[:, 0] = 0.0
+    np.add.accumulate(c, axis=1, out=ps[:, 1:])
+    np.add.accumulate(c * c, axis=1, out=pq[:, 1:])
+    m = np.arange(1, n, dtype=np.float64)
+    low_s, low_q = ps[:, 1:n], pq[:, 1:n]
+    costs = low_s * low_s
+    costs /= m
+    np.subtract(low_q, costs, out=costs)
+    high_s = np.subtract(ps[:, n, None], low_s, out=low_s)
+    high_s *= high_s
+    high_s /= m[::-1]
+    high_q = np.subtract(pq[:, n, None], low_q, out=low_q)
+    high_q -= high_s
+    costs += high_q
+    k = costs.argmin(axis=1) + 1
+    k[tied] = n
+    mask = np.empty(p * n, dtype=bool)
+    mask[order.ravel()] = (np.arange(n) >= k[:, None]).ravel()
+    return s, k, mask.reshape(p, n)
+
+
 def two_means_outcome(fn, values):
     """Everything a 2-means call returns, in a form whose equality means
     equal bits, or the type and message of what it raised."""
@@ -477,7 +514,10 @@ class TestFactorStatistics:
 
 
 class TestTwoMeansTies:
-    """Why the 2-means solver sorts stably (see ``_two_means_rows``)."""
+    """Why the 2-means labels keep index order among equal values (see
+    ``_two_means_rows``): a split falls inside a run of equal values only
+    where costs tie after rounding, and there the lowest-indexed of them
+    stay in the lower cluster, as a stable sort of the indices puts them."""
 
     @staticmethod
     def splits(rows):
@@ -516,6 +556,76 @@ class TestTwoMeansTies:
         assert np.flatnonzero(~mask).tolist() == [0]
         part, _ = two_means_1d(row)
         assert np.array_equal(part.inlier_mask(), mask)
+
+
+class TestValueSort:
+    """The 2-means solver sorts values, not indices, and labels from the
+    k-th smallest value: every split, label and centroid is the stable
+    index sort's (``stable_two_means_rows``, ``allocating_two_means_1d``)."""
+
+    @staticmethod
+    def assert_stack_matches_the_stable_sort(rows):
+        v = np.array(rows, dtype=np.float64)
+        s, k, mask = _two_means_rows(v)
+        want_s, want_k, want_mask = stable_two_means_rows(v)
+        assert np.array_equal(k, want_k)
+        assert np.array_equal(mask, want_mask)
+        assert np.array_equal(s, want_s)  # by value: -0.0 == 0.0
+        for row in v:
+            want = two_means_outcome(allocating_two_means_1d, row)
+            assert two_means_outcome(two_means_1d, row) == want
+        return k
+
+    @pytest.mark.parametrize("n", [2, 3, 40, 400])
+    def test_random_tied_and_offset_rows(self, n):
+        rng = np.random.default_rng(derive_seed(2727, n))
+        for _ in range(15):
+            self.assert_stack_matches_the_stable_sort(
+                [
+                    rng.standard_normal(n),
+                    rng.integers(0, int(rng.integers(2, 5)), n),  # small-integer runs
+                    1e6 + 1e-11 * rng.integers(0, 2000, n),  # rounding ties
+                    np.round(rng.standard_normal(n), 1),
+                ]
+            )
+
+    def test_signed_zeros(self):
+        # np.sort may order zeros of either sign differently from a stable
+        # sort, or write -0.0 for 0.0; no split, label or centroid changes
+        rng = np.random.default_rng(2828)
+        splits = 0
+        for n in (2, 3, 17, 64, 400):
+            for _ in range(10):
+                rows = np.where(rng.random((4, n)) < 0.5, 0.0, -0.0)
+                rows[0] = -0.0
+                rows[:3, rng.integers(0, n)] = rng.choice([-1.0, 1.0, 5e-324, 1e-300])
+                rows[1, rng.integers(0, n)] = -rows[1].sum()
+                k = self.assert_stack_matches_the_stable_sort(rows)
+                splits += int((k < n).sum())
+                assert k[3] == n  # a row of zeros is within the tie bound
+        assert splits >= 100
+
+    def test_rows_within_the_tie_bound_and_scaled_rows(self):
+        rng = np.random.default_rng(2929)
+        base = np.concatenate([rng.integers(0, 8, 30), 20 + rng.integers(0, 8, 20)]) / 4
+        rows = [np.ldexp(base, e) for e in (-400, -60, 0, 60, 400)]
+        rows += [base + 2.0**30, np.full(50, 3.0), 1e6 + 2.0**-40 * np.arange(50)]
+        k = self.assert_stack_matches_the_stable_sort(rows)
+        assert len(set(k[:6].tolist())) == 1 and 1 < k[0] < 50
+        assert k[6:].tolist() == [50, 50]
+
+    @pytest.mark.parametrize("n", [2, 3, 20, 401])
+    def test_a_straddled_run_is_filled_in_index_order(self, n):
+        # n - 1 zeros and one 1e-300: the first split, k = 1, falls inside
+        # the zeros, so the lowest-indexed zero alone stays below the split
+        rows = np.zeros((3, n))
+        rows[:, 1::3] = -0.0
+        at = (0, n // 2, n - 1)
+        rows[[0, 1, 2], at] = 1e-300
+        k = self.assert_stack_matches_the_stable_sort(rows)
+        assert k.tolist() == [1, 1, 1]
+        lower = [np.flatnonzero(~m).tolist() for m in _two_means_rows(rows)[2]]
+        assert lower == [[1] if i == 0 else [0] for i in at]
 
 
 class TestMatchConfig:

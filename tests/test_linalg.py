@@ -161,6 +161,17 @@ class TestPowerIteration:
             power_iteration(np.eye(2), max_iter=0)
 
 
+def per_column_dense_eig(a):
+    """The reference: dense_eig while it fixed the sign of one column at a
+    time with fix_sign."""
+    values, vectors = np.linalg.eigh(a)
+    values = values[::-1].copy()
+    vectors = vectors[:, ::-1].copy()
+    for j in range(a.shape[0]):
+        vectors[:, j] = fix_sign(vectors[:, j])
+    return values, vectors
+
+
 class TestDenseEig:
     def test_identity(self):
         values, _ = dense_eig(np.eye(3))
@@ -194,6 +205,22 @@ class TestDenseEig:
     def test_size_cap(self):
         with pytest.raises(SizeLimitError):
             dense_eig(np.eye(513))
+
+    def test_signs_all_columns_as_fix_sign_signs_each(self):
+        rng = rng_for(2727)
+        corpus = [np.eye(3), np.diag([5.0, 2.0, -1.0]), np.diag([3.0, -4.0]), np.zeros((5, 5))]
+        corpus += [random_symmetric(n, rng_for(s)) for n, s in ((17, 23), (30, 29), (25, 31), (50, 37))]
+        corpus += [gram(rng_for(17).standard_normal((6, 9))), np.ones((4, 4))]
+        corpus += [random_symmetric(int(rng.integers(1, 80)), rng) for _ in range(200)]
+        flipped = 0
+        for a in corpus:
+            values, vectors = dense_eig(a)
+            want_values, want_vectors = per_column_dense_eig(a)
+            assert values.tobytes() == want_values.tobytes()
+            assert vectors.tobytes() == want_vectors.tobytes()
+            _, raw = np.linalg.eigh(a)
+            flipped += int((raw[:, ::-1] != vectors).any(axis=0).sum())
+        assert flipped > 1000
 
 
 class TestSpectralNorm:
