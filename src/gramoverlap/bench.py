@@ -13,7 +13,7 @@ is built for it; a statistic that reads ``H`` comes from the pair's own
 overlap, which is then dropped, so a trial holds one ``H`` at a time.  Once
 every point of the trial has its statistics, each requested method
 classifies its statistic at all the points in one call, and every partition
-of the trial is scored in one pass, so methods are compared on identical
+of the trial is scored as one stack, so methods are compared on identical
 data.  ``H`` is formed only by a backend that reads it: the dense row sums
 at construction, or power iteration inside its own call.  Per-method wall
 time charges the point's share of the trial's preprocessing, of the
@@ -21,6 +21,12 @@ statistic that method reads (the stacked call, or the point's own build
 and statistic) and of that method's classification call, i.e. about what a
 solo run would cost: each statistic is timed once and charged to every
 method that reads it.
+
+Results stay arrays from the trial to the CSV row.  A trial returns each
+point's true-inlier count and each method's inlier and hit counts and times
+there; the sweep fills one ``(4, methods, points, trials)`` array with
+``error_g``, ``error_b``, ``error_w`` and ``time_ms``, and takes every
+row's means in one reduction along the trial axis and every sd in another.
 """
 
 import csv
@@ -35,11 +41,9 @@ from .classify import (
     METHOD_ROW_SUM,
     MatchConfig,
     _classify_rows,
-    _count_errors_rows,
     _factor_statistics,
     _reads_factors,
     _statistic,
-    count_errors,
     truth_mask,
 )
 from .linalg import as_matrix
@@ -115,32 +119,30 @@ def _at_rate(cfg: MatchConfig, r: float) -> MatchConfig:
     return replace(cfg, inlier_rate=r) if cfg.reads_inlier_rate else cfg
 
 
-def _summary_row(sweep: str, value, label: str, errs, times_ms) -> dict:
-    """One CSV row: the mean and population sd of each per-trial column,
-    taken in one reduction over a (4, trials) array.
+def _summary_rows(sweep: str, values, labels, cols: np.ndarray) -> list[dict]:
+    """The CSV rows of a sweep, grid point by grid point and method by method
+    within a point, from its ``(4, methods, points, trials)`` array of
+    per-trial columns: the mean and population sd of each column.
 
-    The reductions are the ones ``mean(axis=1)`` and ``std(axis=1)`` run,
-    called directly, so the values are theirs bit for bit.
+    Each is one reduction along the trial axis, which is the last and
+    contiguous one, so each row gets the bits that ``mean(axis=1)`` and
+    ``std(axis=1)`` give on its own ``(4, trials)`` array.
     """
-    cols = np.array(
-        [
-            [e.error_g for e in errs],
-            [e.error_b for e in errs],
-            [e.error_w for e in errs],
-            times_ms,
-        ],
-        dtype=np.float64,
-    )
-    trials = len(errs)
-    means = np.add.reduce(cols, axis=1, keepdims=True) / trials
-    dev = cols - means
+    trials = cols.shape[-1]
+    means = np.add.reduce(cols, axis=-1) / trials
+    dev = cols - means[..., None]
     dev *= dev
-    stds = np.sqrt(np.add.reduce(dev, axis=1) / trials)
-    row = {"sweep": sweep, "value": value, "method": label, "trials": trials}
-    for name, mean, std in zip(_SUMMARY_STATS, means[:, 0], stds):
-        row[f"{name}_mean"] = mean
-        row[f"{name}_std"] = std
-    return row
+    stds = np.sqrt(np.add.reduce(dev, axis=-1) / trials)
+    rows = []
+    for i, value in enumerate(values):
+        for j, label in enumerate(labels):
+            row = {"sweep": sweep, "value": value, "method": label, "trials": trials}
+            stats = zip(_SUMMARY_STATS, means[:, j, i], stds[:, j, i])
+            for name, mean, std in stats:
+                row[f"{name}_mean"] = mean
+                row[f"{name}_std"] = std
+            rows.append(row)
+    return rows
 
 
 def _stack_points(d: int, n: int) -> int:
@@ -167,8 +169,11 @@ def _overlap_statistics(xp, yp, methods, stats: dict, ms: dict, indices) -> None
 
 
 def _overlap_trial(x, pairs, specs, configs, mode: PreprocessMode, d: int, n: int):
-    """Yield each grid point's index, each method's label, its error report
-    and its time_ms in one trial of an ``r`` or ``sigma2`` sweep.
+    """The true-inlier count ``k`` of each grid point, and the counts
+    ``hits`` (true inliers labelled inlier) and ``found`` (points labelled
+    inlier) and the ``time_ms`` of each method at each point, in one trial
+    of an ``r`` or ``sigma2`` sweep: ``k`` of shape ``(points,)``, the
+    others ``(methods, points)``.
 
     ``x`` is the trial's X, which every pair holds, and ``pairs`` yields
     each distinct scenario's pair with the indices of its grid points.  X
@@ -182,11 +187,12 @@ def _overlap_trial(x, pairs, specs, configs, mode: PreprocessMode, d: int, n: in
     that reads ``H``, each pair's overlap is built once for all such
     statistics and dropped, so one ``H`` is alive at a time.  The trial
     keeps only the statistic vectors and truth masks.  Then each method
-    classifies its statistic at every point in one call, and the errors of
-    every method at every point are counted in one pass.  A point's time
-    charges its share of the trial's preprocessing, its share of the
-    stacked call (or its own build and statistic) for the statistic the
-    method reads, and its share of that method's classification call.
+    classifies its statistic at every point in one call, and the masks of
+    every method at every point are counted against the truth as one
+    stack.  A point's time charges its share of the trial's preprocessing,
+    its share of the stacked call (or its own build and statistic) for the
+    statistic the method reads, and its share of that method's
+    classification call.
     """
     points = len(configs)
     methods = dict.fromkeys(cfg.method for _, cfg in specs)
@@ -221,39 +227,44 @@ def _overlap_trial(x, pairs, specs, configs, mode: PreprocessMode, d: int, n: in
                 _overlap_statistics(xp, yp, dense, stats, ms, indices)
     pre_ms += x_ms / count
     inliers = np.empty((len(specs), points, n), dtype=bool)
-    times = []
+    time_ms = np.empty((len(specs), points))
     for j, (label, cfg) in enumerate(specs):
         t0 = time.perf_counter()
         inliers[j] = _classify_rows(
             stats[cfg.method], [point[label] for point in configs], d
         )
         share_ms = (time.perf_counter() - t0) * 1e3 / points
-        times.append((pre_ms + ms[cfg.method] + share_ms).tolist())
-    reports = _count_errors_rows(
-        np.broadcast_to(truths, inliers.shape).reshape(-1, n),
-        inliers.reshape(-1, n),
-    )
-    for j, (label, _) in enumerate(specs):
-        for i in range(points):
-            yield i, label, reports[j * points + i], times[j][i]
+        time_ms[j] = pre_ms + ms[cfg.method] + share_ms
+    k = np.count_nonzero(truths, axis=1)
+    found = np.count_nonzero(inliers, axis=2)
+    inliers &= truths
+    return k, np.count_nonzero(inliers, axis=2), found, time_ms
 
 
 def _split_trial(pairs, points, configs, mode: PreprocessMode, seed, max_workers):
-    """Yield each grid point's index, each method's label, its error report
-    and its time_ms in one trial of a ``splits`` sweep, each from its own
-    split-merge over the point's ``s`` shards.  The time covers the split,
-    the shard builds and classification; the shards pin the dense row sums,
-    so it follows split-merge's ``n^2 / s`` cost."""
+    """``k``, ``hits``, ``found`` and ``time_ms`` (see :func:`_overlap_trial`)
+    in one trial of a ``splits`` sweep, each method's at each point from its
+    own split-merge over the point's ``s`` shards.  The time covers the
+    split, the shard builds and classification; the shards pin the dense
+    row sums, so it follows split-merge's ``n^2 / s`` cost."""
+    k = np.empty(len(points), dtype=np.intp)
+    hits = np.empty((len(configs[0]), len(points)), dtype=np.intp)
+    found = np.empty_like(hits)
+    time_ms = np.empty(hits.shape)
     for pair, indices in pairs:
         truth = truth_mask(pair.inliers, pair.x.shape[1])
+        k[indices] = np.count_nonzero(truth)
         for i in indices:
-            for label, cfg in configs[i].items():
+            for j, cfg in enumerate(configs[i].values()):
                 report = parallel_match(
                     pair.x, pair.y, points[i][0], cfg, mode, seed,
                     max_workers=max_workers, backend="dense",
                 )
-                errs = count_errors(truth, report.partition)
-                yield i, label, errs, report.total_time_ms
+                mask = report.partition.inlier_mask()
+                found[j, i] = np.count_nonzero(mask)
+                hits[j, i] = np.count_nonzero(truth & mask)
+                time_ms[j, i] = report.total_time_ms
+    return k, hits, found, time_ms
 
 
 def check_sweep(axis: str, values, trials: int, methods, **fixed):
@@ -287,9 +298,14 @@ def _run_sweep(
     point, so its X, permutation and rotation are drawn once, and each
     distinct scenario of the grid is completed from them once; the grid
     points of that scenario all run on its pair (see :func:`_overlap_trial`
-    and :func:`_split_trial`).  Rows come out point by point, one per
-    method; data generation and scoring are not timed, and a pair's truth
-    mask is built once for all of its partitions."""
+    and :func:`_split_trial`).  A pair's truth mask is built once for all
+    of its partitions.  Each trial returns its counts and times as arrays,
+    and the sweep fills one ``(4, methods, points, trials)`` array of
+    ``error_g``, ``error_b``, ``error_w`` and ``time_ms`` from them: the
+    errors are the quotients of the counts that
+    :class:`~gramoverlap.classify.ErrorReport` divides, with the same bits.
+    Rows come out point by point, one per method (see
+    :func:`_summary_rows`); data generation and scoring are not timed."""
     specs, points = check_sweep(axis, values, trials, methods, **fixed)
     if not points:
         return []
@@ -299,30 +315,32 @@ def _run_sweep(
     configs = [
         {label: _at_rate(cfg, spec.r) for label, cfg in specs} for _, spec in points
     ]
-    errs = [{label: [] for label, _ in specs} for _ in points]
-    times = [{label: [] for label, _ in specs} for _ in points]
     base = points[0][1]  # every point has the same d, n and seed
+    k = np.empty((len(points), trials), dtype=np.intp)
+    hits = np.empty((len(specs), len(points), trials), dtype=np.intp)
+    found = np.empty_like(hits)
+    cols = np.empty((4, *hits.shape))
     for t in range(trials):
         seed = derive_seed(base.seed, t)
         draws = _draw_trial(base.d, base.n, seed)
         pairs = (
-            (_complete(draws, replace(spec, seed=seed)), indices)
-            for spec, indices in at_scenario.items()
+            (_complete(draws, spec), indices) for spec, indices in at_scenario.items()
         )
         if axis == "splits":
-            results = _split_trial(pairs, points, configs, mode, seed, max_workers)
+            counts = _split_trial(pairs, points, configs, mode, seed, max_workers)
         else:
-            results = _overlap_trial(
+            counts = _overlap_trial(
                 draws.x, pairs, specs, configs, mode, base.d, base.n
             )
-        for i, label, report, ms in results:
-            errs[i][label].append(report)
-            times[i][label].append(ms)
-    return [
-        _summary_row(axis, value, label, errs[i][label], times[i][label])
-        for i, (value, _) in enumerate(points)
-        for label, _ in specs
-    ]
+        k[:, t], hits[..., t], found[..., t], cols[3, ..., t] = counts
+    missed_g = k - hits
+    missed_b = found - hits
+    np.divide(missed_g, k, out=cols[0])
+    np.divide(missed_b, base.n - k, out=cols[1])
+    np.divide(missed_g + missed_b, base.n, out=cols[2])
+    return _summary_rows(
+        axis, [value for value, _ in points], [label for label, _ in specs], cols
+    )
 
 
 def run_rate_sweep(

@@ -157,7 +157,11 @@ def _complete(draws: _TrialDraws, spec: ScenarioSpec) -> LabeledPair:
 
     The inlier split, the outlier columns and the noise are drawn from the
     saved state, so each completion is the one :func:`generate` makes; the
-    pairs of one ``draws`` share its ``x`` and ``rotation`` arrays.
+    pairs of one ``draws`` share its ``x`` and ``rotation`` arrays.  Of
+    ``spec`` it reads only ``d``, ``n``, ``n_inliers``, ``kind`` and
+    ``sigma2``: the seed is the one ``draws`` came from, whatever
+    ``spec.seed`` says, so a sweep completes every trial from its grid
+    points' own specs.
     """
     x, rotation, rng = draws.x, draws.rotation, draws.rng
     rng.bit_generator.state = draws.state

@@ -390,15 +390,19 @@ def test_a_trial_builds_one_truth_mask(monkeypatch):
 
 class TestTrialMajorSweep:
     def counted_draws(self, monkeypatch):
+        # each completion is recorded with its r and the seed of the draws
+        # it completes
         calls = {"draw": [], "complete": []}
+        drawn = []
         draw, complete = bench._draw_trial, bench._complete
 
         def counted_draw(d, n, seed):
             calls["draw"].append(seed)
-            return draw(d, n, seed)
+            drawn.append(draw(d, n, seed))
+            return drawn[-1]
 
         def counted_complete(draws, spec):
-            calls["complete"].append(spec)
+            calls["complete"].append((spec.r, calls["draw"][drawn.index(draws)]))
             return complete(draws, spec)
 
         monkeypatch.setattr(bench, "_draw_trial", counted_draw)
@@ -416,9 +420,7 @@ class TestTrialMajorSweep:
         )
         seeds = [derive_seed(12, t) for t in range(trials)]
         assert calls["draw"] == seeds
-        assert [(c.r, c.seed) for c in calls["complete"]] == [
-            (r, seed) for seed in seeds for r in rates
-        ]
+        assert calls["complete"] == [(r, seed) for seed in seeds for r in rates]
 
     def test_splits_sweep_completes_one_pair_a_trial(self, monkeypatch):
         calls = self.counted_draws(monkeypatch)
@@ -428,7 +430,7 @@ class TestTrialMajorSweep:
         )
         seeds = [derive_seed(7, t) for t in range(3)]
         assert calls["draw"] == seeds
-        assert [c.seed for c in calls["complete"]] == seeds
+        assert [seed for _, seed in calls["complete"]] == seeds
 
 
 class TestStackedTrial:
@@ -515,10 +517,11 @@ class TestStackedTrial:
         # 4, both in the first trial; (6, 40) builds an overlap a point
         complete = bench._complete
         bad = {0.75: 11, 0.9: 4}
+        first_x = bench._draw_trial(d, n, derive_seed(5, 0)).x
 
         def broken(draws, spec):
             pair = complete(draws, spec)
-            if spec.r in bad and spec.seed == derive_seed(5, 0):
+            if spec.r in bad and np.array_equal(draws.x, first_x):
                 pair = replace(pair, y=self.degenerate(pair.y, bad[spec.r]))
             return pair
 
@@ -590,7 +593,8 @@ def point_by_point_rows(axis, values, trials, methods, mode, max_workers, **fixe
     """The reference: each grid point in turn, each trial's pair from
     ``generate``, and each method's partition from its own ``match`` on the
     point's overlap (or its own ``parallel_match`` at a splits point),
-    scored by ``count_errors``; it calls none of the sweep's trial code."""
+    scored by ``count_errors`` and summarised by ``per_column_summary_row``;
+    it calls none of the sweep's trial or summary code."""
     rows = []
     specs = bench.parse_methods(methods)
     for value in values:
@@ -616,7 +620,7 @@ def point_by_point_rows(axis, values, trials, methods, mode, max_workers, **fixe
                     part, _ = match(h, cfg)
                 errs[label].append(count_errors(truth, part))
         rows += [
-            bench._summary_row(axis, value, label, errs[label], [0.0] * trials)
+            per_column_summary_row(axis, value, label, errs[label], [0.0] * trials)
             for label, _ in specs
         ]
     return rows
@@ -632,38 +636,59 @@ def point_by_point_rows(axis, values, trials, methods, mode, max_workers, **fixe
 )
 @pytest.mark.parametrize("kind", ["permuted_inliers", "gaussian_outliers"])
 @pytest.mark.parametrize("mode", list(PreprocessMode))
+@pytest.mark.parametrize("trials", [1, 3])
 def test_sweep_rows_equal_point_by_point_rows(
-    sweep, axis, grid, values, fixed, kind, mode
+    sweep, axis, grid, values, fixed, kind, mode, trials
 ):
     # under "none" every pair of a trial holds the shared X itself, so a
-    # method that wrote to its input would move the later points' rows
+    # method that wrote to its input would move the later points' rows; at
+    # one trial every sd is 0
     methods = ("eig:0.5", "eig:kmeans", "rowsum:kmeans", "rowsum:auto")
     common = dict(d=4, n=40, kind=kind, seed=2**40 + 9, **fixed)
-    got = sweep(trials=3, methods=methods, preprocess=mode, **{grid: values}, **common)
-    want = point_by_point_rows(axis, values, 3, methods, mode, None, **common)
+    got = sweep(
+        trials=trials, methods=methods, preprocess=mode, **{grid: values}, **common
+    )
+    want = point_by_point_rows(axis, values, trials, methods, mode, None, **common)
     untimed = [k for k in SWEEP_COLUMNS if not k.startswith("time_ms")]
     assert [{k: r[k] for k in untimed} for r in got] == [
         {k: r[k] for k in untimed} for r in want
     ]
+    if trials == 1:
+        assert all(r[k] == 0.0 for r in got for k in untimed if k.endswith("_std"))
 
-def per_column_summary_row(sweep, value, label, errs, times_ms) -> dict:
+
+STATS = ("error_g", "error_b", "error_w", "time_ms")
+
+
+def per_column_row(sweep, value, label, columns) -> dict:
     """The reference: a mean and an sd taken on each column by itself."""
-    row = {"sweep": sweep, "value": value, "method": label, "trials": len(errs)}
-    columns = {
-        "error_g": np.array([e.error_g for e in errs]),
-        "error_b": np.array([e.error_b for e in errs]),
-        "error_w": np.array([e.error_w for e in errs]),
-        "time_ms": np.asarray(times_ms),
-    }
-    for name, col in columns.items():
+    row = {"sweep": sweep, "value": value, "method": label, "trials": len(columns[0])}
+    for name, col in zip(STATS, columns):
         row[f"{name}_mean"] = col.mean()
         row[f"{name}_std"] = col.std()
     return row
 
 
+def per_column_summary_row(sweep, value, label, errs, times_ms) -> dict:
+    """:func:`per_column_row` of one point's error reports and times."""
+    columns = [np.array([getattr(e, name) for e in errs]) for name in STATS[:3]]
+    return per_column_row(sweep, value, label, columns + [np.asarray(times_ms)])
+
+
+def per_column_summary_rows(sweep, values, labels, cols) -> list[dict]:
+    """:func:`per_column_row` of each point and method of a sweep's
+    ``(4, methods, points, trials)`` array, in the sweep's row order."""
+    return [
+        per_column_row(sweep, value, label, list(cols[:, j, i]))
+        for i, value in enumerate(values)
+        for j, label in enumerate(labels)
+    ]
+
+
 def parent_summary_row(sweep, value, label, errs, times_ms) -> dict:
-    """The reference: _summary_row before its reductions were called
-    directly (mean(axis=1) and std(axis=1) of the (4, trials) array)."""
+    """The reference: the per-row summary before its reductions were
+    called directly (mean(axis=1) and std(axis=1) of the (4, trials)
+    array)."""
     cols = np.array(
         [
             [e.error_g for e in errs],
@@ -697,25 +722,50 @@ class TestSummaryRow:
                 )
             )
         times = rng.lognormal(size=trials)
-        for t in (
+        perturbed = [
             times,
             times + 1e6,
             np.ldexp(times, -30),
             np.ldexp(times + 1e6, 40),
             rng.integers(0, 3, trials).astype(float),  # ties
             np.full(trials, 7.25),  # constant: sd 0
-        ):
-            got = bench._summary_row("r", 0.5, "eig:kmeans", errs, t.tolist())
-            # repr of a float64 round-trips, so equal reprs are equal bits
-            got = {k: repr(v) for k, v in got.items()}
-            for reference in (per_column_summary_row, parent_summary_row):
-                want = reference("r", 0.5, "eig:kmeans", errs, t.tolist())
-                assert got == {k: repr(v) for k, v in want.items()}
+        ]
+        # one sweep array: a point for each time perturbation, and a second
+        # method that has the reports and times in reverse trial order
+        per_method = {
+            "eig:kmeans": (errs, perturbed),
+            "rowsum:kmeans": (errs[::-1], [t[::-1] for t in perturbed]),
+        }
+        cols = np.array(
+            [
+                [
+                    [
+                        [e.error_g for e in reports],
+                        [e.error_b for e in reports],
+                        [e.error_w for e in reports],
+                        t,
+                    ]
+                    for t in ts
+                ]
+                for reports, ts in per_method.values()
+            ]
+        ).transpose(2, 0, 1, 3)
+        values = [0.1 * i for i in range(len(perturbed))]
+        rows = bench._summary_rows("r", values, list(per_method), cols.copy())
+        assert len(rows) == len(values) * len(per_method)
+        rows = iter(rows)
+        for p, value in enumerate(values):
+            for label, (reports, ts) in per_method.items():
+                # repr of a float64 round-trips, so equal reprs are equal bits
+                got = {k: repr(v) for k, v in next(rows).items()}
+                for reference in (per_column_summary_row, parent_summary_row):
+                    want = reference("r", value, label, reports, ts[p].tolist())
+                    assert got == {k: repr(v) for k, v in want.items()}
 
     def test_rate_sweep_csv_matches_per_column_reference(self, tmp_path, monkeypatch):
         kwargs = dict(d=5, n=40, r_values=[0.25, 0.5, 0.75], trials=4, seed=11)
         write_sweep_csv(tmp_path / "got.csv", run_rate_sweep(**kwargs))
-        monkeypatch.setattr(bench, "_summary_row", per_column_summary_row)
+        monkeypatch.setattr(bench, "_summary_rows", per_column_summary_rows)
         write_sweep_csv(tmp_path / "want.csv", run_rate_sweep(**kwargs))
 
         def untimed(name):

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -166,6 +167,20 @@ class TestGenerate:
         draws = _draw_trial(d, n, seed)
         for spec in specs + specs[::-1]:
             assert pair_digest(_complete(draws, spec)) == pair_digest(generate(spec))
+
+    @pytest.mark.parametrize("kind", ["gaussian_outliers", "permuted_inliers"])
+    @pytest.mark.parametrize("sigma2", [0.0, 0.25])
+    def test_a_completion_reads_the_seed_of_its_draws_not_of_its_spec(
+        self, kind, sigma2
+    ):
+        # a sweep completes each trial's draws from its grid point's spec,
+        # which carries the sweep's seed, not the trial's
+        d, n, seed = 5, 30, derive_seed(3, 1)
+        spec = ScenarioSpec(d=d, n=n, r=0.6, kind=kind, sigma2=sigma2, seed=3)
+        want = pair_digest(generate(replace(spec, seed=seed)))
+        for other in (0, 3, seed + 1):
+            got = _complete(_draw_trial(d, n, seed), replace(spec, seed=other))
+            assert pair_digest(got) == want
 
     def test_different_seeds_differ(self):
         a = generate(ScenarioSpec(d=4, n=12, r=0.5, seed=0))
