@@ -3,36 +3,40 @@ all run by one driver, :func:`_run_sweep`.
 
 Each grid point runs seeded trials.  Trial ``t`` has the same seed at every
 grid point, so the driver draws its data's shared part once and completes each
-grid point's pair from it.  At a ``splits`` point every method runs
-split-merge on the trial's data.  At ``r`` or ``sigma2`` points the trial's
-X is preprocessed once and the Ys as stacks, and each statistic (leading
-eigenvector, row sums) is computed once a pair and kept.  A statistic whose
-backend reads only the factors is computed for a whole chunk of pairs in
-one stacked call, the chunk bounded by a fixed byte budget, and no overlap
-is built for it; a statistic that reads ``H`` comes from the pair's own
-overlap, which is then dropped, so a trial holds one ``H`` at a time.  Once
-every point of the trial has its statistics, each requested method
-classifies its statistic at all the points in one call, and every partition
-of the trial is scored as one stack, so methods are compared on identical
-data.  ``H`` is formed only by a backend that reads it: the dense row sums
-at construction, or power iteration inside its own call.  Per-method wall
-time charges the point's share of the trial's preprocessing, of the
-statistic that method reads (the stacked call, or the point's own build
-and statistic) and of that method's classification call, i.e. about what a
-solo run would cost: each statistic is timed once and charged to every
-method that reads it.
+distinct scenario of the grid from it once.  At a ``splits`` point every
+method runs split-merge on the trial's one pair.  At ``r`` or ``sigma2``
+points the trial completes its scenarios' Ys into the rows of one stack,
+chunk by chunk, the chunk bounded by a fixed byte budget; X is preprocessed
+once and each chunk's Ys as a stack, and each statistic (leading
+eigenvector, row sums) is computed once a scenario and kept.  A statistic
+whose backend reads only the factors is computed for the whole chunk in
+one stacked call, and no overlap is built for it; a statistic that reads
+``H`` comes from the scenario's own overlap, which is then dropped, so a
+trial holds one ``H`` at a time.  Every scenario's truth mask comes from
+the trial's permutation in one comparison.  Once every scenario of the
+trial has its statistics, the rows of every 2-means method at every point
+are split in one call, those of every threshold method are compared with
+their cuts in another, and every partition of the trial is scored as one
+stack, so methods are compared on identical data.  ``H`` is formed only
+by a backend that reads it: the dense row sums at construction, or power
+iteration inside its own call.  Per-method wall time charges the point's
+share of the trial's preprocessing, of the statistic that method reads (the
+stacked call, or the scenario's own build and statistic) and its row's
+share of its branch's classification call, i.e. about what a solo run would
+cost: each statistic is timed once and charged to every method that reads
+it.
 
 Results stay arrays from the trial to the CSV row.  A trial returns each
-point's true-inlier count and each method's inlier and hit counts and times
-there; the sweep fills one ``(4, methods, points, trials)`` array with
-``error_g``, ``error_b``, ``error_w`` and ``time_ms``, and takes every
-row's means in one reduction along the trial axis and every sd in another.
+method's inlier and hit counts and times at each point; the sweep fills one
+``(4, methods, points, trials)`` array with ``error_g``, ``error_b``,
+``error_w`` and ``time_ms`` from them and each point's true-inlier count,
+and takes every row's means in one reduction along the trial axis and every
+sd in another.
 """
 
 import csv
 import time
 from dataclasses import replace
-from itertools import islice
 
 import numpy as np
 
@@ -44,12 +48,11 @@ from .classify import (
     _factor_statistics,
     _reads_factors,
     _statistic,
-    truth_mask,
 )
 from .linalg import as_matrix
-from .overlap import OverlapMatrix, PreprocessMode, _checked_y, _preprocess
+from .overlap import OverlapMatrix, PreprocessMode, _preprocess
 from .parallel import check_shard_count, parallel_match
-from .synth import ScenarioSpec, _complete, _draw_trial, derive_seed
+from .synth import ScenarioSpec, _complete, _draw_trial, _inlier_masks, derive_seed
 
 # The per-trial columns that each summary row reduces to a mean and an sd.
 _SUMMARY_STATS = ("error_g", "error_b", "error_w", "time_ms")
@@ -152,10 +155,10 @@ def _stack_points(d: int, n: int) -> int:
     return max(1, _STACK_BYTES // (8 * (d * d * n + 3 * d**4)))
 
 
-def _overlap_statistics(xp, yp, methods, stats: dict, ms: dict, indices) -> None:
+def _overlap_statistics(xp, yp, methods, stats: dict, ms: dict, i: int) -> None:
     """Build the overlap of the preprocessed ``xp`` and ``yp``, and write
-    the statistic of each of ``methods`` into the rows ``indices`` of its
-    stack in ``stats`` and its time into the same entries of ``ms``: the
+    the statistic of each of ``methods`` into row ``i`` of its stack in
+    ``stats`` and its time into entry ``i`` of ``ms``: the
     build and that statistic.  A statistic that reads ``H`` forms it on
     first use, so its time carries the formation.  The overlap lives only
     inside this call."""
@@ -164,107 +167,109 @@ def _overlap_statistics(xp, yp, methods, stats: dict, ms: dict, indices) -> None
     build_ms = (time.perf_counter() - t0) * 1e3
     for method in methods:
         t1 = time.perf_counter()
-        stats[method][indices] = _statistic(h, method)
-        ms[method][indices] = build_ms + (time.perf_counter() - t1) * 1e3
+        stats[method][i] = _statistic(h, method)
+        ms[method][i] = build_ms + (time.perf_counter() - t1) * 1e3
 
 
-def _overlap_trial(x, pairs, specs, configs, mode: PreprocessMode, d: int, n: int):
-    """The true-inlier count ``k`` of each grid point, and the counts
-    ``hits`` (true inliers labelled inlier) and ``found`` (points labelled
-    inlier) and the ``time_ms`` of each method at each point, in one trial
-    of an ``r`` or ``sigma2`` sweep: ``k`` of shape ``(points,)``, the
-    others ``(methods, points)``.
+def _overlap_trial(draws, scenarios, at_point, specs, configs, mode: PreprocessMode):
+    """The counts ``hits`` (true inliers labelled inlier) and ``found``
+    (points labelled inlier) and the ``time_ms`` of each method at each grid
+    point, each ``(methods, points)``, in one trial of an ``r`` or
+    ``sigma2`` sweep.
 
-    ``x`` is the trial's X, which every pair holds, and ``pairs`` yields
-    each distinct scenario's pair with the indices of its grid points.  X
-    is checked and preprocessed once.  The pairs are taken in chunks of
-    :func:`_stack_points`: a chunk's Ys are checked one by one and
-    preprocessed as one ``(p, d, n)`` stack, so a degenerate column raises
-    at the same pair, naming the same column, as it would pair by pair.
-    Each statistic that has a backend reading only the factors (see
+    ``draws`` are the trial's draws, ``scenarios`` the grid's distinct
+    scenarios and ``at_point[i]`` the index of point i's scenario.  X is
+    checked and preprocessed once.  The scenarios are taken in chunks of
+    :func:`_stack_points`: each chunk's Ys are completed into the rows of
+    one ``(p, d, n)`` stack, which every chunk of the trial reuses, so one
+    chunk's Ys are alive at a time, and preprocessed as a stack, which
+    raises for a degenerate column at the same scenario, naming the same
+    column, as building each overlap in turn would.  Each statistic that
+    has a backend reading only the factors (see
     :func:`~gramoverlap.classify._reads_factors`) is computed for the whole
     chunk in one stacked call, and no overlap is built; for a statistic
-    that reads ``H``, each pair's overlap is built once for all such
+    that reads ``H``, each scenario's overlap is built once for all such
     statistics and dropped, so one ``H`` is alive at a time.  The trial
-    keeps only the statistic vectors and truth masks.  Then each method
-    classifies its statistic at every point in one call, and the masks of
-    every method at every point are counted against the truth as one
-    stack.  A point's time charges its share of the trial's preprocessing,
-    its share of the stacked call (or its own build and statistic) for the
-    statistic the method reads, and its share of that method's
-    classification call.
+    keeps only the statistic vectors.  Every scenario's truth mask comes
+    from the permutation's ranks in one comparison.  Then the rows of every
+    2-means method at every point are split in one call, whose rows are
+    independent, and the rows of every threshold method are compared with
+    their cuts in another; the masks of every method at every point are
+    counted against the truth as one stack.  A point's time charges its
+    share of the trial's preprocessing, its scenario's share of the stacked
+    call (or its own build and statistic) for the statistic the method
+    reads, and its rows' share of its branch's classification call.
     """
-    points = len(configs)
+    (d, n), points = draws.x.shape, len(at_point)
+    chunk_size = _stack_points(d, n)
     methods = dict.fromkeys(cfg.method for _, cfg in specs)
     stacked = [method for method in methods if _reads_factors(method, d, n)]
     dense = [method for method in methods if method not in stacked]
-    stats = {method: np.empty((points, n)) for method in methods}
-    ms = {method: np.empty(points) for method in methods}
-    truths = np.empty((points, n), dtype=bool)
-    pre_ms = np.empty(points)
+    stats = {method: np.empty((len(scenarios), n)) for method in methods}
+    ms = {method: np.empty(len(scenarios)) for method in methods}
+    pre_ms = np.empty(len(scenarios))
     t0 = time.perf_counter()
-    xp = _preprocess(as_matrix(x, "x"), mode)
+    xp = _preprocess(as_matrix(draws.x, "x"), mode)
     x_ms = (time.perf_counter() - t0) * 1e3
-    pairs, size, count = iter(pairs), _stack_points(d, n), 0
-    while chunk := list(islice(pairs, size)):
-        count += len(chunk)
+    ys = np.empty((min(chunk_size, len(scenarios)), d, n))
+    for start in range(0, len(scenarios), chunk_size):
+        chunk = slice(start, start + chunk_size)
+        p = len(scenarios[chunk])
+        for spec, y in zip(scenarios[chunk], ys):
+            _complete(draws, spec, y)
         t0 = time.perf_counter()
-        ys = np.stack([_checked_y(pair.y, xp.shape) for pair, _ in chunk])
-        yps = _preprocess(ys, mode)
-        share_ms = (time.perf_counter() - t0) * 1e3 / len(chunk)
-        for pair, indices in chunk:
-            truths[indices] = truth_mask(pair.inliers, n)
-            pre_ms[indices] = share_ms
+        yps = _preprocess(ys[:p], mode)
+        pre_ms[chunk] = (time.perf_counter() - t0) * 1e3 / p
         for method in stacked:
             t0 = time.perf_counter()
-            rows = _factor_statistics(xp, yps, method)
-            share_ms = (time.perf_counter() - t0) * 1e3 / len(chunk)
-            for row, (_, indices) in zip(rows, chunk):
-                stats[method][indices] = row
-                ms[method][indices] = share_ms
+            stats[method][chunk] = _factor_statistics(xp, yps, method)
+            ms[method][chunk] = (time.perf_counter() - t0) * 1e3 / p
         if dense:
-            for yp, (_, indices) in zip(yps, chunk):
-                _overlap_statistics(xp, yp, dense, stats, ms, indices)
-    pre_ms += x_ms / count
+            for i, yp in enumerate(yps, start):
+                _overlap_statistics(xp, yp, dense, stats, ms, i)
+    pre_ms += x_ms / len(scenarios)
+    truths = _inlier_masks(draws, [spec.n_inliers for spec in scenarios])[at_point]
+    groups = {}  # the methods of each branch, classified in one call
+    for j, (_, cfg) in enumerate(specs):
+        groups.setdefault(cfg.use_two_means, []).append(j)
     inliers = np.empty((len(specs), points, n), dtype=bool)
     time_ms = np.empty((len(specs), points))
-    for j, (label, cfg) in enumerate(specs):
+    for group in groups.values():
         t0 = time.perf_counter()
-        inliers[j] = _classify_rows(
-            stats[cfg.method], [point[label] for point in configs], d
-        )
-        share_ms = (time.perf_counter() - t0) * 1e3 / points
-        time_ms[j] = pre_ms + ms[cfg.method] + share_ms
-    k = np.count_nonzero(truths, axis=1)
+        rows = np.concatenate([stats[specs[j][1].method][at_point] for j in group])
+        cfgs = [point[specs[j][0]] for j in group for point in configs]
+        inliers[group] = _classify_rows(rows, cfgs, d).reshape(len(group), points, n)
+        share_ms = (time.perf_counter() - t0) * 1e3 / len(rows)
+        for j in group:
+            time_ms[j] = (pre_ms + ms[specs[j][1].method])[at_point] + share_ms
     found = np.count_nonzero(inliers, axis=2)
     inliers &= truths
-    return k, np.count_nonzero(inliers, axis=2), found, time_ms
+    return np.count_nonzero(inliers, axis=2), found, time_ms
 
 
-def _split_trial(pairs, points, configs, mode: PreprocessMode, seed, max_workers):
-    """``k``, ``hits``, ``found`` and ``time_ms`` (see :func:`_overlap_trial`)
-    in one trial of a ``splits`` sweep, each method's at each point from its
-    own split-merge over the point's ``s`` shards.  The time covers the
-    split, the shard builds and classification; the shards pin the dense
-    row sums, so it follows split-merge's ``n^2 / s`` cost."""
-    k = np.empty(len(points), dtype=np.intp)
+def _split_trial(draws, spec, points, configs, mode: PreprocessMode, seed, max_workers):
+    """``hits``, ``found`` and ``time_ms`` (see :func:`_overlap_trial`) in
+    one trial of a ``splits`` sweep, each method's at each point from its
+    own split-merge over the point's ``s`` shards of the one scenario
+    ``spec``.  The time covers the split, the shard builds and
+    classification; the shards pin the dense row sums, so it follows
+    split-merge's ``n^2 / s`` cost."""
+    y = np.empty_like(draws.x)
+    _complete(draws, spec, y)
+    truth = _inlier_masks(draws, [spec.n_inliers])[0]
     hits = np.empty((len(configs[0]), len(points)), dtype=np.intp)
     found = np.empty_like(hits)
     time_ms = np.empty(hits.shape)
-    for pair, indices in pairs:
-        truth = truth_mask(pair.inliers, pair.x.shape[1])
-        k[indices] = np.count_nonzero(truth)
-        for i in indices:
-            for j, cfg in enumerate(configs[i].values()):
-                report = parallel_match(
-                    pair.x, pair.y, points[i][0], cfg, mode, seed,
-                    max_workers=max_workers, backend="dense",
-                )
-                mask = report.partition.inlier_mask()
-                found[j, i] = np.count_nonzero(mask)
-                hits[j, i] = np.count_nonzero(truth & mask)
-                time_ms[j, i] = report.total_time_ms
-    return k, hits, found, time_ms
+    for i, (s, _) in enumerate(points):
+        for j, cfg in enumerate(configs[i].values()):
+            report = parallel_match(
+                draws.x, y, s, cfg, mode, seed, max_workers=max_workers, backend="dense"
+            )
+            mask = report.partition.inlier_mask()
+            found[j, i] = np.count_nonzero(mask)
+            hits[j, i] = np.count_nonzero(truth & mask)
+            time_ms[j, i] = report.total_time_ms
+    return hits, found, time_ms
 
 
 def check_sweep(axis: str, values, trials: int, methods, **fixed):
@@ -297,42 +302,38 @@ def _run_sweep(
     The sweep runs trial by trial.  Trial ``t`` has one seed at every grid
     point, so its X, permutation and rotation are drawn once, and each
     distinct scenario of the grid is completed from them once; the grid
-    points of that scenario all run on its pair (see :func:`_overlap_trial`
-    and :func:`_split_trial`).  A pair's truth mask is built once for all
-    of its partitions.  Each trial returns its counts and times as arrays,
-    and the sweep fills one ``(4, methods, points, trials)`` array of
-    ``error_g``, ``error_b``, ``error_w`` and ``time_ms`` from them: the
-    errors are the quotients of the counts that
+    points of that scenario all run on its Y (see :func:`_overlap_trial`
+    and :func:`_split_trial`).  A scenario's truth mask is built once for
+    all of its partitions.  Each trial returns its counts and times as
+    arrays, and the sweep fills one ``(4, methods, points, trials)`` array
+    of ``error_g``, ``error_b``, ``error_w`` and ``time_ms`` from them and
+    each point's true-inlier count: the errors are the quotients of the
+    counts that
     :class:`~gramoverlap.classify.ErrorReport` divides, with the same bits.
     Rows come out point by point, one per method (see
     :func:`_summary_rows`); data generation and scoring are not timed."""
     specs, points = check_sweep(axis, values, trials, methods, **fixed)
     if not points:
         return []
-    at_scenario = {}
-    for i, (_, spec) in enumerate(points):
-        at_scenario.setdefault(spec, []).append(i)
+    index = {}  # each distinct scenario's position, in order of first use
+    at_point = np.array([index.setdefault(spec, len(index)) for _, spec in points])
+    scenarios = list(index)
     configs = [
         {label: _at_rate(cfg, spec.r) for label, cfg in specs} for _, spec in points
     ]
     base = points[0][1]  # every point has the same d, n and seed
-    k = np.empty((len(points), trials), dtype=np.intp)
+    k = np.array([[spec.n_inliers] for _, spec in points])  # (points, 1)
     hits = np.empty((len(specs), len(points), trials), dtype=np.intp)
     found = np.empty_like(hits)
     cols = np.empty((4, *hits.shape))
     for t in range(trials):
         seed = derive_seed(base.seed, t)
         draws = _draw_trial(base.d, base.n, seed)
-        pairs = (
-            (_complete(draws, spec), indices) for spec, indices in at_scenario.items()
-        )
         if axis == "splits":
-            counts = _split_trial(pairs, points, configs, mode, seed, max_workers)
+            counts = _split_trial(draws, base, points, configs, mode, seed, max_workers)
         else:
-            counts = _overlap_trial(
-                draws.x, pairs, specs, configs, mode, base.d, base.n
-            )
-        k[:, t], hits[..., t], found[..., t], cols[3, ..., t] = counts
+            counts = _overlap_trial(draws, scenarios, at_point, specs, configs, mode)
+        hits[..., t], found[..., t], cols[3, ..., t] = counts
     missed_g = k - hits
     missed_b = found - hits
     np.divide(missed_g, k, out=cols[0])

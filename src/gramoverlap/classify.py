@@ -4,7 +4,7 @@ One matcher, two statistics: it thresholds (or 2-means clusters) either the
 coordinates of the leading eigenvector of the overlap matrix or its shifted
 row sums, through one exact 2-means solver that runs along the rows of a
 stack (one row for a single statistic).  The error metrics compare a
-partition against ground truth, one row of a stack at a time or many at once.
+partition against ground truth.
 """
 
 import math
@@ -274,11 +274,11 @@ def _fixed_cut(cfg: MatchConfig, d: int, n: int) -> float:
 def _classify_rows(stats: np.ndarray, cfgs, d: int) -> np.ndarray:
     """Inlier masks of the rows of a (p, n) stack of statistics, row i
     classified by ``cfgs[i]`` as :func:`match` classifies it; every config
-    has one rule and branch, and they differ at most in the inlier rate.
+    takes one branch, and the rows may come from either rule.
 
     The 2-means branch splits every row at once (see
-    :func:`two_means_1d`), and a constant row gets no inliers; the
-    threshold branch compares each row with its own cut.
+    :func:`two_means_1d`), each row on its own, and a constant row gets no
+    inliers; the threshold branch compares each row with its own cut.
     """
     if cfgs[0].use_two_means:
         return _two_means_rows(stats)[2]
@@ -474,26 +474,16 @@ def count_errors(truth: np.ndarray, partition: LabelPartition) -> ErrorReport:
     n = partition.n
     if truth.shape != (n,):
         raise ValueError(f"truth mask has shape {truth.shape}, expected ({n},)")
-    return _count_errors_rows(truth[None], partition._mask[None])[0]
-
-
-def _count_errors_rows(truth: np.ndarray, inliers: np.ndarray) -> list[ErrorReport]:
-    """Error counts of each row of a (p, n) stack of estimated inlier masks
-    against the same row of a stack of truth masks, counted in one pass."""
-    n = inliers.shape[1]
-    k = np.count_nonzero(truth, axis=1).tolist()
-    hits = np.count_nonzero(truth & inliers, axis=1).tolist()
-    found = np.count_nonzero(inliers, axis=1).tolist()
-    return [
-        ErrorReport(
-            n=n,
-            n_inliers=k_i,
-            n_outliers=n - k_i,
-            missed_inliers=k_i - hit,
-            missed_outliers=found_i - hit,
-        )
-        for k_i, hit, found_i in zip(k, hits, found)
-    ]
+    mask = partition._mask
+    k = int(np.count_nonzero(truth))
+    hits = int(np.count_nonzero(truth & mask))
+    return ErrorReport(
+        n=n,
+        n_inliers=k,
+        n_outliers=n - k,
+        missed_inliers=k - hits,
+        missed_outliers=int(np.count_nonzero(mask)) - hits,
+    )
 
 
 def error_rates(truth_inliers, partition: LabelPartition) -> ErrorReport:

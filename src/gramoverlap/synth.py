@@ -9,9 +9,11 @@ across releases.
 :func:`generate` runs in two steps.  :func:`_draw_trial` makes the draws that
 a seed makes before it reads ``r``, ``kind`` or ``sigma2`` (X, the inlier
 permutation and the Haar rotation) and saves the stream's state after them;
-:func:`_complete` draws the rest of one scenario from that state.  A sweep,
-whose grid points share each trial's seed, draws once per trial and completes
-each grid point from the same draws.
+:func:`_complete` draws the rest of one scenario from that state and writes
+its Y into an array the caller gives.  A sweep, whose grid points share each
+trial's seed, draws once per trial and completes each distinct scenario from
+the same draws, into the rows of one stack, and reads every scenario's true
+inliers from the permutation's ranks in one comparison (:func:`_inlier_masks`).
 """
 
 import math
@@ -126,7 +128,7 @@ def _derangement(m: int, rng: np.random.Generator) -> np.ndarray:
     idx = np.arange(m)
     while True:
         p = rng.permutation(m)
-        if not np.any(p == idx):
+        if not (p == idx).any():
             return p
 
 
@@ -152,12 +154,14 @@ def _draw_trial(d: int, n: int, seed: int) -> _TrialDraws:
     return _TrialDraws(x, perm, rotation, rng, rng.bit_generator.state)
 
 
-def _complete(draws: _TrialDraws, spec: ScenarioSpec) -> LabeledPair:
-    """The pair ``spec`` names, from the draws of its seed, d and n.
+def _complete(draws: _TrialDraws, spec: ScenarioSpec, y: np.ndarray) -> np.ndarray:
+    """Write Y of the scenario ``spec`` names, from the draws of its seed, d
+    and n, into the d-by-n float64 array ``y``, and return its sorted true
+    inliers.
 
     The inlier split, the outlier columns and the noise are drawn from the
-    saved state, so each completion is the one :func:`generate` makes; the
-    pairs of one ``draws`` share its ``x`` and ``rotation`` arrays.  Of
+    saved state, so each completion is the one :func:`generate` makes, bit
+    for bit, whatever ``y`` held before and whatever ran before it.  Of
     ``spec`` it reads only ``d``, ``n``, ``n_inliers``, ``kind`` and
     ``sigma2``: the seed is the one ``draws`` came from, whatever
     ``spec.seed`` says, so a sweep completes every trial from its grid
@@ -168,7 +172,6 @@ def _complete(draws: _TrialDraws, spec: ScenarioSpec) -> LabeledPair:
     d, n, k = spec.d, spec.n, spec.n_inliers
     g = np.sort(draws.perm[:k])
     b = np.sort(draws.perm[k:])
-    y = np.empty_like(x)
     y[:, g] = rotation @ x[:, g]
     if spec.kind == KIND_GAUSSIAN_OUTLIERS:
         y[:, b] = rng.standard_normal((d, n - k))
@@ -176,8 +179,19 @@ def _complete(draws: _TrialDraws, spec: ScenarioSpec) -> LabeledPair:
         pi = _derangement(b.size, rng)
         y[:, b] = rotation @ x[:, b[pi]]
     if spec.sigma2 > 0:
-        y = y + math.sqrt(spec.sigma2) * rng.standard_normal((d, n))
-    return LabeledPair(x=x, y=y, inliers=g, rotation=rotation)
+        y += math.sqrt(spec.sigma2) * rng.standard_normal((d, n))
+    return g
+
+
+def _inlier_masks(draws: _TrialDraws, ks) -> np.ndarray:
+    """The true-inlier masks of the completions of ``draws`` with ``ks[i]``
+    inliers, one a row: a column is an inlier of a completion with ``k``
+    inliers when the permutation places it among its first ``k``, so row
+    ``i`` is ``np.sort(draws.perm[:ks[i]])`` as a mask."""
+    perm = draws.perm
+    rank = np.empty_like(perm)
+    rank[perm] = np.arange(perm.size)
+    return rank < np.asarray(ks)[:, None]
 
 
 def generate(spec: ScenarioSpec) -> LabeledPair:
@@ -193,7 +207,10 @@ def generate(spec: ScenarioSpec) -> LabeledPair:
     and ``seed``, and are drawn first; specs that differ only in ``r``,
     ``kind`` or ``sigma2`` share them.
     """
-    return _complete(_draw_trial(spec.d, spec.n, spec.seed), spec)
+    draws = _draw_trial(spec.d, spec.n, spec.seed)
+    y = np.empty_like(draws.x)
+    inliers = _complete(draws, spec, y)
+    return LabeledPair(x=draws.x, y=y, inliers=inliers, rotation=draws.rotation)
 
 
 @dataclass(frozen=True)

@@ -376,16 +376,19 @@ def test_rate_sweep_errors_are_pinned():
 
 
 def test_a_trial_builds_one_truth_mask(monkeypatch):
+    # one mask a scenario, all of a trial's in one call; a repeated rate
+    # shares its scenario's mask
     calls = []
+    inlier_masks = bench._inlier_masks
 
-    def counted(truth_inliers, n):
-        calls.append(n)
-        return truth_mask(truth_inliers, n)
+    def counted(draws, ks):
+        calls.append(list(ks))
+        return inlier_masks(draws, ks)
 
-    monkeypatch.setattr(bench, "truth_mask", counted)
-    rows = run_rate_sweep(d=3, n=40, r_values=[0.5, 0.75], trials=2, seed=1)
-    assert len(rows) == 2 * len(DEFAULT_METHODS)
-    assert calls == [40] * 4
+    monkeypatch.setattr(bench, "_inlier_masks", counted)
+    rows = run_rate_sweep(d=3, n=40, r_values=[0.5, 0.75, 0.5], trials=2, seed=1)
+    assert len(rows) == 3 * len(DEFAULT_METHODS)
+    assert calls == [[20, 30]] * 2
 
 
 class TestTrialMajorSweep:
@@ -401,9 +404,9 @@ class TestTrialMajorSweep:
             drawn.append(draw(d, n, seed))
             return drawn[-1]
 
-        def counted_complete(draws, spec):
+        def counted_complete(draws, spec, y):
             calls["complete"].append((spec.r, calls["draw"][drawn.index(draws)]))
-            return complete(draws, spec)
+            return complete(draws, spec, y)
 
         monkeypatch.setattr(bench, "_draw_trial", counted_draw)
         monkeypatch.setattr(bench, "_complete", counted_complete)
@@ -505,8 +508,9 @@ class TestStackedTrial:
                 draws = bench._draw_trial(d, n, derive_seed(seed, t))
                 for r in rates:
                     spec = ScenarioSpec(d=d, n=n, r=r, seed=derive_seed(seed, t))
-                    pair = bench._complete(draws, spec)
-                    build_overlap(pair.x, pair.y, PreprocessMode.CENTER_NORMALIZE)
+                    y = np.empty_like(draws.x)
+                    bench._complete(draws, spec, y)
+                    build_overlap(draws.x, y, PreprocessMode.CENTER_NORMALIZE)
         return caught.value.column
 
     @pytest.mark.parametrize("d, n", [(3, 40), (6, 40)])
@@ -519,11 +523,11 @@ class TestStackedTrial:
         bad = {0.75: 11, 0.9: 4}
         first_x = bench._draw_trial(d, n, derive_seed(5, 0)).x
 
-        def broken(draws, spec):
-            pair = complete(draws, spec)
+        def broken(draws, spec, y):
+            inliers = complete(draws, spec, y)
             if spec.r in bad and np.array_equal(draws.x, first_x):
-                pair = replace(pair, y=self.degenerate(pair.y, bad[spec.r]))
-            return pair
+                y[:] = self.degenerate(y, bad[spec.r])
+            return inliers
 
         rates = [0.25, 0.5, 0.75, 0.9]
         monkeypatch.setattr(bench, "_complete", broken)
@@ -567,26 +571,116 @@ class TestStackedTrial:
         )
         assert len(alive) == 3 * 2 + 2 * 2
 
+    @pytest.mark.parametrize("kind", ["permuted_inliers", "gaussian_outliers"])
+    @pytest.mark.parametrize("sigma2", [0.0, 0.25])
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    @pytest.mark.parametrize("d, n", [(6, 400), (50, 1000)])
+    def test_the_completed_stack_is_what_generate_draws(
+        self, monkeypatch, kind, sigma2, budget, d, n
+    ):
+        # 3 scenarios (a repeated rate shares one) in chunks of 1, 2 and 3;
+        # at d = 50, n = 1000, (Q @ X)[:, g] and Q @ X[:, g] differ in the
+        # last bits, so a rotated X shared by the scenarios would show in
+        # the noise-free columns, each of which must be the product of Q
+        # and the columns of X it moves
+        stacks, masks = [], []
+        preprocess, inlier_masks = bench._preprocess, bench._inlier_masks
+
+        def recorded_preprocess(x, mode):
+            if x.ndim == 3:
+                stacks.append(x.copy())
+            return preprocess(x, mode)
+
+        def recorded_masks(draws, ks):
+            masks.append(inlier_masks(draws, ks))
+            return masks[-1]
+
+        monkeypatch.setattr(bench, "_preprocess", recorded_preprocess)
+        monkeypatch.setattr(bench, "_inlier_masks", recorded_masks)
+        monkeypatch.setattr(
+            bench, "_STACK_BYTES", budget * 8 * (d * d * n + 3 * d**4)
+        )
+        assert bench._stack_points(d, n) == budget
+        rates, trials, seed = [0.1, 0.3, 0.1, 0.5], 2, 4
+        run_rate_sweep(
+            d=d, n=n, r_values=rates, trials=trials, seed=seed,
+            methods=("rowsum:kmeans",), kind=kind, sigma2=sigma2,
+        )
+        chunks = {1: [1, 1, 1], 2: [2, 1], 3: [3]}[budget]
+        assert [len(stack) for stack in stacks] == chunks * trials
+        ys, truths = np.concatenate(stacks), np.concatenate(masks)
+        assert ys.shape == truths.shape[:1] + (d, n) == (3 * trials, d, n)
+        specs = [
+            ScenarioSpec(
+                d=d, n=n, r=r, kind=kind, sigma2=sigma2, seed=derive_seed(seed, t)
+            )
+            for t in range(trials)
+            for r in (0.1, 0.3, 0.5)
+        ]
+        for y, truth, spec in zip(ys, truths, specs):
+            pair = generate(spec)
+            assert y.tobytes() == pair.y.tobytes()
+            assert np.array_equal(truth.nonzero()[0], pair.inliers)
+            if sigma2 > 0:
+                continue
+            q, g, b = pair.rotation, pair.inliers, pair.outliers
+            assert (q @ pair.x[:, g]).tobytes() == y[:, g].tobytes()
+            if kind == "permuted_inliers":
+                # each outlier column's source: its nearest rotated column
+                moved = q @ pair.x[:, b]
+                near = 2 * y[:, b].T @ moved - np.einsum("ij,ij->j", moved, moved)
+                sources = b[near.argmax(axis=1)]
+                assert (q @ pair.x[:, sources]).tobytes() == y[:, b].tobytes()
+
+    @pytest.mark.parametrize("mode", list(PreprocessMode))
+    def test_a_trial_holds_one_chunk_of_ys_at_a_time(self, monkeypatch, mode):
+        # chunks of 2 of 3 scenarios; d = 4, n = 8 builds an overlap a
+        # scenario, and without preprocessing the preprocessed stack is a
+        # view of the Y stack
+        alive = []
+        complete = bench._complete
+
+        def tracked(draws, spec, y):
+            stack = y.base
+            assert stack is not None and len(stack) <= 2
+            if not any(ref() is stack for ref in alive):
+                assert [ref for ref in alive if ref() is not None] == []
+                alive.append(weakref.ref(stack))
+            return complete(draws, spec, y)
+
+        monkeypatch.setattr(bench, "_complete", tracked)
+        for d, n in ((3, 40), (4, 8)):
+            monkeypatch.setattr(
+                bench, "_STACK_BYTES", 2 * 8 * (d * d * n + 3 * d**4)
+            )
+            run_rate_sweep(
+                d=d, n=n, r_values=[0.25, 0.5, 0.75], trials=2, seed=3,
+                preprocess=mode,
+            )
+        assert len(alive) >= 4
+
     def test_each_method_classifies_a_trial_in_one_call(self, monkeypatch):
-        # 3 trials of 4 points and 2 methods: 2 stacked calls a trial, each
-        # charged a quarter to every point of the trial
+        # 3 trials of 4 points and 4 methods: a trial splits the 8 rows of
+        # its 2-means methods in one call and compares the 8 rows of its
+        # threshold methods with their cuts in another, each call charged
+        # an eighth to each of its methods at each point
         calls = []
         classify_rows = bench._classify_rows
 
         def slow(stats, cfgs, d):
-            calls.append(stats.shape)
+            calls.append((stats.shape, cfgs[0].use_two_means))
             time.sleep(0.04)
             return classify_rows(stats, cfgs, d)
 
         monkeypatch.setattr(bench, "_classify_rows", slow)
         rows = run_rate_sweep(
             d=3, n=40, r_values=[0.25, 0.5, 0.75, 0.8], trials=3, seed=5,
-            methods=("rowsum:kmeans", "rowsum:auto"),
+            methods=("rowsum:kmeans", "rowsum:auto", "eig:kmeans", "eig:0.5"),
         )
-        assert calls == [(4, 40)] * 6
-        assert len(rows) == 8
+        assert calls == [((8, 40), True), ((8, 40), False)] * 3
+        assert len(rows) == 16
         for row in rows:
-            assert row["time_ms_mean"] >= 10.0
+            assert row["time_ms_mean"] >= 5.0
 
 
 def point_by_point_rows(axis, values, trials, methods, mode, max_workers, **fixed):

@@ -30,7 +30,6 @@ from gramoverlap.classify import (
     METHOD_EIGENVECTOR,
     METHOD_ROW_SUM,
     _classify_rows,
-    _count_errors_rows,
     _factor_statistics,
     _two_means_rows,
     _reads_factors,
@@ -38,7 +37,7 @@ from gramoverlap.classify import (
     count_errors,
     truth_mask,
 )
-from gramoverlap.synth import _complete, _draw_trial, derive_seed
+from gramoverlap.synth import derive_seed
 
 
 def as_overlap(h, d):
@@ -431,16 +430,18 @@ class TestClassifyRows:
             h = build_overlap(pair.x, pair.y, PreprocessMode.NONE)
             cfg = bench._at_rate(bench.parse_method(spec), r)
             part, _ = match(h, cfg)
-            truth = truth_mask(pair.inliers, 200)
             stats.append(_statistic(h, cfg.method))
             cfgs.append(cfg)
             want.append(part.inlier_mask())
-            truths.append(truth)
-            reports.append(count_errors(truth, part))
+            truths.append(truth_mask(pair.inliers, 200))
+            reports.append(error_rates(pair.inliers, part))
         got = _classify_rows(np.array(stats), cfgs, d=6)
         assert np.array_equal(got, np.array(want))
         assert len({mask.sum() for mask in got}) > 1
-        assert _count_errors_rows(np.array(truths), got) == reports
+        scored = [
+            count_errors(truth, LabelPartition(row)) for truth, row in zip(truths, got)
+        ]
+        assert scored == reports
 
 
 def factor_stack(pairs, mode):
@@ -457,9 +458,9 @@ class TestFactorStatistics:
     @pytest.mark.parametrize("d, n", [(3, 40), (6, 400)])
     def test_rows_are_the_per_pair_statistics_bit_for_bit(self, kind, mode, d, n):
         # pairs of one trial: several rates, and noise on some of them
-        draws = _draw_trial(d, n, derive_seed(2525, d))
+        seed = derive_seed(2525, d)
         pairs = [
-            _complete(draws, ScenarioSpec(d=d, n=n, r=r, kind=kind, sigma2=s2, seed=7))
+            generate(ScenarioSpec(d=d, n=n, r=r, kind=kind, sigma2=s2, seed=seed))
             for r in (0.25, 0.5, 0.75)
             for s2 in (0.0, 0.3)
         ]

@@ -17,7 +17,13 @@ from gramoverlap import (
     haar_orthogonal,
     population_overlap,
 )
-from gramoverlap.synth import _complete, _draw_trial, derive_seed
+from gramoverlap.synth import (
+    LabeledPair,
+    _complete,
+    _draw_trial,
+    _inlier_masks,
+    derive_seed,
+)
 
 
 def pair_digest(pair) -> str:
@@ -27,6 +33,15 @@ def pair_digest(pair) -> str:
         h.update(f"{a.dtype.str}{a.shape}".encode())
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
+
+
+def completion(draws, spec, y=None):
+    """The pair that completing ``draws`` for ``spec`` into ``y`` (a fresh
+    array by default) makes, with the inliers the completion returns."""
+    if y is None:
+        y = np.empty_like(draws.x)
+    inliers = _complete(draws, spec, y)
+    return LabeledPair(x=draws.x, y=y, inliers=inliers, rotation=draws.rotation)
 
 
 # pair_digest(generate(ScenarioSpec(d, n=20, r=0.6, kind, sigma2, seed))),
@@ -156,7 +171,8 @@ class TestGenerate:
         assert got == PINNED_PAIR_DIGESTS
 
     def test_completions_of_one_draw_equal_generate_in_any_order(self):
-        # each completion starts from the saved state, whatever ran before it
+        # each completion starts from the saved state, whatever ran before it,
+        # and overwrites every entry of the one array they all write into
         d, n, seed = 4, 30, derive_seed(8, 2)
         specs = [
             ScenarioSpec(d=d, n=n, r=r, kind=kind, sigma2=sigma2, seed=seed)
@@ -165,8 +181,10 @@ class TestGenerate:
             )
         ]
         draws = _draw_trial(d, n, seed)
+        y = np.full((d, n), np.nan)
         for spec in specs + specs[::-1]:
-            assert pair_digest(_complete(draws, spec)) == pair_digest(generate(spec))
+            got = completion(draws, spec, y)
+            assert pair_digest(got) == pair_digest(generate(spec))
 
     @pytest.mark.parametrize("kind", ["gaussian_outliers", "permuted_inliers"])
     @pytest.mark.parametrize("sigma2", [0.0, 0.25])
@@ -179,8 +197,18 @@ class TestGenerate:
         spec = ScenarioSpec(d=d, n=n, r=0.6, kind=kind, sigma2=sigma2, seed=3)
         want = pair_digest(generate(replace(spec, seed=seed)))
         for other in (0, 3, seed + 1):
-            got = _complete(_draw_trial(d, n, seed), replace(spec, seed=other))
+            got = completion(_draw_trial(d, n, seed), replace(spec, seed=other))
             assert pair_digest(got) == want
+
+    @pytest.mark.parametrize("d, n", [(3, 40), (6, 400)])
+    def test_inlier_masks_are_the_inliers_of_each_completion(self, d, n):
+        seed = derive_seed(29, n)
+        ks = [1, 2, n // 3, n // 2, n - 2, n - 1]
+        masks = _inlier_masks(_draw_trial(d, n, seed), ks)
+        assert masks.shape == (len(ks), n) and masks.dtype == bool
+        for k, mask in zip(ks, masks):
+            pair = generate(ScenarioSpec(d=d, n=n, r=k / n, seed=seed))
+            assert np.array_equal(mask.nonzero()[0], pair.inliers)
 
     def test_different_seeds_differ(self):
         a = generate(ScenarioSpec(d=4, n=12, r=0.5, seed=0))
