@@ -14,10 +14,11 @@ one stacked call, and no overlap is built for it; a statistic that reads
 ``H`` comes from the scenario's own overlap, which is then dropped, so a
 trial holds one ``H`` at a time.  Every scenario's truth mask comes from
 the trial's permutation in one comparison.  Once every scenario of the
-trial has its statistics, the rows of every 2-means method at every point
-are split in one call, those of every threshold method are compared with
-their cuts in another, and every partition of the trial is scored as one
-stack, so methods are compared on identical data.  ``H`` is formed only
+trial has its statistics, ``classify.classify_rows`` (``match``'s
+classifier) splits the rows of every 2-means method at every point in one
+call and compares those of every threshold method with their cuts in
+another, and every partition of the trial is scored as one stack, so
+methods are compared on identical data.  ``H`` is formed only
 by a backend that reads it: the dense row sums at construction, or power
 iteration inside its own call.  Per-method wall time charges the point's
 share of the trial's preprocessing, of the statistic that method reads (the
@@ -44,13 +45,11 @@ from .classify import (
     METHOD_EIGENVECTOR,
     METHOD_ROW_SUM,
     MatchConfig,
-    _classify_rows,
-    _factor_statistics,
-    _reads_factors,
-    _statistic,
+    classify_rows,
+    factor_statistics,
+    statistic,
 )
-from .linalg import as_matrix
-from .overlap import OverlapMatrix, PreprocessMode, _preprocess
+from .overlap import OverlapMatrix, PreprocessMode, _preprocess, forms_h, preprocess
 from .parallel import check_shard_count, parallel_match
 from .synth import ScenarioSpec, _complete, _draw_trial, _inlier_masks, derive_seed
 
@@ -167,7 +166,7 @@ def _overlap_statistics(xp, yp, methods, stats: dict, ms: dict, i: int) -> None:
     build_ms = (time.perf_counter() - t0) * 1e3
     for method in methods:
         t1 = time.perf_counter()
-        stats[method][i] = _statistic(h, method)
+        stats[method][i] = statistic(h, method)
         ms[method][i] = build_ms + (time.perf_counter() - t1) * 1e3
 
 
@@ -186,16 +185,17 @@ def _overlap_trial(draws, scenarios, at_point, specs, configs, mode: PreprocessM
     raises for a degenerate column at the same scenario, naming the same
     column, as building each overlap in turn would.  Each statistic that
     has a backend reading only the factors (see
-    :func:`~gramoverlap.classify._reads_factors`) is computed for the whole
-    chunk in one stacked call, and no overlap is built; for a statistic
-    that reads ``H``, each scenario's overlap is built once for all such
-    statistics and dropped, so one ``H`` is alive at a time.  The trial
-    keeps only the statistic vectors.  Every scenario's truth mask comes
-    from the permutation's ranks in one comparison.  Then the rows of every
-    2-means method at every point are split in one call, whose rows are
-    independent, and the rows of every threshold method are compared with
-    their cuts in another; the masks of every method at every point are
-    counted against the truth as one stack.  A point's time charges its
+    :func:`~gramoverlap.overlap.forms_h`) is computed for the whole chunk in
+    one stacked call, and no overlap is built; for a statistic that reads
+    ``H``, each scenario's overlap is built once for all such statistics
+    and dropped, so one ``H`` is alive at a time.  The trial keeps only the
+    statistic vectors.  Every scenario's truth mask comes from the
+    permutation's ranks in one comparison.  Then ``match``'s classifier,
+    :func:`~gramoverlap.classify.classify_rows`, splits the rows of every
+    2-means method at every point in one call, whose rows are independent,
+    and compares those of every threshold method with their cuts in
+    another; the masks of every method at every point are counted against
+    the truth as one stack.  A point's time charges its
     share of the trial's preprocessing, its scenario's share of the stacked
     call (or its own build and statistic) for the statistic the method
     reads, and its rows' share of its branch's classification call.
@@ -203,13 +203,13 @@ def _overlap_trial(draws, scenarios, at_point, specs, configs, mode: PreprocessM
     (d, n), points = draws.x.shape, len(at_point)
     chunk_size = _stack_points(d, n)
     methods = dict.fromkeys(cfg.method for _, cfg in specs)
-    stacked = [method for method in methods if _reads_factors(method, d, n)]
+    stacked = [m for m in methods if not forms_h(d, n, m == METHOD_EIGENVECTOR)]
     dense = [method for method in methods if method not in stacked]
     stats = {method: np.empty((len(scenarios), n)) for method in methods}
     ms = {method: np.empty(len(scenarios)) for method in methods}
     pre_ms = np.empty(len(scenarios))
     t0 = time.perf_counter()
-    xp = _preprocess(as_matrix(draws.x, "x"), mode)
+    xp = preprocess(draws.x, mode)
     x_ms = (time.perf_counter() - t0) * 1e3
     ys = np.empty((min(chunk_size, len(scenarios)), d, n))
     for start in range(0, len(scenarios), chunk_size):
@@ -222,7 +222,7 @@ def _overlap_trial(draws, scenarios, at_point, specs, configs, mode: PreprocessM
         pre_ms[chunk] = (time.perf_counter() - t0) * 1e3 / p
         for method in stacked:
             t0 = time.perf_counter()
-            stats[method][chunk] = _factor_statistics(xp, yps, method)
+            stats[method][chunk] = factor_statistics(xp, yps, method)
             ms[method][chunk] = (time.perf_counter() - t0) * 1e3 / p
         if dense:
             for i, yp in enumerate(yps, start):
@@ -238,7 +238,8 @@ def _overlap_trial(draws, scenarios, at_point, specs, configs, mode: PreprocessM
         t0 = time.perf_counter()
         rows = np.concatenate([stats[specs[j][1].method][at_point] for j in group])
         cfgs = [point[specs[j][0]] for j in group for point in configs]
-        inliers[group] = _classify_rows(rows, cfgs, d).reshape(len(group), points, n)
+        masks = classify_rows(rows, cfgs, d).inliers
+        inliers[group] = masks.reshape(len(group), points, n)
         share_ms = (time.perf_counter() - t0) * 1e3 / len(rows)
         for j in group:
             time_ms[j] = (pre_ms + ms[specs[j][1].method])[at_point] + share_ms

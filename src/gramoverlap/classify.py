@@ -2,9 +2,10 @@
 
 One matcher, two statistics: it thresholds (or 2-means clusters) either the
 coordinates of the leading eigenvector of the overlap matrix or its shifted
-row sums, through one exact 2-means solver that runs along the rows of a
-stack (one row for a single statistic).  The error metrics compare a
-partition against ground truth.
+row sums, through one classifier of a stack of statistics,
+:func:`classify_rows` (one row for ``match``, many for a sweep trial), and
+its exact 2-means solver.  The error metrics compare a partition against
+ground truth.
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateValuesError
-from .overlap import OverlapMatrix, forms_h
+from .overlap import OverlapMatrix
 
 METHOD_EIGENVECTOR = "eigenvector"
 METHOD_ROW_SUM = "row_sum"
@@ -37,12 +38,6 @@ class LabelPartition:
 
     def __init__(self, inlier_mask):
         self._mask = np.array(inlier_mask, dtype=bool).ravel()
-
-    @classmethod
-    def from_inliers(cls, n: int, inliers) -> "LabelPartition":
-        mask = np.zeros(n, dtype=bool)
-        mask[np.asarray(inliers, dtype=np.intp)] = True
-        return cls(mask)
 
     @property
     def n(self) -> int:
@@ -172,12 +167,16 @@ def two_means_1d(values) -> tuple[LabelPartition, tuple[float, float]]:
     if v.ndim != 1:
         raise ValueError("values must be 1-D")
     s, k, mask = _two_means_rows(v[None])
-    n, k = v.size, int(k[0])
-    if k == n:
+    k = int(k[0])
+    if k == v.size:
         raise DegenerateValuesError("all values equal; no 2-cluster split exists")
-    low = float(np.add.reduce(s[0, :k]) / k)
-    high = float(np.add.reduce(s[0, k:]) / (n - k))
-    return LabelPartition(mask[0]), (low, high)
+    return LabelPartition(mask[0]), _centroids(s[0], k)
+
+
+def _centroids(s: np.ndarray, k: int) -> tuple[float, float]:
+    """The means of the lower ``k`` values of the sorted row ``s`` and of
+    the rest: the 2-means centroids of a split with ``0 < k < s.size``."""
+    return float(np.add.reduce(s[:k]) / k), float(np.add.reduce(s[k:]) / (s.size - k))
 
 
 def _two_means_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -271,44 +270,79 @@ def _fixed_cut(cfg: MatchConfig, d: int, n: int) -> float:
     return d * (cfg.inlier_rate * n + 1) / 2.0
 
 
-def _classify_rows(stats: np.ndarray, cfgs, d: int) -> np.ndarray:
-    """Inlier masks of the rows of a (p, n) stack of statistics, row i
-    classified by ``cfgs[i]`` as :func:`match` classifies it; every config
-    takes one branch, and the rows may come from either rule.
+@dataclass(frozen=True)
+class RowClasses:
+    """Each row's inlier mask from :func:`classify_rows`, and what its rule
+    computed on the way: the ``cuts`` of a threshold call; the
+    ``sorted_values`` of the rows and their lower-cluster sizes ``k`` of a
+    2-means call (``k = n``: a constant row, which has no inliers)."""
 
-    The 2-means branch splits every row at once (see
-    :func:`two_means_1d`), each row on its own, and a constant row gets no
-    inliers; the threshold branch compares each row with its own cut.
+    inliers: np.ndarray
+    cuts: np.ndarray | None = None
+    sorted_values: np.ndarray | None = None
+    k: np.ndarray | None = None
+
+    def facts(self, i: int) -> dict:
+        """Row i's rule as :class:`MatchDiagnostics` reports it: the cut of
+        a threshold row, the centroids and their gap of a 2-means row, or
+        ``degenerate`` for a constant one."""
+        if self.cuts is not None:
+            return dict(threshold=float(self.cuts[i]))
+        k = int(self.k[i])
+        if k == self.sorted_values.shape[1]:
+            return dict(degenerate=True)
+        low, high = _centroids(self.sorted_values[i], k)
+        return dict(centroids=(low, high), centroid_gap=high - low)
+
+
+def classify_rows(stats: np.ndarray, cfgs, d: int) -> RowClasses:
+    """Classify the rows of a (p, n) stack of statistics of overlaps of
+    d-by-n factors, row i by ``cfgs[i]``, of either rule: :func:`match`'s
+    one statistic, or a sweep trial's rows of one branch at every point.
+
+    The 2-means branch splits every row at once, each on its own (see
+    :func:`two_means_1d`), and a constant row gets no inliers; the
+    threshold branch keeps the values at least each row's own cut.  Raises
+    ``ValueError`` unless there is one config a row, all of one branch, and
+    each can run (see :meth:`MatchConfig.check_runnable`).
     """
-    if cfgs[0].use_two_means:
-        return _two_means_rows(stats)[2]
-    cuts = np.array([_fixed_cut(cfg, d, stats.shape[1]) for cfg in cfgs])
-    return stats >= cuts[:, None]
+    p, n = stats.shape
+    if len(cfgs) != p:
+        raise ValueError(f"{len(cfgs)} configs for {p} rows of statistics")
+    two_means = cfgs[0].use_two_means
+    for cfg in cfgs:
+        if cfg.use_two_means != two_means:
+            raise ValueError("configs of one call must all take one branch")
+        cfg.check_runnable()
+    if two_means:
+        s, k, mask = _two_means_rows(stats)
+        return RowClasses(mask, sorted_values=s, k=k)
+    cuts = np.array([_fixed_cut(cfg, d, n) for cfg in cfgs])
+    return RowClasses(stats >= cuts[:, None], cuts=cuts)
 
 
-def _statistic(h: OverlapMatrix, method: str) -> np.ndarray:
+def _shifted_row_sums(sums: np.ndarray, d: int) -> np.ndarray:
+    """Row sums of an overlap of d-by-n factors less d^2: the row-sum rule's."""
+    return sums - float(d) ** 2
+
+
+def statistic(h: OverlapMatrix, method: str) -> np.ndarray:
     """The statistic of ``h`` that ``method`` classifies: the leading
-    eigenvector, or the row sums less d^2."""
+    eigenvector, or the shifted row sums."""
     if method == METHOD_EIGENVECTOR:
         return h.leading_eigenpair().vector
-    return h.row_sums() - float(h.d) ** 2
+    return _shifted_row_sums(h.row_sums(), h.d)
 
 
-def _reads_factors(method: str, d: int, n: int) -> bool:
-    """Whether the statistic ``method`` classifies has, on an overlap of
-    d-by-n factors, a backend that reads only the factors."""
-    return not forms_h(d, n, method == METHOD_EIGENVECTOR)
-
-
-def _factor_statistics(xp: np.ndarray, yps: np.ndarray, method: str) -> np.ndarray:
+def factor_statistics(xp: np.ndarray, yps: np.ndarray, method: str) -> np.ndarray:
     """The statistic that ``method`` classifies of the overlap of the
     preprocessed ``xp`` with each matrix of the ``(p, d, n)`` stack ``yps``,
-    one a row, from stacked kernels on the factors.  Where
-    :func:`_reads_factors`, row p is :func:`_statistic` of the overlap of
-    ``xp`` and ``yps[p]``, bit for bit."""
+    one a row, from stacked kernels on the factors.  Where its backend does
+    not form ``H`` (see :func:`~gramoverlap.overlap.forms_h`), row p is
+    :func:`statistic` of the overlap of ``xp`` and ``yps[p]``, bit for bit."""
     if method == METHOD_EIGENVECTOR:
         return linalg._khatri_rao_vectors(linalg._khatri_rao(xp, yps))
-    return linalg._khatri_rao_row_sums(xp, yps) - float(xp.shape[0]) ** 2
+    return _shifted_row_sums(linalg._khatri_rao_row_sums(xp, yps), xp.shape[0])
 
 
 def match(h: OverlapMatrix, cfg: MatchConfig) -> tuple[LabelPartition, MatchDiagnostics]:
@@ -332,20 +366,19 @@ def match(h: OverlapMatrix, cfg: MatchConfig) -> tuple[LabelPartition, MatchDiag
     (``"gram_factor"``), or from the dense ``H`` (``"dense"``), as
     :func:`~gramoverlap.overlap.build_overlap` picks or its caller pins.
 
+    The statistic is the one row of :func:`classify_rows`, which a sweep
+    trial runs on its stack, so each row of it gets ``match``'s partition.
     The threshold branch keeps index i as an inlier when its statistic is at
     least the cut; the 2-means branch clusters the statistic and keeps the
     upper cluster, or labels every point an outlier (with a warning) when the
-    statistic is constant.  A sweep trial classifies a stack of statistics,
-    one row per grid point, with the same cuts and the same 2-means solver,
-    so each row gets the partition that ``match`` gives its overlap.  The
-    diagnostics name the backend that computed the statistic in
-    ``eig_backend`` or ``row_sum_backend``.  A config that cannot run (see
-    :meth:`MatchConfig.check_runnable`) is refused before any statistic is
-    computed.
+    statistic is constant.  The diagnostics name the backend that computed
+    the statistic in ``eig_backend`` or ``row_sum_backend``.  A config that
+    cannot run (see :meth:`MatchConfig.check_runnable`) is refused before
+    any statistic is computed.
     """
     cfg.check_runnable()
     warnings = []
-    stat = _statistic(h, cfg.method)
+    stat = statistic(h, cfg.method)
     if cfg.method == METHOD_EIGENVECTOR:
         pair = h.leading_eigenpair()
         facts = dict(
@@ -362,35 +395,23 @@ def match(h: OverlapMatrix, cfg: MatchConfig) -> tuple[LabelPartition, MatchDiag
             )
     else:
         facts = dict(row_sum_backend=h.row_sum_backend)
-    cut = centroids = None
-    degenerate = False
-    if cfg.use_two_means:
-        try:
-            partition, centroids = two_means_1d(stat)
-        except DegenerateValuesError:
-            degenerate = True
-            warnings.append(
-                "statistic is constant; no cluster split exists; labeling all "
-                "points as outliers"
-            )
-            partition = LabelPartition(np.zeros(stat.size, dtype=bool))
-    else:
-        cut = _fixed_cut(cfg, h.d, h.n)
-        partition = LabelPartition(stat >= cut)
+    rows = classify_rows(stat[None], [cfg], h.d)
+    facts.update(rows.facts(0))
+    if facts.get("degenerate"):
+        warnings.append(
+            "statistic is constant; no cluster split exists; labeling all "
+            "points as outliers"
+        )
     diag = MatchDiagnostics(
         method=cfg.method,
         branch="two_means" if cfg.use_two_means else "threshold",
         n=h.n,
         stat_min=float(np.minimum.reduce(stat)),
         stat_max=float(np.maximum.reduce(stat)),
-        threshold=cut,
-        centroids=centroids,
-        centroid_gap=None if centroids is None else centroids[1] - centroids[0],
-        degenerate=degenerate,
         warnings=warnings,
         **facts,
     )
-    return partition, diag
+    return LabelPartition(rows.inliers[0]), diag
 
 
 @dataclass(frozen=True)
@@ -452,30 +473,24 @@ class ErrorReport:
         return (self.missed_inliers + self.missed_outliers) / self.n
 
 
-def truth_mask(truth_inliers, n: int) -> np.ndarray:
-    """Boolean mask of the true inliers among 0..n-1, checked as
-    :func:`error_rates` checks them."""
+def error_rates(truth_inliers, partition: LabelPartition) -> ErrorReport:
+    """Error rates of a partition against the true inlier set.
+
+    ``truth_inliers`` is any array-like of indices in 0..n-1; order and
+    duplicates are ignored.  Both the true inlier set and its complement must
+    be nonempty.
+    """
+    n, mask = partition.n, partition._mask
     g = np.asarray(truth_inliers, dtype=np.intp)
     if g.size and (
         np.minimum.reduce(g, axis=None) < 0 or np.maximum.reduce(g, axis=None) >= n
     ):
         raise ValueError("truth indices out of range")
-    mask = np.zeros(n, dtype=bool)
-    mask[g] = True
-    k = int(np.count_nonzero(mask))
+    truth = np.zeros(n, dtype=bool)
+    truth[g] = True
+    k = int(np.count_nonzero(truth))
     if not 1 <= k <= n - 1:
         raise ValueError("true inlier set and its complement must be nonempty")
-    return mask
-
-
-def count_errors(truth: np.ndarray, partition: LabelPartition) -> ErrorReport:
-    """Error counts of a partition against a mask from :func:`truth_mask`,
-    which one trial builds once however many partitions it scores."""
-    n = partition.n
-    if truth.shape != (n,):
-        raise ValueError(f"truth mask has shape {truth.shape}, expected ({n},)")
-    mask = partition._mask
-    k = int(np.count_nonzero(truth))
     hits = int(np.count_nonzero(truth & mask))
     return ErrorReport(
         n=n,
@@ -484,13 +499,3 @@ def count_errors(truth: np.ndarray, partition: LabelPartition) -> ErrorReport:
         missed_inliers=k - hits,
         missed_outliers=int(np.count_nonzero(mask)) - hits,
     )
-
-
-def error_rates(truth_inliers, partition: LabelPartition) -> ErrorReport:
-    """Error rates of a partition against the true inlier set.
-
-    ``truth_inliers`` is any array-like of indices in 0..n-1; order and
-    duplicates are ignored.  Both the true inlier set and its complement must
-    be nonempty.
-    """
-    return count_errors(truth_mask(truth_inliers, partition.n), partition)

@@ -148,13 +148,6 @@ def power_iteration(
     return SpectralPair(value, fix_sign(v), max_iter, best_residual, False)
 
 
-def _top_eigvector_by_squaring(g: np.ndarray) -> np.ndarray:
-    """A top eigenvector of the exactly symmetric PSD matrix ``g``, not
-    normalised; zero when ``g = 0``.  It is the one-matrix case of
-    :func:`_top_eigvectors_by_squaring`, which says how it is found."""
-    return _top_eigvectors_by_squaring(g[None])[0]
-
-
 def _top_eigvectors_by_squaring(g: np.ndarray) -> np.ndarray:
     """A top eigenvector of each exactly symmetric PSD matrix of the
     ``(p, m, m)`` stack ``g``, not normalised, one a row; zero for a zero

@@ -346,17 +346,11 @@ class OverlapMatrix:
         return self._pair
 
 
-def _checked_y(y, shape) -> np.ndarray:
-    """``y`` checked by ``linalg.as_matrix`` and against the shape of x."""
-    y = linalg.as_matrix(y, "y")
-    if y.shape != shape:
-        raise ValueError(f"shape mismatch: x is {shape}, y is {y.shape}")
-    return y
-
-
 def _preprocessed_pair(x, y, mode: PreprocessMode) -> tuple[np.ndarray, np.ndarray]:
     x = linalg.as_matrix(x, "x")
-    y = _checked_y(y, x.shape)
+    y = linalg.as_matrix(y, "y")
+    if y.shape != x.shape:
+        raise ValueError(f"shape mismatch: x is {x.shape}, y is {y.shape}")
     if x.shape[1] < 2:
         raise ValueError("need at least two points")
     return _preprocess(x, mode), _preprocess(y, mode)

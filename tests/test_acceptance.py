@@ -421,7 +421,7 @@ def test_criterion_8_invariant_suite():
         k = int(rng.integers(1, n))
         truth = rng.choice(n, size=k, replace=False)
         est = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
-        rep = error_rates(truth, LabelPartition.from_inliers(n, est))
+        rep = error_rates(truth, LabelPartition(np.isin(np.arange(n), est)))
         eg = Fraction(rep.missed_inliers, rep.n_inliers)
         eb = Fraction(rep.missed_outliers, rep.n_outliers)
         ew = Fraction(rep.missed_inliers + rep.missed_outliers, rep.n)

@@ -1,7 +1,9 @@
 """Sweep harness: method specs, row summaries, CSV round trip."""
 
+import ast
 import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,11 +17,11 @@ from gramoverlap import (
     PreprocessMode,
     bench,
     build_overlap,
+    error_rates,
     linalg,
     match,
     parallel_match,
 )
-from gramoverlap.classify import count_errors, truth_mask
 from gramoverlap.synth import ScenarioSpec, derive_seed, generate
 from gramoverlap.bench import (
     DEFAULT_METHODS,
@@ -447,7 +449,7 @@ class TestStackedTrial:
             raise AssertionError("an overlap was built")
 
         chunks = []
-        factor_statistics = bench._factor_statistics
+        factor_statistics = bench.factor_statistics
 
         def recorded(xp, yps, method):
             chunks.append((method, len(yps)))
@@ -456,7 +458,7 @@ class TestStackedTrial:
         d, n = 3, 40
         budget = 2 * 8 * (d * d * n + 3 * d**4)
         monkeypatch.setattr(bench, "OverlapMatrix", refuse)
-        monkeypatch.setattr(bench, "_factor_statistics", recorded)
+        monkeypatch.setattr(bench, "factor_statistics", recorded)
         monkeypatch.setattr(bench, "_STACK_BYTES", budget)
         assert bench._stack_points(d, n) == 2
         run_rate_sweep(d=d, n=n, r_values=[0.25, 0.5, 0.75, 0.5], trials=2, seed=3)
@@ -665,14 +667,14 @@ class TestStackedTrial:
         # threshold methods with their cuts in another, each call charged
         # an eighth to each of its methods at each point
         calls = []
-        classify_rows = bench._classify_rows
+        classify_rows = bench.classify_rows
 
         def slow(stats, cfgs, d):
             calls.append((stats.shape, cfgs[0].use_two_means))
             time.sleep(0.04)
             return classify_rows(stats, cfgs, d)
 
-        monkeypatch.setattr(bench, "_classify_rows", slow)
+        monkeypatch.setattr(bench, "classify_rows", slow)
         rows = run_rate_sweep(
             d=3, n=40, r_values=[0.25, 0.5, 0.75, 0.8], trials=3, seed=5,
             methods=("rowsum:kmeans", "rowsum:auto", "eig:kmeans", "eig:0.5"),
@@ -687,7 +689,7 @@ def point_by_point_rows(axis, values, trials, methods, mode, max_workers, **fixe
     """The reference: each grid point in turn, each trial's pair from
     ``generate``, and each method's partition from its own ``match`` on the
     point's overlap (or its own ``parallel_match`` at a splits point),
-    scored by ``count_errors`` and summarised by ``per_column_summary_row``;
+    scored by ``error_rates`` and summarised by ``per_column_summary_row``;
     it calls none of the sweep's trial or summary code."""
     rows = []
     specs = bench.parse_methods(methods)
@@ -701,7 +703,6 @@ def point_by_point_rows(axis, values, trials, methods, mode, max_workers, **fixe
         for t in range(trials):
             trial = replace(spec, seed=derive_seed(spec.seed, t))
             pair = generate(trial)
-            truth = truth_mask(pair.inliers, trial.n)
             if axis != "splits":
                 h = build_overlap(pair.x, pair.y, mode)
             for label, cfg in configs.items():
@@ -712,7 +713,7 @@ def point_by_point_rows(axis, values, trials, methods, mode, max_workers, **fixe
                     ).partition
                 else:
                     part, _ = match(h, cfg)
-                errs[label].append(count_errors(truth, part))
+                errs[label].append(error_rates(pair.inliers, part))
         rows += [
             per_column_summary_row(axis, value, label, errs[label], [0.0] * trials)
             for label, _ in specs
@@ -942,3 +943,25 @@ class TestStatisticOncePerOverlap:
         for label in self.EIG_METHODS:
             assert times[label] >= 100.0
         assert times["rowsum:kmeans"] < 100.0
+
+
+def test_bench_reads_only_public_names_of_classify():
+    # the sweep classifies through the entry points that match uses, so a
+    # private helper of classify can change without reaching into bench
+    tree = ast.parse(Path(bench.__file__).read_text(encoding="utf-8"))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").rpartition(".")[2] == "classify"
+        for alias in node.names
+    ]
+    attributes = [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "classify"
+    ]
+    assert "classify_rows" in imported
+    assert [name for name in imported + attributes if name.startswith("_")] == []

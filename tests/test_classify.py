@@ -29,14 +29,12 @@ from gramoverlap import bench, linalg
 from gramoverlap.classify import (
     METHOD_EIGENVECTOR,
     METHOD_ROW_SUM,
-    _classify_rows,
-    _factor_statistics,
     _two_means_rows,
-    _reads_factors,
-    _statistic,
-    count_errors,
-    truth_mask,
+    classify_rows,
+    factor_statistics,
+    statistic,
 )
+from gramoverlap.overlap import forms_h
 from gramoverlap.synth import derive_seed
 
 
@@ -84,7 +82,7 @@ def parent_two_means_1d(values):
     )
     k = int(np.argmin(costs)) + 1
     low, high = float(s[:k].mean()), float(s[k:].mean())
-    partition = LabelPartition.from_inliers(n, order[k:])
+    partition = LabelPartition(np.isin(np.arange(n), order[k:]))
     return partition, (low, high)
 
 
@@ -349,7 +347,7 @@ class TestTwoMeans:
 def rows_outcome(rows):
     """Each row's 2-means inlier mask from the stacked classifier."""
     cfgs = [MatchConfig(method="row_sum")] * len(rows)
-    return _classify_rows(np.array(rows, dtype=np.float64), cfgs, d=1)
+    return classify_rows(np.array(rows, dtype=np.float64), cfgs, d=1).inliers
 
 
 def one_row_mask(fn, row):
@@ -419,29 +417,58 @@ class TestClassifyRows:
     @pytest.mark.parametrize(
         "spec", ["eig:0.5", "eig:kmeans", "rowsum:kmeans", "rowsum:3.0", "rowsum:auto"]
     )
-    def test_each_row_is_classified_and_scored_as_match_and_count_errors_do(
-        self, spec
-    ):
+    def test_each_row_is_classified_as_match_classifies_it(self, spec):
         # one pair per rate, so rowsum:auto has a cut per row
         rates = (0.3, 0.5, 0.7, 0.9)
-        stats, cfgs, want, truths, reports = [], [], [], [], []
+        stats, cfgs, want = [], [], []
         for t, r in enumerate(rates):
             pair = generate(ScenarioSpec(d=6, n=200, r=r, seed=derive_seed(27, t)))
             h = build_overlap(pair.x, pair.y, PreprocessMode.NONE)
             cfg = bench._at_rate(bench.parse_method(spec), r)
-            part, _ = match(h, cfg)
-            stats.append(_statistic(h, cfg.method))
+            part, diag = match(h, cfg)
+            stats.append(statistic(h, cfg.method))
             cfgs.append(cfg)
-            want.append(part.inlier_mask())
-            truths.append(truth_mask(pair.inliers, 200))
-            reports.append(error_rates(pair.inliers, part))
-        got = _classify_rows(np.array(stats), cfgs, d=6)
-        assert np.array_equal(got, np.array(want))
-        assert len({mask.sum() for mask in got}) > 1
-        scored = [
-            count_errors(truth, LabelPartition(row)) for truth, row in zip(truths, got)
-        ]
-        assert scored == reports
+            want.append((part.inlier_mask(), diag))
+        got = classify_rows(np.array(stats), cfgs, d=6)
+        assert len({mask.sum() for mask in got.inliers}) > 1
+        for i, (mask, diag) in enumerate(want):
+            assert np.array_equal(got.inliers[i], mask)
+            facts = got.facts(i)
+            assert {key: getattr(diag, key) for key in facts} == facts
+        # a threshold call keeps only its cuts, a 2-means call its sorted
+        # rows and split sizes
+        two_means = cfgs[0].use_two_means
+        assert (got.cuts is None) == two_means
+        assert (got.sorted_values is None) == (got.k is None) == (not two_means)
+
+    def test_a_constant_row_reports_degenerate_as_match_warns(self):
+        h = as_overlap(np.ones((6, 6)), d=1)
+        part, diag = match(h, MatchConfig())
+        got = classify_rows(statistic(h, METHOD_ROW_SUM)[None], [MatchConfig()], 1)
+        assert got.k.tolist() == [6] and not got.inliers.any()
+        assert got.facts(0) == {"degenerate": True}
+        assert diag.degenerate and diag.centroids is None and len(diag.warnings) == 1
+        assert part == LabelPartition(got.inliers[0])
+
+    @pytest.mark.parametrize(
+        "cfgs, message",
+        [
+            # every row would follow the first config's branch
+            ([MatchConfig(), MatchConfig(use_two_means=False, inlier_rate=0.5)],
+             "one branch"),
+            ([MatchConfig(threshold=1.0, use_two_means=False), MatchConfig()],
+             "one branch"),
+            # one threshold config would be broadcast to every row
+            ([MatchConfig(threshold=1.0, use_two_means=False)], "1 configs for 2 rows"),
+            ([MatchConfig()] * 3, "3 configs for 2 rows"),
+            # rowsum:auto with no rate would fail inside the cut
+            ([MatchConfig(use_two_means=False)] * 2, "requires inlier_rate"),
+        ],
+    )
+    def test_a_call_outside_the_contract_is_refused(self, cfgs, message):
+        stats = np.arange(8.0).reshape(2, 4)
+        with pytest.raises(ValueError, match=message):
+            classify_rows(stats, cfgs, d=2)
 
 
 def factor_stack(pairs, mode):
@@ -466,22 +493,22 @@ class TestFactorStatistics:
         ]
         xp, yps = factor_stack(pairs, mode)
         for method in (METHOD_EIGENVECTOR, METHOD_ROW_SUM):
-            assert _reads_factors(method, d, n)
-            got = _factor_statistics(xp, yps, method)
+            assert not forms_h(d, n, method == METHOD_EIGENVECTOR)
+            got = factor_statistics(xp, yps, method)
             assert got.shape == (len(pairs), n)
             for row, pair in zip(got, pairs):
-                want = _statistic(build_overlap(pair.x, pair.y, mode), method)
+                want = statistic(build_overlap(pair.x, pair.y, mode), method)
                 assert np.array_equal(row, want)
 
     def test_a_zero_gram_gives_the_all_ones_vector(self):
         rng = np.random.default_rng(2626)
         x, y = rng.standard_normal((2, 2, 16))
         ys = np.stack([y, np.zeros_like(y), -y])
-        assert _reads_factors(METHOD_EIGENVECTOR, 2, 16)
-        got = _factor_statistics(x, ys, METHOD_EIGENVECTOR)
+        assert not forms_h(2, 16, eigenpair=True)
+        got = factor_statistics(x, ys, METHOD_EIGENVECTOR)
         assert np.array_equal(got[1], np.full(16, 1 / math.sqrt(16)))
         for row, yp in zip(got, ys):
-            want = _statistic(build_overlap(x, yp, PreprocessMode.NONE), "eigenvector")
+            want = statistic(build_overlap(x, yp, PreprocessMode.NONE), "eigenvector")
             assert np.array_equal(row, want)
 
     def test_a_zero_sum_vector_takes_the_sign_of_its_largest_entry(self):
@@ -498,15 +525,15 @@ class TestFactorStatistics:
             [[1.0, 1.0, 0.0], [0.0, 0.0, 0.5]],
             [[-1.0, -1.0, 0.0], [0.0, 0.0, 0.5]],
         ]
-        assert _reads_factors(METHOD_EIGENVECTOR, 2, n)
-        got = _factor_statistics(x, ys, METHOD_EIGENVECTOR)
+        assert not forms_h(2, n, eigenpair=True)
+        got = factor_statistics(x, ys, METHOD_EIGENVECTOR)
         want = np.zeros(n)
         want[:2] = 1 / math.sqrt(2), -1 / math.sqrt(2)
         for row, yp in zip(got, ys):
             z = (x[:, None, :] * yp[None, :, :]).reshape(4, n)
             assert np.array_equal(z[:, 0], -z[:, 1]) and z[:, 2] @ z[:, 0] == 0
             pair = build_overlap(x, yp, PreprocessMode.NONE)
-            assert np.array_equal(row, _statistic(pair, "eigenvector"))
+            assert np.array_equal(row, statistic(pair, "eigenvector"))
             assert abs(float(row.sum())) <= 1e-12
             assert np.allclose(row, want, rtol=0, atol=1e-15)
         # the sign rule flips the one whose raw vector starts negative
@@ -1057,14 +1084,14 @@ class TestThresholdInterval:
 
 class TestErrorRates:
     def test_counting_example(self):
-        part = LabelPartition.from_inliers(5, [0, 1])
+        part = LabelPartition([True, True, False, False, False])
         report = error_rates([0, 1, 2], part)
         assert report.error_g == pytest.approx(1 / 3)
         assert report.error_b == 0.0
         assert report.error_w == pytest.approx(0.2)
 
     def test_perfect_recovery(self):
-        part = LabelPartition.from_inliers(6, [1, 3, 5])
+        part = LabelPartition([False, True, False, True, False, True])
         report = error_rates([1, 3, 5], part)
         assert (report.error_g, report.error_b, report.error_w) == (0.0, 0.0, 0.0)
 
@@ -1075,7 +1102,7 @@ class TestErrorRates:
             k = int(rng.integers(1, n))
             truth = rng.choice(n, size=k, replace=False)
             est = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
-            part = LabelPartition.from_inliers(n, est)
+            part = LabelPartition(np.isin(np.arange(n), est))
             rep = error_rates(truth, part)
             # (|G| * error_g + |B| * error_b) / n == error_w, exactly, in
             # rational arithmetic on the counts
@@ -1086,21 +1113,11 @@ class TestErrorRates:
             assert rep.missed_inliers + rep.missed_outliers == round(rep.error_w * n)
 
     def test_empty_sides_rejected(self):
-        part = LabelPartition.from_inliers(4, [0])
+        part = LabelPartition([True, False, False, False])
         with pytest.raises(ValueError):
             error_rates([], part)
         with pytest.raises(ValueError):
             error_rates([0, 1, 2, 3], part)
-
-    def test_one_truth_mask_scores_many_partitions(self):
-        rng = np.random.default_rng(41)
-        truth = rng.choice(30, size=12, replace=False)
-        mask = truth_mask(truth, 30)
-        for _ in range(20):
-            part = LabelPartition(rng.random(30) < 0.5)
-            assert count_errors(mask, part) == error_rates(truth, part)
-        with pytest.raises(ValueError, match="truth mask has shape"):
-            count_errors(mask, LabelPartition.from_inliers(31, [0]))
 
     @staticmethod
     def unique_error_rates(truth_inliers, partition):
@@ -1150,7 +1167,7 @@ class TestErrorRates:
             ]
             if truth.size % 2 == 0:
                 cases.append((truth.reshape(2, -1), part))
-        part = LabelPartition.from_inliers(5, [1, 2])
+        part = LabelPartition([False, True, True, False, False])
         cases += [
             ([], part),
             (np.arange(5), part),
@@ -1158,7 +1175,7 @@ class TestErrorRates:
             ([5], part),
             ([-1, 2], part),
             ([-1, 5], part),
-            ([], LabelPartition.from_inliers(5, [])),
+            ([], LabelPartition(np.zeros(5, dtype=bool))),
             (3, part),
         ]
         outcomes = set()
@@ -1195,7 +1212,7 @@ class TestLabelPartition:
         assert np.array_equal(part.outliers, [1])
 
     def test_round_trips(self):
-        part = LabelPartition.from_inliers(5, [4, 0])
+        part = LabelPartition([True, False, False, False, True])
         assert np.array_equal(part.inliers, [0, 4])
         assert np.array_equal(part.outliers, [1, 2, 3])
         assert part == LabelPartition(part.inlier_mask())

@@ -177,7 +177,7 @@ class TestLabels:
 
 class TestPartitionCsv:
     def test_round_trip(self, tmp_path):
-        part = LabelPartition.from_inliers(5, [0, 2])
+        part = LabelPartition([True, False, True, False, False])
         path = tmp_path / "partition.csv"
         write_partition_csv(path, part)
         assert path.read_text() == "0,G\n1,B\n2,G\n3,B\n4,B\n"
@@ -641,7 +641,8 @@ class TestReadersRaiseOnlyValueError:
         seeds[read_matrix_csv] = path.read_bytes()
         write_labels(path, [0, 3, 17, 200])
         seeds[read_labels] = path.read_bytes()
-        write_partition_csv(path, LabelPartition.from_inliers(6, [1, 4]))
+        part = LabelPartition([False, True, False, False, True, False])
+        write_partition_csv(path, part)
         seeds[read_partition_csv] = path.read_bytes()
         write_ppm(path, rng.integers(0, 256, (2, 3, 3), dtype=np.uint8))
         seeds[read_ppm] = path.read_bytes()
