@@ -6,24 +6,23 @@ grid point, so the driver draws its data's shared part once and completes each
 distinct scenario of the grid from it once.  At a ``splits`` point every
 method runs split-merge on the trial's one pair.  At ``r`` or ``sigma2``
 points the trial completes its scenarios' Ys into the rows of one stack,
-chunk by chunk, the chunk bounded by a fixed byte budget; X is preprocessed
-once and each chunk's Ys as a stack, and each statistic (leading
-eigenvector, row sums) is computed once a scenario and kept.  A statistic
-whose backend reads only the factors is computed for the whole chunk in
-one stacked call, and no overlap is built for it; a statistic that reads
-``H`` comes from the scenario's own overlap, which is then dropped, so a
-trial holds one ``H`` at a time.  Every scenario's truth mask comes from
-the trial's permutation in one comparison.  Once every scenario of the
-trial has its statistics, ``classify.classify_rows`` (``match``'s
+chunk by chunk; X is preprocessed once and each chunk's Ys as a stack.  Each
+chunk's overlap is one :class:`~gramoverlap.overlap.OverlapMatrix` of X and
+the chunk's Ys, and each distinct statistic (leading eigenvector, row sums)
+is read from it once, through ``classify.statistic``, the path ``match``
+reads a pair through.  A chunk is bounded by a fixed byte budget when every
+statistic reads only the factors; when a backend reads ``H`` (the dense row
+sums, or power iteration), a chunk holds one scenario, so a trial holds one
+``H`` at a time and both statistics share it.  Every scenario's truth mask
+comes from the trial's permutation in one comparison.  Once every scenario
+of the trial has its statistics, ``classify.classify_rows`` (``match``'s
 classifier) splits the rows of every 2-means method at every point in one
 call and compares those of every threshold method with their cuts in
 another, and every partition of the trial is scored as one stack, so
-methods are compared on identical data.  ``H`` is formed only
-by a backend that reads it: the dense row sums at construction, or power
-iteration inside its own call.  Per-method wall time charges the point's
-share of the trial's preprocessing, of the statistic that method reads (the
-stacked call, or the scenario's own build and statistic) and its row's
-share of its branch's classification call, i.e. about what a solo run would
+methods are compared on identical data.  Per-method wall time charges the
+point's share of the trial's preprocessing, its chunk's share of the
+overlap's build plus the statistic that method reads, and its row's share
+of its branch's classification call, i.e. about what a solo run would
 cost: each statistic is timed once and charged to every method that reads
 it.
 
@@ -46,7 +45,6 @@ from .classify import (
     METHOD_ROW_SUM,
     MatchConfig,
     classify_rows,
-    factor_statistics,
     statistic,
 )
 from .overlap import OverlapMatrix, PreprocessMode, _preprocess, forms_h, preprocess
@@ -60,7 +58,7 @@ SWEEP_COLUMNS = ["sweep", "value", "method", "trials"] + [
     f"{name}_{stat}" for name in _SUMMARY_STATS for stat in ("mean", "std")
 ]
 
-# Byte budget of one chunk of a sweep trial's stacked statistics (see
+# Byte budget of one chunk of a sweep trial's factored statistics (see
 # _stack_points).  Timed per point on seeded sweep pairs (1 BLAS thread, a
 # 2 MiB L2 cache a core), the stacked eigenvector statistic got 2-5 times
 # cheaper from 1 to 8 points at d = 4 and 6, n = 400, then stayed flat up to
@@ -154,22 +152,6 @@ def _stack_points(d: int, n: int) -> int:
     return max(1, _STACK_BYTES // (8 * (d * d * n + 3 * d**4)))
 
 
-def _overlap_statistics(xp, yp, methods, stats: dict, ms: dict, i: int) -> None:
-    """Build the overlap of the preprocessed ``xp`` and ``yp``, and write
-    the statistic of each of ``methods`` into row ``i`` of its stack in
-    ``stats`` and its time into entry ``i`` of ``ms``: the
-    build and that statistic.  A statistic that reads ``H`` forms it on
-    first use, so its time carries the formation.  The overlap lives only
-    inside this call."""
-    t0 = time.perf_counter()
-    h = OverlapMatrix(xp=xp, yp=yp)
-    build_ms = (time.perf_counter() - t0) * 1e3
-    for method in methods:
-        t1 = time.perf_counter()
-        stats[method][i] = statistic(h, method)
-        ms[method][i] = build_ms + (time.perf_counter() - t1) * 1e3
-
-
 def _overlap_trial(draws, scenarios, at_point, specs, configs, mode: PreprocessMode):
     """The counts ``hits`` (true inliers labelled inlier) and ``found``
     (points labelled inlier) and the ``time_ms`` of each method at each grid
@@ -178,33 +160,32 @@ def _overlap_trial(draws, scenarios, at_point, specs, configs, mode: PreprocessM
 
     ``draws`` are the trial's draws, ``scenarios`` the grid's distinct
     scenarios and ``at_point[i]`` the index of point i's scenario.  X is
-    checked and preprocessed once.  The scenarios are taken in chunks of
-    :func:`_stack_points`: each chunk's Ys are completed into the rows of
-    one ``(p, d, n)`` stack, which every chunk of the trial reuses, so one
-    chunk's Ys are alive at a time, and preprocessed as a stack, which
-    raises for a degenerate column at the same scenario, naming the same
-    column, as building each overlap in turn would.  Each statistic that
-    has a backend reading only the factors (see
-    :func:`~gramoverlap.overlap.forms_h`) is computed for the whole chunk in
-    one stacked call, and no overlap is built; for a statistic that reads
-    ``H``, each scenario's overlap is built once for all such statistics
-    and dropped, so one ``H`` is alive at a time.  The trial keeps only the
-    statistic vectors.  Every scenario's truth mask comes from the
+    checked and preprocessed once.  The scenarios are taken in chunks: of
+    one scenario when a statistic's backend reads ``H`` (see
+    :func:`~gramoverlap.overlap.forms_h`), else of :func:`_stack_points`.
+    Each chunk's Ys are completed into the rows of one ``(p, d, n)`` stack,
+    which every chunk of the trial reuses, so one chunk's Ys are alive at a
+    time, and preprocessed as a stack, which raises for a degenerate column
+    at the same scenario, naming the same column, as building each overlap
+    in turn would.  One overlap of X and the stack is built a chunk, each
+    distinct statistic is read from it by
+    :func:`~gramoverlap.classify.statistic`, and it is dropped before the
+    next chunk's is built, so one ``H`` is alive at a time.  The trial keeps
+    only the statistic vectors.  Every scenario's truth mask comes from the
     permutation's ranks in one comparison.  Then ``match``'s classifier,
     :func:`~gramoverlap.classify.classify_rows`, splits the rows of every
     2-means method at every point in one call, whose rows are independent,
     and compares those of every threshold method with their cuts in
     another; the masks of every method at every point are counted against
-    the truth as one stack.  A point's time charges its
-    share of the trial's preprocessing, its scenario's share of the stacked
-    call (or its own build and statistic) for the statistic the method
-    reads, and its rows' share of its branch's classification call.
+    the truth as one stack.  A point's time charges its share of the
+    trial's preprocessing, its scenario's share of its chunk's overlap
+    build and of the statistic the method reads, and its rows' share of its
+    branch's classification call.
     """
     (d, n), points = draws.x.shape, len(at_point)
-    chunk_size = _stack_points(d, n)
     methods = dict.fromkeys(cfg.method for _, cfg in specs)
-    stacked = [m for m in methods if not forms_h(d, n, m == METHOD_EIGENVECTOR)]
-    dense = [method for method in methods if method not in stacked]
+    reads_h = any(forms_h(d, n, method == METHOD_EIGENVECTOR) for method in methods)
+    chunk_size = 1 if reads_h else _stack_points(d, n)
     stats = {method: np.empty((len(scenarios), n)) for method in methods}
     ms = {method: np.empty(len(scenarios)) for method in methods}
     pre_ms = np.empty(len(scenarios))
@@ -219,14 +200,15 @@ def _overlap_trial(draws, scenarios, at_point, specs, configs, mode: PreprocessM
             _complete(draws, spec, y)
         t0 = time.perf_counter()
         yps = _preprocess(ys[:p], mode)
-        pre_ms[chunk] = (time.perf_counter() - t0) * 1e3 / p
-        for method in stacked:
+        t1 = time.perf_counter()
+        h = OverlapMatrix(xp=xp, yp=yps)
+        build_s = time.perf_counter() - t1
+        pre_ms[chunk] = (t1 - t0) * 1e3 / p
+        for method in methods:
             t0 = time.perf_counter()
-            stats[method][chunk] = factor_statistics(xp, yps, method)
-            ms[method][chunk] = (time.perf_counter() - t0) * 1e3 / p
-        if dense:
-            for i, yp in enumerate(yps, start):
-                _overlap_statistics(xp, yp, dense, stats, ms, i)
+            stats[method][chunk], _ = statistic(h, method)
+            ms[method][chunk] = (build_s + time.perf_counter() - t0) * 1e3 / p
+        del h  # one H alive at a time
     pre_ms += x_ms / len(scenarios)
     truths = _inlier_masks(draws, [spec.n_inliers for spec in scenarios])[at_point]
     groups = {}  # the methods of each branch, classified in one call

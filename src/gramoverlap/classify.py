@@ -2,10 +2,11 @@
 
 One matcher, two statistics: it thresholds (or 2-means clusters) either the
 coordinates of the leading eigenvector of the overlap matrix or its shifted
-row sums, through one classifier of a stack of statistics,
-:func:`classify_rows` (one row for ``match``, many for a sweep trial), and
-its exact 2-means solver.  The error metrics compare a partition against
-ground truth.
+row sums.  Both pass through one statistics path, :func:`statistic` (of a
+pair for ``match``, of a stack of Ys for a sweep chunk), and one classifier
+of a stack of statistics, :func:`classify_rows` (one row for ``match``,
+many for a sweep trial), with its exact 2-means solver.  The error metrics
+compare a partition against ground truth.
 """
 
 import math
@@ -14,7 +15,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg
 from .errors import DegenerateValuesError
 from .overlap import OverlapMatrix
 
@@ -326,88 +326,89 @@ def _shifted_row_sums(sums: np.ndarray, d: int) -> np.ndarray:
     return sums - float(d) ** 2
 
 
-def statistic(h: OverlapMatrix, method: str) -> np.ndarray:
-    """The statistic of ``h`` that ``method`` classifies: the leading
-    eigenvector, or the shifted row sums."""
-    if method == METHOD_EIGENVECTOR:
-        return h.leading_eigenpair().vector
-    return _shifted_row_sums(h.row_sums(), h.d)
+def statistic(h: OverlapMatrix, method: str) -> tuple[np.ndarray, dict]:
+    """The statistic of ``h`` that ``method`` classifies, the leading
+    eigenvector or the shifted row sums, with ``h``'s leading axes (one row
+    a Y of a stack), and the facts of its solve that
+    :class:`MatchDiagnostics` reports: the backend, and of a pair's
+    eigenvector the eigenpair's value, residual, iterations and convergence.
 
-
-def factor_statistics(xp: np.ndarray, yps: np.ndarray, method: str) -> np.ndarray:
-    """The statistic that ``method`` classifies of the overlap of the
-    preprocessed ``xp`` with each matrix of the ``(p, d, n)`` stack ``yps``,
-    one a row, from stacked kernels on the factors.  Where its backend does
-    not form ``H`` (see :func:`~gramoverlap.overlap.forms_h`), row p is
-    :func:`statistic` of the overlap of ``xp`` and ``yps[p]``, bit for bit."""
-    if method == METHOD_EIGENVECTOR:
-        return linalg._khatri_rao_vectors(linalg._khatri_rao(xp, yps))
-    return _shifted_row_sums(linalg._khatri_rao_row_sums(xp, yps), xp.shape[0])
+    It is the one path from an overlap to a statistic: ``match`` and each
+    shard read a pair through it, a sweep trial each chunk of its stack."""
+    if method == METHOD_ROW_SUM:
+        sums = _shifted_row_sums(h.row_sums(), h.d)
+        return sums, dict(row_sum_backend=h.row_sum_backend)
+    if h.p is not None:
+        return h.leading_eigenvector(), dict(eig_backend=h.eig_backend)
+    pair = h.leading_eigenpair()
+    return pair.vector, dict(
+        leading_eigenvalue=pair.value,
+        eig_backend=h.eig_backend,
+        residual=pair.residual,
+        iterations=pair.iterations,
+        converged=pair.converged,
+    )
 
 
 def match(h: OverlapMatrix, cfg: MatchConfig) -> tuple[LabelPartition, MatchDiagnostics]:
-    """Classify indices by the statistic of ``h`` that ``cfg.method`` names.
+    """Classify the indices of the pair overlap ``h`` by the statistic that
+    ``cfg.method`` names, read through :func:`statistic` by the backends
+    ``h`` fixed when it was built (see
+    :class:`~gramoverlap.overlap.OverlapMatrix`).
 
-    The eigenvector rule reads the (sign-fixed) leading eigenvector,
-    :meth:`OverlapMatrix.leading_eigenpair`, solved once per overlap: from the
-    d^2-by-d^2 Khatri-Rao Gram, without reading ``H``, when ``4 d^2 <= n``
-    (see :func:`~gramoverlap.overlap.factored_eig_is_cheaper`), and by power
-    iteration on ``H`` otherwise.  Its fixed cut is t / sqrt(n).
-
-    The row-sum rule reads S_i - d^2, which (for k inliers, no preprocessing)
-    has mean d*(k+1) on inliers and 0 on outliers.  Its fixed cut is T, by
-    default d*(r*n+1)/2 from ``inlier_rate``.  Under column normalization the
-    shift is still applied as a constant: the 2-means partition is
-    shift-invariant in floating point (see :func:`two_means_1d`), so the
-    offset -d^2 does not move it however large d is; a fixed T must be
-    calibrated on the normalized scale.  The row sums are
-    :meth:`OverlapMatrix.row_sums`, computed once per overlap by the backend
-    fixed when it was built: from the factors, without forming ``H``
-    (``"gram_factor"``), or from the dense ``H`` (``"dense"``), as
-    :func:`~gramoverlap.overlap.build_overlap` picks or its caller pins.
+    The eigenvector rule reads the (sign-fixed) leading eigenvector; its
+    fixed cut is t / sqrt(n).  The row-sum rule reads S_i - d^2, which (for
+    k inliers, no preprocessing) has mean d*(k+1) on inliers and 0 on
+    outliers; its fixed cut is T, by default d*(r*n+1)/2 from
+    ``inlier_rate``.  Under column normalization the shift is still applied
+    as a constant: the 2-means partition is shift-invariant in floating
+    point (see :func:`two_means_1d`), so the offset -d^2 does not move it
+    however large d is; a fixed T must be calibrated on the normalized
+    scale.
 
     The statistic is the one row of :func:`classify_rows`, which a sweep
     trial runs on its stack, so each row of it gets ``match``'s partition.
     The threshold branch keeps index i as an inlier when its statistic is at
-    least the cut; the 2-means branch clusters the statistic and keeps the
-    upper cluster, or labels every point an outlier (with a warning) when the
-    statistic is constant.  The diagnostics name the backend that computed
-    the statistic in ``eig_backend`` or ``row_sum_backend``.  A config that
-    cannot run (see :meth:`MatchConfig.check_runnable`) is refused before
-    any statistic is computed.
+    least the cut, and warns when the cut lies above the statistic's range
+    (every point an outlier) or at or below it (every point an inlier); the
+    2-means branch clusters the statistic and keeps the upper cluster, or
+    labels every point an outlier (with a warning) when the statistic is
+    constant.  The diagnostics name the backend that computed the statistic
+    in ``eig_backend`` or ``row_sum_backend``.  A config that cannot run
+    (see :meth:`MatchConfig.check_runnable`) is refused before any statistic
+    is computed, and so is a stack.
     """
     cfg.check_runnable()
+    if h.p is not None:
+        raise ValueError("match classifies a pair; a stack's rows go to classify_rows")
     warnings = []
-    stat = statistic(h, cfg.method)
-    if cfg.method == METHOD_EIGENVECTOR:
-        pair = h.leading_eigenpair()
-        facts = dict(
-            leading_eigenvalue=pair.value,
-            eig_backend=h.eig_backend,
-            residual=pair.residual,
-            iterations=pair.iterations,
-            converged=pair.converged,
+    stat, facts = statistic(h, cfg.method)
+    if facts.get("converged") is False:
+        warnings.append(
+            f"{h.eig_backend} eigenpair did not reach tolerance after "
+            f"{facts['iterations']} iterations (residual {facts['residual']:.3e})"
         )
-        if not pair.converged:
-            warnings.append(
-                f"{h.eig_backend} eigenpair did not reach tolerance after "
-                f"{pair.iterations} iterations (residual {pair.residual:.3e})"
-            )
-    else:
-        facts = dict(row_sum_backend=h.row_sum_backend)
     rows = classify_rows(stat[None], [cfg], h.d)
     facts.update(rows.facts(0))
+    low, high = float(np.minimum.reduce(stat)), float(np.maximum.reduce(stat))
     if facts.get("degenerate"):
         warnings.append(
             "statistic is constant; no cluster split exists; labeling all "
             "points as outliers"
         )
+    cut = facts.get("threshold")
+    if cut is not None and not low < cut <= high:
+        where, label = ("above", "outlier") if cut > high else ("at or below", "inlier")
+        warnings.append(
+            f"fixed cut {cut:.6g} lies {where} the statistic's range "
+            f"[{low:.6g}, {high:.6g}]; every point is labeled an {label}"
+        )
     diag = MatchDiagnostics(
         method=cfg.method,
         branch="two_means" if cfg.use_two_means else "threshold",
         n=h.n,
-        stat_min=float(np.minimum.reduce(stat)),
-        stat_max=float(np.maximum.reduce(stat)),
+        stat_min=low,
+        stat_max=high,
         warnings=warnings,
         **facts,
     )

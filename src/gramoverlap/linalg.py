@@ -5,11 +5,11 @@ dense matrix, and a factored solve of ``(X^T X) o (Y^T Y)`` that never forms
 it: repeated squaring of the d^2-by-d^2 Khatri-Rao Gram ``Z Z^T``), the
 factored row sums of that same product, and a full dense eigendecomposition
 capped at small orders that serves as the independent oracle for the
-eigensolvers.  The factored eigenvector and row sums are computed for a
-stack of pairs that share X at once, which a sweep trial runs on its grid
-points; one pair is the one-row case of the same code.  The entrywise
-product itself is formed in place by
-:attr:`gramoverlap.overlap.OverlapMatrix.h`.
+eigensolvers.  The factored kernels take one X and a ``(p, d, n)`` stack of
+Ys and return one row a Y, each row with the bits it gets alone; a pair is
+the one-row case.  :class:`gramoverlap.overlap.OverlapMatrix` is their one
+caller: it picks the backend, forms the entrywise product in place, and
+computes a pair's eigenpair facts from its ``Z``.
 """
 
 import math
@@ -29,7 +29,7 @@ _ZERO_SUM_TOL = 1e-12
 POWER_TOL_DEFAULT = 1e-10
 POWER_MAX_ITER_DEFAULT = 1000
 
-# Cap on the squarings of khatri_rao_eigenpair.  After j squarings an
+# Cap on the squarings of _top_eigvectors_by_squaring.  After j squarings an
 # eigenvalue (1 - delta) lambda_1 keeps a weight exp(-delta 2^j) of the top
 # one's, so the residual it can leave is at most delta exp(-delta 2^j)
 # lambda_1 <= lambda_1 / (e 2^j): about 3e-13 lambda_1 at j = 40, far below
@@ -222,71 +222,35 @@ def _khatri_rao(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return (x[None, :, None, :] * ys[:, None, :, :]).reshape(p, d * d, n)
 
 
-def _checked_factors(x, y) -> tuple[np.ndarray, np.ndarray]:
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: x is {x.shape}, y is {y.shape}")
-    return x, y
-
-
-def khatri_rao_eigenpair(x, y) -> SpectralPair:
-    """Leading eigenpair of ``H = (X^T X) o (Y^T Y)`` without forming ``H``.
-
-    ``x`` and ``y`` are d-by-n.  Column i of the d^2-by-n matrix ``Z`` is
-    ``x_i (x) y_i`` (the column-wise Khatri-Rao product), and the
-    face-splitting identity gives ``H = Z^T Z``.  The d^2-by-d^2 matrix
-    ``G = Z Z^T`` has the same nonzero eigenvalues, and with ``u`` its top
-    eigenvector ``Z^T u`` is the top eigenvector of ``H``.  ``u`` comes from
-    repeated squaring of ``G / tr G`` (see :func:`_top_eigvectors_by_squaring`),
-    not from a full eigendecomposition.  The cost is ``d^4 n`` flops for
-    ``G``, ``d^6`` flops a squaring, at most
-    :data:`KHATRI_RAO_MAX_SQUARINGS` (40) of them, and ``O(d^2 n)`` for the
-    rest; it reads no n-by-n matrix.  With ``delta = 1 - lambda_2 /
-    lambda_1`` the relative gap below the top eigenvalue, the loop takes
-    about ``2 + log2(36 / delta)`` squarings: mostly 7 to 11 on the
-    synthetic overlaps of :mod:`gramoverlap.synth`, 37 at ``delta =
-    1e-9``.  A tied top eigenspace stops once the rest of the spectrum has
-    decayed (8 to 10 squarings on constructed ties of order 4 to 36), and
-    so does a gap too small to show in the trace (``delta`` about ``1e-10``
-    and below); the vector then lies in the span of the tied eigenvectors,
-    and its residual is at most about ``delta lambda_1``.
-
-    The vector is the one-pair case of :func:`_khatri_rao_vectors`, which a
-    sweep trial runs on all its grid points at once.  The value is the
-    Rayleigh quotient ``||Z v||^2``, the residual ``||H v - value v||`` is
-    computed matrix-free as ``Z^T (Z v) - value v``, and ``converged``
-    applies the test of :func:`power_iteration` at its default tolerance;
-    ``iterations`` is 0.  When ``Z = 0`` (so ``H = 0``) the result is the
-    one power iteration gives: value 0 and the normalized all-ones vector.
-    """
-    x, y = _checked_factors(x, y)
-    z = _khatri_rao(x, y[None])
-    v = _khatri_rao_vectors(z)[0]
-    z = z[0]
-    # np.linalg.norm of a vector is the square root of its dot product with
-    # itself; the residual's norm takes that directly.  v is sign-fixed
-    # already: negating it negates zv and r exactly, so value and residual
-    # keep their bits.
-    zv = z @ v
-    value = float(zv @ zv)
-    r = zv @ z - value * v
-    residual = math.sqrt(r @ r)
-    converged = residual <= POWER_TOL_DEFAULT * max(1.0, abs(value))
-    return SpectralPair(value, v, 0, residual, converged)
-
-
 def _khatri_rao_vectors(z: np.ndarray) -> np.ndarray:
     """The unit, sign-fixed leading eigenvector of ``H_p = Z_p^T Z_p`` for
     each matrix of the ``(p, d^2, n)`` stack ``z`` (see :func:`_khatri_rao`),
-    one a row: row p is :func:`khatri_rao_eigenpair`'s vector for pair p,
-    bit for bit.
+    one a row, without forming any ``H_p``.
+
+    Column i of ``Z`` is ``x_i (x) y_i`` (the column-wise Khatri-Rao
+    product), and the face-splitting identity gives ``H = Z^T Z``.  The
+    d^2-by-d^2 matrix ``G = Z Z^T`` has the same nonzero eigenvalues, and
+    with ``u`` its top eigenvector ``Z^T u`` is the top eigenvector of
+    ``H``.  ``u`` comes from repeated squaring of ``G / tr G`` (see
+    :func:`_top_eigvectors_by_squaring`), not from a full
+    eigendecomposition.  The cost a pair is ``d^4 n`` flops for ``G``,
+    ``d^6`` flops a squaring, at most :data:`KHATRI_RAO_MAX_SQUARINGS` (40)
+    of them, and ``O(d^2 n)`` for the rest; it reads no n-by-n matrix.  With
+    ``delta = 1 - lambda_2 / lambda_1`` the relative gap below the top
+    eigenvalue, the loop takes about ``2 + log2(36 / delta)`` squarings:
+    mostly 7 to 11 on the synthetic overlaps of :mod:`gramoverlap.synth`,
+    37 at ``delta = 1e-9``.  A tied top eigenspace stops once the rest of
+    the spectrum has decayed (8 to 10 squarings on constructed ties of order
+    4 to 36), and so does a gap too small to show in the trace (``delta``
+    about ``1e-10`` and below); the vector then lies in the span of the tied
+    eigenvectors, and its residual is at most about ``delta lambda_1``.
 
     Every step runs on the whole stack: ``G_p = Z_p Z_p^T`` in one
     ``matmul`` (syrk on each matrix, so the bits of the 2-D product), the
     squarings, ``w_p = Z_p^T u_p``, the norms as dot products, and the sign
-    rule.  A zero ``w_p`` (``H_p = 0``) gives the normalized all-ones
-    vector.
+    rule, so row p has the bits that pair p gets alone.  A zero ``w_p``
+    (``H_p = 0``) gives the normalized all-ones vector, as power iteration
+    does.
     """
     n = z.shape[2]
     u = _top_eigvectors_by_squaring(np.matmul(z, z.transpose(0, 2, 1)))
@@ -301,24 +265,16 @@ def _khatri_rao_vectors(z: np.ndarray) -> np.ndarray:
     return w
 
 
-def khatri_rao_row_sums(x, y) -> np.ndarray:
-    """Row sums of ``H = (X^T X) o (Y^T Y)`` without forming ``H``.
-
-    ``x`` and ``y`` are d-by-n.  By the face-splitting identity ``H = Z^T Z``
-    (column i of ``Z`` is ``x_i (x) y_i``), so ``H 1 = Z^T (Z 1)``, and entry
-    i is ``x_i^T (X Y^T) y_i``: one d-by-d product ``X Y^T``, its product
-    with ``Y`` and a column-wise dot product with ``X``.  The cost is about
-    ``4 d^2 n`` flops and ``O(d n)`` memory; it reads no n-by-n matrix.  It
-    is the one-pair case of :func:`_khatri_rao_row_sums`.
-    """
-    x, y = _checked_factors(x, y)
-    return _khatri_rao_row_sums(x, y[None])[0]
-
-
 def _khatri_rao_row_sums(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """The row sums of ``H_p = (X^T X) o (Y_p^T Y_p)`` for each matrix of
-    the ``(p, d, n)`` stack ``ys``, one a row, from stacked products: row p
-    is :func:`khatri_rao_row_sums` of pair p, bit for bit."""
+    the ``(p, d, n)`` stack ``ys``, one a row, without forming any ``H_p``.
+
+    By the face-splitting identity ``H = Z^T Z`` (column i of ``Z`` is
+    ``x_i (x) y_i``), so ``H 1 = Z^T (Z 1)``, and entry i is ``x_i^T (X
+    Y^T) y_i``: one d-by-d product ``X Y^T``, its product with ``Y`` and a
+    column-wise dot product with ``X``.  The cost is about ``4 d^2 n`` flops
+    and ``O(d n)`` memory a pair.  Every product runs on the whole stack, so
+    row p has the bits that pair p gets alone."""
     xy = np.matmul(x, ys.transpose(0, 2, 1))
     return np.einsum("ij,pij->pj", x, np.matmul(xy, ys))
 

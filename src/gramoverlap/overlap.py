@@ -10,6 +10,7 @@ model; they are the oracles most tests check against.
 """
 
 import functools
+import math
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -64,7 +65,7 @@ EIG_BACKEND_POWER_ITERATION = "power_iteration"
 def factored_eig_is_cheaper(d: int, n: int) -> bool:
     """True when the factored eigensolve is expected to beat power iteration.
 
-    The factored solve (:func:`linalg.khatri_rao_eigenpair`) costs the
+    The factored solve (:func:`linalg._khatri_rao_vectors`) costs the
     ``d^4 n``-flop product ``Z Z^T`` plus repeated squaring of that
     ``d^2``-by-``d^2`` matrix, ``d^6`` flops a squaring, mostly 7 to 11
     squarings on the synthetic overlaps of :mod:`gramoverlap.synth` and at
@@ -221,129 +222,168 @@ def _available_bytes() -> int | None:
     return min(known, default=None)
 
 
-def check_dense_fits(n: int) -> None:
-    """Raise :class:`SizeLimitError` when forming a dense n-by-n overlap
-    cannot fit in the memory available to the process.
+def check_dense_fits(n: int, p: int = 1) -> None:
+    """Raise :class:`SizeLimitError` when forming the dense n-by-n overlaps
+    of ``p`` pairs that share X (one pair by default) cannot fit in the
+    memory available to the process.
 
-    Forming it holds two n-by-n float64 arrays, ``16 n^2`` bytes, at the
-    peak.  When the available memory is unknown nothing is refused.
+    Forming them holds ``p + 1`` n-by-n float64 arrays, ``8 (p + 1) n^2``
+    bytes, at the peak: the ``p`` overlaps and one more Gram matrix.  When
+    the available memory is unknown nothing is refused.
     """
-    need = 16 * n**2
+    need = 8 * (p + 1) * n**2
     available = _available_bytes()
     if available is not None and need > available:
+        what = f"{n}x{n} overlap" if p == 1 else f"{p} {n}x{n} overlaps"
         raise SizeLimitError(
-            f"forming the dense {n}x{n} overlap needs "
+            f"forming the dense {what} needs "
             f"{need / 2**20:.0f} MiB at its peak, but only "
             f"{available / 2**20:.0f} MiB are available"
         )
 
 
 class OverlapMatrix:
-    """Overlap matrix ``H = gram(X) o gram(Y)`` and its statistics, each
-    computed once and cached.
+    """Overlap matrix ``H = gram(X) o gram(Y)`` of one X with one Y (a pair)
+    or with each Y of a stack, and its statistics.
 
-    Built from the preprocessed d-by-n factors ``xp`` and ``yp`` (as
-    :func:`build_overlap` does), ``H`` is ``gram(xp) * gram(yp)``, exactly
-    symmetric by construction, so it is not re-checked; ``d`` and ``n`` are
-    read from the factors' shape.  ``OverlapMatrix(h, d=...)`` wraps a
-    user-supplied matrix instead; it is validated (square, finite, exactly
-    symmetric) and has no factors, so ``d`` is given.
+    Built from the preprocessed d-by-n ``xp`` and a d-by-n ``yp`` or a
+    ``(p, d, n)`` stack of them, ``H`` is exactly symmetric by construction,
+    so it is not re-checked.  Every array the object returns keeps ``yp``'s
+    leading axes (``h`` is ``(p, n, n)`` for a stack, a statistic ``(p,
+    n)``), and row i of a stack's is that of the pair overlap of ``yp[i]``,
+    bit for bit.  ``p`` is the stack's size, None for a pair.
+    ``OverlapMatrix(h, d=...)`` wraps a user-supplied pair instead; it is
+    validated (square, finite, exactly symmetric) and has no factors, so
+    ``d`` is given.
 
-    Each statistic is computed once per overlap, however many rules classify
-    it: :meth:`row_sums` and :meth:`leading_eigenpair`.  Both have a backend
-    that reads only the factors, through the face-splitting identity ``H =
-    Z^T Z`` (column i of ``Z`` is ``x_i (x) y_i``), and one that reads the
-    dense ``H``.  The row sums come from ``Z^T (Z 1)`` (``"gram_factor"``) or
-    are summed from ``H`` (``"dense"``, bit-identical to a plain
-    ``h.sum(axis=1)``).  ``backend`` pins one of the two; None picks
-    ``"gram_factor"`` when the factors are held and
-    :func:`factored_row_sums_are_cheaper`.  The dense backend forms ``H`` at
-    construction; otherwise ``H`` is formed only on first read of :attr:`h`,
-    so a caller whose statistics both come from the factors never holds an
-    n-by-n array.  The eigenpair comes from repeated squaring of the
-    d^2-by-d^2 Khatri-Rao Gram ``Z Z^T`` (``"gram_factor"``: ``d^4 n``
-    flops for the Gram, ``d^6`` a squaring, at most 40 squarings) when the
-    factors are held and :func:`factored_eig_is_cheaper`, and from power
+    The statistics, computed on each call, are :meth:`row_sums`,
+    :meth:`leading_eigenvector` and, of a pair, :meth:`leading_eigenpair`.
+    Each has a backend that reads only the factors, through the
+    face-splitting identity ``H = Z^T Z`` (column i of ``Z`` is ``x_i (x)
+    y_i``), and one that reads the dense ``H``.  The row sums come from
+    ``Z^T (Z 1)`` (``"gram_factor"``) or are summed from ``H`` (``"dense"``,
+    bit-identical to ``h.sum(axis=-1)``); ``backend`` pins one, and None
+    picks ``"gram_factor"`` when the factors are held and
+    :func:`factored_row_sums_are_cheaper`.  The eigenvector comes from
+    repeated squaring of the d^2-by-d^2 ``Z Z^T`` (``"gram_factor"``) when
+    the factors are held and :func:`factored_eig_is_cheaper`, and from power
     iteration on ``H`` (``"power_iteration"``) otherwise.  Both backends are
-    fixed at construction: they do not depend on which statistic a caller
-    reads first.
+    attributes fixed at construction, :attr:`row_sum_backend` and
+    :attr:`eig_backend`, whichever statistic is read first.  The dense
+    row-sum backend forms ``H`` at construction; otherwise :attr:`h` forms
+    it on first read, so a caller whose statistics both come from the
+    factors never holds an n-by-n array.
     """
 
     def __init__(self, h=None, *, d: int | None = None, xp=None, yp=None, backend=None):
         if (h is None) == (xp is None) or (xp is None) != (yp is None):
             raise ValueError("give either h or both factors xp and yp")
+        self.xp, self.yp, self.p, self._h = xp, yp, None, None
         if h is None:
             if d is not None:
                 raise ValueError("d is read from the factors; give it only with h")
-            if xp.shape != yp.shape:
+            if yp.ndim not in (2, 3) or xp.shape != yp.shape[-2:]:
                 raise ValueError(
-                    f"factors must have one shape, got {xp.shape} and {yp.shape}"
+                    f"yp must be of xp's shape or a stack of them, got "
+                    f"{xp.shape} and {yp.shape}"
                 )
             self.d, self.n = xp.shape
-            self._h = None
+            if yp.ndim == 3:
+                self.p = len(yp)
         else:
             if d is None or d < 1:
                 raise ValueError("a wrapped h needs d of at least 1")
             self._h = linalg.check_symmetric(h, "h")
             self.d, self.n = d, self._h.shape[0]
-        self.xp = xp
-        self.yp = yp
         if xp is None and backend is None:
             backend = ROW_SUM_BACKEND_DENSE
         self.row_sum_backend = row_sum_backend(self.d, self.n, backend)
         if self.row_sum_backend == ROW_SUM_BACKEND_GRAM_FACTOR and xp is None:
             raise ValueError("the gram_factor backend needs the factors")
+        factored = xp is not None and factored_eig_is_cheaper(self.d, self.n)
+        self.eig_backend = (
+            EIG_BACKEND_GRAM_FACTOR if factored else EIG_BACKEND_POWER_ITERATION
+        )
         if self.row_sum_backend == ROW_SUM_BACKEND_DENSE:
             _ = self.h
-        self._row_sums = None
-        self._pair = None
 
     @property
     def h(self) -> np.ndarray:
-        """The dense n-by-n overlap matrix, formed on first use; refused by
-        :func:`check_dense_fits` before anything is allocated."""
+        """The dense overlap of each Y, formed on first use and kept;
+        refused by :func:`check_dense_fits` before anything is allocated.
+        Each Y's Gram is formed in its place (one Y's is itself that place,
+        with no copy), then multiplied in place by X's Gram."""
         if self._h is None:
-            check_dense_fits(self.n)
-            h = linalg.gram(self.xp)
-            h *= linalg.gram(self.yp)  # in place: two n-by-n arrays at the peak
-            self._h = h
+            check_dense_fits(self.n, self.p or 1)
+            ys = self._stacked(self.yp)
+            if len(ys) == 1:
+                h = linalg.gram(ys[0])[None]
+            else:
+                h = np.empty((len(ys), self.n, self.n))
+                for hi, y in zip(h, ys):
+                    hi[...] = linalg.gram(y)
+            h *= linalg.gram(self.xp)
+            self._h = self._shaped(h)
         return self._h
 
-    @property
-    def eig_backend(self) -> str:
-        """Solver that :meth:`leading_eigenpair` uses for this overlap."""
-        if self.xp is not None and factored_eig_is_cheaper(self.d, self.n):
-            return EIG_BACKEND_GRAM_FACTOR
-        return EIG_BACKEND_POWER_ITERATION
+    def _stacked(self, a: np.ndarray) -> np.ndarray:
+        """``a`` (``yp`` or ``h``) with a leading axis of one row a Y: a
+        pair's is one row."""
+        return a[None] if self.p is None else a
+
+    def _shaped(self, rows: np.ndarray) -> np.ndarray:
+        """``rows``, one a Y, with ``yp``'s leading axes: a pair's one row."""
+        return rows[0] if self.p is None else rows
 
     def row_sums(self) -> np.ndarray:
-        """Row sums of ``H`` from :attr:`row_sum_backend` (cached; do not
-        modify the returned array).
+        """Row sums of each ``H`` from :attr:`row_sum_backend`.
 
-        The factored sums agree with ``h.sum(axis=1)`` to rounding (within
+        The factored sums agree with ``h.sum(axis=-1)`` to rounding (within
         ``1e-12`` of each row's absolute sum on the tested grid), not bit for
         bit.
         """
-        if self._row_sums is None:
-            if self.row_sum_backend == ROW_SUM_BACKEND_GRAM_FACTOR:
-                self._row_sums = linalg.khatri_rao_row_sums(self.xp, self.yp)
-            else:
-                self._row_sums = self.h.sum(axis=1)
-        return self._row_sums
+        if self.row_sum_backend == ROW_SUM_BACKEND_GRAM_FACTOR:
+            sums = linalg._khatri_rao_row_sums(self.xp, self._stacked(self.yp))
+            return self._shaped(sums)
+        return self.h.sum(axis=-1)
+
+    def leading_eigenvector(self) -> np.ndarray:
+        """The unit, sign-fixed leading eigenvector of each ``H`` from
+        :attr:`eig_backend`; ``H = 0`` gives the normalized all-ones
+        vector."""
+        if self.eig_backend == EIG_BACKEND_GRAM_FACTOR:
+            z = linalg._khatri_rao(self.xp, self._stacked(self.yp))
+            return self._shaped(linalg._khatri_rao_vectors(z))
+        pairs = [linalg.power_iteration(h) for h in self._stacked(self.h)]
+        return self._shaped(np.array([pair.vector for pair in pairs]))
 
     def leading_eigenpair(self) -> linalg.SpectralPair:
-        """Leading eigenpair of ``H`` from :attr:`eig_backend` (cached).
+        """Leading eigenpair of a pair's ``H`` from :attr:`eig_backend`.
 
-        Either backend returns a unit, sign-fixed vector, and value 0 with
-        the normalized all-ones vector when ``H = 0``; the factored backend
-        reports 0 iterations.
+        Either backend returns :meth:`leading_eigenvector`'s vector, and
+        value 0 when ``H = 0``.  The factored backend reports 0 iterations;
+        its value is the Rayleigh quotient ``||Z v||^2``, its residual
+        ``||H v - value v||`` is computed matrix-free as ``Z^T (Z v) - value
+        v``, and ``converged`` applies the test of
+        :func:`~gramoverlap.linalg.power_iteration` at its default
+        tolerance.  A stack raises ``ValueError``: a sweep reads only its
+        vectors, so it does not pay for these facts.
         """
-        if self._pair is None:
-            if self.eig_backend == EIG_BACKEND_GRAM_FACTOR:
-                self._pair = linalg.khatri_rao_eigenpair(self.xp, self.yp)
-            else:
-                self._pair = linalg.power_iteration(self.h)
-        return self._pair
+        if self.p is not None:
+            raise ValueError("a stack's eigenvectors are read by leading_eigenvector")
+        if self.eig_backend == EIG_BACKEND_POWER_ITERATION:
+            return linalg.power_iteration(self.h)
+        z = linalg._khatri_rao(self.xp, self.yp[None])
+        v = linalg._khatri_rao_vectors(z)[0]
+        z = z[0]
+        # v is sign-fixed already: negating it negates zv and r exactly, so
+        # value and residual keep their bits.
+        zv = z @ v
+        value = float(zv @ zv)
+        r = zv @ z - value * v
+        residual = math.sqrt(r @ r)
+        converged = residual <= linalg.POWER_TOL_DEFAULT * max(1.0, abs(value))
+        return linalg.SpectralPair(value, v, 0, residual, converged)
 
 
 def _preprocessed_pair(x, y, mode: PreprocessMode) -> tuple[np.ndarray, np.ndarray]:
@@ -357,7 +397,7 @@ def _preprocessed_pair(x, y, mode: PreprocessMode) -> tuple[np.ndarray, np.ndarr
 
 
 def build_overlap(x, y, mode: PreprocessMode, backend=None) -> OverlapMatrix:
-    """Overlap of two equally-shaped d-by-n point sets, held as their
+    """Overlap of two equally-shaped d-by-n point sets, a pair held as their
     preprocessed factors; ``backend`` is its row-sum backend (None: picked
     from d and n, see :class:`OverlapMatrix`)."""
     xp, yp = _preprocessed_pair(x, y, mode)

@@ -439,34 +439,33 @@ class TestTrialMajorSweep:
 
 
 class TestStackedTrial:
-    def test_a_factored_trial_builds_no_overlap_and_chunks_within_budget(
+    def test_a_factored_trial_forms_no_h_and_chunks_within_budget(
         self, monkeypatch
     ):
         # d = 3, n = 40: both statistics read only the factors.  A budget
         # of two pairs' Z, G and squaring buffers splits 3 rates into
-        # chunks of 2 and 1, and a repeated rate shares its pair's row
+        # chunks of 2 and 1, each one overlap read for both statistics, and
+        # a repeated rate shares its pair's row
         def refuse(*args, **kwargs):
-            raise AssertionError("an overlap was built")
+            raise AssertionError("a Gram matrix was formed")
 
         chunks = []
-        factor_statistics = bench.factor_statistics
 
-        def recorded(xp, yps, method):
-            chunks.append((method, len(yps)))
-            return factor_statistics(xp, yps, method)
+        def recorded(**kwargs):
+            chunks.append(len(kwargs["yp"]))
+            return OverlapMatrix(**kwargs)
 
         d, n = 3, 40
         budget = 2 * 8 * (d * d * n + 3 * d**4)
-        monkeypatch.setattr(bench, "OverlapMatrix", refuse)
-        monkeypatch.setattr(bench, "factor_statistics", recorded)
+        monkeypatch.setattr(linalg, "gram", refuse)
+        monkeypatch.setattr(bench, "OverlapMatrix", recorded)
         monkeypatch.setattr(bench, "_STACK_BYTES", budget)
         assert bench._stack_points(d, n) == 2
         run_rate_sweep(d=d, n=n, r_values=[0.25, 0.5, 0.75, 0.5], trials=2, seed=3)
         run_noise_sweep(
             d=d, n=n, r=0.5, sigma2_values=[0.0, 0.5], trials=2, seed=3
         )
-        per_trial = [(m, c) for c in (2, 1) for m in ("eigenvector", "row_sum")]
-        assert chunks == per_trial * 2 + [("eigenvector", 2), ("row_sum", 2)] * 2
+        assert chunks == [2, 1] * 2 + [2] * 2
 
     def test_a_point_larger_than_the_budget_runs_alone(self, monkeypatch):
         monkeypatch.setattr(bench, "_STACK_BYTES", 1)
@@ -732,14 +731,17 @@ def point_by_point_rows(axis, values, trials, methods, mode, max_workers, **fixe
 @pytest.mark.parametrize("kind", ["permuted_inliers", "gaussian_outliers"])
 @pytest.mark.parametrize("mode", list(PreprocessMode))
 @pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("d, n", [(4, 40), (20, 20)])
 def test_sweep_rows_equal_point_by_point_rows(
-    sweep, axis, grid, values, fixed, kind, mode, trials
+    sweep, axis, grid, values, fixed, kind, mode, trials, d, n
 ):
     # under "none" every pair of a trial holds the shared X itself, so a
     # method that wrote to its input would move the later points' rows; at
-    # one trial every sd is 0
+    # one trial every sd is 0.  At d = n = 20 the row sums are dense and
+    # the eigenvector comes from power iteration, so both statistics of a
+    # point read one H
     methods = ("eig:0.5", "eig:kmeans", "rowsum:kmeans", "rowsum:auto")
-    common = dict(d=4, n=40, kind=kind, seed=2**40 + 9, **fixed)
+    common = dict(d=d, n=n, kind=kind, seed=2**40 + 9, **fixed)
     got = sweep(
         trials=trials, methods=methods, preprocess=mode, **{grid: values}, **common
     )

@@ -31,7 +31,6 @@ from gramoverlap.classify import (
     METHOD_ROW_SUM,
     _two_means_rows,
     classify_rows,
-    factor_statistics,
     statistic,
 )
 from gramoverlap.overlap import forms_h
@@ -426,7 +425,7 @@ class TestClassifyRows:
             h = build_overlap(pair.x, pair.y, PreprocessMode.NONE)
             cfg = bench._at_rate(bench.parse_method(spec), r)
             part, diag = match(h, cfg)
-            stats.append(statistic(h, cfg.method))
+            stats.append(statistic(h, cfg.method)[0])
             cfgs.append(cfg)
             want.append((part.inlier_mask(), diag))
         got = classify_rows(np.array(stats), cfgs, d=6)
@@ -444,7 +443,7 @@ class TestClassifyRows:
     def test_a_constant_row_reports_degenerate_as_match_warns(self):
         h = as_overlap(np.ones((6, 6)), d=1)
         part, diag = match(h, MatchConfig())
-        got = classify_rows(statistic(h, METHOD_ROW_SUM)[None], [MatchConfig()], 1)
+        got = classify_rows(statistic(h, METHOD_ROW_SUM)[0][None], [MatchConfig()], 1)
         assert got.k.tolist() == [6] and not got.inliers.any()
         assert got.facts(0) == {"degenerate": True}
         assert diag.degenerate and diag.centroids is None and len(diag.warnings) == 1
@@ -477,13 +476,30 @@ def factor_stack(pairs, mode):
     return xp, np.stack([preprocess(pair.y, mode) for pair in pairs])
 
 
-class TestFactorStatistics:
-    """The stacked statistics of a sweep trial against one overlap a pair."""
+def stack_statistic(xp, yps, method, backend=None):
+    """The statistic of the overlap of ``xp`` with each Y of ``yps``, one a
+    row, as a sweep trial reads it."""
+    return statistic(OverlapMatrix(xp=xp, yp=yps, backend=backend), method)[0]
+
+
+class TestStackStatistics:
+    """The statistics of a stack overlap against one overlap a pair."""
 
     @pytest.mark.parametrize("kind", ["permuted_inliers", "gaussian_outliers"])
     @pytest.mark.parametrize("mode", list(PreprocessMode))
-    @pytest.mark.parametrize("d, n", [(3, 40), (6, 400)])
-    def test_rows_are_the_per_pair_statistics_bit_for_bit(self, kind, mode, d, n):
+    @pytest.mark.parametrize(
+        "d, n, backend",
+        [
+            (3, 40, None),  # both statistics from the factors
+            (6, 400, None),
+            (6, 60, None),  # power iteration, factored row sums
+            (12, 12, None),  # power iteration, dense row sums
+            (3, 40, "dense"),  # factored eigenvector, dense row sums
+        ],
+    )
+    def test_rows_are_the_per_pair_statistics_bit_for_bit(
+        self, kind, mode, d, n, backend
+    ):
         # pairs of one trial: several rates, and noise on some of them
         seed = derive_seed(2525, d)
         pairs = [
@@ -492,24 +508,38 @@ class TestFactorStatistics:
             for s2 in (0.0, 0.3)
         ]
         xp, yps = factor_stack(pairs, mode)
-        for method in (METHOD_EIGENVECTOR, METHOD_ROW_SUM):
-            assert not forms_h(d, n, method == METHOD_EIGENVECTOR)
-            got = factor_statistics(xp, yps, method)
+        stack = OverlapMatrix(xp=xp, yp=yps, backend=backend)
+        assert stack.p == len(pairs)
+        want_h = [
+            build_overlap(pair.x, pair.y, mode, backend=backend) for pair in pairs
+        ]
+        backends = {METHOD_EIGENVECTOR: "eig_backend", METHOD_ROW_SUM: "row_sum_backend"}
+        for method, key in backends.items():
+            got, facts = statistic(stack, method)
             assert got.shape == (len(pairs), n)
-            for row, pair in zip(got, pairs):
-                want = statistic(build_overlap(pair.x, pair.y, mode), method)
+            for row, h in zip(got, want_h):
+                want, want_facts = statistic(h, method)
                 assert np.array_equal(row, want)
+                assert facts == {key: want_facts[key]}
+        # an H that a backend read is each pair's, and a factored pair's
+        # eigenvector is read the same way with or without its facts
+        if stack._h is not None:
+            assert stack.h.shape == (len(pairs), n, n)
+            for hi, h in zip(stack.h, want_h):
+                assert np.array_equal(hi, h.h)
+        for row, h in zip(stack.leading_eigenvector(), want_h):
+            assert np.array_equal(row, h.leading_eigenvector())
 
     def test_a_zero_gram_gives_the_all_ones_vector(self):
         rng = np.random.default_rng(2626)
         x, y = rng.standard_normal((2, 2, 16))
         ys = np.stack([y, np.zeros_like(y), -y])
         assert not forms_h(2, 16, eigenpair=True)
-        got = factor_statistics(x, ys, METHOD_EIGENVECTOR)
+        got = stack_statistic(x, ys, METHOD_EIGENVECTOR)
         assert np.array_equal(got[1], np.full(16, 1 / math.sqrt(16)))
         for row, yp in zip(got, ys):
             want = statistic(build_overlap(x, yp, PreprocessMode.NONE), "eigenvector")
-            assert np.array_equal(row, want)
+            assert np.array_equal(row, want[0])
 
     def test_a_zero_sum_vector_takes_the_sign_of_its_largest_entry(self):
         # Z's first two columns are e and -e, the third is small and
@@ -526,14 +556,14 @@ class TestFactorStatistics:
             [[-1.0, -1.0, 0.0], [0.0, 0.0, 0.5]],
         ]
         assert not forms_h(2, n, eigenpair=True)
-        got = factor_statistics(x, ys, METHOD_EIGENVECTOR)
+        got = stack_statistic(x, ys, METHOD_EIGENVECTOR)
         want = np.zeros(n)
         want[:2] = 1 / math.sqrt(2), -1 / math.sqrt(2)
         for row, yp in zip(got, ys):
             z = (x[:, None, :] * yp[None, :, :]).reshape(4, n)
             assert np.array_equal(z[:, 0], -z[:, 1]) and z[:, 2] @ z[:, 0] == 0
             pair = build_overlap(x, yp, PreprocessMode.NONE)
-            assert np.array_equal(row, statistic(pair, "eigenvector"))
+            assert np.array_equal(row, statistic(pair, "eigenvector")[0])
             assert abs(float(row.sum())) <= 1e-12
             assert np.allclose(row, want, rtol=0, atol=1e-15)
         # the sign rule flips the one whose raw vector starts negative
@@ -701,7 +731,7 @@ class TestMatchConfig:
         def refuse(*args, **kwargs):
             raise AssertionError("a statistic was computed")
 
-        monkeypatch.setattr(linalg, "khatri_rao_row_sums", refuse)
+        monkeypatch.setattr(linalg, "_khatri_rao_row_sums", refuse)
         x, y = np.random.default_rng(8).standard_normal((2, 3, 40))
         h = build_overlap(x, y, PreprocessMode.NONE)
         assert h.row_sum_backend == "gram_factor"
@@ -1047,9 +1077,50 @@ class TestMatchRecorded:
             [True, True],
             dict(
                 _FLIP_EIG_DIAG, branch="threshold", threshold=0.35355339059327373,
-                degenerate=False, warnings=_FLIP_EIG_DIAG["warnings"][:1],
+                degenerate=False,
+                warnings=_FLIP_EIG_DIAG["warnings"][:1] + [
+                    "fixed cut 0.353553 lies at or below the statistic's range "
+                    "[0.707107, 0.707107]; every point is labeled an inlier"
+                ],
             ),
         )
+
+class TestCutOutsideTheRange:
+    def test_a_cut_at_or_below_the_range_warns_every_point_is_an_inlier(self):
+        h = population_h(d=3, n=10, k=4)  # eigenvector entries from 3e-11
+        for t in (1e-12, 0.5 * math.sqrt(10)):
+            cfg = MatchConfig(method="eigenvector", threshold=t, use_two_means=False)
+            part, diag = match(h, cfg)
+            if t < 1:
+                assert part.inliers.size == 10
+                assert diag.warnings == [
+                    f"fixed cut {diag.threshold:.6g} lies at or below the "
+                    f"statistic's range [{diag.stat_min:.6g}, "
+                    f"{diag.stat_max:.6g}]; every point is labeled an inlier"
+                ]
+            else:  # the cut is the top of the range: its points are inliers
+                assert diag.threshold == diag.stat_max
+                assert part.inliers.tolist() == [0, 1, 2, 3]
+                assert diag.warnings == []
+
+    def test_a_cut_above_the_range_warns_every_point_is_an_outlier(self):
+        h = population_h(d=3, n=10, k=4)  # shifted row sums 0 and 15
+        for t, inliers in ((15.5, []), (15.0, [0, 1, 2, 3]), (0.5, [0, 1, 2, 3])):
+            cfg = MatchConfig(method="row_sum", threshold=t, use_two_means=False)
+            part, diag = match(h, cfg)
+            assert part.inliers.tolist() == inliers
+            warned = [
+                "fixed cut 15.5 lies above the statistic's range [0, 15]; "
+                "every point is labeled an outlier"
+            ]
+            assert diag.warnings == (warned if t > 15 else [])
+
+    def test_a_stack_is_refused(self):
+        rng = np.random.default_rng(30)
+        x, ys = rng.standard_normal((3, 40)), rng.standard_normal((2, 3, 40))
+        with pytest.raises(ValueError, match="match classifies a pair"):
+            match(OverlapMatrix(xp=x, yp=ys), MatchConfig())
+
 
 class TestThresholdInterval:
     def test_zero_constants_degenerate_to_population_gap(self):

@@ -365,6 +365,72 @@ class TestMatch:
                 assert not out.exists()
 
 
+class TestCutOutsideTheRange:
+    """A fixed cut outside the statistic's range labels every point one
+    class; ``match`` says so in its warnings, and partitions do not move."""
+
+    def run_match(self, tmp_path, flags):
+        data = tmp_path / "data"
+        assert run(
+            f"gen --d 6 --n 400 --r 0.8 --kind permuted_inliers --seed 1 "
+            f"--out {data}".split()
+        ) == 0
+        out = tmp_path / "m"
+        code = run(
+            f"match {data/'X.csv'} {data/'Y.csv'} --method rowsum {flags} "
+            f"--out {out}".split()
+        )
+        assert code == 0
+        partition = read_partition_csv(out / "partition.csv")
+        return partition, json.loads((out / "diagnostics.json").read_text())
+
+    def test_the_raw_default_cut_under_cn_warns(self, tmp_path):
+        # T = d (r n + 1) / 2 = 963 is on the raw scale; under cn the row
+        # sums span about [-77, 28], so every point becomes an outlier
+        partition, diag = self.run_match(tmp_path, "--threshold --inlier-rate 0.8")
+        assert diag["threshold"] == 963.0 and partition.inliers.size == 0
+        low, high = diag["stat_min"], diag["stat_max"]
+        assert high < 963.0
+        assert diag["warnings"] == [
+            f"fixed cut 963 lies above the statistic's range "
+            f"[{low:.6g}, {high:.6g}]; every point is labeled an outlier"
+        ]
+
+    def test_a_cut_inside_the_range_adds_no_warning(self, tmp_path):
+        partition, diag = self.run_match(tmp_path, "--threshold 10")
+        assert diag["stat_min"] < 10.0 <= diag["stat_max"]
+        assert 0 < partition.inliers.size < 400
+        assert diag["warnings"] == []
+
+    def test_shards_warn_through_the_report(self, tmp_path):
+        partition, diag = self.run_match(
+            tmp_path, "--threshold --inlier-rate 0.8 --splits 2"
+        )
+        assert partition.inliers.size == 0
+        assert [len(shard["warnings"]) for shard in diag["shards"]] == [1, 1]
+        assert diag["warnings"] == [
+            f"shard {j}: {shard['warnings'][0]}"
+            for j, shard in enumerate(diag["shards"])
+        ]
+        assert "fixed cut 483 lies above" in diag["warnings"][0]
+
+    def test_imgdiff_warns(self, tmp_path):
+        # the shifted row sums of these images are negative under cn, so
+        # any positive cut lies above them and every pixel is highlighted
+        path_a, path_b = write_test_images(tmp_path)
+        out = tmp_path / "diff"
+        code = run(
+            f"imgdiff {path_a} {path_b} --method rowsum --threshold 1 "
+            f"--preprocess cn --out {out}".split()
+        )
+        assert code == 0
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["stat_max"] < 0 and diag["n_highlighted"] == 4
+        assert len(diag["warnings"]) == 1
+        assert diag["warnings"][0].startswith("fixed cut 1 lies above")
+        assert diag["warnings"][0].endswith("every point is labeled an outlier")
+
+
 class TestMatchReadsBothInputs:
     """``match`` reads Y on a worker thread while it reads X, when
     ``--threads`` (or the CPU count) allows two threads."""

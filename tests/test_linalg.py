@@ -6,6 +6,8 @@ import pytest
 import math
 
 from gramoverlap import (
+    OverlapMatrix,
+    PreprocessMode,
     SizeLimitError,
     build_overlap,
     dense_eig,
@@ -20,7 +22,6 @@ from gramoverlap.linalg import (
     SpectralPair,
     as_matrix,
     fix_sign,
-    khatri_rao_eigenpair,
 )
 
 
@@ -250,8 +251,17 @@ class TestAsMatrix:
             as_matrix([1.0, 2.0])
 
 
+def factored_eigenpair(x, y):
+    """The factored eigenpair of the pair ``x``, ``y`` at any size: that of
+    their overlap, its inputs checked as ``build_overlap`` checks them, with
+    the factored backend set in place of the one the size rule picks."""
+    h = build_overlap(x, y, PreprocessMode.NONE, backend="gram_factor")
+    h.eig_backend = "gram_factor"
+    return h.leading_eigenpair()
+
+
 def parent_khatri_rao_eigenpair(x, y):
-    """The reference: khatri_rao_eigenpair as it was with a full eigh of
+    """The reference: the factored eigenpair as it was with a full eigh of
     Z Z^T, and with its norms taken by np.linalg.norm."""
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
@@ -335,11 +345,11 @@ class TestKhatriRaoEigenpair:
         for x, y in self.seeded_cases():
             want = eigenpair_outcome(parent_khatri_rao_eigenpair, x, y)
             if len(want) == 2 or want[0] == "0.0":
-                assert eigenpair_outcome(khatri_rao_eigenpair, x, y) == want
+                assert eigenpair_outcome(factored_eigenpair, x, y) == want
                 outcomes.add("zero" if len(want) > 2 else want[0])
                 continue
             ref = parent_khatri_rao_eigenpair(x, y)
-            pair = khatri_rao_eigenpair(x, y)
+            pair = factored_eigenpair(x, y)
             assert pair.converged == ref.converged
             assert pair.iterations == 0
             assert abs(pair.value - ref.value) <= 1e-12 * abs(ref.value)
@@ -353,14 +363,14 @@ class TestKhatriRaoEigenpair:
             s2 = np.linspace(0.9, 0.1, d * d)
             s2[:2] = 1.0, 1.0 - 1e-9
             x, y = kronecker_diagonal_pair(np.sqrt(s2), seed)
-            pair = khatri_rao_eigenpair(x, y)
+            pair = factored_eigenpair(x, y)
             # H = diag(s^2): the residual test accepts e_2 as well, so the
             # vector is checked against e_1 itself
             assert pair.converged
             assert abs(pair.vector[0]) >= 1.0 - 1e-12
             # 20 squarings leave e_1 and e_2 mixed; about 36 separate them
             monkeypatch.setattr(linalg, "KHATRI_RAO_MAX_SQUARINGS", 20)
-            assert abs(khatri_rao_eigenpair(x, y).vector[0]) < 1.0 - 1e-6
+            assert abs(factored_eigenpair(x, y).vector[0]) < 1.0 - 1e-6
             monkeypatch.undo()
 
     @pytest.mark.parametrize("d", [2, 3, 6])
@@ -383,7 +393,7 @@ class TestKhatriRaoEigenpair:
             s2[:tied] = 1.0
             x, y = kronecker_diagonal_pair(np.sqrt(s2), seed)
             squarings.clear()
-            pair = khatri_rao_eigenpair(x, y)
+            pair = factored_eigenpair(x, y)
             assert 0 < sum(squarings) <= 16
             assert pair.converged
             assert pair.residual <= POWER_TOL_DEFAULT * pair.value
@@ -396,7 +406,7 @@ class TestKhatriRaoEigenpair:
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         for x, y in self.seeded_cases()[4:40]:
-            khatri_rao_eigenpair(x, y)
+            factored_eigenpair(x, y)
         x, y = np.random.default_rng(4).standard_normal((2, 4, 100))
         h = build_overlap(x, y, "center_normalize")
         assert h.eig_backend == "gram_factor"
@@ -404,7 +414,7 @@ class TestKhatriRaoEigenpair:
 
 
 def matrix_khatri_rao_eigenpair(x, y):
-    """The reference: khatri_rao_eigenpair as it was before its solver ran
+    """The reference: the factored eigenpair as it was before its solver ran
     on stacks, squaring one 2-D matrix and taking the sign last."""
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
@@ -451,7 +461,7 @@ class TestStackedKhatriRao:
             s2[:tied] = 1.0
             cases.append(kronecker_diagonal_pair(np.sqrt(s2), 7))
         for x, y in cases:
-            assert eigenpair_outcome(khatri_rao_eigenpair, x, y) == eigenpair_outcome(
+            assert eigenpair_outcome(factored_eigenpair, x, y) == eigenpair_outcome(
                 matrix_khatri_rao_eigenpair, x, y
             )
 
@@ -514,6 +524,6 @@ class TestStackedKhatriRao:
         vectors = linalg._khatri_rao_vectors(linalg._khatri_rao(x, ys))
         sums = linalg._khatri_rao_row_sums(x, ys)
         for y, vector, row_sums in zip(ys, vectors, sums):
-            assert np.array_equal(vector, khatri_rao_eigenpair(x, y).vector)
-            assert np.array_equal(row_sums, linalg.khatri_rao_row_sums(x, y))
+            assert np.array_equal(vector, factored_eigenpair(x, y).vector)
+            assert np.array_equal(row_sums, OverlapMatrix(xp=x, yp=y).row_sums())
         assert np.array_equal(vectors[1], np.full(n, 1 / math.sqrt(n)))

@@ -1,5 +1,8 @@
 """Overlap pipeline and the exact population model it is checked against."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -262,14 +265,15 @@ class TestBuildOverlap:
         with pytest.raises(ValueError, match="x contains non-finite entries"):
             preprocess(np.where(x > 1, np.inf, x), "center_normalize")
 
-    def test_statistics_are_cached(self):
+    def test_h_is_kept(self):
+        # H is formed once and kept; the statistics are computed on each
+        # call, and no caller reads one twice
         rng = np.random.default_rng(6)
-        h = build_overlap(
-            rng.standard_normal((3, 40)), rng.standard_normal((3, 40)), "none"
-        )
+        x, y = rng.standard_normal((2, 3, 40))
+        h = build_overlap(x, y, "none")
         assert h.h is h.h
-        assert h.row_sums() is h.row_sums()
-        assert h.leading_eigenpair() is h.leading_eigenpair()
+        stack = OverlapMatrix(xp=h.xp, yp=np.stack([h.yp, h.yp]))
+        assert stack.h is stack.h
 
 
 class TestFactoredOverlap:
@@ -332,6 +336,21 @@ class TestDenseMemoryCheck:
         with pytest.raises(SizeLimitError, match="7x7"):
             overlap.check_dense_fits(7)
         overlap.check_dense_fits(6)
+        # a stack of 3 holds its 3 overlaps and one more Gram at the peak
+        monkeypatch.setattr(overlap, "_available_bytes", lambda: 8 * 4 * 7**2 - 1)
+        with pytest.raises(SizeLimitError, match="3 7x7 overlaps"):
+            overlap.check_dense_fits(7, 3)
+        overlap.check_dense_fits(6, 3)
+
+    def test_a_stack_is_refused_for_its_peak(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        x, ys = rng.standard_normal((3, 50)), rng.standard_normal((4, 3, 50))
+        need = 8 * (4 + 1) * 50**2
+        monkeypatch.setattr(overlap, "_available_bytes", lambda: need - 1)
+        with pytest.raises(SizeLimitError, match="4 50x50 overlaps"):
+            OverlapMatrix(xp=x, yp=ys, backend="dense")
+        monkeypatch.setattr(overlap, "_available_bytes", lambda: need)
+        assert OverlapMatrix(xp=x, yp=ys, backend="dense").h.shape == (4, 50, 50)
 
     def test_available_is_the_smaller_of_host_and_cgroup(self, monkeypatch):
         for host, cgroup, expected in [
@@ -472,6 +491,9 @@ class TestLeadingEigenpair:
         assert build_overlap(x, x, "none").eig_backend == "gram_factor"
         wrapped = OverlapMatrix(build_overlap(x, x, "none").h, d=3)
         assert wrapped.eig_backend == "power_iteration"
+        # an attribute set at construction, not derived on each read
+        assert vars(wrapped)["eig_backend"] == "power_iteration"
+        assert vars(build_overlap(x, x, "none"))["eig_backend"] == "gram_factor"
 
     def test_factored_agrees_with_dense_eig_and_power_iteration(self):
         count = 0
@@ -663,8 +685,12 @@ class TestFactoredRowSums:
                     assert lazy.row_sum_backend == "gram_factor"
                     got = lazy.row_sums()
                     assert np.all(np.abs(got - ref) <= tol), (d, n, mode)
-                    direct = linalg.khatri_rao_row_sums(lazy.xp, lazy.yp)
-                    assert np.array_equal(direct, got)
+                    # a stack of one Y sums as its pair does, either way
+                    for pair in (eager, lazy):
+                        stack = OverlapMatrix(
+                            xp=pair.xp, yp=pair.yp[None], backend=pair.row_sum_backend
+                        )
+                        assert np.array_equal(stack.row_sums()[0], pair.row_sums())
 
     def test_means_approach_population_row_sum_mean(self):
         # raw data, d = 4, n = 4000, k = 2000: the per-trial class means,
@@ -720,6 +746,51 @@ class TestFactoredRowSums:
         )
         assert [row["method"] for row in rows] == list(bench.DEFAULT_METHODS)
         assert all(row["error_w_mean"] <= 0.25 for row in rows)
+
+
+def test_a_stack_overlap_checks_its_shape_and_has_no_eigenpair():
+    # its rows against one pair overlap a Y: test_classify.TestStackStatistics
+    rng = np.random.default_rng(21)
+    x, ys = rng.standard_normal((3, 40)), rng.standard_normal((2, 3, 40))
+    for yp in (ys[:, :2], ys[None], ys[0, 0]):
+        with pytest.raises(ValueError, match="stack of them"):
+            OverlapMatrix(xp=x, yp=yp)
+    with pytest.raises(ValueError, match="leading_eigenvector"):
+        OverlapMatrix(xp=x, yp=ys).leading_eigenpair()
+
+
+def test_only_linalg_and_overlap_name_the_backend_kernels():
+    # the backend choice lives in OverlapMatrix: no other module of the
+    # package names a factored kernel or power iteration (the package's
+    # __init__ re-exports power_iteration, and calls nothing)
+    def named(path, imports=True):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = [node.id for node in ast.walk(tree) if isinstance(node, ast.Name)]
+        names += [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+        if imports:
+            names += [
+                alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names
+            ]
+        return [
+            name
+            for name in names
+            if name.startswith("_khatri_rao") or name == "power_iteration"
+        ]
+
+    package = Path(overlap.__file__).parent
+    found = {
+        path.stem: named(path, imports=path.stem != "__init__")
+        for path in package.glob("*.py")
+        if path.stem not in ("linalg", "overlap")
+    }
+    assert len(found) >= 8 and {k: v for k, v in found.items() if v} == {}
+    # the scan sees them where they are named
+    assert {"_khatri_rao_vectors", "power_iteration"} <= set(
+        named(Path(overlap.__file__))
+    )
 
 
 class TestPopulationModel:
