@@ -15,12 +15,12 @@ from .classify import (
     MatchConfig,
     MatchDiagnostics,
     ThresholdInterval,
+    classify_rows,
     error_rates,
     match,
     threshold_interval,
-    two_means_1d,
 )
-from .errors import DegenerateColumnError, DegenerateValuesError, SizeLimitError
+from .errors import DegenerateColumnError, SizeLimitError
 from .linalg import (
     SpectralPair,
     dense_eig,
@@ -46,13 +46,11 @@ from .synth import (
     derive_seed,
     empirical_deviation,
     generate,
-    haar_orthogonal,
 )
 
 __all__ = [
     "__version__",
     "DegenerateColumnError",
-    "DegenerateValuesError",
     "SizeLimitError",
     "SpectralPair",
     "gram",
@@ -72,7 +70,7 @@ __all__ = [
     "MatchDiagnostics",
     "ErrorReport",
     "ThresholdInterval",
-    "two_means_1d",
+    "classify_rows",
     "match",
     "threshold_interval",
     "error_rates",
@@ -80,7 +78,6 @@ __all__ = [
     "LabeledPair",
     "DeviationStats",
     "derive_seed",
-    "haar_orthogonal",
     "generate",
     "empirical_deviation",
     "SplitPlan",

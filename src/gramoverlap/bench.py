@@ -389,17 +389,3 @@ def write_sweep_csv(path, rows: list[dict]) -> None:
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
-
-
-def read_sweep_csv(path) -> list[dict]:
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        rows = []
-        for raw in reader:
-            row = dict(raw)
-            for key in SWEEP_COLUMNS[3:]:
-                row[key] = float(row[key])
-            row["value"] = float(row["value"])
-            row["trials"] = int(float(row["trials"]))
-            rows.append(row)
-        return rows

@@ -15,7 +15,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateValuesError
 from .overlap import OverlapMatrix
 
 METHOD_EIGENVECTOR = "eigenvector"
@@ -26,8 +25,9 @@ _METHODS = (METHOD_EIGENVECTOR, METHOD_ROW_SUM)
 # eigenvector rule, and T = d*(r*n+1)/2 for the row-sum rule (needs r).
 DEFAULT_EIG_THRESHOLD = 0.5
 
-# two_means_1d treats values whose spread is at most this many units in the
-# last place of their largest magnitude as one value, rounded differently.
+# The 2-means split treats a row whose spread is at most this many units in
+# the last place of its largest magnitude as one value, rounded differently
+# (see classify_rows).
 TWO_MEANS_TIE_ULPS = 16
 
 
@@ -130,49 +130,6 @@ class MatchDiagnostics:
         return out
 
 
-def two_means_1d(values) -> tuple[LabelPartition, tuple[float, float]]:
-    """Globally optimal 2-cluster SSE partition of scalars.
-
-    Sorts the values and scans every contiguous split, so the result is the
-    exact 2-means optimum (the optimal bipartition of scalars is always a
-    sorted split).  The upper cluster becomes the inliers.  SSE ties break
-    toward the larger inlier cluster; where rounding ties put the split
-    inside a run of equal values, the lowest-indexed of them stay in the
-    lower cluster.  The centroids are the means of the sorted clusters.
-    Constant input raises :class:`DegenerateValuesError`.
-
-    The result is shift-invariant in floating point, not only in exact
-    arithmetic.  Split costs come from prefix sums ``sum(s^2) - sum(s)^2/m``,
-    which cancel catastrophically when the values sit on a large offset, so
-    the sorted values are first re-centred on their own median element.  For
-    an exactly representable shift ``c`` the differences ``(v_i + c) -
-    (v_med + c)`` and ``v_i - v_med`` are the same real number and so round
-    to the same double: ``two_means_1d(v + c)`` then scores bit-identical
-    costs and returns the same partition as ``two_means_1d(v)``.
-
-    Input whose spread is at most :data:`TWO_MEANS_TIE_ULPS` (16) units in
-    the last place of its largest magnitude raises: such values cannot be
-    told from one value rounded differently.  The bound scales with the
-    input, so input scaled by a power of two (outside the subnormal range)
-    raises exactly when the unscaled input does.  It is a few ulps, not a
-    fixed fraction of the magnitude, so an exact shift ``c`` raises only
-    when the spread is within 16 ulps of ``|v + c|``: the shifted values
-    then carry no more bits of the spread than rounding noise does.
-
-    The values are solved as the one row of the row-wise solver that a
-    sweep trial runs on all its grid points at once, so a row of that stack
-    and this call give the same partition bit for bit.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError("values must be 1-D")
-    s, k, mask = _two_means_rows(v[None])
-    k = int(k[0])
-    if k == v.size:
-        raise DegenerateValuesError("all values equal; no 2-cluster split exists")
-    return LabelPartition(mask[0]), _centroids(s[0], k)
-
-
 def _centroids(s: np.ndarray, k: int) -> tuple[float, float]:
     """The means of the lower ``k`` values of the sorted row ``s`` and of
     the rest: the 2-means centroids of a split with ``0 < k < s.size``."""
@@ -180,10 +137,10 @@ def _centroids(s: np.ndarray, k: int) -> tuple[float, float]:
 
 
 def _two_means_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The exact 2-means split of each row of the 2-D float64 array ``v``,
-    bit for bit as :func:`two_means_1d` makes it: the sorted rows, each
-    row's lower-cluster size ``k`` and the inlier masks (the upper
-    clusters).  A row within the tie bound gets ``k = n`` and no inliers.
+    """The exact 2-means split of each row of the 2-D float64 array ``v``
+    (see :func:`classify_rows`): the sorted rows, each row's lower-cluster
+    size ``k`` and the inlier masks (the upper clusters).  A row within the
+    tie bound gets ``k = n`` and no inliers.
 
     Every step runs along the last axis: a sort of the values (not of their
     indices), the in-place split costs from sequential prefix sums, and the
@@ -210,8 +167,8 @@ def _two_means_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``x + (+-0) = x`` for ``x != 0``, so a prefix sum differs at most in the
     sign of a zero, and the split costs square the sums; the tie bound is
     unmoved, as ``np.spacing(-0.0) == np.spacing(0.0)``; and ``t`` is
-    compared by value, where ``-0.0 == 0.0``.  A centroid of
-    :func:`two_means_1d` could differ only in the sign of a zero, but
+    compared by value, where ``-0.0 == 0.0``.  A centroid from
+    :func:`_centroids` could differ only in the sign of a zero, but
     ``np.add.reduce`` returns ``0.0`` for a sum of zeros of any signs.
     """
     p, n = v.shape
@@ -300,11 +257,39 @@ def classify_rows(stats: np.ndarray, cfgs, d: int) -> RowClasses:
     d-by-n factors, row i by ``cfgs[i]``, of either rule: :func:`match`'s
     one statistic, or a sweep trial's rows of one branch at every point.
 
-    The 2-means branch splits every row at once, each on its own (see
-    :func:`two_means_1d`), and a constant row gets no inliers; the
-    threshold branch keeps the values at least each row's own cut.  Raises
-    ``ValueError`` unless there is one config a row, all of one branch, and
-    each can run (see :meth:`MatchConfig.check_runnable`).
+    The threshold branch keeps the values at least each row's own cut.
+    The 2-means branch splits every row at once, each on its own, so a row
+    gets the same labels and facts alone as beside any other rows.  Each
+    split is the row's exact 2-means optimum: the optimal bipartition of
+    scalars is always a sorted split, and every split of the sorted row is
+    scored (see :func:`_two_means_rows`).  The upper cluster becomes the
+    inliers.  SSE ties break toward the larger inlier cluster; where
+    rounding ties put the split inside a run of equal values, the
+    lowest-indexed of them stay in the lower cluster.  The centroids that
+    :meth:`RowClasses.facts` reports are the means of the sorted clusters.
+
+    The split is shift-invariant in floating point, not only in exact
+    arithmetic.  Split costs come from prefix sums ``sum(s^2) - sum(s)^2/m``,
+    which cancel catastrophically when the values sit on a large offset, so
+    the sorted values are first re-centred on their own median element.
+    For an exactly representable shift ``c`` the differences ``(v_i + c) -
+    (v_med + c)`` and ``v_i - v_med`` are the same real number and so round
+    to the same double: the row ``v + c`` then scores bit-identical costs
+    and gets the same labels as the row ``v``.
+
+    A row whose spread is at most :data:`TWO_MEANS_TIE_ULPS` (16) units in
+    the last place of its largest magnitude is constant: its values cannot
+    be told from one value rounded differently, so it gets no inliers and
+    its facts say ``degenerate``.  The bound scales with the row, so a row
+    scaled by a power of two (outside the subnormal range) is constant
+    exactly when the unscaled row is.  It is a few ulps, not a fixed
+    fraction of the magnitude, so an exact shift ``c`` makes a row constant
+    only when its spread is within 16 ulps of ``|v + c|``: the shifted
+    values then carry no more bits of the spread than rounding noise does.
+
+    Raises ``ValueError`` unless there is one config a row, all of one
+    branch, and each can run (see :meth:`MatchConfig.check_runnable`), and
+    a 2-means call unless its rows hold at least two values, all finite.
     """
     p, n = stats.shape
     if len(cfgs) != p:
@@ -362,7 +347,7 @@ def match(h: OverlapMatrix, cfg: MatchConfig) -> tuple[LabelPartition, MatchDiag
     outliers; its fixed cut is T, by default d*(r*n+1)/2 from
     ``inlier_rate``.  Under column normalization the shift is still applied
     as a constant: the 2-means partition is shift-invariant in floating
-    point (see :func:`two_means_1d`), so the offset -d^2 does not move it
+    point (see :func:`classify_rows`), so the offset -d^2 does not move it
     however large d is; a fixed T must be calibrated on the normalized
     scale.
 

@@ -14,7 +14,3 @@ class DegenerateColumnError(ValueError):
         super().__init__(
             f"column {column} has zero norm after row-centering and cannot be normalized"
         )
-
-
-class DegenerateValuesError(ValueError):
-    """Raised when 1-D clustering input is constant and no split exists."""

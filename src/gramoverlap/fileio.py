@@ -98,7 +98,8 @@ def _plain_decimals(text: bytes, count: int):
 def _convert_block(path, rows, linenos, width) -> np.ndarray:
     """The ``(len(rows), width)`` values of a block of checked rows, or
     ``ValueError`` naming its first bad value."""
-    values = _plain_decimals(",".join(rows).encode(), len(rows) * width)
+    text = ",".join(rows).encode(errors="surrogateescape")
+    values = _plain_decimals(text, len(rows) * width)
     if values is None:
         try:
             values = _parse_rows(rows)
@@ -117,7 +118,9 @@ def read_matrix_csv(path) -> np.ndarray:
     around it (numpy's ``loadtxt`` syntax; Python-only spellings such as
     ``1_0`` or non-ASCII digits are rejected).  Every value must be finite.
     Line structure is checked line by line; errors name ``path:line``, the
-    first bad line in file order.
+    first bad line in file order.  A byte that is not UTF-8 is read as a
+    lone surrogate (``errors="surrogateescape"``), so the field that holds
+    it is refused as not a number.
 
     The file is read as a stream of text lines, never whole.  Its rows are
     gathered into blocks of about ``_BLOCK_CHARS`` (64 KiB) of text, and
@@ -142,7 +145,7 @@ def read_matrix_csv(path) -> np.ndarray:
     rows, linenos, size = [], [], 0
     fault = None
     width = None
-    with path.open() as f:
+    with path.open(encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or (lineno == 1 and line.startswith("#")):
@@ -192,7 +195,8 @@ def _index(text: str | bytes) -> int:
 def read_labels(path) -> np.ndarray:
     path = Path(path)
     values = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    text = path.read_text(encoding="utf-8", errors="surrogateescape")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -238,7 +242,8 @@ def write_partition_csv(path, partition: LabelPartition) -> None:
 def read_partition_csv(path) -> LabelPartition:
     path = Path(path)
     entries = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    text = path.read_text(encoding="utf-8", errors="surrogateescape")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -341,7 +346,3 @@ def luminance(img: np.ndarray) -> np.ndarray:
 
 def write_manifest(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def read_manifest(path) -> dict:
-    return json.loads(Path(path).read_text())

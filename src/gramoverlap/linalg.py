@@ -107,36 +107,29 @@ class SpectralPair:
     converged: bool
 
 
-def power_iteration(
-    a,
-    tol: float = POWER_TOL_DEFAULT,
-    max_iter: int = POWER_MAX_ITER_DEFAULT,
-) -> SpectralPair:
+def power_iteration(a) -> SpectralPair:
     """Leading eigenpair of a symmetric matrix by power iteration.
 
     Starts from the normalized all-ones vector and stops when
-    ``||A v - lambda v|| <= tol * max(1, |lambda|)``.  On non-convergence the
-    best iterate seen (smallest residual) is returned with ``converged`` set
-    to False and ``iterations = max_iter``.
+    ``||A v - lambda v|| <= 1e-10 * max(1, |lambda|)``
+    (:data:`POWER_TOL_DEFAULT`).  When that has not happened after
+    :data:`POWER_MAX_ITER_DEFAULT` (1000) iterations, the best iterate seen
+    (smallest residual) is returned with ``converged`` set to False and
+    ``iterations = 1000``.
     """
     a = check_symmetric(a, "a")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-
     n = a.shape[0]
     v = np.full(n, 1.0 / math.sqrt(n))
     best_residual = math.inf
     best = (0.0, v)
-    for k in range(1, max_iter + 1):
+    for k in range(1, POWER_MAX_ITER_DEFAULT + 1):
         av = a @ v
         value = float(v @ av)
         residual = float(np.linalg.norm(av - value * v))
         if residual < best_residual:
             best_residual = residual
             best = (value, v)
-        if residual <= tol * max(1.0, abs(value)):
+        if residual <= POWER_TOL_DEFAULT * max(1.0, abs(value)):
             return SpectralPair(value, fix_sign(v), k, residual, True)
         norm_av = float(np.linalg.norm(av))
         if norm_av == 0.0:
@@ -145,7 +138,9 @@ def power_iteration(
             break
         v = av / norm_av
     value, v = best
-    return SpectralPair(value, fix_sign(v), max_iter, best_residual, False)
+    return SpectralPair(
+        value, fix_sign(v), POWER_MAX_ITER_DEFAULT, best_residual, False
+    )
 
 
 def _top_eigvectors_by_squaring(g: np.ndarray) -> np.ndarray:

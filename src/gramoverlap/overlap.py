@@ -365,7 +365,7 @@ class OverlapMatrix:
         its value is the Rayleigh quotient ``||Z v||^2``, its residual
         ``||H v - value v||`` is computed matrix-free as ``Z^T (Z v) - value
         v``, and ``converged`` applies the test of
-        :func:`~gramoverlap.linalg.power_iteration` at its default
+        :func:`~gramoverlap.linalg.power_iteration` at its fixed
         tolerance.  A stack raises ``ValueError``: a sweep reads only its
         vectors, so it does not pay for these facts.
         """
@@ -428,14 +428,6 @@ class PopulationModel:
         if not 1 <= g.size <= self.n - 1:
             raise ValueError("inlier fraction must be strictly between 0 and 1")
         object.__setattr__(self, "inliers", g)
-
-    @classmethod
-    def from_rate(cls, d: int, n: int, r: float) -> "PopulationModel":
-        """Model with inliers 0..rn-1; r*n must be integral."""
-        k = r * n
-        if abs(k - round(k)) > 1e-9:
-            raise ValueError(f"r*n must be integral, got r={r}, n={n}")
-        return cls(d=d, n=n, inliers=np.arange(int(round(k))))
 
     @property
     def r(self) -> float:

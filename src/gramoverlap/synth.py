@@ -23,7 +23,13 @@ import numpy as np
 
 from .errors import SizeLimitError
 from .linalg import DENSE_EIG_MAX_ORDER, spectral_norm
-from .overlap import PopulationModel, PreprocessMode, build_overlap, population_overlap
+from .overlap import (
+    PopulationModel,
+    PreprocessMode,
+    build_overlap,
+    population_overlap,
+    population_row_sum_mean,
+)
 
 KIND_GAUSSIAN_OUTLIERS = "gaussian_outliers"
 KIND_PERMUTED_INLIERS = "permuted_inliers"
@@ -105,22 +111,14 @@ class LabeledPair:
 
 
 def _haar(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed random orthogonal d-by-d matrix: QR of a standard
+    Gaussian matrix with the R-factor's diagonal signs absorbed into Q,
+    which makes the distribution exactly Haar."""
     z = rng.standard_normal((d, d))
     q, r = np.linalg.qr(z)
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs
-
-
-def haar_orthogonal(d: int, seed: int) -> np.ndarray:
-    """Haar-distributed random orthogonal d-by-d matrix.
-
-    QR of a standard Gaussian matrix with the R-factor's diagonal signs
-    absorbed into Q, which makes the distribution exactly Haar.
-    """
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    return _haar(d, _rng(seed))
 
 
 def _derangement(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -255,8 +253,6 @@ def empirical_deviation(spec: ScenarioSpec, trials: int) -> DeviationStats:
     spectral_scale = n**1.5 * logn**2
     inlier_scale = math.sqrt(d * logn) * (d + math.sqrt(d * n) + k)
     outlier_scale = d * math.sqrt(logn) * (math.sqrt(d) + math.sqrt(n))
-    inlier_mean = d * d + d * (k + 1)
-    outlier_mean = float(d * d)
 
     spectral = np.empty(trials)
     inlier_rows = np.empty(trials)
@@ -277,6 +273,8 @@ def empirical_deviation(spec: ScenarioSpec, trials: int) -> DeviationStats:
         expected = population_overlap(model)
         spectral[t] = spectral_norm(h.h - expected) / spectral_scale
         s = h.row_sums()
+        inlier_mean = population_row_sum_mean(model, pair.inliers[0])
+        outlier_mean = population_row_sum_mean(model, pair.outliers[0])
         inlier_rows[t] = np.max(np.abs(s[pair.inliers] - inlier_mean)) / inlier_scale
         outlier_rows[t] = np.max(np.abs(s[pair.outliers] - outlier_mean)) / outlier_scale
     return DeviationStats(

@@ -20,6 +20,7 @@ from gramoverlap import (
     PreprocessMode,
     ScenarioSpec,
     build_overlap,
+    classify_rows,
     dense_eig,
     empirical_deviation,
     error_rates,
@@ -29,7 +30,6 @@ from gramoverlap import (
     population_overlap,
     spectral_norm,
     threshold_interval,
-    two_means_1d,
 )
 from gramoverlap.bench import run_noise_sweep, run_rate_sweep, run_splits_sweep
 from gramoverlap.cli import main as cli_main
@@ -43,6 +43,11 @@ from gramoverlap.fileio import (
 from gramoverlap.synth import derive_seed
 
 ALL_METHODS = ("eig:0.3", "eig:0.5", "eig:0.7", "eig:kmeans", "rowsum:kmeans")
+
+
+def two_means_partition(values) -> LabelPartition:
+    """The 2-means partition of one row of values, as ``match`` splits it."""
+    return LabelPartition(classify_rows(values[None], [MatchConfig()], d=1).inliers[0])
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -387,21 +392,21 @@ def test_criterion_8_invariant_suite():
         values = np.ldexp(np.rint(np.ldexp(values, 20)), -20)
         if values.max() - values.min() <= 1e-9:
             continue
-        base, _ = two_means_1d(values)
+        base = two_means_partition(values)
         shift = (
             float(np.rint(rng.uniform(-1e4, 1e4) * 1e4))
             if case % 2 == 0
             else -float(rng.integers(1, 10**4)) ** 2
         )
-        shifted, _ = two_means_1d(values + shift)
-        scaled, _ = two_means_1d(values * rng.uniform(1e-3, 1e3))
+        shifted = two_means_partition(values + shift)
+        scaled = two_means_partition(values * rng.uniform(1e-3, 1e3))
         ok &= shifted == base and scaled == base
 
     # exact 2-means equals the exhaustive bipartition optimum (n <= 12)
     for _ in range(100):
         n = int(rng.integers(2, 13))
         values = rng.standard_normal(n)
-        part, _ = two_means_1d(values)
+        part = two_means_partition(values)
         got = _direct_sse(values, part.inlier_mask())
         best = math.inf
         for size in range(1, n):

@@ -1,6 +1,7 @@
 """Matchers, the exact 1-D 2-means solver, error metrics, threshold interval."""
 
 import math
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,7 +9,6 @@ import numpy as np
 import pytest
 
 from gramoverlap import (
-    DegenerateValuesError,
     ErrorReport,
     LabelPartition,
     MatchConfig,
@@ -23,7 +23,6 @@ from gramoverlap import (
     population_overlap,
     preprocess,
     threshold_interval,
-    two_means_1d,
 )
 from gramoverlap import bench, linalg
 from gramoverlap.classify import (
@@ -56,9 +55,42 @@ def direct_sse(values, inlier_mask):
     return out
 
 
-def parent_two_means_1d(values):
-    """The reference: two_means_1d before its reductions were called
-    directly (np.concatenate prefix sums, .mean() centroids)."""
+def two_means(values):
+    """``classify_rows``' 2-means of the one row ``values``: its partition
+    and its centroids, None for a constant row.  The row is classified
+    alone and as the middle row of a stack beside two unrelated rows; both
+    give the same labels and facts bit for bit, or the same refusal."""
+    v = np.asarray(values, dtype=np.float64)
+    others = np.random.default_rng(v.size).standard_normal((2, v.size))
+    stack = np.stack([others[0], v, others[1]])
+    cfg = MatchConfig()
+    try:
+        alone = classify_rows(v[None], [cfg], d=1)
+    except ValueError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            classify_rows(stack, [cfg] * 3, d=1)
+        raise
+    beside = classify_rows(stack, [cfg] * 3, d=1)
+    facts = alone.facts(0)
+    assert np.array_equal(beside.inliers[1], alone.inliers[0])
+    assert repr(beside.facts(1)) == repr(facts)
+    part = LabelPartition(alone.inliers[0])
+    if facts.get("degenerate"):
+        assert facts == {"degenerate": True} and part.inliers.size == 0
+        return part, None
+    return part, facts["centroids"]
+
+
+def is_constant(values):
+    """Whether ``classify_rows`` finds the row ``values`` constant: its
+    facts say ``degenerate`` and it has no inliers (see ``two_means``)."""
+    return two_means(values)[1] is None
+
+
+def parent_two_means(values):
+    """The reference: the one-row 2-means solver before its reductions were
+    called directly (np.concatenate prefix sums, .mean() centroids).  A
+    constant input has no inliers and no centroids."""
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError("values must be 1-D")
@@ -71,7 +103,7 @@ def parent_two_means_1d(values):
     s = v[order]
     c = s - s[n // 2]
     if float(c[-1] - c[0]) <= 16 * np.spacing(max(-s[0], s[-1])):
-        raise DegenerateValuesError("all values equal; no 2-cluster split exists")
+        return LabelPartition(np.zeros(n, dtype=bool)), None
     ps = np.concatenate([[0.0], np.cumsum(c)])
     pq = np.concatenate([[0.0], np.cumsum(c * c)])
     m = np.arange(1, n, dtype=np.float64)
@@ -85,9 +117,10 @@ def parent_two_means_1d(values):
     return partition, (low, high)
 
 
-def allocating_two_means_1d(values):
-    """The reference: two_means_1d while its split costs were one expression
-    that allocated a temporary per operation."""
+def allocating_two_means(values):
+    """The reference: the one-row 2-means solver while its split costs were
+    one expression that allocated a temporary per operation.  A constant
+    input has no inliers and no centroids."""
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError("values must be 1-D")
@@ -100,7 +133,7 @@ def allocating_two_means_1d(values):
     s = v[order]
     c = s - s[n // 2]
     if float(c[-1] - c[0]) <= 16 * np.spacing(max(-s[0], s[-1])):
-        raise DegenerateValuesError("all values equal; no 2-cluster split exists")
+        return LabelPartition(np.zeros(n, dtype=bool)), None
     ps = np.empty(n + 1)
     pq = np.empty(n + 1)
     ps[0] = pq[0] = 0.0
@@ -158,7 +191,8 @@ def stable_two_means_rows(v):
 
 def two_means_outcome(fn, values):
     """Everything a 2-means call returns, in a form whose equality means
-    equal bits, or the type and message of what it raised."""
+    equal bits (centroids None for a constant input), or the type and
+    message of what it raised."""
     try:
         part, centroids = fn(values)
     except ValueError as exc:
@@ -169,7 +203,7 @@ def two_means_outcome(fn, values):
         part.inliers.tolist(),
         part.outliers.dtype,
         part.outliers.tolist(),
-        [repr(c) for c in centroids],
+        None if centroids is None else [repr(c) for c in centroids],
     )
 
 
@@ -184,7 +218,6 @@ class TestTwoMeans:
             np.full(2, -1e6),
             np.array([1.0]),
             np.array([1.0, np.inf]),
-            np.array([[1.0, 2.0], [3.0, 4.0]]),
             [0.5, 0.5, 2.0, 2.0],
         ]
         for _ in range(200):
@@ -198,11 +231,14 @@ class TestTwoMeans:
             cases += [v, v.tolist()]
         outcomes = set()
         for v in cases:
-            want = two_means_outcome(parent_two_means_1d, v)
-            assert two_means_outcome(two_means_1d, v) == want
-            outcomes.add(want[0] if isinstance(want[0], type) else "split")
-        # a split, a degenerate input and an invalid one were all compared
-        assert outcomes == {"split", DegenerateValuesError, ValueError}
+            want = two_means_outcome(parent_two_means, v)
+            assert two_means_outcome(two_means, v) == want
+            if isinstance(want[0], type):
+                outcomes.add(want[0])
+            else:
+                outcomes.add("split" if want[-1] is not None else "constant")
+        # a split, a constant input and an invalid one were all compared
+        assert outcomes == {"split", "constant", ValueError}
 
     @pytest.mark.parametrize("n", [2, 3, 400, 4000])
     def test_in_place_split_costs_match_the_allocating_ones(self, n):
@@ -214,23 +250,23 @@ class TestTwoMeans:
             cases += [normal, ties, 1e12 + normal, 1e12 + ties]
         splits = 0
         for v in cases:
-            want = two_means_outcome(allocating_two_means_1d, v)
-            assert two_means_outcome(two_means_1d, v) == want
-            splits += not isinstance(want[0], type)
+            want = two_means_outcome(allocating_two_means, v)
+            assert two_means_outcome(two_means, v) == want
+            splits += want[-1] is not None and not isinstance(want[0], type)
         assert splits > len(cases) // 2
 
     def test_two_cluster_data(self):
-        part, centroids = two_means_1d(np.array([0.0, 0.1, 0.9, 1.0]))
+        part, centroids = two_means(np.array([0.0, 0.1, 0.9, 1.0]))
         assert np.array_equal(part.inliers, [2, 3])
         assert centroids == (0.05, 0.95)
 
     def test_isolated_point(self):
-        part, _ = two_means_1d(np.array([0.0, 0.0, 10.0]))
+        part, _ = two_means(np.array([0.0, 0.0, 10.0]))
         assert np.array_equal(part.inliers, [2])
 
     def test_exact_tie_prefers_larger_upper_cluster(self):
         # both splits of {0, 0.5, 1} cost exactly 0.125
-        part, _ = two_means_1d(np.array([0.0, 0.5, 1.0]))
+        part, _ = two_means(np.array([0.0, 0.5, 1.0]))
         assert np.array_equal(part.inliers, [1, 2])
 
     def test_matches_exhaustive_bipartition_oracle(self):
@@ -238,7 +274,7 @@ class TestTwoMeans:
         for case in range(100):
             n = int(rng.integers(2, 13))
             values = rng.standard_normal(n) * rng.uniform(0.5, 10)
-            part, _ = two_means_1d(values)
+            part, _ = two_means(values)
             got = direct_sse(values, part.inlier_mask())
             # oracle: every nonempty proper subset as the upper cluster
             best = math.inf
@@ -262,9 +298,9 @@ class TestTwoMeans:
         for _ in range(50):
             n = int(rng.integers(3, 40))
             values = rng.standard_normal(n) * 5
-            base, _ = two_means_1d(values)
-            shifted, _ = two_means_1d(values + rng.uniform(-100, 100))
-            scaled, _ = two_means_1d(values * rng.uniform(0.01, 100))
+            base, _ = two_means(values)
+            shifted, _ = two_means(values + rng.uniform(-100, 100))
+            scaled, _ = two_means(values * rng.uniform(0.01, 100))
             assert base == shifted
             assert base == scaled
 
@@ -276,11 +312,11 @@ class TestTwoMeans:
         low = rng.integers(0, 3 * 2**10, size=60) / 2**10
         high = 2.5 + rng.integers(0, 3 * 2**10, size=40) / 2**10
         values = np.concatenate([low, high])
-        base, _ = two_means_1d(values)
+        base, _ = two_means(values)
         assert 0 < base.inliers.size < values.size
         for c in [0, 1, 3, 10**4, 12345, 10**6, 2**24 + 1, 10**7, 98765432, 10**8]:
             assert np.array_equal(values + c - c, values)
-            shifted, _ = two_means_1d(values + c)
+            shifted, _ = two_means(values + c)
             assert shifted == base, f"partition moved at offset {c}"
 
     def test_matches_direct_sse_optimum_on_offset_row_sums(self):
@@ -305,42 +341,38 @@ class TestTwoMeans:
         assert np.array_equal(part.inlier_mask(), best_mask)
 
     def test_degenerate_all_equal(self):
-        with pytest.raises(DegenerateValuesError):
-            two_means_1d(np.full(5, 3.0))
-        with pytest.raises(DegenerateValuesError):
-            two_means_1d(np.array([1e6, 1e6 + 1e-9]))
+        assert is_constant(np.full(5, 3.0))
+        assert is_constant(np.array([1e6, 1e6 + 1e-9]))
 
     def test_degeneracy_bound_follows_the_values(self):
         # two dyadic pairs with a 2^-20 gap: every shifted value below is
         # exact, and at 1e8 the spread is still 72 ulps of the values, so the
         # pairs split at every offset
         pairs = np.array([0.0, 2.0**-23, 2.0**-20, 2.0**-20 + 2.0**-23])
-        base, _ = two_means_1d(pairs)
+        base, _ = two_means(pairs)
         assert np.array_equal(base.inliers, [2, 3])
         for c in [1, 10**4, 10**6, 10**8]:
             assert np.array_equal(pairs + c - c, pairs)
-            shifted, _ = two_means_1d(pairs + c)
+            shifted, _ = two_means(pairs + c)
             assert shifted == base, f"partition moved at offset {c}"
-        # scaling by a power of two never decides whether input raises
+        # scaling by a power of two never decides whether input is constant
         near_tie = np.array([1.0, 1.0 + 8 * 2.0**-52])
         for e in (-400, -40, 0, 40, 400):
-            scaled, _ = two_means_1d(np.ldexp(pairs, e))
+            scaled, _ = two_means(np.ldexp(pairs, e))
             assert scaled == base, f"partition moved at scale 2^{e}"
-            with pytest.raises(DegenerateValuesError):
-                two_means_1d(np.ldexp(near_tie, e))
+            assert is_constant(np.ldexp(near_tie, e))
         # a pair 2^-30 apart splits until the offset puts it within 16 ulps
         tie = np.array([0.0, 2.0**-30])
         for c in [0, 1, 10**4]:
-            part, _ = two_means_1d(tie + c)
+            part, _ = two_means(tie + c)
             assert np.array_equal(part.inliers, [1])
-        with pytest.raises(DegenerateValuesError):
-            two_means_1d(tie + 10**6)  # 8 ulps of 1e6
+        assert is_constant(tie + 10**6)  # 8 ulps of 1e6
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            two_means_1d(np.array([1.0]))
+            two_means(np.array([1.0]))
         with pytest.raises(ValueError):
-            two_means_1d(np.array([1.0, np.nan]))
+            two_means(np.array([1.0, np.nan]))
 
 
 def rows_outcome(rows):
@@ -349,24 +381,15 @@ def rows_outcome(rows):
     return classify_rows(np.array(rows, dtype=np.float64), cfgs, d=1).inliers
 
 
-def one_row_mask(fn, row):
-    """The inlier mask ``fn`` gives one row; none when it is degenerate."""
-    try:
-        part, _ = fn(row)
-    except DegenerateValuesError:
-        return np.zeros(len(row), dtype=bool)
-    return part.inlier_mask()
-
-
 class TestClassifyRows:
     """The stacked classifier of a sweep trial against one call a row."""
 
-    def assert_rows_match_two_means_1d(self, rows):
+    def assert_rows_match_each_row_alone(self, rows):
         got = rows_outcome(rows)
         assert got.shape == (len(rows), len(rows[0])) and got.dtype == bool
         for row, mask in zip(rows, got):
-            assert np.array_equal(mask, one_row_mask(two_means_1d, row))
-            assert np.array_equal(mask, one_row_mask(allocating_two_means_1d, row))
+            assert np.array_equal(mask, two_means(row)[0].inlier_mask())
+            assert np.array_equal(mask, allocating_two_means(row)[0].inlier_mask())
 
     @pytest.mark.parametrize("n", [2, 3, 17, 400])
     def test_random_and_tied_rows(self, n):
@@ -376,11 +399,11 @@ class TestClassifyRows:
             rows.append(rng.standard_normal(n))
             rows.append(rng.integers(0, 4, n).astype(float))  # exact ties
             rows.append(np.repeat([0.0, 1.0], [n - n // 2, n // 2])[rng.permutation(n)])
-        self.assert_rows_match_two_means_1d(rows)
+        self.assert_rows_match_each_row_alone(rows)
 
     def test_large_offsets_and_power_of_two_scaling(self):
         # every shifted and scaled row below is exact, so each must keep the
-        # partition of the row it came from, as two_means_1d does
+        # partition of the row it came from, as it does alone
         rng = np.random.default_rng(2525)
         base = np.concatenate(
             [rng.integers(0, 3 * 2**10, 60), 2560 + rng.integers(0, 3 * 2**10, 40)]
@@ -392,20 +415,19 @@ class TestClassifyRows:
         got = rows_outcome(rows)
         assert 0 < got[0].sum() < base.size
         assert all(np.array_equal(mask, got[0]) for mask in got)
-        self.assert_rows_match_two_means_1d(rows)
+        self.assert_rows_match_each_row_alone(rows)
 
     def test_a_degenerate_row_is_all_outliers_and_leaves_the_others(self):
         rng = np.random.default_rng(2626)
         rows = [rng.standard_normal(50) for _ in range(4)]
         alone = rows_outcome(rows)
         for constant in (np.full(50, 3.0), np.full(50, -1e6), 1e6 + 2.0**-40 * np.arange(50)):
-            with pytest.raises(DegenerateValuesError):
-                two_means_1d(constant)
+            assert is_constant(constant)
             got = rows_outcome(rows[:2] + [constant] + rows[2:])
             assert not got[2].any()
             assert np.array_equal(np.delete(got, 2, axis=0), alone)
 
-    def test_rows_are_refused_as_two_means_1d_refuses_them(self):
+    def test_rows_too_short_or_not_finite_are_refused(self):
         for rows, message in (
             ([[1.0], [2.0]], "need at least two values"),
             ([[1.0, 2.0], [3.0, np.nan]], "values contain non-finite entries"),
@@ -612,14 +634,14 @@ class TestTwoMeansTies:
         assert k.tolist() == [1] and s[0, 0] == s[0, 1] == 0.0
         mask = rows_outcome([row])[0]
         assert np.flatnonzero(~mask).tolist() == [0]
-        part, _ = two_means_1d(row)
+        part, _ = two_means(row)
         assert np.array_equal(part.inlier_mask(), mask)
 
 
 class TestValueSort:
     """The 2-means solver sorts values, not indices, and labels from the
     k-th smallest value: every split, label and centroid is the stable
-    index sort's (``stable_two_means_rows``, ``allocating_two_means_1d``)."""
+    index sort's (``stable_two_means_rows``, ``allocating_two_means``)."""
 
     @staticmethod
     def assert_stack_matches_the_stable_sort(rows):
@@ -630,8 +652,8 @@ class TestValueSort:
         assert np.array_equal(mask, want_mask)
         assert np.array_equal(s, want_s)  # by value: -0.0 == 0.0
         for row in v:
-            want = two_means_outcome(allocating_two_means_1d, row)
-            assert two_means_outcome(two_means_1d, row) == want
+            want = two_means_outcome(allocating_two_means, row)
+            assert two_means_outcome(two_means, row) == want
         return k
 
     @pytest.mark.parametrize("n", [2, 3, 40, 400])
@@ -879,7 +901,7 @@ class TestRowSumMatch:
         y[:, 24:] = rng.standard_normal((8, 16))
         h = build_overlap(x, y, PreprocessMode.CENTER_NORMALIZE)
         part, _ = match(h, MatchConfig(method="row_sum"))
-        unshifted, _ = two_means_1d(h.row_sums())
+        unshifted, _ = two_means(h.row_sums())
         assert part == unshifted
 
     def test_degenerate_statistic_falls_back_to_all_outliers(self):

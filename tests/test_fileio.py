@@ -1,6 +1,7 @@
 """File formats: exact CSV round trips, PPM parsing, manifests."""
 
 import functools
+import json
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
@@ -15,7 +16,6 @@ from gramoverlap.fileio import (
     image_to_points,
     luminance,
     read_labels,
-    read_manifest,
     read_matrix_csv,
     read_partition_csv,
     read_ppm,
@@ -135,6 +135,13 @@ class TestMatrixCsv:
         with pytest.raises(ValueError):
             read_matrix_csv(path)
 
+    def test_a_byte_that_is_not_utf8_names_its_line_and_field(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"1,2,3\n4,5,\xe96\n")
+        with pytest.raises(ValueError) as exc:
+            read_matrix_csv(path)
+        assert str(exc.value) == f"{path}:2: field 3 is not a number: '\\udce96'"
+
 
 # Spellings that Python's int reads as 1 (or 2, or -1) but that are not
 # ASCII decimal digits.
@@ -159,6 +166,13 @@ class TestLabels:
         path.write_text("1\nfoo\n")
         with pytest.raises(ValueError):
             read_labels(path)
+
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(b"1\n\xe9\n")
+        with pytest.raises(ValueError) as exc:
+            read_labels(path)
+        assert str(exc.value) == f"{path}:2: not an integer: '\\udce9'"
 
     def test_index_beyond_intp_rejected(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -194,6 +208,13 @@ class TestPartitionCsv:
         path.write_text("0,G\n1,X\n")
         with pytest.raises(ValueError):
             read_partition_csv(path)
+
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "partition.csv"
+        path.write_bytes(b"0,G\n\xe91,B\n")
+        with pytest.raises(ValueError) as exc:
+            read_partition_csv(path)
+        assert str(exc.value) == f"{path}:2: bad index '\\udce91'"
 
     @pytest.mark.parametrize("bad", NON_DIGIT_INDICES + ["1 ", ""])
     def test_only_ascii_digits_are_indices(self, tmp_path, bad):
@@ -271,7 +292,7 @@ class TestManifest:
         payload = {"tool": "gramoverlap", "options": {"n": 4, "r": 0.5}}
         path = tmp_path / "manifest.json"
         write_manifest(path, payload)
-        assert read_manifest(path) == payload
+        assert json.loads(path.read_text()) == payload
 
 
 def line_by_line_read_matrix_csv(path):

@@ -794,10 +794,8 @@ def test_only_linalg_and_overlap_name_the_backend_kernels():
 
 
 class TestPopulationModel:
-    def test_from_rate_requires_integral_count(self):
-        with pytest.raises(ValueError):
-            PopulationModel.from_rate(d=3, n=10, r=0.33)
-        m = PopulationModel.from_rate(d=3, n=10, r=0.3)
+    def test_rate_is_the_inlier_fraction(self):
+        m = PopulationModel(d=3, n=10, inliers=[2, 0, 1])
         assert np.array_equal(m.inliers, [0, 1, 2])
         assert m.r == 0.3
 

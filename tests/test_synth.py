@@ -14,7 +14,6 @@ from gramoverlap import (
     SizeLimitError,
     empirical_deviation,
     generate,
-    haar_orthogonal,
     population_overlap,
 )
 from gramoverlap.synth import (
@@ -87,26 +86,32 @@ PINNED_PAIR_DIGESTS = {
 }
 
 
-class TestHaarOrthogonal:
+def haar_rotation(d: int, seed: int) -> np.ndarray:
+    """The Haar rotation that ``generate`` applies to the inliers at ``d``
+    and ``seed`` (the smallest instance: n = 2, one inlier)."""
+    return generate(ScenarioSpec(d=d, n=2, r=0.5, seed=seed)).rotation
+
+
+class TestHaarRotation:
     def test_d1_is_sign(self):
-        r = haar_orthogonal(1, seed=5)
+        r = haar_rotation(1, seed=5)
         assert r.shape == (1, 1)
         assert abs(abs(r[0, 0]) - 1.0) <= 1e-15
 
     def test_orthogonality(self):
         for d, seed in [(2, 0), (5, 1), (17, 2), (64, 3)]:
-            r = haar_orthogonal(d, seed)
+            r = haar_rotation(d, seed)
             assert np.max(np.abs(r.T @ r - np.eye(d))) <= 1e-12
 
     def test_deterministic(self):
-        assert np.array_equal(haar_orthogonal(6, 9), haar_orthogonal(6, 9))
+        assert np.array_equal(haar_rotation(6, 9), haar_rotation(6, 9))
 
     def test_first_column_uniform_on_sphere(self):
         # Monte-Carlo check: coordinatewise mean of the first column is 0
         trials = 10000
         cols = np.empty((trials, 3))
         for t in range(trials):
-            cols[t] = haar_orthogonal(3, derive_seed(779, t))[:, 0]
+            cols[t] = haar_rotation(3, derive_seed(779, t))[:, 0]
         mean = cols.mean(axis=0)
         se = cols.std(axis=0, ddof=1) / np.sqrt(trials)
         assert np.all(np.abs(mean) <= 3.0 * se)
