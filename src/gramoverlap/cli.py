@@ -187,9 +187,11 @@ def _diagnostics_payload(
 
 def _read_inputs(args, threads: int) -> tuple[np.ndarray, np.ndarray]:
     """X and Y.  At two or more ``threads``, Y is read on one worker thread
-    while the calling thread reads X, which overlaps the two reads'
-    ``np.fromstring`` conversions.  X's error, if any, is the one raised, and
-    Y's is then dropped, as in a serial read."""
+    while the calling thread reads X.  The two reads overlap because most of
+    each block's conversion runs in numpy's C parsers and array passes,
+    which release the GIL; the line pass and the calls between them hold
+    it.  X's error, if any, is the one raised, and Y's is then dropped, as in
+    a serial read."""
     if threads < 2:
         return fileio.read_matrix_csv(args.x), fileio.read_matrix_csv(args.y)
     with ThreadPoolExecutor(max_workers=1) as pool:

@@ -1,7 +1,10 @@
 """File formats: CSV matrices and label files, binary PPM images, manifests.
 
 Matrices are written one feature per row, comma-separated, with 17 significant
-digits so float64 values round-trip exactly.  Images are binary PPM ("P6",
+digits so float64 values round-trip exactly.  They are read block by block,
+each block by the fastest exact converter its bytes allow: int64 mantissas
+over a power of ten for fixed-point fields, glibc's ``strtold`` for other
+plain decimals, ``np.loadtxt`` for the rest.  Images are binary PPM ("P6",
 maxval 255) only.  Every command drops a JSON manifest next to its outputs so
 a result can be regenerated from the manifest alone.
 """
@@ -55,30 +58,98 @@ _X87_LONG_DOUBLE = (
 _PLAIN_BYTES = b"0123456789.eE+-,"
 _BLOCK_CHARS = 1 << 16
 _SMALLEST_NORMAL = np.finfo(np.float64).tiny
+# 10**k is exact at 64 significand bits up to k = 27 (5**27 < 2**64), and a
+# mantissa below 10**18 is exact in int64 and at 64 bits.
+_MAX_FRACTION = 27
+_MAX_MANTISSA = 10**18
+_POWERS_OF_TEN = np.array([10**k for k in range(_MAX_FRACTION + 1)], np.longdouble)
+
+
+def _read_whole(text: bytes, dtype, count: int):
+    """The ``count`` values of the comma-separated fields in ``text`` by
+    ``np.fromstring``, or None unless every field parses whole.
+
+    numpy 2 raises at a field that does not; numpy 1.x stops there with a
+    warning and keeps the field's numeric prefix.  So a good field is put
+    after the last one and must be read too: a parse that stops anywhere in
+    ``text`` comes up short of ``count + 1`` values.
+    """
+    try:
+        values = np.fromstring(text + b",1", dtype=dtype, sep=",")
+    except ValueError:
+        return None
+    return values[:count] if values.size == count + 1 else None
+
+
+def _fixed_point(text: bytes, count: int):
+    """x87 long doubles of ``count`` comma-separated fields that are each a
+    sign, digits, one ``.`` and digits, rounded as ``strtold`` rounds them,
+    or None for any other block.
+
+    Each field is read as ``M / 10**k``: numpy's C integer parser reads the
+    mantissa ``M`` from the field's digits with the ``.`` removed, and ``k``
+    is the number of digits after the ``.``.  With ``|M| < 10**18`` and
+    ``k <= 27`` both operands are exact at 64 significand bits, so the one
+    correctly rounded division returns the value ``strtold`` returns.  A
+    block with an exponent, a field without ``.``, a zero mantissa (which a
+    sign alone also reads as), a mantissa of 19 or more digits or a longer
+    fraction gets None.
+
+    Reads on two threads overlap only where numpy releases the GIL, and
+    each numpy call on a block is a point where a thread may wait for it,
+    so the block is read in few calls.  Any byte but a sign or a digit left
+    in a field fails ``_read_whole``, so only two kinds are looked for
+    before it: an ``e``, which sends the block to ``strtold`` without a
+    wasted parse, and the bytes below ``+`` (whitespace, which the parser
+    skips).  The line pass counted ``count - 1`` commas in ``text``.
+    """
+    if b"e" in text:
+        return None
+    buf = np.frombuffer(text, dtype=np.uint8)
+    if buf.min() < ord("+"):
+        return None
+    # ',' and '.' differ only in bit 1; clearing it maps no other byte to ','
+    marks = np.flatnonzero((buf & 0xFD) == ord(","))
+    # with count - 1 commas, count dots at the even marks alternate with them
+    if marks.size != 2 * count - 1 or buf[marks[::2]].min() != ord("."):
+        return None
+    mantissas = _read_whole(text.replace(b".", b""), np.int64, count)
+    # numpy's parser saturates an overflow of either sign at the int64
+    # maximum; C's strtoll, at the extreme of the field's sign.
+    if (
+        mantissas is None
+        or not mantissas.all()
+        or mantissas.max() >= _MAX_MANTISSA
+        or mantissas.min() <= -_MAX_MANTISSA
+    ):
+        return None
+    fraction = np.append(marks[1::2], buf.size) - marks[::2] - 1
+    if fraction.max() > _MAX_FRACTION:
+        return None
+    return mantissas / _POWERS_OF_TEN[fraction]
 
 
 def _plain_decimals(text: bytes, count: int):
     """float64 values of ``count`` comma-separated plain decimal fields, or
     None when the text must go through ``_parse_rows``.
 
-    glibc's ``strtold`` rounds each field to nearest at 64 significand bits,
-    and casting to float64 rounds again, to 53.  Every double and every
-    midpoint between two doubles is representable at 64 bits, so rounding
-    twice can differ from rounding once only for a value that lands exactly
-    on a midpoint: low 11 significand bits ``0b10000000000``.  Those fields
-    are converted again by ``float``, and so are those whose double is
-    subnormal or the smallest normal, where the cast keeps fewer than 53
-    bits or rounded up from below the normal range.
+    A block of fixed-point fields is read by ``_fixed_point``.  Any other
+    block of plain decimals is read by glibc's ``strtold`` through
+    ``np.fromstring``.  Either way each field is rounded to nearest at 64
+    significand bits, and casting to float64 rounds again, to 53.  Every
+    double and every midpoint between two doubles is representable at 64
+    bits, so rounding twice can differ from rounding once only for a value
+    that lands exactly on a midpoint: low 11 significand bits
+    ``0b10000000000``.  Those fields are converted again by ``float``, and
+    so are those whose double is subnormal or the smallest normal, where the
+    cast keeps fewer than 53 bits or rounded up from below the normal range.
     """
-    if not _X87_LONG_DOUBLE or text.translate(None, _PLAIN_BYTES):
+    if not _X87_LONG_DOUBLE:
         return None
-    try:
-        wide = np.fromstring(text, dtype=np.longdouble, sep=",")
-    except ValueError:
-        return None
-    # numpy 1.x stops at a malformed field with a warning instead of raising,
-    # so only the count tells a short parse from a good one.
-    if wide.size != count:
+    wide = _fixed_point(text, count)
+    if wide is None and not text.translate(None, _PLAIN_BYTES):
+        wide = _read_whole(text, np.longdouble, count)
+    if wide is None:
         return None
     # A value beyond float64's range casts to inf, which the caller refuses.
     with np.errstate(over="ignore"):
@@ -126,14 +197,19 @@ def read_matrix_csv(path) -> np.ndarray:
     gathered into blocks of about ``_BLOCK_CHARS`` (64 KiB) of text, and
     each block is converted as soon as it fills, so a read holds the values,
     one block of text and, as the blocks are joined, a second copy of the
-    values.  A read shares no state with another, and ``np.fromstring``
-    releases the GIL, so two files read on two threads overlap (``match``
-    reads X and Y so).
+    values.  A read shares no state with another, and most of a block's
+    conversion runs in numpy's C parsers and array passes, which release
+    the GIL, so two files read on two threads overlap (``match`` reads X and
+    Y so).
 
     Each value is correctly rounded as by ``float``.  A block of plain
-    decimals (only the bytes ``0-9.eE+-,``) is read as x87 long doubles
-    with ``np.fromstring``, cast to float64 and checked for double rounding
-    (see ``_plain_decimals``).  A block goes
+    decimals (only the bytes ``0-9.eE+-,``) is read as x87 long doubles,
+    cast to float64 and checked for double rounding (see
+    ``_plain_decimals``).  When every field is fixed-point (a sign, digits,
+    one ``.``, digits; not zero, at most 18 significant digits and 27 after
+    the ``.``), each is read as an int64 mantissa over a power of ten (see
+    ``_fixed_point``); any other plain block, one with an exponent field
+    among them, goes through ``strtold`` by ``np.fromstring``.  A block goes
     through ``np.loadtxt`` instead when it holds whitespace,
     ``nan``/``inf``, hex or non-ASCII text, when its value count is off (an
     empty field, a trailing comma, a malformed number), and on every

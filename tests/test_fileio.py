@@ -2,6 +2,7 @@
 
 import functools
 import json
+import re
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
@@ -472,6 +473,17 @@ def _ulp_neighbours(d: float) -> tuple[Decimal, Decimal]:
     return Decimal(d), Decimal(float(np.nextafter(d, np.copysign(np.inf, d))))
 
 
+def rounded_midpoints(rng, n, lo, hi) -> list[str]:
+    """The midpoints above ``n`` doubles drawn from ``[lo, hi)``, to 18
+    digits and without exponent; some round onto the midpoint at 64 bits."""
+    with localcontext() as ctx:
+        ctx.prec = 18
+        return [
+            str(+(Decimal(d) + Decimal(float(np.spacing(d))) / 2))
+            for d in rng.uniform(lo, hi, n)
+        ]
+
+
 @functools.cache
 def decimal_corpus() -> dict[str, list[str]]:
     """Fields of the plain-decimal differential test, by case."""
@@ -509,6 +521,23 @@ def decimal_corpus() -> dict[str, list[str]]:
             fields += [str(mid), str(mid + step), str(mid - step), str(-mid - step)]
     cases["midpoints"] = fields
     cases["zeros"] = ["-0", "0e999", "-0e999", "0", "0.0", "-0.0", "0e-999", "00.000e+5"]
+    odd = 2**53 + 2 * rng.integers(0, 2**52, 60) + 1  # exact midpoints
+    fixed = [f"{v}.0" for v in odd.tolist()]
+    fixed += rounded_midpoints(rng, 1000, -(2.0**20), 2.0**20)
+    for digits in (18, 19):
+        for _ in range(40):
+            mantissa = "".join(str(x) for x in rng.integers(0, 10, digits))
+            dot = int(rng.integers(0, digits + 1))
+            sign = rng.choice(["", "-", "+"])
+            fixed.append(f"{sign}{mantissa[:dot]}.{mantissa[dot:]}")
+    for k in (27, 28):
+        fixed += ["0." + "0" * (k - 17) + str(v) for v in rng.integers(10**16, 10**17, 20)]
+        fixed += ["-." + "".join(str(x) for x in rng.integers(0, 10, k)) for _ in range(5)]
+    fixed += ["%.*f" % (int(p), v) for p, v in zip(rng.integers(0, 20, 300), doubles)]
+    fixed += ["0.00012345678901234567", "-0.00012345678901234567", "-0.", "-.0"]
+    fixed += ["+.5", "5.", "+0.0", "-00.000", "-99999999999999999999.5"]
+    fixed += ["-922337203685477580.8", "922337203685477580.7", "7", "-3.25"]
+    cases["fixed"] = fixed
     return cases
 
 
@@ -519,6 +548,38 @@ def csv_of(fields, width) -> str:
     return "\n".join(rows) + "\n"
 
 
+# The longest prefix of a field that numpy 1.x's parser reads: glibc's
+# strtold for floats, CPython's PyOS_strtol for integers (which reads a sign
+# alone as 0).
+NUMERIC_PREFIX = {
+    "f": re.compile(rb"\s*([+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?)?"),
+    "i": re.compile(rb"\s*[+-]?\d*"),
+}
+
+
+def stopping_fromstring(fromstring):
+    """``fromstring`` as numpy 1.x runs it with ``sep``: at a field that does
+    not parse whole it keeps the field's longest numeric prefix, if there is
+    one, and returns the values read so far (with a warning that is silent by
+    default) instead of raising."""
+
+    def parse(text, dtype, sep):
+        try:
+            return fromstring(text, dtype=dtype, sep=sep)
+        except ValueError:
+            pass
+        values = []
+        for field in text.split(sep.encode()):
+            prefix = NUMERIC_PREFIX[np.dtype(dtype).kind].match(field).group()
+            if prefix.strip():
+                values.append(fromstring(prefix, dtype=dtype, sep=sep)[0])
+            if not prefix.strip() or field[len(prefix) :].strip():
+                break
+        return np.array(values, dtype=dtype)
+
+    return parse
+
+
 # Rows that strtold or numpy's fromstring would read, each with the field
 # that today's message names.
 PLAIN_PATH_REFUSALS = {
@@ -527,6 +588,11 @@ PLAIN_PATH_REFUSALS = {
     "1,,2": (2, ""),
     "1,2,": (3, ""),
     "5,\u0661": (2, "\u0661"),
+    # every field holds one '.', so these reach the fixed-point path
+    "-.,4.5": (1, "-."),
+    "0.5,+.": (2, "+."),
+    "1.5,2.-3": (2, "2.-3"),
+    "1.5,2/.5": (2, "2/.5"),
 }
 
 
@@ -537,7 +603,7 @@ class TestPlainDecimalPath:
             pytest.skip("long double is not x87 extended precision")
         monkeypatch.setattr(fileio, "_X87_LONG_DOUBLE", request.param)
 
-    @pytest.mark.parametrize("case", ["%.17g", "digits", "midpoints", "zeros"])
+    @pytest.mark.parametrize("case", ["%.17g", "digits", "midpoints", "zeros", "fixed"])
     @pytest.mark.parametrize("width", [1, 3, 7, 300, 5000])
     def test_same_bytes_as_the_line_by_line_reader(
         self, tmp_path, gate, block_chars, case, width
@@ -581,6 +647,66 @@ class TestPlainDecimalPath:
         monkeypatch.setattr(fileio, "_parse_rows", no_loadtxt)
         assert read_matrix_csv(path).tobytes() == m.tobytes()
 
+    @pytest.mark.skipif(not fileio._X87_LONG_DOUBLE, reason="long double is not x87")
+    def test_benchmark_shape_takes_the_fixed_point_path(self, tmp_path, monkeypatch):
+        """Only blocks that hold an exponent field reach ``strtold``."""
+        m = np.random.default_rng(50).standard_normal((50, 1000))
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, m)
+        fromstring = np.fromstring
+        wide_blocks = []
+
+        def recording_fromstring(text, dtype, sep):
+            if np.dtype(dtype) == np.longdouble:
+                wide_blocks.append(text)
+            return fromstring(text, dtype=dtype, sep=sep)
+
+        monkeypatch.setattr(np, "fromstring", recording_fromstring)
+        assert read_matrix_csv(path).tobytes() == m.tobytes()
+        assert wide_blocks and all(b"e" in text for text in wide_blocks)
+
+    @pytest.mark.skipif(not fileio._X87_LONG_DOUBLE, reason="long double is not x87")
+    def test_fixed_point_rounds_as_strtold(self):
+        """``M / 10**k`` is ``strtold``'s long double, bit for bit, also
+        where 18 digits round onto a double midpoint at 64 bits."""
+        rng = np.random.default_rng(34)
+        fields = []
+        for digits, k in zip(rng.integers(1, 19, 3000), rng.integers(0, 28, 3000)):
+            m = str(rng.integers(1, 10**digits)).rjust(k + 1, "0")
+            sign = rng.choice(["", "-"])
+            fields.append(f"{sign}{m[: len(m) - k]}.{m[len(m) - k :]}")
+        fields += rounded_midpoints(rng, 3000, 1, 2**20)
+        text = ",".join(fields).encode()
+        fixed = fileio._fixed_point(text, len(fields))
+        wide = np.fromstring(text, dtype=np.longdouble, sep=",")
+        assert fixed is not None
+        assert (fixed == wide).all()
+        on_midpoints = (wide.view(np.uint64)[::2] & 0x7FF) == 0x400
+        assert on_midpoints.sum() > 10
+
+    @pytest.mark.parametrize(
+        "field, taken",
+        [
+            ("0." + "0" * 10 + "1" * 17, True),
+            ("0." + "0" * 11 + "1" * 17, False),
+            ("999999999999999999.", True),
+            ("-999999999999999999.", True),
+            ("1000000000000000000.", False),
+            ("-1000000000000000000.", False),
+            ("123456789.012345678", True),
+            ("1234567890.123456789", False),
+        ],
+    )
+    def test_fixed_point_bounds(self, field, taken):
+        """At most 18 digits and 27 of them after the ``.``."""
+        text = f"0.5,{field}".encode()
+        assert (fileio._fixed_point(text, 2) is not None) == taken
+
+    def test_whitespace_inside_a_line_is_not_read_as_digits(self, tmp_path, gate):
+        path = tmp_path / "m.csv"
+        path.write_text("1.5 ,2.25\n0.5,\t2.5\n")
+        assert read_matrix_csv(path).tolist() == [[1.5, 2.25], [0.5, 2.5]]
+
     @pytest.mark.parametrize("bad", sorted(PLAIN_PATH_REFUSALS))
     @pytest.mark.parametrize("bad_row", [0, 7000])
     def test_refusals_keep_their_message(
@@ -600,35 +726,37 @@ class TestPlainDecimalPath:
             f"{path}:{lineno}: field {col} is not a number: {field!r}"
         )
 
-    @pytest.mark.parametrize("bad", ["1,,2", "1,2-3", "1,e5", "--1,2", "1.2.3,4"])
+    @pytest.mark.parametrize(
+        "bad", ["1,,2", "1,2-3", "1,e5", "--1,2", "1.2.3,4", "1.5,2.-3", "1.5,2/.5"]
+    )
     @pytest.mark.parametrize("stops", [False, True], ids=["raises", "stops"])
     def test_a_file_of_only_malformed_rows_is_refused(
         self, tmp_path, monkeypatch, gate, block_chars, bad, stops
     ):
         """Every row is bad the same way, so no row's width disagrees.  With
         ``stops``, ``np.fromstring`` acts as numpy 1.x does: it returns the
-        values before the bad field (with a warning that is silent by
-        default) instead of raising."""
+        values before the bad field and the bad field's numeric prefix, if
+        any, instead of raising (see ``stopping_fromstring``)."""
         path = tmp_path / "m.csv"
         path.write_text((bad + "\n") * 8000)
         expected = outcome(line_by_line_read_matrix_csv, path)
         assert expected == ("error", f"{path}:1")
         if stops:
-            fromstring = np.fromstring
+            monkeypatch.setattr(np, "fromstring", stopping_fromstring(np.fromstring))
+        assert outcome(read_matrix_csv, path) == expected
 
-            def stopping_fromstring(text, dtype, sep):
-                try:
-                    return fromstring(text, dtype=dtype, sep=sep)
-                except ValueError:
-                    values = []
-                    for field in text.split(sep.encode()):
-                        try:
-                            values.append(float(field))
-                        except ValueError:
-                            break
-                    return np.array(values, dtype=dtype)
-
-            monkeypatch.setattr(np, "fromstring", stopping_fromstring)
+    @pytest.mark.parametrize("row", ["1.5,2.5E3", "0.5,-1.25E-3", "1,2.5e3"])
+    def test_a_stopping_parser_changes_no_value(
+        self, tmp_path, monkeypatch, gate, block_chars, row
+    ):
+        """Where numpy 1.x stops at the last field of a block, the fields
+        before it are all read, so only a read past it tells the block is
+        not fixed-point: ``25E3`` must not read as 25."""
+        path = tmp_path / "m.csv"
+        path.write_text((row + "\n") * 8000)
+        expected = outcome(line_by_line_read_matrix_csv, path)
+        assert expected[0] == "ok"
+        monkeypatch.setattr(np, "fromstring", stopping_fromstring(np.fromstring))
         assert outcome(read_matrix_csv, path) == expected
 
 
