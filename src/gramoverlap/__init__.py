@@ -38,7 +38,7 @@ from .overlap import (
     population_spectrum,
     preprocess,
 )
-from .parallel import ParallelReport, SplitPlan, make_split, parallel_match
+from .parallel import ParallelReport, make_split, parallel_match
 from .synth import (
     DeviationStats,
     LabeledPair,
@@ -80,7 +80,6 @@ __all__ = [
     "derive_seed",
     "generate",
     "empirical_deviation",
-    "SplitPlan",
     "ParallelReport",
     "make_split",
     "parallel_match",

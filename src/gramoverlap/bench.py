@@ -72,14 +72,17 @@ DEFAULT_METHODS = ("eig:0.3", "eig:0.5", "eig:0.7", "eig:kmeans", "rowsum:kmeans
 DEFAULT_SPLITS_METHOD = "rowsum:kmeans"
 
 _METHOD_PREFIXES = {"eig": METHOD_EIGENVECTOR, "rowsum": METHOD_ROW_SUM}
+# The threshold of each named branch token; any other token is a number.
+_BRANCHES = {"kmeans": None, "auto": "auto"}
 
 
 def parse_method(text: str) -> MatchConfig:
     """The matcher a spec such as 'eig:0.5' or 'rowsum:kmeans' names.
 
-    The branch token is either 'kmeans', a positive fixed threshold, or 'auto'
-    (the built-in default threshold, which a sweep derives from the true
-    inlier rate of each grid point; see :func:`_at_rate`).
+    The branch token is the config's ``threshold``: 'kmeans' is None
+    (2-means), a number is that fixed cut, and 'auto' is ``"auto"`` (the
+    built-in cut, which a sweep derives from the true inlier rate of each
+    grid point; see :func:`_at_rate`).
     """
     parts = text.split(":")
     if len(parts) != 2 or parts[0] not in _METHOD_PREFIXES:
@@ -87,14 +90,10 @@ def parse_method(text: str) -> MatchConfig:
             f"bad method spec {text!r}; expected eig:<t|kmeans> or "
             f"rowsum:<T|kmeans|auto>"
         )
-    method = _METHOD_PREFIXES[parts[0]]
     branch = parts[1]
-    if branch == "kmeans":
-        return MatchConfig(method)
-    if branch == "auto":
-        return MatchConfig(method, use_two_means=False)
     try:
-        return MatchConfig(method, threshold=float(branch), use_two_means=False)
+        threshold = _BRANCHES[branch] if branch in _BRANCHES else float(branch)
+        return MatchConfig(_METHOD_PREFIXES[parts[0]], threshold)
     except ValueError:
         raise ValueError(f"bad threshold in method spec {text!r}") from None
 
@@ -213,7 +212,7 @@ def _overlap_trial(draws, scenarios, at_point, specs, configs, mode: PreprocessM
     truths = _inlier_masks(draws, [spec.n_inliers for spec in scenarios])[at_point]
     groups = {}  # the methods of each branch, classified in one call
     for j, (_, cfg) in enumerate(specs):
-        groups.setdefault(cfg.use_two_means, []).append(j)
+        groups.setdefault(cfg.threshold is None, []).append(j)
     inliers = np.empty((len(specs), points, n), dtype=bool)
     time_ms = np.empty((len(specs), points))
     for group in groups.values():

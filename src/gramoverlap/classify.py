@@ -21,8 +21,7 @@ METHOD_EIGENVECTOR = "eigenvector"
 METHOD_ROW_SUM = "row_sum"
 _METHODS = (METHOD_EIGENVECTOR, METHOD_ROW_SUM)
 
-# Fixed-threshold defaults when no explicit value is supplied: t for the
-# eigenvector rule, and T = d*(r*n+1)/2 for the row-sum rule (needs r).
+# The eigenvector rule's "auto" cut t (see MatchConfig).
 DEFAULT_EIG_THRESHOLD = 0.5
 
 # The 2-means split treats a row whose spread is at most this many units in
@@ -62,27 +61,27 @@ class LabelPartition:
 
 @dataclass(frozen=True)
 class MatchConfig:
-    """Matcher selection and its branch parameters.
+    """Matcher selection: the statistic ``method`` classifies and the rule
+    ``threshold`` names.
 
-    ``threshold`` and ``use_two_means`` are mutually exclusive; with neither a
-    fixed default threshold is used (t = 0.5 for the eigenvector rule, and the
-    row-sum rule derives T = d*(r*n+1)/2 from ``inlier_rate``, which a config
-    of any other rule refuses).
+    ``threshold`` is None for exact 2-means (the default), a positive finite
+    number for that fixed cut, or ``"auto"`` for the built-in cut: t = 0.5
+    for the eigenvector rule, and T = d*(r*n+1)/2 from ``inlier_rate`` for
+    the row-sum rule, which every other config refuses.
     """
 
     method: str = METHOD_ROW_SUM
-    threshold: float | None = None
-    use_two_means: bool = True
+    threshold: float | str | None = None
     inlier_rate: float | None = None
 
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.threshold is not None:
-            if self.use_two_means:
-                raise ValueError("threshold and use_two_means are mutually exclusive")
-            if not 0 < self.threshold < math.inf:
-                raise ValueError("threshold must be positive and finite")
+        if isinstance(self.threshold, str):
+            if self.threshold != "auto":
+                raise ValueError(f"unknown threshold {self.threshold!r}")
+        elif self.threshold is not None and not 0 < self.threshold < math.inf:
+            raise ValueError("threshold must be positive and finite")
         if self.inlier_rate is not None and not 0 < self.inlier_rate < 1:
             raise ValueError("inlier_rate must be in (0, 1)")
         if self.inlier_rate is not None and not self.reads_inlier_rate:
@@ -90,9 +89,8 @@ class MatchConfig:
 
     @property
     def reads_inlier_rate(self) -> bool:
-        """Whether the rule reads ``inlier_rate``: the row-sum default."""
-        default = self.threshold is None and not self.use_two_means
-        return default and self.method == METHOD_ROW_SUM
+        """Whether the rule reads ``inlier_rate``: the row-sum ``"auto"``."""
+        return self.method == METHOD_ROW_SUM and self.threshold == "auto"
 
     def check_runnable(self) -> None:
         """Raise ``ValueError`` when the rule reads an inlier rate that is
@@ -217,14 +215,14 @@ def _two_means_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _fixed_cut(cfg: MatchConfig, d: int, n: int) -> float:
     """The cut of a threshold config on an overlap of d-by-n factors:
-    t / sqrt(n) for the eigenvector rule, and T, by default d*(r*n+1)/2,
-    for the row-sum rule."""
+    t / sqrt(n) for the eigenvector rule (t = 0.5 for ``"auto"``), and T,
+    d*(r*n+1)/2 for ``"auto"``, for the row-sum rule."""
     if cfg.method == METHOD_EIGENVECTOR:
-        t = DEFAULT_EIG_THRESHOLD if cfg.threshold is None else cfg.threshold
+        t = DEFAULT_EIG_THRESHOLD if cfg.threshold == "auto" else cfg.threshold
         return t / math.sqrt(n)
-    if cfg.threshold is not None:
-        return cfg.threshold
-    return d * (cfg.inlier_rate * n + 1) / 2.0
+    if cfg.reads_inlier_rate:
+        return d * (cfg.inlier_rate * n + 1) / 2.0
+    return cfg.threshold
 
 
 @dataclass(frozen=True)
@@ -256,6 +254,8 @@ def classify_rows(stats: np.ndarray, cfgs, d: int) -> RowClasses:
     """Classify the rows of a (p, n) stack of statistics of overlaps of
     d-by-n factors, row i by ``cfgs[i]``, of either rule: :func:`match`'s
     one statistic, or a sweep trial's rows of one branch at every point.
+    A config of ``threshold`` None takes the 2-means branch, any other the
+    threshold branch.
 
     The threshold branch keeps the values at least each row's own cut.
     The 2-means branch splits every row at once, each on its own, so a row
@@ -294,9 +294,9 @@ def classify_rows(stats: np.ndarray, cfgs, d: int) -> RowClasses:
     p, n = stats.shape
     if len(cfgs) != p:
         raise ValueError(f"{len(cfgs)} configs for {p} rows of statistics")
-    two_means = cfgs[0].use_two_means
+    two_means = cfgs[0].threshold is None
     for cfg in cfgs:
-        if cfg.use_two_means != two_means:
+        if (cfg.threshold is None) != two_means:
             raise ValueError("configs of one call must all take one branch")
         cfg.check_runnable()
     if two_means:
@@ -344,7 +344,7 @@ def match(h: OverlapMatrix, cfg: MatchConfig) -> tuple[LabelPartition, MatchDiag
     The eigenvector rule reads the (sign-fixed) leading eigenvector; its
     fixed cut is t / sqrt(n).  The row-sum rule reads S_i - d^2, which (for
     k inliers, no preprocessing) has mean d*(k+1) on inliers and 0 on
-    outliers; its fixed cut is T, by default d*(r*n+1)/2 from
+    outliers; its fixed cut is T, for ``"auto"`` d*(r*n+1)/2 from
     ``inlier_rate``.  Under column normalization the shift is still applied
     as a constant: the 2-means partition is shift-invariant in floating
     point (see :func:`classify_rows`), so the offset -d^2 does not move it
@@ -353,12 +353,13 @@ def match(h: OverlapMatrix, cfg: MatchConfig) -> tuple[LabelPartition, MatchDiag
 
     The statistic is the one row of :func:`classify_rows`, which a sweep
     trial runs on its stack, so each row of it gets ``match``'s partition.
-    The threshold branch keeps index i as an inlier when its statistic is at
-    least the cut, and warns when the cut lies above the statistic's range
-    (every point an outlier) or at or below it (every point an inlier); the
-    2-means branch clusters the statistic and keeps the upper cluster, or
-    labels every point an outlier (with a warning) when the statistic is
-    constant.  The diagnostics name the backend that computed the statistic
+    ``cfg.threshold`` picks the branch: a cut or ``"auto"`` the threshold
+    branch, None 2-means.  The threshold branch keeps index i as an inlier
+    when its statistic is at least the cut, and warns when the cut lies
+    above the statistic's range (every point an outlier) or at or below it
+    (every point an inlier); the 2-means branch clusters the statistic and
+    keeps the upper cluster, or labels every point an outlier (with a
+    warning) when the statistic is constant.  The diagnostics name the backend that computed the statistic
     in ``eig_backend`` or ``row_sum_backend``.  A config that cannot run
     (see :meth:`MatchConfig.check_runnable`) is refused before any statistic
     is computed, and so is a stack.
@@ -390,7 +391,7 @@ def match(h: OverlapMatrix, cfg: MatchConfig) -> tuple[LabelPartition, MatchDiag
         )
     diag = MatchDiagnostics(
         method=cfg.method,
-        branch="two_means" if cfg.use_two_means else "threshold",
+        branch="two_means" if cfg.threshold is None else "threshold",
         n=h.n,
         stat_min=low,
         stat_max=high,

@@ -180,7 +180,7 @@ def _diagnostics_payload(
         payload["shards"] = [d.to_dict() for d in report.shard_diagnostics]
         payload["shard_times_ms"] = report.shard_times_ms
         payload["workers"] = report.workers
-        payload["shard_sizes"] = [int(s.size) for s in report.plan.shards]
+        payload["shard_sizes"] = [int(s.size) for s in report.shards]
         payload["warnings"] = report.warnings
     return payload
 

@@ -131,12 +131,7 @@ def power_iteration(a) -> SpectralPair:
             best = (value, v)
         if residual <= POWER_TOL_DEFAULT * max(1.0, abs(value)):
             return SpectralPair(value, fix_sign(v), k, residual, True)
-        norm_av = float(np.linalg.norm(av))
-        if norm_av == 0.0:
-            # v is in the null space; the residual test above already
-            # accepted value = 0, so this is unreachable in practice.
-            break
-        v = av / norm_av
+        v = av / float(np.linalg.norm(av))
     value, v = best
     return SpectralPair(
         value, fix_sign(v), POWER_MAX_ITER_DEFAULT, best_residual, False

@@ -430,18 +430,8 @@ class PopulationModel:
         object.__setattr__(self, "inliers", g)
 
     @property
-    def r(self) -> float:
-        return self.inliers.size / self.n
-
-    @property
     def n_inliers(self) -> int:
         return int(self.inliers.size)
-
-    @property
-    def outliers(self) -> np.ndarray:
-        mask = np.ones(self.n, dtype=bool)
-        mask[self.inliers] = False
-        return np.flatnonzero(mask)
 
 
 def population_overlap(m: PopulationModel) -> np.ndarray:

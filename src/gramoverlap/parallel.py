@@ -6,8 +6,9 @@ with the row-sum backend picked for its size.  Shard tasks are pure; they run
 on a thread pool only when at least one of them forms the dense ``H``
 (:func:`~gramoverlap.overlap.forms_h`), and in order on the calling thread
 otherwise, where a pool measured slower than one thread.  The merged partition
-is identical for any execution order or worker count.  When the row-sum
-matcher derives its default threshold from an inlier rate, each shard uses its
+is identical for any execution order or worker count.  The split is a tuple
+of sorted index arrays, one a shard (:func:`make_split`).  When a row-sum
+config's ``"auto"`` cut derives T from an inlier rate, each shard uses its
 own size in the formula.
 """
 
@@ -28,16 +29,6 @@ from .classify import (
 from .overlap import PreprocessMode, _preprocessed_pair, build_overlap, forms_h
 
 
-@dataclass(frozen=True, eq=False)
-class SplitPlan:
-    """Random balanced assignment of 0..n-1 to s shards (sizes differ by <= 1)."""
-
-    n: int
-    s: int
-    seed: int
-    shards: tuple
-
-
 def check_shard_count(n: int, s: int) -> None:
     """Raise ``ValueError`` unless 1 <= s <= n/2, so that every one of s
     shards of n points holds at least two."""
@@ -45,10 +36,10 @@ def check_shard_count(n: int, s: int) -> None:
         raise ValueError(f"s must satisfy 1 <= s <= n/2, got s={s}, n={n}")
 
 
-def make_split(n: int, s: int, seed: int) -> SplitPlan:
-    """Uniformly random balanced split of 0..n-1 into s shards: a seeded
-    permutation cut by ``np.array_split``, so the first ``n mod s`` shards
-    hold one point more, each sorted.
+def make_split(n: int, s: int, seed: int) -> tuple[np.ndarray, ...]:
+    """The shards of a uniformly random balanced split of 0..n-1 into s, a
+    tuple of sorted index arrays: a seeded permutation cut by
+    ``np.array_split``, so the first ``n mod s`` shards hold one point more.
 
     Requires 1 <= s <= n/2 (see :func:`check_shard_count`) and a
     non-negative ``seed``.
@@ -57,17 +48,17 @@ def make_split(n: int, s: int, seed: int) -> SplitPlan:
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    shards = tuple(np.sort(part) for part in np.array_split(rng.permutation(n), s))
-    return SplitPlan(n=n, s=s, seed=seed, shards=shards)
+    return tuple(np.sort(part) for part in np.array_split(rng.permutation(n), s))
 
 
 @dataclass
 class ParallelReport:
-    """Merged partition with per-shard timing and diagnostics; ``workers`` is
-    the number of threads that ran the shards (1 when they ran inline)."""
+    """Merged partition with its shards (see :func:`make_split`) and
+    per-shard timing and diagnostics; ``workers`` is the number of threads
+    that ran the shards (1 when they ran inline)."""
 
     partition: LabelPartition
-    plan: SplitPlan
+    shards: tuple[np.ndarray, ...]
     shard_times_ms: list[float]
     total_time_ms: float
     shard_diagnostics: list[MatchDiagnostics]
@@ -122,10 +113,10 @@ def parallel_match(
     t_start = time.perf_counter()
     xp, yp = _preprocessed_pair(x, y, mode)
     n = xp.shape[1]
-    plan = make_split(n, s, seed)
+    shards = make_split(n, s, seed)
 
     def run_shard(j: int):
-        idx = plan.shards[j]
+        idx = shards[j]
         t0 = time.perf_counter()
         h = build_overlap(xp[:, idx], yp[:, idx], PreprocessMode.NONE, backend)
         part, diag = match(h, cfg)
@@ -133,7 +124,7 @@ def parallel_match(
 
     workers = resolve_workers(max_workers, s)
     d, eigenpair = xp.shape[0], cfg.method == METHOD_EIGENVECTOR
-    if not any(forms_h(d, idx.size, eigenpair, backend) for idx in plan.shards):
+    if not any(forms_h(d, idx.size, eigenpair, backend) for idx in shards):
         workers = 1
     if workers == 1:
         results = [run_shard(j) for j in range(s)]
@@ -143,11 +134,11 @@ def parallel_match(
 
     inlier_mask = np.zeros(n, dtype=bool)
     for j, (part, _, _) in enumerate(results):
-        inlier_mask[plan.shards[j][part.inliers]] = True
+        inlier_mask[shards[j][part.inliers]] = True
     total_ms = (time.perf_counter() - t_start) * 1e3
     return ParallelReport(
         partition=LabelPartition(inlier_mask),
-        plan=plan,
+        shards=shards,
         shard_times_ms=[ms for _, _, ms in results],
         total_time_ms=total_ms,
         shard_diagnostics=[diag for _, diag, _ in results],

@@ -105,11 +105,7 @@ def test_criterion_2_exact_recovery():
     assert interval.lo < threshold < interval.hi, (
         f"T = {threshold} outside {interval}; the precondition does not hold"
     )
-    cfg = MatchConfig(
-        method="row_sum",
-        threshold=threshold,
-        use_two_means=False,
-    )
+    cfg = MatchConfig(method="row_sum", threshold=threshold)
     t0 = time.perf_counter()
     zero_miss = 0
     for t in range(trials):
@@ -171,11 +167,7 @@ def test_criterion_3_vanishing_inlier_regime():
 
 def test_criterion_4_eigenvector_weak_recovery():
     trials = 50
-    cfg = MatchConfig(
-        method="eigenvector",
-        threshold=0.5,
-        use_two_means=False,
-    )
+    cfg = MatchConfig(method="eigenvector", threshold=0.5)
     t0 = time.perf_counter()
     means = []
     for n in (200, 400, 800):
@@ -439,10 +431,10 @@ def test_criterion_8_invariant_suite():
         )
         sigma = np.random.default_rng(trial).permutation(128)
         for cfg in (
-            MatchConfig(method="eigenvector", use_two_means=True),
-            MatchConfig(method="eigenvector", threshold=0.5, use_two_means=False),
-            MatchConfig(method="row_sum", use_two_means=True),
-            MatchConfig(method="row_sum", use_two_means=False, inlier_rate=0.5),
+            MatchConfig(method="eigenvector"),
+            MatchConfig(method="eigenvector", threshold=0.5),
+            MatchConfig(method="row_sum"),
+            MatchConfig(method="row_sum", threshold="auto", inlier_rate=0.5),
         ):
             h = build_overlap(pair.x, pair.y, PreprocessMode.NONE)
             base, _ = match(h, cfg)
@@ -485,7 +477,7 @@ def test_criterion_9_cli_end_to_end(tmp_path):
         (
             "--method eig --threshold 0.5 --preprocess cn",
             PreprocessMode.CENTER_NORMALIZE,
-            MatchConfig(method="eigenvector", threshold=0.5, use_two_means=False),
+            MatchConfig(method="eigenvector", threshold=0.5),
         ),
         (
             "--method eig --kmeans --preprocess cn",
@@ -495,7 +487,7 @@ def test_criterion_9_cli_end_to_end(tmp_path):
         (
             f"--method rowsum --threshold {raw_threshold} --preprocess none",
             PreprocessMode.NONE,
-            MatchConfig(method="row_sum", threshold=raw_threshold, use_two_means=False),
+            MatchConfig(method="row_sum", threshold=raw_threshold),
         ),
         (
             "--method rowsum --kmeans --preprocess cn",

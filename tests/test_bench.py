@@ -12,6 +12,7 @@ from dataclasses import replace
 from gramoverlap import (
     DegenerateColumnError,
     ErrorReport,
+    MatchConfig,
     OverlapMatrix,
     PreprocessMode,
     bench,
@@ -38,9 +39,25 @@ class TestParseMethod:
         m = parse_method("eig:0.5")
         assert m.method == "eigenvector" and m.threshold == 0.5
         m = parse_method("rowsum:kmeans")
-        assert m.method == "row_sum" and m.use_two_means
+        assert m.method == "row_sum" and m.threshold is None
         m = parse_method("rowsum:auto")
-        assert not m.use_two_means and m.threshold is None
+        assert m.threshold == "auto"
+
+    def test_a_spec_is_the_config_built_directly(self):
+        # the branch token is the threshold: kmeans is None, auto "auto"
+        # and a number its float
+        direct = {
+            "eig:0.3": MatchConfig("eigenvector", 0.3),
+            "eig:0.5": MatchConfig("eigenvector", 0.5),
+            "eig:0.7": MatchConfig("eigenvector", 0.7),
+            "eig:kmeans": MatchConfig("eigenvector"),
+            "rowsum:kmeans": MatchConfig("row_sum"),
+            "rowsum:auto": MatchConfig("row_sum", "auto"),
+            "rowsum:12.5": MatchConfig("row_sum", 12.5),
+        }
+        assert set(DEFAULT_METHODS) < set(direct)
+        for text, cfg in direct.items():
+            assert parse_method(text) == cfg, text
 
     def test_rejects_garbage(self):
         for text in (
@@ -52,7 +69,7 @@ class TestParseMethod:
 
     def test_auto_config_carries_rate(self):
         cfg = bench._at_rate(parse_method("rowsum:auto"), r=0.25)
-        assert cfg.inlier_rate == 0.25 and not cfg.use_two_means
+        assert cfg.inlier_rate == 0.25 and cfg.threshold == "auto"
 
 
 class TestSweeps:
@@ -668,7 +685,7 @@ class TestStackedTrial:
         classify_rows = bench.classify_rows
 
         def slow(stats, cfgs, d):
-            calls.append((stats.shape, cfgs[0].use_two_means))
+            calls.append((stats.shape, cfgs[0].threshold is None))
             time.sleep(0.04)
             return classify_rows(stats, cfgs, d)
 

@@ -1,5 +1,6 @@
 """Matchers, the exact 1-D 2-means solver, error metrics, threshold interval."""
 
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -458,7 +459,7 @@ class TestClassifyRows:
             assert {key: getattr(diag, key) for key in facts} == facts
         # a threshold call keeps only its cuts, a 2-means call its sorted
         # rows and split sizes
-        two_means = cfgs[0].use_two_means
+        two_means = cfgs[0].threshold is None
         assert (got.cuts is None) == two_means
         assert (got.sorted_values is None) == (got.k is None) == (not two_means)
 
@@ -475,15 +476,15 @@ class TestClassifyRows:
         "cfgs, message",
         [
             # every row would follow the first config's branch
-            ([MatchConfig(), MatchConfig(use_two_means=False, inlier_rate=0.5)],
+            ([MatchConfig(), MatchConfig(threshold="auto", inlier_rate=0.5)],
              "one branch"),
-            ([MatchConfig(threshold=1.0, use_two_means=False), MatchConfig()],
+            ([MatchConfig(threshold=1.0), MatchConfig()],
              "one branch"),
             # one threshold config would be broadcast to every row
-            ([MatchConfig(threshold=1.0, use_two_means=False)], "1 configs for 2 rows"),
+            ([MatchConfig(threshold=1.0)], "1 configs for 2 rows"),
             ([MatchConfig()] * 3, "3 configs for 2 rows"),
             # rowsum:auto with no rate would fail inside the cut
-            ([MatchConfig(use_two_means=False)] * 2, "requires inlier_rate"),
+            ([MatchConfig(threshold="auto")] * 2, "requires inlier_rate"),
         ],
     )
     def test_a_call_outside_the_contract_is_refused(self, cfgs, message):
@@ -709,13 +710,51 @@ class TestValueSort:
 
 
 class TestMatchConfig:
-    def test_threshold_and_two_means_conflict(self):
-        with pytest.raises(ValueError):
-            MatchConfig(method="row_sum", threshold=1.0, use_two_means=True)
+    def test_fields_are_method_threshold_and_inlier_rate(self):
+        names = [f.name for f in dataclasses.fields(MatchConfig)]
+        assert names == ["method", "threshold", "inlier_rate"]
+        assert MatchConfig().threshold is None  # 2-means by default
+
+    def test_a_fixed_cut_is_one_field(self):
+        # eig:0.5 on a seeded pair: the cut t / sqrt(n) = 0.025 keeps 258
+        # points, every true inlier and 18 outliers, as the config did when
+        # it also had to turn 2-means off
+        pair = generate(ScenarioSpec(d=6, n=400, r=0.6, seed=derive_seed(35, 0)))
+        h = build_overlap(pair.x, pair.y, PreprocessMode.CENTER_NORMALIZE)
+        part, diag = match(h, MatchConfig(method="eigenvector", threshold=0.5))
+        v, _ = statistic(h, METHOD_EIGENVECTOR)
+        assert part == LabelPartition(v >= 0.025)
+        report = error_rates(pair.inliers, part)
+        counts = part.inliers.size, report.missed_inliers, report.missed_outliers
+        assert counts == (258, 0, 18)
+        assert diag.branch == "threshold" and diag.threshold == 0.025
+        assert diag.centroids is None and diag.centroid_gap is None
+        assert not diag.degenerate and diag.warnings == []
+        assert diag.eig_backend == "gram_factor" and diag.converged
+        # "auto" is the same cut, t = 0.5
+        auto_part, auto_diag = match(h, MatchConfig("eigenvector", "auto"))
+        assert auto_part == part and auto_diag.to_dict() == diag.to_dict()
+
+    @pytest.mark.parametrize("method", ["eigenvector", "row_sum"])
+    @pytest.mark.parametrize(
+        "threshold, message",
+        [
+            ("kmeans", "unknown threshold 'kmeans'"),
+            ("Auto", "unknown threshold 'Auto'"),
+            (0, "threshold must be positive and finite"),
+            (-1, "threshold must be positive and finite"),
+            (math.inf, "threshold must be positive and finite"),
+            (math.nan, "threshold must be positive and finite"),
+        ],
+    )
+    def test_a_bad_threshold_is_refused(self, method, threshold, message):
+        with pytest.raises(ValueError) as exc:
+            MatchConfig(method=method, threshold=threshold)
+        assert str(exc.value) == message
 
     def test_threshold_must_be_positive(self):
         with pytest.raises(ValueError):
-            MatchConfig(method="row_sum", threshold=0.0, use_two_means=False)
+            MatchConfig(method="row_sum", threshold=0.0)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -729,10 +768,10 @@ class TestMatchConfig:
         "kwargs",
         [
             dict(method="row_sum"),
-            dict(method="row_sum", threshold=2.0, use_two_means=False),
+            dict(method="row_sum", threshold=2.0),
             dict(method="eigenvector"),
-            dict(method="eigenvector", use_two_means=False),
-            dict(method="eigenvector", threshold=0.5, use_two_means=False),
+            dict(method="eigenvector", threshold="auto"),
+            dict(method="eigenvector", threshold=0.5),
         ],
     )
     def test_inlier_rate_no_rule_reads_is_refused(self, kwargs):
@@ -741,12 +780,12 @@ class TestMatchConfig:
         assert MatchConfig(**kwargs).inlier_rate is None
 
     def test_inlier_rate_of_the_row_sum_default(self):
-        cfg = MatchConfig(method="row_sum", use_two_means=False, inlier_rate=0.5)
+        cfg = MatchConfig(method="row_sum", threshold="auto", inlier_rate=0.5)
         assert cfg.reads_inlier_rate and cfg.inlier_rate == 0.5
         # the one config that reads a rate still refuses one outside (0, 1)
         for rate in (0.0, 1.0, -0.5, 1.5, math.nan):
             with pytest.raises(ValueError, match=r"must be in \(0, 1\)"):
-                MatchConfig(method="row_sum", use_two_means=False, inlier_rate=rate)
+                MatchConfig(method="row_sum", threshold="auto", inlier_rate=rate)
 
 
     def test_a_missing_rate_is_refused_before_any_statistic(self, monkeypatch):
@@ -759,7 +798,7 @@ class TestMatchConfig:
         assert h.row_sum_backend == "gram_factor"
         # rowsum:auto parses without a rate; only running it is refused
         cfg = bench.parse_method("rowsum:auto")
-        assert cfg == MatchConfig(method="row_sum", use_two_means=False)
+        assert cfg == MatchConfig(method="row_sum", threshold="auto")
         with pytest.raises(ValueError) as exc:
             match(h, cfg)
         assert str(exc.value) == "default row-sum threshold requires inlier_rate to be set"
@@ -768,7 +807,7 @@ class TestEigenvectorMatch:
     def test_threshold_arithmetic(self):
         v = np.array([0.70, 0.71, 0.05, 0.04])
         h = as_overlap(np.outer(v, v), d=4)
-        cfg = MatchConfig(method="eigenvector", threshold=0.5, use_two_means=False)
+        cfg = MatchConfig(method="eigenvector", threshold=0.5)
         part, diag = match(h, cfg)
         assert np.array_equal(part.inliers, [0, 1])
         assert diag.branch == "threshold"
@@ -776,14 +815,14 @@ class TestEigenvectorMatch:
 
     def test_population_threshold_recovers_exactly(self):
         h = population_h(d=30, n=24, k=12)
-        cfg = MatchConfig(method="eigenvector", threshold=0.5, use_two_means=False)
+        cfg = MatchConfig(method="eigenvector", threshold=0.5)
         part, diag = match(h, cfg)
         assert np.array_equal(part.inliers, np.arange(12))
         assert diag.converged
 
     def test_population_two_means_recovers_exactly(self):
         h = population_h(d=30, n=24, k=12)
-        cfg = MatchConfig(method="eigenvector", use_two_means=True)
+        cfg = MatchConfig(method="eigenvector")
         part, _ = match(h, cfg)
         assert np.array_equal(part.inliers, np.arange(12))
 
@@ -798,7 +837,7 @@ class TestEigenvectorMatch:
 
     def test_degenerate_statistic_falls_back_to_all_outliers(self):
         h = as_overlap(np.eye(6), d=3)
-        cfg = MatchConfig(method="eigenvector", use_two_means=True)
+        cfg = MatchConfig(method="eigenvector")
         part, diag = match(h, cfg)
         assert part.inliers.size == 0
         assert diag.degenerate
@@ -806,8 +845,8 @@ class TestEigenvectorMatch:
 
     def test_default_threshold_is_half(self):
         h = population_h(d=10, n=20, k=10)
-        explicit = MatchConfig(method="eigenvector", threshold=0.5, use_two_means=False)
-        implicit = MatchConfig(method="eigenvector", use_two_means=False)
+        explicit = MatchConfig(method="eigenvector", threshold=0.5)
+        implicit = MatchConfig(method="eigenvector", threshold="auto")
         assert match(h, explicit)[0] == match(h, implicit)[0]
 
     def test_factored_backend_never_forms_h(self, monkeypatch):
@@ -824,7 +863,7 @@ class TestEigenvectorMatch:
         monkeypatch.setattr(linalg, "gram", no_gram)
         for cfg in (
             MatchConfig(method="eigenvector"),
-            MatchConfig(method="eigenvector", threshold=0.5, use_two_means=False),
+            MatchConfig(method="eigenvector", threshold=0.5),
         ):
             part, diag = match(h, cfg)
             assert diag.eig_backend == "gram_factor"
@@ -836,11 +875,7 @@ class TestEigenvectorMatch:
     def test_monte_carlo_weak_recovery(self):
         # pilot-calibrated: at d = n = 600, r = 0.8, raw data, t = 0.5 the
         # overall error is below 0.05 in at least 9 of 10 seeded trials
-        cfg = MatchConfig(
-            method="eigenvector",
-            threshold=0.5,
-            use_two_means=False,
-        )
+        cfg = MatchConfig(method="eigenvector", threshold=0.5)
         hits = 0
         for trial in range(10):
             spec = ScenarioSpec(
@@ -862,7 +897,7 @@ class TestRowSumMatch:
         shifted = h.row_sums() - 100.0
         assert np.array_equal(shifted[:10], np.full(10, 110.0))
         assert np.array_equal(shifted[10:], np.zeros(10))
-        cfg = MatchConfig(method="row_sum", threshold=55.0, use_two_means=False)
+        cfg = MatchConfig(method="row_sum", threshold=55.0)
         part, diag = match(h, cfg)
         assert np.array_equal(part.inliers, np.arange(10))
         assert diag.threshold == 55.0
@@ -870,7 +905,7 @@ class TestRowSumMatch:
     def test_threshold_arithmetic(self):
         # shifted row sums (110, 108, 2, -1) against T = 55
         h = as_overlap(np.diag([210.0, 208.0, 102.0, 99.0]), d=10)
-        cfg = MatchConfig(method="row_sum", threshold=55.0, use_two_means=False)
+        cfg = MatchConfig(method="row_sum", threshold=55.0)
         part, _ = match(h, cfg)
         assert np.array_equal(part.inliers, [0, 1])
 
@@ -882,7 +917,7 @@ class TestRowSumMatch:
 
     def test_default_threshold_uses_rate_and_size(self):
         h = population_h(d=10, n=20, k=10)
-        cfg = MatchConfig(method="row_sum", use_two_means=False, inlier_rate=0.5)
+        cfg = MatchConfig(method="row_sum", threshold="auto", inlier_rate=0.5)
         part, diag = match(h, cfg)
         assert diag.threshold == 10 * (0.5 * 20 + 1) / 2  # 55
         assert np.array_equal(part.inliers, np.arange(10))
@@ -890,7 +925,7 @@ class TestRowSumMatch:
     def test_default_threshold_requires_rate(self):
         h = population_h(d=10, n=20, k=10)
         with pytest.raises(ValueError):
-            match(h, MatchConfig(method="row_sum", use_two_means=False))
+            match(h, MatchConfig(method="row_sum", threshold="auto"))
 
     def test_shift_applied_after_normalization_harmless_for_two_means(self):
         rng = np.random.default_rng(55)
@@ -938,7 +973,7 @@ class TestRowSumMatch:
             lazy = OverlapMatrix(xp=xp, yp=yp)
             for cfg in (
                 MatchConfig(method="row_sum"),
-                MatchConfig(method="row_sum", use_two_means=False, inlier_rate=0.7),
+                MatchConfig(method="row_sum", threshold="auto", inlier_rate=0.7),
             ):
                 part, diag = match(lazy, cfg)
                 ref, ref_diag = match(eager, cfg)
@@ -964,11 +999,11 @@ class TestMatchDispatch:
             pair = generate(spec)
             sigma = np.random.default_rng(trial).permutation(spec.n)
             for cfg in (
-                MatchConfig(method="eigenvector", use_two_means=True),
-                MatchConfig(method="eigenvector", threshold=0.5, use_two_means=False),
-                MatchConfig(method="row_sum", use_two_means=True),
+                MatchConfig(method="eigenvector"),
+                MatchConfig(method="eigenvector", threshold=0.5),
+                MatchConfig(method="row_sum"),
                 MatchConfig(
-                    method="row_sum", use_two_means=False, inlier_rate=0.5
+                    method="row_sum", threshold="auto", inlier_rate=0.5
                 ),
             ):
                 h = build_overlap(pair.x, pair.y, PreprocessMode.NONE)
@@ -1033,11 +1068,11 @@ class TestMatchRecorded:
         "cfg, diag",
         [
             (
-                MatchConfig(method="eigenvector", threshold=0.9, use_two_means=False),
+                MatchConfig(method="eigenvector", threshold=0.9),
                 dict(_EIG_DIAG, threshold=0.2846049894151541),
             ),
             (
-                MatchConfig(method="eigenvector", use_two_means=False),
+                MatchConfig(method="eigenvector", threshold="auto"),
                 dict(_EIG_DIAG, threshold=0.15811388300841897),
             ),
             (
@@ -1049,11 +1084,11 @@ class TestMatchRecorded:
                 ),
             ),
             (
-                MatchConfig(method="row_sum", threshold=7.0, use_two_means=False),
+                MatchConfig(method="row_sum", threshold=7.0),
                 dict(_ROW_SUM_DIAG, threshold=7.0),
             ),
             (
-                MatchConfig(method="row_sum", use_two_means=False, inlier_rate=0.4),
+                MatchConfig(method="row_sum", threshold="auto", inlier_rate=0.4),
                 dict(_ROW_SUM_DIAG, threshold=7.5),
             ),
             (
@@ -1095,7 +1130,7 @@ class TestMatchRecorded:
         self.check(h, MatchConfig(method="eigenvector"), [False, False], _FLIP_EIG_DIAG)
         self.check(
             h,
-            MatchConfig(method="eigenvector", use_two_means=False),
+            MatchConfig(method="eigenvector", threshold="auto"),
             [True, True],
             dict(
                 _FLIP_EIG_DIAG, branch="threshold", threshold=0.35355339059327373,
@@ -1111,7 +1146,7 @@ class TestCutOutsideTheRange:
     def test_a_cut_at_or_below_the_range_warns_every_point_is_an_inlier(self):
         h = population_h(d=3, n=10, k=4)  # eigenvector entries from 3e-11
         for t in (1e-12, 0.5 * math.sqrt(10)):
-            cfg = MatchConfig(method="eigenvector", threshold=t, use_two_means=False)
+            cfg = MatchConfig(method="eigenvector", threshold=t)
             part, diag = match(h, cfg)
             if t < 1:
                 assert part.inliers.size == 10
@@ -1128,7 +1163,7 @@ class TestCutOutsideTheRange:
     def test_a_cut_above_the_range_warns_every_point_is_an_outlier(self):
         h = population_h(d=3, n=10, k=4)  # shifted row sums 0 and 15
         for t, inliers in ((15.5, []), (15.0, [0, 1, 2, 3]), (0.5, [0, 1, 2, 3])):
-            cfg = MatchConfig(method="row_sum", threshold=t, use_two_means=False)
+            cfg = MatchConfig(method="row_sum", threshold=t)
             part, diag = match(h, cfg)
             assert part.inliers.tolist() == inliers
             warned = [

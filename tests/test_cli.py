@@ -159,7 +159,7 @@ class TestMatch:
             (
                 "--method eig --threshold 0.7 --preprocess cn",
                 PreprocessMode.CENTER_NORMALIZE,
-                MatchConfig(method="eigenvector", threshold=0.7, use_two_means=False),
+                MatchConfig(method="eigenvector", threshold=0.7),
             ),
         ]:
             out = tmp_path / ("m" + flags.replace(" ", ""))
@@ -1020,10 +1020,10 @@ def reference_match_config(args) -> MatchConfig:
         raise UsageError("--threshold and --kmeans are mutually exclusive")
     if args.threshold is None and not args.kmeans:
         raise UsageError("choose exactly one of --threshold or --kmeans")
-    threshold = None
-    if args.threshold is not None and args.threshold != "auto":
+    threshold = args.threshold
+    if threshold is not None and threshold != "auto":
         try:
-            threshold = float(args.threshold)
+            threshold = float(threshold)
         except ValueError:
             raise UsageError(f"bad --threshold value: {args.threshold!r}") from None
     if (
@@ -1036,7 +1036,6 @@ def reference_match_config(args) -> MatchConfig:
         return MatchConfig(
             method=method,
             threshold=threshold,
-            use_two_means=args.kmeans,
             inlier_rate=args.inlier_rate,
         )
     except ValueError as exc:

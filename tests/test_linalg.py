@@ -125,8 +125,13 @@ class TestPowerIteration:
 
     def test_zero_matrix(self):
         pair = power_iteration(np.zeros((4, 4)))
-        assert pair.converged
+        assert pair.converged and pair.iterations == 1
         assert pair.value == 0.0
+        # a product whose norm underflows to zero is accepted at once too:
+        # its residual underflows with it
+        pair = power_iteration(np.diag([1e-320, 0.0, 0.0, 0.0]))
+        assert pair.converged and pair.iterations == 1
+        assert pair.residual == 0.0
 
     def test_nonconvergence_flag(self):
         # +/-1 eigenvalue pair: the iterates oscillate and never settle,

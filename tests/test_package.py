@@ -59,7 +59,10 @@ def public_definitions(tree):
 def uncalled(srcs: dict[str, str], named: set[str]) -> list[str]:
     """The public definitions of ``srcs`` that no code outside their own
     body reads by name (as a name or an attribute), and that ``named`` does
-    not list.  A re-export (``from .x import f``) is not a reader."""
+    not list.  A re-export (``from .x import f``) is not a reader.  Reads
+    are matched by name alone, so a member whose name another object's
+    attribute shares counts as read by any read of that name: it is not
+    checked."""
     trees = {mod: ast.parse(text) for mod, text in srcs.items()}
     reads = [
         (mod, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)

@@ -1,4 +1,4 @@
-"""Split plans and split-merge matching: balance, determinism, merge."""
+"""Splits and split-merge matching: balance, determinism, merge."""
 
 import numpy as np
 import pytest
@@ -21,30 +21,29 @@ from gramoverlap.parallel import resolve_workers
 
 class TestMakeSplit:
     def test_balanced_sizes(self):
-        plan = make_split(10, 3, seed=0)
-        assert sorted(s.size for s in plan.shards) == [3, 3, 4]
+        shards = make_split(10, 3, seed=0)
+        assert sorted(s.size for s in shards) == [3, 3, 4]
 
     def test_single_shard_is_identity(self):
-        plan = make_split(12, 1, seed=5)
-        assert np.array_equal(plan.shards[0], np.arange(12))
+        shards = make_split(12, 1, seed=5)
+        assert np.array_equal(shards[0], np.arange(12))
 
     def test_bijection(self):
         for n, s, seed in [(10, 3, 1), (23, 5, 2), (100, 7, 3), (8, 4, 4)]:
-            plan = make_split(n, s, seed)
-            merged = np.concatenate(plan.shards)
+            merged = np.concatenate(make_split(n, s, seed))
             assert np.array_equal(np.sort(merged), np.arange(n))
 
     def test_deterministic(self):
         a = make_split(40, 4, seed=11)
         b = make_split(40, 4, seed=11)
-        for sa, sb in zip(a.shards, b.shards):
+        for sa, sb in zip(a, b):
             assert np.array_equal(sa, sb)
 
     def test_random_across_seeds(self):
         a = make_split(40, 4, seed=1)
         b = make_split(40, 4, seed=2)
         assert any(
-            not np.array_equal(sa, sb) for sa, sb in zip(a.shards, b.shards)
+            not np.array_equal(sa, sb) for sa, sb in zip(a, b)
         )
 
     def test_range_validation(self):
@@ -67,9 +66,10 @@ class TestMakeSplit:
     def test_shards_are_pinned(self, n, s, seed, shards):
         # a seed's shards, and so a --splits partition, stay the same across
         # versions: these were recorded before make_split used np.array_split
-        plan = make_split(n, s, seed)
-        assert [a.tolist() for a in plan.shards] == shards
-        assert all(a.dtype == np.intp for a in plan.shards)
+        got = make_split(n, s, seed)
+        assert isinstance(got, tuple)
+        assert [a.tolist() for a in got] == shards
+        assert all(a.dtype == np.intp for a in got)
 
     def test_negative_seed_is_refused_by_name(self):
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
@@ -130,12 +130,12 @@ class TestParallelMatch:
         pair = easy_pair(6, d=30, n=90)
         cfg = MatchConfig(
             method="row_sum",
-            use_two_means=False,
+            threshold="auto",
             inlier_rate=0.8,
         )
         report = parallel_match(pair.x, pair.y, 3, cfg, PreprocessMode.NONE, 13)
         for j, diag in enumerate(report.shard_diagnostics):
-            m = report.plan.shards[j].size
+            m = report.shards[j].size
             assert diag.threshold == 30 * (0.8 * m + 1) / 2
 
     def test_merge_covers_everything(self):
@@ -224,7 +224,7 @@ class TestParallelMatch:
         monkeypatch.setattr(parallel, "_preprocessed_pair", refuse)
         monkeypatch.setattr(parallel, "build_overlap", refuse)
         x, y = np.random.default_rng(9).standard_normal((2, 5, 80))
-        cfg = MatchConfig(method="row_sum", use_two_means=False)
+        cfg = MatchConfig(method="row_sum", threshold="auto")
         with pytest.raises(ValueError) as exc:
             parallel_match(x, y, 4, cfg, backend="dense")
         assert str(exc.value) == "default row-sum threshold requires inlier_rate to be set"
