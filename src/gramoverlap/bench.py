@@ -1,5 +1,8 @@
 """Sweep harnesses: error-vs-inlier-rate, error-vs-noise, and split timing,
-all run by one driver, :func:`_run_sweep`.
+all run by one entry point, :func:`run_sweep`, whose ``axis`` names the
+swept field: ``r``, ``sigma2`` or ``splits``.  It holds the sweep defaults
+once: each axis's methods, ``permuted_inliers`` data and ``cn``
+preprocessing.  :func:`run_rate_sweep` is its ``r`` sweep by another name.
 
 Each grid point runs seeded trials.  Trial ``t`` has the same seed at every
 grid point, so the driver draws its data's shared part once and completes each
@@ -12,19 +15,19 @@ the chunk's Ys, and each distinct statistic (leading eigenvector, row sums)
 is read from it once, through ``classify.statistic``, the path ``match``
 reads a pair through.  A chunk is bounded by a fixed byte budget when every
 statistic reads only the factors; when a backend reads ``H`` (the dense row
-sums, or power iteration), a chunk holds one scenario, so a trial holds one
-``H`` at a time and both statistics share it.  Every scenario's truth mask
-comes from the trial's permutation in one comparison.  Once every scenario
-of the trial has its statistics, ``classify.classify_rows`` (``match``'s
-classifier) splits the rows of every 2-means method at every point in one
-call and compares those of every threshold method with their cuts in
-another, and every partition of the trial is scored as one stack, so
-methods are compared on identical data.  Per-method wall time charges the
-point's share of the trial's preprocessing, its chunk's share of the
-overlap's build plus the statistic that method reads, and its row's share
-of its branch's classification call, i.e. about what a solo run would
-cost: each statistic is timed once and charged to every method that reads
-it.
+sums, or power iteration), a chunk is the pair overlap of one scenario, so a
+trial holds one ``H`` at a time and both statistics share it.  Every
+scenario's truth mask comes from the trial's permutation in one comparison.
+Once every scenario of the trial has its statistics,
+``classify.classify_rows`` (``match``'s classifier) splits the rows of every
+2-means method at every point in one call and compares those of every
+threshold method with their cuts in another, and every partition of the
+trial is scored as one stack, so methods are compared on identical data.
+Per-method wall time charges the point's share of the trial's preprocessing,
+its chunk's share of the overlap's build plus the statistic that method
+reads, and its row's share of its branch's classification call, i.e. about
+what a solo run would cost: each statistic is timed once and charged to
+every method that reads it.
 
 Results stay arrays from the trial to the CSV row.  A trial returns each
 method's inlier and hit counts and times at each point; the sweep fills one
@@ -49,7 +52,14 @@ from .classify import (
 )
 from .overlap import OverlapMatrix, PreprocessMode, _preprocess, forms_h, preprocess
 from .parallel import check_shard_count, parallel_match
-from .synth import ScenarioSpec, _complete, _draw_trial, _inlier_masks, derive_seed
+from .synth import (
+    KIND_PERMUTED_INLIERS,
+    ScenarioSpec,
+    _complete,
+    _draw_trial,
+    _inlier_masks,
+    derive_seed,
+)
 
 # The per-trial columns that each summary row reduces to a mean and an sd.
 _SUMMARY_STATS = ("error_g", "error_b", "error_w", "time_ms")
@@ -70,6 +80,7 @@ _STACK_BYTES = 4 << 20
 
 DEFAULT_METHODS = ("eig:0.3", "eig:0.5", "eig:0.7", "eig:kmeans", "rowsum:kmeans")
 DEFAULT_SPLITS_METHOD = "rowsum:kmeans"
+_AXES = ("r", "sigma2", "splits")
 
 _METHOD_PREFIXES = {"eig": METHOD_EIGENVECTOR, "rowsum": METHOD_ROW_SUM}
 # The threshold of each named branch token; any other token is a number.
@@ -166,12 +177,13 @@ def _overlap_trial(draws, scenarios, at_point, specs, configs, mode: PreprocessM
     which every chunk of the trial reuses, so one chunk's Ys are alive at a
     time, and preprocessed as a stack, which raises for a degenerate column
     at the same scenario, naming the same column, as building each overlap
-    in turn would.  One overlap of X and the stack is built a chunk, each
-    distinct statistic is read from it by
-    :func:`~gramoverlap.classify.statistic`, and it is dropped before the
-    next chunk's is built, so one ``H`` is alive at a time.  The trial keeps
-    only the statistic vectors.  Every scenario's truth mask comes from the
-    permutation's ranks in one comparison.  Then ``match``'s classifier,
+    in turn would.  One overlap of X and the stack is built a chunk (a pair
+    overlap of its one Y when a backend reads ``H``), each distinct
+    statistic is read from it by :func:`~gramoverlap.classify.statistic`,
+    and it is dropped before the next chunk's is built, so one ``H`` is
+    alive at a time.  The trial keeps only the statistic vectors.  Every
+    scenario's truth mask comes from the permutation's ranks in one
+    comparison.  Then ``match``'s classifier,
     :func:`~gramoverlap.classify.classify_rows`, splits the rows of every
     2-means method at every point in one call, whose rows are independent,
     and compares those of every threshold method with their cuts in
@@ -200,7 +212,7 @@ def _overlap_trial(draws, scenarios, at_point, specs, configs, mode: PreprocessM
         t0 = time.perf_counter()
         yps = _preprocess(ys[:p], mode)
         t1 = time.perf_counter()
-        h = OverlapMatrix(xp=xp, yp=yps)
+        h = OverlapMatrix(xp=xp, yp=yps[0] if reads_h else yps)
         build_s = time.perf_counter() - t1
         pre_ms[chunk] = (t1 - t0) * 1e3 / p
         for method in methods:
@@ -254,32 +266,55 @@ def _split_trial(draws, spec, points, configs, mode: PreprocessMode, seed, max_w
     return hits, found, time_ms
 
 
-def check_sweep(axis: str, values, trials: int, methods, **fixed):
+def check_sweep(
+    axis: str, values, trials: int, methods=None, max_workers=None,
+    kind: str = KIND_PERMUTED_INLIERS, **fixed,
+):
     """The parsed method specs and the ``(value, scenario)`` grid points of
     a sweep over ``axis``: ``r`` or ``sigma2``, which each point sets, or
-    ``splits``, whose points share the scenario ``fixed`` describes.  Raises
-    ``ValueError`` on trials below 1, a bad or repeated spec, a scenario
-    ``ScenarioSpec`` refuses, or a shard count outside ``1 <= s <= n/2``."""
+    ``splits``, whose points share the scenario ``fixed`` and ``kind``
+    describe.  ``methods`` None is the axis's default,
+    :data:`DEFAULT_SPLITS_METHOD` alone for ``splits`` and
+    :data:`DEFAULT_METHODS` otherwise.  Raises ``ValueError`` on an unknown
+    axis, trials below 1, a bad or repeated spec, a scenario
+    ``ScenarioSpec`` refuses, a shard count outside ``1 <= s <= n/2``, or a
+    ``max_workers`` on an axis other than ``splits``, the only one that
+    reads it."""
+    if axis not in _AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if max_workers is not None and axis != "splits":
+        raise ValueError(f"a sweep over {axis} takes no max_workers")
+    if methods is None:
+        methods = (DEFAULT_SPLITS_METHOD,) if axis == "splits" else DEFAULT_METHODS
     specs = parse_methods(methods)
     if axis == "splits":
-        base = ScenarioSpec(**fixed)
+        base = ScenarioSpec(kind=kind, **fixed)
         points = [(s, base) for s in values]
         for s, _ in points:
             check_shard_count(base.n, s)
     else:
-        points = [(value, ScenarioSpec(**fixed, **{axis: value})) for value in values]
+        points = [
+            (value, ScenarioSpec(kind=kind, **fixed, **{axis: value}))
+            for value in values
+        ]
     return specs, points
 
 
-def _run_sweep(
-    axis: str, values, trials: int, methods, mode: PreprocessMode,
-    max_workers=None, **fixed,
+def run_sweep(
+    axis: str, values, trials: int, methods=None,
+    preprocess: PreprocessMode = PreprocessMode.CENTER_NORMALIZE,
+    max_workers=None, **scenario,
 ) -> list[dict]:
-    """Rows of a sweep over ``axis``, which also names the sweep in each row
-    (see :func:`check_sweep`, which checks the whole plan before the first
-    trial runs).  ``max_workers`` bounds a splits point's pool.
+    """Rows of a sweep over ``axis`` (``r``, ``sigma2`` or ``splits``, which
+    also names the sweep in each row) at the grid ``values``, ``trials``
+    trials a point.  ``scenario`` holds the fixed fields of
+    ``ScenarioSpec``: ``d``, ``n`` and ``seed``, ``r`` and ``sigma2`` unless
+    swept, and ``kind``, ``permuted_inliers`` unless given.  Every point's
+    pair is preprocessed under ``preprocess``; ``max_workers`` bounds a
+    splits point's pool.  :func:`check_sweep` checks the whole plan, and fills in
+    the default ``methods``, before the first trial runs.
 
     The sweep runs trial by trial.  Trial ``t`` has one seed at every grid
     point, so its X, permutation and rotation are drawn once, and each
@@ -294,7 +329,7 @@ def _run_sweep(
     :class:`~gramoverlap.classify.ErrorReport` divides, with the same bits.
     Rows come out point by point, one per method (see
     :func:`_summary_rows`); data generation and scoring are not timed."""
-    specs, points = check_sweep(axis, values, trials, methods, **fixed)
+    specs, points = check_sweep(axis, values, trials, methods, max_workers, **scenario)
     if not points:
         return []
     index = {}  # each distinct scenario's position, in order of first use
@@ -312,9 +347,13 @@ def _run_sweep(
         seed = derive_seed(base.seed, t)
         draws = _draw_trial(base.d, base.n, seed)
         if axis == "splits":
-            counts = _split_trial(draws, base, points, configs, mode, seed, max_workers)
+            counts = _split_trial(
+                draws, base, points, configs, preprocess, seed, max_workers
+            )
         else:
-            counts = _overlap_trial(draws, scenarios, at_point, specs, configs, mode)
+            counts = _overlap_trial(
+                draws, scenarios, at_point, specs, configs, preprocess
+            )
         hits[..., t], found[..., t], cols[3, ..., t] = counts
     missed_g = k - hits
     missed_b = found - hits
@@ -326,60 +365,9 @@ def _run_sweep(
     )
 
 
-def run_rate_sweep(
-    d: int,
-    n: int,
-    r_values,
-    trials: int,
-    seed: int,
-    methods=DEFAULT_METHODS,
-    kind: str = "permuted_inliers",
-    sigma2: float = 0.0,
-    preprocess: PreprocessMode = PreprocessMode.CENTER_NORMALIZE,
-) -> list[dict]:
-    """Mean error rates as the inlier fraction varies."""
-    return _run_sweep(
-        "r", r_values, trials, methods, preprocess,
-        d=d, n=n, kind=kind, sigma2=sigma2, seed=seed,
-    )
-
-
-def run_noise_sweep(
-    d: int,
-    n: int,
-    r: float,
-    sigma2_values,
-    trials: int,
-    seed: int,
-    methods=DEFAULT_METHODS,
-    kind: str = "permuted_inliers",
-    preprocess: PreprocessMode = PreprocessMode.CENTER_NORMALIZE,
-) -> list[dict]:
-    """Mean error rates as the noise variance on Y varies."""
-    return _run_sweep(
-        "sigma2", sigma2_values, trials, methods, preprocess,
-        d=d, n=n, r=r, kind=kind, seed=seed,
-    )
-
-
-def run_splits_sweep(
-    d: int,
-    n: int,
-    r: float,
-    split_values,
-    trials: int,
-    seed: int,
-    methods=(DEFAULT_SPLITS_METHOD,),
-    kind: str = "permuted_inliers",
-    sigma2: float = 0.0,
-    preprocess: PreprocessMode = PreprocessMode.CENTER_NORMALIZE,
-    max_workers: int | None = None,
-) -> list[dict]:
-    """Error rates and wall time of split-merge matching as s varies."""
-    return _run_sweep(
-        "splits", split_values, trials, methods, preprocess, max_workers,
-        d=d, n=n, r=r, kind=kind, sigma2=sigma2, seed=seed,
-    )
+def run_rate_sweep(d: int, n: int, r_values, trials: int, seed: int, **options):
+    """:func:`run_sweep` over the inlier fraction, with its defaults."""
+    return run_sweep("r", r_values, trials, d=d, n=n, seed=seed, **options)
 
 
 def write_sweep_csv(path, rows: list[dict]) -> None:

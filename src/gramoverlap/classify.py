@@ -287,10 +287,13 @@ def classify_rows(stats: np.ndarray, cfgs, d: int) -> RowClasses:
     only when its spread is within 16 ulps of ``|v + c|``: the shifted
     values then carry no more bits of the spread than rounding noise does.
 
-    Raises ``ValueError`` unless there is one config a row, all of one
-    branch, and each can run (see :meth:`MatchConfig.check_runnable`), and
-    a 2-means call unless its rows hold at least two values, all finite.
+    Raises ``ValueError`` unless ``stats`` is a 2-D array of at least one
+    row with one config a row, all of one branch, and each can run (see
+    :meth:`MatchConfig.check_runnable`), and a 2-means call unless its rows
+    hold at least two values, all finite.
     """
+    if not isinstance(stats, np.ndarray) or stats.ndim != 2 or len(stats) < 1:
+        raise ValueError("statistics must be a 2-D array of at least one row")
     p, n = stats.shape
     if len(cfgs) != p:
         raise ValueError(f"{len(cfgs)} configs for {p} rows of statistics")
@@ -408,10 +411,6 @@ class ThresholdInterval:
     lo: float
     hi: float
 
-    @property
-    def empty(self) -> bool:
-        return self.lo >= self.hi
-
 
 def threshold_interval(
     d: int, n: int, r: float, c1: float, c2: float
@@ -421,7 +420,7 @@ def threshold_interval(
     ``lo = c2 * d * sqrt(log n) * (sqrt(d) + sqrt(n))`` bounds the outlier
     row-sum fluctuations; ``hi = d*(r*n+1) - c1 * sqrt(d log n) * (d +
     sqrt(d*n) + r*n)`` is the inlier mean minus its fluctuation bound.  The
-    pair is returned even when empty.
+    pair is returned even when the interval is empty (``lo >= hi``).
     """
     if d < 1 or n < 1:
         raise ValueError("d and n must be positive")

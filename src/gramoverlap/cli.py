@@ -10,7 +10,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -272,36 +272,24 @@ def _cmd_bench(args) -> int:
         raise UsageError(f"--sweep {axis} needs --{axis}-grid{with_r}")
     if axis == "splits":
         grid = _parse_list(text, int, "integer")
-        default = (bench.DEFAULT_SPLITS_METHOD,)
     else:
         grid = _parse_list(text, float, "numeric")
-        default = bench.DEFAULT_METHODS
-    methods = ",".join(default) if args.methods is None else args.methods
-    specs = methods.split(",")
+    methods = None if args.methods is None else args.methods.split(",")
     scenario = dict(d=args.d, n=args.n, kind=args.kind, seed=args.seed, **fixed)
     try:
-        bench.check_sweep(axis, grid, args.trials, specs, **scenario)
+        specs, _ = bench.check_sweep(
+            axis, grid, args.trials, methods, args.threads, **scenario
+        )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    sweep, grid_keyword = {
-        "r": (bench.run_rate_sweep, "r_values"),
-        "sigma2": (bench.run_noise_sweep, "sigma2_values"),
-        "splits": (
-            partial(bench.run_splits_sweep, max_workers=args.threads),
-            "split_values",
-        ),
-    }[axis]
-    rows = sweep(
-        trials=args.trials,
-        methods=specs,
-        preprocess=_PREPROCESS_ALIASES[args.preprocess],
-        **{grid_keyword: grid},
-        **scenario,
+    rows = bench.run_sweep(
+        axis, grid, args.trials, methods, _PREPROCESS_ALIASES[args.preprocess],
+        args.threads, **scenario,
     )
     options = {
         "sweep": axis,
         "trials": args.trials,
-        "methods": methods,
+        "methods": ",".join(label for label, _ in specs),
         "preprocess": args.preprocess,
         f"{axis}_grid": grid,
         **scenario,

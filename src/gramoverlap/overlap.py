@@ -222,21 +222,19 @@ def _available_bytes() -> int | None:
     return min(known, default=None)
 
 
-def check_dense_fits(n: int, p: int = 1) -> None:
-    """Raise :class:`SizeLimitError` when forming the dense n-by-n overlaps
-    of ``p`` pairs that share X (one pair by default) cannot fit in the
-    memory available to the process.
+def check_dense_fits(n: int) -> None:
+    """Raise :class:`SizeLimitError` when forming a dense n-by-n overlap
+    cannot fit in the memory available to the process.
 
-    Forming them holds ``p + 1`` n-by-n float64 arrays, ``8 (p + 1) n^2``
-    bytes, at the peak: the ``p`` overlaps and one more Gram matrix.  When
-    the available memory is unknown nothing is refused.
+    Forming it holds two n-by-n float64 arrays, ``16 n^2`` bytes, at the
+    peak: the overlap and one more Gram matrix.  When the available memory
+    is unknown nothing is refused.
     """
-    need = 8 * (p + 1) * n**2
+    need = 16 * n**2
     available = _available_bytes()
     if available is not None and need > available:
-        what = f"{n}x{n} overlap" if p == 1 else f"{p} {n}x{n} overlaps"
         raise SizeLimitError(
-            f"forming the dense {what} needs "
+            f"forming the dense {n}x{n} overlap needs "
             f"{need / 2**20:.0f} MiB at its peak, but only "
             f"{available / 2**20:.0f} MiB are available"
         )
@@ -248,10 +246,12 @@ class OverlapMatrix:
 
     Built from the preprocessed d-by-n ``xp`` and a d-by-n ``yp`` or a
     ``(p, d, n)`` stack of them, ``H`` is exactly symmetric by construction,
-    so it is not re-checked.  Every array the object returns keeps ``yp``'s
-    leading axes (``h`` is ``(p, n, n)`` for a stack, a statistic ``(p,
-    n)``), and row i of a stack's is that of the pair overlap of ``yp[i]``,
-    bit for bit.  ``p`` is the stack's size, None for a pair.
+    so it is not re-checked.  Only a pair forms ``H``: a stack's statistics
+    come from the factors, :attr:`h` raises ``ValueError`` for a stack, and
+    so does a stack's construction with the dense row-sum backend.
+    A statistic keeps ``yp``'s leading axes (``(p, n)`` for a stack), and row
+    i of a stack's is that of the pair overlap of ``yp[i]``, bit for bit.
+    ``p`` is the stack's size, None for a pair.
     ``OverlapMatrix(h, d=...)`` wraps a user-supplied pair instead; it is
     validated (square, finite, exactly symmetric) and has no factors, so
     ``d`` is given.
@@ -309,27 +309,21 @@ class OverlapMatrix:
 
     @property
     def h(self) -> np.ndarray:
-        """The dense overlap of each Y, formed on first use and kept;
+        """The dense overlap of a pair, formed on first use and kept;
         refused by :func:`check_dense_fits` before anything is allocated.
-        Each Y's Gram is formed in its place (one Y's is itself that place,
-        with no copy), then multiplied in place by X's Gram."""
+        Y's Gram is formed, then multiplied in place by X's Gram.  A stack
+        raises ``ValueError``."""
         if self._h is None:
-            check_dense_fits(self.n, self.p or 1)
-            ys = self._stacked(self.yp)
-            if len(ys) == 1:
-                h = linalg.gram(ys[0])[None]
-            else:
-                h = np.empty((len(ys), self.n, self.n))
-                for hi, y in zip(h, ys):
-                    hi[...] = linalg.gram(y)
-            h *= linalg.gram(self.xp)
-            self._h = self._shaped(h)
+            if self.p is not None:
+                raise ValueError("only a pair forms H; a stack reads its factors")
+            check_dense_fits(self.n)
+            self._h = linalg.gram(self.yp)
+            self._h *= linalg.gram(self.xp)
         return self._h
 
-    def _stacked(self, a: np.ndarray) -> np.ndarray:
-        """``a`` (``yp`` or ``h``) with a leading axis of one row a Y: a
-        pair's is one row."""
-        return a[None] if self.p is None else a
+    def _ys(self) -> np.ndarray:
+        """``yp`` with a leading axis of one row a Y: a pair's is one row."""
+        return self.yp[None] if self.p is None else self.yp
 
     def _shaped(self, rows: np.ndarray) -> np.ndarray:
         """``rows``, one a Y, with ``yp``'s leading axes: a pair's one row."""
@@ -343,19 +337,19 @@ class OverlapMatrix:
         bit.
         """
         if self.row_sum_backend == ROW_SUM_BACKEND_GRAM_FACTOR:
-            sums = linalg._khatri_rao_row_sums(self.xp, self._stacked(self.yp))
+            sums = linalg._khatri_rao_row_sums(self.xp, self._ys())
             return self._shaped(sums)
         return self.h.sum(axis=-1)
 
     def leading_eigenvector(self) -> np.ndarray:
         """The unit, sign-fixed leading eigenvector of each ``H`` from
         :attr:`eig_backend`; ``H = 0`` gives the normalized all-ones
-        vector."""
+        vector.  Power iteration reads :attr:`h`, so it serves a pair
+        only."""
         if self.eig_backend == EIG_BACKEND_GRAM_FACTOR:
-            z = linalg._khatri_rao(self.xp, self._stacked(self.yp))
+            z = linalg._khatri_rao(self.xp, self._ys())
             return self._shaped(linalg._khatri_rao_vectors(z))
-        pairs = [linalg.power_iteration(h) for h in self._stacked(self.h)]
-        return self._shaped(np.array([pair.vector for pair in pairs]))
+        return linalg.power_iteration(self.h).vector
 
     def leading_eigenpair(self) -> linalg.SpectralPair:
         """Leading eigenpair of a pair's ``H`` from :attr:`eig_backend`.
@@ -373,7 +367,7 @@ class OverlapMatrix:
             raise ValueError("a stack's eigenvectors are read by leading_eigenvector")
         if self.eig_backend == EIG_BACKEND_POWER_ITERATION:
             return linalg.power_iteration(self.h)
-        z = linalg._khatri_rao(self.xp, self.yp[None])
+        z = linalg._khatri_rao(self.xp, self._ys())
         v = linalg._khatri_rao_vectors(z)[0]
         z = z[0]
         # v is sign-fixed already: negating it negates zv and r exactly, so

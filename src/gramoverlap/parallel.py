@@ -47,8 +47,8 @@ def make_split(n: int, s: int, seed: int) -> tuple[np.ndarray, ...]:
     check_shard_count(n, s)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    return tuple(np.sort(part) for part in np.array_split(rng.permutation(n), s))
+    perm = np.random.default_rng(seed).permutation(n)
+    return tuple(np.sort(part) for part in np.array_split(perm, s))
 
 
 @dataclass

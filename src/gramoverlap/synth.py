@@ -1,8 +1,9 @@
 """Seeded synthetic data for the rotated-inlier Gaussian model.
 
-Streams come from numpy's PCG64 keyed by ``SeedSequence``.  Batch runs derive
-the seed for trial ``i`` as ``SeedSequence(entropy=seed, spawn_key=(i,))``
-(see :func:`derive_seed`), so parallel trials are reproducible and mutually
+Streams come from numpy's PCG64 keyed by ``SeedSequence``, as
+``np.random.default_rng(seed)`` builds them.  Batch runs derive the seed
+for trial ``i`` as ``SeedSequence(entropy=seed, spawn_key=(i,))`` (see
+:func:`derive_seed`), so parallel trials are reproducible and mutually
 independent.  This scheme is part of the public contract and stays stable
 across releases.
 
@@ -40,10 +41,6 @@ def derive_seed(seed: int, index: int) -> int:
     """Deterministic child seed for trial ``index`` of a batch keyed by ``seed``."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
 @dataclass(frozen=True)
@@ -145,7 +142,7 @@ class _TrialDraws:
 def _draw_trial(d: int, n: int, seed: int) -> _TrialDraws:
     """X, the inlier permutation and the Haar rotation that ``seed`` draws
     at ``d`` and ``n`` before it reads anything else of a scenario."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     x = rng.standard_normal((d, n))
     perm = rng.permutation(n)
     rotation = _haar(d, rng)

@@ -31,7 +31,7 @@ from gramoverlap import (
     spectral_norm,
     threshold_interval,
 )
-from gramoverlap.bench import run_noise_sweep, run_rate_sweep, run_splits_sweep
+from gramoverlap.bench import run_rate_sweep, run_sweep
 from gramoverlap.cli import main as cli_main
 from gramoverlap.fileio import (
     read_labels,
@@ -260,14 +260,15 @@ def test_criterion_6_sensitivity_trends():
             ok &= bump <= 0.01
 
     sigma2_grid = [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0]
-    noise_rows = run_noise_sweep(
+    noise_rows = run_sweep(
+        "sigma2",
+        sigma2_grid,
+        trials=100,
+        methods=ALL_METHODS,
         d=3,
         n=400,
         r=0.75,
-        sigma2_values=sigma2_grid,
-        trials=100,
         seed=61616,
-        methods=ALL_METHODS,
     )
     min_rho = 1.0
     for m in ALL_METHODS:
@@ -290,16 +291,17 @@ def test_criterion_6_sensitivity_trends():
 
 
 def test_criterion_7_parallel_consistency():
-    rows = run_splits_sweep(
+    rows = run_sweep(
+        "splits",
+        [1, 2, 4],
+        trials=3,
+        methods=("rowsum:kmeans",),
+        preprocess=PreprocessMode.NONE,
         d=50,
         n=4000,
         r=0.8,
-        split_values=[1, 2, 4],
-        trials=3,
         seed=70707,
-        methods=("rowsum:kmeans",),
         kind="gaussian_outliers",
-        preprocess=PreprocessMode.NONE,
     )
     by_s = {int(row["value"]): row for row in rows}
     ok = True

@@ -27,9 +27,8 @@ from gramoverlap.bench import (
     DEFAULT_METHODS,
     SWEEP_COLUMNS,
     parse_method,
-    run_noise_sweep,
     run_rate_sweep,
-    run_splits_sweep,
+    run_sweep,
     write_sweep_csv,
 )
 
@@ -91,18 +90,17 @@ class TestSweeps:
 
     def test_deterministic(self):
         kwargs = dict(
-            d=4, n=30, r=0.5, sigma2_values=[0.0, 1.0], trials=3, seed=2,
+            d=4, n=30, r=0.5, values=[0.0, 1.0], trials=3, seed=2,
             methods=("rowsum:kmeans",),
         )
-        a = run_noise_sweep(**kwargs)
-        b = run_noise_sweep(**kwargs)
+        a = run_sweep("sigma2", **kwargs)
+        b = run_sweep("sigma2", **kwargs)
         for ra, rb in zip(a, b):
             assert ra["error_w_mean"] == rb["error_w_mean"]
 
     def test_splits_sweep_uses_parallel_path(self):
-        rows = run_splits_sweep(
-            d=6, n=48, r=0.5, split_values=[1, 2], trials=2, seed=3,
-            methods=("rowsum:kmeans",),
+        rows = run_sweep(
+            "splits", [1, 2], 2, d=6, n=48, r=0.5, seed=3, methods=("rowsum:kmeans",)
         )
         assert [int(r["value"]) for r in rows] == [1, 2]
 
@@ -110,13 +108,13 @@ class TestSweeps:
         # each method runs its own split-merge on the trial's data, so two
         # methods in one sweep give the rows of two one-method sweeps
         kwargs = dict(
-            d=6, n=48, r=0.5, split_values=[1, 2, 4], trials=3, seed=3,
+            axis="splits", values=[1, 2, 4], trials=3, d=6, n=48, r=0.5, seed=3,
             kind="permuted_inliers", preprocess=PreprocessMode.CENTER_NORMALIZE,
             max_workers=2,
         )
         methods = ("rowsum:kmeans", "eig:0.5")
-        both = run_splits_sweep(methods=methods, **kwargs)
-        single = [run_splits_sweep(methods=(m,), **kwargs) for m in methods]
+        both = run_sweep(methods=methods, **kwargs)
+        single = [run_sweep(methods=(m,), **kwargs) for m in methods]
         untimed = [k for k in SWEEP_COLUMNS if not k.startswith("time_ms")]
         assert [{k: r[k] for k in untimed} for r in both] == [
             {k: r[k] for k in untimed}
@@ -135,8 +133,8 @@ class TestSweeps:
         trials = 2
         for s in (1, 2, 4):
             calls.clear()
-            run_splits_sweep(
-                d=3, n=48, r=0.5, split_values=[s], trials=trials, seed=3,
+            run_sweep(
+                "splits", [s], trials, d=3, n=48, r=0.5, seed=3,
                 methods=("rowsum:kmeans",), max_workers=1,
             )
             assert len(calls) == 2 * s * trials
@@ -147,24 +145,20 @@ class TestSweeps:
         with pytest.raises(ValueError, match="trials must be at least 1"):
             run_rate_sweep(d=4, n=24, r_values=[0.5], trials=trials, seed=1)
         with pytest.raises(ValueError, match="trials must be at least 1"):
-            run_noise_sweep(
-                d=4, n=24, r=0.5, sigma2_values=[0.0], trials=trials, seed=1
-            )
+            run_sweep("sigma2", [0.0], trials, d=4, n=24, r=0.5, seed=1)
         with pytest.raises(ValueError, match="trials must be at least 1"):
-            run_splits_sweep(
-                d=4, n=24, r=0.5, split_values=[1], trials=trials, seed=1
-            )
+            run_sweep("splits", [1], trials, d=4, n=24, r=0.5, seed=1)
 
     @pytest.mark.parametrize(
-        "sweep, grid",
+        "axis, grid, fixed",
         [
-            (run_rate_sweep, dict(r_values=[0.5, 0.33])),
-            (run_noise_sweep, dict(r=0.5, sigma2_values=[0.0, -1.0])),
-            (run_splits_sweep, dict(r=0.5, split_values=[1, 13])),
+            ("r", [0.5, 0.33], {}),
+            ("sigma2", [0.0, -1.0], dict(r=0.5)),
+            ("splits", [1, 13], dict(r=0.5)),
         ],
     )
     def test_bad_late_grid_point_raises_before_any_trial(
-        self, monkeypatch, sweep, grid
+        self, monkeypatch, axis, grid, fixed
     ):
         calls = []
         draw = bench._draw_trial
@@ -172,19 +166,19 @@ class TestSweeps:
             bench, "_draw_trial", lambda *args: calls.append(args) or draw(*args)
         )
         with pytest.raises(ValueError):
-            sweep(d=4, n=24, trials=5, seed=1, **grid)
+            run_sweep(axis, grid, 5, d=4, n=24, seed=1, **fixed)
         assert calls == []
 
     @pytest.mark.parametrize(
-        "sweep, grid",
+        "axis, grid, fixed",
         [
-            (run_rate_sweep, dict(r_values=[0.8])),
-            (run_noise_sweep, dict(r=0.8, sigma2_values=[0.0])),
-            (run_splits_sweep, dict(r=0.8, split_values=[1, 2])),
+            ("r", [0.8], {}),
+            ("sigma2", [0.0], dict(r=0.8)),
+            ("splits", [1, 2], dict(r=0.8)),
         ],
     )
     def test_repeated_method_spec_raises_before_any_trial(
-        self, monkeypatch, sweep, grid
+        self, monkeypatch, axis, grid, fixed
     ):
         # rows are labelled by spec text, so a repeat would merge into one
         # row of twice the trials
@@ -195,8 +189,47 @@ class TestSweeps:
         )
         methods = ("eig:kmeans", "rowsum:kmeans", "eig:kmeans")
         with pytest.raises(ValueError, match="'eig:kmeans' is given twice"):
-            sweep(d=6, n=40, trials=2, seed=1, methods=methods, **grid)
+            run_sweep(axis, grid, 2, methods, d=6, n=40, seed=1, **fixed)
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "axis, grid, fixed, error, message",
+        [
+            # only a splits point runs a pool
+            ("r", [0.5], dict(max_workers=1), ValueError,
+             "a sweep over r takes no max_workers"),
+            ("sigma2", [0.0], dict(r=0.5, max_workers=2), ValueError,
+             "a sweep over sigma2 takes no max_workers"),
+            ("n", [40], dict(r=0.5), ValueError, "unknown sweep axis 'n'"),
+            # the axis is the one field a sweep does not hold fixed
+            ("r", [0.5], dict(r=0.5), TypeError,
+             "multiple values for keyword argument 'r'"),
+        ],
+    )
+    def test_a_plan_outside_the_axis_is_refused_before_any_trial(
+        self, monkeypatch, axis, grid, fixed, error, message
+    ):
+        calls = []
+        draw = bench._draw_trial
+        monkeypatch.setattr(
+            bench, "_draw_trial", lambda *args: calls.append(args) or draw(*args)
+        )
+        with pytest.raises(error, match=message):
+            run_sweep(axis, grid, 2, d=4, n=40, seed=1, **fixed)
+        assert calls == []
+
+    def test_each_axis_has_its_default_methods(self):
+        fixed = dict(d=4, n=40, r=0.5, seed=1)
+        for axis, values, methods in (
+            ("r", [0.5], DEFAULT_METHODS),
+            ("sigma2", [0.0], DEFAULT_METHODS),
+            ("splits", [1], (bench.DEFAULT_SPLITS_METHOD,)),
+        ):
+            scenario = {k: v for k, v in fixed.items() if k != axis}
+            specs, _ = bench.check_sweep(axis, values, 1, **scenario)
+            assert [label for label, _ in specs] == list(methods)
+            rows = run_sweep(axis, values, 1, **scenario)
+            assert [row["method"] for row in rows] == list(methods)
 
     def test_csv_round_trip(self, tmp_path):
         rows = run_rate_sweep(
@@ -445,9 +478,9 @@ class TestTrialMajorSweep:
 
     def test_splits_sweep_completes_one_pair_a_trial(self, monkeypatch):
         calls = self.counted_draws(monkeypatch)
-        run_splits_sweep(
-            d=3, n=48, r=0.5, split_values=[1, 2, 4], trials=3, seed=7,
-            methods=("rowsum:kmeans",), max_workers=1,
+        run_sweep(
+            "splits", [1, 2, 4], 3, ("rowsum:kmeans",), d=3, n=48, r=0.5, seed=7,
+            max_workers=1,
         )
         seeds = [derive_seed(7, t) for t in range(3)]
         assert calls["draw"] == seeds
@@ -478,9 +511,7 @@ class TestStackedTrial:
         monkeypatch.setattr(bench, "_STACK_BYTES", budget)
         assert bench._stack_points(d, n) == 2
         run_rate_sweep(d=d, n=n, r_values=[0.25, 0.5, 0.75, 0.5], trials=2, seed=3)
-        run_noise_sweep(
-            d=d, n=n, r=0.5, sigma2_values=[0.0, 0.5], trials=2, seed=3
-        )
+        run_sweep("sigma2", [0.0, 0.5], 2, d=d, n=n, r=0.5, seed=3)
         assert chunks == [2, 1] * 2 + [2] * 2
 
     def test_a_point_larger_than_the_budget_runs_alone(self, monkeypatch):
@@ -572,10 +603,12 @@ class TestStackedTrial:
         assert caught.value.column == 23
 
     def test_a_dense_trial_holds_one_overlap_at_a_time(self, monkeypatch):
-        # d = 4, n = 8: the row sums are dense, so every pair forms its H
+        # d = 4, n = 8: the row sums are dense, so every pair forms its H,
+        # each a pair overlap of one Y
         alive = []
 
         def tracked(*args, **kwargs):
+            assert kwargs["yp"].shape == (4, 8)
             assert [ref for ref in alive if ref() is not None] == []
             h = OverlapMatrix(*args, **kwargs)
             alive.append(weakref.ref(h))
@@ -583,9 +616,7 @@ class TestStackedTrial:
 
         monkeypatch.setattr(bench, "OverlapMatrix", tracked)
         run_rate_sweep(d=4, n=8, r_values=[0.25, 0.5, 0.75], trials=2, seed=3)
-        run_noise_sweep(
-            d=4, n=8, r=0.5, sigma2_values=[0.0, 0.5], trials=2, seed=3
-        )
+        run_sweep("sigma2", [0.0, 0.5], 2, d=4, n=8, r=0.5, seed=3)
         assert len(alive) == 3 * 2 + 2 * 2
 
     @pytest.mark.parametrize("kind", ["permuted_inliers", "gaussian_outliers"])
@@ -737,11 +768,11 @@ def point_by_point_rows(axis, values, trials, methods, mode, max_workers, **fixe
 
 
 @pytest.mark.parametrize(
-    "sweep, axis, grid, values, fixed",
+    "axis, values, fixed",
     [
-        (run_rate_sweep, "r", "r_values", [0.3, 0.5, 0.7, 0.5], dict(sigma2=0.25)),
-        (run_noise_sweep, "sigma2", "sigma2_values", [0.0, 0.1, 1.0], dict(r=0.6)),
-        (run_splits_sweep, "splits", "split_values", [1, 2, 4], dict(r=0.6, sigma2=0.1)),
+        ("r", [0.3, 0.5, 0.7, 0.5], dict(sigma2=0.25)),
+        ("sigma2", [0.0, 0.1, 1.0], dict(r=0.6)),
+        ("splits", [1, 2, 4], dict(r=0.6, sigma2=0.1)),
     ],
 )
 @pytest.mark.parametrize("kind", ["permuted_inliers", "gaussian_outliers"])
@@ -749,7 +780,7 @@ def point_by_point_rows(axis, values, trials, methods, mode, max_workers, **fixe
 @pytest.mark.parametrize("trials", [1, 3])
 @pytest.mark.parametrize("d, n", [(4, 40), (20, 20)])
 def test_sweep_rows_equal_point_by_point_rows(
-    sweep, axis, grid, values, fixed, kind, mode, trials, d, n
+    axis, values, fixed, kind, mode, trials, d, n
 ):
     # under "none" every pair of a trial holds the shared X itself, so a
     # method that wrote to its input would move the later points' rows; at
@@ -758,9 +789,7 @@ def test_sweep_rows_equal_point_by_point_rows(
     # point read one H
     methods = ("eig:0.5", "eig:kmeans", "rowsum:kmeans", "rowsum:auto")
     common = dict(d=d, n=n, kind=kind, seed=2**40 + 9, **fixed)
-    got = sweep(
-        trials=trials, methods=methods, preprocess=mode, **{grid: values}, **common
-    )
+    got = run_sweep(axis, values, trials, methods, mode, **common)
     want = point_by_point_rows(axis, values, trials, methods, mode, None, **common)
     untimed = [k for k in SWEEP_COLUMNS if not k.startswith("time_ms")]
     assert [{k: r[k] for k in untimed} for r in got] == [

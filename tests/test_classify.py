@@ -492,6 +492,19 @@ class TestClassifyRows:
         with pytest.raises(ValueError, match=message):
             classify_rows(stats, cfgs, d=2)
 
+    @pytest.mark.parametrize(
+        "stats, cfgs",
+        [
+            (np.empty((0, 5)), []),  # no row: no config to read a branch from
+            (np.arange(4.0), [MatchConfig()]),  # one row, not a stack of them
+            (np.zeros((1, 2, 3)), [MatchConfig()]),
+            ([[0.0, 1.0]], [MatchConfig()]),
+        ],
+    )
+    def test_statistics_not_a_stack_of_rows_are_refused(self, stats, cfgs):
+        with pytest.raises(ValueError, match="2-D array of at least one row"):
+            classify_rows(stats, cfgs, 1)
+
 
 def factor_stack(pairs, mode):
     """The trial's preprocessed X and the preprocessed stack of the Ys."""
@@ -515,9 +528,9 @@ class TestStackStatistics:
         [
             (3, 40, None),  # both statistics from the factors
             (6, 400, None),
-            (6, 60, None),  # power iteration, factored row sums
-            (12, 12, None),  # power iteration, dense row sums
-            (3, 40, "dense"),  # factored eigenvector, dense row sums
+            (6, 60, None),  # power iteration (refused), factored row sums
+            (12, 12, None),  # dense row sums: the stack is refused
+            (3, 40, "dense"),
         ],
     )
     def test_rows_are_the_per_pair_statistics_bit_for_bit(
@@ -531,6 +544,12 @@ class TestStackStatistics:
             for s2 in (0.0, 0.3)
         ]
         xp, yps = factor_stack(pairs, mode)
+        if forms_h(d, n, eigenpair=False, backend=backend):
+            # the dense row sums form H at construction, and only a pair
+            # forms H: a sweep builds a pair overlap a scenario there
+            with pytest.raises(ValueError, match="only a pair forms H"):
+                OverlapMatrix(xp=xp, yp=yps, backend=backend)
+            return
         stack = OverlapMatrix(xp=xp, yp=yps, backend=backend)
         assert stack.p == len(pairs)
         want_h = [
@@ -538,20 +557,22 @@ class TestStackStatistics:
         ]
         backends = {METHOD_EIGENVECTOR: "eig_backend", METHOD_ROW_SUM: "row_sum_backend"}
         for method, key in backends.items():
+            if forms_h(d, n, method == METHOD_EIGENVECTOR, backend):
+                with pytest.raises(ValueError, match="only a pair forms H"):
+                    statistic(stack, method)
+                continue
             got, facts = statistic(stack, method)
             assert got.shape == (len(pairs), n)
             for row, h in zip(got, want_h):
                 want, want_facts = statistic(h, method)
                 assert np.array_equal(row, want)
                 assert facts == {key: want_facts[key]}
-        # an H that a backend read is each pair's, and a factored pair's
-        # eigenvector is read the same way with or without its facts
-        if stack._h is not None:
-            assert stack.h.shape == (len(pairs), n, n)
-            for hi, h in zip(stack.h, want_h):
-                assert np.array_equal(hi, h.h)
-        for row, h in zip(stack.leading_eigenvector(), want_h):
-            assert np.array_equal(row, h.leading_eigenvector())
+        assert stack._h is None
+        # a factored pair's eigenvector is read the same way with or
+        # without its facts
+        if not forms_h(d, n, eigenpair=True, backend=backend):
+            for row, h in zip(stack.leading_eigenvector(), want_h):
+                assert np.array_equal(row, h.leading_eigenvector())
 
     def test_a_zero_gram_gives_the_all_ones_vector(self):
         rng = np.random.default_rng(2626)
@@ -1184,7 +1205,7 @@ class TestThresholdInterval:
         iv = threshold_interval(d=10, n=20, r=0.5, c1=0.0, c2=0.0)
         assert iv.lo == 0.0
         assert iv.hi == 10 * (0.5 * 20 + 1)
-        assert not iv.empty
+        assert iv.lo < iv.hi
 
     def test_direct_evaluation(self):
         iv = threshold_interval(d=100, n=100, r=0.9, c1=1.0, c2=1.0)
@@ -1193,7 +1214,7 @@ class TestThresholdInterval:
         hi = 100 * 91 - math.sqrt(100 * logn) * (100 + 100 + 90)
         assert iv.lo == lo and abs(lo - 4291.932052578694) < 1e-9
         assert iv.hi == hi and abs(hi - 2876.6985237608933) < 1e-9
-        assert iv.empty
+        assert iv.lo >= iv.hi  # empty
 
     def test_hi_monotone_in_rate(self):
         d, n, c1 = 50, 200, 0.5

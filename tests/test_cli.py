@@ -610,6 +610,32 @@ class TestBench:
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["options"][key] == value
 
+    def test_every_sweep_is_one_run_sweep_call(self, tmp_path, monkeypatch):
+        # the CLI passes its flags through and leaves every default, the
+        # methods of each axis included, to the library
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append((args, kwargs))
+            return []
+
+        monkeypatch.setattr(bench, "run_sweep", recorded)
+        mode = PreprocessMode.CENTER_NORMALIZE
+        fixed = dict(d=4, n=20, kind="permuted_inliers", seed=0)
+        for flags, args, kwargs in (
+            ("--sweep r --r-grid 0.5", ("r", [0.5], 1, None, mode, None),
+             dict(sigma2=0.0)),
+            ("--sweep sigma2 --sigma2-grid 0,1 --r 0.5 --methods eig:kmeans",
+             ("sigma2", [0.0, 1.0], 1, ["eig:kmeans"], mode, None), dict(r=0.5)),
+            ("--sweep splits --splits-grid 1,2 --r 0.5 --threads 2",
+             ("splits", [1, 2], 1, None, mode, 2), dict(r=0.5, sigma2=0.0)),
+        ):
+            calls.clear()
+            out = tmp_path / flags.split()[1]
+            argv = f"bench {flags} --d 4 --n 20 --trials 1 --out {out}"
+            assert run(argv.split()) == 0
+            assert calls == [(args, {**fixed, **kwargs})]
+
     def test_missing_grid_is_usage_error(self, tmp_path):
         code = run(f"bench --sweep r --d 6 --n 40 --out {tmp_path/'b'}".split())
         assert code == 2
@@ -673,11 +699,10 @@ class TestBench:
     def test_bad_flag_values_are_usage_errors(
         self, tmp_path, capsys, monkeypatch, flags
     ):
-        def no_sweep(**kwargs):
+        def no_sweep(*args, **kwargs):
             raise AssertionError("a sweep ran")
 
-        for name in ("run_rate_sweep", "run_noise_sweep", "run_splits_sweep"):
-            monkeypatch.setattr(bench, name, no_sweep)
+        monkeypatch.setattr(bench, "run_sweep", no_sweep)
         out = tmp_path / "b"
         # flags come last, so a --d or --n among them overrides the defaults
         code = run(f"bench --d 6 --n 40 {flags} --out {out}".split())
@@ -692,8 +717,8 @@ class TestBench:
             f"--splits-grid 1,2 --sigma2 4.0 --threads 1 --out {out}".split()
         )
         assert code == 0
-        expected = bench.run_splits_sweep(
-            d=5, n=40, r=0.5, split_values=[1, 2], trials=2, seed=3,
+        expected = bench.run_sweep(
+            "splits", [1, 2], 2, d=5, n=40, r=0.5, seed=3,
             kind="permuted_inliers", sigma2=4.0,
             preprocess=PreprocessMode.CENTER_NORMALIZE, max_workers=1,
         )
@@ -706,15 +731,15 @@ class TestBench:
 
     def test_splits_sweep_defaults_match_the_library(self, tmp_path):
         # with no --kind or --preprocess, the CLI splits sweep draws the data
-        # and preprocesses it as run_splits_sweep does with its defaults
+        # and preprocesses it as run_sweep does with its own defaults
         out = tmp_path / "bench"
         code = run(
             "bench --sweep splits --d 5 --n 40 --r 0.5 --trials 2 --seed 3 "
             f"--splits-grid 1,2 --threads 1 --out {out}".split()
         )
         assert code == 0
-        expected = bench.run_splits_sweep(
-            d=5, n=40, r=0.5, split_values=[1, 2], trials=2, seed=3, max_workers=1
+        expected = bench.run_sweep(
+            "splits", [1, 2], 2, d=5, n=40, r=0.5, seed=3, max_workers=1
         )
         bench.write_sweep_csv(tmp_path / "expected.csv", expected)
         assert untimed_rows(out / "sweep_splits.csv") == untimed_rows(

@@ -32,7 +32,7 @@ def rng_for(seed):
 def haar(d, seed):
     """A Haar-distributed orthogonal d-by-d matrix from the synthetic
     generator's sampler, on a fresh stream of ``seed``."""
-    return synth._haar(d, synth._rng(seed))
+    return synth._haar(d, np.random.default_rng(seed))
 
 
 def random_symmetric(n, rng):

@@ -272,8 +272,6 @@ class TestBuildOverlap:
         x, y = rng.standard_normal((2, 3, 40))
         h = build_overlap(x, y, "none")
         assert h.h is h.h
-        stack = OverlapMatrix(xp=h.xp, yp=np.stack([h.yp, h.yp]))
-        assert stack.h is stack.h
 
 
 class TestFactoredOverlap:
@@ -336,21 +334,6 @@ class TestDenseMemoryCheck:
         with pytest.raises(SizeLimitError, match="7x7"):
             overlap.check_dense_fits(7)
         overlap.check_dense_fits(6)
-        # a stack of 3 holds its 3 overlaps and one more Gram at the peak
-        monkeypatch.setattr(overlap, "_available_bytes", lambda: 8 * 4 * 7**2 - 1)
-        with pytest.raises(SizeLimitError, match="3 7x7 overlaps"):
-            overlap.check_dense_fits(7, 3)
-        overlap.check_dense_fits(6, 3)
-
-    def test_a_stack_is_refused_for_its_peak(self, monkeypatch):
-        rng = np.random.default_rng(20)
-        x, ys = rng.standard_normal((3, 50)), rng.standard_normal((4, 3, 50))
-        need = 8 * (4 + 1) * 50**2
-        monkeypatch.setattr(overlap, "_available_bytes", lambda: need - 1)
-        with pytest.raises(SizeLimitError, match="4 50x50 overlaps"):
-            OverlapMatrix(xp=x, yp=ys, backend="dense")
-        monkeypatch.setattr(overlap, "_available_bytes", lambda: need)
-        assert OverlapMatrix(xp=x, yp=ys, backend="dense").h.shape == (4, 50, 50)
 
     def test_available_is_the_smaller_of_host_and_cgroup(self, monkeypatch):
         for host, cgroup, expected in [
@@ -685,12 +668,11 @@ class TestFactoredRowSums:
                     assert lazy.row_sum_backend == "gram_factor"
                     got = lazy.row_sums()
                     assert np.all(np.abs(got - ref) <= tol), (d, n, mode)
-                    # a stack of one Y sums as its pair does, either way
-                    for pair in (eager, lazy):
-                        stack = OverlapMatrix(
-                            xp=pair.xp, yp=pair.yp[None], backend=pair.row_sum_backend
-                        )
-                        assert np.array_equal(stack.row_sums()[0], pair.row_sums())
+                    # a stack of one Y sums as its pair does
+                    stack = OverlapMatrix(
+                        xp=lazy.xp, yp=lazy.yp[None], backend="gram_factor"
+                    )
+                    assert np.array_equal(stack.row_sums()[0], got)
 
     def test_means_approach_population_row_sum_mean(self):
         # raw data, d = 4, n = 4000, k = 2000: the per-trial class means,
@@ -758,6 +740,26 @@ def test_a_stack_overlap_checks_its_shape_and_has_no_eigenpair():
             OverlapMatrix(xp=x, yp=yp)
     with pytest.raises(ValueError, match="leading_eigenvector"):
         OverlapMatrix(xp=x, yp=ys).leading_eigenpair()
+
+
+def test_only_a_pair_forms_h(monkeypatch):
+    # a stack is refused before any Gram is formed: at construction under
+    # the dense row sums, and where power iteration would read H
+    def no_gram(x):
+        raise AssertionError("a Gram matrix was formed")
+
+    monkeypatch.setattr(linalg, "gram", no_gram)
+    rng = np.random.default_rng(22)
+    x, ys = rng.standard_normal((6, 60)), rng.standard_normal((2, 6, 60))
+    with pytest.raises(ValueError, match="only a pair forms H"):
+        OverlapMatrix(xp=x, yp=ys, backend="dense")
+    stack = OverlapMatrix(xp=x, yp=ys)
+    assert stack.eig_backend == "power_iteration"
+    assert stack.row_sum_backend == "gram_factor"
+    for read in (lambda: stack.h, stack.leading_eigenvector):
+        with pytest.raises(ValueError, match="only a pair forms H"):
+            read()
+    assert stack.row_sums().shape == (2, 60)
 
 
 def test_only_linalg_and_overlap_name_the_backend_kernels():

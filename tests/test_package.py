@@ -28,11 +28,12 @@ def sources() -> dict[str, str]:
 
 
 def entry_point_names() -> set[str]:
-    """The calls that README's entry-point table names."""
+    """The calls that README's entry-point table names, by their own name
+    (``bench.run_sweep`` is ``run_sweep``)."""
     text = README.read_text(encoding="utf-8")
     table = text.split("\nKey entry points:\n\n", 1)[1].split("\n\n", 1)[0]
     return {
-        call.split("(", 1)[0].strip()
+        call.split("(", 1)[0].strip().rpartition(".")[2]
         for line in table.splitlines()
         if line.startswith("| `")
         for call in line.split("`", 2)[1].split(" / ")
@@ -56,20 +57,37 @@ def public_definitions(tree):
                     yield f"{node.name}.{item.name}", item
 
 
+def foreign_modules(tree) -> set[str]:
+    """The local names that ``import m`` or ``import m as x`` binds to a
+    module outside the package (``np``, ``math``)."""
+    return {
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.partition(".")[0] != "gramoverlap"
+    }
+
+
 def uncalled(srcs: dict[str, str], named: set[str]) -> list[str]:
     """The public definitions of ``srcs`` that no code outside their own
     body reads by name (as a name or an attribute), and that ``named`` does
-    not list.  A re-export (``from .x import f``) is not a reader.  Reads
-    are matched by name alone, so a member whose name another object's
-    attribute shares counts as read by any read of that name: it is not
-    checked."""
+    not list.  A re-export (``from .x import f``) is not a reader, nor is
+    an attribute read off a module outside the package (``np.empty`` does
+    not read a member named ``empty``).  Other reads are matched by name
+    alone, so a member whose name another package object's attribute shares
+    counts as read by any read of that name."""
     trees = {mod: ast.parse(text) for mod, text in srcs.items()}
-    reads = [
-        (mod, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
-        for mod, tree in trees.items()
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
-    ]
+    reads = []
+    for mod, tree in trees.items():
+        foreign = foreign_modules(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                reads.append((mod, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute) and not (
+                isinstance(node.value, ast.Name) and node.value.id in foreign
+            ):
+                reads.append((mod, node.lineno, node.attr))
     out = []
     for mod, tree in trees.items():
         for qual, node in public_definitions(tree):
@@ -126,6 +144,11 @@ def test_the_caller_scan_sees_an_unused_name_and_a_use():
     assert uncalled(srcs, entry_point_names()) == ["synth.unused_helper"]
     srcs["bench"] += "\n\nprobe = synth.unused_helper\n"
     assert uncalled(srcs, entry_point_names()) == []
+    # np.empty reads numpy's empty, not a package member of that name
+    box = "class Box:\n    def empty(self):\n        return np.empty(0)\n"
+    srcs["synth"] += "\n\n" + box
+    srcs["bench"] += "\nprobe = synth.Box\n"
+    assert uncalled(srcs, entry_point_names()) == ["synth.Box.empty"]
 
 
 def test_private_names_cross_modules_only_where_allowed():
