@@ -25,7 +25,6 @@ from .linalg import (
     SpectralPair,
     dense_eig,
     gram,
-    power_iteration,
     spectral_norm,
 )
 from .overlap import (
@@ -54,7 +53,6 @@ __all__ = [
     "SizeLimitError",
     "SpectralPair",
     "gram",
-    "power_iteration",
     "dense_eig",
     "spectral_norm",
     "PreprocessMode",

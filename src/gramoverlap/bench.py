@@ -266,6 +266,10 @@ def _split_trial(draws, spec, points, configs, mode: PreprocessMode, seed, max_w
     return hits, found, time_ms
 
 
+class SweepPlanError(ValueError):
+    """A sweep plan that :func:`check_sweep` refuses: a CLI usage error."""
+
+
 def check_sweep(
     axis: str, values, trials: int, methods=None, max_workers=None,
     kind: str = KIND_PERMUTED_INLIERS, **fixed,
@@ -275,30 +279,33 @@ def check_sweep(
     ``splits``, whose points share the scenario ``fixed`` and ``kind``
     describe.  ``methods`` None is the axis's default,
     :data:`DEFAULT_SPLITS_METHOD` alone for ``splits`` and
-    :data:`DEFAULT_METHODS` otherwise.  Raises ``ValueError`` on an unknown
-    axis, trials below 1, a bad or repeated spec, a scenario
-    ``ScenarioSpec`` refuses, a shard count outside ``1 <= s <= n/2``, or a
-    ``max_workers`` on an axis other than ``splits``, the only one that
-    reads it."""
-    if axis not in _AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if max_workers is not None and axis != "splits":
-        raise ValueError(f"a sweep over {axis} takes no max_workers")
-    if methods is None:
-        methods = (DEFAULT_SPLITS_METHOD,) if axis == "splits" else DEFAULT_METHODS
-    specs = parse_methods(methods)
-    if axis == "splits":
-        base = ScenarioSpec(kind=kind, **fixed)
-        points = [(s, base) for s in values]
-        for s, _ in points:
-            check_shard_count(base.n, s)
-    else:
-        points = [
-            (value, ScenarioSpec(kind=kind, **fixed, **{axis: value}))
-            for value in values
-        ]
+    :data:`DEFAULT_METHODS` otherwise.  Raises :class:`SweepPlanError` on an
+    unknown axis, trials below 1, a bad or repeated spec, a scenario
+    ``ScenarioSpec`` refuses, a shard count that is not an integer of
+    ``1 <= s <= n/2``, or a ``max_workers`` on an axis other than
+    ``splits``, the only one that reads it."""
+    try:
+        if axis not in _AXES:
+            raise ValueError(f"unknown sweep axis {axis!r}")
+        if trials < 1:
+            raise ValueError(f"trials must be at least 1, got {trials}")
+        if max_workers is not None and axis != "splits":
+            raise ValueError(f"a sweep over {axis} takes no max_workers")
+        if methods is None:
+            methods = (DEFAULT_SPLITS_METHOD,) if axis == "splits" else DEFAULT_METHODS
+        specs = parse_methods(methods)
+        if axis == "splits":
+            base = ScenarioSpec(kind=kind, **fixed)
+            points = [(s, base) for s in values]
+            for s, _ in points:
+                check_shard_count(base.n, s)
+        else:
+            points = [
+                (value, ScenarioSpec(kind=kind, **fixed, **{axis: value}))
+                for value in values
+            ]
+    except ValueError as exc:
+        raise SweepPlanError(*exc.args) from exc
     return specs, points
 
 

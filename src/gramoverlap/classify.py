@@ -135,8 +135,8 @@ def _centroids(s: np.ndarray, k: int) -> tuple[float, float]:
 
 
 def _two_means_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The exact 2-means split of each row of the 2-D float64 array ``v``
-    (see :func:`classify_rows`): the sorted rows, each row's lower-cluster
+    """The exact 2-means split of each row of the finite 2-D float64 array
+    ``v`` (see :func:`classify_rows`): the sorted rows, each row's lower-cluster
     size ``k`` and the inlier masks (the upper clusters).  A row within the
     tie bound gets ``k = n`` and no inliers.
 
@@ -172,8 +172,6 @@ def _two_means_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     p, n = v.shape
     if n < 2:
         raise ValueError("need at least two values")
-    if not np.isfinite(v).all():
-        raise ValueError("values contain non-finite entries")
     s = np.sort(v, axis=1)
     c = s - s[:, n // 2, None]
     spread = c[:, -1] - c[:, 0]
@@ -287,10 +285,10 @@ def classify_rows(stats: np.ndarray, cfgs, d: int) -> RowClasses:
     only when its spread is within 16 ulps of ``|v + c|``: the shifted
     values then carry no more bits of the spread than rounding noise does.
 
-    Raises ``ValueError`` unless ``stats`` is a 2-D array of at least one
-    row with one config a row, all of one branch, and each can run (see
-    :meth:`MatchConfig.check_runnable`), and a 2-means call unless its rows
-    hold at least two values, all finite.
+    Raises ``ValueError`` unless ``stats`` is a finite 2-D array of at
+    least one row with one config a row, all of one branch, and each can run
+    (see :meth:`MatchConfig.check_runnable`), and a 2-means call unless its
+    rows hold at least two values.
     """
     if not isinstance(stats, np.ndarray) or stats.ndim != 2 or len(stats) < 1:
         raise ValueError("statistics must be a 2-D array of at least one row")
@@ -302,6 +300,8 @@ def classify_rows(stats: np.ndarray, cfgs, d: int) -> RowClasses:
         if (cfg.threshold is None) != two_means:
             raise ValueError("configs of one call must all take one branch")
         cfg.check_runnable()
+    if not np.isfinite(stats).all():
+        raise ValueError("values contain non-finite entries")
     if two_means:
         s, k, mask = _two_means_rows(stats)
         return RowClasses(mask, sorted_values=s, k=k)

@@ -171,9 +171,15 @@ def _cmd_gen(args) -> int:
 
 
 def _diagnostics_payload(
-    cfg: MatchConfig, mode: PreprocessMode, splits: int, diag=None, report=None
+    cfg: MatchConfig, mode: PreprocessMode, partition, wall_ms, diag=None, report=None
 ) -> dict:
-    payload = {"method": cfg.method, "preprocess": mode.value, "splits": splits}
+    """What ``diagnostics.json`` holds of one pair's match (``diag``) or of a
+    split-merge run (``report``) and its ``wall_ms``."""
+    payload = dict(
+        method=cfg.method, preprocess=mode.value,
+        splits=1 if report is None else len(report.shards),
+        n_estimated_inliers=int(partition.inliers.size), wall_time_ms=wall_ms,
+    )
     if report is None:
         payload.update(diag.to_dict())
     else:
@@ -199,6 +205,15 @@ def _read_inputs(args, threads: int) -> tuple[np.ndarray, np.ndarray]:
         return fileio.read_matrix_csv(args.x), y.result()
 
 
+def _match_pair(x, y, cfg: MatchConfig, mode: PreprocessMode):
+    """The partition of one pair, and its diagnostics payload; the wall time
+    covers the overlap's build and the match."""
+    t0 = time.perf_counter()
+    partition, diag = match(build_overlap(x, y, mode), cfg)
+    wall_ms = (time.perf_counter() - t0) * 1e3
+    return partition, _diagnostics_payload(cfg, mode, partition, wall_ms, diag=diag)
+
+
 def _cmd_match(args) -> int:
     cfg = _match_config(args)
     mode = _PREPROCESS_ALIASES[args.preprocess]
@@ -210,21 +225,16 @@ def _cmd_match(args) -> int:
     x, y = _read_inputs(args, threads)
 
     if args.splits == 1:
-        t0 = time.perf_counter()
-        h = build_overlap(x, y, mode)
-        partition, diag = match(h, cfg)
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        payload = _diagnostics_payload(cfg, mode, 1, diag=diag)
+        partition, payload = _match_pair(x, y, cfg, mode)
     else:
         report = parallel_match(
             x, y, args.splits, cfg, mode, args.seed, max_workers=threads
         )
         partition = report.partition
-        wall_ms = report.total_time_ms
-        payload = _diagnostics_payload(cfg, mode, args.splits, report=report)
+        payload = _diagnostics_payload(
+            cfg, mode, partition, report.total_time_ms, report=report
+        )
     payload["seed"] = args.seed
-    payload["n_estimated_inliers"] = int(partition.inliers.size)
-    payload["wall_time_ms"] = wall_ms
 
     out = _out_dir(args)
     fileio.write_partition_csv(out / "partition.csv", partition)
@@ -277,19 +287,16 @@ def _cmd_bench(args) -> int:
     methods = None if args.methods is None else args.methods.split(",")
     scenario = dict(d=args.d, n=args.n, kind=args.kind, seed=args.seed, **fixed)
     try:
-        specs, _ = bench.check_sweep(
-            axis, grid, args.trials, methods, args.threads, **scenario
+        rows = bench.run_sweep(
+            axis, grid, args.trials, methods, _PREPROCESS_ALIASES[args.preprocess],
+            args.threads, **scenario,
         )
-    except ValueError as exc:
+    except bench.SweepPlanError as exc:
         raise UsageError(str(exc)) from None
-    rows = bench.run_sweep(
-        axis, grid, args.trials, methods, _PREPROCESS_ALIASES[args.preprocess],
-        args.threads, **scenario,
-    )
     options = {
         "sweep": axis,
         "trials": args.trials,
-        "methods": ",".join(label for label, _ in specs),
+        "methods": ",".join(dict.fromkeys(row["method"] for row in rows)),
         "preprocess": args.preprocess,
         f"{axis}_grid": grid,
         **scenario,
@@ -315,36 +322,23 @@ def _cmd_imgdiff(args) -> int:
         raise ValueError(
             f"image dimensions differ: {img_a.shape[:2]} vs {img_b.shape[:2]}"
         )
-    height, width = img_a.shape[:2]
-    n = height * width
+    n = img_a.shape[0] * img_a.shape[1]
 
     luma = fileio.luminance(img_a)
     mask_img = np.repeat(luma[:, :, None], 3, axis=2)
 
-    highlighted: np.ndarray
-    payload: dict
     if np.array_equal(img_a, img_b):
         # Pixel-identical inputs mean "no difference"; skip matching entirely
         # instead of letting a constant statistic fall back to all-outliers.
         highlighted = np.empty(0, dtype=np.intp)
         payload = {"identical_inputs": True, "n_pixels": n, "n_classified": 0}
     else:
-        points_a = fileio.image_to_points(img_a)
-        points_b = fileio.image_to_points(img_b)
-        t0 = time.perf_counter()
-        h = build_overlap(points_a, points_b, mode)
-        partition, diag = match(h, cfg)
-        wall_ms = (time.perf_counter() - t0) * 1e3
+        partition, payload = _match_pair(
+            fileio.image_to_points(img_a), fileio.image_to_points(img_b), cfg, mode
+        )
         highlighted = partition.outliers
-        payload = {
-            "identical_inputs": False,
-            "n_pixels": n,
-            "n_classified": n,
-            "n_highlighted": int(highlighted.size),
-            "wall_time_ms": wall_ms,
-        }
-        payload.update(_diagnostics_payload(cfg, mode, 1, diag=diag))
-        payload["n_estimated_inliers"] = int(partition.inliers.size)
+        payload.update(identical_inputs=False, n_pixels=n, n_classified=n)
+        payload["n_highlighted"] = int(highlighted.size)
 
     flat = mask_img.reshape(-1, 3)
     flat[highlighted] = (255, 255, 0)

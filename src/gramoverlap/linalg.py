@@ -5,11 +5,13 @@ dense matrix, and a factored solve of ``(X^T X) o (Y^T Y)`` that never forms
 it: repeated squaring of the d^2-by-d^2 Khatri-Rao Gram ``Z Z^T``), the
 factored row sums of that same product, and a full dense eigendecomposition
 capped at small orders that serves as the independent oracle for the
-eigensolvers.  The factored kernels take one X and a ``(p, d, n)`` stack of
-Ys and return one row a Y, each row with the bits it gets alone; a pair is
-the one-row case.  :class:`gramoverlap.overlap.OverlapMatrix` is their one
-caller: it picks the backend, forms the entrywise product in place, and
-computes a pair's eigenpair facts from its ``Z``.
+eigensolvers, all signing vectors by one rule.  The factored kernels take
+one X and a ``(p, d, n)`` stack of Ys and return one row a Y, each row with
+the bits it gets alone; a pair is the one-row case.  The private kernels,
+power iteration among them, check nothing: their one caller,
+:class:`gramoverlap.overlap.OverlapMatrix`, checks ``H`` where it enters,
+picks the backend, forms the entrywise product in place, and computes a
+pair's eigenpair facts from its ``Z``.
 """
 
 import math
@@ -73,20 +75,10 @@ def gram(x) -> np.ndarray:
     return x.T @ x
 
 
-def fix_sign(v: np.ndarray) -> np.ndarray:
-    """Resolve the sign ambiguity of an eigenvector deterministically.
-
-    The entry sum is made nonnegative; when it is zero (within 1e-12) the
-    entry of largest magnitude is made positive instead.  The rule is the
-    one-row case of :func:`_sign_flips`.
-    """
-    return -v if _sign_flips(v[None])[0] else v
-
-
 def _sign_flips(v: np.ndarray) -> np.ndarray:
-    """Which rows of the 2-D array ``v`` :func:`fix_sign` negates: those
-    whose entry sum is below -1e-12, and those whose sum is within 1e-12 of
-    zero and whose first entry of largest magnitude is negative."""
+    """Which rows of the 2-D array ``v`` the eigenvectors' sign rule negates:
+    those whose entry sum is below -1e-12, and those whose sum is within
+    1e-12 of zero and whose first entry of largest magnitude is negative."""
     s = np.add.reduce(v, axis=1)
     flips = s < -_ZERO_SUM_TOL
     zero = (np.abs(s) <= _ZERO_SUM_TOL).nonzero()[0]
@@ -107,35 +99,35 @@ class SpectralPair:
     converged: bool
 
 
-def power_iteration(a) -> SpectralPair:
-    """Leading eigenpair of a symmetric matrix by power iteration.
+def _power_iteration(h: np.ndarray) -> SpectralPair:
+    """Leading eigenpair of the exactly symmetric, finite float64 matrix
+    ``h`` by power iteration; ``h`` is not checked.
 
     Starts from the normalized all-ones vector and stops when
     ``||A v - lambda v|| <= 1e-10 * max(1, |lambda|)``
     (:data:`POWER_TOL_DEFAULT`).  When that has not happened after
     :data:`POWER_MAX_ITER_DEFAULT` (1000) iterations, the best iterate seen
     (smallest residual) is returned with ``converged`` set to False and
-    ``iterations = 1000``.
+    ``iterations = 1000``.  The vector is signed by :func:`_sign_flips`.
     """
-    a = check_symmetric(a, "a")
-    n = a.shape[0]
+    n = h.shape[0]
     v = np.full(n, 1.0 / math.sqrt(n))
-    best_residual = math.inf
-    best = (0.0, v)
+    best = (0.0, v, math.inf)
+    iterations, converged = POWER_MAX_ITER_DEFAULT, False
     for k in range(1, POWER_MAX_ITER_DEFAULT + 1):
-        av = a @ v
+        av = h @ v
         value = float(v @ av)
         residual = float(np.linalg.norm(av - value * v))
-        if residual < best_residual:
-            best_residual = residual
-            best = (value, v)
         if residual <= POWER_TOL_DEFAULT * max(1.0, abs(value)):
-            return SpectralPair(value, fix_sign(v), k, residual, True)
+            best, iterations, converged = (value, v, residual), k, True
+            break
+        if residual < best[2]:
+            best = (value, v, residual)
         v = av / float(np.linalg.norm(av))
-    value, v = best
-    return SpectralPair(
-        value, fix_sign(v), POWER_MAX_ITER_DEFAULT, best_residual, False
-    )
+    value, v, residual = best
+    if _sign_flips(v[None])[0]:
+        v = -v
+    return SpectralPair(value, v, iterations, residual, converged)
 
 
 def _top_eigvectors_by_squaring(g: np.ndarray) -> np.ndarray:
@@ -240,13 +232,14 @@ def _khatri_rao_vectors(z: np.ndarray) -> np.ndarray:
     squarings, ``w_p = Z_p^T u_p``, the norms as dot products, and the sign
     rule, so row p has the bits that pair p gets alone.  A zero ``w_p``
     (``H_p = 0``) gives the normalized all-ones vector, as power iteration
-    does.
+    does; a factor product that overflows leaves its row non-finite, for
+    the classifier to refuse.
     """
     n = z.shape[2]
     u = _top_eigvectors_by_squaring(np.matmul(z, z.transpose(0, 2, 1)))
     w = np.matmul(u[:, None, :], z)[:, 0]
     norms = np.sqrt(np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0])
-    zero = ~(norms > 0.0)
+    zero = norms == 0.0
     if np.count_nonzero(zero):
         w[zero] = 1.0 / math.sqrt(n)
         norms[zero] = 1.0
@@ -273,8 +266,8 @@ def dense_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a symmetric matrix of order <= 512.
 
     Returns ``(values, vectors)`` with eigenvalues sorted descending and the
-    matching eigenvectors as columns, each sign-fixed as :func:`fix_sign`
-    fixes it (all columns in one :func:`_sign_flips` call).
+    matching eigenvectors as columns, all signed in one :func:`_sign_flips`
+    call.
     """
     a = check_symmetric(a, "a")
     n = a.shape[0]

@@ -246,15 +246,16 @@ class OverlapMatrix:
 
     Built from the preprocessed d-by-n ``xp`` and a d-by-n ``yp`` or a
     ``(p, d, n)`` stack of them, ``H`` is exactly symmetric by construction,
-    so it is not re-checked.  Only a pair forms ``H``: a stack's statistics
+    so it is not re-checked: :attr:`h` takes one finiteness pass, and the
+    solvers check nothing.  Only a pair forms ``H``: a stack's statistics
     come from the factors, :attr:`h` raises ``ValueError`` for a stack, and
     so does a stack's construction with the dense row-sum backend.
     A statistic keeps ``yp``'s leading axes (``(p, n)`` for a stack), and row
     i of a stack's is that of the pair overlap of ``yp[i]``, bit for bit.
     ``p`` is the stack's size, None for a pair.
-    ``OverlapMatrix(h, d=...)`` wraps a user-supplied pair instead; it is
-    validated (square, finite, exactly symmetric) and has no factors, so
-    ``d`` is given.
+    ``OverlapMatrix(h, d=...)`` wraps a user-supplied pair instead, checked
+    once at construction (square, finite, exactly symmetric) and without
+    factors, so ``d`` is given.
 
     The statistics, computed on each call, are :meth:`row_sums`,
     :meth:`leading_eigenvector` and, of a pair, :meth:`leading_eigenpair`.
@@ -311,14 +312,18 @@ class OverlapMatrix:
     def h(self) -> np.ndarray:
         """The dense overlap of a pair, formed on first use and kept;
         refused by :func:`check_dense_fits` before anything is allocated.
-        Y's Gram is formed, then multiplied in place by X's Gram.  A stack
-        raises ``ValueError``."""
+        Y's Gram is formed, then multiplied in place by X's Gram.  An
+        overflow (with no numpy warning) or a stack raises ``ValueError``."""
         if self._h is None:
             if self.p is not None:
                 raise ValueError("only a pair forms H; a stack reads its factors")
             check_dense_fits(self.n)
-            self._h = linalg.gram(self.yp)
-            self._h *= linalg.gram(self.xp)
+            with np.errstate(over="ignore", invalid="ignore"):
+                h = linalg.gram(self.yp)
+                h *= linalg.gram(self.xp)
+            if not np.isfinite(h).all():
+                raise ValueError("the overlap H has non-finite entries: it overflows")
+            self._h = h
         return self._h
 
     def _ys(self) -> np.ndarray:
@@ -349,7 +354,7 @@ class OverlapMatrix:
         if self.eig_backend == EIG_BACKEND_GRAM_FACTOR:
             z = linalg._khatri_rao(self.xp, self._ys())
             return self._shaped(linalg._khatri_rao_vectors(z))
-        return linalg.power_iteration(self.h).vector
+        return linalg._power_iteration(self.h).vector
 
     def leading_eigenpair(self) -> linalg.SpectralPair:
         """Leading eigenpair of a pair's ``H`` from :attr:`eig_backend`.
@@ -359,14 +364,14 @@ class OverlapMatrix:
         its value is the Rayleigh quotient ``||Z v||^2``, its residual
         ``||H v - value v||`` is computed matrix-free as ``Z^T (Z v) - value
         v``, and ``converged`` applies the test of
-        :func:`~gramoverlap.linalg.power_iteration` at its fixed
+        :func:`~gramoverlap.linalg._power_iteration` at its fixed
         tolerance.  A stack raises ``ValueError``: a sweep reads only its
         vectors, so it does not pay for these facts.
         """
         if self.p is not None:
             raise ValueError("a stack's eigenvectors are read by leading_eigenvector")
         if self.eig_backend == EIG_BACKEND_POWER_ITERATION:
-            return linalg.power_iteration(self.h)
+            return linalg._power_iteration(self.h)
         z = linalg._khatri_rao(self.xp, self._ys())
         v = linalg._khatri_rao_vectors(z)[0]
         z = z[0]

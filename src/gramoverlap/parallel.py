@@ -30,8 +30,10 @@ from .overlap import PreprocessMode, _preprocessed_pair, build_overlap, forms_h
 
 
 def check_shard_count(n: int, s: int) -> None:
-    """Raise ``ValueError`` unless 1 <= s <= n/2, so that every one of s
-    shards of n points holds at least two."""
+    """Raise ``ValueError`` unless ``s`` is an integer, not a ``bool``, with
+    1 <= s <= n/2, so that each of s shards of n points holds at least two."""
+    if isinstance(s, bool) or not hasattr(type(s), "__index__"):
+        raise ValueError(f"s must be an integer, got {s!r}")
     if not 1 <= s <= n // 2:
         raise ValueError(f"s must satisfy 1 <= s <= n/2, got s={s}, n={n}")
 

@@ -155,6 +155,8 @@ class TestSweeps:
             ("r", [0.5, 0.33], {}),
             ("sigma2", [0.0, -1.0], dict(r=0.5)),
             ("splits", [1, 13], dict(r=0.5)),
+            ("splits", [1, 1.5], dict(r=0.5)),
+            ("splits", [1, True], dict(r=0.5)),
         ],
     )
     def test_bad_late_grid_point_raises_before_any_trial(
@@ -165,7 +167,7 @@ class TestSweeps:
         monkeypatch.setattr(
             bench, "_draw_trial", lambda *args: calls.append(args) or draw(*args)
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(bench.SweepPlanError):
             run_sweep(axis, grid, 5, d=4, n=24, seed=1, **fixed)
         assert calls == []
 
@@ -925,7 +927,7 @@ class TestStatisticOncePerOverlap:
 
     @pytest.mark.parametrize(
         "d, n, backend",
-        [(4, 300, "_khatri_rao_vectors"), (6, 60, "power_iteration")],
+        [(4, 300, "_khatri_rao_vectors"), (6, 60, "_power_iteration")],
     )
     def test_one_eigenpair_per_trial_charged_to_every_method(
         self, monkeypatch, d, n, backend
@@ -933,7 +935,7 @@ class TestStatisticOncePerOverlap:
         # the factored size solves both rates of a trial in one stacked
         # call, each rate charged half of it; power iteration solves each
         # rate's overlap by itself
-        calls = {"_khatri_rao_vectors": 0, "power_iteration": 0}
+        calls = {"_khatri_rao_vectors": 0, "_power_iteration": 0}
 
         def counted(name):
             original = getattr(linalg, name)
@@ -954,7 +956,7 @@ class TestStatisticOncePerOverlap:
         stacked = backend == "_khatri_rao_vectors"
         assert calls == {
             "_khatri_rao_vectors": 2 * stacked,
-            "power_iteration": 2 * len(rates) * (not stacked),
+            "_power_iteration": 2 * len(rates) * (not stacked),
         }
         assert [row["method"] for row in rows] == list(self.EIG_METHODS) * 2
         for row in rows:
@@ -966,7 +968,7 @@ class TestStatisticOncePerOverlap:
         # d = 50, n = 400: the eigenpair takes power iteration on H, the row
         # sums come from a stacked call on the factors; H is formed once per
         # trial and its time charged to the eig:* methods only
-        calls = {"gram": 0, "power_iteration": 0, "_khatri_rao_row_sums": 0}
+        calls = {"gram": 0, "_power_iteration": 0, "_khatri_rao_row_sums": 0}
 
         def counted(name, pause):
             original = getattr(linalg, name)
@@ -979,12 +981,12 @@ class TestStatisticOncePerOverlap:
             return call
 
         monkeypatch.setattr(linalg, "gram", counted("gram", 0.05))
-        for name in ("power_iteration", "_khatri_rao_row_sums"):
+        for name in ("_power_iteration", "_khatri_rao_row_sums"):
             monkeypatch.setattr(linalg, name, counted(name, 0.0))
         rows = run_rate_sweep(
             d=50, n=400, r_values=[0.8], trials=2, seed=6, methods=DEFAULT_METHODS
         )
-        assert calls == {"gram": 4, "power_iteration": 2, "_khatri_rao_row_sums": 2}
+        assert calls == {"gram": 4, "_power_iteration": 2, "_khatri_rao_row_sums": 2}
         times = {row["method"]: row["time_ms_mean"] for row in rows}
         assert list(times) == list(DEFAULT_METHODS)
         for label in self.EIG_METHODS:

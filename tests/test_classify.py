@@ -435,6 +435,25 @@ class TestClassifyRows:
         ):
             with pytest.raises(ValueError, match=message):
                 rows_outcome(rows)
+        # one check serves both branches: a threshold cuts no non-finite row
+        for method, bad in ((METHOD_ROW_SUM, np.nan), (METHOD_EIGENVECTOR, np.inf)):
+            cfgs = [MatchConfig(method=method, threshold=1.0)] * 2
+            with pytest.raises(ValueError, match="values contain non-finite entries"):
+                classify_rows(np.array([[1.0, 2.0], [3.0, bad]]), cfgs, d=1)
+
+    @pytest.mark.parametrize(
+        "spec", ["rowsum:1.0", "rowsum:kmeans", "eig:0.5", "eig:kmeans"]
+    )
+    def test_an_overflowing_factored_statistic_is_refused(self, spec):
+        # raw entries of 1e80 at d = 3, n = 400: both statistics come from
+        # the factors, whose products overflow; neither branch labels the
+        # points from the non-finite statistic
+        pair = generate(ScenarioSpec(d=3, n=400, r=0.5, seed=1))
+        h = build_overlap(pair.x * 1e80, pair.y * 1e80, PreprocessMode.NONE)
+        assert h.row_sum_backend == h.eig_backend == "gram_factor"
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="values contain non-finite entries"):
+                match(h, bench.parse_method(spec))
 
     @pytest.mark.parametrize(
         "spec", ["eig:0.5", "eig:kmeans", "rowsum:kmeans", "rowsum:3.0", "rowsum:auto"]

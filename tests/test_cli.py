@@ -27,6 +27,7 @@ from gramoverlap.fileio import (
     read_matrix_csv,
     read_partition_csv,
     read_ppm,
+    write_matrix_csv,
     write_ppm,
 )
 
@@ -280,6 +281,23 @@ class TestMatch:
         assert run(f"{base} --method rowsum --kmeans --out {tmp_path/'rs'}".split()) == 0
         monkeypatch.setattr(overlap, "_available_bytes", lambda: 16 * 100**2)
         assert run(f"{base} --method eig --kmeans --out {out}".split()) == 0
+
+    @pytest.mark.parametrize("rule", ["--threshold 1.0", "--kmeans"])
+    @pytest.mark.parametrize("method", ["rowsum", "eig"])
+    def test_an_overflowing_h_is_a_data_error(self, tmp_path, capsys, method, rule):
+        # raw entries of 1e80 at d = 3, n = 6: the Grams are finite, the H
+        # that the dense row sums and power iteration read is not
+        x, y = np.random.default_rng(25).standard_normal((2, 3, 6)) * 1e80
+        write_matrix_csv(tmp_path / "X.csv", x)
+        write_matrix_csv(tmp_path / "Y.csv", y)
+        out = tmp_path / "out"
+        code = run(
+            f"match {tmp_path/'X.csv'} {tmp_path/'Y.csv'} --method {method} {rule} "
+            f"--preprocess none --out {out}".split()
+        )
+        assert code == 1
+        assert "the overlap H has non-finite entries" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_threshold_and_kmeans_conflict(self, tmp_path):
         data = self.make_instance(tmp_path, seed=14)
@@ -699,10 +717,11 @@ class TestBench:
     def test_bad_flag_values_are_usage_errors(
         self, tmp_path, capsys, monkeypatch, flags
     ):
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("a sweep ran")
+        # run_sweep refuses a bad plan before it draws a trial's data
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(bench, "run_sweep", no_sweep)
+        monkeypatch.setattr(bench, "_draw_trial", no_trial)
         out = tmp_path / "b"
         # flags come last, so a --d or --n among them overrides the defaults
         code = run(f"bench --d 6 --n 40 {flags} --out {out}".split())

@@ -12,7 +12,6 @@ from gramoverlap import (
     build_overlap,
     dense_eig,
     gram,
-    power_iteration,
     spectral_norm,
 )
 from gramoverlap import linalg, synth
@@ -20,8 +19,9 @@ from gramoverlap.linalg import (
     POWER_MAX_ITER_DEFAULT,
     POWER_TOL_DEFAULT,
     SpectralPair,
+    _power_iteration,
+    _sign_flips,
     as_matrix,
-    fix_sign,
 )
 
 
@@ -38,6 +38,12 @@ def haar(d, seed):
 def random_symmetric(n, rng):
     m = rng.standard_normal((n, n))
     return (m + m.T) / 2.0
+
+
+def signed(v):
+    """The vector ``v`` under the sign rule: negated when :func:`_sign_flips`
+    flips it as a row."""
+    return -v if _sign_flips(v[None])[0] else v
 
 
 class TestGram:
@@ -91,13 +97,13 @@ class TestGram:
 
 class TestPowerIteration:
     def test_diagonal(self):
-        pair = power_iteration(np.diag([3.0, 1.0]))
+        pair = _power_iteration(np.diag([3.0, 1.0]))
         assert pair.converged
         assert abs(pair.value - 3.0) <= 1e-8
         assert np.allclose(np.abs(pair.vector), [1.0, 0.0], atol=1e-6)
 
     def test_symmetric_2x2_closed_form(self):
-        pair = power_iteration(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        pair = _power_iteration(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert pair.converged
         assert abs(pair.value - 3.0) <= 1e-8
         assert np.allclose(pair.vector, np.full(2, 1 / np.sqrt(2)), atol=1e-8)
@@ -106,7 +112,7 @@ class TestPowerIteration:
         for seed in range(5):
             m = rng_for(200 + seed).standard_normal((20, 20))
             a = gram(m)  # PSD with gapped top eigenvalue almost surely
-            pair = power_iteration(a)
+            pair = _power_iteration(a)
             values, vectors = dense_eig(a)
             assert abs(pair.value - values[0]) <= 1e-8 * values[0]
             top = vectors[:, 0]
@@ -116,7 +122,7 @@ class TestPowerIteration:
 
     def test_unit_norm_and_residual_contract(self):
         a = random_symmetric(15, rng_for(5))
-        pair = power_iteration(a)
+        pair = _power_iteration(a)
         assert abs(np.linalg.norm(pair.vector) - 1.0) <= 1e-12
         assert (
             np.linalg.norm(a @ pair.vector - pair.value * pair.vector)
@@ -124,12 +130,12 @@ class TestPowerIteration:
         )
 
     def test_zero_matrix(self):
-        pair = power_iteration(np.zeros((4, 4)))
+        pair = _power_iteration(np.zeros((4, 4)))
         assert pair.converged and pair.iterations == 1
         assert pair.value == 0.0
         # a product whose norm underflows to zero is accepted at once too:
         # its residual underflows with it
-        pair = power_iteration(np.diag([1e-320, 0.0, 0.0, 0.0]))
+        pair = _power_iteration(np.diag([1e-320, 0.0, 0.0, 0.0]))
         assert pair.converged and pair.iterations == 1
         assert pair.residual == 0.0
 
@@ -137,48 +143,80 @@ class TestPowerIteration:
         # +/-1 eigenvalue pair: the iterates oscillate and never settle,
         # however many iterations the fixed cap allows
         a = np.diag([1.0, -1.0])
-        pair = power_iteration(a)
+        pair = _power_iteration(a)
         assert not pair.converged
         assert pair.iterations == POWER_MAX_ITER_DEFAULT == 1000
         assert pair.residual == pytest.approx(1.0)
 
+    def test_keeps_the_bits_of_the_checked_solver(self):
+        # the reference loop re-checked its input and signed its vector
+        # alone; the kernel returns the same bits, unconverged iterates
+        # included
+        def reference(a):
+            a = linalg.check_symmetric(a, "a")
+            n = a.shape[0]
+            v = np.full(n, 1.0 / math.sqrt(n))
+            best_residual, best = math.inf, (0.0, v)
+            for k in range(1, POWER_MAX_ITER_DEFAULT + 1):
+                av = a @ v
+                value = float(v @ av)
+                residual = float(np.linalg.norm(av - value * v))
+                if residual < best_residual:
+                    best_residual, best = residual, (value, v)
+                if residual <= POWER_TOL_DEFAULT * max(1.0, abs(value)):
+                    return value, signed(v), k, residual, True
+                v = av / float(np.linalg.norm(av))
+            value, v = best
+            return value, signed(v), POWER_MAX_ITER_DEFAULT, best_residual, False
+
+        corpus = [np.diag([1.0, -1.0]), np.zeros((3, 3)), -np.eye(4)]
+        corpus += [random_symmetric(n, rng_for(300 + n)) for n in (1, 2, 5, 12, 30)]
+        corpus += [gram(rng_for(s).standard_normal((6, 40))) for s in (31, 32)]
+        unconverged = 0
+        for a in corpus:
+            pair = _power_iteration(a)
+            want = reference(a)
+            assert pair.vector.tobytes() == want[1].tobytes()
+            assert (pair.value, pair.iterations, pair.residual, pair.converged) == (
+                want[0], *want[2:]
+            )
+            unconverged += not pair.converged
+        assert unconverged >= 1
+
     def test_deterministic_bitwise(self):
         a = random_symmetric(12, rng_for(42))
-        p1 = power_iteration(a)
-        p2 = power_iteration(a)
+        p1 = _power_iteration(a)
+        p2 = _power_iteration(a)
         assert p1.value == p2.value
         assert np.array_equal(p1.vector, p2.vector)
 
     def test_sign_convention(self):
         a = gram(rng_for(17).standard_normal((6, 9)))
-        pair = power_iteration(a)
+        pair = _power_iteration(a)
         assert pair.vector.sum() >= -1e-12
         v = np.array([0.5, -0.8, 0.3])  # sums to 0: largest-magnitude entry wins
-        fixed = fix_sign(v)
-        assert fixed[1] > 0
-        assert np.array_equal(fix_sign(fixed), fixed)
+        assert _sign_flips(np.stack([v, -v])).tolist() == [True, False]
+        assert signed(v)[1] > 0
 
     def test_sign_convention_absorbs_flips(self):
-        # the convention resolves the ambiguity, so a flipped input must
-        # produce the same vector
+        # the convention resolves the ambiguity: of a vector and its
+        # negation exactly one is flipped, so both give the same vector
         rng = rng_for(19)
         for _ in range(20):
             v = rng.standard_normal(int(rng.integers(2, 12)))
-            assert np.array_equal(fix_sign(v), fix_sign(-v))
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            power_iteration(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+            flips = _sign_flips(np.stack([v, -v]))
+            assert flips[0] != flips[1]
+            assert np.array_equal(signed(v), signed(-v))
 
 
 def per_column_dense_eig(a):
     """The reference: dense_eig while it fixed the sign of one column at a
-    time with fix_sign."""
+    time."""
     values, vectors = np.linalg.eigh(a)
     values = values[::-1].copy()
     vectors = vectors[:, ::-1].copy()
     for j in range(a.shape[0]):
-        vectors[:, j] = fix_sign(vectors[:, j])
+        vectors[:, j] = signed(vectors[:, j])
     return values, vectors
 
 
@@ -216,7 +254,7 @@ class TestDenseEig:
         with pytest.raises(SizeLimitError):
             dense_eig(np.eye(513))
 
-    def test_signs_all_columns_as_fix_sign_signs_each(self):
+    def test_signs_all_columns_as_the_rule_signs_each(self):
         rng = rng_for(2727)
         corpus = [np.eye(3), np.diag([5.0, 2.0, -1.0]), np.diag([3.0, -4.0]), np.zeros((5, 5))]
         corpus += [random_symmetric(n, rng_for(s)) for n, s in ((17, 23), (30, 29), (25, 31), (50, 37))]
@@ -286,7 +324,7 @@ def parent_khatri_rao_eigenpair(x, y):
     value = float(zv @ zv)
     residual = float(np.linalg.norm(zv @ z - value * v))
     converged = residual <= POWER_TOL_DEFAULT * max(1.0, abs(value))
-    return SpectralPair(value, fix_sign(v), 0, residual, converged)
+    return SpectralPair(value, signed(v), 0, residual, converged)
 
 
 def eigenpair_outcome(fn, x, y):
@@ -457,7 +495,7 @@ def matrix_khatri_rao_eigenpair(x, y):
     r = zv @ z - value * v
     residual = math.sqrt(r @ r)
     converged = residual <= POWER_TOL_DEFAULT * max(1.0, abs(value))
-    return SpectralPair(value, fix_sign(v), 0, residual, converged)
+    return SpectralPair(value, signed(v), 0, residual, converged)
 
 
 class TestStackedKhatriRao:

@@ -19,7 +19,6 @@ from gramoverlap import (
     population_overlap,
     population_row_sum_mean,
     population_spectrum,
-    power_iteration,
     preprocess,
     spectral_norm,
 )
@@ -222,8 +221,18 @@ class TestBuildOverlap:
 
 
     def test_user_matrix_validated(self):
-        with pytest.raises(ValueError):
-            OverlapMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]), d=1)
+        # a wrapped h is checked once, at construction: the solvers behind
+        # it check nothing
+        for bad in (
+            np.array([[1.0, 2.0], [0.0, 1.0]]),  # not symmetric
+            np.array([[np.inf, 0.0], [0.0, 1.0]]),
+            np.array([[1.0, np.nan], [np.nan, 1.0]]),
+            np.ones((2, 3)),  # not square
+            np.ones(3),  # 1-D
+            np.ones((0, 0)),
+        ):
+            with pytest.raises(ValueError):
+                OverlapMatrix(bad, d=1)
         with pytest.raises(ValueError):
             OverlapMatrix(np.eye(3))  # a wrapped h needs d
         with pytest.raises(ValueError):
@@ -489,7 +498,7 @@ class TestLeadingEigenpair:
             assert abs(pair.value - values[0]) <= 1e-12 * values[0]
             # power iteration stops at residual <= 1e-10 * value; its vector
             # is then within about residual / gap of the true one
-            ref = power_iteration(h.h)
+            ref = linalg._power_iteration(h.h)
             bound = 2.0 * ref.residual / (values[0] - values[1]) + 1e-12
             assert np.linalg.norm(pair.vector - ref.vector) <= bound
             count += 1
@@ -534,7 +543,7 @@ class TestLeadingEigenpair:
         h = build_overlap(x, x, PreprocessMode.NONE)
         assert h.eig_backend == "gram_factor"
         pair = h.leading_eigenpair()
-        ref = power_iteration(h.h)
+        ref = linalg._power_iteration(h.h)
         assert pair.value == ref.value == 0.0
         assert np.array_equal(pair.vector, ref.vector)
         assert pair.converged and pair.residual == 0.0
@@ -561,7 +570,7 @@ class TestLeadingEigenpair:
             rng.standard_normal((6, 100)), rng.standard_normal((6, 100)), "none"
         )
         assert h.eig_backend == "power_iteration"
-        pair, ref = h.leading_eigenpair(), power_iteration(h.h)
+        pair, ref = h.leading_eigenpair(), linalg._power_iteration(h.h)
         assert pair.value == ref.value and pair.iterations == ref.iterations
         assert np.array_equal(pair.vector, ref.vector)
 
@@ -762,36 +771,78 @@ def test_only_a_pair_forms_h(monkeypatch):
     assert stack.row_sums().shape == (2, 60)
 
 
+def test_h_is_checked_once_where_it_enters(monkeypatch):
+    # a formed H is symmetric by construction, so power iteration on it runs
+    # no symmetry check; a wrapped h is checked at construction and not
+    # again by its statistics
+    calls = []
+    check = linalg.check_symmetric
+    monkeypatch.setattr(
+        linalg, "check_symmetric", lambda a, name: calls.append(name) or check(a, name)
+    )
+    rng = np.random.default_rng(23)
+    x, y = rng.standard_normal((2, 6, 60))
+    formed = build_overlap(x, y, "none")
+    assert formed.eig_backend == "power_iteration"
+    pair = formed.leading_eigenpair()
+    assert np.array_equal(formed.leading_eigenvector(), pair.vector)
+    assert calls == []
+    wrapped = OverlapMatrix(formed.h, d=6)
+    got = wrapped.leading_eigenpair()
+    wrapped.leading_eigenvector()
+    wrapped.row_sums()
+    assert calls == ["h"]
+    assert got.vector.tobytes() == pair.vector.tobytes()
+    assert (got.value, got.iterations) == (pair.value, pair.iterations)
+
+
+@pytest.mark.parametrize("spec", ["rowsum:1.0", "rowsum:kmeans", "eig:0.5", "eig:kmeans"])
+@pytest.mark.parametrize("n", [6, 20])
+def test_an_overflowing_h_is_refused_when_formed(spec, n):
+    # raw entries of 1e80: each Gram (about 1e160) is finite, their product
+    # is not.  At n = 6 (2 d >= n) the dense row sums form H at construction;
+    # at n = 20 the row sums come from the factors, and power iteration forms
+    # H for the eigenvector
+    rng = np.random.default_rng(24)
+    x, y = rng.standard_normal((2, 3, n)) * 1e80
+    cfg = bench.parse_method(spec)
+    if n == 6 or cfg.method == "eigenvector":
+        message = "the overlap H has non-finite entries"
+    else:
+        message = "values contain non-finite entries"
+    with pytest.raises(ValueError, match=message):
+        gramoverlap.match(build_overlap(x, y, "none"), cfg)
+
+
 def test_only_linalg_and_overlap_name_the_backend_kernels():
     # the backend choice lives in OverlapMatrix: no other module of the
-    # package names a factored kernel or power iteration (the package's
-    # __init__ re-exports power_iteration, and calls nothing)
-    def named(path, imports=True):
+    # package, its __init__ included, names a factored kernel or power
+    # iteration
+    def named(path):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         names = [node.id for node in ast.walk(tree) if isinstance(node, ast.Name)]
         names += [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
-        if imports:
-            names += [
-                alias.name
-                for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom)
-                for alias in node.names
-            ]
+        names += [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        ]
         return [
             name
             for name in names
-            if name.startswith("_khatri_rao") or name == "power_iteration"
+            if name.startswith("_khatri_rao") or name == "_power_iteration"
         ]
 
     package = Path(overlap.__file__).parent
     found = {
-        path.stem: named(path, imports=path.stem != "__init__")
+        path.stem: named(path)
         for path in package.glob("*.py")
         if path.stem not in ("linalg", "overlap")
     }
     assert len(found) >= 8 and {k: v for k, v in found.items() if v} == {}
     # the scan sees them where they are named
-    assert {"_khatri_rao_vectors", "power_iteration"} <= set(
+    assert {"_khatri_rao_vectors", "_power_iteration"} <= set(
         named(Path(overlap.__file__))
     )
 

@@ -20,6 +20,7 @@ ALLOWED_PRIVATE_USES = {
     ("overlap", "linalg", "_khatri_rao"),
     ("overlap", "linalg", "_khatri_rao_vectors"),
     ("overlap", "linalg", "_khatri_rao_row_sums"),
+    ("overlap", "linalg", "_power_iteration"),
 }
 
 

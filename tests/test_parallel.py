@@ -51,7 +51,11 @@ class TestMakeSplit:
             make_split(10, 0, seed=0)
         with pytest.raises(ValueError):
             make_split(10, 6, seed=0)  # would leave a singleton shard
+        for s in (1.5, True, 2.0, "2"):  # a shard count is an integer
+            with pytest.raises(ValueError, match="s must be an integer"):
+                make_split(10, s, seed=0)
         make_split(10, 5, seed=0)  # boundary: shards of exactly 2
+        make_split(10, np.int64(5), seed=0)
 
     @pytest.mark.parametrize(
         "n, s, seed, shards",
@@ -228,6 +232,19 @@ class TestParallelMatch:
         with pytest.raises(ValueError) as exc:
             parallel_match(x, y, 4, cfg, backend="dense")
         assert str(exc.value) == "default row-sum threshold requires inlier_rate to be set"
+
+    @pytest.mark.parametrize("s", [1.5, True])
+    def test_a_shard_count_that_is_no_integer_is_refused_before_any_shard(
+        self, monkeypatch, s
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a shard ran")
+
+        monkeypatch.setattr(parallel, "build_overlap", refuse)
+        x, y = np.random.default_rng(10).standard_normal((2, 5, 80))
+        with pytest.raises(ValueError, match="s must be an integer"):
+            parallel_match(x, y, s, MatchConfig())
+
 
 class TestShardBackends:
     # match-split's shape: d = 10, n = 4000 in 4 shards of 1000 (2 d < 1000)
