@@ -22,7 +22,6 @@ from .classify import (
 )
 from .errors import DegenerateColumnError, SizeLimitError
 from .linalg import (
-    SpectralPair,
     dense_eig,
     gram,
     spectral_norm,
@@ -31,6 +30,7 @@ from .overlap import (
     OverlapMatrix,
     PopulationModel,
     PreprocessMode,
+    SpectralPair,
     build_overlap,
     population_overlap,
     population_row_sum_mean,

@@ -50,6 +50,7 @@ from .classify import (
     classify_rows,
     statistic,
 )
+from .errors import check_integer
 from .overlap import OverlapMatrix, PreprocessMode, _preprocess, forms_h, preprocess
 from .parallel import check_shard_count, parallel_match
 from .synth import (
@@ -280,13 +281,14 @@ def check_sweep(
     describe.  ``methods`` None is the axis's default,
     :data:`DEFAULT_SPLITS_METHOD` alone for ``splits`` and
     :data:`DEFAULT_METHODS` otherwise.  Raises :class:`SweepPlanError` on an
-    unknown axis, trials below 1, a bad or repeated spec, a scenario
-    ``ScenarioSpec`` refuses, a shard count that is not an integer of
-    ``1 <= s <= n/2``, or a ``max_workers`` on an axis other than
-    ``splits``, the only one that reads it."""
+    unknown axis, trials that are not an integer of at least 1, a bad or
+    repeated spec, a scenario ``ScenarioSpec`` refuses, a shard count that
+    is not an integer of ``1 <= s <= n/2``, or a ``max_workers`` on an axis
+    other than ``splits``, the only one that reads it."""
     try:
         if axis not in _AXES:
             raise ValueError(f"unknown sweep axis {axis!r}")
+        check_integer("trials", trials)
         if trials < 1:
             raise ValueError(f"trials must be at least 1, got {trials}")
         if max_workers is not None and axis != "splits":

@@ -80,6 +80,8 @@ class MatchConfig:
         if isinstance(self.threshold, str):
             if self.threshold != "auto":
                 raise ValueError(f"unknown threshold {self.threshold!r}")
+        elif isinstance(self.threshold, bool):
+            raise ValueError(f"threshold must be a number, got {self.threshold!r}")
         elif self.threshold is not None and not 0 < self.threshold < math.inf:
             raise ValueError("threshold must be positive and finite")
         if self.inlier_rate is not None and not 0 < self.inlier_rate < 1:

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types and input rules shared across the package."""
+
+
+def check_integer(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer with
+    ``__index__``, NumPy's included, and not a ``bool``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class SizeLimitError(ValueError):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeLimitError
+from .errors import SizeLimitError, check_integer
 from .linalg import DENSE_EIG_MAX_ORDER, spectral_norm
 from .overlap import (
     PopulationModel,
@@ -50,7 +50,9 @@ class ScenarioSpec:
     ``kind`` picks how outlier columns of Y are produced: fresh Gaussian draws
     (``gaussian_outliers``) or rotations of deranged X columns
     (``permuted_inliers``, which needs at least two outliers).  ``sigma2``
-    adds independent N(0, sigma2) noise to every entry of Y only.
+    adds independent N(0, sigma2) noise to every entry of Y only.  ``d``,
+    ``n`` and ``seed`` are integers (``bool`` refused), checked before any
+    draw.
     """
 
     d: int
@@ -61,6 +63,8 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("seed", "d", "n"):
+            check_integer(name, getattr(self, name))
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.d < 1:

@@ -20,6 +20,7 @@ from gramoverlap import (
     error_rates,
     linalg,
     match,
+    overlap,
     parallel_match,
 )
 from gramoverlap.synth import ScenarioSpec, derive_seed, generate
@@ -148,6 +149,20 @@ class TestSweeps:
             run_sweep("sigma2", [0.0], trials, d=4, n=24, r=0.5, seed=1)
         with pytest.raises(ValueError, match="trials must be at least 1"):
             run_sweep("splits", [1], trials, d=4, n=24, r=0.5, seed=1)
+
+    @pytest.mark.parametrize("trials", [1.5, True])
+    @pytest.mark.parametrize(
+        "axis, grid, fixed",
+        [("r", [0.5], {}), ("splits", [1], dict(r=0.5))],
+    )
+    def test_trials_that_are_no_integer_raise_before_any_trial(
+        self, monkeypatch, axis, grid, fixed, trials
+    ):
+        calls = []
+        monkeypatch.setattr(bench, "_draw_trial", lambda *args: calls.append(args))
+        with pytest.raises(bench.SweepPlanError, match="trials must be an integer"):
+            run_sweep(axis, grid, trials, d=4, n=40, seed=1, **fixed)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "axis, grid, fixed",
@@ -938,7 +953,7 @@ class TestStatisticOncePerOverlap:
         calls = {"_khatri_rao_vectors": 0, "_power_iteration": 0}
 
         def counted(name):
-            original = getattr(linalg, name)
+            original = getattr(overlap, name)
 
             def solve(*args, **kwargs):
                 calls[name] += 1
@@ -948,7 +963,7 @@ class TestStatisticOncePerOverlap:
             return solve
 
         for name in calls:
-            monkeypatch.setattr(linalg, name, counted(name))
+            monkeypatch.setattr(overlap, name, counted(name))
         rates = [0.5, 0.75]
         rows = run_rate_sweep(
             d=d, n=n, r_values=rates, trials=2, seed=4, methods=self.EIG_METHODS
@@ -970,8 +985,8 @@ class TestStatisticOncePerOverlap:
         # trial and its time charged to the eig:* methods only
         calls = {"gram": 0, "_power_iteration": 0, "_khatri_rao_row_sums": 0}
 
-        def counted(name, pause):
-            original = getattr(linalg, name)
+        def counted(module, name, pause):
+            original = getattr(module, name)
 
             def call(*args, **kwargs):
                 calls[name] += 1
@@ -980,9 +995,9 @@ class TestStatisticOncePerOverlap:
 
             return call
 
-        monkeypatch.setattr(linalg, "gram", counted("gram", 0.05))
+        monkeypatch.setattr(linalg, "gram", counted(linalg, "gram", 0.05))
         for name in ("_power_iteration", "_khatri_rao_row_sums"):
-            monkeypatch.setattr(linalg, name, counted(name, 0.0))
+            monkeypatch.setattr(overlap, name, counted(overlap, name, 0.0))
         rows = run_rate_sweep(
             d=50, n=400, r_values=[0.8], trials=2, seed=6, methods=DEFAULT_METHODS
         )

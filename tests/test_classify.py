@@ -25,7 +25,7 @@ from gramoverlap import (
     preprocess,
     threshold_interval,
 )
-from gramoverlap import bench, linalg
+from gramoverlap import bench, linalg, overlap
 from gramoverlap.classify import (
     METHOD_EIGENVECTOR,
     METHOD_ROW_SUM,
@@ -38,7 +38,7 @@ from gramoverlap.synth import derive_seed
 
 
 def as_overlap(h, d):
-    return OverlapMatrix(np.asarray(h, dtype=float), d=d)
+    return OverlapMatrix.wrap(np.asarray(h, dtype=float), d)
 
 
 def population_h(d, n, k):
@@ -441,19 +441,31 @@ class TestClassifyRows:
             with pytest.raises(ValueError, match="values contain non-finite entries"):
                 classify_rows(np.array([[1.0, 2.0], [3.0, bad]]), cfgs, d=1)
 
+    @pytest.mark.parametrize("scale", [1e80, 1e200])
     @pytest.mark.parametrize(
         "spec", ["rowsum:1.0", "rowsum:kmeans", "eig:0.5", "eig:kmeans"]
     )
-    def test_an_overflowing_factored_statistic_is_refused(self, spec):
-        # raw entries of 1e80 at d = 3, n = 400: both statistics come from
-        # the factors, whose products overflow; neither branch labels the
-        # points from the non-finite statistic
+    def test_an_overflowing_factored_statistic_is_refused(
+        self, monkeypatch, spec, scale
+    ):
+        # raw entries of 1e80 or 1e200 at d = 3, n = 400: both statistics
+        # come from the factors, whose products overflow, with no numpy
+        # warning.  The eigenvector refuses Z Z^T before any squaring; the
+        # classifier refuses the row sums before either branch reads them
+        def refuse(g):
+            raise AssertionError("an overflowing Z Z^T was squared")
+
+        monkeypatch.setattr(overlap, "_top_eigvectors_by_squaring", refuse)
         pair = generate(ScenarioSpec(d=3, n=400, r=0.5, seed=1))
-        h = build_overlap(pair.x * 1e80, pair.y * 1e80, PreprocessMode.NONE)
+        h = build_overlap(pair.x * scale, pair.y * scale, PreprocessMode.NONE)
         assert h.row_sum_backend == h.eig_backend == "gram_factor"
-        with np.errstate(all="ignore"):
-            with pytest.raises(ValueError, match="values contain non-finite entries"):
-                match(h, bench.parse_method(spec))
+        cfg = bench.parse_method(spec)
+        if cfg.method == METHOD_EIGENVECTOR:
+            message = "the Khatri-Rao Gram Z Z\\^T has non-finite entries: it overflows"
+        else:
+            message = "values contain non-finite entries"
+        with pytest.raises(ValueError, match=message):
+            match(h, cfg)
 
     @pytest.mark.parametrize(
         "spec", ["eig:0.5", "eig:kmeans", "rowsum:kmeans", "rowsum:3.0", "rowsum:auto"]
@@ -630,7 +642,7 @@ class TestStackStatistics:
             assert abs(float(row.sum())) <= 1e-12
             assert np.allclose(row, want, rtol=0, atol=1e-15)
         # the sign rule flips the one whose raw vector starts negative
-        flips = linalg._sign_flips(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        flips = linalg.sign_flips(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         assert flips.tolist() == [False, True]
 
 
@@ -785,6 +797,8 @@ class TestMatchConfig:
             (-1, "threshold must be positive and finite"),
             (math.inf, "threshold must be positive and finite"),
             (math.nan, "threshold must be positive and finite"),
+            (True, "threshold must be a number, got True"),
+            (False, "threshold must be a number, got False"),
         ],
     )
     def test_a_bad_threshold_is_refused(self, method, threshold, message):
@@ -832,7 +846,7 @@ class TestMatchConfig:
         def refuse(*args, **kwargs):
             raise AssertionError("a statistic was computed")
 
-        monkeypatch.setattr(linalg, "_khatri_rao_row_sums", refuse)
+        monkeypatch.setattr(overlap, "_khatri_rao_row_sums", refuse)
         x, y = np.random.default_rng(8).standard_normal((2, 3, 40))
         h = build_overlap(x, y, PreprocessMode.NONE)
         assert h.row_sum_backend == "gram_factor"

@@ -14,14 +14,13 @@ from gramoverlap import (
     gram,
     spectral_norm,
 )
-from gramoverlap import linalg, synth
-from gramoverlap.linalg import (
+from gramoverlap import linalg, overlap, synth
+from gramoverlap.linalg import as_matrix, sign_flips
+from gramoverlap.overlap import (
     POWER_MAX_ITER_DEFAULT,
     POWER_TOL_DEFAULT,
     SpectralPair,
     _power_iteration,
-    _sign_flips,
-    as_matrix,
 )
 
 
@@ -41,9 +40,9 @@ def random_symmetric(n, rng):
 
 
 def signed(v):
-    """The vector ``v`` under the sign rule: negated when :func:`_sign_flips`
+    """The vector ``v`` under the sign rule: negated when :func:`sign_flips`
     flips it as a row."""
-    return -v if _sign_flips(v[None])[0] else v
+    return -v if sign_flips(v[None])[0] else v
 
 
 class TestGram:
@@ -195,7 +194,7 @@ class TestPowerIteration:
         pair = _power_iteration(a)
         assert pair.vector.sum() >= -1e-12
         v = np.array([0.5, -0.8, 0.3])  # sums to 0: largest-magnitude entry wins
-        assert _sign_flips(np.stack([v, -v])).tolist() == [True, False]
+        assert sign_flips(np.stack([v, -v])).tolist() == [True, False]
         assert signed(v)[1] > 0
 
     def test_sign_convention_absorbs_flips(self):
@@ -204,7 +203,7 @@ class TestPowerIteration:
         rng = rng_for(19)
         for _ in range(20):
             v = rng.standard_normal(int(rng.integers(2, 12)))
-            flips = _sign_flips(np.stack([v, -v]))
+            flips = sign_flips(np.stack([v, -v]))
             assert flips[0] != flips[1]
             assert np.array_equal(signed(v), signed(-v))
 
@@ -416,7 +415,7 @@ class TestKhatriRaoEigenpair:
             assert pair.converged
             assert abs(pair.vector[0]) >= 1.0 - 1e-12
             # 20 squarings leave e_1 and e_2 mixed; about 36 separate them
-            monkeypatch.setattr(linalg, "KHATRI_RAO_MAX_SQUARINGS", 20)
+            monkeypatch.setattr(overlap, "KHATRI_RAO_MAX_SQUARINGS", 20)
             assert abs(factored_eigenpair(x, y).vector[0]) < 1.0 - 1e-6
             monkeypatch.undo()
 
@@ -476,7 +475,7 @@ def matrix_khatri_rao_eigenpair(x, y):
         b2 = np.empty_like(b)
         tol = g.shape[0] * np.finfo(np.float64).eps
         last = 0.0
-        for _ in range(linalg.KHATRI_RAO_MAX_SQUARINGS):
+        for _ in range(overlap.KHATRI_RAO_MAX_SQUARINGS):
             np.matmul(b, b.T, out=b2)
             t = float(b2.trace())
             b2 /= t
@@ -545,10 +544,10 @@ class TestStackedKhatriRao:
         alone = []
         for g in grams:
             squarings.clear()
-            vector = linalg._top_eigvectors_by_squaring(g[None])[0]
+            vector = overlap._top_eigvectors_by_squaring(g[None])[0]
             alone.append((vector, len(squarings)))
         squarings.clear()
-        got = linalg._top_eigvectors_by_squaring(grams)
+        got = overlap._top_eigvectors_by_squaring(grams)
         for row, (want, _) in zip(got, alone):
             assert np.array_equal(row, want)
         counts = sorted(count for _, count in alone)
@@ -568,8 +567,8 @@ class TestStackedKhatriRao:
         ys[1] = 0.0  # H = 0: the all-ones vector
         ys[3] = np.ldexp(ys[3], 60)
         ys[4] = ys[4].round()  # few distinct values
-        vectors = linalg._khatri_rao_vectors(linalg._khatri_rao(x, ys))
-        sums = linalg._khatri_rao_row_sums(x, ys)
+        vectors = overlap._khatri_rao_vectors(overlap._khatri_rao(x, ys))
+        sums = overlap._khatri_rao_row_sums(x, ys)
         for y, vector, row_sums in zip(ys, vectors, sums):
             assert np.array_equal(vector, factored_eigenpair(x, y).vector)
             assert np.array_equal(row_sums, OverlapMatrix(xp=x, yp=y).row_sums())

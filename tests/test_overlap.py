@@ -24,7 +24,7 @@ from gramoverlap import (
 )
 import gramoverlap
 from gramoverlap import bench, linalg, overlap
-from gramoverlap.overlap import factored_eig_is_cheaper, factored_row_sums_are_cheaper
+from gramoverlap.overlap import backends, forms_h
 from gramoverlap.synth import derive_seed
 
 
@@ -232,28 +232,19 @@ class TestBuildOverlap:
             np.ones((0, 0)),
         ):
             with pytest.raises(ValueError):
-                OverlapMatrix(bad, d=1)
-        with pytest.raises(ValueError):
-            OverlapMatrix(np.eye(3))  # a wrapped h needs d
-        with pytest.raises(ValueError):
-            OverlapMatrix(np.eye(3), d=0)
+                OverlapMatrix.wrap(bad, 1)
+        with pytest.raises(ValueError, match="a wrapped h needs d of at least 1"):
+            OverlapMatrix.wrap(np.eye(3), 0)
         x = np.ones((2, 3))
         with pytest.raises(ValueError):
-            OverlapMatrix(np.eye(3), d=2, xp=x, yp=x)
+            OverlapMatrix(x, np.ones((2, 4)))
         with pytest.raises(ValueError):
-            OverlapMatrix(xp=x, yp=x, d=2)  # factors already give d
-        with pytest.raises(ValueError):
-            OverlapMatrix(xp=x, yp=np.ones((2, 4)))
-        with pytest.raises(ValueError):
-            OverlapMatrix(xp=x, yp=np.ones((3, 3)))
-        with pytest.raises(ValueError):
-            OverlapMatrix(xp=x)
-        with pytest.raises(ValueError):
-            OverlapMatrix(np.eye(3), d=2, xp=x)
-        h = OverlapMatrix(xp=np.ones((4, 7)), yp=np.ones((4, 7)))
+            OverlapMatrix(x, np.ones((3, 3)))
+        h = OverlapMatrix(np.ones((4, 7)), np.ones((4, 7)))
         assert (h.d, h.n) == (4, 7)
-        wrapped = OverlapMatrix(np.eye(5), d=2)
+        wrapped = OverlapMatrix.wrap(np.eye(5), 2)
         assert (wrapped.d, wrapped.n) == (2, 5)
+        assert wrapped.xp is wrapped.yp is wrapped.p is None
 
     def test_each_input_is_checked_once(self, monkeypatch):
         # preprocess reads the arrays build_overlap has checked; called by
@@ -472,16 +463,21 @@ def random_factored_instances():
 
 class TestLeadingEigenpair:
     def test_backend_rule(self):
-        assert factored_eig_is_cheaper(6, 400) and factored_eig_is_cheaper(6, 144)
-        assert not factored_eig_is_cheaper(6, 143)
-        assert not factored_eig_is_cheaper(50, 1000)
-        assert factored_eig_is_cheaper(50, 10000)
+        # the factors when 4 d^2 <= n, power iteration on H below it
+        for d, n, eig in (
+            (6, 400, "gram_factor"),
+            (6, 144, "gram_factor"),
+            (6, 143, "power_iteration"),
+            (50, 1000, "power_iteration"),
+            (50, 10000, "gram_factor"),
+        ):
+            assert backends(d, n)[1] == eig
         rng = np.random.default_rng(8)
         x = rng.standard_normal((8, 200))
         assert build_overlap(x, x, "none").eig_backend == "power_iteration"
         x = rng.standard_normal((3, 200))
         assert build_overlap(x, x, "none").eig_backend == "gram_factor"
-        wrapped = OverlapMatrix(build_overlap(x, x, "none").h, d=3)
+        wrapped = OverlapMatrix.wrap(build_overlap(x, x, "none").h, 3)
         assert wrapped.eig_backend == "power_iteration"
         # an attribute set at construction, not derived on each read
         assert vars(wrapped)["eig_backend"] == "power_iteration"
@@ -498,7 +494,7 @@ class TestLeadingEigenpair:
             assert abs(pair.value - values[0]) <= 1e-12 * values[0]
             # power iteration stops at residual <= 1e-10 * value; its vector
             # is then within about residual / gap of the true one
-            ref = linalg._power_iteration(h.h)
+            ref = overlap._power_iteration(h.h)
             bound = 2.0 * ref.residual / (values[0] - values[1]) + 1e-12
             assert np.linalg.norm(pair.vector - ref.vector) <= bound
             count += 1
@@ -543,7 +539,7 @@ class TestLeadingEigenpair:
         h = build_overlap(x, x, PreprocessMode.NONE)
         assert h.eig_backend == "gram_factor"
         pair = h.leading_eigenpair()
-        ref = linalg._power_iteration(h.h)
+        ref = overlap._power_iteration(h.h)
         assert pair.value == ref.value == 0.0
         assert np.array_equal(pair.vector, ref.vector)
         assert pair.converged and pair.residual == 0.0
@@ -570,24 +566,24 @@ class TestLeadingEigenpair:
             rng.standard_normal((6, 100)), rng.standard_normal((6, 100)), "none"
         )
         assert h.eig_backend == "power_iteration"
-        pair, ref = h.leading_eigenpair(), linalg._power_iteration(h.h)
+        pair, ref = h.leading_eigenpair(), overlap._power_iteration(h.h)
         assert pair.value == ref.value and pair.iterations == ref.iterations
         assert np.array_equal(pair.vector, ref.vector)
 
 
 class TestRowSums:
     def test_hand_case(self):
-        h = OverlapMatrix(np.array([[1.0, 2.0], [2.0, 4.0]]), d=2)
+        h = OverlapMatrix.wrap(np.array([[1.0, 2.0], [2.0, 4.0]]), 2)
         assert np.array_equal(h.row_sums(), np.array([3.0, 6.0]))
 
     def test_identity(self):
-        assert np.array_equal(OverlapMatrix(np.eye(3), d=1).row_sums(), np.ones(3))
+        assert np.array_equal(OverlapMatrix.wrap(np.eye(3), 1).row_sums(), np.ones(3))
 
     def test_matches_double_loop(self):
         rng = np.random.default_rng(9)
         m = rng.standard_normal((8, 8))
         a = (m + m.T) / 2
-        s = OverlapMatrix(a, d=1).row_sums()
+        s = OverlapMatrix.wrap(a, 1).row_sums()
         for i in range(8):
             direct = sum(a[i, j] for j in range(8))
             assert abs(s[i] - direct) <= 1e-12
@@ -605,9 +601,8 @@ class TestRowSums:
 class TestFactoredRowSums:
     def test_backend_rule(self, monkeypatch):
         # the factors when 2 d < n, the dense H at the tie and above it
-        assert factored_row_sums_are_cheaper(5, 11)
-        assert not factored_row_sums_are_cheaper(5, 10)
-        assert not factored_row_sums_are_cheaper(5, 9)
+        assert backends(5, 11)[0] == "gram_factor"
+        assert backends(5, 10)[0] == backends(5, 9)[0] == "dense"
         rng = np.random.default_rng(12)
         x, y = rng.standard_normal((2, 5, 11))
         for n, backend in ((11, "gram_factor"), (10, "dense"), (9, "dense")):
@@ -626,11 +621,6 @@ class TestFactoredRowSums:
         for backend in ("power_iteration", "Dense", ""):
             with pytest.raises(ValueError, match="unknown row-sum backend"):
                 build_overlap(x, x, "none", backend=backend)
-        with pytest.raises(ValueError, match="needs the factors"):
-            OverlapMatrix(np.eye(3), d=1, backend="gram_factor")
-        assert OverlapMatrix(np.eye(3), d=1, backend="dense").row_sum_backend == (
-            "dense"
-        )
 
     def test_backend_fixed_at_construction(self):
         rng = np.random.default_rng(14)
@@ -644,7 +634,7 @@ class TestFactoredRowSums:
         # no factors and so takes power iteration for its eigenpair
         dense = build_overlap(x, y, "none", backend="dense")
         assert dense.row_sum_backend == "dense" and dense._h is not None
-        wrapped = OverlapMatrix(dense.h, d=4)
+        wrapped = OverlapMatrix.wrap(dense.h, 4)
         assert wrapped.row_sum_backend == "dense"
         assert wrapped.eig_backend == "power_iteration"
         # forming H later, e.g. for power iteration (4 d^2 > n here), does
@@ -787,7 +777,7 @@ def test_h_is_checked_once_where_it_enters(monkeypatch):
     pair = formed.leading_eigenpair()
     assert np.array_equal(formed.leading_eigenvector(), pair.vector)
     assert calls == []
-    wrapped = OverlapMatrix(formed.h, d=6)
+    wrapped = OverlapMatrix.wrap(formed.h, 6)
     got = wrapped.leading_eigenpair()
     wrapped.leading_eigenvector()
     wrapped.row_sums()
@@ -814,10 +804,10 @@ def test_an_overflowing_h_is_refused_when_formed(spec, n):
         gramoverlap.match(build_overlap(x, y, "none"), cfg)
 
 
-def test_only_linalg_and_overlap_name_the_backend_kernels():
-    # the backend choice lives in OverlapMatrix: no other module of the
-    # package, its __init__ included, names a factored kernel or power
-    # iteration
+def test_only_overlap_names_the_backend_kernels():
+    # the kernels live beside OverlapMatrix, their one caller: no other
+    # module of the package, its __init__ included, names a factored kernel,
+    # the squaring loop or power iteration
     def named(path):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         names = [node.id for node in ast.walk(tree) if isinstance(node, ast.Name)]
@@ -831,20 +821,36 @@ def test_only_linalg_and_overlap_name_the_backend_kernels():
         return [
             name
             for name in names
-            if name.startswith("_khatri_rao") or name == "_power_iteration"
+            if name.startswith(("_khatri_rao", "_top_")) or name == "_power_iteration"
         ]
 
     package = Path(overlap.__file__).parent
     found = {
         path.stem: named(path)
         for path in package.glob("*.py")
-        if path.stem not in ("linalg", "overlap")
+        if path.stem != "overlap"
     }
     assert len(found) >= 8 and {k: v for k, v in found.items() if v} == {}
     # the scan sees them where they are named
-    assert {"_khatri_rao_vectors", "_power_iteration"} <= set(
+    assert {"_khatri_rao_vectors", "_power_iteration", "_top_columns"} <= set(
         named(Path(overlap.__file__))
     )
+
+
+@pytest.mark.parametrize("pin", [None, "dense", "gram_factor"])
+@pytest.mark.parametrize("d, n", [(5, 9), (5, 10), (5, 11), (6, 143), (6, 144)])
+def test_an_overlap_takes_the_backends_of_the_plan(d, n, pin):
+    # the grid straddles both rules, 2 d < n at d = 5 and 4 d^2 <= n at
+    # d = 6; forms_h says exactly whether a statistic's read formed H
+    x, y = np.random.default_rng(25).standard_normal((2, d, n))
+    for eigenpair in (False, True):
+        h = build_overlap(x, y, "none", backend=pin)
+        assert (h.row_sum_backend, h.eig_backend) == backends(d, n, pin)
+        if eigenpair:
+            h.leading_eigenvector()
+        else:
+            h.row_sums()
+        assert (h._h is not None) == forms_h(d, n, eigenpair, pin)
 
 
 class TestPopulationModel:

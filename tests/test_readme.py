@@ -48,10 +48,13 @@ def test_cli_examples_parse():
 
 def table_call(name: str):
     """The object an entry-point table name calls: a package attribute
-    (``match``), or a function of one of its modules (``bench.run_sweep``)."""
-    module, _, attr = name.rpartition(".")
-    owner = importlib.import_module(f"gramoverlap.{module}") if module else gramoverlap
-    return getattr(owner, attr, None)
+    (``match``), a member of one (``OverlapMatrix.wrap``), or a function of
+    one of its modules (``bench.run_sweep``)."""
+    head, _, member = name.partition(".")
+    owner = getattr(gramoverlap, head, None)
+    if owner is None and member:
+        owner = importlib.import_module(f"gramoverlap.{head}")
+    return getattr(owner, member, None) if member else owner
 
 
 def test_entry_point_table_names_only_public_calls():

@@ -133,6 +133,17 @@ class TestScenarioSpec:
             ScenarioSpec(d=3, n=10, r=0.5, kind="nope")
 
     @pytest.mark.parametrize(
+        "field", [dict(d=4.5), dict(n=40.0), dict(d=True), dict(seed=1.5)]
+    )
+    def test_integer_fields_must_be_integers(self, field):
+        # refused here, before generate draws anything; NumPy integers pass
+        (name, value), = field.items()
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
+            ScenarioSpec(**{**dict(d=4, n=40, r=0.5, seed=1), **field})
+        spec = ScenarioSpec(d=np.int64(4), n=np.int64(40), r=0.5, seed=np.int64(1))
+        assert spec.n_inliers == 20
+
+    @pytest.mark.parametrize(
         "values",
         [
             {"r": math.inf},
