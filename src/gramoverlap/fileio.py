@@ -3,8 +3,10 @@
 Matrices are written one feature per row, comma-separated, with 17 significant
 digits so float64 values round-trip exactly.  They are read block by block,
 each block by the fastest exact converter its bytes allow: int64 mantissas
-over a power of ten for fixed-point fields, glibc's ``strtold`` for other
-plain decimals, ``np.loadtxt`` for the rest.  Images are binary PPM ("P6",
+and exponents scaled by a power of ten when every field has a ``.``,
+glibc's ``strtold`` for other plain decimals, ``np.loadtxt`` for the rest.
+A block's row widths are checked from its commas, and line by line only in
+a block that leaves the mantissa path.  Images are binary PPM ("P6",
 maxval 255) only.  Every command drops a JSON manifest next to its outputs so
 a result can be regenerated from the manifest alone.
 """
@@ -60,9 +62,9 @@ _BLOCK_CHARS = 1 << 16
 _SMALLEST_NORMAL = np.finfo(np.float64).tiny
 # 10**k is exact at 64 significand bits up to k = 27 (5**27 < 2**64), and a
 # mantissa below 10**18 is exact in int64 and at 64 bits.
-_MAX_FRACTION = 27
+_MAX_SCALE = 27
 _MAX_MANTISSA = 10**18
-_POWERS_OF_TEN = np.array([10**k for k in range(_MAX_FRACTION + 1)], np.longdouble)
+_POWERS_OF_TEN = np.array([10**k for k in range(_MAX_SCALE + 1)], np.longdouble)
 
 
 def _read_whole(text: bytes, dtype, count: int):
@@ -81,39 +83,74 @@ def _read_whole(text: bytes, dtype, count: int):
     return values[:count] if values.size == count + 1 else None
 
 
-def _fixed_point(text: bytes, count: int):
-    """x87 long doubles of ``count`` comma-separated fields that are each a
-    sign, digits, one ``.`` and digits, rounded as ``strtold`` rounds them,
-    or None for any other block.
+def _fixed_point(text: bytes, width: int, ends: list):
+    """x87 long doubles of the rows of ``width`` comma-separated fields
+    joined in ``text``, row ``i`` ending at offset ``ends[i]``, each field
+    a sign, digits, one ``.``, digits and an optional exponent (``e`` or
+    ``E``, a sign, digits), rounded as ``strtold`` rounds them, or None for
+    any other block.
 
-    Each field is read as ``M / 10**k``: numpy's C integer parser reads the
-    mantissa ``M`` from the field's digits with the ``.`` removed, and ``k``
-    is the number of digits after the ``.``.  With ``|M| < 10**18`` and
-    ``k <= 27`` both operands are exact at 64 significand bits, so the one
-    correctly rounded division returns the value ``strtold`` returns.  A
-    block with an exponent, a field without ``.``, a zero mantissa (which a
-    sign alone also reads as), a mantissa of 19 or more digits or a longer
-    fraction gets None.
+    Each field is read as ``M / 10**s``, or ``M * 10**-s`` when ``s < 0``:
+    numpy's C integer parser reads the mantissa ``M`` from the field's
+    digits with the ``.`` removed, and the exponent ``E`` as a field of its
+    own, its ``e`` made a ``,``; ``s`` is the number of digits after the
+    ``.``, less ``E``.  With ``|M| < 10**18`` and ``|s| <= 27`` both
+    operands are exact at 64 significand bits, so the one correctly rounded
+    operation returns the value ``strtold`` returns (Clinger's fast path).
+    A block with a field without ``.``, with an ``e`` before it or a second
+    ``e``, a zero mantissa or an exponent that is a sign alone (the parser
+    reads a sign alone as 0), 19 or more mantissa digits or a larger
+    ``|s|`` gets None.
+
+    The block holds ``len(ends) * width - 1`` commas, and the one that ends
+    row ``i``'s ``width`` fields sits at ``ends[i]``, where the join put
+    it: so every row has ``width`` fields.
 
     Reads on two threads overlap only where numpy releases the GIL, and
     each numpy call on a block is a point where a thread may wait for it,
     so the block is read in few calls.  Any byte but a sign or a digit left
-    in a field fails ``_read_whole``, so only two kinds are looked for
-    before it: an ``e``, which sends the block to ``strtold`` without a
-    wasted parse, and the bytes below ``+`` (whitespace, which the parser
-    skips).  The line pass counted ``count - 1`` commas in ``text``.
+    in a field fails ``_read_whole``, so only the bytes below ``+``
+    (whitespace, which the parser skips) are looked for before it.
     """
-    if b"e" in text:
-        return None
+    exponents = b"e" in text or b"E" in text
     buf = np.frombuffer(text, dtype=np.uint8)
     if buf.min() < ord("+"):
         return None
+    count = len(ends) * width
     # ',' and '.' differ only in bit 1; clearing it maps no other byte to ','
     marks = np.flatnonzero((buf & 0xFD) == ord(","))
     # with count - 1 commas, count dots at the even marks alternate with them
-    if marks.size != 2 * count - 1 or buf[marks[::2]].min() != ord("."):
+    if (
+        marks.size != 2 * count - 1
+        or buf[marks[::2]].min() != ord(".")
+        or marks[2 * width - 1 :: 2 * width].tolist() != ends[:-1]
+    ):
         return None
-    mantissas = _read_whole(text.replace(b".", b""), np.int64, count)
+    stop = np.append(marks[1::2], buf.size)
+    if exponents:
+        e = np.flatnonzero((buf | 0x20) == ord("e"))
+        # an odd number of marks before an e puts it after its field's dot,
+        # two in one field share that number, and an exponent field must
+        # end in a digit
+        after = marks.searchsorted(e)
+        field = after >> 1
+        if (
+            not (after & 1).all()
+            or (np.diff(after) == 0).any()
+            or buf[stop[field] - 1].min() < ord("0")
+        ):
+            return None
+        digits = text.replace(b".", b"").replace(b"e", b",").replace(b"E", b",")
+        mantissas = _read_whole(digits, np.int64, count + e.size)
+        if mantissas is None:
+            return None
+        # the exponent of the r-th field with one follows its mantissa
+        at = field + np.arange(1, e.size + 1)
+        exps = mantissas[at]
+        mantissas = np.delete(mantissas, at)
+        stop[field] = e
+    else:
+        mantissas = _read_whole(text.replace(b".", b""), np.int64, count)
     # numpy's parser saturates an overflow of either sign at the int64
     # maximum; C's strtoll, at the extreme of the field's sign.
     if (
@@ -123,19 +160,25 @@ def _fixed_point(text: bytes, count: int):
         or mantissas.min() <= -_MAX_MANTISSA
     ):
         return None
-    fraction = np.append(marks[1::2], buf.size) - marks[::2] - 1
-    if fraction.max() > _MAX_FRACTION:
+    scale = stop - marks[::2] - 1
+    low = 0
+    if exponents:
+        # a saturated exponent leaves s far above 27, or wraps k - E below -27
+        scale[field] -= exps
+        low = scale.min()
+    if low < -_MAX_SCALE or scale.max() > _MAX_SCALE:
         return None
-    return mantissas / _POWERS_OF_TEN[fraction]
+    if low < 0:
+        down, up = np.maximum(scale, 0), np.maximum(-scale, 0)
+        return mantissas / _POWERS_OF_TEN[down] * _POWERS_OF_TEN[up]
+    return mantissas / _POWERS_OF_TEN[scale]
 
 
-def _plain_decimals(text: bytes, count: int):
-    """float64 values of ``count`` comma-separated plain decimal fields, or
-    None when the text must go through ``_parse_rows``.
+def _to_float64(wide, text: bytes) -> np.ndarray:
+    """float64 values of the long doubles ``wide`` read from the
+    comma-separated fields of ``text``, each correctly rounded.
 
-    A block of fixed-point fields is read by ``_fixed_point``.  Any other
-    block of plain decimals is read by glibc's ``strtold`` through
-    ``np.fromstring``.  Either way each field is rounded to nearest at 64
+    Both long-double converters round each field to nearest at 64
     significand bits, and casting to float64 rounds again, to 53.  Every
     double and every midpoint between two doubles is representable at 64
     bits, so rounding twice can differ from rounding once only for a value
@@ -144,13 +187,6 @@ def _plain_decimals(text: bytes, count: int):
     so are those whose double is subnormal or the smallest normal, where the
     cast keeps fewer than 53 bits or rounded up from below the normal range.
     """
-    if not _X87_LONG_DOUBLE:
-        return None
-    wide = _fixed_point(text, count)
-    if wide is None and not text.translate(None, _PLAIN_BYTES):
-        wide = _read_whole(text, np.longdouble, count)
-    if wide is None:
-        return None
     # A value beyond float64's range casts to inf, which the caller refuses.
     with np.errstate(over="ignore"):
         values = wide.astype(np.float64)
@@ -166,17 +202,34 @@ def _plain_decimals(text: bytes, count: int):
     return values
 
 
-def _convert_block(path, rows, linenos, width) -> np.ndarray:
-    """The ``(len(rows), width)`` values of a block of checked rows, or
-    ``ValueError`` naming its first bad value."""
+def _convert_block(path, rows, linenos, ends, width) -> np.ndarray:
+    """The ``(len(rows), width)`` values of a block of rows, or
+    ``ValueError`` naming its first bad line.
+
+    ``_fixed_point`` reads the block and checks its widths when it can.
+    Otherwise each row's commas are counted (``str.count``), and a block of
+    plain decimals is read by glibc's ``strtold`` through ``np.fromstring``
+    on x87, any other by ``np.loadtxt``.
+    """
     text = ",".join(rows).encode(errors="surrogateescape")
-    values = _plain_decimals(text, len(rows) * width)
-    if values is None:
-        try:
-            values = _parse_rows(rows)
-        except ValueError:
-            raise ValueError(_bad_value(path, linenos, rows)) from None
-    return values.reshape(len(rows), width)
+    wide = _fixed_point(text, width, ends) if _X87_LONG_DOUBLE else None
+    if wide is None:
+        for i, row in enumerate(rows):
+            fields = row.count(",") + 1
+            if fields != width:
+                if i:  # a bad value before the row is the first bad line
+                    _convert_block(path, rows[:i], linenos[:i], ends[:i], width)
+                raise ValueError(
+                    f"{path}:{linenos[i]}: expected {width} fields, got {fields}"
+                )
+        if _X87_LONG_DOUBLE and not text.translate(None, _PLAIN_BYTES):
+            wide = _read_whole(text, np.longdouble, len(rows) * width)
+    if wide is not None:
+        return _to_float64(wide, text).reshape(len(rows), width)
+    try:
+        return _parse_rows(rows).reshape(len(rows), width)
+    except ValueError:
+        raise ValueError(_bad_value(path, linenos, rows)) from None
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -188,10 +241,11 @@ def read_matrix_csv(path) -> np.ndarray:
     ``nan``/``inf``/``infinity`` in any case, with optional whitespace
     around it (numpy's ``loadtxt`` syntax; Python-only spellings such as
     ``1_0`` or non-ASCII digits are rejected).  Every value must be finite.
-    Line structure is checked line by line; errors name ``path:line``, the
-    first bad line in file order.  A byte that is not UTF-8 is read as a
-    lone surrogate (``errors="surrogateescape"``), so the field that holds
-    it is refused as not a number.
+    Errors name ``path:line``, the first bad line in file order: a ``#``
+    line after the first, a row whose field count is not the first row's,
+    or a bad value.  A byte that is not UTF-8 is read as a lone surrogate
+    (``errors="surrogateescape"``), so the field that holds it is refused
+    as not a number.
 
     The file is read as a stream of text lines, never whole.  Its rows are
     gathered into blocks of about ``_BLOCK_CHARS`` (64 KiB) of text, and
@@ -204,21 +258,23 @@ def read_matrix_csv(path) -> np.ndarray:
 
     Each value is correctly rounded as by ``float``.  A block of plain
     decimals (only the bytes ``0-9.eE+-,``) is read as x87 long doubles,
-    cast to float64 and checked for double rounding (see
-    ``_plain_decimals``).  When every field is fixed-point (a sign, digits,
-    one ``.``, digits; not zero, at most 18 significant digits and 27 after
-    the ``.``), each is read as an int64 mantissa over a power of ten (see
-    ``_fixed_point``); any other plain block, one with an exponent field
-    among them, goes through ``strtold`` by ``np.fromstring``.  A block goes
-    through ``np.loadtxt`` instead when it holds whitespace,
-    ``nan``/``inf``, hex or non-ASCII text, when its value count is off (an
-    empty field, a trailing comma, a malformed number), and on every
-    platform whose ``long double`` is not x87 extended precision.
-    ``np.loadtxt`` is also the only path that reports a bad value.
+    cast to float64 and checked for double rounding (see ``_to_float64``).
+    When every field is a sign, digits, one ``.``, digits and an optional
+    exponent ``E`` (not zero, at most 18 significant digits, ``|k - E| <=
+    27`` for ``k`` digits after the ``.``), each is read as an int64
+    mantissa scaled by a power of ten (see ``_fixed_point``), which also
+    checks the rows' widths; every other block has each row's commas
+    counted.  Any other plain block goes through ``strtold`` by
+    ``np.fromstring``.  A block goes through ``np.loadtxt`` instead when it
+    holds whitespace, ``nan``/``inf``, hex or non-ASCII text, when its
+    value count is off (an empty field, a trailing comma, a malformed
+    number), and on every platform whose ``long double`` is not x87
+    extended precision.  ``np.loadtxt`` is also the only path that reports
+    a bad value.
     """
     path = Path(path)
     blocks = []
-    rows, linenos, size = [], [], 0
+    rows, linenos, ends, size = [], [], [], 0
     fault = None
     width = None
     with path.open(encoding="utf-8", errors="surrogateescape") as f:
@@ -229,22 +285,19 @@ def read_matrix_csv(path) -> np.ndarray:
             if line.startswith("#"):
                 fault = f"{path}:{lineno}: '#' lines only allowed as header"
                 break
-            fields = line.count(",") + 1
             if width is None:
-                width = fields
-            elif fields != width:
-                fault = f"{path}:{lineno}: expected {width} fields, got {fields}"
-                break
+                width = line.count(",") + 1
             if size and size + len(line) > _BLOCK_CHARS:
-                blocks.append(_convert_block(path, rows, linenos, width))
-                rows, linenos, size = [], [], 0
+                blocks.append(_convert_block(path, rows, linenos, ends, width))
+                rows, linenos, ends, size = [], [], [], 0
             rows.append(line)
             linenos.append(lineno)
             size += len(line) + 1
+            ends.append(size - 1)
     # The rows before a structural fault are converted first, so that a bad
     # value on an earlier line is the one reported.
     if rows:
-        blocks.append(_convert_block(path, rows, linenos, width))
+        blocks.append(_convert_block(path, rows, linenos, ends, width))
     if fault is not None:
         raise ValueError(fault)
     if not blocks:

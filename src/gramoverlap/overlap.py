@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateColumnError, SizeLimitError
+from .errors import DegenerateColumnError, SizeLimitError, check_integer
 
 
 class PreprocessMode(str, Enum):
@@ -480,6 +480,7 @@ class OverlapMatrix:
         checked once, here (square, finite, exactly symmetric).  It holds no
         factors, so both statistics read ``h``: the dense row sums and power
         iteration."""
+        check_integer("d", d)
         if d < 1:
             raise ValueError("a wrapped h needs d of at least 1")
         self = cls.__new__(cls)

@@ -44,9 +44,10 @@ def make_split(n: int, s: int, seed: int) -> tuple[np.ndarray, ...]:
     ``np.array_split``, so the first ``n mod s`` shards hold one point more.
 
     Requires 1 <= s <= n/2 (see :func:`check_shard_count`) and a
-    non-negative ``seed``.
+    non-negative integer ``seed``.
     """
     check_shard_count(n, s)
+    check_integer("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     perm = np.random.default_rng(seed).permutation(n)

@@ -247,6 +247,7 @@ def empirical_deviation(spec: ScenarioSpec, trials: int) -> DeviationStats:
         raise SizeLimitError(
             f"empirical_deviation is capped at n={DENSE_EIG_MAX_ORDER}, got {spec.n}"
         )
+    check_integer("trials", trials)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     d, n, k = spec.d, spec.n, spec.n_inliers

@@ -593,6 +593,12 @@ PLAIN_PATH_REFUSALS = {
     "0.5,+.": (2, "+."),
     "1.5,2.-3": (2, "2.-3"),
     "1.5,2/.5": (2, "2/.5"),
+    # malformed exponents, which the mantissa path must refuse too
+    **{f"0.5,{bad}": (2, bad) for bad in ("1.5e", "1.5e-", "1.5e+", "1.5ee3")},
+    **{f"{bad},0.5": (1, bad) for bad in ("1.5e3e4", "1e5.3", "1.5e3.", "-.e1")},
+    "0.5,1.5e--3": (2, "1.5e--3"),
+    "1.5e-3-,0.5e1": (1, "1.5e-3-"),
+    "0.5e1,1e-2.3": (2, "1e-2.3"),
 }
 
 
@@ -649,26 +655,40 @@ class TestPlainDecimalPath:
 
     @pytest.mark.skipif(not fileio._X87_LONG_DOUBLE, reason="long double is not x87")
     def test_benchmark_shape_takes_the_fixed_point_path(self, tmp_path, monkeypatch):
-        """Only blocks that hold an exponent field reach ``strtold``."""
-        m = np.random.default_rng(50).standard_normal((50, 1000))
-        path = tmp_path / "m.csv"
-        write_matrix_csv(path, m)
-        fromstring = np.fromstring
-        wide_blocks = []
+        """No block of a 50x1000 or 10x4000 ``%.17g`` file of standard
+        normals, exponent fields included, leaves the mantissa path: none
+        reaches ``strtold``, and no row is counted line by line."""
+        fromstring, fixed_point = np.fromstring, fileio._fixed_point
+        wide_blocks, taken = [], []
 
         def recording_fromstring(text, dtype, sep):
             if np.dtype(dtype) == np.longdouble:
                 wide_blocks.append(text)
             return fromstring(text, dtype=dtype, sep=sep)
 
+        def recording_fixed_point(text, width, ends):
+            wide = fixed_point(text, width, ends)
+            taken.append(wide is not None)
+            return wide
+
         monkeypatch.setattr(np, "fromstring", recording_fromstring)
-        assert read_matrix_csv(path).tobytes() == m.tobytes()
-        assert wide_blocks and all(b"e" in text for text in wide_blocks)
+        monkeypatch.setattr(fileio, "_fixed_point", recording_fixed_point)
+        for shape in [(50, 1000), (10, 4000)]:
+            m = np.random.default_rng(50).standard_normal(shape)
+            path = tmp_path / "m.csv"
+            write_matrix_csv(path, m)
+            assert b"e-" in path.read_bytes()
+            assert read_matrix_csv(path).tobytes() == m.tobytes()
+        assert taken and all(taken)
+        assert wide_blocks == []
 
     @pytest.mark.skipif(not fileio._X87_LONG_DOUBLE, reason="long double is not x87")
-    def test_fixed_point_rounds_as_strtold(self):
-        """``M / 10**k`` is ``strtold``'s long double, bit for bit, also
-        where 18 digits round onto a double midpoint at 64 bits."""
+    def test_fixed_point_rounds_as_strtold(self, tmp_path):
+        """``M / 10**s`` and ``M * 10**-s`` are ``strtold``'s long double,
+        bit for bit, also where 18 digits round onto a double midpoint at
+        64 bits, and the values read are ``float``'s: fixed-point fields,
+        ``%.17e`` and ``%.17g`` doubles with ``s`` in [-27, 27], and
+        midpoints written with an exponent."""
         rng = np.random.default_rng(34)
         fields = []
         for digits, k in zip(rng.integers(1, 19, 3000), rng.integers(0, 28, 3000)):
@@ -676,13 +696,30 @@ class TestPlainDecimalPath:
             sign = rng.choice(["", "-"])
             fields.append(f"{sign}{m[: len(m) - k]}.{m[len(m) - k :]}")
         fields += rounded_midpoints(rng, 3000, 1, 2**20)
+        sign = rng.choice([-1.0, 1.0], 3000)
+        # %.17e has 17 digits after the '.', %.17g 16, so s = 17 - E or 16 - E
+        fields += ["%.17e" % v for v in sign[:1000] * 10 ** rng.uniform(-10, 45, 1000)]
+        small = 10 ** rng.uniform(-11, -4, 500)
+        large = 10 ** rng.uniform(17, 38, 500)  # %g drops trailing zeros
+        scaled = np.concatenate([small, large]) * sign[1000:2000]
+        fields += ["%.17g" % v for v in scaled]
+        with localcontext() as ctx:
+            ctx.prec = 18
+            for d in sign[2000:] * 10 ** rng.uniform(-9, 44, 1000):
+                mid = Decimal(d) + Decimal(float(np.spacing(d))) / 2
+                fields.append(format(+mid, ".17e"))
         text = ",".join(fields).encode()
-        fixed = fileio._fixed_point(text, len(fields))
+        fixed = fileio._fixed_point(text, len(fields), [len(text)])
         wide = np.fromstring(text, dtype=np.longdouble, sep=",")
         assert fixed is not None
         assert (fixed == wide).all()
         on_midpoints = (wide.view(np.uint64)[::2] & 0x7FF) == 0x400
-        assert on_midpoints.sum() > 10
+        assert on_midpoints[:6000].sum() > 10
+        assert on_midpoints[-1000:].sum() > 10
+        path = tmp_path / "m.csv"
+        path.write_text(csv_of(fields, 10))
+        expected = np.array([float(f) for f in fields]).reshape(-1, 10)
+        assert read_matrix_csv(path).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
         "field, taken",
@@ -695,12 +732,39 @@ class TestPlainDecimalPath:
             ("-1000000000000000000.", False),
             ("123456789.012345678", True),
             ("1234567890.123456789", False),
+            ("1.5e-26", True),  # s = 27
+            ("1.5e-27", False),  # s = 28
+            ("1.5e28", True),  # s = -27
+            ("1.5e29", False),  # s = -28
+            ("-0.000000000000000000000000001e0", True),
+            ("99999999999999999.9e-10", True),
+            ("1.5E3", True),
+            ("2.25e+05", True),
+            ("-3.75e-0005", True),
+            ("1.5e0", True),
+            ("1.5e-0", True),
+            ("0.0e5", False),
+            ("1.5e99999999999999999999", False),  # saturates int64
+            ("1.5e-99999999999999999999", False),
+            ("1.5e9223372036854775807", False),
+            ("1.5e-9223372036854775808", False),
+            ("1.e-9223372036854775808", False),  # k - E wraps to -2**63
         ],
     )
-    def test_fixed_point_bounds(self, field, taken):
-        """At most 18 digits and 27 of them after the ``.``."""
+    def test_fixed_point_bounds(self, tmp_path, field, taken):
+        """At most 18 digits and ``|s| <= 27``; an exponent that saturates
+        int64 either way, or wraps ``k - E``, falls back.  Every value read
+        is ``float``'s."""
         text = f"0.5,{field}".encode()
-        assert (fileio._fixed_point(text, 2) is not None) == taken
+        assert (fileio._fixed_point(text, 2, [len(text)]) is not None) == taken
+        path = tmp_path / "m.csv"
+        path.write_bytes(text + b"\n")
+        expected = np.array([[0.5, float(field)]])
+        if np.isfinite(expected).all():
+            assert read_matrix_csv(path).tobytes() == expected.tobytes()
+        else:
+            with pytest.raises(ValueError, match="non-finite values"):
+                read_matrix_csv(path)
 
     def test_whitespace_inside_a_line_is_not_read_as_digits(self, tmp_path, gate):
         path = tmp_path / "m.csv"
@@ -725,6 +789,30 @@ class TestPlainDecimalPath:
         assert str(exc.value) == (
             f"{path}:{lineno}: field {col} is not a number: {field!r}"
         )
+
+    @pytest.mark.parametrize("good", ["0.5", "2.5e-3", "7"])
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            # two rows whose field counts add up to the block's
+            ({5: "0.5,1.5,2.5,3.5", 6: "0.5,1.5"}, "6: expected 3 fields, got 4"),
+            ({5: "0.5,1.5", 9: "0.5,x,2.5"}, "6: expected 3 fields, got 2"),
+            ({5: "0.5,1.5,2.5,", 9: "# stray"}, "6: expected 3 fields, got 4"),
+            ({3: "0.5,x,2.5", 5: "0.5"}, "4: field 2 is not a number: 'x'"),
+            ({3: "# stray", 5: "0.5"}, "4: '#' lines only allowed as header"),
+        ],
+    )
+    def test_the_first_bad_line_of_a_block_is_named(
+        self, tmp_path, gate, block_chars, good, edits, message
+    ):
+        rows = [",".join([good] * 3)] * 20
+        for i, row in edits.items():
+            rows[i] = row
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_matrix_csv(path)
+        assert str(exc.value) == f"{path}:{message}"
 
     @pytest.mark.parametrize(
         "bad", ["1,,2", "1,2-3", "1,e5", "--1,2", "1.2.3,4", "1.5,2.-3", "1.5,2/.5"]

@@ -220,6 +220,12 @@ class TestBuildOverlap:
         assert values.min() >= -1e-8 * spectral_norm(h.h)
 
 
+    def test_wrapped_d_must_be_an_integer(self):
+        for d in (1.5, True, "2"):
+            with pytest.raises(ValueError, match="d must be an integer"):
+                OverlapMatrix.wrap(np.eye(3), d)
+        assert OverlapMatrix.wrap(np.eye(3), np.int64(2)).d == 2
+
     def test_user_matrix_validated(self):
         # a wrapped h is checked once, at construction: the solvers behind
         # it check nothing

@@ -79,6 +79,14 @@ class TestMakeSplit:
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             make_split(10, 2, seed=-1)
 
+    def test_seed_must_be_an_integer(self):
+        for seed in (True, 1.5, 2.0, "2"):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                make_split(40, 2, seed)
+        assert [a.tolist() for a in make_split(7, 3, np.int64(1))] == [
+            [0, 1, 5], [2, 4], [3, 6],
+        ]
+
 
 class TestResolveWorkers:
     def test_explicit_wins(self):
@@ -150,6 +158,12 @@ class TestParallelMatch:
             part = report.partition
             assert part.inliers.size + part.outliers.size == 200
             assert len(report.shard_times_ms) == s
+
+    def test_seed_must_be_an_integer(self):
+        pair = easy_pair(7)
+        for seed in (True, 1.5):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                parallel_match(pair.x, pair.y, 2, MatchConfig("row_sum"), seed=seed)
 
     def test_deterministic_across_worker_counts_and_runs(self):
         # 50-point shards at d = 40 form H (2 d >= 50), so the pool runs

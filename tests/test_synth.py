@@ -331,6 +331,12 @@ class TestEmpiricalDeviation:
         with pytest.raises(ValueError):
             empirical_deviation(ScenarioSpec(d=8, n=16, r=0.5, seed=1), trials=0)
 
+    def test_trials_must_be_an_integer(self):
+        spec = ScenarioSpec(d=8, n=16, r=0.5, seed=1)
+        for trials in (1.5, True, "2"):
+            with pytest.raises(ValueError, match="trials must be an integer"):
+                empirical_deviation(spec, trials=trials)
+
 
 class TestDeriveSeed:
     def test_deterministic_and_distinct(self):
