@@ -52,7 +52,7 @@ from .classify import (
 )
 from .errors import check_integer
 from .overlap import OverlapMatrix, PreprocessMode, _preprocess, forms_h, preprocess
-from .parallel import check_shard_count, parallel_match
+from .parallel import check_shard_count, parallel_match, resolve_workers
 from .synth import (
     KIND_PERMUTED_INLIERS,
     ScenarioSpec,
@@ -283,16 +283,19 @@ def check_sweep(
     :data:`DEFAULT_METHODS` otherwise.  Raises :class:`SweepPlanError` on an
     unknown axis, trials that are not an integer of at least 1, a bad or
     repeated spec, a scenario ``ScenarioSpec`` refuses, a shard count that
-    is not an integer of ``1 <= s <= n/2``, or a ``max_workers`` on an axis
-    other than ``splits``, the only one that reads it."""
+    is not an integer of ``1 <= s <= n/2``, or a ``max_workers`` that is not
+    an integer of at least 1 or is given on an axis other than ``splits``,
+    the only one that reads it."""
     try:
         if axis not in _AXES:
             raise ValueError(f"unknown sweep axis {axis!r}")
         check_integer("trials", trials)
         if trials < 1:
             raise ValueError(f"trials must be at least 1, got {trials}")
-        if max_workers is not None and axis != "splits":
-            raise ValueError(f"a sweep over {axis} takes no max_workers")
+        if max_workers is not None:
+            if axis != "splits":
+                raise ValueError(f"a sweep over {axis} takes no max_workers")
+            resolve_workers(max_workers, 1)
         if methods is None:
             methods = (DEFAULT_SPLITS_METHOD,) if axis == "splits" else DEFAULT_METHODS
         specs = parse_methods(methods)

@@ -80,7 +80,7 @@ class MatchConfig:
         if isinstance(self.threshold, str):
             if self.threshold != "auto":
                 raise ValueError(f"unknown threshold {self.threshold!r}")
-        elif isinstance(self.threshold, bool):
+        elif isinstance(self.threshold, (bool, np.bool_)):
             raise ValueError(f"threshold must be a number, got {self.threshold!r}")
         elif self.threshold is not None and not 0 < self.threshold < math.inf:
             raise ValueError("threshold must be positive and finite")
@@ -464,18 +464,21 @@ class ErrorReport:
 def error_rates(truth_inliers, partition: LabelPartition) -> ErrorReport:
     """Error rates of a partition against the true inlier set.
 
-    ``truth_inliers`` is any array-like of indices in 0..n-1; order and
+    ``truth_inliers`` is any array-like of integer indices in 0..n-1 (a
+    float that is a whole number counts, a boolean mask does not); order and
     duplicates are ignored.  Both the true inlier set and its complement must
     be nonempty.
     """
     n, mask = partition.n, partition._mask
-    g = np.asarray(truth_inliers, dtype=np.intp)
+    g = np.asarray(truth_inliers)
+    if not (g.dtype.kind in "iu" or g.dtype.kind == "f" and (np.floor(g) == g).all()):
+        raise ValueError(f"truth indices must be integers, got {g.dtype} values")
     if g.size and (
         np.minimum.reduce(g, axis=None) < 0 or np.maximum.reduce(g, axis=None) >= n
     ):
         raise ValueError("truth indices out of range")
     truth = np.zeros(n, dtype=bool)
-    truth[g] = True
+    truth[g.astype(np.intp)] = True
     k = int(np.count_nonzero(truth))
     if not 1 <= k <= n - 1:
         raise ValueError("true inlier set and its complement must be nonempty")

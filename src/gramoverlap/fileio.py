@@ -2,13 +2,12 @@
 
 Matrices are written one feature per row, comma-separated, with 17 significant
 digits so float64 values round-trip exactly.  They are read block by block,
-each block by the fastest exact converter its bytes allow: int64 mantissas
-and exponents scaled by a power of ten when every field has a ``.``,
-glibc's ``strtold`` for other plain decimals, ``np.loadtxt`` for the rest.
-A block's row widths are checked from its commas, and line by line only in
-a block that leaves the mantissa path.  Images are binary PPM ("P6",
-maxval 255) only.  Every command drops a JSON manifest next to its outputs so
-a result can be regenerated from the manifest alone.
+each block by one of two exact converters: int64 mantissas and exponents
+scaled by a power of ten when every field has a ``.``, ``np.loadtxt`` for the
+rest.  Each converter checks the block's row widths as it reads; a block that
+fails is scanned row by row only to name its first bad line.  Images are
+binary PPM ("P6", maxval 255) only.  Every command drops a JSON manifest next
+to its outputs so a result can be regenerated from the manifest alone.
 """
 
 import json
@@ -38,9 +37,13 @@ def _is_number(field: str) -> bool:
         return False
 
 
-def _bad_value(path, linenos, rows) -> str:
-    """Error message naming the first row and field that is not a number."""
+def _bad_value(path, linenos, rows, width) -> str:
+    """Error message naming the first row, in file order, whose field count
+    is not ``width`` or that holds a field that is not a number."""
     for lineno, row in zip(linenos, rows):
+        fields = row.count(",") + 1
+        if fields != width:
+            return f"{path}:{lineno}: expected {width} fields, got {fields}"
         try:
             _parse_rows([row])
         except ValueError:
@@ -51,13 +54,12 @@ def _bad_value(path, linenos, rows) -> str:
     return f"{path}: values could not be parsed"
 
 
-# The plain-decimal path needs x86-64's long double: x87 extended precision,
+# The mantissa path needs x86-64's long double: x87 extended precision,
 # a 64-bit significand with an explicit leading bit in the first 8 bytes of a
 # 16-byte item.
 _X87_LONG_DOUBLE = (
     np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
 )
-_PLAIN_BYTES = b"0123456789.eE+-,"
 _BLOCK_CHARS = 1 << 16
 _SMALLEST_NORMAL = np.finfo(np.float64).tiny
 # 10**k is exact at 64 significand bits up to k = 27 (5**27 < 2**64), and a
@@ -67,9 +69,9 @@ _MAX_MANTISSA = 10**18
 _POWERS_OF_TEN = np.array([10**k for k in range(_MAX_SCALE + 1)], np.longdouble)
 
 
-def _read_whole(text: bytes, dtype, count: int):
-    """The ``count`` values of the comma-separated fields in ``text`` by
-    ``np.fromstring``, or None unless every field parses whole.
+def _read_whole(text: bytes, count: int):
+    """The ``count`` int64 values of the comma-separated fields in ``text``
+    by ``np.fromstring``, or None unless every field parses whole.
 
     numpy 2 raises at a field that does not; numpy 1.x stops there with a
     warning and keeps the field's numeric prefix.  So a good field is put
@@ -77,7 +79,7 @@ def _read_whole(text: bytes, dtype, count: int):
     ``text`` comes up short of ``count + 1`` values.
     """
     try:
-        values = np.fromstring(text + b",1", dtype=dtype, sep=",")
+        values = np.fromstring(text + b",1", dtype=np.int64, sep=",")
     except ValueError:
         return None
     return values[:count] if values.size == count + 1 else None
@@ -87,8 +89,8 @@ def _fixed_point(text: bytes, width: int, ends: list):
     """x87 long doubles of the rows of ``width`` comma-separated fields
     joined in ``text``, row ``i`` ending at offset ``ends[i]``, each field
     a sign, digits, one ``.``, digits and an optional exponent (``e`` or
-    ``E``, a sign, digits), rounded as ``strtold`` rounds them, or None for
-    any other block.
+    ``E``, a sign, digits), each rounded to nearest at 64 significand
+    bits, or None for any other block.
 
     Each field is read as ``M / 10**s``, or ``M * 10**-s`` when ``s < 0``:
     numpy's C integer parser reads the mantissa ``M`` from the field's
@@ -96,7 +98,7 @@ def _fixed_point(text: bytes, width: int, ends: list):
     own, its ``e`` made a ``,``; ``s`` is the number of digits after the
     ``.``, less ``E``.  With ``|M| < 10**18`` and ``|s| <= 27`` both
     operands are exact at 64 significand bits, so the one correctly rounded
-    operation returns the value ``strtold`` returns (Clinger's fast path).
+    operation rounds the field's exact value (Clinger's fast path).
     A block with a field without ``.``, with an ``e`` before it or a second
     ``e``, a zero mantissa or an exponent that is a sign alone (the parser
     reads a sign alone as 0), 19 or more mantissa digits or a larger
@@ -141,7 +143,7 @@ def _fixed_point(text: bytes, width: int, ends: list):
         ):
             return None
         digits = text.replace(b".", b"").replace(b"e", b",").replace(b"E", b",")
-        mantissas = _read_whole(digits, np.int64, count + e.size)
+        mantissas = _read_whole(digits, count + e.size)
         if mantissas is None:
             return None
         # the exponent of the r-th field with one follows its mantissa
@@ -150,7 +152,7 @@ def _fixed_point(text: bytes, width: int, ends: list):
         mantissas = np.delete(mantissas, at)
         stop[field] = e
     else:
-        mantissas = _read_whole(text.replace(b".", b""), np.int64, count)
+        mantissas = _read_whole(text.replace(b".", b""), count)
     # numpy's parser saturates an overflow of either sign at the int64
     # maximum; C's strtoll, at the extreme of the field's sign.
     if (
@@ -178,12 +180,11 @@ def _to_float64(wide, text: bytes) -> np.ndarray:
     """float64 values of the long doubles ``wide`` read from the
     comma-separated fields of ``text``, each correctly rounded.
 
-    Both long-double converters round each field to nearest at 64
-    significand bits, and casting to float64 rounds again, to 53.  Every
-    double and every midpoint between two doubles is representable at 64
-    bits, so rounding twice can differ from rounding once only for a value
-    that lands exactly on a midpoint: low 11 significand bits
-    ``0b10000000000``.  Those fields are converted again by ``float``, and
+    ``_fixed_point`` rounds each field to nearest at 64 significand bits,
+    and casting to float64 rounds again, to 53.  Every double and every
+    midpoint between two doubles is representable at 64 bits, so rounding
+    twice can differ from rounding once only for a value that lands exactly
+    on a midpoint: low 11 significand bits ``0b10000000000``.  Those fields are converted again by ``float``, and
     so are those whose double is subnormal or the smallest normal, where the
     cast keeps fewer than 53 bits or rounded up from below the normal range.
     """
@@ -206,30 +207,19 @@ def _convert_block(path, rows, linenos, ends, width) -> np.ndarray:
     """The ``(len(rows), width)`` values of a block of rows, or
     ``ValueError`` naming its first bad line.
 
-    ``_fixed_point`` reads the block and checks its widths when it can.
-    Otherwise each row's commas are counted (``str.count``), and a block of
-    plain decimals is read by glibc's ``strtold`` through ``np.fromstring``
-    on x87, any other by ``np.loadtxt``.
+    ``_fixed_point`` reads the block and checks its widths when it can (on
+    x87), any other block ``np.loadtxt``, which refuses rows of differing
+    widths; rows that all share one wrong width fail the ``reshape``.  Only
+    a block that fails is scanned row by row, by ``_bad_value``.
     """
     text = ",".join(rows).encode(errors="surrogateescape")
     wide = _fixed_point(text, width, ends) if _X87_LONG_DOUBLE else None
-    if wide is None:
-        for i, row in enumerate(rows):
-            fields = row.count(",") + 1
-            if fields != width:
-                if i:  # a bad value before the row is the first bad line
-                    _convert_block(path, rows[:i], linenos[:i], ends[:i], width)
-                raise ValueError(
-                    f"{path}:{linenos[i]}: expected {width} fields, got {fields}"
-                )
-        if _X87_LONG_DOUBLE and not text.translate(None, _PLAIN_BYTES):
-            wide = _read_whole(text, np.longdouble, len(rows) * width)
     if wide is not None:
         return _to_float64(wide, text).reshape(len(rows), width)
     try:
         return _parse_rows(rows).reshape(len(rows), width)
     except ValueError:
-        raise ValueError(_bad_value(path, linenos, rows)) from None
+        raise ValueError(_bad_value(path, linenos, rows, width)) from None
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -256,21 +246,17 @@ def read_matrix_csv(path) -> np.ndarray:
     the GIL, so two files read on two threads overlap (``match`` reads X and
     Y so).
 
-    Each value is correctly rounded as by ``float``.  A block of plain
-    decimals (only the bytes ``0-9.eE+-,``) is read as x87 long doubles,
-    cast to float64 and checked for double rounding (see ``_to_float64``).
-    When every field is a sign, digits, one ``.``, digits and an optional
-    exponent ``E`` (not zero, at most 18 significant digits, ``|k - E| <=
-    27`` for ``k`` digits after the ``.``), each is read as an int64
-    mantissa scaled by a power of ten (see ``_fixed_point``), which also
-    checks the rows' widths; every other block has each row's commas
-    counted.  Any other plain block goes through ``strtold`` by
-    ``np.fromstring``.  A block goes through ``np.loadtxt`` instead when it
-    holds whitespace, ``nan``/``inf``, hex or non-ASCII text, when its
-    value count is off (an empty field, a trailing comma, a malformed
-    number), and on every platform whose ``long double`` is not x87
-    extended precision.  ``np.loadtxt`` is also the only path that reports
-    a bad value.
+    Each value is correctly rounded as by ``float``.  A block is read by
+    one of two converters.  When every field is a sign, digits, one ``.``,
+    digits and an optional exponent ``E`` (not zero, at most 18 significant
+    digits, ``|k - E| <= 27`` for ``k`` digits after the ``.``), each is
+    read as an int64 mantissa scaled by a power of ten into an x87 long
+    double, then cast to float64 and checked for double rounding (see
+    ``_fixed_point`` and ``_to_float64``); that path checks the rows'
+    widths from the block's commas.  Every other block, and every block on
+    a platform whose ``long double`` is not x87 extended precision, goes
+    through ``np.loadtxt``, which checks the widths as it parses.  Only a
+    block that fails both is scanned row by row, to name its first bad line.
     """
     path = Path(path)
     blocks = []

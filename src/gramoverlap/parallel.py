@@ -84,10 +84,11 @@ def usable_cpus() -> int:
 
 
 def resolve_workers(requested: int | None, s: int) -> int:
-    """Worker count for s shards: the request, else one per usable CPU,
-    capped at s."""
+    """Worker count for s shards: the request, an integer of at least 1,
+    else one per usable CPU, capped at s."""
     if requested is None:
         requested = usable_cpus()
+    check_integer("max_workers", requested)
     if requested < 1:
         raise ValueError("worker count must be at least 1")
     return min(requested, s)

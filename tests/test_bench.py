@@ -218,6 +218,15 @@ class TestSweeps:
             ("sigma2", [0.0], dict(r=0.5, max_workers=2), ValueError,
              "a sweep over sigma2 takes no max_workers"),
             ("n", [40], dict(r=0.5), ValueError, "unknown sweep axis 'n'"),
+            # a pool takes a whole number of workers, at least one
+            ("splits", [1, 2], dict(r=0.5, max_workers=0), bench.SweepPlanError,
+             "worker count must be at least 1"),
+            ("splits", [1, 2], dict(r=0.5, max_workers=1.5), bench.SweepPlanError,
+             r"max_workers must be an integer, got 1\.5"),
+            ("splits", [1, 2], dict(r=0.5, max_workers=True), bench.SweepPlanError,
+             "max_workers must be an integer, got True"),
+            ("splits", [1, 2], dict(r=0.5, max_workers="2"), bench.SweepPlanError,
+             "max_workers must be an integer, got '2'"),
             # the axis is the one field a sweep does not hold fixed
             ("r", [0.5], dict(r=0.5), TypeError,
              "multiple values for keyword argument 'r'"),

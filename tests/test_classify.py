@@ -799,6 +799,8 @@ class TestMatchConfig:
             (math.nan, "threshold must be positive and finite"),
             (True, "threshold must be a number, got True"),
             (False, "threshold must be a number, got False"),
+            (np.True_, "threshold must be a number, got np.True_"),
+            (np.False_, "threshold must be a number, got np.False_"),
         ],
     )
     def test_a_bad_threshold_is_refused(self, method, threshold, message):
@@ -1301,6 +1303,23 @@ class TestErrorRates:
         with pytest.raises(ValueError):
             error_rates([0, 1, 2, 3], part)
 
+    @pytest.mark.parametrize(
+        "truth, dtype",
+        [
+            # a mask would be read as the indices {0, 1}, an error_w of 1.0
+            ([False, False, True, True], "bool"),
+            (np.array([False, False, True, True]), "bool"),
+            # fractions would be truncated to {0, 2}
+            ([0.9, 2.2], "float64"),
+            ([2.0, np.nan], "float64"),
+        ],
+    )
+    def test_a_mask_or_a_fraction_is_not_an_index(self, truth, dtype):
+        part = LabelPartition([False, False, True, True])
+        with pytest.raises(ValueError) as exc:
+            error_rates(truth, part)
+        assert str(exc.value) == f"truth indices must be integers, got {dtype} values"
+
     @staticmethod
     def unique_error_rates(truth_inliers, partition):
         """The reference: validate and count on the sorted unique truth."""
@@ -1359,6 +1378,10 @@ class TestErrorRates:
             ([-1, 5], part),
             ([], LabelPartition(np.zeros(5, dtype=bool))),
             (3, part),
+            # a float that is a whole number is an index
+            ([4.0, 1.0, 1.0], part),
+            (np.array([2.0, 0.0]), part),
+            ([7.0], part),
         ]
         outcomes = set()
         for truth, part in cases:

@@ -548,13 +548,9 @@ def csv_of(fields, width) -> str:
     return "\n".join(rows) + "\n"
 
 
-# The longest prefix of a field that numpy 1.x's parser reads: glibc's
-# strtold for floats, CPython's PyOS_strtol for integers (which reads a sign
-# alone as 0).
-NUMERIC_PREFIX = {
-    "f": re.compile(rb"\s*([+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?)?"),
-    "i": re.compile(rb"\s*[+-]?\d*"),
-}
+# The longest prefix of an integer field that numpy 1.x's parser reads:
+# CPython's PyOS_strtol (which reads a sign alone as 0).
+INTEGER_PREFIX = re.compile(rb"\s*[+-]?\d*")
 
 
 def stopping_fromstring(fromstring):
@@ -570,7 +566,7 @@ def stopping_fromstring(fromstring):
             pass
         values = []
         for field in text.split(sep.encode()):
-            prefix = NUMERIC_PREFIX[np.dtype(dtype).kind].match(field).group()
+            prefix = INTEGER_PREFIX.match(field).group()
             if prefix.strip():
                 values.append(fromstring(prefix, dtype=dtype, sep=sep)[0])
             if not prefix.strip() or field[len(prefix) :].strip():
@@ -580,8 +576,8 @@ def stopping_fromstring(fromstring):
     return parse
 
 
-# Rows that strtold or numpy's fromstring would read, each with the field
-# that today's message names.
+# Rows that a C number parser (strtold, or numpy's fromstring) would read in
+# part, each with the field that today's message names.
 PLAIN_PATH_REFUSALS = {
     "3,0x1p3": (2, "0x1p3"),
     "1e,4": (1, "1e"),
@@ -656,8 +652,8 @@ class TestPlainDecimalPath:
     @pytest.mark.skipif(not fileio._X87_LONG_DOUBLE, reason="long double is not x87")
     def test_benchmark_shape_takes_the_fixed_point_path(self, tmp_path, monkeypatch):
         """No block of a 50x1000 or 10x4000 ``%.17g`` file of standard
-        normals, exponent fields included, leaves the mantissa path: none
-        reaches ``strtold``, and no row is counted line by line."""
+        normals, exponent fields included, leaves the mantissa path, and
+        none is read as long doubles by ``np.fromstring``."""
         fromstring, fixed_point = np.fromstring, fileio._fixed_point
         wide_blocks, taken = [], []
 
@@ -680,6 +676,41 @@ class TestPlainDecimalPath:
             assert b"e-" in path.read_bytes()
             assert read_matrix_csv(path).tobytes() == m.tobytes()
         assert taken and all(taken)
+        assert wide_blocks == []
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "7",
+            "-12",
+            "0",
+            "1.234567890123456789",  # 19 mantissa digits
+            "-9.876543210987654321e-5",
+            "1.5e-27",  # s = 28
+            "1.5e29",  # s = -28
+        ],
+    )
+    def test_blocks_off_the_mantissa_path_go_to_loadtxt(
+        self, tmp_path, monkeypatch, gate, block_chars, field
+    ):
+        """A ``%.17g`` block with a field the mantissa path refuses reads
+        ``float``'s bits, and no block is read as long doubles."""
+        fromstring, wide_blocks = np.fromstring, []
+
+        def recording_fromstring(text, dtype, sep):
+            if np.dtype(dtype) == np.longdouble:
+                wide_blocks.append(text)
+            return fromstring(text, dtype=dtype, sep=sep)
+
+        monkeypatch.setattr(np, "fromstring", recording_fromstring)
+        values = np.random.default_rng(40).standard_normal((40, 30))
+        rows = [["%.17g" % v for v in row] for row in values.tolist()]
+        for i, row in enumerate(rows):
+            row[i % 30] = field
+        path = tmp_path / "m.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        expected = np.array([[float(f) for f in row] for row in rows])
+        assert read_matrix_csv(path).tobytes() == expected.tobytes()
         assert wide_blocks == []
 
     @pytest.mark.skipif(not fileio._X87_LONG_DOUBLE, reason="long double is not x87")
@@ -800,6 +831,9 @@ class TestPlainDecimalPath:
             ({5: "0.5,1.5,2.5,", 9: "# stray"}, "6: expected 3 fields, got 4"),
             ({3: "0.5,x,2.5", 5: "0.5"}, "4: field 2 is not a number: 'x'"),
             ({3: "# stray", 5: "0.5"}, "4: '#' lines only allowed as header"),
+            # with a row a block, a later block of one wrong width parses
+            # whole and fails only at the reshape to 3 columns
+            ({i: "0.5,1.5" for i in range(10, 20)}, "11: expected 3 fields, got 2"),
         ],
     )
     def test_the_first_bad_line_of_a_block_is_named(

@@ -95,9 +95,10 @@ class TestResolveWorkers:
     def test_capped_by_shards(self):
         assert resolve_workers(16, s=2) == 2
 
-    def test_invalid(self):
+    @pytest.mark.parametrize("requested", [0, 1.5, True, "2", np.float64(2.0)])
+    def test_invalid(self, requested):
         with pytest.raises(ValueError):
-            resolve_workers(0, s=4)
+            resolve_workers(requested, s=4)
 
     def test_default_is_the_affinity_set_not_the_cpu_count(self, monkeypatch):
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
